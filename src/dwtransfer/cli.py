@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -57,6 +58,30 @@ def _require(manifest: dict, field: str, kind=None):
     return value
 
 
+def _number(value, field: str) -> float:
+    """A finite JSON number; booleans and NaN/Infinity are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ManifestError(
+            f"manifest field '{field}' must be a number, got "
+            f"{type(value).__name__}"
+        )
+    if not math.isfinite(value):
+        raise ManifestError(
+            f"manifest field '{field}' must be finite, got {value}"
+        )
+    return float(value)
+
+
+def _integer(value, field: str) -> int:
+    """A JSON number with an integral value, e.g. ``5`` or ``5.0``."""
+    x = _number(value, field)
+    if not x.is_integer():
+        raise ManifestError(
+            f"manifest field '{field}' must be an integer, got {value}"
+        )
+    return int(x)
+
+
 def _load_manifest(path: str, experiment: str) -> dict:
     try:
         with open(path) as fh:
@@ -78,20 +103,26 @@ def _load_manifest(path: str, experiment: str) -> dict:
     return manifest
 
 
+def _amplitude(item, field: str) -> complex:
+    """One amplitude: a finite number or a finite ``[re, im]`` pair."""
+    if isinstance(item, list) and len(item) == 2:
+        return complex(_number(item[0], field), _number(item[1], field))
+    return complex(_number(item, field))
+
+
+def _logical_state(amps: np.ndarray, field: str) -> LogicalState:
+    try:
+        return LogicalState(int(np.log2(amps.size)), amps)
+    except ValueError as exc:
+        raise ManifestError(
+            f"manifest field '{field}' is invalid: {exc}"
+        ) from exc
+
+
 def _parse_amplitudes(raw, field: str) -> np.ndarray:
     if not isinstance(raw, list) or not raw:
         raise ManifestError(f"manifest field '{field}' must be a non-empty list")
-    out = []
-    for item in raw:
-        if isinstance(item, (int, float)):
-            out.append(complex(item))
-        elif isinstance(item, list) and len(item) == 2:
-            out.append(complex(item[0], item[1]))
-        else:
-            raise ManifestError(
-                f"manifest field '{field}' entries must be numbers or "
-                "[re, im] pairs"
-            )
+    out = [_amplitude(item, field) for item in raw]
     n = len(out)
     if n & (n - 1):
         raise ManifestError(f"manifest field '{field}' length must be a power of 2")
@@ -101,17 +132,14 @@ def _parse_amplitudes(raw, field: str) -> np.ndarray:
 def _parse_single_state(manifest: dict) -> LogicalState:
     state = _require(manifest, "state", dict)
     if "alpha" in state or "beta" in state:
-        alpha = complex(state.get("alpha", 0.0))
-        beta = complex(state.get("beta", 0.0))
+        alpha = _amplitude(state.get("alpha", 0.0), "state.alpha")
+        beta = _amplitude(state.get("beta", 0.0), "state.beta")
         amps = np.array([beta, alpha], dtype=complex)
     else:
         amps = _parse_amplitudes(
             _require(state, "amplitudes"), "state.amplitudes"
         )
-    try:
-        return LogicalState(int(np.log2(amps.size)), amps)
-    except ValueError as exc:
-        raise ManifestError(f"manifest field 'state' is invalid: {exc}") from exc
+    return _logical_state(amps, "state")
 
 
 def _parse_layout(raw, n_spins: int) -> RegisterLayout:
@@ -119,9 +147,9 @@ def _parse_layout(raw, n_spins: int) -> RegisterLayout:
         raise ManifestError("manifest field 'layout' must be an object")
     try:
         layout = RegisterLayout(
-            int(raw.get("n_alice", 1)),
-            int(raw.get("n_wire", n_spins - 2)),
-            int(raw.get("n_bob", 1)),
+            _integer(raw.get("n_alice", 1), "layout.n_alice"),
+            _integer(raw.get("n_wire", n_spins - 2), "layout.n_wire"),
+            _integer(raw.get("n_bob", 1), "layout.n_bob"),
         )
     except ValueError as exc:
         raise ManifestError(f"manifest field 'layout' is invalid: {exc}") from exc
@@ -131,6 +159,10 @@ def _parse_layout(raw, n_spins: int) -> RegisterLayout:
             f"'n_spins' is {n_spins}"
         )
     return layout
+
+
+def _time_samples(manifest: dict) -> int:
+    return _integer(manifest.get("n_time_samples", 200), "n_time_samples")
 
 
 def _parse_propagator(manifest: dict) -> PropagatorConfig:
@@ -210,8 +242,8 @@ def _summary_payload(result: ProtocolResult) -> dict:
 
 
 def cmd_baseline(manifest: dict, out: Path) -> int:
-    N = int(_require(manifest, "n_spins", (int, float)))
-    lam = float(_require(manifest, "lam", (int, float)))
+    N = _integer(_require(manifest, "n_spins"), "n_spins")
+    lam = _number(_require(manifest, "lam"), "lam")
     logical = _parse_single_state(manifest)
     if logical.n_logical != 1:
         raise ManifestError("manifest field 'state' must be a single qubit")
@@ -219,7 +251,7 @@ def cmd_baseline(manifest: dict, out: Path) -> int:
         cfg = ProtocolConfig(
             spec=None,  # the baseline has no Ising coupling
             propagator=_parse_propagator(manifest),
-            n_time_samples=int(manifest.get("n_time_samples", 200)),
+            n_time_samples=_time_samples(manifest),
         )
         result = run_heisenberg_baseline(N, lam, logical, cfg)
     except ValueError as exc:
@@ -235,9 +267,9 @@ def cmd_transfer(manifest: dict, out: Path) -> int:
         raise ManifestError(
             f"manifest field 'mode' must be 'single' or 'multi', got '{mode}'"
         )
-    N = int(_require(manifest, "n_spins", (int, float)))
-    lam = float(_require(manifest, "lam", (int, float)))
-    J = float(_require(manifest, "j_coupling", (int, float)))
+    N = _integer(_require(manifest, "n_spins"), "n_spins")
+    lam = _number(_require(manifest, "lam"), "lam")
+    J = _number(_require(manifest, "j_coupling"), "j_coupling")
     logical = _parse_single_state(manifest)
     layout = _parse_layout(
         manifest.get(
@@ -251,7 +283,7 @@ def cmd_transfer(manifest: dict, out: Path) -> int:
         cfg = ProtocolConfig(
             spec=spec,
             propagator=_parse_propagator(manifest),
-            n_time_samples=int(manifest.get("n_time_samples", 200)),
+            n_time_samples=_time_samples(manifest),
             apply_phase_correction=bool(
                 manifest.get("apply_phase_correction", True)
             ),
@@ -270,10 +302,12 @@ def cmd_transfer(manifest: dict, out: Path) -> int:
 
 def cmd_sweep(manifest: dict, out: Path, workers: int,
               slope_band: float) -> int:
-    N = int(_require(manifest, "n_spins", (int, float)))
-    lam = float(_require(manifest, "lam", (int, float)))
-    ratios = _require(manifest, "ratios", list)
-    if not all(isinstance(r, (int, float)) and r > 0 for r in ratios):
+    N = _integer(_require(manifest, "n_spins"), "n_spins")
+    lam = _number(_require(manifest, "lam"), "lam")
+    ratios = [
+        _number(r, "ratios") for r in _require(manifest, "ratios", list)
+    ]
+    if not all(r > 0 for r in ratios):
         raise ManifestError("manifest field 'ratios' must be positive numbers")
     raw_states = _require(manifest, "states", list)
     states = []
@@ -284,7 +318,7 @@ def cmd_sweep(manifest: dict, out: Path, workers: int,
         amps = _parse_amplitudes(
             _require(raw, "amplitudes"), f"states[{i}].amplitudes"
         )
-        logical = LogicalState(int(np.log2(amps.size)), amps)
+        logical = _logical_state(amps, f"states[{i}]")
         layout = _parse_layout(
             raw.get(
                 "layout",
@@ -302,7 +336,7 @@ def cmd_sweep(manifest: dict, out: Path, workers: int,
         base_cfg = ProtocolConfig(
             spec=ChainSpec(N, max(ratios) * lam, lam),
             propagator=_parse_propagator(manifest),
-            n_time_samples=int(manifest.get("n_time_samples", 200)),
+            n_time_samples=_time_samples(manifest),
         )
         table = error_scaling_sweep(states, ratios, base_cfg, workers)
     except ValueError as exc:
@@ -326,10 +360,10 @@ def cmd_sweep(manifest: dict, out: Path, workers: int,
 
 
 def cmd_consistency(manifest: dict, out: Path) -> int:
-    n_min = int(manifest.get("n_min", 2))
-    n_max = int(manifest.get("n_max", 10))
-    lam = float(_require(manifest, "lam", (int, float)))
-    samples = int(manifest.get("samples", 20))
+    n_min = _integer(manifest.get("n_min", 2), "n_min")
+    n_max = _integer(manifest.get("n_max", 10), "n_max")
+    lam = _number(_require(manifest, "lam"), "lam")
+    samples = _integer(manifest.get("samples", 20), "samples")
     if n_min < 2 or n_max < n_min:
         raise ManifestError(
             "manifest fields 'n_min'/'n_max' must satisfy 2 <= n_min <= n_max"

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,13 @@ def write_manifest(path, payload):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def with_fields(path, tmp_path, **fields):
+    """Copy of the manifest at ``path`` with ``fields`` overwritten."""
+    manifest = json.loads(Path(path).read_text())
+    manifest.update(fields)
+    return write_manifest(tmp_path / "bad.json", manifest)
 
 
 @pytest.fixture
@@ -229,6 +237,75 @@ class TestConsistency:
         assert run(["consistency", "--config", cfg,
                     "--out", tmp_path / "o"]) == 1
         assert "n_min" in capsys.readouterr().err
+
+
+class TestInputGuards:
+    @pytest.mark.parametrize("command, field, value", [
+        ("baseline", "lam", math.nan),
+        ("baseline", "lam", math.inf),
+        ("baseline", "n_spins", 5.7),
+        ("baseline", "n_spins", True),
+        ("baseline", "n_time_samples", 40.5),
+        ("transfer", "n_spins", 5.7),
+        ("transfer", "j_coupling", -math.inf),
+        ("transfer", "lam", math.nan),
+        ("sweep", "lam", math.nan),
+        ("sweep", "n_spins", 5.7),
+    ])
+    def test_bad_number_exits_1(self, request, tmp_path, capsys,
+                                command, field, value):
+        path = request.getfixturevalue(f"{command}_manifest")
+        cfg = with_fields(path, tmp_path, **{field: value})
+        out = tmp_path / "o"
+        assert run([command, "--config", cfg, "--out", out]) == 1
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_min", 2.5), ("n_max", math.nan), ("samples", 10.5),
+        ("lam", math.inf),
+    ])
+    def test_bad_consistency_number_exits_1(self, tmp_path, capsys,
+                                            field, value):
+        manifest = {"lam": 1.0, "n_min": 2, "n_max": 4, "samples": 10}
+        manifest[field] = value
+        cfg = write_manifest(tmp_path / "c.json", manifest)
+        assert run(["consistency", "--config", cfg,
+                    "--out", tmp_path / "o"]) == 1
+        assert f"'{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("state, field", [
+        ({"alpha": math.nan}, "state.alpha"),
+        ({"alpha": [1.0, 0.0], "beta": "0"}, "state.beta"),
+        ({"amplitudes": [[math.nan, 0], 0]}, "state.amplitudes"),
+    ])
+    def test_bad_amplitude_exits_1(self, transfer_manifest, tmp_path, capsys,
+                                   state, field):
+        cfg = with_fields(transfer_manifest, tmp_path, state=state)
+        assert run(["transfer", "--config", cfg,
+                    "--out", tmp_path / "o"]) == 1
+        assert f"'{field}'" in capsys.readouterr().err
+
+    def test_bad_layout_size_exits_1(self, tmp_path, capsys):
+        cfg = write_manifest(tmp_path / "bad.json", {
+            "mode": "multi", "n_spins": 7, "lam": 1.0, "j_coupling": 22.0,
+            "layout": {"n_alice": 2, "n_wire": 3.5, "n_bob": 2},
+            "state": {"amplitudes": [1.0, 0, 0, 0]},
+        })
+        assert run(["transfer", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert "'layout.n_wire'" in capsys.readouterr().err
+
+    def test_unnormalized_sweep_state_exits_1(self, sweep_manifest, tmp_path,
+                                              capsys):
+        cfg = with_fields(sweep_manifest, tmp_path,
+                          states=[{"amplitudes": [[1, 0], [1, 0]]}])
+        assert run(["sweep", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert "'states[0]'" in capsys.readouterr().err
+
+    def test_infinite_ratio_exits_1(self, sweep_manifest, tmp_path, capsys):
+        cfg = with_fields(sweep_manifest, tmp_path, ratios=[8.0, math.inf])
+        assert run(["sweep", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert "'ratios'" in capsys.readouterr().err
 
 
 class TestArgumentHandling:

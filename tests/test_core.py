@@ -12,7 +12,13 @@ from dwtransfer.core import (
     realize,
     sigma_z_expectation,
 )
-from dwtransfer.hamiltonians import heisenberg_xy
+from dwtransfer.hamiltonians import (
+    ChainSpec,
+    RegisterLayout,
+    heisenberg_xy,
+    multiqubit_reset_hamiltonian,
+    transport_hamiltonian,
+)
 
 EXACT = PropagatorConfig(method="exact-eigendecomposition")
 KRYLOV = PropagatorConfig(method="krylov")
@@ -138,6 +144,22 @@ class TestEvolve:
             b = evolve(psi, h, t, KRYLOV)
             assert np.linalg.norm(a.amplitudes - b.amplitudes) < 1e-8
 
+    @pytest.mark.parametrize("steps", [200, 1])
+    @pytest.mark.parametrize("builder", [transport_hamiltonian,
+                                         multiqubit_reset_hamiltonian])
+    @pytest.mark.parametrize("layout", [(1, 3, 1), (2, 3, 2), (3, 3, 3)])
+    def test_fast_matches_exact_on_protocol_hamiltonians(
+        self, layout, builder, steps
+    ):
+        # one trace sample (tau/200) and one whole stage at J/lambda = 22
+        spec = ChainSpec(sum(layout), 22.0, 1.0, RegisterLayout(*layout))
+        h = realize(builder(spec))
+        psi = random_state(np.random.default_rng(spec.n_spins), spec.n_spins)
+        t = spec.tau / steps
+        a = evolve(psi, h, t, EXACT)
+        b = evolve(psi, h, t, KRYLOV)
+        assert np.linalg.norm(a.amplitudes - b.amplitudes) < 1e-8
+
     def test_composition(self):
         rng = np.random.default_rng(7)
         h = random_hermitian_operator(rng, 2**4)
@@ -151,10 +173,6 @@ class TestPropagatorConfig:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             PropagatorConfig(method="magic")
-
-    def test_bad_krylov_dim(self):
-        with pytest.raises(ValueError):
-            PropagatorConfig(krylov_dim=1)
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):

@@ -176,6 +176,18 @@ class TestMultiQubitTransfer:
         res = run_multi_qubit_transfer(prod, layout, cfg)
         assert res.fidelity_corrected[-1] >= 0.95
 
+    def test_global_rng_untouched(self):
+        # byte-identical reruns rely on the fast propagator drawing no
+        # random numbers from numpy's global generator
+        layout = RegisterLayout(2, 3, 2)
+        cfg = ProtocolConfig(spec=ChainSpec(7, 22.0, 1.0, layout))
+        bell = LogicalState(2, np.array([S2, 0, 0, S2]))
+        before = np.random.get_state()
+        run_multi_qubit_transfer(bell, layout, cfg)
+        after = np.random.get_state()
+        assert np.array_equal(after[1], before[1])
+        assert after[2:] == before[2:]
+
     def test_layout_payload_mismatch(self):
         layout = RegisterLayout(2, 3, 2)
         spec = ChainSpec(7, 22.0, 1.0, layout)
