@@ -82,6 +82,16 @@ def _integer(value, field: str) -> int:
     return int(x)
 
 
+def _boolean(value, field: str) -> bool:
+    """A JSON ``true`` or ``false``; strings and numbers are rejected."""
+    if not isinstance(value, bool):
+        raise ManifestError(
+            f"manifest field '{field}' must be true or false, got "
+            f"{type(value).__name__}"
+        )
+    return value
+
+
 def _load_manifest(path: str, experiment: str) -> dict:
     try:
         with open(path) as fh:
@@ -278,15 +288,16 @@ def cmd_transfer(manifest: dict, out: Path) -> int:
         ),
         N,
     )
+    correct_phases = _boolean(
+        manifest.get("apply_phase_correction", True), "apply_phase_correction"
+    )
     try:
         spec = ChainSpec(N, J, lam, layout)
         cfg = ProtocolConfig(
             spec=spec,
             propagator=_parse_propagator(manifest),
             n_time_samples=_time_samples(manifest),
-            apply_phase_correction=bool(
-                manifest.get("apply_phase_correction", True)
-            ),
+            apply_phase_correction=correct_phases,
         )
         if mode == "single":
             beta, alpha = logical.amplitudes

@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,12 +19,9 @@ from scipy.sparse.linalg import expm_multiply
 
 NORM_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
+ONE_NORM_STEP = 60.0  # below scipy's 63.36 switch to a randomized estimate
 
-_PAULI = {
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
+_PAULI_LABELS = ("X", "Y", "Z")
 
 
 class DimensionMismatch(ValueError):
@@ -122,7 +120,7 @@ class PauliSum:
                     raise ValueError(
                         f"site {site} out of range for {self.n_spins} spins"
                     )
-                if label not in _PAULI:
+                if label not in _PAULI_LABELS:
                     raise ValueError(f"unknown Pauli label {label!r}")
             checked.append((float(np.real(coeff)), dict(factors)))
         object.__setattr__(self, "terms", tuple(checked))
@@ -134,6 +132,8 @@ class Operator:
 
     matrix: sp.csr_matrix
     _eig: tuple = field(default=None, repr=False, compare=False)
+    _block: tuple = field(default=None, repr=False, compare=False)
+    _norm: float = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         m = sp.csr_matrix(self.matrix, dtype=complex)
@@ -154,6 +154,57 @@ class Operator:
             w, v = np.linalg.eigh(self.matrix.toarray())
             self._eig = (w, v)
         return self._eig
+
+    def invariant_block(self, amp: np.ndarray):
+        """Smallest index set that H maps into itself and that holds the
+        nonzero entries of ``amp``, with H restricted to it.
+
+        Returns ``(indices, block)``: the sorted basis indices and the
+        block as an ``Operator``, or ``(None, self)`` when the set is the
+        whole space.  The set is the support of ``amp`` grown along the
+        nonzero pattern of H until it stops changing.  It is cached and
+        recomputed only when the support of ``amp`` leaves it.  The cache
+        never refers back to this operator, so dropping the operator
+        frees its blocks without the cycle collector.
+        """
+        support = np.flatnonzero(amp)
+        if self._block is None or not self._block[0][support].all():
+            inside = np.zeros(self.dimension, dtype=bool)
+            inside[support] = True
+            frontier = support
+            while frontier.size:
+                fresh = np.zeros(self.dimension, dtype=bool)
+                fresh[self.matrix[frontier].indices] = True
+                fresh &= ~inside
+                inside |= fresh
+                frontier = np.flatnonzero(fresh)
+            indices = np.flatnonzero(inside)
+            if indices.size == self.dimension:
+                self._block = (inside, None, None)
+            else:
+                # rows of the set hold columns of the set only; renumber
+                # them by their rank in the set, which keeps them sorted
+                rows = self.matrix[indices]
+                rank = np.zeros(self.dimension, dtype=np.int64)
+                rank[indices] = np.arange(indices.size)
+                block = sp.csr_matrix(
+                    (rows.data, rank[rows.indices], rows.indptr),
+                    shape=(indices.size, indices.size),
+                )
+                self._block = (inside, indices, Operator(block))
+        _, indices, block = self._block
+        return (None, self) if indices is None else (indices, block)
+
+    def _shifted_norm(self) -> float:
+        """``||H - (tr H / d) 1||_1``, the norm ``expm_multiply`` bounds."""
+        if self._norm is None:
+            m = self.matrix
+            diag = m.diagonal()
+            shift = diag.sum() / self.dimension
+            col = np.bincount(m.indices, weights=np.abs(m.data),
+                              minlength=self.dimension)
+            self._norm = float(np.max(col - abs(diag) + abs(diag - shift)))
+        return self._norm
 
 
 @dataclass(frozen=True)
@@ -178,23 +229,49 @@ class PropagatorConfig:
 
 
 def realize(p: PauliSum) -> Operator:
-    """Realize a Pauli sum as a sparse Hermitian matrix.
+    """Realize a Pauli sum as a sparse Hermitian matrix."""
+    # the Hermiticity check runs after the build's work arrays are freed
+    return Operator(_pauli_csr(p))
 
-    The result is ``sum_k c_k (kron of single-site Paulis)`` with identity
-    on every site not named by the term.
+
+def _pauli_csr(p: PauliSum) -> sp.csr_matrix:
+    """Canonical CSR matrix of a Pauli sum, built from bit masks.
+
+    A Pauli string sends basis index ``i`` to ``i ^ flip``, where
+    ``flip`` holds the bits of its X and Y sites, with amplitude
+    ``(-1)^popcount(i & zy)`` times ``1j`` per Y, where ``zy`` holds the
+    bits of its Z and Y sites.  Terms are summed, in order, into one
+    column array per distinct flip mask; the result is canonical CSR
+    without stored zeros.
     """
-    dim = 2**p.n_spins
-    acc = sp.csr_matrix((dim, dim), dtype=complex)
-    ident = sp.identity(2, dtype=complex, format="csr")
+    n, dim = p.n_spins, 2**p.n_spins
+    idx = np.arange(dim)
+    by_flip = {}  # flip mask -> values indexed by the column
     for coeff, factors in p.terms:
-        term = sp.identity(1, dtype=complex, format="csr")
-        for site in range(1, p.n_spins + 1):
-            label = factors.get(site)
-            local = sp.csr_matrix(_PAULI[label]) if label else ident
-            term = sp.kron(term, local, format="csr")
-        acc = acc + coeff * term
-    acc.eliminate_zeros()
-    return Operator(acc)
+        flip = n_y = 0
+        parity = np.zeros(dim, dtype=np.int64)
+        for site, label in factors.items():
+            shift = n - site
+            if label != "Z":
+                flip |= 1 << shift
+            if label != "X":
+                parity ^= idx >> shift & 1
+            n_y += label == "Y"
+        # float sign: 1 - 2 * parity never wraps around
+        values = coeff * (1, 1j, -1, -1j)[n_y % 4] * (1.0 - 2.0 * parity)
+        if flip in by_flip:
+            by_flip[flip] += values
+        else:
+            by_flip[flip] = values.astype(complex)
+    # one entry per row for each flip mask; sparse addition merges the
+    # rows in column order and drops the entries that cancelled
+    acc = sp.csr_matrix((dim, dim), dtype=complex)
+    for flip, values in by_flip.items():
+        acc = acc + sp.csr_matrix(
+            (values[idx ^ flip], idx ^ flip, np.arange(dim + 1)),
+            shape=(dim, dim),
+        )
+    return acc
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
@@ -235,14 +312,31 @@ def evolve(
         raise ValueError("evolution time must be non-negative")
     if t == 0:
         return state
+    indices, block = h.invariant_block(state.amplitudes)
+    amp = state.amplitudes if indices is None else state.amplitudes[indices]
     if cfg.method == "exact-eigendecomposition":
-        out = _evolve_exact(state.amplitudes, h, t)
+        out = _evolve_exact(amp, block, t)
     else:
-        out = expm_multiply(-1j * t * h.matrix, state.amplitudes)
+        out = _evolve_sparse(amp, block, t)
     drift = abs(np.linalg.norm(out) - 1.0)
     if drift > max(cfg.tolerance, 1e-9):
         raise KrylovBreakdown("propagated state lost normalization", drift)
+    if indices is not None:
+        full = np.zeros(state.dim, dtype=complex)
+        full[indices] = out
+        out = full
     return StateVector(state.n_spins, out)
+
+
+def _evolve_sparse(amp: np.ndarray, h: Operator, t: float) -> np.ndarray:
+    # equal sub-steps keep ||dt (H - shift)||_1 at or below the bound under
+    # which expm_multiply computes every norm exactly; above it scipy's
+    # randomized onenormest would draw from the global np.random state
+    steps = max(1, math.ceil(t * h._shifted_norm() / ONE_NORM_STEP))
+    a = -1j * (t / steps) * h.matrix
+    for _ in range(steps):
+        amp = expm_multiply(a, amp)
+    return amp
 
 
 def _evolve_exact(amp: np.ndarray, h: Operator, t: float) -> np.ndarray:

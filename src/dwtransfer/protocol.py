@@ -53,6 +53,7 @@ from .hamiltonians import (
 )
 
 PEAK_WINDOW = 0.05  # peak search window around the readout time, fractional
+FIDELITY_ROUNDOFF = 1e-9  # largest excursion outside [0, 1] clamped silently
 
 _CTX = BoundaryContext(left_value=0, right_context=0)
 
@@ -285,7 +286,15 @@ def _readout(psi: StateVector, layout: RegisterLayout, branches, tau,
     nrm = np.linalg.norm(logical_vec)
     if nrm < 1e-12:
         raise RuntimeError("no weight on the decoded register; run diverged")
-    return LogicalState(k, logical_vec / nrm), min(max(f, 0.0), 1.0)
+    return LogicalState(k, logical_vec / nrm), _unit_interval(
+        f, "readout fidelity")
+
+
+def _unit_interval(f: float, what: str) -> float:
+    """Clamp a fidelity's round-off into [0, 1]; raise beyond round-off."""
+    if not -FIDELITY_ROUNDOFF <= f <= 1.0 + FIDELITY_ROUNDOFF:
+        raise RuntimeError(f"{what} {f!r} lies outside [0, 1]")
+    return min(max(f, 0.0), 1.0)
 
 
 def _trace_run(state, hams, branches, N, tau, n_samp, prop):
@@ -302,8 +311,10 @@ def _trace_run(state, hams, branches, N, tau, n_samp, prop):
             state = evolve(state, h, dt, prop)
         tgt_c = _target_vector(branches, N, t, tau, corrected=True)
         tgt_u = _target_vector(branches, N, t, tau, corrected=False)
-        corrected[i] = min(abs(np.vdot(tgt_c, state.amplitudes)) ** 2, 1.0)
-        uncorrected[i] = min(abs(np.vdot(tgt_u, state.amplitudes)) ** 2, 1.0)
+        corrected[i] = _unit_interval(
+            abs(np.vdot(tgt_c, state.amplitudes)) ** 2, "corrected fidelity")
+        uncorrected[i] = _unit_interval(
+            abs(np.vdot(tgt_u, state.amplitudes)) ** 2, "uncorrected fidelity")
         sigma_z[:, i] = _sigma_z_all(state.amplitudes, N)
     return times, corrected, uncorrected, sigma_z, state
 

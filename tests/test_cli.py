@@ -307,6 +307,18 @@ class TestInputGuards:
         assert run(["sweep", "--config", cfg, "--out", tmp_path / "o"]) == 1
         assert "'ratios'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_non_boolean_phase_correction_exits_1(
+        self, transfer_manifest, tmp_path, capsys, value
+    ):
+        # bool("false") is True: a string must not switch the correction on
+        cfg = with_fields(transfer_manifest, tmp_path,
+                          apply_phase_correction=value)
+        out = tmp_path / "o"
+        assert run(["transfer", "--config", cfg, "--out", out]) == 1
+        assert "'apply_phase_correction'" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
 
 class TestArgumentHandling:
     def test_missing_config_file_exits_1(self, tmp_path, capsys):

@@ -1,5 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import expm
 
 from dwtransfer.core import (
     DimensionMismatch,
@@ -22,6 +27,38 @@ from dwtransfer.hamiltonians import (
 
 EXACT = PropagatorConfig(method="exact-eigendecomposition")
 KRYLOV = PropagatorConfig(method="krylov")
+METHODS = [EXACT, KRYLOV]
+
+PAULI = {
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
+
+
+def kron_realize(p):
+    """Reference realization: sum of Kronecker products, spin 1 leftmost."""
+    dim = 2**p.n_spins
+    acc = sp.csr_matrix((dim, dim), dtype=complex)
+    for coeff, factors in p.terms:
+        term = sp.identity(1, dtype=complex, format="csr")
+        for site in range(1, p.n_spins + 1):
+            local = PAULI.get(factors.get(site), np.eye(2, dtype=complex))
+            term = sp.kron(term, sp.csr_matrix(local), format="csr")
+        acc = acc + coeff * term
+    acc.eliminate_zeros()
+    return acc
+
+
+def random_pauli_sum(rng, n_spins, n_terms):
+    terms = []
+    for _ in range(n_terms):
+        sites = rng.choice(np.arange(1, n_spins + 1),
+                           size=int(rng.integers(0, n_spins + 1)),
+                           replace=False)
+        factors = {int(s): str(rng.choice(["X", "Y", "Z"])) for s in sites}
+        terms.append((float(rng.normal()), factors))
+    return PauliSum(n_spins, tuple(terms))
 
 
 def random_hermitian_operator(rng, dim):
@@ -81,6 +118,27 @@ class TestRealize:
     def test_zz_diagonal(self):
         op = realize(PauliSum(2, ((1.0, {1: "Z", 2: "Z"}),)))
         assert np.allclose(op.matrix.toarray(), np.diag([1.0, -1.0, -1.0, 1.0]))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_kron_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = seed + 1
+        p = random_pauli_sum(rng, n, n_terms=int(rng.integers(1, 12)))
+        got = realize(p).matrix
+        ref = kron_realize(p)
+        assert got.has_canonical_format
+        assert got.nnz == ref.nnz
+        assert np.array_equal(got.toarray(), ref.toarray())
+
+    def test_y_pairs_keep_their_sign(self):
+        # Y Y |00> = -|11>, Y Y |01> = +|10>; the XX + YY sum hops only
+        # between |01> and |10>
+        yy = realize(PauliSum(2, ((1.0, {1: "Y", 2: "Y"}),))).matrix
+        assert np.array_equal(yy.toarray(), kron_realize(
+            PauliSum(2, ((1.0, {1: "Y", 2: "Y"}),))).toarray())
+        assert yy[3, 0] == -1.0 and yy[2, 1] == 1.0
+        hop = realize(heisenberg_xy(2, 2.0)).matrix
+        assert hop.nnz == 2
 
     def test_rejects_non_hermitian_matrix(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -160,6 +218,19 @@ class TestEvolve:
         b = evolve(psi, h, t, KRYLOV)
         assert np.linalg.norm(a.amplitudes - b.amplitudes) < 1e-8
 
+    def test_long_time_leaves_global_rng_untouched(self):
+        # ||tau H||_1 = 512: one expm_multiply call over tau would draw
+        # from np.random through scipy's randomized norm estimate
+        h = realize(transport_hamiltonian(ChainSpec(7, 22.0, 1.0)))
+        psi = random_state(np.random.default_rng(2), 7)
+        before = np.random.get_state()
+        out = evolve(psi, h, np.pi, KRYLOV)
+        after = np.random.get_state()
+        assert np.array_equal(after[1], before[1])
+        assert after[2:] == before[2:]
+        ref = evolve(psi, h, np.pi, EXACT)
+        assert np.linalg.norm(out.amplitudes - ref.amplitudes) < 1e-8
+
     def test_composition(self):
         rng = np.random.default_rng(7)
         h = random_hermitian_operator(rng, 2**4)
@@ -167,6 +238,94 @@ class TestEvolve:
         once = evolve(psi, h, 2.7, KRYLOV)
         split = evolve(evolve(psi, h, 1.2, KRYLOV), h, 1.5, KRYLOV)
         assert np.linalg.norm(once.amplitudes - split.amplitudes) < 1e-8
+
+
+class TestInvariantBlock:
+    N = 7
+
+    def hamiltonians(self):
+        spec = ChainSpec(self.N, 22.0, 1.0, RegisterLayout(2, 3, 2))
+        return {
+            "transport": realize(transport_hamiltonian(spec)),
+            "reset": realize(multiqubit_reset_hamiltonian(spec)),
+            "xy": realize(heisenberg_xy(self.N, 1.0)),
+        }
+
+    def inputs(self):
+        n = self.N
+        one = StateVector.from_bits([1] + [0] * (n - 1))
+        two = StateVector.from_bits([1, 1] + [0] * (n - 2))
+        mixed = StateVector(n, (one.amplitudes + 1j * two.amplitudes
+                                + StateVector.basis(n, 0).amplitudes)
+                            / np.sqrt(3))
+        return {"one": one, "two": two, "mixed": mixed}
+
+    @pytest.mark.parametrize("cfg", METHODS)
+    @pytest.mark.parametrize("ham", ["transport", "reset", "xy"])
+    @pytest.mark.parametrize("label", ["one", "two", "mixed"])
+    def test_restricted_matches_full_space_expm(self, cfg, ham, label):
+        h = self.hamiltonians()[ham]
+        psi = self.inputs()[label]
+        ref = expm(-1j * 0.7 * h.matrix.toarray()) @ psi.amplitudes
+        out = evolve(psi, h, 0.7, cfg)
+        assert np.abs(out.amplitudes - ref).max() < 1e-10
+
+    def test_block_sizes(self):
+        n = self.N
+        hams = self.hamiltonians()
+        one = self.inputs()["one"].amplitudes
+        indices, block = hams["xy"].invariant_block(one)
+        assert block.dimension == n
+        assert np.array_equal(indices, [1 << k for k in range(n)])
+        _, block = hams["transport"].invariant_block(one)
+        assert block.dimension == 2 ** (n - 1)
+        dense = random_state(np.random.default_rng(0), n).amplitudes
+        indices, block = hams["transport"].invariant_block(dense)
+        assert indices is None and block is hams["transport"]
+
+    def test_block_matches_restricted_matrix(self):
+        h = self.hamiltonians()["transport"]
+        indices, block = h.invariant_block(self.inputs()["one"].amplitudes)
+        full = h.matrix.toarray()
+        assert np.array_equal(block.matrix.toarray(),
+                              full[np.ix_(indices, indices)])
+        outside = np.setdiff1d(np.arange(h.dimension), indices)
+        assert not full[np.ix_(outside, indices)].any()
+
+    @pytest.mark.parametrize("cfg", METHODS)
+    def test_support_leaving_the_cache_recomputes(self, cfg):
+        h = self.hamiltonians()["xy"]
+        states = self.inputs()
+        _, first = h.invariant_block(states["one"].amplitudes)
+        # a support inside the cached set reuses the cached block
+        shifted = StateVector.from_bits([0, 1] + [0] * (self.N - 2))
+        assert h.invariant_block(shifted.amplitudes)[1] is first
+        full = h.matrix.toarray()
+        for label in ("two", "mixed", "one"):
+            psi = states[label]
+            out = evolve(psi, h, 1.3, cfg)
+            ref = expm(-1j * 1.3 * full) @ psi.amplitudes
+            assert np.abs(out.amplitudes - ref).max() < 1e-10
+        _, last = h.invariant_block(states["mixed"].amplitudes)
+        assert last.dimension == 1 + self.N + self.N * (self.N - 1) // 2
+
+    @pytest.mark.parametrize("cfg", METHODS)
+    @pytest.mark.parametrize("whole_space", [False, True])
+    def test_operator_freed_without_cycle_collector(self, cfg, whole_space):
+        # the block cache must not refer back to its operator, or the
+        # cached eigensystems live until the next collection
+        h = realize(transport_hamiltonian(ChainSpec(self.N, 22.0, 1.0)))
+        psi = self.inputs()["one"]
+        if whole_space:  # a dense state fills both Z_1 sectors
+            psi = random_state(np.random.default_rng(1), self.N)
+        ref = weakref.ref(h)
+        gc.disable()
+        try:
+            evolve(psi, h, 0.5, cfg)
+            del h
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestPropagatorConfig:

@@ -8,6 +8,7 @@ from dwtransfer.encoding import BoundaryContext, LogicalState, count_domain_wall
 from dwtransfer.hamiltonians import ChainSpec, RegisterLayout
 from dwtransfer.protocol import (
     ProtocolConfig,
+    _unit_interval,
     fidelity_trace,
     run_heisenberg_baseline,
     run_multi_qubit_transfer,
@@ -245,3 +246,17 @@ class TestTraceAccess:
         res = run_single_qubit_transfer(1.0, 0.0, cfg)
         assert abs(res.peak_time - 2 * res.tau) <= 0.05 * 2 * res.tau
         assert res.peak_fidelity >= res.fidelity_corrected[-1] - 1e-12
+
+
+class TestUnitInterval:
+    @pytest.mark.parametrize("value, clamped", [
+        (0.0, 0.0), (0.25, 0.25), (1.0, 1.0),
+        (1.0 + 1e-12, 1.0), (-1e-12, 0.0),
+    ])
+    def test_round_off_is_clamped(self, value, clamped):
+        assert _unit_interval(value, "fidelity") == clamped
+
+    @pytest.mark.parametrize("value", [1.0 + 1e-6, -1e-6, math.nan])
+    def test_beyond_round_off_raises(self, value):
+        with pytest.raises(RuntimeError, match="fidelity"):
+            _unit_interval(value, "fidelity")
