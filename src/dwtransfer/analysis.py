@@ -176,8 +176,8 @@ def closed_form_consistency(N_range, lam: float, samples: int = 20) -> float:
         h = realize(heisenberg_xy(N, lam))
         src = StateVector.from_bits([1] + [0] * (N - 1))
         tgt_idx = 1  # |0...01>
-        for t in np.linspace(0.0, 2 * math.pi / lam, samples):
-            out = evolve(src, h, float(t), cfg)
+        times = np.linspace(0.0, 2 * math.pi / lam, samples)
+        for t, out in zip(times, evolve(src, h, times, cfg)):
             num = out.amplitudes[tgt_idx]
             ref = transfer_amplitude_closed_form(N, lam, float(t))
             worst = max(worst, abs(num - ref))

@@ -10,16 +10,14 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 NORM_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
-ONE_NORM_STEP = 60.0  # below scipy's 63.36 switch to a randomized estimate
+CHEBYSHEV_BATCH = 16  # Chebyshev vectors per output product; at least 3
 
 _PAULI_LABELS = ("X", "Y", "Z")
 
@@ -133,15 +131,13 @@ class Operator:
     matrix: sp.csr_matrix
     _eig: tuple = field(default=None, repr=False, compare=False)
     _block: tuple = field(default=None, repr=False, compare=False)
-    _norm: float = field(default=None, repr=False, compare=False)
+    _interval: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         m = sp.csr_matrix(self.matrix, dtype=complex)
-        defect = abs(m - m.getH())
-        if defect.nnz and defect.max() > HERMITICITY_TOL:
-            raise ValueError(
-                f"matrix is not Hermitian (defect {defect.max():.3e})"
-            )
+        defect = _hermiticity_defect(m)
+        if defect > HERMITICITY_TOL:
+            raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
         self.matrix = m
 
     @property
@@ -195,16 +191,37 @@ class Operator:
         _, indices, block = self._block
         return (None, self) if indices is None else (indices, block)
 
-    def _shifted_norm(self) -> float:
-        """``||H - (tr H / d) 1||_1``, the norm ``expm_multiply`` bounds."""
-        if self._norm is None:
+    def gershgorin_interval(self) -> tuple:
+        """``(lo, hi)`` holding every eigenvalue, from Gershgorin's discs.
+
+        Row ``i`` gives ``h_ii -+ sum_{j != i} |h_ij|``; H is Hermitian,
+        so the column sums of ``|H|`` are its row sums.  Cached.
+        """
+        if self._interval is None:
             m = self.matrix
-            diag = m.diagonal()
-            shift = diag.sum() / self.dimension
-            col = np.bincount(m.indices, weights=np.abs(m.data),
-                              minlength=self.dimension)
-            self._norm = float(np.max(col - abs(diag) + abs(diag - shift)))
-        return self._norm
+            diag = m.diagonal().real
+            radius = np.bincount(m.indices, weights=np.abs(m.data),
+                                 minlength=self.dimension) - abs(diag)
+            self._interval = (float(np.min(diag - radius)),
+                              float(np.max(diag + radius)))
+        return self._interval
+
+
+def _hermiticity_defect(m: sp.csr_matrix) -> float:
+    """``max |m - m^H|`` over the entries, from one transposed copy.
+
+    Canonical CSR (sorted columns, no duplicates) of a matrix with a
+    symmetric pattern shares its pattern with its transpose, so the
+    defect is a difference of the two value arrays; any other matrix
+    falls back to the sparse difference.
+    """
+    t = m.T.tocsr()  # the transpose, in canonical CSR
+    if (np.array_equal(t.indptr, m.indptr)
+            and np.array_equal(t.indices, m.indices)):
+        diff = np.conjugate(t.data, out=t.data)
+        diff -= m.data
+        return float(np.abs(diff).max(initial=0.0))
+    return float(abs(m - t.conj()).max())
 
 
 @dataclass(frozen=True)
@@ -213,9 +230,11 @@ class PropagatorConfig:
 
     ``exact-eigendecomposition`` is the dense reference path; ``krylov``
     is the sparse fast path and must agree with it to ``tolerance``.
-    The sparse path is the truncated-Taylor action of the exponential
-    (Al-Mohy & Higham 2011, ``scipy.sparse.linalg.expm_multiply``);
-    ``"krylov"`` is kept as its name so that existing manifests run.
+    The sparse path is a Chebyshev expansion of the exponential on the
+    Gershgorin interval of H (Tal-Ezer & Kosloff 1984), truncated at
+    round-off; ``"krylov"`` is kept as its name so that existing
+    manifests run.  ``tolerance`` bounds the norm drift of every
+    propagated state.
     """
 
     method: str = "krylov"
@@ -296,50 +315,123 @@ def sigma_z_expectation(state: StateVector, site: int) -> float:
 def evolve(
     state: StateVector,
     h: Operator,
-    t: float,
+    t: float | np.ndarray,
     cfg: PropagatorConfig = PropagatorConfig(),
-) -> StateVector:
+) -> StateVector | list[StateVector]:
     """Apply ``exp(-i H t)`` to a state.
 
-    The returned state is renormalized; the norm drift before
-    renormalization must stay within ``cfg.tolerance``.
+    ``t`` is one time, which returns one ``StateVector``, or a 1-D
+    non-decreasing array of times, which returns a list with the state
+    at each of them, all from one call.  Every returned state is
+    renormalized; its norm drift before renormalization must stay
+    within ``cfg.tolerance``.
     """
     if h.dimension != state.dim:
         raise DimensionMismatch(
             f"operator dimension {h.dimension} != state dimension {state.dim}"
         )
-    if t < 0:
-        raise ValueError("evolution time must be non-negative")
-    if t == 0:
-        return state
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError(f"evolution times must be 1-D, got shape "
+                         f"{times.shape}")
+    grid = np.atleast_1d(times)
+    bad = np.flatnonzero(~((grid >= 0.0) & (grid < np.inf)))
+    if bad.size:
+        raise ValueError(f"evolution time must be finite and non-negative, "
+                         f"got {float(grid[bad[0]])!r}")
+    back = np.flatnonzero(np.diff(grid) < 0.0)
+    if back.size:
+        i = back[0]
+        raise ValueError(f"evolution times must be non-decreasing, got "
+                         f"{float(grid[i + 1])!r} after {float(grid[i])!r}")
+    # zero times lead the grid and keep the state exactly
+    zeros = int(np.count_nonzero(grid == 0.0))
+    out = [state] * zeros + _propagate(state, h, grid[zeros:], cfg)
+    return out[0] if times.ndim == 0 else out
+
+
+def _propagate(state, h, times, cfg):
+    """States at positive ``times`` on the invariant block of ``state``."""
+    if not times.size:
+        return []
     indices, block = h.invariant_block(state.amplitudes)
     amp = state.amplitudes if indices is None else state.amplitudes[indices]
     if cfg.method == "exact-eigendecomposition":
-        out = _evolve_exact(amp, block, t)
+        rows = _evolve_exact(amp, block, times)
     else:
-        out = _evolve_sparse(amp, block, t)
-    drift = abs(np.linalg.norm(out) - 1.0)
+        rows = _evolve_chebyshev(amp, block, times)
+    drift = np.abs(np.linalg.norm(rows, axis=1) - 1.0).max()
     if drift > max(cfg.tolerance, 1e-9):
         raise KrylovBreakdown("propagated state lost normalization", drift)
     if indices is not None:
-        full = np.zeros(state.dim, dtype=complex)
-        full[indices] = out
-        out = full
-    return StateVector(state.n_spins, out)
+        full = np.zeros((times.size, state.dim), dtype=complex)
+        full[:, indices] = rows
+        rows = full
+    return [StateVector(state.n_spins, row) for row in rows]
 
 
-def _evolve_sparse(amp: np.ndarray, h: Operator, t: float) -> np.ndarray:
-    # equal sub-steps keep ||dt (H - shift)||_1 at or below the bound under
-    # which expm_multiply computes every norm exactly; above it scipy's
-    # randomized onenormest would draw from the global np.random state
-    steps = max(1, math.ceil(t * h._shifted_norm() / ONE_NORM_STEP))
-    a = -1j * (t / steps) * h.matrix
-    for _ in range(steps):
-        amp = expm_multiply(a, amp)
-    return amp
+def _evolve_chebyshev(amp: np.ndarray, h: Operator,
+                      times: np.ndarray) -> np.ndarray:
+    """Rows ``exp(-i H t_j) amp`` from one Chebyshev recurrence.
+
+    With ``H = a Ht + c`` and ``Ht`` on [-1, 1] (Gershgorin interval),
+    ``exp(-i H t) = exp(-i c t) sum_k (2 - d_k0) (-i)^k J_k(a t) T_k(Ht)``.
+    The vectors ``T_k(Ht) amp`` are kept in a ring of ``CHEBYSHEV_BATCH``
+    rows, added into every output by one product per batch.
+    """
+    lo, hi = h.gershgorin_interval()
+    a, c = (hi - lo) / 2, (hi + lo) / 2
+    coef = _jacobi_anger(a * times) * np.exp(-1j * c * times)[:, None]
+    n_terms = coef.shape[1]
+    size = min(n_terms, CHEBYSHEV_BATCH)
+    ring = np.empty((size, amp.size), dtype=complex)
+    ring[0] = amp
+    out = np.zeros((times.size, amp.size), dtype=complex)
+    for k in range(n_terms):
+        row = k % size
+        if k:
+            # T_k = 2 Ht T_{k-1} - T_{k-2}, with T_1 = Ht T_0
+            prev, new = ring[(k - 1) % size], ring[row]
+            scale = (2.0 if k > 1 else 1.0) / a
+            np.multiply(h.matrix @ prev, scale, out=new)
+            new -= (scale * c) * prev
+            if k > 1:
+                new -= ring[(k - 2) % size]
+        if row == size - 1 or k == n_terms - 1:
+            out += coef[:, k - row:k + 1] @ ring[:row + 1]
+    return out
 
 
-def _evolve_exact(amp: np.ndarray, h: Operator, t: float) -> np.ndarray:
+def _jacobi_anger(z: np.ndarray) -> np.ndarray:
+    """``c[j, k] = (2 - d_k0) (-i)^k J_k(z_j)``, truncated at round-off.
+
+    These are the Fourier coefficients of ``exp(-i z cos(theta))``
+    (Jacobi-Anger), taken with an FFT on ``m`` points.  ``m`` doubles
+    until the top quarter of the kept half lies below the round-off of
+    the samples, ``eps (1 + max z)``, so aliasing stays below it too.
+    """
+    zmax = float(z.max())
+    floor = np.finfo(float).eps * (1.0 + zmax)
+    m = 64
+    while m < 2 * zmax + 64:
+        m *= 2
+    while True:
+        theta = np.arange(m) * (2 * np.pi / m)
+        coef = np.fft.fft(np.exp(-1j * np.multiply.outer(z, np.cos(theta))),
+                          axis=1)[:, :m // 2] / m
+        size = np.abs(coef).max(axis=0)
+        if size[3 * m // 8:].max() <= floor:
+            break
+        m *= 2
+    kept = np.flatnonzero(size > floor)
+    coef = coef[:, :kept[-1] + 1 if kept.size else 1]
+    coef[:, 1:] *= 2
+    return coef
+
+
+def _evolve_exact(amp: np.ndarray, h: Operator,
+                  times: np.ndarray) -> np.ndarray:
     w, v = h.eigensystem()
-    # v^H amp without materializing the conjugate transpose of v
-    return v @ (np.exp(-1j * w * t) * np.conj(np.conj(amp) @ v))
+    # v^H amp once, without materializing the conjugate transpose of v
+    c = np.conj(np.conj(amp) @ v)
+    return (v @ (np.exp(-1j * np.multiply.outer(w, times)) * c[:, None])).T

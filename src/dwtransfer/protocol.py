@@ -54,6 +54,7 @@ from .hamiltonians import (
 
 PEAK_WINDOW = 0.05  # peak search window around the readout time, fractional
 FIDELITY_ROUNDOFF = 1e-9  # largest excursion outside [0, 1] clamped silently
+TRACE_CHUNK = 10  # trace samples propagated by one evolve call
 
 _CTX = BoundaryContext(left_value=0, right_context=0)
 
@@ -226,12 +227,18 @@ def _target_vector(branches, n_spins, t, tau, corrected):
 
 
 def _sigma_z_all(amp: np.ndarray, n: int) -> np.ndarray:
-    idx = np.arange(amp.shape[0])
+    """``<sigma_z>`` of every spin, spin 1 first.
+
+    Spin 1 is the leading bit, so halving the probability vector gives
+    its two marginals; summing the halves leaves the distribution of
+    the remaining spins.
+    """
     probs = np.abs(amp) ** 2
     out = np.empty(n)
-    for s in range(1, n + 1):
-        z = 1.0 - 2.0 * ((idx >> (n - s)) & 1)
-        out[s - 1] = float(np.dot(z, probs))
+    for s in range(n):
+        halves = probs.reshape(2, -1)
+        out[s] = halves[0].sum() - halves[1].sum()
+        probs = halves[0] + halves[1]
     return out
 
 
@@ -297,25 +304,41 @@ def _unit_interval(f: float, what: str) -> float:
     return min(max(f, 0.0), 1.0)
 
 
-def _trace_run(state, hams, branches, N, tau, n_samp, prop):
-    """Sample both fidelity traces and the sigma_z trace over all stages."""
-    stages = len(hams)
-    times = np.linspace(0.0, stages * tau, stages * n_samp + 1)
+def _trace_run(state, stages, branches, N, tau, n_samp, prop):
+    """Sample both fidelity traces and the sigma_z trace over all stages.
+
+    ``stages`` holds one function per stage that builds its Hamiltonian.
+    Each operator is built when its stage starts and released before the
+    next one is built.  A stage is propagated in chunks of
+    ``TRACE_CHUNK`` samples; each chunk starts from the last state of the
+    one before.
+    """
+    times = np.linspace(0.0, len(stages) * tau, len(stages) * n_samp + 1)
     dt = times[1] - times[0]
     corrected = np.empty(times.shape)
     uncorrected = np.empty(times.shape)
     sigma_z = np.empty((N, times.shape[0]))
-    for i, t in enumerate(times):
-        if i > 0:
-            h = hams[min((i - 1) // n_samp, stages - 1)]
-            state = evolve(state, h, dt, prop)
+
+    def sample(i, psi):
+        t = times[i]
         tgt_c = _target_vector(branches, N, t, tau, corrected=True)
         tgt_u = _target_vector(branches, N, t, tau, corrected=False)
         corrected[i] = _unit_interval(
-            abs(np.vdot(tgt_c, state.amplitudes)) ** 2, "corrected fidelity")
+            abs(np.vdot(tgt_c, psi.amplitudes)) ** 2, "corrected fidelity")
         uncorrected[i] = _unit_interval(
-            abs(np.vdot(tgt_u, state.amplitudes)) ** 2, "uncorrected fidelity")
-        sigma_z[:, i] = _sigma_z_all(state.amplitudes, N)
+            abs(np.vdot(tgt_u, psi.amplitudes)) ** 2, "uncorrected fidelity")
+        sigma_z[:, i] = _sigma_z_all(psi.amplitudes, N)
+
+    sample(0, state)
+    i = 0
+    for build in stages:
+        h = build()
+        for start in range(0, n_samp, TRACE_CHUNK):
+            steps = np.arange(1, min(TRACE_CHUNK, n_samp - start) + 1) * dt
+            for state in evolve(state, h, steps, prop):
+                i += 1
+                sample(i, state)
+        del h
     return times, corrected, uncorrected, sigma_z, state
 
 
@@ -354,19 +377,23 @@ def run_multi_qubit_transfer(
     N, tau = spec.n_spins, spec.tau
     branches = _build_branches(logical_in, layout, spec)
 
-    h1 = realize(transport_hamiltonian(spec))
-    if cfg.pin_first_spin_field is not None:
-        B = cfg.pin_first_spin_field
+    B = cfg.pin_first_spin_field
+
+    def transport():
+        h = realize(transport_hamiltonian(spec))
+        if B is None:
+            return h
         t1 = coupling_profile(N, spec.lam).t[0]
         extra = realize(PauliSum(N, ((t1, {1: "X"}), (-B, {1: "Z"}))))
-        h1 = Operator(h1.matrix + extra.matrix)
+        return Operator(h.matrix + extra.matrix)
+
+    if B is not None:
         # the pinning energy -B z_1 adds a stage-1 phase per branch
         branches = [
             replace(br, energy_stage1=br.energy_stage1
                     - B * (1.0 - 2.0 * br.initial_bits[0]))
             for br in branches
         ]
-    h2 = realize(multiqubit_reset_hamiltonian(spec))
 
     psi0 = np.zeros(2**N, dtype=complex)
     for br in branches:
@@ -374,7 +401,9 @@ def run_multi_qubit_transfer(
     state = StateVector(N, psi0)
 
     times, corr, uncorr, sigma_z, final_state = _trace_run(
-        state, (h1, h2), branches, N, tau, cfg.n_time_samples, cfg.propagator
+        state,
+        (transport, lambda: realize(multiqubit_reset_hamiltonian(spec))),
+        branches, N, tau, cfg.n_time_samples, cfg.propagator,
     )
     peak_f, peak_t = _peak_in_window(times, corr, 2 * tau)
     final_logical, final_f = _readout(
@@ -441,13 +470,13 @@ def run_heisenberg_baseline(
         branches.append(_Branch(complex(alpha), (1,) + (0,) * (N - 1),
                                 (0,) * (N - 1) + (1,), complex(mirror),
                                 0.0, 0.0))
-    h = realize(heisenberg_xy(N, lam))
     psi0 = np.zeros(2**N, dtype=complex)
     for br in branches:
         psi0[basis_index(br.initial_bits)] += br.coefficient
     state = StateVector(N, psi0)
     times, corr, uncorr, sigma_z, final_state = _trace_run(
-        state, (h,), branches, N, tau, cfg.n_time_samples, cfg.propagator
+        state, (lambda: realize(heisenberg_xy(N, lam)),), branches, N, tau,
+        cfg.n_time_samples, cfg.propagator,
     )
     peak_f, peak_t = _peak_in_window(times, corr, tau)
     layout = RegisterLayout(1, N - 2, 1) if N > 2 else RegisterLayout(1, 0, 1)

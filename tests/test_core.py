@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.special import jv
 
 from dwtransfer.core import (
     DimensionMismatch,
@@ -12,6 +13,8 @@ from dwtransfer.core import (
     PauliSum,
     PropagatorConfig,
     StateVector,
+    _hermiticity_defect,
+    _jacobi_anger,
     evolve,
     fidelity,
     realize,
@@ -144,6 +147,22 @@ class TestRealize:
         with pytest.raises(ValueError, match="Hermitian"):
             Operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hermiticity_defect_matches_sparse_difference(self, seed):
+        a = sp.random(16, 16, density=0.3, random_state=seed) * (1 + 1j)
+        hermitian = sp.csr_matrix(a + a.getH())
+        nudged = hermitian.copy()
+        nudged.data[0] += 1e-6j  # same pattern, not Hermitian
+        # Hermitian, but with unsorted columns: the fallback path
+        unsorted = sp.csr_matrix(
+            ([2, 1, 1j, 2, 3, -1j], [1, 0, 2, 0, 2, 1], [0, 2, 4, 6]),
+            shape=(3, 3))
+        assert not unsorted.has_sorted_indices
+        for m in (hermitian, nudged, a, unsorted):
+            m = sp.csr_matrix(m, dtype=complex)
+            want = abs(m - m.getH()).max()
+            assert _hermiticity_defect(m) == pytest.approx(want, abs=1e-15)
+
 
 class TestEvolve:
     def test_zero_time_identity(self):
@@ -238,6 +257,109 @@ class TestEvolve:
         once = evolve(psi, h, 2.7, KRYLOV)
         split = evolve(evolve(psi, h, 1.2, KRYLOV), h, 1.5, KRYLOV)
         assert np.linalg.norm(once.amplitudes - split.amplitudes) < 1e-8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_bad_time_names_the_value(self, bad):
+        psi = StateVector.from_bits([0])
+        h = realize(PauliSum(1, ((1.0, {1: "X"}),)))
+        for t in (bad, [0.5, bad]):
+            with pytest.raises(ValueError, match=f"got {float(bad)!r}"):
+                evolve(psi, h, t, KRYLOV)
+
+    def test_times_out_of_order_rejected(self):
+        psi = StateVector.from_bits([0])
+        h = realize(PauliSum(1, ((1.0, {1: "X"}),)))
+        with pytest.raises(ValueError, match="got 0.25 after 0.5"):
+            evolve(psi, h, [0.1, 0.5, 0.25], KRYLOV)
+        with pytest.raises(ValueError, match="1-D"):
+            evolve(psi, h, [[0.1, 0.5]], KRYLOV)
+
+    @pytest.mark.parametrize("cfg", METHODS)
+    def test_grid_returns_one_state_per_time(self, cfg):
+        h = realize(heisenberg_xy(4, 1.0))
+        psi = StateVector.from_bits([1, 0, 0, 0])
+        out = evolve(psi, h, [0.0, 0.0, 0.4, 0.4, 1.0], cfg)
+        assert len(out) == 5 and out[0] is psi and out[1] is psi
+        assert np.array_equal(out[2].amplitudes, out[3].amplitudes)
+        assert evolve(psi, h, [], cfg) == []
+
+    @pytest.mark.parametrize("cfg", METHODS)
+    @pytest.mark.parametrize("whole_space", [False, True])
+    def test_grid_equals_scalar_steps(self, cfg, whole_space):
+        # what the protocol did before chunking: one call per sample
+        spec = ChainSpec(7, 22.0, 1.0, RegisterLayout(2, 3, 2))
+        h = realize(transport_hamiltonian(spec))
+        psi = StateVector.from_bits([1] + [0] * 6)
+        if whole_space:
+            psi = random_state(np.random.default_rng(3), 7)
+        dt = spec.tau / 200
+        grid = evolve(psi, h, dt * np.arange(1, 13), cfg)
+        state = psi
+        for k, from_grid in enumerate(grid, start=1):
+            state = evolve(state, h, dt, cfg)
+            alone = evolve(psi, h, k * dt, cfg)
+            for other in (state, alone):
+                assert np.abs(from_grid.amplitudes
+                              - other.amplitudes).max() < 1e-12
+
+
+class TestChebyshev:
+    N = 7
+
+    @pytest.mark.parametrize("z", [0.0, 1e-3, 0.5, 2.404825557695773,
+                                   45.0, 300.0, 4500.0])
+    def test_jacobi_anger_matches_bessel(self, z):
+        coef = _jacobi_anger(np.array([z, z / 3]))
+        k = np.arange(coef.shape[1])
+        for row, x in zip(coef, (z, z / 3)):
+            want = (2 - (k == 0)) * (-1j) ** k * jv(k, x)
+            assert np.abs(row - want).max() < 1e-15 * (1 + z)
+        # the next term lies below round-off
+        assert abs(jv(k.size, z)) < 1e-15 * (1 + z)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gershgorin_interval_holds_the_spectrum(self, seed):
+        rng = np.random.default_rng(seed)
+        for h in (random_hermitian_operator(rng, 2 ** (seed + 1)),
+                  realize(random_pauli_sum(rng, 5, 12))):
+            lo, hi = h.gershgorin_interval()
+            w = np.linalg.eigvalsh(h.matrix.toarray())
+            assert lo <= w[0] and w[-1] <= hi
+
+    @pytest.mark.parametrize("samples", [1, 8, 200, "tau"])
+    @pytest.mark.parametrize("ham", ["transport", "reset", "xy"])
+    @pytest.mark.parametrize("whole_space", [False, True])
+    def test_matches_expm(self, samples, ham, whole_space):
+        spec = ChainSpec(self.N, 22.0, 1.0, RegisterLayout(2, 3, 2))
+        h = {"transport": transport_hamiltonian,
+             "reset": multiqubit_reset_hamiltonian,
+             "xy": lambda s: heisenberg_xy(s.n_spins, s.lam)}[ham](spec)
+        h = realize(h)
+        psi = StateVector.from_bits([1] + [0] * (self.N - 1))
+        if whole_space:
+            psi = random_state(np.random.default_rng(5), self.N)
+        indices, _ = h.invariant_block(psi.amplitudes)
+        assert (indices is None) == whole_space
+        if samples == "tau":
+            times, step = np.array([spec.tau]), spec.tau
+        else:
+            step = spec.tau / 200
+            times = step * np.arange(1, samples + 1)
+        out = evolve(psi, h, times, KRYLOV)
+        u = expm(-1j * step * h.matrix.toarray())
+        ref = psi.amplitudes
+        for state in out:
+            ref = u @ ref
+            assert np.abs(state.amplitudes - ref).max() < 1e-10
+
+    def test_constant_operator(self):
+        # a zero-width interval: the series is its first term alone
+        h = Operator(sp.identity(4, dtype=complex, format="csr") * 2.5)
+        psi = random_state(np.random.default_rng(0), 2)
+        out = evolve(psi, h, [0.3, 1.1], KRYLOV)
+        for t, state in zip((0.3, 1.1), out):
+            assert np.abs(state.amplitudes
+                          - np.exp(-2.5j * t) * psi.amplitudes).max() < 1e-14
 
 
 class TestInvariantBlock:

@@ -1,13 +1,23 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from dwtransfer.core import PropagatorConfig
+from dwtransfer import protocol
+from dwtransfer.core import PropagatorConfig, StateVector, realize
 from dwtransfer.encoding import BoundaryContext, LogicalState, count_domain_walls
-from dwtransfer.hamiltonians import ChainSpec, RegisterLayout
+from dwtransfer.hamiltonians import (
+    ChainSpec,
+    RegisterLayout,
+    multiqubit_reset_hamiltonian,
+    transport_hamiltonian,
+)
 from dwtransfer.protocol import (
     ProtocolConfig,
+    _sigma_z_all,
+    _trace_run,
     _unit_interval,
     fidelity_trace,
     run_heisenberg_baseline,
@@ -260,3 +270,63 @@ class TestUnitInterval:
     def test_beyond_round_off_raises(self, value):
         with pytest.raises(RuntimeError, match="fidelity"):
             _unit_interval(value, "fidelity")
+
+
+def sigma_z_by_site(amp, n):
+    """Reference: one pass per site over the basis indices."""
+    idx = np.arange(amp.shape[0])
+    probs = np.abs(amp) ** 2
+    out = np.empty(n)
+    for s in range(1, n + 1):
+        z = 1.0 - 2.0 * ((idx >> (n - s)) & 1)
+        out[s - 1] = float(np.dot(z, probs))
+    return out
+
+
+class TestTraceRun:
+    @pytest.mark.parametrize("n", [1, 2, 5, 13])
+    def test_sigma_z_all_matches_site_loop(self, n):
+        rng = np.random.default_rng(n)
+        amp = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        amp /= np.linalg.norm(amp)
+        assert np.abs(_sigma_z_all(amp, n)
+                      - sigma_z_by_site(amp, n)).max() < 1e-14
+
+    @pytest.mark.parametrize("cfg", [PropagatorConfig(), EXACT])
+    def test_chunks_match_one_call_per_sample(self, monkeypatch, cfg):
+        # 25 samples per stage: two full chunks and a short one
+        layout = RegisterLayout(2, 3, 2)
+        run_cfg = ProtocolConfig(spec=ChainSpec(7, 22.0, 1.0, layout),
+                                 n_time_samples=25, propagator=cfg)
+        bell = LogicalState(2, np.array([S2, 0, 0, S2]))
+        chunked = run_multi_qubit_transfer(bell, layout, run_cfg)
+        monkeypatch.setattr(protocol, "TRACE_CHUNK", 1)
+        single = run_multi_qubit_transfer(bell, layout, run_cfg)
+        for name in ("fidelity_corrected", "fidelity_uncorrected",
+                     "sigma_z_trace"):
+            assert np.abs(getattr(chunked, name)
+                          - getattr(single, name)).max() < 1e-12
+        assert np.abs(chunked.final_state.amplitudes
+                      - single.final_state.amplitudes).max() < 1e-12
+
+    def test_each_stage_operator_released_before_the_next(self):
+        spec = ChainSpec(5, 22.0, 1.0, RegisterLayout(1, 3, 1))
+        built = []
+
+        def stage(builder):
+            def build():
+                assert all(ref() is None for ref in built)
+                h = realize(builder(spec))
+                built.append(weakref.ref(h))
+                return h
+            return build
+
+        psi = StateVector.from_bits([1, 0, 0, 0, 0])
+        gc.disable()
+        try:
+            _trace_run(psi, (stage(transport_hamiltonian),
+                             stage(multiqubit_reset_hamiltonian)),
+                       [], 5, spec.tau, 12, PropagatorConfig())
+        finally:
+            gc.enable()
+        assert len(built) == 2 and built[1]() is None
