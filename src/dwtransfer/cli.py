@@ -35,6 +35,11 @@ from .protocol import (
 
 SLOPE_TARGET = -2.0
 SLOPE_BAND_DEFAULT = 0.3
+MEMORY_LIMIT_GIB = 4  # largest estimated footprint a run may start with
+# 2^N-amplitude vectors a state-vector run holds at once: a trace chunk
+# of outputs, their copies and scatter, and the Chebyshev ring; the
+# realized operator and its build add about 3 more per spin
+STATE_VECTORS = 48
 
 
 class ManifestError(ValueError):
@@ -183,6 +188,27 @@ def _parse_propagator(manifest: dict) -> PropagatorConfig:
         raise ManifestError(f"manifest field 'propagator': {exc}") from exc
 
 
+def _check_footprint(n_spins: int, propagator: PropagatorConfig,
+                     dense_dim: int) -> None:
+    """Refuse a run whose estimated memory per process exceeds
+    ``MEMORY_LIMIT_GIB``.
+
+    The estimate counts complex vectors of 2^N amplitudes and, on the
+    dense path, three complex matrices of the largest component H is
+    diagonalized on (``dense_dim``).
+    """
+    need = 16 * (STATE_VECTORS + 3 * n_spins) * 2**n_spins
+    if propagator.method == "exact-eigendecomposition":
+        need += 16 * 3 * dense_dim**2
+    if need > MEMORY_LIMIT_GIB * 2**30:
+        raise ManifestError(
+            f"manifest field 'n_spins' is {n_spins}: the state-vector run "
+            f"needs about {need / 2**30:.3g} GiB, above the "
+            f"{MEMORY_LIMIT_GIB} GiB limit; chains this long need the "
+            f"free-fermion backend (ROADMAP item 2)"
+        )
+
+
 def _manifest_header(manifest: dict) -> str:
     blob = json.dumps(manifest, sort_keys=True, separators=(", ", ": "))
     return f"# manifest: {blob}\n"
@@ -253,6 +279,9 @@ def _summary_payload(result: ProtocolResult) -> dict:
 
 def cmd_baseline(manifest: dict, out: Path) -> int:
     N = _integer(_require(manifest, "n_spins"), "n_spins")
+    propagator = _parse_propagator(manifest)
+    # the XY chain keeps the payload in its 0- and 1-excitation sectors
+    _check_footprint(N, propagator, N)
     lam = _number(_require(manifest, "lam"), "lam")
     logical = _parse_single_state(manifest)
     if logical.n_logical != 1:
@@ -260,7 +289,7 @@ def cmd_baseline(manifest: dict, out: Path) -> int:
     try:
         cfg = ProtocolConfig(
             spec=None,  # the baseline has no Ising coupling
-            propagator=_parse_propagator(manifest),
+            propagator=propagator,
             n_time_samples=_time_samples(manifest),
         )
         result = run_heisenberg_baseline(N, lam, logical, cfg)
@@ -278,6 +307,9 @@ def cmd_transfer(manifest: dict, out: Path) -> int:
             f"manifest field 'mode' must be 'single' or 'multi', got '{mode}'"
         )
     N = _integer(_require(manifest, "n_spins"), "n_spins")
+    propagator = _parse_propagator(manifest)
+    # transport conserves spin 1 and the reset stage Bob's spins
+    _check_footprint(N, propagator, 2 ** (N - 1))
     lam = _number(_require(manifest, "lam"), "lam")
     J = _number(_require(manifest, "j_coupling"), "j_coupling")
     logical = _parse_single_state(manifest)
@@ -295,7 +327,7 @@ def cmd_transfer(manifest: dict, out: Path) -> int:
         spec = ChainSpec(N, J, lam, layout)
         cfg = ProtocolConfig(
             spec=spec,
-            propagator=_parse_propagator(manifest),
+            propagator=propagator,
             n_time_samples=_time_samples(manifest),
             apply_phase_correction=correct_phases,
         )
@@ -314,6 +346,8 @@ def cmd_transfer(manifest: dict, out: Path) -> int:
 def cmd_sweep(manifest: dict, out: Path, workers: int,
               slope_band: float) -> int:
     N = _integer(_require(manifest, "n_spins"), "n_spins")
+    propagator = _parse_propagator(manifest)
+    _check_footprint(N, propagator, 2 ** (N - 1))
     lam = _number(_require(manifest, "lam"), "lam")
     ratios = [
         _number(r, "ratios") for r in _require(manifest, "ratios", list)
@@ -346,7 +380,7 @@ def cmd_sweep(manifest: dict, out: Path, workers: int,
     try:
         base_cfg = ProtocolConfig(
             spec=ChainSpec(N, max(ratios) * lam, lam),
-            propagator=_parse_propagator(manifest),
+            propagator=propagator,
             n_time_samples=_time_samples(manifest),
         )
         table = error_scaling_sweep(states, ratios, base_cfg, workers)

@@ -34,17 +34,18 @@ class KrylovBreakdown(RuntimeError):
         self.residual = residual
 
 
-def bit_at(index: int, site: int, n_spins: int) -> int:
-    """Bit of `site` (1-based, spin 1 = MSB) in a basis index."""
-    return (index >> (n_spins - site)) & 1
-
-
 def basis_index(bits) -> int:
     """Basis index of a classical spin configuration (spin 1 first)."""
     idx = 0
     for b in bits:
         idx = (idx << 1) | (b & 1)
     return idx
+
+
+def index_bits(index: int, k: int) -> list:
+    """Spin configuration of ``k`` spins (spin 1 first) with the given
+    basis index; the inverse of :func:`basis_index`."""
+    return [(index >> (k - 1 - j)) & 1 for j in range(k)]
 
 
 @dataclass(frozen=True)
@@ -145,10 +146,22 @@ class Operator:
         return self.matrix.shape[0]
 
     def eigensystem(self):
-        """Dense eigendecomposition, computed once and cached."""
+        """Dense eigendecomposition of each connected component of H.
+
+        Returns one ``(indices, w, v)`` per component of the nonzero
+        pattern, in order of its smallest index: the sorted basis
+        indices, the eigenvalues, and the eigenvectors as columns.  A
+        real H is diagonalized in real arithmetic, so ``v`` is real
+        exactly when H is.  Computed once and cached.
+        """
         if self._eig is None:
-            w, v = np.linalg.eigh(self.matrix.toarray())
-            self._eig = (w, v)
+            real = not self.matrix.data.imag.any()
+            parts = []
+            for indices in _components(self.matrix):
+                sub = _restrict(self.matrix, indices)
+                w, v = np.linalg.eigh((sub.real if real else sub).toarray())
+                parts.append((indices, w, v))
+            self._eig = tuple(parts)
         return self._eig
 
     def invariant_block(self, amp: np.ndarray):
@@ -165,29 +178,13 @@ class Operator:
         """
         support = np.flatnonzero(amp)
         if self._block is None or not self._block[0][support].all():
-            inside = np.zeros(self.dimension, dtype=bool)
-            inside[support] = True
-            frontier = support
-            while frontier.size:
-                fresh = np.zeros(self.dimension, dtype=bool)
-                fresh[self.matrix[frontier].indices] = True
-                fresh &= ~inside
-                inside |= fresh
-                frontier = np.flatnonzero(fresh)
+            inside = _closure(self.matrix, support)
             indices = np.flatnonzero(inside)
             if indices.size == self.dimension:
                 self._block = (inside, None, None)
             else:
-                # rows of the set hold columns of the set only; renumber
-                # them by their rank in the set, which keeps them sorted
-                rows = self.matrix[indices]
-                rank = np.zeros(self.dimension, dtype=np.int64)
-                rank[indices] = np.arange(indices.size)
-                block = sp.csr_matrix(
-                    (rows.data, rank[rows.indices], rows.indptr),
-                    shape=(indices.size, indices.size),
-                )
-                self._block = (inside, indices, Operator(block))
+                block = Operator(_restrict(self.matrix, indices))
+                self._block = (inside, indices, block)
         _, indices, block = self._block
         return (None, self) if indices is None else (indices, block)
 
@@ -205,6 +202,46 @@ class Operator:
             self._interval = (float(np.min(diag - radius)),
                               float(np.max(diag + radius)))
         return self._interval
+
+
+def _closure(m: sp.csr_matrix, seeds: np.ndarray) -> np.ndarray:
+    """Mask of the smallest index set that holds ``seeds`` and that the
+    nonzero pattern of ``m`` maps into itself."""
+    inside = np.zeros(m.shape[0], dtype=bool)
+    inside[seeds] = True
+    frontier = seeds
+    while frontier.size:
+        fresh = np.zeros(m.shape[0], dtype=bool)
+        fresh[m[frontier].indices] = True
+        fresh &= ~inside
+        inside |= fresh
+        frontier = np.flatnonzero(fresh)
+    return inside
+
+
+def _components(m: sp.csr_matrix) -> list:
+    """Sorted index arrays of the connected components of the nonzero
+    pattern of a Hermitian ``m``, in order of their smallest index."""
+    left = np.ones(m.shape[0], dtype=bool)
+    parts = []
+    while left.any():
+        inside = _closure(m, np.flatnonzero(left)[:1])
+        parts.append(np.flatnonzero(inside))
+        left &= ~inside
+    return parts
+
+
+def _restrict(m: sp.csr_matrix, indices: np.ndarray) -> sp.csr_matrix:
+    """``m`` restricted to a sorted index set that it maps into itself.
+
+    The rows of the set hold columns of the set only; they are renumbered
+    by their rank in the set, which keeps them sorted.
+    """
+    rows = m[indices]
+    rank = np.zeros(m.shape[0], dtype=np.int64)
+    rank[indices] = np.arange(indices.size)
+    return sp.csr_matrix((rows.data, rank[rows.indices], rows.indptr),
+                         shape=(indices.size, indices.size))
 
 
 def _hermiticity_defect(m: sp.csr_matrix) -> float:
@@ -228,8 +265,11 @@ def _hermiticity_defect(m: sp.csr_matrix) -> float:
 class PropagatorConfig:
     """How ``evolve`` approximates ``exp(-i H t)``.
 
-    ``exact-eigendecomposition`` is the dense reference path; ``krylov``
-    is the sparse fast path and must agree with it to ``tolerance``.
+    ``exact-eigendecomposition`` is the dense reference path: H is
+    diagonalized once on each connected component of its nonzero
+    pattern, in real arithmetic when H is real, and only the components
+    the state occupies are propagated.  ``krylov`` is the sparse fast
+    path and must agree with it to ``tolerance``.
     The sparse path is a Chebyshev expansion of the exponential on the
     Gershgorin interval of H (Tal-Ezer & Kosloff 1984), truncated at
     round-off; ``"krylov"`` is kept as its name so that existing
@@ -431,7 +471,27 @@ def _jacobi_anger(z: np.ndarray) -> np.ndarray:
 
 def _evolve_exact(amp: np.ndarray, h: Operator,
                   times: np.ndarray) -> np.ndarray:
-    w, v = h.eigensystem()
-    # v^H amp once, without materializing the conjugate transpose of v
-    c = np.conj(np.conj(amp) @ v)
-    return (v @ (np.exp(-1j * np.multiply.outer(w, times)) * c[:, None])).T
+    """Rows ``exp(-i H t_j) amp`` from the eigensystem of each component
+    of H; the components on which ``amp`` vanishes stay zero."""
+    out = np.zeros((times.size, amp.size), dtype=complex)
+    for indices, w, v in h.eigensystem():
+        x = amp[indices]
+        if not x.any():
+            continue
+        if np.iscomplexobj(v):
+            # v^H x without materializing the conjugate transpose of v
+            c = np.conj(np.conj(x) @ v)
+            product = np.matmul
+        else:
+            c = _real_matmul(v.T, x[:, None])[:, 0]
+            product = _real_matmul
+        phased = np.exp(-1j * np.multiply.outer(w, times)) * c[:, None]
+        out[:, indices] = product(v, phased).T
+    return out
+
+
+def _real_matmul(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``v @ x`` for a real ``v`` and a C-contiguous complex ``x``, as one
+    real product on the interleaved real and imaginary parts of ``x``
+    (``v @ x`` itself would copy ``v`` to complex)."""
+    return (v @ x.view(float)).view(complex)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StateVector, bit_at
+from .core import StateVector, basis_index, index_bits
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,7 @@ class LogicalState:
     def from_bits(cls, bits) -> "LogicalState":
         bits = list(bits)
         amp = np.zeros(2 ** len(bits), dtype=complex)
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | (b & 1)
-        amp[idx] = 1.0
+        amp[basis_index(bits)] = 1.0
         return cls(len(bits), amp)
 
 
@@ -104,12 +101,8 @@ def dw_encode_state(logical: LogicalState, ctx: BoundaryContext) -> StateVector:
     k = logical.n_logical
     amp = np.zeros(2**k, dtype=complex)
     for idx in range(2**k):
-        bits = [(idx >> (k - 1 - j)) & 1 for j in range(k)]
-        phys = dw_encode_bits(bits, ctx)
-        pidx = 0
-        for b in phys:
-            pidx = (pidx << 1) | b
-        amp[pidx] = logical.amplitudes[idx]
+        phys = dw_encode_bits(index_bits(idx, k), ctx)
+        amp[basis_index(phys)] = logical.amplitudes[idx]
     return StateVector(k, amp)
 
 
@@ -122,12 +115,8 @@ def dw_decode(physical: StateVector, reference: int) -> LogicalState:
     k = physical.n_spins
     amp = np.zeros(2**k, dtype=complex)
     for pidx in range(2**k):
-        bits = [bit_at(pidx, s, k) for s in range(1, k + 1)]
-        logical = dw_decode_bits(bits, reference)
-        lidx = 0
-        for b in logical:
-            lidx = (lidx << 1) | b
-        amp[lidx] = physical.amplitudes[pidx]
+        logical = dw_decode_bits(index_bits(pidx, k), reference)
+        amp[basis_index(logical)] = physical.amplitudes[pidx]
     return LogicalState(k, amp)
 
 

@@ -32,6 +32,7 @@ from .core import (
     StateVector,
     basis_index,
     evolve,
+    index_bits,
     realize,
 )
 from .encoding import (
@@ -185,7 +186,7 @@ def _build_branches(logical_in: LogicalState, layout: RegisterLayout,
         c = logical_in.amplitudes[idx]
         if c == 0:
             continue
-        b = [(idx >> (k - 1 - j)) & 1 for j in range(k)]
+        b = index_bits(idx, k)
         chain0 = list(dw_encode_bits(b, _CTX)) + [0] * (N - k)
         # stage 1: interface p lies between spins p and p+1, the virtual
         # down spin sits at position N+1; mirror sends p -> N+1-p
@@ -226,19 +227,23 @@ def _target_vector(branches, n_spins, t, tau, corrected):
     return tgt
 
 
-def _sigma_z_all(amp: np.ndarray, n: int) -> np.ndarray:
-    """``<sigma_z>`` of every spin, spin 1 first.
+def _sigma_z_all(probs: np.ndarray, n: int) -> np.ndarray:
+    """``<sigma_z>`` of every spin, spin 1 first, from the basis
+    probabilities of one state, shape ``(2^n,)``, or of several, shape
+    ``(rows, 2^n)``; the result has shape ``(n,)`` or ``(n, rows)``.
 
     Spin 1 is the leading bit, so halving the probability vector gives
     its two marginals; summing the halves leaves the distribution of
-    the remaining spins.
+    the remaining spins.  The sums are folded into ``probs`` in place,
+    which allocates no second array of its size and overwrites it.
     """
-    probs = np.abs(amp) ** 2
-    out = np.empty(n)
+    lead = probs.shape[:-1]
+    out = np.empty((n,) + lead)
     for s in range(n):
-        halves = probs.reshape(2, -1)
-        out[s] = halves[0].sum() - halves[1].sum()
-        probs = halves[0] + halves[1]
+        halves = probs.reshape(lead + (2, -1))
+        up, down = halves[..., 0, :], halves[..., 1, :]
+        out[s] = up.sum(axis=-1) - down.sum(axis=-1)
+        probs = np.add(up, down, out=up)
     return out
 
 
@@ -250,7 +255,7 @@ def _decode_permutation(k: int) -> np.ndarray:
     """
     perm = np.empty(2**k, dtype=int)
     for idx in range(2**k):
-        b = [(idx >> (k - 1 - j)) & 1 for j in range(k)]
+        b = index_bits(idx, k)
         phys = dw_encode_bits(list(reversed(b)), _CTX)
         perm[basis_index(phys)] = idx
     return perm
@@ -276,7 +281,7 @@ def _readout(psi: StateVector, layout: RegisterLayout, branches, tau,
     if corrected:
         by_initial = {br.initial_bits: br for br in branches}
         for idx in range(2**k):
-            b = [(idx >> (k - 1 - j)) & 1 for j in range(k)]
+            b = index_bits(idx, k)
             phys = dw_encode_bits(list(reversed(b)), _CTX)
             chain0 = tuple(dw_encode_bits(b, _CTX)) + (0,) * rest
             br = by_initial.get(chain0)
@@ -311,7 +316,8 @@ def _trace_run(state, stages, branches, N, tau, n_samp, prop):
     Each operator is built when its stage starts and released before the
     next one is built.  A stage is propagated in chunks of
     ``TRACE_CHUNK`` samples; each chunk starts from the last state of the
-    one before.
+    one before, and its sigma_z entries come from one ``_sigma_z_all``
+    call.
     """
     times = np.linspace(0.0, len(stages) * tau, len(stages) * n_samp + 1)
     dt = times[1] - times[0]
@@ -319,25 +325,35 @@ def _trace_run(state, stages, branches, N, tau, n_samp, prop):
     uncorrected = np.empty(times.shape)
     sigma_z = np.empty((N, times.shape[0]))
 
-    def sample(i, psi):
-        t = times[i]
-        tgt_c = _target_vector(branches, N, t, tau, corrected=True)
-        tgt_u = _target_vector(branches, N, t, tau, corrected=False)
-        corrected[i] = _unit_interval(
-            abs(np.vdot(tgt_c, psi.amplitudes)) ** 2, "corrected fidelity")
-        uncorrected[i] = _unit_interval(
-            abs(np.vdot(tgt_u, psi.amplitudes)) ** 2, "uncorrected fidelity")
-        sigma_z[:, i] = _sigma_z_all(psi.amplitudes, N)
+    def record(first, states):
+        """Trace entries ``first``, ``first + 1``, ... from consecutive
+        states; returns the last state."""
+        # probabilities row by row: no second complex copy of the states
+        probs = np.empty((len(states), 2**N))
+        for i, (psi, row) in enumerate(zip(states, probs), first):
+            t = times[i]
+            tgt_c = _target_vector(branches, N, t, tau, corrected=True)
+            tgt_u = _target_vector(branches, N, t, tau, corrected=False)
+            corrected[i] = _unit_interval(
+                abs(np.vdot(tgt_c, psi.amplitudes)) ** 2,
+                "corrected fidelity")
+            uncorrected[i] = _unit_interval(
+                abs(np.vdot(tgt_u, psi.amplitudes)) ** 2,
+                "uncorrected fidelity")
+            np.abs(psi.amplitudes, out=row)
+        probs **= 2
+        sigma_z[:, first:first + len(states)] = _sigma_z_all(probs, N)
+        return states[-1]
 
-    sample(0, state)
-    i = 0
+    record(0, [state])
+    i = 1
     for build in stages:
         h = build()
         for start in range(0, n_samp, TRACE_CHUNK):
             steps = np.arange(1, min(TRACE_CHUNK, n_samp - start) + 1) * dt
-            for state in evolve(state, h, steps, prop):
-                i += 1
-                sample(i, state)
+            # the chunk's states are released before the next evolve
+            state = record(i, evolve(state, h, steps, prop))
+            i += steps.size
         del h
     return times, corrected, uncorrected, sigma_z, state
 

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from dwtransfer.cli import main
+from dwtransfer.cli import ManifestError, _check_footprint, main
+from dwtransfer.core import PropagatorConfig
 
 S2 = 1 / math.sqrt(2)
 
@@ -318,6 +319,29 @@ class TestInputGuards:
         assert run(["transfer", "--config", cfg, "--out", out]) == 1
         assert "'apply_phase_correction'" in capsys.readouterr().err
         assert not any(out.iterdir())
+
+
+class TestMemoryGuard:
+    @pytest.mark.parametrize("n_spins", [40, 64])
+    @pytest.mark.parametrize("command", ["baseline", "transfer", "sweep"])
+    def test_chain_too_long_exits_1(self, request, tmp_path, capsys,
+                                    command, n_spins):
+        path = request.getfixturevalue(f"{command}_manifest")
+        cfg = with_fields(path, tmp_path, n_spins=n_spins)
+        out = tmp_path / "o"
+        assert run([command, "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "'n_spins'" in err and "free-fermion" in err
+        assert not any(out.iterdir())
+
+    def test_dense_path_has_the_lower_limit(self):
+        sparse = PropagatorConfig(method="krylov")
+        dense = PropagatorConfig(method="exact-eigendecomposition")
+        for n in (13, 16):
+            _check_footprint(n, sparse, 2 ** (n - 1))
+        _check_footprint(13, dense, 2**12)
+        with pytest.raises(ManifestError, match="'n_spins'"):
+            _check_footprint(16, dense, 2**15)
 
 
 class TestArgumentHandling:

@@ -13,10 +13,14 @@ from dwtransfer.core import (
     PauliSum,
     PropagatorConfig,
     StateVector,
+    _components,
+    _evolve_exact,
     _hermiticity_defect,
     _jacobi_anger,
+    basis_index,
     evolve,
     fidelity,
+    index_bits,
     realize,
     sigma_z_expectation,
 )
@@ -92,6 +96,14 @@ class TestStateVector:
         psi = StateVector.from_bits([0, 1])
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 1.0
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_index_bits_inverts_basis_index(self, k):
+        for idx in range(2**k):
+            bits = index_bits(idx, k)
+            assert len(bits) == k and basis_index(bits) == idx
+        # spin 1 is the most significant bit
+        assert index_bits(0b100, 3) == [1, 0, 0]
 
 
 class TestPauliSum:
@@ -448,6 +460,101 @@ class TestInvariantBlock:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestComponents:
+    N = 7
+
+    def hamiltonians(self, layout):
+        spec = ChainSpec(self.N, 22.0, 1.0, layout)
+        return {"transport": realize(transport_hamiltonian(spec)),
+                "reset": realize(multiqubit_reset_hamiltonian(spec))}
+
+    def complex_operator(self):
+        # a single Y makes H complex; X_1, Y_2 and X_3 connect every index
+        return realize(PauliSum(3, ((1.0, {1: "X"}), (0.5, {2: "Y"}),
+                                    (0.3, {1: "Z", 2: "Z"}),
+                                    (0.7, {3: "X"}))))
+
+    @pytest.mark.parametrize("layout, sizes", [
+        (RegisterLayout(2, 3, 2), {"transport": [64] * 2,
+                                   "reset": [32] * 4}),
+        (RegisterLayout(1, 5, 1), {"transport": [64] * 2,
+                                   "reset": [64] * 2}),
+    ])
+    def test_components_partition_the_block(self, layout, sizes):
+        one = StateVector.from_bits([1] + [0] * (self.N - 1)).amplitudes
+        for ham, h in self.hamiltonians(layout).items():
+            # the whole space, and the block of one basis state
+            for op in (h, h.invariant_block(one)[1]):
+                parts = _components(op.matrix)
+                if op is h:
+                    assert [p.size for p in parts] == sizes[ham]
+                label = np.full(op.dimension, -1)
+                for n, indices in enumerate(parts):
+                    assert np.array_equal(indices, np.unique(indices))
+                    assert (label[indices] == -1).all()  # disjoint
+                    label[indices] = n
+                assert (label >= 0).all()  # they cover the block
+                rows, cols = op.matrix.nonzero()
+                assert np.array_equal(label[rows], label[cols])
+
+    @pytest.mark.parametrize("layout", [RegisterLayout(2, 3, 2),
+                                        RegisterLayout(1, 5, 1)])
+    def test_eigensystem_per_component(self, layout):
+        ops = list(self.hamiltonians(layout).values())
+        ops.append(self.complex_operator())
+        for op in ops:
+            full = op.matrix.toarray()
+            real = not full.imag.any()
+            system = op.eigensystem()
+            parts = _components(op.matrix)
+            assert len(system) == len(parts)
+            for (indices, w, v), want in zip(system, parts):
+                assert np.array_equal(indices, want)
+                # v is real exactly when H is
+                assert np.isrealobj(v) == real
+                rebuilt = (v * w) @ v.conj().T
+                assert np.abs(rebuilt
+                              - full[np.ix_(indices, indices)]).max() < 1e-12
+            assert op.eigensystem() is system  # cached
+
+    @pytest.mark.parametrize("complex_h", [False, True])
+    def test_evolve_exact_matches_expm(self, complex_h):
+        rng = np.random.default_rng(7)
+        if complex_h:
+            h = self.complex_operator()
+            n = 3
+        else:
+            h = self.hamiltonians(RegisterLayout(2, 3, 2))["reset"]
+            n = self.N
+        # a random state fills every component (every Bob sector)
+        amp = random_state(rng, n).amplitudes
+        times = np.array([0.2, 0.9, 3.1])
+        rows = _evolve_exact(amp, h, times)
+        full = h.matrix.toarray()
+        for t, row in zip(times, rows):
+            ref = expm(-1j * t * full) @ amp
+            assert np.abs(row - ref).max() < 1e-10
+
+    def test_evolve_exact_skips_empty_components(self):
+        h = self.hamiltonians(RegisterLayout(2, 3, 2))["reset"]
+        system = h.eigensystem()
+        amp = np.zeros(h.dimension, dtype=complex)
+        # fill two of the four Bob sectors
+        for indices, _, _ in system[1:3]:
+            amp[indices] = np.random.default_rng(indices[0]).normal(
+                size=indices.size)
+        amp /= np.linalg.norm(amp)
+        row = _evolve_exact(amp, h, np.array([0.8]))[0]
+        ref = expm(-0.8j * h.matrix.toarray()) @ amp
+        assert np.abs(row - ref).max() < 1e-10
+        for indices, _, _ in (system[0], system[3]):
+            assert not row[indices].any()
+        # the empty components are never touched
+        h._eig = tuple((indices, w, v if k in (1, 2) else v * np.nan)
+                       for k, (indices, w, v) in enumerate(system))
+        assert np.array_equal(_evolve_exact(amp, h, np.array([0.8]))[0], row)
 
 
 class TestPropagatorConfig:

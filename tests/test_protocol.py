@@ -289,8 +289,19 @@ class TestTraceRun:
         rng = np.random.default_rng(n)
         amp = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         amp /= np.linalg.norm(amp)
-        assert np.abs(_sigma_z_all(amp, n)
+        assert np.abs(_sigma_z_all(np.abs(amp) ** 2, n)
                       - sigma_z_by_site(amp, n)).max() < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 5, 13])
+    def test_sigma_z_all_rows_match_one_call_per_row(self, n):
+        rng = np.random.default_rng(n)
+        amp = rng.normal(size=(4, 2**n)) + 1j * rng.normal(size=(4, 2**n))
+        probs = np.abs(amp) ** 2
+        probs /= probs.sum(axis=1, keepdims=True)
+        batch = _sigma_z_all(probs.copy(), n)
+        assert batch.shape == (n, 4)
+        for j, row in enumerate(probs):
+            assert np.abs(batch[:, j] - _sigma_z_all(row, n)).max() < 1e-14
 
     @pytest.mark.parametrize("cfg", [PropagatorConfig(), EXACT])
     def test_chunks_match_one_call_per_sample(self, monkeypatch, cfg):
