@@ -38,14 +38,12 @@ from .encoding import (
     dw_decode,
     dw_encode_bits,
     dw_encode_state,
-    offset_correction,
     phase_ledger,
 )
 from .protocol import (
     ProtocolConfig,
     ProtocolResult,
     RegisterLayout,
-    fidelity_trace,
     run_heisenberg_baseline,
     run_multi_qubit_transfer,
     run_single_qubit_transfer,
@@ -54,7 +52,6 @@ from .analysis import (
     SweepTable,
     closed_form_consistency,
     error_scaling_sweep,
-    rescaling_tradeoff,
 )
 
 __version__ = "0.1.0"

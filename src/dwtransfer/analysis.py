@@ -139,27 +139,6 @@ def error_scaling_sweep(states, ratios, base_cfg: ProtocolConfig,
     return SweepTable(tuple(rows), _fit_rows(rows))
 
 
-def rescaling_tradeoff(epsilon_target: float, J: float, t: float,
-                       table: SweepTable) -> float:
-    """Profile scale lambda meeting an error budget at coupling J.
-
-    Inverts the fitted error law eps = A (J/lambda)^slope for the ratio
-    that yields ``epsilon_target`` and returns lambda = |J| / ratio.
-    For the ideal quadratic law this is lambda = c |J| sqrt(eps) / t
-    with c = t / sqrt(A); shrinking lambda buys accuracy at the price of
-    a longer transfer time tau = pi / lambda.
-    """
-    if not 0.0 < epsilon_target < 1.0:
-        raise ValueError("epsilon_target must lie in (0, 1)")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if table.fit is None:
-        raise ValueError("no calibration data: sweep fit unavailable")
-    A = math.exp(table.fit.intercept)
-    ratio = (epsilon_target / A) ** (1.0 / table.fit.slope)
-    return abs(J) / ratio
-
-
 def closed_form_consistency(N_range, lam: float, samples: int = 20) -> float:
     """Max deviation of the numerical XY transfer amplitude from closed form.
 

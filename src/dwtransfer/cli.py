@@ -2,26 +2,28 @@
 
 Subcommands ``baseline``, ``transfer``, ``sweep``, ``consistency`` each
 read a flat JSON manifest (``--config``) and write CSV/JSON files into
-``--out``.  Every CSV embeds the fully resolved manifest as ``#``
-comment lines, so any data file is reproducible on its own.  Floats are
-printed with 17 significant digits; identical manifests produce
-byte-identical outputs.
+``--out``.  The fields of each manifest are declared once, as the
+dataclass of its experiment (``Baseline``, ``Transfer``, ``Sweep``,
+``Consistency``): the annotation of each field is its kind, and a field
+with a default may be left out.  Every CSV starts with the manifest, as
+read, in a ``#`` comment line, so any data file is reproducible on its
+own.  Floats are printed with 17 significant digits; identical manifests
+produce byte-identical outputs.
 
 Exit codes: 0 on success, 1 on invalid input, 2 when an ``--assert-*``
 check fails.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math
 import sys
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import SweepTable, closed_form_consistency, error_scaling_sweep
+from .analysis import closed_form_consistency, error_scaling_sweep
 from .core import PropagatorConfig
 from .encoding import LogicalState
 from .hamiltonians import ChainSpec, RegisterLayout
@@ -46,83 +48,138 @@ class ManifestError(ValueError):
     """Invalid or missing manifest field; message names the field."""
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+@dataclass(frozen=True)
+class Baseline:
+    """XY-chain perfect transfer reference"""
+
+    n_spins: int
+    lam: float
+    state: LogicalState
+    n_time_samples: int = 200
+    propagator: PropagatorConfig = PropagatorConfig()
 
 
-def _require(manifest: dict, field: str, kind=None):
-    if field not in manifest:
-        raise ManifestError(f"manifest field '{field}' is missing")
-    value = manifest[field]
-    if kind is not None and not isinstance(value, kind):
+@dataclass(frozen=True)
+class Transfer:
+    """two-stage domain-wall transfer (single or multi qubit)"""
+
+    mode: str
+    n_spins: int
+    lam: float
+    j_coupling: float
+    state: LogicalState
+    layout: dict = None  # default: one spin each for Alice and Bob
+    apply_phase_correction: bool = True
+    n_time_samples: int = 200
+    propagator: PropagatorConfig = PropagatorConfig()
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """infidelity vs J/lambda sweep and log-log fit"""
+
+    n_spins: int
+    lam: float
+    ratios: list
+    states: list  # of SweepState objects
+    layout: dict = None  # default: registers as wide as each payload
+    n_time_samples: int = 200
+    propagator: PropagatorConfig = PropagatorConfig()
+
+
+@dataclass(frozen=True)
+class SweepState:
+    """One entry of a sweep's ``states``."""
+
+    amplitudes: list
+    label: str = None  # default: state<i>
+    layout: dict = None  # default: the sweep's layout
+
+
+@dataclass(frozen=True)
+class Consistency:
+    """closed-form amplitude consistency check"""
+
+    lam: float
+    n_min: int = 2
+    n_max: int = 10
+    samples: int = 20
+
+
+_TYPE_NAMES = {bool: "true or false", str: "a string", list: "a list",
+               dict: "an object"}
+
+
+def _load(schema, manifest: dict, prefix: str = ""):
+    """The ``schema`` dataclass filled from ``manifest``.
+
+    Each field present is checked by the kind its annotation declares;
+    an absent one takes its default, and is an error if it has none.
+    Fields the schema does not declare are ignored.
+    """
+    values = {}
+    for f in fields(schema):
+        name = prefix + f.name
+        if f.name in manifest:
+            values[f.name] = _value(f.type, manifest[f.name], name)
+        elif f.default is MISSING:
+            raise ManifestError(f"manifest field '{name}' is missing")
+    return schema(**values)
+
+
+def _value(kind, raw, field: str):
+    """One manifest value of the given kind.
+
+    A ``float`` or ``int`` is a finite JSON number, not a boolean; an
+    ``int`` has an integral value, e.g. ``5`` or ``5.0``.
+    """
+    if kind in (float, int):
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+            raise ManifestError(
+                f"manifest field '{field}' must be a number, got "
+                f"{type(raw).__name__}"
+            )
+        if not math.isfinite(raw):
+            raise ManifestError(
+                f"manifest field '{field}' must be finite, got {raw}"
+            )
+        if kind is int and not float(raw).is_integer():
+            raise ManifestError(
+                f"manifest field '{field}' must be an integer, got {raw}"
+            )
+        return kind(raw)
+    if kind is LogicalState:
+        return _payload(raw, field)
+    if kind is PropagatorConfig:
+        try:
+            return PropagatorConfig(method=raw)
+        except ValueError as exc:
+            raise ManifestError(f"manifest field '{field}': {exc}") from exc
+    # a JSON boolean, string, list or object, used as read
+    if not isinstance(raw, kind):
         raise ManifestError(
-            f"manifest field '{field}' has the wrong type: "
-            f"expected {getattr(kind, '__name__', kind)}, got "
-            f"{type(value).__name__}"
+            f"manifest field '{field}' must be {_TYPE_NAMES[kind]}, got "
+            f"{type(raw).__name__}"
         )
-    return value
-
-
-def _number(value, field: str) -> float:
-    """A finite JSON number; booleans and NaN/Infinity are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ManifestError(
-            f"manifest field '{field}' must be a number, got "
-            f"{type(value).__name__}"
-        )
-    if not math.isfinite(value):
-        raise ManifestError(
-            f"manifest field '{field}' must be finite, got {value}"
-        )
-    return float(value)
-
-
-def _integer(value, field: str) -> int:
-    """A JSON number with an integral value, e.g. ``5`` or ``5.0``."""
-    x = _number(value, field)
-    if not x.is_integer():
-        raise ManifestError(
-            f"manifest field '{field}' must be an integer, got {value}"
-        )
-    return int(x)
-
-
-def _boolean(value, field: str) -> bool:
-    """A JSON ``true`` or ``false``; strings and numbers are rejected."""
-    if not isinstance(value, bool):
-        raise ManifestError(
-            f"manifest field '{field}' must be true or false, got "
-            f"{type(value).__name__}"
-        )
-    return value
-
-
-def _load_manifest(path: str, experiment: str) -> dict:
-    try:
-        with open(path) as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise ManifestError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ManifestError("manifest must be a JSON object")
-    declared = manifest.get("experiment")
-    if declared is not None and declared != experiment:
-        raise ManifestError(
-            f"manifest field 'experiment' is '{declared}', expected "
-            f"'{experiment}'"
-        )
-    manifest.setdefault("experiment", experiment)
-    manifest.setdefault("unit", "dimensionless")
-    return manifest
+    return raw
 
 
 def _amplitude(item, field: str) -> complex:
     """One amplitude: a finite number or a finite ``[re, im]`` pair."""
     if isinstance(item, list) and len(item) == 2:
-        return complex(_number(item[0], field), _number(item[1], field))
-    return complex(_number(item, field))
+        return complex(_value(float, item[0], field),
+                       _value(float, item[1], field))
+    return complex(_value(float, item, field))
+
+
+def _amplitudes(raw, field: str) -> np.ndarray:
+    if not isinstance(raw, list) or not raw:
+        raise ManifestError(f"manifest field '{field}' must be a non-empty list")
+    out = [_amplitude(item, field) for item in raw]
+    n = len(out)
+    if n & (n - 1):
+        raise ManifestError(f"manifest field '{field}' length must be a power of 2")
+    return np.asarray(out, dtype=complex)
 
 
 def _logical_state(amps: np.ndarray, field: str) -> LogicalState:
@@ -134,37 +191,28 @@ def _logical_state(amps: np.ndarray, field: str) -> LogicalState:
         ) from exc
 
 
-def _parse_amplitudes(raw, field: str) -> np.ndarray:
-    if not isinstance(raw, list) or not raw:
-        raise ManifestError(f"manifest field '{field}' must be a non-empty list")
-    out = [_amplitude(item, field) for item in raw]
-    n = len(out)
-    if n & (n - 1):
-        raise ManifestError(f"manifest field '{field}' length must be a power of 2")
-    return np.asarray(out, dtype=complex)
-
-
-def _parse_single_state(manifest: dict) -> LogicalState:
-    state = _require(manifest, "state", dict)
-    if "alpha" in state or "beta" in state:
-        alpha = _amplitude(state.get("alpha", 0.0), "state.alpha")
-        beta = _amplitude(state.get("beta", 0.0), "state.beta")
-        amps = np.array([beta, alpha], dtype=complex)
-    else:
-        amps = _parse_amplitudes(
-            _require(state, "amplitudes"), "state.amplitudes"
-        )
-    return _logical_state(amps, "state")
-
-
-def _parse_layout(raw, n_spins: int) -> RegisterLayout:
+def _payload(raw, field: str) -> LogicalState:
+    """The payload: ``alpha``/``beta`` of one qubit (``alpha|1> +
+    beta|0>``), or the ``amplitudes`` of any number of qubits."""
     if not isinstance(raw, dict):
-        raise ManifestError("manifest field 'layout' must be an object")
+        raise ManifestError(f"manifest field '{field}' must be an object")
+    if "alpha" in raw or "beta" in raw:
+        alpha = _amplitude(raw.get("alpha", 0.0), f"{field}.alpha")
+        beta = _amplitude(raw.get("beta", 0.0), f"{field}.beta")
+        amps = np.array([beta, alpha], dtype=complex)
+    elif "amplitudes" in raw:
+        amps = _amplitudes(raw["amplitudes"], f"{field}.amplitudes")
+    else:
+        raise ManifestError(f"manifest field '{field}.amplitudes' is missing")
+    return _logical_state(amps, field)
+
+
+def _parse_layout(raw: dict, n_spins: int) -> RegisterLayout:
     try:
         layout = RegisterLayout(
-            _integer(raw.get("n_alice", 1), "layout.n_alice"),
-            _integer(raw.get("n_wire", n_spins - 2), "layout.n_wire"),
-            _integer(raw.get("n_bob", 1), "layout.n_bob"),
+            _value(int, raw.get("n_alice", 1), "layout.n_alice"),
+            _value(int, raw.get("n_wire", n_spins - 2), "layout.n_wire"),
+            _value(int, raw.get("n_bob", 1), "layout.n_bob"),
         )
     except ValueError as exc:
         raise ManifestError(f"manifest field 'layout' is invalid: {exc}") from exc
@@ -174,18 +222,6 @@ def _parse_layout(raw, n_spins: int) -> RegisterLayout:
             f"'n_spins' is {n_spins}"
         )
     return layout
-
-
-def _time_samples(manifest: dict) -> int:
-    return _integer(manifest.get("n_time_samples", 200), "n_time_samples")
-
-
-def _parse_propagator(manifest: dict) -> PropagatorConfig:
-    method = manifest.get("propagator", "krylov")
-    try:
-        return PropagatorConfig(method=method)
-    except ValueError as exc:
-        raise ManifestError(f"manifest field 'propagator': {exc}") from exc
 
 
 def _check_footprint(n_spins: int, propagator: PropagatorConfig,
@@ -209,17 +245,35 @@ def _check_footprint(n_spins: int, propagator: PropagatorConfig,
         )
 
 
-def _manifest_header(manifest: dict) -> str:
+def _read_manifest(path: str, experiment: str) -> dict:
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except OSError as exc:
+        raise ManifestError(f"cannot read config file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ManifestError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ManifestError("manifest must be a JSON object")
+    declared = manifest.get("experiment")
+    if declared is not None and declared != experiment:
+        raise ManifestError(
+            f"manifest field 'experiment' is '{declared}', expected "
+            f"'{experiment}'"
+        )
+    manifest.setdefault("experiment", experiment)
+    manifest.setdefault("unit", "dimensionless")
+    return manifest
+
+
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def _write_csv(path: Path, manifest: dict, text: str):
     blob = json.dumps(manifest, sort_keys=True, separators=(", ", ": "))
-    return f"# manifest: {blob}\n"
-
-
-def _write_csv(path: Path, manifest: dict, header_cols, rows):
     with open(path, "w", newline="") as fh:
-        fh.write(_manifest_header(manifest))
-        fh.write(",".join(header_cols) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write(f"# manifest: {blob}\n{text}")
 
 
 def _write_json(path: Path, manifest: dict, payload: dict):
@@ -229,36 +283,20 @@ def _write_json(path: Path, manifest: dict, payload: dict):
         fh.write("\n")
 
 
-def _write_traces(out: Path, manifest: dict, result: ProtocolResult):
-    _write_csv(
-        out / "fidelity_trace.csv",
-        manifest,
-        ["t", "fidelity_corrected", "fidelity_uncorrected"],
-        (
-            [_fmt(t), _fmt(fc), _fmt(fu)]
-            for t, fc, fu in zip(
-                result.times,
-                result.fidelity_corrected,
-                result.fidelity_uncorrected,
-            )
-        ),
-    )
-    n_sites = result.sigma_z_trace.shape[0]
-    _write_csv(
-        out / "sigma_z.csv",
-        manifest,
-        ["t", "site", "sigma_z"],
-        (
-            [_fmt(result.times[i]), str(site + 1),
-             _fmt(result.sigma_z_trace[site, i])]
-            for i in range(result.times.shape[0])
-            for site in range(n_sites)
-        ),
-    )
-
-
-def _summary_payload(result: ProtocolResult) -> dict:
-    return {
+def _write_run(out: Path, manifest: dict, result: ProtocolResult):
+    """The traces and the summary of one protocol run."""
+    times, sigma_z = result.times, result.sigma_z_trace
+    _write_csv(out / "fidelity_trace.csv", manifest, "".join(
+        ["t,fidelity_corrected,fidelity_uncorrected\n"]
+        + [f"{_fmt(t)},{_fmt(fc)},{_fmt(fu)}\n" for t, fc, fu in zip(
+            times, result.fidelity_corrected, result.fidelity_uncorrected)]
+    ))
+    _write_csv(out / "sigma_z.csv", manifest, "".join(
+        ["t,site,sigma_z\n"]
+        + [f"{_fmt(t)},{site + 1},{_fmt(sigma_z[site, i])}\n"
+           for i, t in enumerate(times) for site in range(sigma_z.shape[0])]
+    ))
+    _write_json(out / "summary.json", manifest, {
         "final_fidelity": result.final_fidelity,
         "peak_fidelity": result.peak_fidelity,
         "peak_time": result.peak_time,
@@ -274,151 +312,108 @@ def _summary_payload(result: ProtocolResult) -> dict:
             [float(a.real), float(a.imag)]
             for a in result.final_logical.amplitudes
         ],
-    }
+    })
 
 
-def cmd_baseline(manifest: dict, out: Path) -> int:
-    N = _integer(_require(manifest, "n_spins"), "n_spins")
-    propagator = _parse_propagator(manifest)
+def cmd_baseline(run: Baseline, manifest: dict, out: Path, args) -> int:
+    N = run.n_spins
     # the XY chain keeps the payload in its 0- and 1-excitation sectors
-    _check_footprint(N, propagator, N)
-    lam = _number(_require(manifest, "lam"), "lam")
-    logical = _parse_single_state(manifest)
-    if logical.n_logical != 1:
+    _check_footprint(N, run.propagator, N)
+    if run.state.n_logical != 1:
         raise ManifestError("manifest field 'state' must be a single qubit")
-    try:
-        cfg = ProtocolConfig(
-            spec=None,  # the baseline has no Ising coupling
-            propagator=propagator,
-            n_time_samples=_time_samples(manifest),
-        )
-        result = run_heisenberg_baseline(N, lam, logical, cfg)
-    except ValueError as exc:
-        raise ManifestError(str(exc)) from exc
-    _write_traces(out, manifest, result)
-    _write_json(out / "summary.json", manifest, _summary_payload(result))
+    cfg = ProtocolConfig(
+        spec=None,  # the baseline has no Ising coupling
+        propagator=run.propagator,
+        n_time_samples=run.n_time_samples,
+    )
+    _write_run(out, manifest,
+               run_heisenberg_baseline(N, run.lam, run.state, cfg))
     return 0
 
 
-def cmd_transfer(manifest: dict, out: Path) -> int:
-    mode = _require(manifest, "mode", str)
-    if mode not in ("single", "multi"):
+def cmd_transfer(run: Transfer, manifest: dict, out: Path, args) -> int:
+    if run.mode not in ("single", "multi"):
         raise ManifestError(
-            f"manifest field 'mode' must be 'single' or 'multi', got '{mode}'"
+            f"manifest field 'mode' must be 'single' or 'multi', got "
+            f"'{run.mode}'"
         )
-    N = _integer(_require(manifest, "n_spins"), "n_spins")
-    propagator = _parse_propagator(manifest)
+    N = run.n_spins
     # transport conserves spin 1 and the reset stage Bob's spins
-    _check_footprint(N, propagator, 2 ** (N - 1))
-    lam = _number(_require(manifest, "lam"), "lam")
-    J = _number(_require(manifest, "j_coupling"), "j_coupling")
-    logical = _parse_single_state(manifest)
-    layout = _parse_layout(
-        manifest.get(
-            "layout",
-            {"n_alice": 1, "n_wire": N - 2, "n_bob": 1},
-        ),
-        N,
+    _check_footprint(N, run.propagator, 2 ** (N - 1))
+    layout = _parse_layout({} if run.layout is None else run.layout, N)
+    cfg = ProtocolConfig(
+        spec=ChainSpec(N, run.j_coupling, run.lam, layout),
+        propagator=run.propagator,
+        n_time_samples=run.n_time_samples,
+        apply_phase_correction=run.apply_phase_correction,
     )
-    correct_phases = _boolean(
-        manifest.get("apply_phase_correction", True), "apply_phase_correction"
-    )
-    try:
-        spec = ChainSpec(N, J, lam, layout)
-        cfg = ProtocolConfig(
-            spec=spec,
-            propagator=propagator,
-            n_time_samples=_time_samples(manifest),
-            apply_phase_correction=correct_phases,
-        )
-        if mode == "single":
-            beta, alpha = logical.amplitudes
-            result = run_single_qubit_transfer(alpha, beta, cfg)
-        else:
-            result = run_multi_qubit_transfer(logical, layout, cfg)
-    except ValueError as exc:
-        raise ManifestError(str(exc)) from exc
-    _write_traces(out, manifest, result)
-    _write_json(out / "summary.json", manifest, _summary_payload(result))
+    if run.mode == "single":
+        beta, alpha = run.state.amplitudes
+        result = run_single_qubit_transfer(alpha, beta, cfg)
+    else:
+        result = run_multi_qubit_transfer(run.state, layout, cfg)
+    _write_run(out, manifest, result)
     return 0
 
 
-def cmd_sweep(manifest: dict, out: Path, workers: int,
-              slope_band: float) -> int:
-    N = _integer(_require(manifest, "n_spins"), "n_spins")
-    propagator = _parse_propagator(manifest)
-    _check_footprint(N, propagator, 2 ** (N - 1))
-    lam = _number(_require(manifest, "lam"), "lam")
-    ratios = [
-        _number(r, "ratios") for r in _require(manifest, "ratios", list)
-    ]
-    if not all(r > 0 for r in ratios):
-        raise ManifestError("manifest field 'ratios' must be positive numbers")
-    raw_states = _require(manifest, "states", list)
+def cmd_sweep(run: Sweep, manifest: dict, out: Path, args) -> int:
+    N = run.n_spins
+    _check_footprint(N, run.propagator, 2 ** (N - 1))
+    ratios = [_value(float, r, "ratios") for r in run.ratios]
+    if not ratios or not all(r > 0 for r in ratios):
+        raise ManifestError(
+            "manifest field 'ratios' must be a non-empty list of positive "
+            "numbers"
+        )
     states = []
-    for i, raw in enumerate(raw_states):
+    for i, raw in enumerate(run.states):
+        field = f"states[{i}]"
         if not isinstance(raw, dict):
-            raise ManifestError(f"manifest field 'states[{i}]' must be an object")
-        label = raw.get("label", f"state{i}")
-        amps = _parse_amplitudes(
-            _require(raw, "amplitudes"), f"states[{i}].amplitudes"
-        )
-        logical = _logical_state(amps, f"states[{i}]")
-        layout = _parse_layout(
-            raw.get(
-                "layout",
-                manifest.get(
-                    "layout",
-                    {"n_alice": logical.n_logical,
-                     "n_wire": N - 2 * logical.n_logical,
-                     "n_bob": logical.n_logical},
-                ),
-            ),
-            N,
-        )
-        states.append((label, logical, layout))
-    try:
-        base_cfg = ProtocolConfig(
-            spec=ChainSpec(N, max(ratios) * lam, lam),
-            propagator=propagator,
-            n_time_samples=_time_samples(manifest),
-        )
-        table = error_scaling_sweep(states, ratios, base_cfg, workers)
-    except ValueError as exc:
-        raise ManifestError(str(exc)) from exc
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        fh.write(_manifest_header(manifest))
-        fh.write(table.to_csv())
+            raise ManifestError(f"manifest field '{field}' must be an object")
+        item = _load(SweepState, raw, f"{field}.")
+        logical = _logical_state(
+            _amplitudes(item.amplitudes, f"{field}.amplitudes"), field)
+        k = logical.n_logical
+        layout = item.layout if item.layout is not None else run.layout
+        if layout is None:
+            layout = {"n_alice": k, "n_wire": N - 2 * k, "n_bob": k}
+        states.append((
+            f"state{i}" if item.label is None else item.label,
+            logical,
+            _parse_layout(layout, N),
+        ))
+    base_cfg = ProtocolConfig(
+        spec=ChainSpec(N, max(ratios) * run.lam, run.lam),
+        propagator=run.propagator,
+        n_time_samples=run.n_time_samples,
+    )
+    table = error_scaling_sweep(states, ratios, base_cfg, args.workers)
+    _write_csv(out / "sweep.csv", manifest, table.to_csv())
     _write_json(out / "fit.json", manifest, table.summary())
-    if slope_band is not None:
+    band = args.assert_slope
+    if band is not None:
         if table.fit is None:
             print("slope assertion failed: fit unavailable", file=sys.stderr)
             return 2
-        if abs(table.fit.slope - SLOPE_TARGET) > slope_band:
+        if abs(table.fit.slope - SLOPE_TARGET) > band:
             print(
                 f"slope assertion failed: {table.fit.slope:.4f} outside "
-                f"{SLOPE_TARGET} +/- {slope_band}",
+                f"{SLOPE_TARGET} +/- {band}",
                 file=sys.stderr,
             )
             return 2
     return 0
 
 
-def cmd_consistency(manifest: dict, out: Path) -> int:
-    n_min = _integer(manifest.get("n_min", 2), "n_min")
-    n_max = _integer(manifest.get("n_max", 10), "n_max")
-    lam = _number(_require(manifest, "lam"), "lam")
-    samples = _integer(manifest.get("samples", 20), "samples")
-    if n_min < 2 or n_max < n_min:
+def cmd_consistency(run: Consistency, manifest: dict, out: Path,
+                    args) -> int:
+    if run.n_min < 2 or run.n_max < run.n_min:
         raise ManifestError(
             "manifest fields 'n_min'/'n_max' must satisfy 2 <= n_min <= n_max"
         )
-    try:
-        deviation = closed_form_consistency(
-            range(n_min, n_max + 1), lam, samples
-        )
-    except ValueError as exc:
-        raise ManifestError(str(exc)) from exc
+    deviation = closed_form_consistency(
+        range(run.n_min, run.n_max + 1), run.lam, run.samples
+    )
     _write_json(
         out / "summary.json",
         manifest,
@@ -426,6 +421,16 @@ def cmd_consistency(manifest: dict, out: Path) -> int:
          "within_tolerance": bool(deviation <= 1e-8)},
     )
     return 0
+
+
+# subcommand -> (manifest schema, command); the schema's docstring is
+# the subcommand's help
+COMMANDS = {
+    "baseline": (Baseline, cmd_baseline),
+    "transfer": (Transfer, cmd_transfer),
+    "sweep": (Sweep, cmd_sweep),
+    "consistency": (Consistency, cmd_consistency),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -442,13 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
         "encoding and XY baseline).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("baseline", "XY-chain perfect transfer reference"),
-        ("transfer", "two-stage domain-wall transfer (single or multi qubit)"),
-        ("sweep", "infidelity vs J/lambda sweep and log-log fit"),
-        ("consistency", "closed-form amplitude consistency check"),
-    ):
-        p = sub.add_parser(name, help=doc, parents=[])
+    for name, (schema, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=schema.__doc__)
         p.add_argument("--config", required=True, help="JSON manifest path")
         p.add_argument("--out", required=True, help="output directory")
         if name == "sweep":
@@ -467,27 +467,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    schema, command = COMMANDS[args.command]
     try:
-        manifest = _load_manifest(args.config, args.command)
+        manifest = _read_manifest(args.config, args.command)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "baseline":
-            code = cmd_baseline(manifest, out)
-        elif args.command == "transfer":
-            code = cmd_transfer(manifest, out)
-        elif args.command == "sweep":
-            code = cmd_sweep(
-                manifest, out, args.workers, args.assert_slope
-            )
-        else:
-            code = cmd_consistency(manifest, out)
-    except ManifestError as exc:
+        return command(_load(schema, manifest), manifest, out, args)
+    except ValueError as exc:
         print(f"dwtransfer: invalid input: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"dwtransfer: {exc}", file=sys.stderr)
         return 1
-    return code
 
 
 if __name__ == "__main__":

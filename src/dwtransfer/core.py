@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 NORM_TOL = 1e-12
+NORM_DRIFT_TOL = 1e-9  # largest norm drift of a propagated state
 HERMITICITY_TOL = 1e-12
 CHEBYSHEV_BATCH = 16  # Chebyshev vectors per output product; at least 3
 
@@ -27,7 +28,7 @@ class DimensionMismatch(ValueError):
 
 
 class KrylovBreakdown(RuntimeError):
-    """A propagated state drifted in norm beyond the requested tolerance."""
+    """A propagated state drifted in norm beyond ``NORM_DRIFT_TOL``."""
 
     def __init__(self, message, residual):
         super().__init__(f"{message} (residual estimate {residual:.3e})")
@@ -269,22 +270,17 @@ class PropagatorConfig:
     diagonalized once on each connected component of its nonzero
     pattern, in real arithmetic when H is real, and only the components
     the state occupies are propagated.  ``krylov`` is the sparse fast
-    path and must agree with it to ``tolerance``.
-    The sparse path is a Chebyshev expansion of the exponential on the
+    path.  It is a Chebyshev expansion of the exponential on the
     Gershgorin interval of H (Tal-Ezer & Kosloff 1984), truncated at
     round-off; ``"krylov"`` is kept as its name so that existing
-    manifests run.  ``tolerance`` bounds the norm drift of every
-    propagated state.
+    manifests run.
     """
 
     method: str = "krylov"
-    tolerance: float = 1e-10
 
     def __post_init__(self):
         if self.method not in ("exact-eigendecomposition", "krylov"):
             raise ValueError(f"unknown propagator method {self.method!r}")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
 
 
 def realize(p: PauliSum) -> Operator:
@@ -364,7 +360,7 @@ def evolve(
     non-decreasing array of times, which returns a list with the state
     at each of them, all from one call.  Every returned state is
     renormalized; its norm drift before renormalization must stay
-    within ``cfg.tolerance``.
+    within ``NORM_DRIFT_TOL``.
     """
     if h.dimension != state.dim:
         raise DimensionMismatch(
@@ -401,7 +397,7 @@ def _propagate(state, h, times, cfg):
     else:
         rows = _evolve_chebyshev(amp, block, times)
     drift = np.abs(np.linalg.norm(rows, axis=1) - 1.0).max()
-    if drift > max(cfg.tolerance, 1e-9):
+    if drift > NORM_DRIFT_TOL:
         raise KrylovBreakdown("propagated state lost normalization", drift)
     if indices is not None:
         full = np.zeros((times.size, state.dim), dtype=complex)

@@ -126,22 +126,6 @@ def count_domain_walls(bits, ctx: BoundaryContext) -> int:
     return sum(a != b for a, b in zip(padded, padded[1:]))
 
 
-def offset_correction(state: StateVector, J: float, tau: float) -> StateVector:
-    """Diagonal unitary exp(+i tau J sum_n Z_n Z_{n+1}).
-
-    Undoes the relative phases accumulated between domain-wall sectors
-    during one stage of duration ``tau``; applying it per stage makes
-    the nominal target reachable with fidelity approaching 1.
-    """
-    n = state.n_spins
-    idx = np.arange(state.dim)
-    z = np.empty((n, state.dim))
-    for s in range(1, n + 1):
-        z[s - 1] = 1.0 - 2.0 * ((idx >> (n - s)) & 1)
-    diag = np.sum(z[:-1] * z[1:], axis=0) if n > 1 else np.zeros(state.dim)
-    return StateVector(n, np.exp(1j * tau * J * diag) * state.amplitudes)
-
-
 @dataclass(frozen=True)
 class PhaseLedger:
     """Deterministic phases accumulated by the protocol stages."""

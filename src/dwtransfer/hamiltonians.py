@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,11 +77,6 @@ class RegisterLayout:
     @property
     def total(self) -> int:
         return self.n_alice + self.n_wire + self.n_bob
-
-    @property
-    def bob_sites(self) -> range:
-        """1-based site indices of Bob's register."""
-        return range(self.n_alice + self.n_wire + 1, self.total + 1)
 
 
 @dataclass(frozen=True)
@@ -191,14 +186,11 @@ def reset_hamiltonian(spec: ChainSpec) -> PauliSum:
     walls run back out through the left boundary.  The +J Z_1 sign pins
     the left virtual neighbour down, mirroring the +J Z_N term of the
     transport stage; it is the unique sign for which the reset stage is
-    the spatial reflection of the transport stage.
+    the spatial reflection of the transport stage.  It is
+    :func:`multiqubit_reset_hamiltonian` with single-spin registers.
     """
-    N, J = spec.n_spins, spec.j_coupling
-    prof = coupling_profile(N, spec.lam)
-    terms = [(prof.t[n - 1], {n: "X"}) for n in range(1, N)]
-    terms.append((J, {1: "Z"}))
-    terms.extend(_zz_terms(N, J))
-    return PauliSum(N, tuple(terms))
+    layout = RegisterLayout(1, spec.n_spins - 2, 1)
+    return multiqubit_reset_hamiltonian(replace(spec, layout=layout))
 
 
 def multiqubit_reset_hamiltonian(spec: ChainSpec) -> PauliSum:
@@ -208,8 +200,8 @@ def multiqubit_reset_hamiltonian(spec: ChainSpec) -> PauliSum:
     (sites 1..n_alice+n_wire) with a profile recomputed over the
     effective length n_alice + n_wire + 1 so the active section is
     mirror-symmetric; Bob's register is field-free.  Same +J Z_1
-    boundary convention as :func:`reset_hamiltonian`, to which this
-    reduces for a single-spin Bob register.
+    boundary convention as :func:`reset_hamiltonian`, which is this
+    Hamiltonian with single-spin registers.
     """
     if spec.layout is None:
         raise ValueError("multiqubit_reset_hamiltonian needs spec.layout")

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import (
     Operator,
@@ -106,12 +105,6 @@ class ProtocolResult:
     peak_time: float
     final_state: StateVector
 
-    def peak_indices(self):
-        """Indices of strict local maxima of the corrected trace."""
-        f = self.fidelity_corrected
-        inner = (f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:])
-        return np.nonzero(inner)[0] + 1
-
 
 @dataclass(frozen=True)
 class _Branch:
@@ -143,10 +136,12 @@ def _wall_positions(bits, left=None, right=None):
 
 
 def _mirror_propagator(length: int, lam: float, tau: float) -> np.ndarray:
-    """Single-particle propagator of walls hopping with bond strengths t_k."""
+    """Single-particle propagator of walls hopping with bond strengths t_k,
+    ``V diag(exp(-i w tau)) V^T`` from the eigensystem of the real
+    symmetric hopping matrix."""
     prof = coupling_profile(length, lam)
-    T = np.diag(prof.t, 1) + np.diag(prof.t, -1)
-    return expm(-1j * T * tau)
+    w, v = np.linalg.eigh(np.diag(prof.t, 1) + np.diag(prof.t, -1))
+    return (v * np.exp(-1j * w * tau)) @ v.T
 
 
 def _slater_phase(G: np.ndarray, s_in, s_out) -> complex:
@@ -368,6 +363,42 @@ def _peak_in_window(times, trace, t_read):
     return float(trace[best]), float(times[best])
 
 
+def _run(logical_in: LogicalState, layout: RegisterLayout, branches, stages,
+         J: float, tau: float, cfg: ProtocolConfig) -> ProtocolResult:
+    """Trace and read out one run of the branches in ``branches``.
+
+    ``stages`` holds one function per stage, each run for ``tau``, that
+    builds its Hamiltonian; the peak is searched around the end of the
+    last stage.
+    """
+    N = layout.total
+    psi0 = np.zeros(2**N, dtype=complex)
+    for br in branches:
+        psi0[basis_index(br.initial_bits)] += br.coefficient
+    times, corr, uncorr, sigma_z, final_state = _trace_run(
+        StateVector(N, psi0), stages, branches, N, tau, cfg.n_time_samples,
+        cfg.propagator,
+    )
+    peak_f, peak_t = _peak_in_window(times, corr, len(stages) * tau)
+    final_logical, final_f = _readout(
+        final_state, layout, branches, tau, logical_in,
+        corrected=cfg.apply_phase_correction,
+    )
+    return ProtocolResult(
+        times=times,
+        fidelity_corrected=corr,
+        fidelity_uncorrected=uncorr,
+        sigma_z_trace=sigma_z,
+        final_logical=final_logical,
+        final_fidelity=final_f,
+        phases=phase_ledger(N, J, tau, stages=len(stages)),
+        tau=tau,
+        peak_fidelity=peak_f,
+        peak_time=peak_t,
+        final_state=final_state,
+    )
+
+
 def run_multi_qubit_transfer(
     logical_in: LogicalState, layout: RegisterLayout, cfg: ProtocolConfig
 ) -> ProtocolResult:
@@ -411,33 +442,10 @@ def run_multi_qubit_transfer(
             for br in branches
         ]
 
-    psi0 = np.zeros(2**N, dtype=complex)
-    for br in branches:
-        psi0[basis_index(br.initial_bits)] += br.coefficient
-    state = StateVector(N, psi0)
-
-    times, corr, uncorr, sigma_z, final_state = _trace_run(
-        state,
+    return _run(
+        logical_in, layout, branches,
         (transport, lambda: realize(multiqubit_reset_hamiltonian(spec))),
-        branches, N, tau, cfg.n_time_samples, cfg.propagator,
-    )
-    peak_f, peak_t = _peak_in_window(times, corr, 2 * tau)
-    final_logical, final_f = _readout(
-        final_state, layout, branches, tau, logical_in,
-        corrected=cfg.apply_phase_correction,
-    )
-    return ProtocolResult(
-        times=times,
-        fidelity_corrected=corr,
-        fidelity_uncorrected=uncorr,
-        sigma_z_trace=sigma_z,
-        final_logical=final_logical,
-        final_fidelity=final_f,
-        phases=phase_ledger(N, spec.j_coupling, tau, stages=2),
-        tau=tau,
-        peak_fidelity=peak_f,
-        peak_time=peak_t,
-        final_state=final_state,
+        spec.j_coupling, tau, cfg,
     )
 
 
@@ -486,40 +494,7 @@ def run_heisenberg_baseline(
         branches.append(_Branch(complex(alpha), (1,) + (0,) * (N - 1),
                                 (0,) * (N - 1) + (1,), complex(mirror),
                                 0.0, 0.0))
-    psi0 = np.zeros(2**N, dtype=complex)
-    for br in branches:
-        psi0[basis_index(br.initial_bits)] += br.coefficient
-    state = StateVector(N, psi0)
-    times, corr, uncorr, sigma_z, final_state = _trace_run(
-        state, (lambda: realize(heisenberg_xy(N, lam)),), branches, N, tau,
-        cfg.n_time_samples, cfg.propagator,
-    )
-    peak_f, peak_t = _peak_in_window(times, corr, tau)
-    layout = RegisterLayout(1, N - 2, 1) if N > 2 else RegisterLayout(1, 0, 1)
-    final_logical, final_f = _readout(
-        final_state, layout, branches, tau, logical_in,
-        corrected=cfg.apply_phase_correction,
-    )
-    return ProtocolResult(
-        times=times,
-        fidelity_corrected=corr,
-        fidelity_uncorrected=uncorr,
-        sigma_z_trace=sigma_z,
-        final_logical=final_logical,
-        final_fidelity=final_f,
-        phases=phase_ledger(N, 0.0, tau, stages=1),
-        tau=tau,
-        peak_fidelity=peak_f,
-        peak_time=peak_t,
-        final_state=final_state,
-    )
-
-
-def fidelity_trace(result: ProtocolResult):
-    """Convenience accessor: (times, corrected, uncorrected, peak indices)."""
-    return (
-        result.times,
-        result.fidelity_corrected,
-        result.fidelity_uncorrected,
-        result.peak_indices(),
+    return _run(
+        logical_in, RegisterLayout(1, N - 2, 1), branches,
+        (lambda: realize(heisenberg_xy(N, lam)),), 0.0, tau, cfg,
     )

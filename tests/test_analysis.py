@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from dwtransfer.analysis import (
-    SweepFit,
-    SweepTable,
     closed_form_consistency,
     error_scaling_sweep,
-    rescaling_tradeoff,
 )
 from dwtransfer.core import PropagatorConfig
 from dwtransfer.encoding import LogicalState
@@ -87,36 +84,6 @@ class TestErrorScalingSweep:
         assert float(fields[1]) == 16.0
         assert 0.0 <= float(fields[2]) < 1.0
         assert float(fields[3]) > 0.0
-
-
-class TestRescalingTradeoff:
-    def synthetic_table(self):
-        # ideal quadratic law: eps = (J/lam)^-2, i.e. A = 1, slope = -2
-        fit = SweepFit(slope=-2.0, intercept=0.0, r_squared=1.0, n_points=5)
-        return SweepTable(rows=(), fit=fit)
-
-    def test_quadratic_inversion(self):
-        table = self.synthetic_table()
-        lam = rescaling_tradeoff(1e-4, J=22.0, t=1.0, table=table)
-        # eps = (J/lam)^-2 = 1e-4  =>  J/lam = 100
-        assert lam == pytest.approx(0.22)
-
-    def test_halving_error_shrinks_lambda_by_sqrt2(self):
-        table = self.synthetic_table()
-        a = rescaling_tradeoff(2e-4, J=22.0, t=1.0, table=table)
-        b = rescaling_tradeoff(1e-4, J=22.0, t=1.0, table=table)
-        assert a / b == pytest.approx(math.sqrt(2.0))
-
-    def test_requires_fit(self):
-        with pytest.raises(ValueError, match="fit unavailable"):
-            rescaling_tradeoff(1e-4, 22.0, 1.0, SweepTable(rows=(), fit=None))
-
-    def test_parameter_validation(self):
-        table = self.synthetic_table()
-        with pytest.raises(ValueError):
-            rescaling_tradeoff(0.0, 22.0, 1.0, table)
-        with pytest.raises(ValueError):
-            rescaling_tradeoff(1e-4, 22.0, -1.0, table)
 
 
 class TestClosedFormConsistency:

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
-from dwtransfer.cli import ManifestError, _check_footprint, main
+import dwtransfer
+from dwtransfer.cli import COMMANDS, ManifestError, _check_footprint, main
 from dwtransfer.core import PropagatorConfig
 
 S2 = 1 / math.sqrt(2)
@@ -60,6 +65,17 @@ def sweep_manifest(tmp_path):
         "states": [{"label": "one", "amplitudes": [0.0, 1.0]}],
         "propagator": "exact-eigendecomposition",
         "n_time_samples": 40,
+    })
+
+
+@pytest.fixture
+def consistency_manifest(tmp_path):
+    return write_manifest(tmp_path / "consistency.json", {
+        "experiment": "consistency",
+        "lam": 1.0,
+        "n_min": 2,
+        "n_max": 4,
+        "samples": 10,
     })
 
 
@@ -342,6 +358,87 @@ class TestMemoryGuard:
         _check_footprint(13, dense, 2**12)
         with pytest.raises(ManifestError, match="'n_spins'"):
             _check_footprint(16, dense, 2**15)
+
+
+class TestManifestLoader:
+    @pytest.mark.parametrize("command, fields_, named", [
+        ("transfer", {"layout": []}, "layout"),
+        ("sweep", {"ratios": 8}, "ratios"),
+        ("sweep", {"ratios": []}, "ratios"),
+        ("sweep", {"states": {}}, "states"),
+        ("sweep", {"states": [3]}, "states[0]"),
+        ("sweep", {"states": [{"label": "one"}]}, "states[0].amplitudes"),
+        ("sweep", {"states": [{"amplitudes": [0, 1], "label": 7}]},
+         "states[0].label"),
+        ("transfer", {"state": [1, 0]}, "state"),
+        ("transfer", {"state": {"label": "one"}}, "state.amplitudes"),
+        ("transfer", {"mode": 3}, "mode"),
+        ("baseline", {"propagator": "lanczos"}, "propagator"),
+    ])
+    def test_bad_field_exits_1(self, request, tmp_path, capsys,
+                               command, fields_, named):
+        path = request.getfixturevalue(f"{command}_manifest")
+        cfg = with_fields(path, tmp_path, **fields_)
+        out = tmp_path / "o"
+        assert run([command, "--config", cfg, "--out", out]) == 1
+        assert f"'{named}'" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_declared_field_is_checked(self, request, tmp_path, capsys,
+                                             command):
+        path = request.getfixturevalue(f"{command}_manifest")
+        schema, _ = COMMANDS[command]
+        for field in fields(schema):
+            # a value of the wrong JSON type for the field's kind
+            value = 3 if field.type is str else "3"
+            cfg = with_fields(path, tmp_path, **{field.name: value})
+            assert run([command, "--config", cfg,
+                        "--out", tmp_path / "o"]) == 1, field.name
+            assert f"'{field.name}'" in capsys.readouterr().err, field.name
+
+    def test_missing_required_fields_are_named(self, tmp_path, capsys):
+        cfg = write_manifest(tmp_path / "empty.json", {})
+        for command, (schema, _) in COMMANDS.items():
+            assert run([command, "--config", cfg,
+                        "--out", tmp_path / "o"]) == 1
+            first = next(f.name for f in fields(schema)
+                         if f.default is MISSING)
+            assert f"'{first}' is missing" in capsys.readouterr().err
+
+    def test_null_experiment_is_accepted_and_echoed(self, baseline_manifest,
+                                                    tmp_path):
+        cfg = with_fields(baseline_manifest, tmp_path, experiment=None)
+        out = tmp_path / "out"
+        assert run(["baseline", "--config", cfg, "--out", out]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["manifest"]["experiment"] is None
+        header = (out / "sigma_z.csv").read_text().splitlines()[0]
+        assert '"experiment": null' in header
+
+
+class TestImportGraph:
+    @pytest.mark.parametrize("command", ["transfer", "sweep"])
+    def test_run_leaves_scipy_linalg_unloaded(self, request, tmp_path,
+                                              command):
+        # scipy.linalg loads a second OpenBLAS and starts its threads
+        cfg = request.getfixturevalue(f"{command}_manifest")
+        script = (
+            "import sys\n"
+            "import dwtransfer.cli\n"
+            f"code = dwtransfer.cli.main([{command!r}, '--config', {cfg!r},"
+            f" '--out', {str(tmp_path / 'o')!r}])\n"
+            "assert code == 0, code\n"
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "'scipy.linalg')))\n"
+        )
+        src = str(Path(dwtransfer.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestArgumentHandling:

@@ -562,10 +562,6 @@ class TestPropagatorConfig:
         with pytest.raises(ValueError):
             PropagatorConfig(method="magic")
 
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            PropagatorConfig(tolerance=0.0)
-
 
 class TestFidelity:
     def test_self_fidelity(self):

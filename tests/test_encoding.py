@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dwtransfer.core import StateVector, realize, PauliSum
+from dwtransfer.core import StateVector
 from dwtransfer.encoding import (
     BoundaryContext,
     LogicalState,
@@ -10,7 +10,6 @@ from dwtransfer.encoding import (
     dw_decode_bits,
     dw_encode_bits,
     dw_encode_state,
-    offset_correction,
     phase_ledger,
 )
 
@@ -141,34 +140,6 @@ class TestCountDomainWalls:
         # explicit pattern: walls at the 0-1 interfaces only
         ctx = BoundaryContext(left_value=1, right_context=1)
         assert count_domain_walls([1, 1, 0, 1], ctx) == 2
-
-
-class TestOffsetCorrection:
-    def test_zero_coupling_identity(self):
-        psi = StateVector.from_bits([1, 0, 1])
-        out = offset_correction(psi, 0.0, 2.3)
-        assert np.array_equal(out.amplitudes, psi.amplitudes)
-
-    @pytest.mark.parametrize("n", [2, 4, 6])
-    def test_matches_dense_exponential(self, n):
-        rng = np.random.default_rng(n)
-        amp = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        amp /= np.linalg.norm(amp)
-        psi = StateVector(n, amp)
-        J, tau = 1.7, 0.9
-        zz = realize(PauliSum(
-            n, tuple((1.0, {i: "Z", i + 1: "Z"}) for i in range(1, n))
-        )).matrix.toarray()
-        from scipy.linalg import expm
-
-        expected = expm(1j * tau * J * zz) @ amp
-        out = offset_correction(psi, J, tau)
-        assert np.allclose(out.amplitudes, expected, atol=1e-12)
-
-    def test_norm_preserved(self):
-        psi = StateVector.from_bits([1, 1, 0, 1])
-        out = offset_correction(psi, 3.0, 1.1)
-        assert out.norm_defect() < 1e-12
 
 
 class TestPhaseLedger:

@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from dwtransfer import protocol
 from dwtransfer.core import PropagatorConfig, StateVector, realize
@@ -11,15 +12,16 @@ from dwtransfer.encoding import BoundaryContext, LogicalState, count_domain_wall
 from dwtransfer.hamiltonians import (
     ChainSpec,
     RegisterLayout,
+    coupling_profile,
     multiqubit_reset_hamiltonian,
     transport_hamiltonian,
 )
 from dwtransfer.protocol import (
     ProtocolConfig,
+    _mirror_propagator,
     _sigma_z_all,
     _trace_run,
     _unit_interval,
-    fidelity_trace,
     run_heisenberg_baseline,
     run_multi_qubit_transfer,
     run_single_qubit_transfer,
@@ -237,13 +239,12 @@ class TestTraceAccess:
     def test_fidelity_trace_accessor(self):
         cfg = single_cfg(5, 22.0, n_time_samples=100)
         res = run_single_qubit_transfer(S2, S2, cfg)
-        times, corr, uncorr, peaks = fidelity_trace(res)
-        assert times.shape == corr.shape == uncorr.shape
+        times = res.times
+        assert times.shape == res.fidelity_corrected.shape
+        assert times.shape == res.fidelity_uncorrected.shape
         assert np.all(np.diff(times) > 0)
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(2 * res.tau)
-        assert len(peaks) >= 1
-        assert all(0 < p < times.size - 1 for p in peaks)
 
     def test_fidelities_bounded(self):
         cfg = single_cfg(5, 22.0, n_time_samples=30)
@@ -256,6 +257,25 @@ class TestTraceAccess:
         res = run_single_qubit_transfer(1.0, 0.0, cfg)
         assert abs(res.peak_time - 2 * res.tau) <= 0.05 * 2 * res.tau
         assert res.peak_fidelity >= res.fidelity_corrected[-1] - 1e-12
+
+
+class TestMirrorPropagator:
+    @pytest.mark.parametrize("lam", [1.0, 0.37])
+    def test_mirror_time_closed_form(self, lam):
+        # at tau = pi/lam every wall lands on its mirror site with the
+        # phase (-i)^(N-1) of a spin-(N-1)/2 rotated by pi
+        for N in range(2, 40):
+            G = _mirror_propagator(N, lam, math.pi / lam)
+            mirror = (-1j) ** (N - 1) * np.eye(N)[::-1]
+            assert np.abs(G - mirror).max() <= 1e-12, N
+
+    @pytest.mark.parametrize("N, t", [(2, 0.3), (5, 1.7), (9, 0.05),
+                                      (13, 2.9), (20, 6.0)])
+    def test_matches_expm(self, N, t):
+        prof = coupling_profile(N, 1.0)
+        hop = np.diag(prof.t, 1) + np.diag(prof.t, -1)
+        G = _mirror_propagator(N, 1.0, t)
+        assert np.abs(G - expm(-1j * t * hop)).max() <= 1e-12
 
 
 class TestUnitInterval:
