@@ -17,6 +17,7 @@ from .protocol import ProtocolConfig, run_multi_qubit_transfer
 EPS_FLOOR = 1e-12
 FIT_RATIO_MIN = 8.0
 FIT_RATIO_MAX = 40.0
+CONSISTENCY_N_MAX = 12  # longest chain of the dense closed-form check
 
 
 @dataclass(frozen=True)
@@ -150,8 +151,9 @@ def closed_form_consistency(N_range, lam: float, samples: int = 20) -> float:
     cfg = PropagatorConfig(method="exact-eigendecomposition")
     worst = 0.0
     for N in N_range:
-        if N > 12:
-            raise ValueError("exact path limited to N <= 12")
+        if N > CONSISTENCY_N_MAX:
+            raise ValueError(
+                f"exact path limited to N <= {CONSISTENCY_N_MAX}")
         h = realize(heisenberg_xy(N, lam))
         src = StateVector.from_bits([1] + [0] * (N - 1))
         tgt_idx = 1  # |0...01>

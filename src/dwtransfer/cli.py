@@ -23,7 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import closed_form_consistency, error_scaling_sweep
+from .analysis import (
+    CONSISTENCY_N_MAX,
+    closed_form_consistency,
+    error_scaling_sweep,
+)
 from .core import PropagatorConfig
 from .encoding import LogicalState
 from .hamiltonians import ChainSpec, RegisterLayout
@@ -348,6 +352,11 @@ def cmd_transfer(run: Transfer, manifest: dict, out: Path, args) -> int:
         apply_phase_correction=run.apply_phase_correction,
     )
     if run.mode == "single":
+        if run.state.n_logical != 1:
+            raise ManifestError(
+                "manifest field 'state' must be a single qubit in mode "
+                "'single'"
+            )
         beta, alpha = run.state.amplitudes
         result = run_single_qubit_transfer(alpha, beta, cfg)
     else:
@@ -410,6 +419,11 @@ def cmd_consistency(run: Consistency, manifest: dict, out: Path,
     if run.n_min < 2 or run.n_max < run.n_min:
         raise ManifestError(
             "manifest fields 'n_min'/'n_max' must satisfy 2 <= n_min <= n_max"
+        )
+    if run.n_max > CONSISTENCY_N_MAX:
+        raise ManifestError(
+            f"manifest field 'n_max' is {run.n_max}: the dense reference "
+            f"path runs chains of at most {CONSISTENCY_N_MAX} spins"
         )
     deviation = closed_form_consistency(
         range(run.n_min, run.n_max + 1), run.lam, run.samples

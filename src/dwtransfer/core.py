@@ -134,6 +134,8 @@ class Operator:
     _eig: tuple = field(default=None, repr=False, compare=False)
     _block: tuple = field(default=None, repr=False, compare=False)
     _interval: tuple = field(default=None, repr=False, compare=False)
+    _chebyshev: "ChebyshevForm" = field(default=None, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         m = sp.csr_matrix(self.matrix, dtype=complex)
@@ -190,19 +192,82 @@ class Operator:
         return (None, self) if indices is None else (indices, block)
 
     def gershgorin_interval(self) -> tuple:
-        """``(lo, hi)`` holding every eigenvalue, from Gershgorin's discs.
+        """``(lo, hi)`` holding every eigenvalue.  Cached.
 
-        Row ``i`` gives ``h_ii -+ sum_{j != i} |h_ij|``; H is Hermitian,
-        so the column sums of ``|H|`` are its row sums.  Cached.
+        Gershgorin's discs give it: row ``i`` gives
+        ``h_ii -+ sum_{j != i} |h_ij|``, and H is Hermitian, so the
+        column sums of ``|H|`` are its row sums.  On a matrix with more
+        than a quarter of its entries stored, where the discs can be far
+        wider than the spectrum, the interval is narrowed to
+        ``c -+ ||(H - c)^8||_F^(1/8)`` about their centre ``c`` when that
+        is tighter: for Hermitian ``B``, ``rho(B)^8 = ||B^8||_2 <=
+        ||B^8||_F``.  That bound is padded by 1e-12 relative.
         """
         if self._interval is None:
             m = self.matrix
             diag = m.diagonal().real
             radius = np.bincount(m.indices, weights=np.abs(m.data),
                                  minlength=self.dimension) - abs(diag)
-            self._interval = (float(np.min(diag - radius)),
-                              float(np.max(diag + radius)))
+            lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
+            c, a = (hi + lo) / 2, (hi - lo) / 2
+            if a > 0 and m.nnz > self.dimension**2 / 4:
+                # (H - c) / a has its spectrum in [-1, 1]: no overflow
+                b = m.toarray()
+                b[np.diag_indices_from(b)] -= c
+                b /= a
+                for _ in range(3):
+                    b = b @ b
+                r = a * float(np.linalg.norm(b)) ** 0.125
+                r += 1e-12 * (r + abs(c))
+                if r < a:
+                    lo, hi = c - r, c + r
+            self._interval = (lo, hi)
         return self._interval
+
+    def chebyshev_form(self) -> "ChebyshevForm":
+        """H rescaled onto [-1, 1] by :meth:`gershgorin_interval`, with
+        the series coefficients of the last time grid.  Built once."""
+        if self._chebyshev is None:
+            lo, hi = self.gershgorin_interval()
+            self._chebyshev = ChebyshevForm(self.matrix, (hi + lo) / 2,
+                                            (hi - lo) / 2)
+        return self._chebyshev
+
+
+class ChebyshevForm:
+    """``H = a Ht + c`` with ``Ht`` on [-1, 1], for the Chebyshev series.
+
+    ``matrix`` is ``2 Ht = 2 (H - c) / a``, the factor of the recurrence
+    ``T_k = 2 Ht T_{k-1} - T_{k-2}``.  It shares the index arrays of H
+    when H stores its whole diagonal or ``c`` is 0, so that the shift
+    leaves the nonzero pattern as it is.  It refers to arrays only, never
+    to the operator.  A zero-width interval (``a = 0``, H = c) gives a
+    zero matrix: the series is then its first term alone.
+    """
+
+    def __init__(self, m: sp.csr_matrix, centre: float, half_width: float):
+        self.centre, self.half_width = centre, half_width
+        scale = 2.0 / half_width if half_width > 0 else 0.0
+        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        on_diag = m.indices == rows
+        if centre == 0.0 or (m.has_canonical_format
+                             and np.count_nonzero(on_diag) == m.shape[0]):
+            self.matrix = sp.csr_matrix(
+                ((m.data - centre * on_diag) * scale, m.indices, m.indptr),
+                shape=m.shape)
+        else:
+            self.matrix = sp.csr_matrix(
+                (m - centre * sp.identity(m.shape[0], format="csr")) * scale)
+        self._times = self._coef = None
+
+    def coefficients(self, times: np.ndarray) -> np.ndarray:
+        """``c[j, k]``, the weight of ``T_k(Ht) amp`` in
+        ``exp(-i H t_j) amp``; kept for the last grid of ``times``."""
+        if self._times is None or not np.array_equal(self._times, times):
+            self._coef = (_jacobi_anger(self.half_width * times)
+                          * np.exp(-1j * self.centre * times)[:, None])
+            self._times = times.copy()
+        return self._coef
 
 
 def _closure(m: sp.csr_matrix, seeds: np.ndarray) -> np.ndarray:
@@ -410,14 +475,14 @@ def _evolve_chebyshev(amp: np.ndarray, h: Operator,
                       times: np.ndarray) -> np.ndarray:
     """Rows ``exp(-i H t_j) amp`` from one Chebyshev recurrence.
 
-    With ``H = a Ht + c`` and ``Ht`` on [-1, 1] (Gershgorin interval),
+    With ``H = a Ht + c`` and ``Ht`` on [-1, 1] (``Operator.chebyshev_form``),
     ``exp(-i H t) = exp(-i c t) sum_k (2 - d_k0) (-i)^k J_k(a t) T_k(Ht)``.
-    The vectors ``T_k(Ht) amp`` are kept in a ring of ``CHEBYSHEV_BATCH``
+    Each term ``T_k(Ht) amp`` costs one product with ``2 Ht`` and one
+    subtraction.  The terms are kept in a ring of ``CHEBYSHEV_BATCH``
     rows, added into every output by one product per batch.
     """
-    lo, hi = h.gershgorin_interval()
-    a, c = (hi - lo) / 2, (hi + lo) / 2
-    coef = _jacobi_anger(a * times) * np.exp(-1j * c * times)[:, None]
+    form = h.chebyshev_form()
+    coef = form.coefficients(times)
     n_terms = coef.shape[1]
     size = min(n_terms, CHEBYSHEV_BATCH)
     ring = np.empty((size, amp.size), dtype=complex)
@@ -425,14 +490,11 @@ def _evolve_chebyshev(amp: np.ndarray, h: Operator,
     out = np.zeros((times.size, amp.size), dtype=complex)
     for k in range(n_terms):
         row = k % size
-        if k:
-            # T_k = 2 Ht T_{k-1} - T_{k-2}, with T_1 = Ht T_0
-            prev, new = ring[(k - 1) % size], ring[row]
-            scale = (2.0 if k > 1 else 1.0) / a
-            np.multiply(h.matrix @ prev, scale, out=new)
-            new -= (scale * c) * prev
-            if k > 1:
-                new -= ring[(k - 2) % size]
+        if k == 1:  # T_1 = Ht T_0
+            np.multiply(form.matrix @ amp, 0.5, out=ring[1])
+        elif k:
+            np.subtract(form.matrix @ ring[(k - 1) % size],
+                        ring[(k - 2) % size], out=ring[row])
         if row == size - 1 or k == n_terms - 1:
             out += coef[:, k - row:k + 1] @ ring[:row + 1]
     return out

@@ -214,14 +214,6 @@ def _build_branches(logical_in: LogicalState, layout: RegisterLayout,
     return branches
 
 
-def _target_vector(branches, n_spins, t, tau, corrected):
-    tgt = np.zeros(2**n_spins, dtype=complex)
-    for br in branches:
-        phase = br.phase_at(t, tau) if corrected else 1.0
-        tgt[basis_index(br.final_bits)] += br.coefficient * phase
-    return tgt
-
-
 def _sigma_z_all(probs: np.ndarray, n: int) -> np.ndarray:
     """``<sigma_z>`` of every spin, spin 1 first, from the basis
     probabilities of one state, shape ``(2^n,)``, or of several, shape
@@ -312,13 +304,19 @@ def _trace_run(state, stages, branches, N, tau, n_samp, prop):
     next one is built.  A stage is propagated in chunks of
     ``TRACE_CHUNK`` samples; each chunk starts from the last state of the
     one before, and its sigma_z entries come from one ``_sigma_z_all``
-    call.
+    call.  The fidelity targets are the branches' final patterns, each
+    weighted by its coefficient and, in the corrected trace, by its
+    protocol phase, so both overlaps are read from the state's
+    amplitudes at the branches' ``final_bits`` indices alone.
     """
     times = np.linspace(0.0, len(stages) * tau, len(stages) * n_samp + 1)
     dt = times[1] - times[0]
     corrected = np.empty(times.shape)
     uncorrected = np.empty(times.shape)
     sigma_z = np.empty((N, times.shape[0]))
+    final = np.array([basis_index(br.final_bits) for br in branches],
+                     dtype=np.int64)
+    coefficient = np.array([br.coefficient for br in branches], dtype=complex)
 
     def record(first, states):
         """Trace entries ``first``, ``first + 1``, ... from consecutive
@@ -326,15 +324,13 @@ def _trace_run(state, stages, branches, N, tau, n_samp, prop):
         # probabilities row by row: no second complex copy of the states
         probs = np.empty((len(states), 2**N))
         for i, (psi, row) in enumerate(zip(states, probs), first):
-            t = times[i]
-            tgt_c = _target_vector(branches, N, t, tau, corrected=True)
-            tgt_u = _target_vector(branches, N, t, tau, corrected=False)
-            corrected[i] = _unit_interval(
-                abs(np.vdot(tgt_c, psi.amplitudes)) ** 2,
-                "corrected fidelity")
+            at = psi.amplitudes[final]
+            target = [br.coefficient * br.phase_at(times[i], tau)
+                      for br in branches]
+            corrected[i] = _unit_interval(abs(np.vdot(target, at)) ** 2,
+                                          "corrected fidelity")
             uncorrected[i] = _unit_interval(
-                abs(np.vdot(tgt_u, psi.amplitudes)) ** 2,
-                "uncorrected fidelity")
+                abs(np.vdot(coefficient, at)) ** 2, "uncorrected fidelity")
             np.abs(psi.amplitudes, out=row)
         probs **= 2
         sigma_z[:, first:first + len(states)] = _sigma_z_all(probs, N)

@@ -291,6 +291,24 @@ class TestInputGuards:
                     "--out", tmp_path / "o"]) == 1
         assert f"'{field}'" in capsys.readouterr().err
 
+    def test_consistency_chain_too_long_exits_1(self, consistency_manifest,
+                                                tmp_path, capsys):
+        cfg = with_fields(consistency_manifest, tmp_path, n_max=13)
+        out = tmp_path / "o"
+        assert run(["consistency", "--config", cfg, "--out", out]) == 1
+        assert "'n_max'" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    def test_single_mode_multi_qubit_payload_exits_1(
+        self, transfer_manifest, tmp_path, capsys
+    ):
+        cfg = with_fields(transfer_manifest, tmp_path,
+                          state={"amplitudes": [S2, 0, 0, S2]})
+        out = tmp_path / "o"
+        assert run(["transfer", "--config", cfg, "--out", out]) == 1
+        assert "'state'" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("state, field", [
         ({"alpha": math.nan}, "state.alpha"),
         ({"alpha": [1.0, 0.0], "beta": "0"}, "state.beta"),

@@ -73,6 +73,16 @@ def random_hermitian_operator(rng, dim):
     return Operator((a + a.conj().T) / 2)
 
 
+def protocol_operators(n_spins):
+    """Transport and reset on registers 2+(n-4)+2, and the XY chain."""
+    spec = ChainSpec(n_spins, 22.0, 1.0, RegisterLayout(2, n_spins - 4, 2))
+    return {
+        "transport": realize(transport_hamiltonian(spec)),
+        "reset": realize(multiqubit_reset_hamiltonian(spec)),
+        "xy": realize(heisenberg_xy(n_spins, 1.0)),
+    }
+
+
 def random_state(rng, n_spins):
     amp = rng.normal(size=2**n_spins) + 1j * rng.normal(size=2**n_spins)
     return StateVector(n_spins, amp / np.linalg.norm(amp))
@@ -373,17 +383,77 @@ class TestChebyshev:
             assert np.abs(state.amplitudes
                           - np.exp(-2.5j * t) * psi.amplitudes).max() < 1e-14
 
+    @pytest.mark.parametrize("ham", ["transport", "reset", "xy"])
+    def test_scaled_matrix_shares_the_index_arrays(self, ham):
+        h = protocol_operators(self.N)[ham]
+        form = h.chebyshev_form()
+        assert form is h.chebyshev_form()
+        # views of the same memory, not copies
+        assert np.shares_memory(form.matrix.indices, h.matrix.indices)
+        assert np.shares_memory(form.matrix.indptr, h.matrix.indptr)
+        lo, hi = h.gershgorin_interval()
+        c, a = (hi + lo) / 2, (hi - lo) / 2
+        want = 2 * (h.matrix.toarray() - c * np.eye(h.dimension)) / a
+        assert np.abs(form.matrix.toarray() - want).max() < 1e-14
+
+    def test_scaled_matrix_with_missing_diagonal(self):
+        # three diagonal entries are not stored and the centre is 1.5:
+        # the shift adds them
+        dense = np.zeros((4, 4))
+        dense[0, 1] = dense[1, 0] = 1.0
+        dense[2, 2] = 4.0
+        h = Operator(sp.csr_matrix(dense))
+        form = h.chebyshev_form()
+        assert (form.centre, form.half_width) == (1.5, 2.5)
+        assert form.matrix.nnz == 6
+        assert np.abs(form.matrix.toarray()
+                      - 0.8 * (dense - 1.5 * np.eye(4))).max() < 1e-15
+        psi = random_state(np.random.default_rng(4), 2)
+        out = evolve(psi, h, 0.9, KRYLOV)
+        ref = expm(-0.9j * h.matrix.toarray()) @ psi.amplitudes
+        assert np.abs(out.amplitudes - ref).max() < 1e-14
+
+    @pytest.mark.parametrize("whole_space", [False, True])
+    def test_alternating_grids_match_a_fresh_operator(self, whole_space):
+        # the coefficients are kept for the last grid only: each grid
+        # must get its own, not the ones of the grid before
+        spec = ChainSpec(self.N, 22.0, 1.0, RegisterLayout(2, 3, 2))
+        psi = StateVector.from_bits([1] + [0] * (self.N - 1))
+        if whole_space:
+            psi = random_state(np.random.default_rng(6), self.N)
+        dt = spec.tau / 200
+        grids = (dt * np.arange(1, 6), 2 * dt * np.arange(1, 6),
+                 dt * np.arange(1, 4))
+        h = realize(transport_hamiltonian(spec))
+        for grid in grids + grids:
+            out = evolve(psi, h, grid, KRYLOV)
+            fresh = evolve(psi, realize(transport_hamiltonian(spec)), grid,
+                           KRYLOV)
+            for a, b in zip(out, fresh):
+                assert np.abs(a.amplitudes - b.amplitudes).max() < 1e-12
+
+    @pytest.mark.parametrize("ham", ["transport", "reset", "xy"])
+    def test_protocol_operators_keep_gershgorin(self, ham):
+        h = protocol_operators(self.N)[ham]
+        m = h.matrix
+        diag = m.diagonal().real
+        radius = abs(m).sum(axis=1).A1 - abs(diag)
+        assert h.gershgorin_interval() == pytest.approx(
+            (np.min(diag - radius), np.max(diag + radius)), rel=1e-14)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_interval_is_tight(self, seed):
+        rng = np.random.default_rng(seed)
+        h = random_hermitian_operator(rng, 256)
+        lo, hi = h.gershgorin_interval()
+        w = np.linalg.eigvalsh(h.matrix.toarray())
+        assert lo <= w[0] and w[-1] <= hi
+        # Gershgorin alone is about 8 times as wide at this size
+        assert hi - lo < 1.5 * (w[-1] - w[0])
+
 
 class TestInvariantBlock:
     N = 7
-
-    def hamiltonians(self):
-        spec = ChainSpec(self.N, 22.0, 1.0, RegisterLayout(2, 3, 2))
-        return {
-            "transport": realize(transport_hamiltonian(spec)),
-            "reset": realize(multiqubit_reset_hamiltonian(spec)),
-            "xy": realize(heisenberg_xy(self.N, 1.0)),
-        }
 
     def inputs(self):
         n = self.N
@@ -398,7 +468,7 @@ class TestInvariantBlock:
     @pytest.mark.parametrize("ham", ["transport", "reset", "xy"])
     @pytest.mark.parametrize("label", ["one", "two", "mixed"])
     def test_restricted_matches_full_space_expm(self, cfg, ham, label):
-        h = self.hamiltonians()[ham]
+        h = protocol_operators(self.N)[ham]
         psi = self.inputs()[label]
         ref = expm(-1j * 0.7 * h.matrix.toarray()) @ psi.amplitudes
         out = evolve(psi, h, 0.7, cfg)
@@ -406,7 +476,7 @@ class TestInvariantBlock:
 
     def test_block_sizes(self):
         n = self.N
-        hams = self.hamiltonians()
+        hams = protocol_operators(self.N)
         one = self.inputs()["one"].amplitudes
         indices, block = hams["xy"].invariant_block(one)
         assert block.dimension == n
@@ -418,7 +488,7 @@ class TestInvariantBlock:
         assert indices is None and block is hams["transport"]
 
     def test_block_matches_restricted_matrix(self):
-        h = self.hamiltonians()["transport"]
+        h = protocol_operators(self.N)["transport"]
         indices, block = h.invariant_block(self.inputs()["one"].amplitudes)
         full = h.matrix.toarray()
         assert np.array_equal(block.matrix.toarray(),
@@ -428,7 +498,7 @@ class TestInvariantBlock:
 
     @pytest.mark.parametrize("cfg", METHODS)
     def test_support_leaving_the_cache_recomputes(self, cfg):
-        h = self.hamiltonians()["xy"]
+        h = protocol_operators(self.N)["xy"]
         states = self.inputs()
         _, first = h.invariant_block(states["one"].amplitudes)
         # a support inside the cached set reuses the cached block

@@ -7,12 +7,19 @@ import pytest
 from scipy.linalg import expm
 
 from dwtransfer import protocol
-from dwtransfer.core import PropagatorConfig, StateVector, realize
+from dwtransfer.core import (
+    PropagatorConfig,
+    StateVector,
+    basis_index,
+    evolve,
+    realize,
+)
 from dwtransfer.encoding import BoundaryContext, LogicalState, count_domain_walls
 from dwtransfer.hamiltonians import (
     ChainSpec,
     RegisterLayout,
     coupling_profile,
+    heisenberg_xy,
     multiqubit_reset_hamiltonian,
     transport_hamiltonian,
 )
@@ -292,6 +299,15 @@ class TestUnitInterval:
             _unit_interval(value, "fidelity")
 
 
+def _target_vector(branches, n_spins, t, tau, corrected):
+    """Reference: the whole 2^N target of the fidelity traces."""
+    tgt = np.zeros(2**n_spins, dtype=complex)
+    for br in branches:
+        phase = br.phase_at(t, tau) if corrected else 1.0
+        tgt[basis_index(br.final_bits)] += br.coefficient * phase
+    return tgt
+
+
 def sigma_z_by_site(amp, n):
     """Reference: one pass per site over the basis indices."""
     idx = np.arange(amp.shape[0])
@@ -361,3 +377,67 @@ class TestTraceRun:
         finally:
             gc.enable()
         assert len(built) == 2 and built[1]() is None
+
+
+class TestTraceOverlaps:
+    """The traces read the state at the branches' final indices only; the
+    reference is the overlap with the whole target vector."""
+
+    @pytest.fixture
+    def sampled(self, monkeypatch):
+        """The states ``_trace_run`` samples, in order, and the branch
+        table ``_build_branches`` returns."""
+        seen = {"states": [], "branches": None}
+        build_branches = protocol._build_branches
+        trace_run = protocol._trace_run
+
+        def recording_evolve(*args):
+            out = evolve(*args)
+            seen["states"].extend(out)
+            return out
+
+        def recording_build(*args):
+            seen["branches"] = build_branches(*args)
+            return seen["branches"]
+
+        def recording_trace_run(state, *args):
+            seen["states"].append(state)
+            return trace_run(state, *args)
+
+        monkeypatch.setattr(protocol, "evolve", recording_evolve)
+        monkeypatch.setattr(protocol, "_build_branches", recording_build)
+        monkeypatch.setattr(protocol, "_trace_run", recording_trace_run)
+        return seen
+
+    @staticmethod
+    def assert_match_reference(times, corrected, uncorrected, states,
+                               branches, n, tau):
+        assert len(states) == times.size
+        for trace, is_corrected in ((corrected, True), (uncorrected, False)):
+            ref = [abs(np.vdot(_target_vector(branches, n, t, tau,
+                                              is_corrected),
+                               psi.amplitudes)) ** 2
+                   for t, psi in zip(times, states)]
+            assert np.abs(trace - ref).max() < 1e-14
+
+    def test_multi_branch_payload(self, sampled):
+        layout = RegisterLayout(2, 3, 2)
+        spec = ChainSpec(7, 22.0, 1.0, layout)
+        amp = np.array([0.5, 0.5j, -0.5, 0.5])
+        res = run_multi_qubit_transfer(
+            LogicalState(2, amp), layout,
+            ProtocolConfig(spec=spec, n_time_samples=25))
+        assert len(sampled["branches"]) == 4
+        self.assert_match_reference(
+            res.times, res.fidelity_corrected, res.fidelity_uncorrected,
+            sampled["states"], sampled["branches"], 7, spec.tau)
+
+    def test_empty_branch_baseline(self, sampled):
+        n, tau = 5, math.pi
+        psi = StateVector.from_bits([1] + [0] * (n - 1))
+        times, corrected, uncorrected, _, _ = protocol._trace_run(
+            psi, (lambda: realize(heisenberg_xy(n, 1.0)),), [], n, tau, 12,
+            PropagatorConfig())
+        assert not corrected.any() and not uncorrected.any()
+        self.assert_match_reference(times, corrected, uncorrected,
+                                    sampled["states"], [], n, tau)
