@@ -146,8 +146,11 @@ def closed_form_consistency(N_range, lam: float, samples: int = 20) -> float:
     For each chain length the end-to-end amplitude
     <0...01| exp(-i H t) |10...0> is compared against
     [-i sin(lam t / 2)]^(N-1) on `samples` times in [0, 2 pi / lam],
-    using the dense reference propagator.
+    using the dense reference propagator.  Both amplitudes vanish at
+    t = 0 and 2 pi / lam, so `samples` must be at least 3.
     """
+    if samples < 3:
+        raise ValueError(f"samples must be >= 3, got {samples}")
     cfg = PropagatorConfig(method="exact-eigendecomposition")
     worst = 0.0
     for N in N_range:

@@ -321,6 +321,8 @@ def _write_run(out: Path, manifest: dict, result: ProtocolResult):
 
 def cmd_baseline(run: Baseline, manifest: dict, out: Path, args) -> int:
     N = run.n_spins
+    if N < 2:
+        raise ManifestError(f"manifest field 'n_spins' must be >= 2, got {N}")
     # the XY chain keeps the payload in its 0- and 1-excitation sectors
     _check_footprint(N, run.propagator, N)
     if run.state.n_logical != 1:
@@ -357,9 +359,19 @@ def cmd_transfer(run: Transfer, manifest: dict, out: Path, args) -> int:
                 "manifest field 'state' must be a single qubit in mode "
                 "'single'"
             )
+        if layout.n_alice != 1:
+            raise ManifestError(
+                "manifest field 'layout' must give single-spin registers "
+                f"in mode 'single', got {layout.n_alice}"
+            )
         beta, alpha = run.state.amplitudes
         result = run_single_qubit_transfer(alpha, beta, cfg)
     else:
+        if run.state.n_logical != layout.n_alice:
+            raise ManifestError(
+                f"manifest field 'state' has {run.state.n_logical} qubits, "
+                f"Alice's register in 'layout' has {layout.n_alice}"
+            )
         result = run_multi_qubit_transfer(run.state, layout, cfg)
     _write_run(out, manifest, result)
     return 0
@@ -419,6 +431,11 @@ def cmd_consistency(run: Consistency, manifest: dict, out: Path,
     if run.n_min < 2 or run.n_max < run.n_min:
         raise ManifestError(
             "manifest fields 'n_min'/'n_max' must satisfy 2 <= n_min <= n_max"
+        )
+    if run.samples < 3:
+        raise ManifestError(
+            f"manifest field 'samples' is {run.samples}: at least 3 times "
+            "are needed, as the amplitudes vanish at t = 0 and 2 pi / lam"
         )
     if run.n_max > CONSISTENCY_N_MAX:
         raise ManifestError(

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (
-    Operator,
     PauliSum,
     PropagatorConfig,
     StateVector,
@@ -52,7 +51,7 @@ from .hamiltonians import (
     transport_hamiltonian,
 )
 
-PEAK_WINDOW = 0.05  # peak search window around the readout time, fractional
+PEAK_WINDOW = 0.05  # peak search window before the readout time, fractional
 FIDELITY_ROUNDOFF = 1e-9  # largest excursion outside [0, 1] clamped silently
 TRACE_CHUNK = 10  # trace samples propagated by one evolve call
 
@@ -86,9 +85,12 @@ class ProtocolResult:
     """Time-resolved traces and the decoded outcome of one protocol run.
 
     ``final_fidelity`` is the readout fidelity of the logical payload
-    Bob receives: the overlap of the input state with Bob's decoded,
-    phase-corrected reduced density matrix at the readout time.  The
-    full-chain traces (corrected and uncorrected against the branch
+    Bob receives at the end of the run: the weight of the final state
+    on Bob's target (each branch's coefficient and, when corrected, its
+    protocol phase, at its final pattern in Bob's register), summed
+    over the rest of the chain.  It equals the overlap of the input
+    state with Bob's decoded, phase-corrected reduced density matrix.
+    The full-chain traces (corrected and uncorrected against the branch
     targets) are reported alongside; ``peak_fidelity`` is the best
     corrected full-chain value within the readout window.
     """
@@ -125,13 +127,9 @@ class _Branch:
         )
 
 
-def _wall_positions(bits, left=None, right=None):
-    """1-based interface positions carrying a wall in left+bits+right."""
-    seq = list(bits)
-    if left is not None:
-        seq = [left] + seq
-    if right is not None:
-        seq = seq + [right]
+def _wall_positions(seq):
+    """1-based interface positions carrying a wall in ``seq``: interface
+    i lies between its entries i and i + 1."""
     return [i + 1 for i in range(len(seq) - 1) if seq[i] != seq[i + 1]]
 
 
@@ -155,14 +153,15 @@ def _slater_phase(G: np.ndarray, s_in, s_out) -> complex:
     return complex(np.linalg.det(G[np.ix_(rows, cols)]))
 
 
-def _bits_from_walls(n: int, wall_set) -> list:
-    """Spin pattern whose interfaces carry walls exactly at `wall_set`,
-    scanning left to right from a down boundary; interface p sits left
-    of spin p."""
+def _from_walls(n: int, walls, right: bool) -> list:
+    """Spin pattern of ``n`` spins whose interfaces carry walls exactly at
+    ``walls``, read from a down boundary spin: from the left, with
+    interface p left of spin p, or, if ``right``, from the right, with
+    interface p right of spin p."""
     bits = [0] * n
     acc = 0
-    for p in range(1, n + 1):
-        if p in wall_set:
+    for p in (range(n, 0, -1) if right else range(1, n + 1)):
+        if p in walls:
             acc ^= 1
         bits[p - 1] = acc
     return bits
@@ -185,24 +184,19 @@ def _build_branches(logical_in: LogicalState, layout: RegisterLayout,
         chain0 = list(dw_encode_bits(b, _CTX)) + [0] * (N - k)
         # stage 1: interface p lies between spins p and p+1, the virtual
         # down spin sits at position N+1; mirror sends p -> N+1-p
-        s1 = _wall_positions(chain0, right=0)
+        s1 = _wall_positions(chain0 + [0])
         s1_out = {N + 1 - p for p in s1}
         phi1 = _slater_phase(G1, s1, s1_out)
-        chain1 = [0] * N
-        acc = 0
-        for n in range(N, 0, -1):  # rebuild from the down right boundary
-            if n in s1_out:
-                acc ^= 1
-            chain1[n - 1] = acc
+        chain1 = _from_walls(N, s1_out, right=True)
         # stage 2: interface p lies between spins p-1 and p, the virtual
         # down spin sits at position 0; walls at p <= L2 are mobile,
         # walls inside Bob's register are frozen
-        s2 = _wall_positions(chain1, left=0)
+        s2 = _wall_positions([0] + chain1)
         mobile = [p for p in s2 if p <= L2]
         frozen = [p for p in s2 if p > L2]
         s2_out = [L2 + 1 - p for p in mobile]
         phi2 = _slater_phase(G2, mobile, s2_out)
-        chain2 = _bits_from_walls(N, set(s2_out) | set(frozen))
+        chain2 = _from_walls(N, set(s2_out) | set(frozen), right=False)
         branches.append(_Branch(
             coefficient=complex(c),
             initial_bits=tuple(chain0),
@@ -235,53 +229,42 @@ def _sigma_z_all(probs: np.ndarray, n: int) -> np.ndarray:
 
 
 def _decode_permutation(k: int) -> np.ndarray:
-    """perm[physical Bob index] = logical index after decode + reversal.
+    """perm[logical index] = the physical Bob index decoding to it.
 
     Transport delivers the payload in mirrored qubit order; the decode
     step reads the interfaces of Bob's register and reverses the result.
     """
-    perm = np.empty(2**k, dtype=int)
-    for idx in range(2**k):
-        b = index_bits(idx, k)
-        phys = dw_encode_bits(list(reversed(b)), _CTX)
-        perm[basis_index(phys)] = idx
-    return perm
+    return np.array([
+        basis_index(dw_encode_bits(index_bits(idx, k)[::-1], _CTX))
+        for idx in range(2**k)
+    ])
 
 
 def _readout(psi: StateVector, layout: RegisterLayout, branches, tau,
-             logical_in: LogicalState, corrected: bool):
-    """Decode Bob's register from the final chain state.
+             t_read: float, corrected: bool):
+    """Decode Bob's register from the final chain state at ``t_read``.
 
-    Returns the decoded logical state (chain remainder projected on
-    all-down, normalized) and the readout fidelity
-    <psi_in| rho_logical |psi_in> computed from Bob's reduced density
-    matrix, with the deterministic branch phases undone by a diagonal
-    unitary local to Bob's register.  No post-selection is applied, so
-    leakage lowers the readout fidelity.
+    Every branch ends all down outside Bob's register, so Bob's target
+    holds each branch's coefficient, times its phase at ``t_read`` if
+    ``corrected``, at the index of its last k spins.  The readout
+    fidelity ``||M conj(target)||^2`` sums the target's overlaps with
+    the rows of ``M``, one per pattern of the rest of the chain; it is
+    the payload's overlap with Bob's decoded, phase-corrected reduced
+    density matrix.  Nothing is post-selected, so leakage lowers it.
+    The decoded state is the all-down row of ``M``, phases undone, in
+    logical order, normalized.
     """
     k = layout.n_bob
-    rest = psi.n_spins - k
-    M = psi.amplitudes.reshape(2**rest, 2**k)
-    rho = M.T @ M.conj()
-    perm = _decode_permutation(k)
-    V = np.ones(2**k, dtype=complex)
-    if corrected:
-        by_initial = {br.initial_bits: br for br in branches}
-        for idx in range(2**k):
-            b = index_bits(idx, k)
-            phys = dw_encode_bits(list(reversed(b)), _CTX)
-            chain0 = tuple(dw_encode_bits(b, _CTX)) + (0,) * rest
-            br = by_initial.get(chain0)
-            if br is not None:
-                V[basis_index(phys)] = np.conj(br.phase_at(2 * tau, tau))
-    rho = (V[:, None] * rho) * np.conj(V)[None, :]
-    rho_logical = np.empty_like(rho)
-    rho_logical[np.ix_(perm, perm)] = rho
-    amp_in = logical_in.amplitudes
-    f = float(np.real(amp_in.conj() @ rho_logical @ amp_in))
-    vec = V * M[0, :]
-    logical_vec = np.zeros(2**k, dtype=complex)
-    logical_vec[perm] = vec
+    M = psi.amplitudes.reshape(-1, 2**k)
+    target = np.zeros(2**k, dtype=complex)
+    undo = np.ones(2**k, dtype=complex)
+    for br in branches:
+        phase = br.phase_at(t_read, tau) if corrected else 1.0
+        j = basis_index(br.final_bits[-k:])
+        target[j] = br.coefficient * phase
+        undo[j] = np.conj(phase)
+    f = float(np.linalg.norm(M @ target.conj()) ** 2)
+    logical_vec = (undo * M[0])[_decode_permutation(k)]
     nrm = np.linalg.norm(logical_vec)
     if nrm < 1e-12:
         raise RuntimeError("no weight on the decoded register; run diverged")
@@ -350,22 +333,19 @@ def _trace_run(state, stages, branches, N, tau, n_samp, prop):
 
 
 def _peak_in_window(times, trace, t_read):
-    lo, hi = t_read * (1 - PEAK_WINDOW), t_read * (1 + PEAK_WINDOW)
-    mask = (times >= lo) & (times <= hi)
-    if not mask.any():
-        return float(trace[-1]), float(times[-1])
-    sel = np.nonzero(mask)[0]
+    # the window ends at the readout time, the last sample
+    sel = np.nonzero(times >= t_read * (1 - PEAK_WINDOW))[0]
     best = sel[np.argmax(trace[sel])]
     return float(trace[best]), float(times[best])
 
 
-def _run(logical_in: LogicalState, layout: RegisterLayout, branches, stages,
-         J: float, tau: float, cfg: ProtocolConfig) -> ProtocolResult:
+def _run(layout: RegisterLayout, branches, stages, J: float, tau: float,
+         cfg: ProtocolConfig) -> ProtocolResult:
     """Trace and read out one run of the branches in ``branches``.
 
     ``stages`` holds one function per stage, each run for ``tau``, that
-    builds its Hamiltonian; the peak is searched around the end of the
-    last stage.
+    builds its Hamiltonian; the peak is searched around, and Bob read
+    out at, the end of the last stage.
     """
     N = layout.total
     psi0 = np.zeros(2**N, dtype=complex)
@@ -375,9 +355,10 @@ def _run(logical_in: LogicalState, layout: RegisterLayout, branches, stages,
         StateVector(N, psi0), stages, branches, N, tau, cfg.n_time_samples,
         cfg.propagator,
     )
-    peak_f, peak_t = _peak_in_window(times, corr, len(stages) * tau)
+    t_read = len(stages) * tau
+    peak_f, peak_t = _peak_in_window(times, corr, t_read)
     final_logical, final_f = _readout(
-        final_state, layout, branches, tau, logical_in,
+        final_state, layout, branches, tau, t_read,
         corrected=cfg.apply_phase_correction,
     )
     return ProtocolResult(
@@ -423,12 +404,11 @@ def run_multi_qubit_transfer(
     B = cfg.pin_first_spin_field
 
     def transport():
-        h = realize(transport_hamiltonian(spec))
-        if B is None:
-            return h
-        t1 = coupling_profile(N, spec.lam).t[0]
-        extra = realize(PauliSum(N, ((t1, {1: "X"}), (-B, {1: "Z"}))))
-        return Operator(h.matrix + extra.matrix)
+        h = transport_hamiltonian(spec)
+        if B is not None:
+            t1 = coupling_profile(N, spec.lam).t[0]
+            h = PauliSum(N, h.terms + ((t1, {1: "X"}), (-B, {1: "Z"})))
+        return realize(h)
 
     if B is not None:
         # the pinning energy -B z_1 adds a stage-1 phase per branch
@@ -439,7 +419,7 @@ def run_multi_qubit_transfer(
         ]
 
     return _run(
-        logical_in, layout, branches,
+        layout, branches,
         (transport, lambda: realize(multiqubit_reset_hamiltonian(spec))),
         spec.j_coupling, tau, cfg,
     )
@@ -491,6 +471,6 @@ def run_heisenberg_baseline(
                                 (0,) * (N - 1) + (1,), complex(mirror),
                                 0.0, 0.0))
     return _run(
-        logical_in, RegisterLayout(1, N - 2, 1), branches,
+        RegisterLayout(1, N - 2, 1), branches,
         (lambda: realize(heisenberg_xy(N, lam)),), 0.0, tau, cfg,
     )

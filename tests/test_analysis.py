@@ -98,3 +98,10 @@ class TestClosedFormConsistency:
     def test_large_chain_rejected(self):
         with pytest.raises(ValueError):
             closed_form_consistency([13], 1.0)
+
+    @pytest.mark.parametrize("samples", [-1, 0, 1, 2])
+    def test_too_few_samples_rejected(self, samples):
+        # two samples sit at t = 0 and 2 pi / lam, where both amplitudes
+        # vanish, so nothing would be compared
+        with pytest.raises(ValueError, match="samples"):
+            closed_form_consistency([3], 1.0, samples=samples)

@@ -299,6 +299,45 @@ class TestInputGuards:
         assert "'n_max'" in capsys.readouterr().err
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("samples", [-1, 0, 1, 2])
+    def test_consistency_too_few_samples_exits_1(
+        self, consistency_manifest, tmp_path, capsys, samples
+    ):
+        cfg = with_fields(consistency_manifest, tmp_path, samples=samples)
+        out = tmp_path / "o"
+        assert run(["consistency", "--config", cfg, "--out", out]) == 1
+        assert "'samples'" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    def test_baseline_chain_too_short_exits_1(self, baseline_manifest,
+                                              tmp_path, capsys):
+        cfg = with_fields(baseline_manifest, tmp_path, n_spins=1)
+        out = tmp_path / "o"
+        assert run(["baseline", "--config", cfg, "--out", out]) == 1
+        assert "'n_spins'" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    def test_multi_mode_payload_width_mismatch_exits_1(
+        self, transfer_manifest, tmp_path, capsys
+    ):
+        cfg = with_fields(transfer_manifest, tmp_path, mode="multi",
+                          n_spins=7,
+                          layout={"n_alice": 2, "n_wire": 3, "n_bob": 2})
+        out = tmp_path / "o"
+        assert run(["transfer", "--config", cfg, "--out", out]) == 1
+        assert "'state'" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    def test_single_mode_multi_spin_layout_exits_1(
+        self, transfer_manifest, tmp_path, capsys
+    ):
+        cfg = with_fields(transfer_manifest, tmp_path, n_spins=7,
+                          layout={"n_alice": 2, "n_wire": 3, "n_bob": 2})
+        out = tmp_path / "o"
+        assert run(["transfer", "--config", cfg, "--out", out]) == 1
+        assert "'layout'" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_single_mode_multi_qubit_payload_exits_1(
         self, transfer_manifest, tmp_path, capsys
     ):

@@ -8,13 +8,20 @@ from scipy.linalg import expm
 
 from dwtransfer import protocol
 from dwtransfer.core import (
+    PauliSum,
     PropagatorConfig,
     StateVector,
     basis_index,
     evolve,
+    index_bits,
     realize,
 )
-from dwtransfer.encoding import BoundaryContext, LogicalState, count_domain_walls
+from dwtransfer.encoding import (
+    BoundaryContext,
+    LogicalState,
+    count_domain_walls,
+    dw_encode_bits,
+)
 from dwtransfer.hamiltonians import (
     ChainSpec,
     RegisterLayout,
@@ -36,6 +43,7 @@ from dwtransfer.protocol import (
 
 EXACT = PropagatorConfig(method="exact-eigendecomposition")
 S2 = 1 / math.sqrt(2)
+CTX = BoundaryContext(left_value=0, right_context=0)
 
 
 def single_cfg(N, ratio, lam=1.0, **kw):
@@ -168,6 +176,22 @@ class TestSingleQubitTransfer:
                          pin_first_spin_field=200.0)
         res = run_single_qubit_transfer(S2, S2, cfg)
         assert res.final_fidelity > 0.98
+
+    def test_pinned_transport_is_one_pauli_sum(self, monkeypatch):
+        # the pinned transport is realized once; the reference adds the
+        # realized t1 X_1 - B Z_1 to the realized field-free transport
+        N, B = 5, 200.0
+        spec = ChainSpec(N, 22.0, 1.0, RegisterLayout(1, 3, 1))
+        monkeypatch.setattr(protocol, "_run",
+                            lambda layout, branches, stages, *rest: stages)
+        stages = run_multi_qubit_transfer(
+            LogicalState(1, np.array([S2, S2])), spec.layout,
+            ProtocolConfig(spec=spec, pin_first_spin_field=B))
+        t1 = coupling_profile(N, 1.0).t[0]
+        former = (realize(transport_hamiltonian(spec)).matrix
+                  + realize(PauliSum(N, ((t1, {1: "X"}),
+                                         (-B, {1: "Z"})))).matrix)
+        assert abs(stages[0]().matrix - former).max() <= 1e-14
 
 
 class TestMultiQubitTransfer:
@@ -441,3 +465,103 @@ class TestTraceOverlaps:
         assert not corrected.any() and not uncorrected.any()
         self.assert_match_reference(times, corrected, uncorrected,
                                     sampled["states"], [], n, tau)
+
+
+class TestBranchTable:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n_wire", range(7))
+    def test_final_pattern_is_bobs_codec_pattern(self, k, n_wire):
+        # every branch ends all down outside Bob's register, on the codec
+        # pattern of its mirrored logical bits, which decodes back to them
+        layout = RegisterLayout(k, n_wire, k)
+        N = layout.total
+        payload = LogicalState(k, np.full(2**k, 2 ** (-k / 2), dtype=complex))
+        branches = protocol._build_branches(
+            payload, layout, ChainSpec(N, 22.0, 1.0, layout))
+        perm = protocol._decode_permutation(k)
+        assert len(branches) == 2**k
+        for idx, br in enumerate(branches):
+            b = index_bits(idx, k)
+            assert br.final_bits[:N - k] == (0,) * (N - k)
+            assert br.final_bits[N - k:] == dw_encode_bits(b[::-1], CTX)
+            assert perm[idx] == basis_index(br.final_bits[N - k:])
+
+
+def readout_by_density_matrix(psi, k, branches, tau, logical_in, corrected):
+    """Reference: the decoded state and ``<psi_in|rho_logical|psi_in>``
+    from Bob's reduced density matrix, each logical index re-encoded to
+    find its Bob pattern and its branch, phases taken at ``2 tau``."""
+    rest = psi.n_spins - k
+    M = psi.amplitudes.reshape(2**rest, 2**k)
+    rho = M.T @ M.conj()
+    perm = np.empty(2**k, dtype=int)
+    V = np.ones(2**k, dtype=complex)
+    by_initial = {br.initial_bits: br for br in branches}
+    for idx in range(2**k):
+        b = index_bits(idx, k)
+        phys = basis_index(dw_encode_bits(b[::-1], CTX))
+        perm[phys] = idx
+        br = by_initial.get(dw_encode_bits(b, CTX) + (0,) * rest)
+        if corrected and br is not None:
+            V[phys] = np.conj(br.phase_at(2 * tau, tau))
+    rho = (V[:, None] * rho) * np.conj(V)[None, :]
+    rho_logical = np.empty_like(rho)
+    rho_logical[np.ix_(perm, perm)] = rho
+    amp = logical_in.amplitudes
+    logical_vec = np.zeros(2**k, dtype=complex)
+    logical_vec[perm] = V * M[0]
+    return (logical_vec / np.linalg.norm(logical_vec),
+            float(np.real(amp.conj() @ rho_logical @ amp)))
+
+
+class TestReadout:
+    """The readout builds Bob's target from the branch table; the
+    reference is the density-matrix readout."""
+
+    @pytest.fixture
+    def readouts(self, monkeypatch):
+        """The arguments of every ``_readout`` call."""
+        seen = []
+        readout = protocol._readout
+
+        def recording(psi, layout, branches, tau, t_read, corrected):
+            seen.append((psi, layout.n_bob, branches, tau, corrected))
+            return readout(psi, layout, branches, tau, t_read, corrected)
+
+        monkeypatch.setattr(protocol, "_readout", recording)
+        return seen
+
+    @staticmethod
+    def assert_match_reference(res, readouts, logical_in):
+        (psi, k, branches, tau, corrected), = readouts
+        vec, f = readout_by_density_matrix(psi, k, branches, tau,
+                                           logical_in, corrected)
+        assert abs(res.final_fidelity - f) < 1e-14
+        assert np.abs(res.final_logical.amplitudes - vec).max() < 1e-14
+        return f
+
+    # at an integral J/lambda every sector phase is trivial at t = tau
+    # and 2 tau; J/lambda = 8.5 makes the stage-2 phases count
+    @pytest.mark.parametrize("ratio", [8.0, 8.5])
+    @pytest.mark.parametrize("corrected", [True, False])
+    @pytest.mark.parametrize("k, amplitudes", [
+        (1, [0.6, 0.8j]),
+        (2, [0.5, 0.5j, -0.5, 0.5]),
+        (3, [0, 0.5, 0.5j, 0, -0.5, 0, 0, 0.5]),
+    ])
+    def test_leaky_transfer(self, readouts, ratio, corrected, k,
+                            amplitudes):
+        layout = RegisterLayout(k, 3, k)
+        spec = ChainSpec(layout.total, ratio, 1.0, layout)
+        payload = LogicalState(k, np.array(amplitudes, dtype=complex))
+        res = run_multi_qubit_transfer(payload, layout, ProtocolConfig(
+            spec=spec, n_time_samples=20, apply_phase_correction=corrected))
+        f = self.assert_match_reference(res, readouts, payload)
+        assert f < 1 - 1e-4
+
+    @pytest.mark.parametrize("corrected", [True, False])
+    def test_xy_baseline(self, readouts, corrected):
+        payload = LogicalState(1, np.array([0.6, 0.8j]))
+        res = run_heisenberg_baseline(6, 1.0, payload, ProtocolConfig(
+            n_time_samples=20, apply_phase_correction=corrected))
+        self.assert_match_reference(res, readouts, payload)
