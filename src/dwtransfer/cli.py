@@ -42,9 +42,10 @@ from .protocol import (
 SLOPE_TARGET = -2.0
 SLOPE_BAND_DEFAULT = 0.3
 MEMORY_LIMIT_GIB = 4  # largest estimated footprint a run may start with
-# 2^N-amplitude vectors a state-vector run holds at once: a trace chunk
-# of outputs, their copies and scatter, and the Chebyshev ring; the
-# realized operator and its build add about 3 more per spin
+# 2^N-amplitude vectors a state-vector run holds at once: a trace block
+# of outputs (one row above N = 13), their scatter, the probabilities
+# and the Chebyshev ring; the realized operator and its build add about
+# 3 more per spin
 STATE_VECTORS = 48
 
 
@@ -270,10 +271,6 @@ def _read_manifest(path: str, experiment: str) -> dict:
     return manifest
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_csv(path: Path, manifest: dict, text: str):
     blob = json.dumps(manifest, sort_keys=True, separators=(", ", ": "))
     with open(path, "w", newline="") as fh:
@@ -290,16 +287,21 @@ def _write_json(path: Path, manifest: dict, payload: dict):
 def _write_run(out: Path, manifest: dict, result: ProtocolResult):
     """The traces and the summary of one protocol run."""
     times, sigma_z = result.times, result.sigma_z_trace
-    _write_csv(out / "fidelity_trace.csv", manifest, "".join(
-        ["t,fidelity_corrected,fidelity_uncorrected\n"]
-        + [f"{_fmt(t)},{_fmt(fc)},{_fmt(fu)}\n" for t, fc, fu in zip(
-            times, result.fidelity_corrected, result.fidelity_uncorrected)]
-    ))
-    _write_csv(out / "sigma_z.csv", manifest, "".join(
-        ["t,site,sigma_z\n"]
-        + [f"{_fmt(t)},{site + 1},{_fmt(sigma_z[site, i])}\n"
-           for i, t in enumerate(times) for site in range(sigma_z.shape[0])]
-    ))
+    n_sites = sigma_z.shape[0]
+    # one %-format per file, on Python floats: the same text as
+    # format(x, ".17g") value by value
+    trace = np.column_stack([times, result.fidelity_corrected,
+                             result.fidelity_uncorrected])
+    _write_csv(out / "fidelity_trace.csv", manifest,
+               "t,fidelity_corrected,fidelity_uncorrected\n"
+               + "%.17g,%.17g,%.17g\n" * len(trace)
+               % tuple(trace.ravel().tolist()))
+    sites = np.column_stack([np.repeat(times, n_sites),
+                             np.tile(np.arange(1, n_sites + 1), times.size),
+                             sigma_z.T.ravel()])
+    _write_csv(out / "sigma_z.csv", manifest, "t,site,sigma_z\n"
+               + "%.17g,%d,%.17g\n" * len(sites)
+               % tuple(sites.ravel().tolist()))
     _write_json(out / "summary.json", manifest, {
         "final_fidelity": result.final_fidelity,
         "peak_fidelity": result.peak_fidelity,

@@ -237,17 +237,19 @@ class Operator:
 class ChebyshevForm:
     """``H = a Ht + c`` with ``Ht`` on [-1, 1], for the Chebyshev series.
 
-    ``matrix`` is ``2 Ht = 2 (H - c) / a``, the factor of the recurrence
-    ``T_k = 2 Ht T_{k-1} - T_{k-2}``.  It shares the index arrays of H
-    when H stores its whole diagonal or ``c`` is 0, so that the shift
-    leaves the nonzero pattern as it is.  It refers to arrays only, never
-    to the operator.  A zero-width interval (``a = 0``, H = c) gives a
-    zero matrix: the series is then its first term alone.
+    ``matrix`` is ``-2i Ht = -2i (H - c) / a``, the factor of the
+    recurrence ``U_k = -2i Ht U_{k-1} + U_{k-2}`` for
+    ``U_k = (-i)^k T_k(Ht)``, which folds the powers of ``-i`` of the
+    series into the terms and leaves its coefficients real.  It shares
+    the index arrays of H when H stores its whole diagonal or ``c`` is 0,
+    so that the shift leaves the nonzero pattern as it is.  It refers to
+    arrays only, never to the operator.  A zero-width interval (``a = 0``,
+    H = c) gives a zero matrix: the series is then its first term alone.
     """
 
     def __init__(self, m: sp.csr_matrix, centre: float, half_width: float):
         self.centre, self.half_width = centre, half_width
-        scale = 2.0 / half_width if half_width > 0 else 0.0
+        scale = -2j / half_width if half_width > 0 else 0.0
         rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
         on_diag = m.indices == rows
         if centre == 0.0 or (m.has_canonical_format
@@ -258,16 +260,22 @@ class ChebyshevForm:
         else:
             self.matrix = sp.csr_matrix(
                 (m - centre * sp.identity(m.shape[0], format="csr")) * scale)
-        self._times = self._coef = None
+        self._times = self._series = None
 
-    def coefficients(self, times: np.ndarray) -> np.ndarray:
-        """``c[j, k]``, the weight of ``T_k(Ht) amp`` in
-        ``exp(-i H t_j) amp``; kept for the last grid of ``times``."""
+    def coefficients(self, times: np.ndarray) -> tuple:
+        """``(coef, phase)`` of ``exp(-i H t_j) amp =
+        phase[j] sum_k coef[j, k] U_k amp``, kept for the last grid of
+        ``times``.
+
+        ``coef`` is real and Fortran-ordered, so that every batch of
+        columns is one contiguous block; ``phase`` is ``exp(-i c t_j)``.
+        """
         if self._times is None or not np.array_equal(self._times, times):
-            self._coef = (_jacobi_anger(self.half_width * times)
-                          * np.exp(-1j * self.centre * times)[:, None])
+            self._series = (
+                np.asfortranarray(_jacobi_anger(self.half_width * times)),
+                np.exp(-1j * self.centre * times))
             self._times = times.copy()
-        return self._coef
+        return self._series
 
 
 def _closure(m: sp.csr_matrix, seeds: np.ndarray) -> np.ndarray:
@@ -418,14 +426,14 @@ def evolve(
     h: Operator,
     t: float | np.ndarray,
     cfg: PropagatorConfig = PropagatorConfig(),
-) -> StateVector | list[StateVector]:
+) -> StateVector | np.ndarray:
     """Apply ``exp(-i H t)`` to a state.
 
     ``t`` is one time, which returns one ``StateVector``, or a 1-D
-    non-decreasing array of times, which returns a list with the state
-    at each of them, all from one call.  Every returned state is
-    renormalized; its norm drift before renormalization must stay
-    within ``NORM_DRIFT_TOL``.
+    non-decreasing array of times, which returns a read-only
+    ``(len(t), 2^N)`` array whose row ``j`` is the state at ``t[j]``,
+    all from one call.  Every returned state is renormalized; its norm
+    drift before renormalization must stay within ``NORM_DRIFT_TOL``.
     """
     if h.dimension != state.dim:
         raise DimensionMismatch(
@@ -445,30 +453,44 @@ def evolve(
         i = back[0]
         raise ValueError(f"evolution times must be non-decreasing, got "
                          f"{float(grid[i + 1])!r} after {float(grid[i])!r}")
-    # zero times lead the grid and keep the state exactly
-    zeros = int(np.count_nonzero(grid == 0.0))
-    out = [state] * zeros + _propagate(state, h, grid[zeros:], cfg)
-    return out[0] if times.ndim == 0 else out
+    if times.ndim == 0:
+        if times == 0.0:
+            return state
+        return StateVector(state.n_spins, _propagate(state, h, grid, cfg)[0])
+    return _propagate(state, h, grid, cfg)
 
 
 def _propagate(state, h, times, cfg):
-    """States at positive ``times`` on the invariant block of ``state``."""
-    if not times.size:
-        return []
+    """Read-only rows: the state at each of ``times``, propagated on its
+    invariant block and renormalized there."""
+    # zero times lead the grid and keep the state exactly
+    zeros = int(np.count_nonzero(times == 0.0))
+    if zeros == times.size:
+        out = np.tile(state.amplitudes, (times.size, 1))
+        out.flags.writeable = False
+        return out
     indices, block = h.invariant_block(state.amplitudes)
     amp = state.amplitudes if indices is None else state.amplitudes[indices]
     if cfg.method == "exact-eigendecomposition":
-        rows = _evolve_exact(amp, block, times)
+        rows = _evolve_exact(amp, block, times[zeros:])
     else:
-        rows = _evolve_chebyshev(amp, block, times)
-    drift = np.abs(np.linalg.norm(rows, axis=1) - 1.0).max()
+        rows = _evolve_chebyshev(amp, block, times[zeros:])
+    norms = np.linalg.norm(rows, axis=1)
+    drift = np.abs(norms - 1.0).max()
     if drift > NORM_DRIFT_TOL:
         raise KrylovBreakdown("propagated state lost normalization", drift)
-    if indices is not None:
-        full = np.zeros((times.size, state.dim), dtype=complex)
-        full[:, indices] = rows
-        rows = full
-    return [StateVector(state.n_spins, row) for row in rows]
+    rows /= norms[:, None]
+    if indices is None and not zeros:
+        out = rows
+    else:
+        out = np.zeros((times.size, state.dim), dtype=complex)
+        out[:zeros] = state.amplitudes
+        if indices is None:
+            out[zeros:] = rows
+        else:
+            out[zeros:, indices] = rows
+    out.flags.writeable = False
+    return out
 
 
 def _evolve_chebyshev(amp: np.ndarray, h: Operator,
@@ -476,37 +498,42 @@ def _evolve_chebyshev(amp: np.ndarray, h: Operator,
     """Rows ``exp(-i H t_j) amp`` from one Chebyshev recurrence.
 
     With ``H = a Ht + c`` and ``Ht`` on [-1, 1] (``Operator.chebyshev_form``),
-    ``exp(-i H t) = exp(-i c t) sum_k (2 - d_k0) (-i)^k J_k(a t) T_k(Ht)``.
-    Each term ``T_k(Ht) amp`` costs one product with ``2 Ht`` and one
-    subtraction.  The terms are kept in a ring of ``CHEBYSHEV_BATCH``
-    rows, added into every output by one product per batch.
+    ``exp(-i H t) = exp(-i c t) sum_k (2 - d_k0) J_k(a t) U_k`` with
+    ``U_k = (-i)^k T_k(Ht)``.  Each term ``U_k amp`` costs one product
+    with ``-2i Ht`` and one addition.  The terms are kept in a ring of
+    ``CHEBYSHEV_BATCH`` rows, added into every output by one real
+    product per batch on their interleaved real and imaginary parts.
+    The phase ``exp(-i c t_j)`` is applied once per row at the end.
     """
     form = h.chebyshev_form()
-    coef = form.coefficients(times)
+    coef, phase = form.coefficients(times)
     n_terms = coef.shape[1]
     size = min(n_terms, CHEBYSHEV_BATCH)
     ring = np.empty((size, amp.size), dtype=complex)
     ring[0] = amp
     out = np.zeros((times.size, amp.size), dtype=complex)
+    flat, ring_flat = out.view(float), ring.view(float)
     for k in range(n_terms):
         row = k % size
-        if k == 1:  # T_1 = Ht T_0
+        if k == 1:  # U_1 = -i Ht U_0
             np.multiply(form.matrix @ amp, 0.5, out=ring[1])
         elif k:
-            np.subtract(form.matrix @ ring[(k - 1) % size],
-                        ring[(k - 2) % size], out=ring[row])
+            np.add(form.matrix @ ring[(k - 1) % size],
+                   ring[(k - 2) % size], out=ring[row])
         if row == size - 1 or k == n_terms - 1:
-            out += coef[:, k - row:k + 1] @ ring[:row + 1]
+            flat += coef[:, k - row:k + 1] @ ring_flat[:row + 1]
+    out *= phase[:, None]
     return out
 
 
 def _jacobi_anger(z: np.ndarray) -> np.ndarray:
-    """``c[j, k] = (2 - d_k0) (-i)^k J_k(z_j)``, truncated at round-off.
+    """``c[j, k] = (2 - d_k0) J_k(z_j)``, truncated at round-off.
 
-    These are the Fourier coefficients of ``exp(-i z cos(theta))``
-    (Jacobi-Anger), taken with an FFT on ``m`` points.  ``m`` doubles
-    until the top quarter of the kept half lies below the round-off of
-    the samples, ``eps (1 + max z)``, so aliasing stays below it too.
+    ``J_k(z)`` is the ``k``-th Fourier coefficient of
+    ``exp(i z sin(theta))`` (Jacobi-Anger), taken with an FFT on ``m``
+    points.  ``m`` doubles until the top quarter of the kept half lies
+    below the round-off of the samples, ``eps (1 + max z)``, so aliasing
+    stays below it too.
     """
     zmax = float(z.max())
     floor = np.finfo(float).eps * (1.0 + zmax)
@@ -515,8 +542,8 @@ def _jacobi_anger(z: np.ndarray) -> np.ndarray:
         m *= 2
     while True:
         theta = np.arange(m) * (2 * np.pi / m)
-        coef = np.fft.fft(np.exp(-1j * np.multiply.outer(z, np.cos(theta))),
-                          axis=1)[:, :m // 2] / m
+        coef = np.fft.fft(np.exp(1j * np.multiply.outer(z, np.sin(theta))),
+                          axis=1)[:, :m // 2].real / m
         size = np.abs(coef).max(axis=0)
         if size[3 * m // 8:].max() <= floor:
             break

@@ -53,7 +53,10 @@ from .hamiltonians import (
 
 PEAK_WINDOW = 0.05  # peak search window before the readout time, fractional
 FIDELITY_ROUNDOFF = 1e-9  # largest excursion outside [0, 1] clamped silently
-TRACE_CHUNK = 10  # trace samples propagated by one evolve call
+# bytes of the states one evolve call returns: ten at N = 13, where
+# twenty add 6.5 MB to the peak RSS of a transfer
+TRACE_BYTES = 10 * 16 * 2**13
+TRACE_ROWS_MAX = 40  # longer blocks lengthen every row's series product
 
 _CTX = BoundaryContext(left_value=0, right_context=0)
 
@@ -119,9 +122,10 @@ class _Branch:
     energy_stage1: float
     energy_stage2: float
 
-    def phase_at(self, t: float, tau: float) -> complex:
-        t1 = min(t, tau)
-        t2 = max(t - tau, 0.0)
+    def phase_at(self, t, tau: float):
+        """The phase at one time, or at each of an array of times."""
+        t1 = np.minimum(t, tau)
+        t2 = np.maximum(t - tau, 0.0)
         return self.mirror_phase * np.exp(
             -1j * (self.energy_stage1 * t1 + self.energy_stage2 * t2)
         )
@@ -272,11 +276,24 @@ def _readout(psi: StateVector, layout: RegisterLayout, branches, tau,
         f, "readout fidelity")
 
 
-def _unit_interval(f: float, what: str) -> float:
-    """Clamp a fidelity's round-off into [0, 1]; raise beyond round-off."""
-    if not -FIDELITY_ROUNDOFF <= f <= 1.0 + FIDELITY_ROUNDOFF:
-        raise RuntimeError(f"{what} {f!r} lies outside [0, 1]")
-    return min(max(f, 0.0), 1.0)
+def _unit_interval(f, what: str):
+    """Clamp the round-off of a fidelity, or of an array of them, into
+    [0, 1]; raise, naming the first offender, beyond round-off."""
+    f = np.asarray(f, dtype=float)
+    bad = np.flatnonzero(~((f >= -FIDELITY_ROUNDOFF)
+                           & (f <= 1.0 + FIDELITY_ROUNDOFF)))
+    if bad.size:
+        raise RuntimeError(
+            f"{what} {float(f.flat[bad[0]])!r} lies outside [0, 1]")
+    f = np.clip(f, 0.0, 1.0)
+    return float(f) if f.ndim == 0 else f
+
+
+def trace_rows(n_spins: int) -> int:
+    """Trace samples propagated by one ``evolve`` call on ``n_spins``
+    spins: as many as fit ``TRACE_BYTES``, between 1 and
+    ``TRACE_ROWS_MAX``."""
+    return min(max(TRACE_BYTES // (16 * 2**n_spins), 1), TRACE_ROWS_MAX)
 
 
 def _trace_run(state, stages, branches, N, tau, n_samp, prop):
@@ -284,16 +301,17 @@ def _trace_run(state, stages, branches, N, tau, n_samp, prop):
 
     ``stages`` holds one function per stage that builds its Hamiltonian.
     Each operator is built when its stage starts and released before the
-    next one is built.  A stage is propagated in chunks of
-    ``TRACE_CHUNK`` samples; each chunk starts from the last state of the
-    one before, and its sigma_z entries come from one ``_sigma_z_all``
-    call.  The fidelity targets are the branches' final patterns, each
-    weighted by its coefficient and, in the corrected trace, by its
-    protocol phase, so both overlaps are read from the state's
-    amplitudes at the branches' ``final_bits`` indices alone.
+    next one is built.  A stage is propagated in blocks of
+    ``trace_rows(N)`` samples; each block starts from the last state of
+    the one before and is recorded as a whole.  The fidelity targets are
+    the branches' final patterns, each weighted by its coefficient and,
+    in the corrected trace, by its protocol phase, so both overlaps are
+    read from the states' amplitudes at the branches' ``final_bits``
+    indices alone.
     """
     times = np.linspace(0.0, len(stages) * tau, len(stages) * n_samp + 1)
     dt = times[1] - times[0]
+    block = trace_rows(N)
     corrected = np.empty(times.shape)
     uncorrected = np.empty(times.shape)
     sigma_z = np.empty((N, times.shape[0]))
@@ -301,33 +319,37 @@ def _trace_run(state, stages, branches, N, tau, n_samp, prop):
                      dtype=np.int64)
     coefficient = np.array([br.coefficient for br in branches], dtype=complex)
 
-    def record(first, states):
+    def record(first, rows):
         """Trace entries ``first``, ``first + 1``, ... from consecutive
-        states; returns the last state."""
-        # probabilities row by row: no second complex copy of the states
-        probs = np.empty((len(states), 2**N))
-        for i, (psi, row) in enumerate(zip(states, probs), first):
-            at = psi.amplitudes[final]
-            target = [br.coefficient * br.phase_at(times[i], tau)
-                      for br in branches]
-            corrected[i] = _unit_interval(abs(np.vdot(target, at)) ** 2,
-                                          "corrected fidelity")
-            uncorrected[i] = _unit_interval(
-                abs(np.vdot(coefficient, at)) ** 2, "uncorrected fidelity")
-            np.abs(psi.amplitudes, out=row)
+        state rows."""
+        span = slice(first, first + len(rows))
+        at = rows[:, final]
+        target = np.empty(at.shape, dtype=complex)
+        for b, br in enumerate(branches):
+            target[:, b] = br.coefficient * br.phase_at(times[span], tau)
+        corrected[span] = _unit_interval(
+            np.abs((target.conj() * at).sum(axis=1)) ** 2,
+            "corrected fidelity")
+        uncorrected[span] = _unit_interval(
+            np.abs(at @ coefficient.conj()) ** 2, "uncorrected fidelity")
+        # squared in place: one real array of the rows' size, alive only
+        # while the block is recorded, not through the next evolve
+        probs = np.abs(rows)
         probs **= 2
-        sigma_z[:, first:first + len(states)] = _sigma_z_all(probs, N)
-        return states[-1]
+        sigma_z[:, span] = _sigma_z_all(probs, N)
 
-    record(0, [state])
+    record(0, state.amplitudes[None])
     i = 1
     for build in stages:
         h = build()
-        for start in range(0, n_samp, TRACE_CHUNK):
-            steps = np.arange(1, min(TRACE_CHUNK, n_samp - start) + 1) * dt
-            # the chunk's states are released before the next evolve
-            state = record(i, evolve(state, h, steps, prop))
+        for start in range(0, n_samp, block):
+            steps = np.arange(1, min(block, n_samp - start) + 1) * dt
+            # the block's rows are released before the next evolve
+            rows = evolve(state, h, steps, prop)
+            record(i, rows)
+            state = StateVector(N, rows[-1])
             i += steps.size
+            del rows
         del h
     return times, corrected, uncorrected, sigma_z, state
 

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from dwtransfer import analysis
 from dwtransfer.analysis import (
     closed_form_consistency,
     error_scaling_sweep,
 )
-from dwtransfer.core import PropagatorConfig
+from dwtransfer.core import PropagatorConfig, evolve
 from dwtransfer.encoding import LogicalState
 from dwtransfer.hamiltonians import ChainSpec, RegisterLayout
-from dwtransfer.protocol import ProtocolConfig
+from dwtransfer.protocol import ProtocolConfig, trace_rows
 
 EXACT = PropagatorConfig(method="exact-eigendecomposition")
 S2 = 1 / math.sqrt(2)
@@ -94,6 +95,26 @@ class TestClosedFormConsistency:
     def test_rescaled_profile(self):
         dev = closed_form_consistency([3, 5], 0.4, samples=10)
         assert dev <= 1e-8
+
+    def test_samples_propagated_in_blocks(self, monkeypatch):
+        # 100 samples: three blocks of 40, 40 and 20 times on every chain
+        lengths = {}
+
+        def counting_evolve(state, h, t, cfg):
+            lengths.setdefault(state.n_spins, []).append(len(t))
+            return evolve(state, h, t, cfg)
+
+        monkeypatch.setattr(analysis, "evolve", counting_evolve)
+        blocked = closed_form_consistency(range(2, 11), 1.0, samples=100)
+        for n, seen in lengths.items():
+            assert max(seen) <= trace_rows(n) and sum(seen) == 100
+        assert lengths[10] == [40, 40, 20]
+        # one evolve call for all samples of a chain
+        monkeypatch.setattr(analysis, "trace_rows", lambda n: 100)
+        lengths.clear()
+        whole = closed_form_consistency(range(2, 11), 1.0, samples=100)
+        assert all(seen == [100] for seen in lengths.values())
+        assert abs(blocked - whole) < 1e-14 and blocked <= 1e-8
 
     def test_large_chain_rejected(self):
         with pytest.raises(ValueError):

@@ -3,14 +3,23 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dwtransfer
-from dwtransfer.cli import COMMANDS, ManifestError, _check_footprint, main
+from dwtransfer.cli import (
+    COMMANDS,
+    ManifestError,
+    _check_footprint,
+    _write_run,
+    main,
+)
 from dwtransfer.core import PropagatorConfig
+from dwtransfer.hamiltonians import ChainSpec
+from dwtransfer.protocol import ProtocolConfig, run_single_qubit_transfer
 
 S2 = 1 / math.sqrt(2)
 
@@ -178,6 +187,48 @@ class TestTransfer:
         })
         assert run(["transfer", "--config", cfg, "--out", tmp_path / "o"]) == 1
         assert "layout" in capsys.readouterr().err
+
+
+class TestWriter:
+    @staticmethod
+    def write_with_format(out, result):
+        """Reference: the traces written one ``format(x, ".17g")`` at a
+        time."""
+        def fmt(x):
+            return format(float(x), ".17g")
+
+        times, sigma_z = result.times, result.sigma_z_trace
+        (out / "fidelity_trace.csv").write_text("".join(
+            ["t,fidelity_corrected,fidelity_uncorrected\n"]
+            + [f"{fmt(t)},{fmt(fc)},{fmt(fu)}\n" for t, fc, fu in zip(
+                times, result.fidelity_corrected,
+                result.fidelity_uncorrected)]))
+        (out / "sigma_z.csv").write_text("".join(
+            ["t,site,sigma_z\n"]
+            + [f"{fmt(t)},{site + 1},{fmt(sigma_z[site, i])}\n"
+               for i, t in enumerate(times)
+               for site in range(sigma_z.shape[0])]))
+
+    def test_traces_match_one_format_call_per_value(self, tmp_path):
+        result = run_single_qubit_transfer(S2, S2, ProtocolConfig(
+            spec=ChainSpec(5, 22.0, 1.0), n_time_samples=6))
+        awkward = np.array([0.0, -0.0, 1e-300, 1 / 3, -1 / 3, 5e-324,
+                            1.0 - 2**-53, 123456789.123456789, 2.0 / 3,
+                            1e22, -2.5e-17, 1.0, 0.1])
+        result = replace(
+            result, times=awkward,
+            fidelity_corrected=awkward[::-1].copy(),
+            fidelity_uncorrected=np.roll(awkward, 3),
+            sigma_z_trace=np.outer(np.arange(-2, 3), awkward) / 7)
+        ours, ref = tmp_path / "ours", tmp_path / "ref"
+        ours.mkdir()
+        ref.mkdir()
+        _write_run(ours, {}, result)
+        self.write_with_format(ref, result)
+        for name in ("fidelity_trace.csv", "sigma_z.csv"):
+            # our file starts with the manifest comment line
+            body = (ours / name).read_bytes().split(b"\n", 1)[1]
+            assert body == (ref / name).read_bytes()
 
 
 class TestSweep:
@@ -475,10 +526,9 @@ class TestManifestLoader:
 
 
 class TestImportGraph:
-    @pytest.mark.parametrize("command", ["transfer", "sweep"])
-    def test_run_leaves_scipy_linalg_unloaded(self, request, tmp_path,
-                                              command):
-        # scipy.linalg loads a second OpenBLAS and starts its threads
+    @staticmethod
+    def loaded(request, tmp_path, command, prefix):
+        """Modules under ``prefix`` that one CLI run leaves loaded."""
         cfg = request.getfixturevalue(f"{command}_manifest")
         script = (
             "import sys\n"
@@ -487,7 +537,7 @@ class TestImportGraph:
             f" '--out', {str(tmp_path / 'o')!r}])\n"
             "assert code == 0, code\n"
             "print(sorted(m for m in sys.modules if m.startswith("
-            "'scipy.linalg')))\n"
+            f"{prefix!r})))\n"
         )
         src = str(Path(dwtransfer.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -495,7 +545,19 @@ class TestImportGraph:
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        return done.stdout.strip()
+
+    @pytest.mark.parametrize("command", ["transfer", "sweep"])
+    def test_run_leaves_scipy_linalg_unloaded(self, request, tmp_path,
+                                              command):
+        # scipy.linalg loads a second OpenBLAS and starts its threads
+        assert self.loaded(request, tmp_path, command, "scipy.linalg") == "[]"
+
+    def test_transfer_leaves_scipy_special_unloaded(self, request,
+                                                    tmp_path):
+        # importing scipy.special adds 0.06-0.1 s to the start-up of a run
+        assert self.loaded(request, tmp_path, "transfer",
+                           "scipy.special") == "[]"
 
 
 class TestArgumentHandling:

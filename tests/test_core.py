@@ -301,9 +301,15 @@ class TestEvolve:
         h = realize(heisenberg_xy(4, 1.0))
         psi = StateVector.from_bits([1, 0, 0, 0])
         out = evolve(psi, h, [0.0, 0.0, 0.4, 0.4, 1.0], cfg)
-        assert len(out) == 5 and out[0] is psi and out[1] is psi
-        assert np.array_equal(out[2].amplitudes, out[3].amplitudes)
-        assert evolve(psi, h, [], cfg) == []
+        assert out.shape == (5, 16) and not out.flags.writeable
+        assert np.array_equal(out[0], psi.amplitudes)
+        assert np.array_equal(out[1], psi.amplitudes)
+        assert np.array_equal(out[2], out[3])
+        assert np.abs(np.linalg.norm(out, axis=1) - 1.0).max() < 1e-15
+        assert evolve(psi, h, [], cfg).shape == (0, 16)
+        zeros = evolve(psi, h, [0.0, 0.0], cfg)
+        assert zeros.shape == (2, 16) and not zeros.flags.writeable
+        assert np.array_equal(zeros[1], psi.amplitudes)
 
     @pytest.mark.parametrize("cfg", METHODS)
     @pytest.mark.parametrize("whole_space", [False, True])
@@ -321,8 +327,7 @@ class TestEvolve:
             state = evolve(state, h, dt, cfg)
             alone = evolve(psi, h, k * dt, cfg)
             for other in (state, alone):
-                assert np.abs(from_grid.amplitudes
-                              - other.amplitudes).max() < 1e-12
+                assert np.abs(from_grid - other.amplitudes).max() < 1e-12
 
 
 class TestChebyshev:
@@ -332,9 +337,10 @@ class TestChebyshev:
                                    45.0, 300.0, 4500.0])
     def test_jacobi_anger_matches_bessel(self, z):
         coef = _jacobi_anger(np.array([z, z / 3]))
+        assert np.isrealobj(coef)
         k = np.arange(coef.shape[1])
         for row, x in zip(coef, (z, z / 3)):
-            want = (2 - (k == 0)) * (-1j) ** k * jv(k, x)
+            want = (2 - (k == 0)) * jv(k, x)
             assert np.abs(row - want).max() < 1e-15 * (1 + z)
         # the next term lies below round-off
         assert abs(jv(k.size, z)) < 1e-15 * (1 + z)
@@ -370,18 +376,17 @@ class TestChebyshev:
         out = evolve(psi, h, times, KRYLOV)
         u = expm(-1j * step * h.matrix.toarray())
         ref = psi.amplitudes
-        for state in out:
+        for row in out:
             ref = u @ ref
-            assert np.abs(state.amplitudes - ref).max() < 1e-10
+            assert np.abs(row - ref).max() < 1e-10
 
     def test_constant_operator(self):
         # a zero-width interval: the series is its first term alone
         h = Operator(sp.identity(4, dtype=complex, format="csr") * 2.5)
         psi = random_state(np.random.default_rng(0), 2)
         out = evolve(psi, h, [0.3, 1.1], KRYLOV)
-        for t, state in zip((0.3, 1.1), out):
-            assert np.abs(state.amplitudes
-                          - np.exp(-2.5j * t) * psi.amplitudes).max() < 1e-14
+        for t, row in zip((0.3, 1.1), out):
+            assert np.abs(row - np.exp(-2.5j * t) * psi.amplitudes).max() < 1e-14
 
     @pytest.mark.parametrize("ham", ["transport", "reset", "xy"])
     def test_scaled_matrix_shares_the_index_arrays(self, ham):
@@ -393,7 +398,7 @@ class TestChebyshev:
         assert np.shares_memory(form.matrix.indptr, h.matrix.indptr)
         lo, hi = h.gershgorin_interval()
         c, a = (hi + lo) / 2, (hi - lo) / 2
-        want = 2 * (h.matrix.toarray() - c * np.eye(h.dimension)) / a
+        want = -2j * (h.matrix.toarray() - c * np.eye(h.dimension)) / a
         assert np.abs(form.matrix.toarray() - want).max() < 1e-14
 
     def test_scaled_matrix_with_missing_diagonal(self):
@@ -407,7 +412,7 @@ class TestChebyshev:
         assert (form.centre, form.half_width) == (1.5, 2.5)
         assert form.matrix.nnz == 6
         assert np.abs(form.matrix.toarray()
-                      - 0.8 * (dense - 1.5 * np.eye(4))).max() < 1e-15
+                      - -0.8j * (dense - 1.5 * np.eye(4))).max() < 1e-15
         psi = random_state(np.random.default_rng(4), 2)
         out = evolve(psi, h, 0.9, KRYLOV)
         ref = expm(-0.9j * h.matrix.toarray()) @ psi.amplitudes
@@ -429,8 +434,7 @@ class TestChebyshev:
             out = evolve(psi, h, grid, KRYLOV)
             fresh = evolve(psi, realize(transport_hamiltonian(spec)), grid,
                            KRYLOV)
-            for a, b in zip(out, fresh):
-                assert np.abs(a.amplitudes - b.amplitudes).max() < 1e-12
+            assert np.abs(out - fresh).max() < 1e-12
 
     @pytest.mark.parametrize("ham", ["transport", "reset", "xy"])
     def test_protocol_operators_keep_gershgorin(self, ham):

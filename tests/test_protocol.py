@@ -365,20 +365,42 @@ class TestTraceRun:
 
     @pytest.mark.parametrize("cfg", [PropagatorConfig(), EXACT])
     def test_chunks_match_one_call_per_sample(self, monkeypatch, cfg):
-        # 25 samples per stage: two full chunks and a short one
+        # 100 samples per stage: by default two blocks of 40 and one of
+        # 20 each, then one block per stage, then one sample per call
         layout = RegisterLayout(2, 3, 2)
         run_cfg = ProtocolConfig(spec=ChainSpec(7, 22.0, 1.0, layout),
-                                 n_time_samples=25, propagator=cfg)
+                                 n_time_samples=100, propagator=cfg)
         bell = LogicalState(2, np.array([S2, 0, 0, S2]))
-        chunked = run_multi_qubit_transfer(bell, layout, run_cfg)
-        monkeypatch.setattr(protocol, "TRACE_CHUNK", 1)
-        single = run_multi_qubit_transfer(bell, layout, run_cfg)
-        for name in ("fidelity_corrected", "fidelity_uncorrected",
-                     "sigma_z_trace"):
-            assert np.abs(getattr(chunked, name)
-                          - getattr(single, name)).max() < 1e-12
-        assert np.abs(chunked.final_state.amplitudes
-                      - single.final_state.amplitudes).max() < 1e-12
+        lengths = []
+
+        def counting_evolve(state, h, t, prop):
+            lengths.append(np.size(t))
+            return evolve(state, h, t, prop)
+
+        monkeypatch.setattr(protocol, "evolve", counting_evolve)
+        runs = {}
+        for label, rows in (("default", None), ("stage", 100), ("one", 1)):
+            if rows is not None:
+                monkeypatch.setattr(protocol, "trace_rows", lambda n: rows)
+            lengths.clear()
+            runs[label] = run_multi_qubit_transfer(bell, layout, run_cfg)
+            want = {"default": [40, 40, 20], "stage": [100],
+                    "one": [1] * 100}[label]
+            assert lengths == want * 2
+        for label in ("default", "stage"):
+            for name in ("fidelity_corrected", "fidelity_uncorrected",
+                         "sigma_z_trace"):
+                assert np.abs(getattr(runs[label], name)
+                              - getattr(runs["one"], name)).max() < 1e-12
+            assert np.abs(runs[label].final_state.amplitudes
+                          - runs["one"].final_state.amplitudes).max() < 1e-12
+
+    @pytest.mark.parametrize("n, rows", [(13, 10), (12, 20), (11, 40),
+                                         (9, 40), (7, 40), (1, 40),
+                                         (16, 1), (30, 1)])
+    def test_block_rule(self, n, rows):
+        # 10 rows at N = 13 bound the peak RSS of the N = 13 transfer
+        assert protocol.trace_rows(n) == rows
 
     def test_each_stage_operator_released_before_the_next(self):
         spec = ChainSpec(5, 22.0, 1.0, RegisterLayout(1, 3, 1))
@@ -409,15 +431,15 @@ class TestTraceOverlaps:
 
     @pytest.fixture
     def sampled(self, monkeypatch):
-        """The states ``_trace_run`` samples, in order, and the branch
-        table ``_build_branches`` returns."""
+        """The amplitudes of the states ``_trace_run`` samples, in
+        order, and the branch table ``_build_branches`` returns."""
         seen = {"states": [], "branches": None}
         build_branches = protocol._build_branches
         trace_run = protocol._trace_run
 
         def recording_evolve(*args):
             out = evolve(*args)
-            seen["states"].extend(out)
+            seen["states"].extend(out)  # one row per sampled state
             return out
 
         def recording_build(*args):
@@ -425,7 +447,7 @@ class TestTraceOverlaps:
             return seen["branches"]
 
         def recording_trace_run(state, *args):
-            seen["states"].append(state)
+            seen["states"].append(state.amplitudes)
             return trace_run(state, *args)
 
         monkeypatch.setattr(protocol, "evolve", recording_evolve)
@@ -439,9 +461,8 @@ class TestTraceOverlaps:
         assert len(states) == times.size
         for trace, is_corrected in ((corrected, True), (uncorrected, False)):
             ref = [abs(np.vdot(_target_vector(branches, n, t, tau,
-                                              is_corrected),
-                               psi.amplitudes)) ** 2
-                   for t, psi in zip(times, states)]
+                                              is_corrected), amp)) ** 2
+                   for t, amp in zip(times, states)]
             assert np.abs(trace - ref).max() < 1e-14
 
     def test_multi_branch_payload(self, sampled):
