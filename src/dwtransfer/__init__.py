@@ -43,7 +43,6 @@ from .encoding import (
 from .protocol import (
     ProtocolConfig,
     ProtocolResult,
-    RegisterLayout,
     run_heisenberg_baseline,
     run_multi_qubit_transfer,
     run_single_qubit_transfer,

@@ -81,11 +81,9 @@ class SweepTable:
 
 
 def _sweep_item(args):
-    label, logical, layout, ratio, base_cfg = args
-    spec = replace(base_cfg.spec, j_coupling=ratio * base_cfg.spec.lam,
-                   layout=layout)
-    cfg = replace(base_cfg, spec=spec)
-    result = run_multi_qubit_transfer(logical, layout, cfg)
+    label, logical, ratio, base_cfg = args
+    spec = replace(base_cfg.spec, j_coupling=ratio * base_cfg.spec.lam)
+    result = run_multi_qubit_transfer(logical, replace(base_cfg, spec=spec))
     eps = max(1.0 - result.peak_fidelity, 0.0)
     return label, ratio, eps, result.peak_time
 
@@ -107,21 +105,21 @@ def error_scaling_sweep(states, ratios, base_cfg: ProtocolConfig,
                         n_workers: int = None) -> SweepTable:
     """Run the protocol over a grid of J/lam ratios and fit the error law.
 
-    ``states`` is a list of (label, LogicalState, RegisterLayout)
-    triples.  The infidelity of each run is 1 minus the corrected-trace
-    peak inside the readout window.  The log-log fit uses only ratios
-    inside [8, 40] with infidelity above the numerical floor; rows
-    outside the window are kept in the table but flagged.  Results are
-    assembled by (label, ratio) key, so worker count and completion
-    order never change the output.
+    ``states`` is a list of (label, LogicalState) pairs; each payload
+    runs between registers as wide as itself.  The infidelity of each
+    run is 1 minus the corrected-trace peak inside the readout window.
+    The log-log fit uses only ratios inside [8, 40] with infidelity
+    above the numerical floor; rows outside the window are kept in the
+    table but flagged.  Results are assembled by (label, ratio) key, so
+    worker count and completion order never change the output.
     """
     if not ratios:
         raise ValueError("ratio list must be non-empty")
     if any(r <= 0 for r in ratios):
         raise ValueError("ratios must be positive")
     work = [
-        (label, logical, layout, float(ratio), base_cfg)
-        for label, logical, layout in states
+        (label, logical, float(ratio), base_cfg)
+        for label, logical in states
         for ratio in ratios
     ]
     if n_workers and n_workers > 1:

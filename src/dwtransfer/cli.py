@@ -30,13 +30,13 @@ from .analysis import (
 )
 from .core import PropagatorConfig
 from .encoding import LogicalState
-from .hamiltonians import ChainSpec, RegisterLayout
+from .hamiltonians import ChainSpec
 from .protocol import (
     ProtocolConfig,
     ProtocolResult,
     run_heisenberg_baseline,
     run_multi_qubit_transfer,
-    run_single_qubit_transfer,
+    run_single_qubit_transfer,  # not called here: perfbench/spans.py wraps it
 )
 
 SLOPE_TARGET = -2.0
@@ -66,14 +66,13 @@ class Baseline:
 
 @dataclass(frozen=True)
 class Transfer:
-    """two-stage domain-wall transfer (single or multi qubit)"""
+    """two-stage domain-wall transfer between registers as wide as the
+    payload"""
 
-    mode: str
     n_spins: int
     lam: float
     j_coupling: float
     state: LogicalState
-    layout: dict = None  # default: one spin each for Alice and Bob
     apply_phase_correction: bool = True
     n_time_samples: int = 200
     propagator: PropagatorConfig = PropagatorConfig()
@@ -87,7 +86,6 @@ class Sweep:
     lam: float
     ratios: list
     states: list  # of SweepState objects
-    layout: dict = None  # default: registers as wide as each payload
     n_time_samples: int = 200
     propagator: PropagatorConfig = PropagatorConfig()
 
@@ -98,7 +96,6 @@ class SweepState:
 
     amplitudes: list
     label: str = None  # default: state<i>
-    layout: dict = None  # default: the sweep's layout
 
 
 @dataclass(frozen=True)
@@ -212,21 +209,15 @@ def _payload(raw, field: str) -> LogicalState:
     return _logical_state(amps, field)
 
 
-def _parse_layout(raw: dict, n_spins: int) -> RegisterLayout:
-    try:
-        layout = RegisterLayout(
-            _value(int, raw.get("n_alice", 1), "layout.n_alice"),
-            _value(int, raw.get("n_wire", n_spins - 2), "layout.n_wire"),
-            _value(int, raw.get("n_bob", 1), "layout.n_bob"),
-        )
-    except ValueError as exc:
-        raise ManifestError(f"manifest field 'layout' is invalid: {exc}") from exc
-    if layout.total != n_spins:
+def _check_registers(state: LogicalState, n_spins: int, field: str) -> None:
+    """Refuse a payload whose registers, as wide as itself at both ends
+    of the chain, do not fit in ``n_spins``."""
+    k = state.n_logical
+    if 2 * k > n_spins:
         raise ManifestError(
-            f"manifest field 'layout' totals {layout.total} spins but "
-            f"'n_spins' is {n_spins}"
+            f"manifest field '{field}' has {k} qubits: registers of {k} "
+            f"spins at both ends need n_spins >= {2 * k}, got {n_spins}"
         )
-    return layout
 
 
 def _check_footprint(n_spins: int, propagator: PropagatorConfig,
@@ -340,42 +331,17 @@ def cmd_baseline(run: Baseline, manifest: dict, out: Path, args) -> int:
 
 
 def cmd_transfer(run: Transfer, manifest: dict, out: Path, args) -> int:
-    if run.mode not in ("single", "multi"):
-        raise ManifestError(
-            f"manifest field 'mode' must be 'single' or 'multi', got "
-            f"'{run.mode}'"
-        )
     N = run.n_spins
     # transport conserves spin 1 and the reset stage Bob's spins
     _check_footprint(N, run.propagator, 2 ** (N - 1))
-    layout = _parse_layout({} if run.layout is None else run.layout, N)
+    _check_registers(run.state, N, "state")
     cfg = ProtocolConfig(
-        spec=ChainSpec(N, run.j_coupling, run.lam, layout),
+        spec=ChainSpec(N, run.j_coupling, run.lam),
         propagator=run.propagator,
         n_time_samples=run.n_time_samples,
         apply_phase_correction=run.apply_phase_correction,
     )
-    if run.mode == "single":
-        if run.state.n_logical != 1:
-            raise ManifestError(
-                "manifest field 'state' must be a single qubit in mode "
-                "'single'"
-            )
-        if layout.n_alice != 1:
-            raise ManifestError(
-                "manifest field 'layout' must give single-spin registers "
-                f"in mode 'single', got {layout.n_alice}"
-            )
-        beta, alpha = run.state.amplitudes
-        result = run_single_qubit_transfer(alpha, beta, cfg)
-    else:
-        if run.state.n_logical != layout.n_alice:
-            raise ManifestError(
-                f"manifest field 'state' has {run.state.n_logical} qubits, "
-                f"Alice's register in 'layout' has {layout.n_alice}"
-            )
-        result = run_multi_qubit_transfer(run.state, layout, cfg)
-    _write_run(out, manifest, result)
+    _write_run(out, manifest, run_multi_qubit_transfer(run.state, cfg))
     return 0
 
 
@@ -396,15 +362,9 @@ def cmd_sweep(run: Sweep, manifest: dict, out: Path, args) -> int:
         item = _load(SweepState, raw, f"{field}.")
         logical = _logical_state(
             _amplitudes(item.amplitudes, f"{field}.amplitudes"), field)
-        k = logical.n_logical
-        layout = item.layout if item.layout is not None else run.layout
-        if layout is None:
-            layout = {"n_alice": k, "n_wire": N - 2 * k, "n_bob": k}
-        states.append((
-            f"state{i}" if item.label is None else item.label,
-            logical,
-            _parse_layout(layout, N),
-        ))
+        _check_registers(logical, N, field)
+        states.append(
+            (f"state{i}" if item.label is None else item.label, logical))
     base_cfg = ProtocolConfig(
         spec=ChainSpec(N, max(ratios) * run.lam, run.lam),
         propagator=run.propagator,

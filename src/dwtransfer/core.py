@@ -87,15 +87,6 @@ class StateVector:
         amp[basis_index(bits)] = 1.0
         return cls(len(bits), amp)
 
-    @classmethod
-    def basis(cls, n_spins: int, index: int) -> "StateVector":
-        amp = np.zeros(2**n_spins, dtype=complex)
-        amp[index] = 1.0
-        return cls(n_spins, amp)
-
-    def norm_defect(self) -> float:
-        return abs(np.linalg.norm(self.amplitudes) - 1.0)
-
 
 @dataclass(frozen=True)
 class PauliSum:
@@ -191,7 +182,7 @@ class Operator:
         _, indices, block = self._block
         return (None, self) if indices is None else (indices, block)
 
-    def gershgorin_interval(self) -> tuple:
+    def spectral_interval(self) -> tuple:
         """``(lo, hi)`` holding every eigenvalue.  Cached.
 
         Gershgorin's discs give it: row ``i`` gives
@@ -225,10 +216,10 @@ class Operator:
         return self._interval
 
     def chebyshev_form(self) -> "ChebyshevForm":
-        """H rescaled onto [-1, 1] by :meth:`gershgorin_interval`, with
+        """H rescaled onto [-1, 1] by :meth:`spectral_interval`, with
         the series coefficients of the last time grid.  Built once."""
         if self._chebyshev is None:
-            lo, hi = self.gershgorin_interval()
+            lo, hi = self.spectral_interval()
             self._chebyshev = ChebyshevForm(self.matrix, (hi + lo) / 2,
                                             (hi - lo) / 2)
         return self._chebyshev
@@ -344,7 +335,7 @@ class PropagatorConfig:
     pattern, in real arithmetic when H is real, and only the components
     the state occupies are propagated.  ``krylov`` is the sparse fast
     path.  It is a Chebyshev expansion of the exponential on the
-    Gershgorin interval of H (Tal-Ezer & Kosloff 1984), truncated at
+    spectral interval of H (Tal-Ezer & Kosloff 1984), truncated at
     round-off; ``"krylov"`` is kept as its name so that existing
     manifests run.
     """

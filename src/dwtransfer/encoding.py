@@ -133,9 +133,6 @@ class PhaseLedger:
     global_phase: float
     relative_phase_per_M: dict
 
-    def relative(self, M: int) -> float:
-        return self.relative_phase_per_M[M]
-
 
 def phase_ledger(N: int, J: float, tau: float, stages: int) -> PhaseLedger:
     """Global phase J*N*tau per stage and sector phases -2*J*tau*M per stage.

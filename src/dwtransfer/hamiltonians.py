@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,48 +56,18 @@ def coupling_profile(N: int, lam: float) -> CouplingProfile:
 
 
 @dataclass(frozen=True)
-class RegisterLayout:
-    """Partition of the chain into Alice / wire / Bob sections."""
-
-    n_alice: int
-    n_wire: int
-    n_bob: int
-
-    def __post_init__(self):
-        if self.n_alice < 1 or self.n_bob < 1:
-            raise ValueError("registers need at least one spin each")
-        if self.n_wire < 0:
-            raise ValueError("wire length cannot be negative")
-        if self.n_bob != self.n_alice:
-            raise ValueError(
-                "mirror transfer requires equal register sizes, got "
-                f"{self.n_alice} and {self.n_bob}"
-            )
-
-    @property
-    def total(self) -> int:
-        return self.n_alice + self.n_wire + self.n_bob
-
-
-@dataclass(frozen=True)
 class ChainSpec:
     """Physical parameters of one protocol instance."""
 
     n_spins: int
     j_coupling: float
     lam: float
-    layout: RegisterLayout = None
 
     def __post_init__(self):
         if self.n_spins < 2:
             raise ValueError(f"n_spins must be >= 2, got {self.n_spins}")
         if self.lam <= 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.layout is not None and self.layout.total != self.n_spins:
-            raise ValueError(
-                f"layout totals {self.layout.total} spins, spec has "
-                f"{self.n_spins}"
-            )
         if abs(self.j_coupling) < RATIO_WARN_THRESHOLD * self.lam:
             warnings.warn(
                 f"|J|/lam = {abs(self.j_coupling) / self.lam:.2f} < "
@@ -105,10 +75,6 @@ class ChainSpec:
                 "down and transfer fidelity degrades",
                 stacklevel=2,
             )
-
-    @property
-    def ratio(self) -> float:
-        return abs(self.j_coupling) / self.lam
 
     @property
     def tau(self) -> float:
@@ -189,24 +155,26 @@ def reset_hamiltonian(spec: ChainSpec) -> PauliSum:
     the spatial reflection of the transport stage.  It is
     :func:`multiqubit_reset_hamiltonian` with single-spin registers.
     """
-    layout = RegisterLayout(1, spec.n_spins - 2, 1)
-    return multiqubit_reset_hamiltonian(replace(spec, layout=layout))
+    return multiqubit_reset_hamiltonian(spec, 1)
 
 
-def multiqubit_reset_hamiltonian(spec: ChainSpec) -> PauliSum:
-    """Stage-2 Hamiltonian for multi-spin registers.
+def multiqubit_reset_hamiltonian(spec: ChainSpec, k: int) -> PauliSum:
+    """Stage-2 Hamiltonian for registers of ``k`` spins at both ends.
 
-    Transverse fields act only on Alice's register and the wire
-    (sites 1..n_alice+n_wire) with a profile recomputed over the
-    effective length n_alice + n_wire + 1 so the active section is
-    mirror-symmetric; Bob's register is field-free.  Same +J Z_1
-    boundary convention as :func:`reset_hamiltonian`, which is this
-    Hamiltonian with single-spin registers.
+    Transverse fields act only on the first N - k sites (Alice's
+    register and the wire) with a profile recomputed over the effective
+    length N - k + 1 so the active section is mirror-symmetric; Bob's
+    register, the last k spins, is field-free.  Same +J Z_1 boundary
+    convention as :func:`reset_hamiltonian`, which is this Hamiltonian
+    with k = 1.
     """
-    if spec.layout is None:
-        raise ValueError("multiqubit_reset_hamiltonian needs spec.layout")
     N, J = spec.n_spins, spec.j_coupling
-    active = spec.layout.n_alice + spec.layout.n_wire
+    if not 1 <= k <= N // 2:
+        raise ValueError(
+            f"registers of {k} spins at both ends need 1 <= k <= N/2, "
+            f"the chain has N = {N} spins"
+        )
+    active = N - k
     prof = coupling_profile(active + 1, spec.lam)
     terms = [(prof.t[n - 1], {n: "X"}) for n in range(1, active + 1)]
     terms.append((J, {1: "Z"}))

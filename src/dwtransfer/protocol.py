@@ -20,12 +20,11 @@ exp(-i E_M tau).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
-    PauliSum,
     PropagatorConfig,
     StateVector,
     basis_index,
@@ -42,7 +41,6 @@ from .encoding import (
 )
 from .hamiltonians import (
     ChainSpec,
-    RegisterLayout,
     coupling_profile,
     energy_offset,
     heisenberg_xy,
@@ -66,17 +64,12 @@ class ProtocolConfig:
     """Run parameters shared by all protocol drivers.
 
     ``n_time_samples`` counts trace samples per stage.
-    ``pin_first_spin_field`` optionally replaces the hard constraint on
-    spin 1 during transport by a strong local -B Z_1 field (restoring the
-    t_1 X_1 term the constraint suppresses); ``None`` keeps the exact
-    field-free construction.
     """
 
     spec: ChainSpec = None
     propagator: PropagatorConfig = field(default_factory=PropagatorConfig)
     n_time_samples: int = 200
     apply_phase_correction: bool = True
-    pin_first_spin_field: float = None
 
     def __post_init__(self):
         if self.n_time_samples < 2:
@@ -171,12 +164,12 @@ def _from_walls(n: int, walls, right: bool) -> list:
     return bits
 
 
-def _build_branches(logical_in: LogicalState, layout: RegisterLayout,
-                    spec: ChainSpec):
-    """Branch table: initial/final chain patterns and deterministic phases."""
+def _build_branches(logical_in: LogicalState, spec: ChainSpec):
+    """Branch table: initial/final chain patterns and deterministic phases
+    of a payload carried between registers as wide as itself."""
     k = logical_in.n_logical
     N, J, tau = spec.n_spins, spec.j_coupling, spec.tau
-    L2 = layout.n_alice + layout.n_wire + 1
+    L2 = N - k + 1
     G1 = _mirror_propagator(N, spec.lam, tau)
     G2 = _mirror_propagator(L2, spec.lam, tau)
     branches = []
@@ -244,13 +237,14 @@ def _decode_permutation(k: int) -> np.ndarray:
     ])
 
 
-def _readout(psi: StateVector, layout: RegisterLayout, branches, tau,
-             t_read: float, corrected: bool):
-    """Decode Bob's register from the final chain state at ``t_read``.
+def _readout(psi: StateVector, k: int, branches, tau, t_read: float,
+             corrected: bool):
+    """Decode Bob's register, the last ``k`` spins, from the final chain
+    state at ``t_read``.
 
     Every branch ends all down outside Bob's register, so Bob's target
     holds each branch's coefficient, times its phase at ``t_read`` if
-    ``corrected``, at the index of its last k spins.  The readout
+    ``corrected``, at the index of its last ``k`` spins.  The readout
     fidelity ``||M conj(target)||^2`` sums the target's overlaps with
     the rows of ``M``, one per pattern of the rest of the chain; it is
     the payload's overlap with Bob's decoded, phase-corrected reduced
@@ -258,7 +252,6 @@ def _readout(psi: StateVector, layout: RegisterLayout, branches, tau,
     The decoded state is the all-down row of ``M``, phases undone, in
     logical order, normalized.
     """
-    k = layout.n_bob
     M = psi.amplitudes.reshape(-1, 2**k)
     target = np.zeros(2**k, dtype=complex)
     undo = np.ones(2**k, dtype=complex)
@@ -361,15 +354,15 @@ def _peak_in_window(times, trace, t_read):
     return float(trace[best]), float(times[best])
 
 
-def _run(layout: RegisterLayout, branches, stages, J: float, tau: float,
+def _run(N: int, k: int, branches, stages, J: float, tau: float,
          cfg: ProtocolConfig) -> ProtocolResult:
-    """Trace and read out one run of the branches in ``branches``.
+    """Trace and read out one run of the branches in ``branches`` on
+    ``N`` spins, with Bob's register the last ``k``.
 
     ``stages`` holds one function per stage, each run for ``tau``, that
     builds its Hamiltonian; the peak is searched around, and Bob read
     out at, the end of the last stage.
     """
-    N = layout.total
     psi0 = np.zeros(2**N, dtype=complex)
     for br in branches:
         psi0[basis_index(br.initial_bits)] += br.coefficient
@@ -380,7 +373,7 @@ def _run(layout: RegisterLayout, branches, stages, J: float, tau: float,
     t_read = len(stages) * tau
     peak_f, peak_t = _peak_in_window(times, corr, t_read)
     final_logical, final_f = _readout(
-        final_state, layout, branches, tau, t_read,
+        final_state, k, branches, tau, t_read,
         corrected=cfg.apply_phase_correction,
     )
     return ProtocolResult(
@@ -399,10 +392,12 @@ def _run(layout: RegisterLayout, branches, stages, J: float, tau: float,
 
 
 def run_multi_qubit_transfer(
-    logical_in: LogicalState, layout: RegisterLayout, cfg: ProtocolConfig
+    logical_in: LogicalState, cfg: ProtocolConfig
 ) -> ProtocolResult:
-    """Full two-stage transfer of a multi-qubit payload.
+    """Full two-stage transfer of a k-qubit payload.
 
+    Alice's and Bob's registers are the first and the last k spins of
+    the chain, k the payload's width; the chain needs at least 2k spins.
     The payload is encoded into Alice's register, carried to Bob's
     register (in mirrored qubit order, undone by the decode step), and
     the wire reset.  Traces are sampled on a uniform grid over
@@ -411,63 +406,25 @@ def run_multi_qubit_transfer(
     spec = cfg.spec
     if spec is None:
         raise ValueError("cfg.spec is required for the transfer protocol")
-    if spec.layout is None:
-        spec = replace(spec, layout=layout)
-    elif spec.layout != layout:
-        raise ValueError("layout disagrees with cfg.spec.layout")
-    if logical_in.n_logical != layout.n_alice:
-        raise ValueError(
-            f"payload has {logical_in.n_logical} qubits, Alice's register "
-            f"has {layout.n_alice}"
-        )
-    N, tau = spec.n_spins, spec.tau
-    branches = _build_branches(logical_in, layout, spec)
-
-    B = cfg.pin_first_spin_field
-
-    def transport():
-        h = transport_hamiltonian(spec)
-        if B is not None:
-            t1 = coupling_profile(N, spec.lam).t[0]
-            h = PauliSum(N, h.terms + ((t1, {1: "X"}), (-B, {1: "Z"})))
-        return realize(h)
-
-    if B is not None:
-        # the pinning energy -B z_1 adds a stage-1 phase per branch
-        branches = [
-            replace(br, energy_stage1=br.energy_stage1
-                    - B * (1.0 - 2.0 * br.initial_bits[0]))
-            for br in branches
-        ]
-
+    k = logical_in.n_logical
+    reset = multiqubit_reset_hamiltonian(spec, k)  # raises unless 2k <= N
     return _run(
-        layout, branches,
-        (transport, lambda: realize(multiqubit_reset_hamiltonian(spec))),
-        spec.j_coupling, tau, cfg,
+        spec.n_spins, k, _build_branches(logical_in, spec),
+        (lambda: realize(transport_hamiltonian(spec)),
+         lambda: realize(reset)),
+        spec.j_coupling, spec.tau, cfg,
     )
 
 
 def run_single_qubit_transfer(
     alpha: complex, beta: complex, cfg: ProtocolConfig
 ) -> ProtocolResult:
-    """Two-stage transfer of alpha|1> + beta|0| stored in spin 1.
-
-    Degenerate case of the multi-qubit protocol with single-spin
-    registers: the logical value is the first physical spin itself and
-    the stage-2 Hamiltonian reduces to the full-chain reset form.
-    """
+    """Two-stage transfer of alpha|1> + beta|0> stored in spin 1: the
+    multi-qubit protocol with single-spin registers."""
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
         raise ValueError("|alpha|^2 + |beta|^2 must equal 1")
-    spec = cfg.spec
-    if spec is None:
-        raise ValueError("cfg.spec is required for the transfer protocol")
-    layout = spec.layout or RegisterLayout(1, spec.n_spins - 2, 1)
-    if layout.n_alice != 1:
-        raise ValueError("single-qubit transfer needs single-spin registers")
-    if spec.layout is None:
-        cfg = replace(cfg, spec=replace(spec, layout=layout))
     logical_in = LogicalState(1, np.array([beta, alpha], dtype=complex))
-    return run_multi_qubit_transfer(logical_in, layout, cfg)
+    return run_multi_qubit_transfer(logical_in, cfg)
 
 
 def run_heisenberg_baseline(
@@ -493,6 +450,6 @@ def run_heisenberg_baseline(
                                 (0,) * (N - 1) + (1,), complex(mirror),
                                 0.0, 0.0))
     return _run(
-        RegisterLayout(1, N - 2, 1), branches,
-        (lambda: realize(heisenberg_xy(N, lam)),), 0.0, tau, cfg,
+        N, 1, branches, (lambda: realize(heisenberg_xy(N, lam)),), 0.0,
+        tau, cfg,
     )

@@ -33,7 +33,6 @@ from dwtransfer.encoding import (
 )
 from dwtransfer.hamiltonians import (
     ChainSpec,
-    RegisterLayout,
     heisenberg_xy,
     multiqubit_reset_hamiltonian,
     reset_hamiltonian,
@@ -110,7 +109,6 @@ class TestAcceptance:
     def test_4_error_scaling_law(self):
         # log-log infidelity vs J/lam fit: slope -2 +/- 0.3, R^2 >= 0.95
         start = time.monotonic()
-        layout = RegisterLayout(1, 7, 1)
         cfg = ProtocolConfig(
             spec=ChainSpec(9, 40.0, 1.0),
             propagator=EXACT,
@@ -118,7 +116,7 @@ class TestAcceptance:
         )
         one = LogicalState(1, np.array([0.0, 1.0], dtype=complex))
         table = error_scaling_sweep(
-            [("one", one, layout)],
+            [("one", one)],
             [8.0, 12.0, 16.0, 24.0, 32.0, 40.0],
             cfg,
         )
@@ -156,9 +154,7 @@ class TestAcceptance:
             (transport_hamiltonian(ChainSpec(5, 22.0, 1.0)), [1]),
             (reset_hamiltonian(ChainSpec(5, 22.0, 1.0)), [5]),
             (
-                multiqubit_reset_hamiltonian(
-                    ChainSpec(7, 22.0, 1.0, RegisterLayout(2, 3, 2))
-                ),
+                multiqubit_reset_hamiltonian(ChainSpec(7, 22.0, 1.0), 2),
                 [6, 7],
             ),
         ]
@@ -254,16 +250,15 @@ class TestAcceptance:
         ok = True
         details = []
         for label, k, amps, floor in states:
-            layout = RegisterLayout(k, 3, k)
             logical = LogicalState(k, np.asarray(amps, dtype=complex))
             peaks = {}
             for ratio in (22.0, 44.0):
                 cfg = ProtocolConfig(
-                    spec=ChainSpec(2 * k + 3, ratio, 1.0, layout),
+                    spec=ChainSpec(2 * k + 3, ratio, 1.0),
                     propagator=KRYLOV,
                     n_time_samples=100,
                 )
-                res = run_multi_qubit_transfer(logical, layout, cfg)
+                res = run_multi_qubit_transfer(logical, cfg)
                 peaks[ratio] = res.peak_fidelity
                 if ratio == 22.0:
                     j = int(np.argmax(res.fidelity_corrected))
@@ -285,7 +280,6 @@ class TestAcceptance:
         # identical manifests give byte-identical data files
         manifest = {
             "experiment": "transfer",
-            "mode": "single",
             "n_spins": 5,
             "lam": 1.0,
             "j_coupling": 22.0,

@@ -10,7 +10,7 @@ from dwtransfer.analysis import (
 )
 from dwtransfer.core import PropagatorConfig, evolve
 from dwtransfer.encoding import LogicalState
-from dwtransfer.hamiltonians import ChainSpec, RegisterLayout
+from dwtransfer.hamiltonians import ChainSpec
 from dwtransfer.protocol import ProtocolConfig, trace_rows
 
 EXACT = PropagatorConfig(method="exact-eigendecomposition")
@@ -26,9 +26,7 @@ def base_cfg(N=5, n_samp=40):
 
 
 def single_state(label="1"):
-    layout = RegisterLayout(1, 3, 1)
-    return (label, LogicalState(1, np.array([0.0, 1.0], dtype=complex)),
-            layout)
+    return label, LogicalState(1, np.array([0.0, 1.0], dtype=complex))
 
 
 class TestErrorScalingSweep:

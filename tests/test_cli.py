@@ -13,6 +13,7 @@ import dwtransfer
 from dwtransfer.cli import (
     COMMANDS,
     ManifestError,
+    SweepState,
     _check_footprint,
     _write_run,
     main,
@@ -55,7 +56,6 @@ def baseline_manifest(tmp_path):
 def transfer_manifest(tmp_path):
     return write_manifest(tmp_path / "transfer.json", {
         "experiment": "transfer",
-        "mode": "single",
         "n_spins": 5,
         "lam": 1.0,
         "j_coupling": 22.0,
@@ -148,12 +148,11 @@ class TestTransfer:
         assert norm == pytest.approx(1.0, abs=1e-9)
 
     def test_multi_mode(self, tmp_path):
+        # a two-qubit payload runs between registers of two spins
         cfg = write_manifest(tmp_path / "multi.json", {
-            "mode": "multi",
             "n_spins": 7,
             "lam": 1.0,
             "j_coupling": 22.0,
-            "layout": {"n_alice": 2, "n_wire": 3, "n_bob": 2},
             "state": {"amplitudes": [[S2, 0], 0, 0, [S2, 0]]},
             "n_time_samples": 30,
         })
@@ -171,22 +170,35 @@ class TestTransfer:
         for name in ("summary.json", "fidelity_trace.csv", "sigma_z.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_bad_mode_exits_1(self, tmp_path, capsys):
-        cfg = write_manifest(tmp_path / "bad.json", {
-            "mode": "teleport", "n_spins": 5, "lam": 1.0,
-            "j_coupling": 22.0, "state": {"alpha": 1.0},
-        })
-        assert run(["transfer", "--config", cfg, "--out", tmp_path / "o"]) == 1
-        assert "mode" in capsys.readouterr().err
+    @staticmethod
+    def outputs(out):
+        """Each output file without its echo of the manifest."""
+        summary = json.loads((out / "summary.json").read_text())
+        del summary["manifest"]
+        return [summary] + [(out / name).read_text().split("\n", 1)[1]
+                            for name in ("fidelity_trace.csv", "sigma_z.csv")]
 
-    def test_layout_mismatch_exits_1(self, tmp_path, capsys):
-        cfg = write_manifest(tmp_path / "bad.json", {
-            "mode": "multi", "n_spins": 7, "lam": 1.0, "j_coupling": 22.0,
-            "layout": {"n_alice": 2, "n_wire": 2, "n_bob": 2},
-            "state": {"amplitudes": [1.0, 0, 0, 0]},
-        })
-        assert run(["transfer", "--config", cfg, "--out", tmp_path / "o"]) == 1
-        assert "layout" in capsys.readouterr().err
+    @pytest.mark.parametrize("n_spins, state, legacy", [
+        (5, {"alpha": S2, "beta": S2},
+         {"mode": "single", "layout": {"n_alice": 1, "n_wire": 3,
+                                       "n_bob": 1}}),
+        (7, {"amplitudes": [[S2, 0], 0, 0, [S2, 0]]},
+         {"mode": "multi", "layout": {"n_alice": 2, "n_wire": 3,
+                                      "n_bob": 2}}),
+    ])
+    def test_legacy_mode_and_layout_are_ignored(self, transfer_manifest,
+                                                tmp_path, n_spins, state,
+                                                legacy):
+        # manifests written for the former single/multi switch and
+        # explicit registers give the same outputs as without them
+        plain = with_fields(transfer_manifest, tmp_path, n_spins=n_spins,
+                            state=state)
+        old = write_manifest(tmp_path / "legacy.json",
+                             {**json.loads(Path(plain).read_text()), **legacy})
+        out_plain, out_old = tmp_path / "plain", tmp_path / "legacy"
+        assert run(["transfer", "--config", plain, "--out", out_plain]) == 0
+        assert run(["transfer", "--config", old, "--out", out_old]) == 0
+        assert self.outputs(out_old) == self.outputs(out_plain)
 
 
 class TestWriter:
@@ -368,37 +380,6 @@ class TestInputGuards:
         assert "'n_spins'" in capsys.readouterr().err
         assert not any(out.iterdir())
 
-    def test_multi_mode_payload_width_mismatch_exits_1(
-        self, transfer_manifest, tmp_path, capsys
-    ):
-        cfg = with_fields(transfer_manifest, tmp_path, mode="multi",
-                          n_spins=7,
-                          layout={"n_alice": 2, "n_wire": 3, "n_bob": 2})
-        out = tmp_path / "o"
-        assert run(["transfer", "--config", cfg, "--out", out]) == 1
-        assert "'state'" in capsys.readouterr().err
-        assert not any(out.iterdir())
-
-    def test_single_mode_multi_spin_layout_exits_1(
-        self, transfer_manifest, tmp_path, capsys
-    ):
-        cfg = with_fields(transfer_manifest, tmp_path, n_spins=7,
-                          layout={"n_alice": 2, "n_wire": 3, "n_bob": 2})
-        out = tmp_path / "o"
-        assert run(["transfer", "--config", cfg, "--out", out]) == 1
-        assert "'layout'" in capsys.readouterr().err
-        assert not any(out.iterdir())
-
-    def test_single_mode_multi_qubit_payload_exits_1(
-        self, transfer_manifest, tmp_path, capsys
-    ):
-        cfg = with_fields(transfer_manifest, tmp_path,
-                          state={"amplitudes": [S2, 0, 0, S2]})
-        out = tmp_path / "o"
-        assert run(["transfer", "--config", cfg, "--out", out]) == 1
-        assert "'state'" in capsys.readouterr().err
-        assert not any(out.iterdir())
-
     @pytest.mark.parametrize("state, field", [
         ({"alpha": math.nan}, "state.alpha"),
         ({"alpha": [1.0, 0.0], "beta": "0"}, "state.beta"),
@@ -410,15 +391,6 @@ class TestInputGuards:
         assert run(["transfer", "--config", cfg,
                     "--out", tmp_path / "o"]) == 1
         assert f"'{field}'" in capsys.readouterr().err
-
-    def test_bad_layout_size_exits_1(self, tmp_path, capsys):
-        cfg = write_manifest(tmp_path / "bad.json", {
-            "mode": "multi", "n_spins": 7, "lam": 1.0, "j_coupling": 22.0,
-            "layout": {"n_alice": 2, "n_wire": 3.5, "n_bob": 2},
-            "state": {"amplitudes": [1.0, 0, 0, 0]},
-        })
-        assert run(["transfer", "--config", cfg, "--out", tmp_path / "o"]) == 1
-        assert "'layout.n_wire'" in capsys.readouterr().err
 
     def test_unnormalized_sweep_state_exits_1(self, sweep_manifest, tmp_path,
                                               capsys):
@@ -470,7 +442,9 @@ class TestMemoryGuard:
 
 class TestManifestLoader:
     @pytest.mark.parametrize("command, fields_, named", [
-        ("transfer", {"layout": []}, "layout"),
+        # a payload of k qubits needs 2k spins: 3 qubits do not fit 5
+        ("transfer", {"state": {"amplitudes": [1, 0, 0, 0, 0, 0, 0, 0]}},
+         "state"),
         ("sweep", {"ratios": 8}, "ratios"),
         ("sweep", {"ratios": []}, "ratios"),
         ("sweep", {"states": {}}, "states"),
@@ -480,7 +454,8 @@ class TestManifestLoader:
          "states[0].label"),
         ("transfer", {"state": [1, 0]}, "state"),
         ("transfer", {"state": {"label": "one"}}, "state.amplitudes"),
-        ("transfer", {"mode": 3}, "mode"),
+        ("sweep", {"states": [{"amplitudes": [1, 0, 0, 0, 0, 0, 0, 0]}]},
+         "states[0]"),
         ("baseline", {"propagator": "lanczos"}, "propagator"),
     ])
     def test_bad_field_exits_1(self, request, tmp_path, capsys,
@@ -513,6 +488,28 @@ class TestManifestLoader:
             first = next(f.name for f in fields(schema)
                          if f.default is MISSING)
             assert f"'{first}' is missing" in capsys.readouterr().err
+
+    def test_readme_table_names_every_declared_field(self):
+        # README's "Manifest fields" table, one row per field; a blank
+        # first cell continues the experiment above
+        schemas = {"`baseline`": "Baseline", "`transfer`": "Transfer",
+                   "`sweep`": "Sweep", "`sweep` `states[i]`": "SweepState",
+                   "`consistency`": "Consistency"}
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        lines = readme.read_text().split("### Manifest fields")[1].splitlines()
+        first = lines.index("| Experiment | Field | Kind | Default |") + 2
+        listed, experiment = set(), None
+        for line in lines[first:]:
+            if not line.startswith("|"):
+                break
+            cells = [c.strip() for c in line.strip("|").split("|")]
+            experiment = cells[0] or experiment
+            listed.add((schemas[experiment], cells[1].strip("`")))
+        declared = {(schema.__name__, f.name)
+                    for schema in (*(s for s, _ in COMMANDS.values()),
+                                   SweepState)
+                    for f in fields(schema)}
+        assert listed == declared
 
     def test_null_experiment_is_accepted_and_echoed(self, baseline_manifest,
                                                     tmp_path):

@@ -145,11 +145,12 @@ class TestCountDomainWalls:
 class TestPhaseLedger:
     def test_single_stage_relative(self):
         led = phase_ledger(5, 2.0, 0.7, stages=1)
-        assert led.relative(1) - led.relative(0) == pytest.approx(-2 * 2.0 * 0.7)
+        rel = led.relative_phase_per_M
+        assert rel[1] - rel[0] == pytest.approx(-2 * 2.0 * 0.7)
 
     def test_two_stage_relative(self):
         led = phase_ledger(5, 2.0, 0.7, stages=2)
-        assert led.relative(1) == pytest.approx(-4 * 2.0 * 0.7)
+        assert led.relative_phase_per_M[1] == pytest.approx(-4 * 2.0 * 0.7)
 
     def test_global_phase(self):
         led = phase_ledger(13, 0.5, 3.0, stages=2)

@@ -7,7 +7,6 @@ from dwtransfer.core import StateVector, basis_index, realize
 from dwtransfer.encoding import BoundaryContext, count_domain_walls
 from dwtransfer.hamiltonians import (
     ChainSpec,
-    RegisterLayout,
     coupling_profile,
     energy_offset,
     heisenberg_xy,
@@ -19,11 +18,11 @@ from dwtransfer.hamiltonians import (
 )
 
 
-def spec(N, J, lam=1.0, layout=None):
+def spec(N, J, lam=1.0):
     if abs(J) < 8 * lam:
         with pytest.warns(UserWarning):
-            return ChainSpec(N, J, lam, layout)
-    return ChainSpec(N, J, lam, layout)
+            return ChainSpec(N, J, lam)
+    return ChainSpec(N, J, lam)
 
 
 def terms_as_set(pauli_sum):
@@ -61,10 +60,6 @@ class TestChainSpec:
     def test_warns_below_ratio_threshold(self):
         with pytest.warns(UserWarning, match="quadratic"):
             ChainSpec(5, 4.0, 1.0)
-
-    def test_layout_mismatch(self):
-        with pytest.raises(ValueError, match="layout"):
-            ChainSpec(5, 22.0, 1.0, RegisterLayout(2, 3, 2))
 
     def test_tau(self):
         assert ChainSpec(5, 22.0, 2.0).tau == pytest.approx(math.pi / 2.0)
@@ -248,22 +243,19 @@ class TestResetHamiltonian:
 
 class TestMultiqubitReset:
     def test_bob_register_field_free(self):
-        layout = RegisterLayout(2, 3, 2)
-        h = multiqubit_reset_hamiltonian(ChainSpec(7, 15.0, 1.0, layout))
+        h = multiqubit_reset_hamiltonian(ChainSpec(7, 15.0, 1.0), 2)
         for _, factors in h.terms:
             for site, label in factors.items():
                 if label == "X":
                     assert site <= 5
 
     def test_reduces_to_reset_for_single_bob(self):
-        layout = RegisterLayout(1, 3, 1)
-        hm = realize(multiqubit_reset_hamiltonian(ChainSpec(5, 9.0, 1.0, layout)))
+        hm = realize(multiqubit_reset_hamiltonian(ChainSpec(5, 9.0, 1.0), 1))
         hr = realize(reset_hamiltonian(ChainSpec(5, 9.0, 1.0)))
         assert np.allclose(hm.matrix.toarray(), hr.matrix.toarray())
 
     def test_profile_over_effective_length(self):
-        layout = RegisterLayout(2, 3, 2)
-        h = multiqubit_reset_hamiltonian(ChainSpec(7, 15.0, 1.0, layout))
+        h = multiqubit_reset_hamiltonian(ChainSpec(7, 15.0, 1.0), 2)
         prof = coupling_profile(6, 1.0)
         x_coeffs = {
             next(iter(factors)): coeff
@@ -274,9 +266,10 @@ class TestMultiqubitReset:
             n: pytest.approx(prof.t[n - 1]) for n in range(1, 6)
         }
 
-    def test_requires_layout(self):
-        with pytest.raises(ValueError, match="layout"):
-            multiqubit_reset_hamiltonian(ChainSpec(5, 9.0, 1.0))
+    def test_registers_must_fit_at_both_ends(self):
+        for k in (0, 3):
+            with pytest.raises(ValueError, match="registers"):
+                multiqubit_reset_hamiltonian(ChainSpec(5, 9.0, 1.0), k)
 
 
 class TestEnergyOffset:

@@ -8,7 +8,6 @@ from scipy.linalg import expm
 
 from dwtransfer import protocol
 from dwtransfer.core import (
-    PauliSum,
     PropagatorConfig,
     StateVector,
     basis_index,
@@ -24,10 +23,9 @@ from dwtransfer.encoding import (
 )
 from dwtransfer.hamiltonians import (
     ChainSpec,
-    RegisterLayout,
     coupling_profile,
     heisenberg_xy,
-    multiqubit_reset_hamiltonian,
+    reset_hamiltonian,
     transport_hamiltonian,
 )
 from dwtransfer.protocol import (
@@ -113,8 +111,7 @@ class TestSingleQubitTransfer:
             run_single_qubit_transfer(1.0, 1.0, cfg)
 
     def test_wireless_chain(self):
-        spec = ChainSpec(2, 22.0, 1.0, RegisterLayout(1, 0, 1))
-        cfg = ProtocolConfig(spec=spec, n_time_samples=20)
+        cfg = ProtocolConfig(spec=ChainSpec(2, 22.0, 1.0), n_time_samples=20)
         res = run_single_qubit_transfer(S2, S2, cfg)
         assert res.final_fidelity > 0.999
 
@@ -171,80 +168,50 @@ class TestSingleQubitTransfer:
         )
         assert leaked < 0.01
 
-    def test_pinned_first_spin_variant(self):
-        cfg = single_cfg(5, 22.0, n_time_samples=30,
-                         pin_first_spin_field=200.0)
-        res = run_single_qubit_transfer(S2, S2, cfg)
-        assert res.final_fidelity > 0.98
-
-    def test_pinned_transport_is_one_pauli_sum(self, monkeypatch):
-        # the pinned transport is realized once; the reference adds the
-        # realized t1 X_1 - B Z_1 to the realized field-free transport
-        N, B = 5, 200.0
-        spec = ChainSpec(N, 22.0, 1.0, RegisterLayout(1, 3, 1))
-        monkeypatch.setattr(protocol, "_run",
-                            lambda layout, branches, stages, *rest: stages)
-        stages = run_multi_qubit_transfer(
-            LogicalState(1, np.array([S2, S2])), spec.layout,
-            ProtocolConfig(spec=spec, pin_first_spin_field=B))
-        t1 = coupling_profile(N, 1.0).t[0]
-        former = (realize(transport_hamiltonian(spec)).matrix
-                  + realize(PauliSum(N, ((t1, {1: "X"}),
-                                         (-B, {1: "Z"})))).matrix)
-        assert abs(stages[0]().matrix - former).max() <= 1e-14
-
 
 class TestMultiQubitTransfer:
     def test_ghz_corrected_beats_uncorrected_peak(self):
-        layout = RegisterLayout(3, 3, 3)
-        spec = ChainSpec(9, 22.0, 1.0, layout)
-        cfg = ProtocolConfig(spec=spec, n_time_samples=60)
+        cfg = ProtocolConfig(spec=ChainSpec(9, 22.0, 1.0), n_time_samples=60)
         ghz = LogicalState(3, np.array([S2, 0, 0, 0, 0, 0, 0, S2]))
-        res = run_multi_qubit_transfer(ghz, layout, cfg)
+        res = run_multi_qubit_transfer(ghz, cfg)
         i = int(np.argmax(res.fidelity_corrected[60:])) + 60
         assert res.fidelity_corrected[i] >= res.fidelity_uncorrected[i]
 
     def test_bell_pair(self):
-        layout = RegisterLayout(2, 3, 2)
-        spec = ChainSpec(7, 22.0, 1.0, layout)
-        cfg = ProtocolConfig(spec=spec, n_time_samples=60)
+        cfg = ProtocolConfig(spec=ChainSpec(7, 22.0, 1.0), n_time_samples=60)
         bell = LogicalState(2, np.array([S2, 0, 0, S2]))
-        res = run_multi_qubit_transfer(bell, layout, cfg)
+        res = run_multi_qubit_transfer(bell, cfg)
         assert res.final_fidelity > 0.95
 
     def test_product_11_threshold(self):
-        layout = RegisterLayout(2, 3, 2)
-        spec = ChainSpec(7, 22.0, 1.0, layout)
-        cfg = ProtocolConfig(spec=spec, n_time_samples=60)
+        cfg = ProtocolConfig(spec=ChainSpec(7, 22.0, 1.0), n_time_samples=60)
         prod = LogicalState(2, np.array([0.0, 0, 0, 1.0]))
-        res = run_multi_qubit_transfer(prod, layout, cfg)
+        res = run_multi_qubit_transfer(prod, cfg)
         assert res.fidelity_corrected[-1] >= 0.95
 
     def test_global_rng_untouched(self):
         # byte-identical reruns rely on the fast propagator drawing no
         # random numbers from numpy's global generator
-        layout = RegisterLayout(2, 3, 2)
-        cfg = ProtocolConfig(spec=ChainSpec(7, 22.0, 1.0, layout))
+        cfg = ProtocolConfig(spec=ChainSpec(7, 22.0, 1.0))
         bell = LogicalState(2, np.array([S2, 0, 0, S2]))
         before = np.random.get_state()
-        run_multi_qubit_transfer(bell, layout, cfg)
+        run_multi_qubit_transfer(bell, cfg)
         after = np.random.get_state()
         assert np.array_equal(after[1], before[1])
         assert after[2:] == before[2:]
 
-    def test_layout_payload_mismatch(self):
-        layout = RegisterLayout(2, 3, 2)
-        spec = ChainSpec(7, 22.0, 1.0, layout)
-        cfg = ProtocolConfig(spec=spec, n_time_samples=10)
+    def test_payload_wider_than_half_the_chain_raises(self):
+        # a 3-qubit payload needs registers of 3 spins at both ends
+        cfg = ProtocolConfig(spec=ChainSpec(5, 22.0, 1.0), n_time_samples=10)
+        ghz = LogicalState(3, np.array([S2, 0, 0, 0, 0, 0, 0, S2]))
         with pytest.raises(ValueError, match="register"):
-            run_multi_qubit_transfer(logical_one(), layout, cfg)
+            run_multi_qubit_transfer(ghz, cfg)
 
     def test_bob_register_frozen_in_stage2(self):
-        layout = RegisterLayout(2, 3, 2)
-        spec = ChainSpec(7, 22.0, 1.0, layout)
-        cfg = ProtocolConfig(spec=spec, n_time_samples=40, propagator=EXACT)
+        cfg = ProtocolConfig(spec=ChainSpec(7, 22.0, 1.0), n_time_samples=40,
+                             propagator=EXACT)
         bell = LogicalState(2, np.array([S2, 0, 0, S2]))
-        res = run_multi_qubit_transfer(bell, layout, cfg)
+        res = run_multi_qubit_transfer(bell, cfg)
         n_samp = cfg.n_time_samples
         for site in (6, 7):
             stage2 = res.sigma_z_trace[site - 1, n_samp:]
@@ -367,8 +334,7 @@ class TestTraceRun:
     def test_chunks_match_one_call_per_sample(self, monkeypatch, cfg):
         # 100 samples per stage: by default two blocks of 40 and one of
         # 20 each, then one block per stage, then one sample per call
-        layout = RegisterLayout(2, 3, 2)
-        run_cfg = ProtocolConfig(spec=ChainSpec(7, 22.0, 1.0, layout),
+        run_cfg = ProtocolConfig(spec=ChainSpec(7, 22.0, 1.0),
                                  n_time_samples=100, propagator=cfg)
         bell = LogicalState(2, np.array([S2, 0, 0, S2]))
         lengths = []
@@ -383,7 +349,7 @@ class TestTraceRun:
             if rows is not None:
                 monkeypatch.setattr(protocol, "trace_rows", lambda n: rows)
             lengths.clear()
-            runs[label] = run_multi_qubit_transfer(bell, layout, run_cfg)
+            runs[label] = run_multi_qubit_transfer(bell, run_cfg)
             want = {"default": [40, 40, 20], "stage": [100],
                     "one": [1] * 100}[label]
             assert lengths == want * 2
@@ -403,7 +369,7 @@ class TestTraceRun:
         assert protocol.trace_rows(n) == rows
 
     def test_each_stage_operator_released_before_the_next(self):
-        spec = ChainSpec(5, 22.0, 1.0, RegisterLayout(1, 3, 1))
+        spec = ChainSpec(5, 22.0, 1.0)
         built = []
 
         def stage(builder):
@@ -418,7 +384,7 @@ class TestTraceRun:
         gc.disable()
         try:
             _trace_run(psi, (stage(transport_hamiltonian),
-                             stage(multiqubit_reset_hamiltonian)),
+                             stage(reset_hamiltonian)),
                        [], 5, spec.tau, 12, PropagatorConfig())
         finally:
             gc.enable()
@@ -466,12 +432,10 @@ class TestTraceOverlaps:
             assert np.abs(trace - ref).max() < 1e-14
 
     def test_multi_branch_payload(self, sampled):
-        layout = RegisterLayout(2, 3, 2)
-        spec = ChainSpec(7, 22.0, 1.0, layout)
+        spec = ChainSpec(7, 22.0, 1.0)
         amp = np.array([0.5, 0.5j, -0.5, 0.5])
         res = run_multi_qubit_transfer(
-            LogicalState(2, amp), layout,
-            ProtocolConfig(spec=spec, n_time_samples=25))
+            LogicalState(2, amp), ProtocolConfig(spec=spec, n_time_samples=25))
         assert len(sampled["branches"]) == 4
         self.assert_match_reference(
             res.times, res.fidelity_corrected, res.fidelity_uncorrected,
@@ -494,11 +458,9 @@ class TestBranchTable:
     def test_final_pattern_is_bobs_codec_pattern(self, k, n_wire):
         # every branch ends all down outside Bob's register, on the codec
         # pattern of its mirrored logical bits, which decodes back to them
-        layout = RegisterLayout(k, n_wire, k)
-        N = layout.total
+        N = 2 * k + n_wire
         payload = LogicalState(k, np.full(2**k, 2 ** (-k / 2), dtype=complex))
-        branches = protocol._build_branches(
-            payload, layout, ChainSpec(N, 22.0, 1.0, layout))
+        branches = protocol._build_branches(payload, ChainSpec(N, 22.0, 1.0))
         perm = protocol._decode_permutation(k)
         assert len(branches) == 2**k
         for idx, br in enumerate(branches):
@@ -545,9 +507,9 @@ class TestReadout:
         seen = []
         readout = protocol._readout
 
-        def recording(psi, layout, branches, tau, t_read, corrected):
-            seen.append((psi, layout.n_bob, branches, tau, corrected))
-            return readout(psi, layout, branches, tau, t_read, corrected)
+        def recording(psi, k, branches, tau, t_read, corrected):
+            seen.append((psi, k, branches, tau, corrected))
+            return readout(psi, k, branches, tau, t_read, corrected)
 
         monkeypatch.setattr(protocol, "_readout", recording)
         return seen
@@ -572,10 +534,9 @@ class TestReadout:
     ])
     def test_leaky_transfer(self, readouts, ratio, corrected, k,
                             amplitudes):
-        layout = RegisterLayout(k, 3, k)
-        spec = ChainSpec(layout.total, ratio, 1.0, layout)
+        spec = ChainSpec(2 * k + 3, ratio, 1.0)
         payload = LogicalState(k, np.array(amplitudes, dtype=complex))
-        res = run_multi_qubit_transfer(payload, layout, ProtocolConfig(
+        res = run_multi_qubit_transfer(payload, ProtocolConfig(
             spec=spec, n_time_samples=20, apply_phase_correction=corrected))
         f = self.assert_match_reference(res, readouts, payload)
         assert f < 1 - 1e-4
