@@ -20,7 +20,6 @@ from .core import (
 )
 from .hamiltonians import (
     ChainSpec,
-    CouplingProfile,
     coupling_profile,
     energy_offset,
     heisenberg_xy,

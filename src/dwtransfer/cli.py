@@ -221,21 +221,23 @@ def _check_registers(state: LogicalState, n_spins: int, field: str) -> None:
 
 
 def _check_footprint(n_spins: int, propagator: PropagatorConfig,
-                     dense_dim: int) -> None:
+                     dense_log2: float) -> None:
     """Refuse a run whose estimated memory per process exceeds
     ``MEMORY_LIMIT_GIB``.
 
     The estimate counts complex vectors of 2^N amplitudes and, on the
     dense path, three complex matrices of the largest component H is
-    diagonalized on (``dense_dim``).
+    diagonalized on, of dimension 2^``dense_log2``.  It is compared by
+    its log2, so no 2^N is formed for a chain of any length.
     """
-    need = 16 * (STATE_VECTORS + 3 * n_spins) * 2**n_spins
+    log2_need = n_spins + math.log2(16 * (STATE_VECTORS + 3 * n_spins))
     if propagator.method == "exact-eigendecomposition":
-        need += 16 * 3 * dense_dim**2
-    if need > MEMORY_LIMIT_GIB * 2**30:
+        log2_need = np.logaddexp2(log2_need,
+                                  math.log2(16 * 3) + 2 * dense_log2)
+    if log2_need > math.log2(MEMORY_LIMIT_GIB * 2**30):
         raise ManifestError(
             f"manifest field 'n_spins' is {n_spins}: the state-vector run "
-            f"needs about {need / 2**30:.3g} GiB, above the "
+            f"needs about 2^{log2_need:.4g} bytes, above the "
             f"{MEMORY_LIMIT_GIB} GiB limit; chains this long need the "
             f"free-fermion backend (ROADMAP item 2)"
         )
@@ -316,8 +318,11 @@ def cmd_baseline(run: Baseline, manifest: dict, out: Path, args) -> int:
     N = run.n_spins
     if N < 2:
         raise ManifestError(f"manifest field 'n_spins' must be >= 2, got {N}")
+    if run.lam <= 0:
+        raise ManifestError(
+            f"manifest field 'lam' must be positive, got {run.lam}")
     # the XY chain keeps the payload in its 0- and 1-excitation sectors
-    _check_footprint(N, run.propagator, N)
+    _check_footprint(N, run.propagator, math.log2(N))
     if run.state.n_logical != 1:
         raise ManifestError("manifest field 'state' must be a single qubit")
     cfg = ProtocolConfig(
@@ -333,7 +338,7 @@ def cmd_baseline(run: Baseline, manifest: dict, out: Path, args) -> int:
 def cmd_transfer(run: Transfer, manifest: dict, out: Path, args) -> int:
     N = run.n_spins
     # transport conserves spin 1 and the reset stage Bob's spins
-    _check_footprint(N, run.propagator, 2 ** (N - 1))
+    _check_footprint(N, run.propagator, N - 1)
     _check_registers(run.state, N, "state")
     cfg = ProtocolConfig(
         spec=ChainSpec(N, run.j_coupling, run.lam),
@@ -347,7 +352,7 @@ def cmd_transfer(run: Transfer, manifest: dict, out: Path, args) -> int:
 
 def cmd_sweep(run: Sweep, manifest: dict, out: Path, args) -> int:
     N = run.n_spins
-    _check_footprint(N, run.propagator, 2 ** (N - 1))
+    _check_footprint(N, run.propagator, N - 1)
     ratios = [_value(float, r, "ratios") for r in run.ratios]
     if not ratios or not all(r > 0 for r in ratios):
         raise ManifestError(

@@ -19,28 +19,9 @@ from .core import PauliSum
 RATIO_WARN_THRESHOLD = 8.0
 
 
-@dataclass(frozen=True)
-class CouplingProfile:
-    """Mirror-symmetric coupling profile t_n = (lam/2) sqrt(n(N-n))."""
-
-    chain_length: int
-    lam: float
-    t: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        t.flags.writeable = False
-        object.__setattr__(self, "t", t)
-
-    def value(self, n: int) -> float:
-        """t_n for n in 1..N-1; t_N evaluates to 0 by the same formula."""
-        if n == self.chain_length:
-            return 0.0
-        return float(self.t[n - 1])
-
-
-def coupling_profile(N: int, lam: float) -> CouplingProfile:
-    """Profile enabling perfect mirror transfer on an N-site chain.
+def coupling_profile(N: int, lam: float) -> np.ndarray:
+    """Bond strengths t_n = (lam/2) sqrt(n(N-n)), n = 1..N-1, that give
+    perfect mirror transfer on an N-site chain, as a read-only array.
 
     Symmetry t_n = t_{N-n} is bit-exact because both evaluate
     sqrt of the same integer product n(N-n).
@@ -52,7 +33,8 @@ def coupling_profile(N: int, lam: float) -> CouplingProfile:
     t = np.array(
         [0.5 * lam * math.sqrt(n * (N - n)) for n in range(1, N)]
     )
-    return CouplingProfile(N, lam, t)
+    t.flags.writeable = False
+    return t
 
 
 @dataclass(frozen=True)
@@ -92,10 +74,10 @@ def heisenberg_xy(N: int, lam: float) -> PauliSum:
     hopping positive, matching the closed form and the transverse-field
     (wall-hopping) convention of the Ising builders.
     """
-    prof = coupling_profile(N, lam)
+    t = coupling_profile(N, lam)
     terms = []
     for n in range(1, N):
-        half = 0.5 * prof.t[n - 1]
+        half = 0.5 * t[n - 1]
         terms.append((half, {n: "X", n + 1: "X"}))
         terms.append((half, {n: "Y", n + 1: "Y"}))
     return PauliSum(N, tuple(terms))
@@ -117,12 +99,12 @@ def ising_dw(spec: ChainSpec) -> PauliSum:
 
     H = sum_{n=1}^{N} t_n X_n - J Z_1 + J Z_N + J sum ZZ.  The boundary
     fields pin a virtual up spin on the left and a virtual down spin on
-    the right; the last field term carries t_N = 0 by the profile formula
-    and is kept for literal completeness.
+    the right; the last field term carries t_N = 0, the profile formula
+    at n = N, and is kept for literal completeness.
     """
     N, J = spec.n_spins, spec.j_coupling
-    prof = coupling_profile(N, spec.lam)
-    terms = [(prof.value(n), {n: "X"}) for n in range(1, N + 1)]
+    t = (*coupling_profile(N, spec.lam), 0.0)
+    terms = [(float(t_n), {n: "X"}) for n, t_n in enumerate(t, start=1)]
     terms.append((-J, {1: "Z"}))
     terms.append((J, {N: "Z"}))
     terms.extend(_zz_terms(N, J))
@@ -137,8 +119,8 @@ def transport_hamiltonian(spec: ChainSpec) -> PauliSum:
     seeds travels to the far end over tau.
     """
     N, J = spec.n_spins, spec.j_coupling
-    prof = coupling_profile(N, spec.lam)
-    terms = [(prof.t[n - 2], {n: "X"}) for n in range(2, N + 1)]
+    t = coupling_profile(N, spec.lam)
+    terms = [(t[n - 2], {n: "X"}) for n in range(2, N + 1)]
     terms.append((J, {N: "Z"}))
     terms.extend(_zz_terms(N, J))
     return PauliSum(N, tuple(terms))
@@ -175,8 +157,8 @@ def multiqubit_reset_hamiltonian(spec: ChainSpec, k: int) -> PauliSum:
             f"the chain has N = {N} spins"
         )
     active = N - k
-    prof = coupling_profile(active + 1, spec.lam)
-    terms = [(prof.t[n - 1], {n: "X"}) for n in range(1, active + 1)]
+    t = coupling_profile(active + 1, spec.lam)
+    terms = [(t[n - 1], {n: "X"}) for n in range(1, active + 1)]
     terms.append((J, {1: "Z"}))
     terms.extend(_zz_terms(N, J))
     return PauliSum(N, tuple(terms))

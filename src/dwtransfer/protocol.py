@@ -11,11 +11,12 @@ The protocol pipeline is:
    returning the wire to all-down;
 4. undo the deterministic stage phases and decode Bob's register.
 
-Deterministic phases are tracked per logical branch: a branch is a set of
-domain walls, the mirror dynamics of walls is free-fermion hopping on the
-interface lattice, and the branch amplitude is a Slater determinant of
-the single-particle mirror propagator times the diagonal sector phase
-exp(-i E_M tau).
+Deterministic phases are tracked per logical branch, in closed form from
+its bits: a branch is a set of domain walls, and at tau = pi/lam the
+engineered profile mirrors every wall with the perfect-transfer amplitude
+(-i)^(L-1) on L interfaces, times a fermionic sign for the walls' reversed
+order.  Each stage adds the diagonal sector phase exp(-i E_M tau) of its
+wall count M.
 """
 
 from __future__ import annotations
@@ -41,11 +42,9 @@ from .encoding import (
 )
 from .hamiltonians import (
     ChainSpec,
-    coupling_profile,
     energy_offset,
     heisenberg_xy,
     multiqubit_reset_hamiltonian,
-    transfer_amplitude_closed_form,
     transport_hamiltonian,
 )
 
@@ -124,83 +123,56 @@ class _Branch:
         )
 
 
-def _wall_positions(seq):
-    """1-based interface positions carrying a wall in ``seq``: interface
-    i lies between its entries i and i + 1."""
-    return [i + 1 for i in range(len(seq) - 1) if seq[i] != seq[i + 1]]
+def _mirror_phase(L: int, m: int) -> complex:
+    """Amplitude P(L, m) = (-i)^((L-1) m) (-1)^(m(m-1)/2) with which one
+    mirror time carries ``m`` walls on ``L`` interfaces to their mirror
+    images.
+
+    At tau = pi/lam the engineered hopping is a spin-(L-1)/2 rotated by
+    pi, so each wall picks up the perfect-transfer amplitude (-i)^(L-1);
+    the mirror reverses the walls' order, a fermionic sign.  The
+    exponent of -i, m (L + m - 2), is taken mod 4 so the value is exact.
+    """
+    return (1 + 0j, -1j, -1 + 0j, 1j)[m * (L + m - 2) % 4]
 
 
-def _mirror_propagator(length: int, lam: float, tau: float) -> np.ndarray:
-    """Single-particle propagator of walls hopping with bond strengths t_k,
-    ``V diag(exp(-i w tau)) V^T`` from the eigensystem of the real
-    symmetric hopping matrix."""
-    prof = coupling_profile(length, lam)
-    w, v = np.linalg.eigh(np.diag(prof.t, 1) + np.diag(prof.t, -1))
-    return (v * np.exp(-1j * w * tau)) @ v.T
-
-
-def _slater_phase(G: np.ndarray, s_in, s_out) -> complex:
-    """Transition amplitude between wall configurations (free fermions)."""
-    if len(s_in) != len(s_out):
-        return 0.0
-    if not s_in:
-        return 1.0 + 0.0j
-    rows = [s - 1 for s in sorted(s_out)]
-    cols = [s - 1 for s in sorted(s_in)]
-    return complex(np.linalg.det(G[np.ix_(rows, cols)]))
-
-
-def _from_walls(n: int, walls, right: bool) -> list:
-    """Spin pattern of ``n`` spins whose interfaces carry walls exactly at
-    ``walls``, read from a down boundary spin: from the left, with
-    interface p left of spin p, or, if ``right``, from the right, with
-    interface p right of spin p."""
-    bits = [0] * n
-    acc = 0
-    for p in (range(n, 0, -1) if right else range(1, n + 1)):
-        if p in walls:
-            acc ^= 1
-        bits[p - 1] = acc
-    return bits
+def _bob_pattern(bits) -> tuple:
+    """Bob's register pattern of the logical ``bits``: transport delivers
+    them in mirrored order, so it is the codec pattern of ``bits``
+    reversed, and the decode step reverses them back."""
+    return dw_encode_bits(bits[::-1], _CTX)
 
 
 def _build_branches(logical_in: LogicalState, spec: ChainSpec):
-    """Branch table: initial/final chain patterns and deterministic phases
-    of a payload carried between registers as wide as itself."""
+    """Branch table of a payload carried between registers as wide as
+    itself, in closed form.
+
+    Branch b starts on its codec pattern in Alice's register and ends on
+    its Bob pattern, all down elsewhere.  Stage 1 mirrors its m1 = |b|
+    walls across N interfaces (interface p right of spin p, a virtual
+    down spin right of spin N).  That leaves spins 1..N-k at m1 mod 2,
+    so stage 2 (interface p left of spin p, a virtual down spin left of
+    spin 1) mirrors m2 = m1 mod 2 walls across its N - k + 1 interfaces;
+    the walls in Bob's register stay.  The wall right of spin N, b's
+    first bit, is no wall in stage 2.
+    """
     k = logical_in.n_logical
-    N, J, tau = spec.n_spins, spec.j_coupling, spec.tau
-    L2 = N - k + 1
-    G1 = _mirror_propagator(N, spec.lam, tau)
-    G2 = _mirror_propagator(L2, spec.lam, tau)
+    N, J = spec.n_spins, spec.j_coupling
     branches = []
     for idx in range(2**k):
         c = logical_in.amplitudes[idx]
         if c == 0:
             continue
         b = index_bits(idx, k)
-        chain0 = list(dw_encode_bits(b, _CTX)) + [0] * (N - k)
-        # stage 1: interface p lies between spins p and p+1, the virtual
-        # down spin sits at position N+1; mirror sends p -> N+1-p
-        s1 = _wall_positions(chain0 + [0])
-        s1_out = {N + 1 - p for p in s1}
-        phi1 = _slater_phase(G1, s1, s1_out)
-        chain1 = _from_walls(N, s1_out, right=True)
-        # stage 2: interface p lies between spins p-1 and p, the virtual
-        # down spin sits at position 0; walls at p <= L2 are mobile,
-        # walls inside Bob's register are frozen
-        s2 = _wall_positions([0] + chain1)
-        mobile = [p for p in s2 if p <= L2]
-        frozen = [p for p in s2 if p > L2]
-        s2_out = [L2 + 1 - p for p in mobile]
-        phi2 = _slater_phase(G2, mobile, s2_out)
-        chain2 = _from_walls(N, set(s2_out) | set(frozen), right=False)
+        m1 = sum(b)
+        m2 = m1 % 2
         branches.append(_Branch(
             coefficient=complex(c),
-            initial_bits=tuple(chain0),
-            final_bits=tuple(chain2),
-            mirror_phase=phi1 * phi2,
-            energy_stage1=energy_offset(N, len(s1), J),
-            energy_stage2=energy_offset(N, len(s2), J),
+            initial_bits=dw_encode_bits(b, _CTX) + (0,) * (N - k),
+            final_bits=(0,) * (N - k) + _bob_pattern(b),
+            mirror_phase=_mirror_phase(N, m1) * _mirror_phase(N - k + 1, m2),
+            energy_stage1=energy_offset(N, m1, J),
+            energy_stage2=energy_offset(N, m1 - b[0] + m2, J),
         ))
     return branches
 
@@ -226,15 +198,10 @@ def _sigma_z_all(probs: np.ndarray, n: int) -> np.ndarray:
 
 
 def _decode_permutation(k: int) -> np.ndarray:
-    """perm[logical index] = the physical Bob index decoding to it.
-
-    Transport delivers the payload in mirrored qubit order; the decode
-    step reads the interfaces of Bob's register and reverses the result.
-    """
-    return np.array([
-        basis_index(dw_encode_bits(index_bits(idx, k)[::-1], _CTX))
-        for idx in range(2**k)
-    ])
+    """perm[logical index] = the physical Bob index decoding to it, the
+    index of its Bob pattern."""
+    return np.array([basis_index(_bob_pattern(index_bits(idx, k)))
+                     for idx in range(2**k)])
 
 
 def _readout(psi: StateVector, k: int, branches, tau, t_read: float,
@@ -260,9 +227,10 @@ def _readout(psi: StateVector, k: int, branches, tau, t_read: float,
         j = basis_index(br.final_bits[-k:])
         target[j] = br.coefficient * phase
         undo[j] = np.conj(phase)
-    f = float(np.linalg.norm(M @ target.conj()) ** 2)
+    overlaps = M @ target.conj()
+    f = float(np.vdot(overlaps, overlaps).real)
     logical_vec = (undo * M[0])[_decode_permutation(k)]
-    nrm = np.linalg.norm(logical_vec)
+    nrm = np.sqrt(np.vdot(logical_vec, logical_vec).real)
     if nrm < 1e-12:
         raise RuntimeError("no weight on the decoded register; run diverged")
     return LogicalState(k, logical_vec / nrm), _unit_interval(
@@ -420,9 +388,8 @@ def run_single_qubit_transfer(
     alpha: complex, beta: complex, cfg: ProtocolConfig
 ) -> ProtocolResult:
     """Two-stage transfer of alpha|1> + beta|0> stored in spin 1: the
-    multi-qubit protocol with single-spin registers."""
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
-        raise ValueError("|alpha|^2 + |beta|^2 must equal 1")
+    multi-qubit protocol with single-spin registers, on the same payload
+    check as every other, :class:`LogicalState`'s."""
     logical_in = LogicalState(1, np.array([beta, alpha], dtype=complex))
     return run_multi_qubit_transfer(logical_in, cfg)
 
@@ -440,14 +407,13 @@ def run_heisenberg_baseline(
         raise ValueError("baseline transfers a single logical qubit")
     tau = np.pi / lam
     beta, alpha = logical_in.amplitudes
-    mirror = transfer_amplitude_closed_form(N, lam, tau)
     branches = []
     if beta != 0:
         branches.append(_Branch(complex(beta), (0,) * N, (0,) * N,
                                 1.0 + 0j, 0.0, 0.0))
     if alpha != 0:
         branches.append(_Branch(complex(alpha), (1,) + (0,) * (N - 1),
-                                (0,) * (N - 1) + (1,), complex(mirror),
+                                (0,) * (N - 1) + (1,), _mirror_phase(N, 1),
                                 0.0, 0.0))
     return _run(
         N, 1, branches, (lambda: realize(heisenberg_xy(N, lam)),), 0.0,

@@ -380,6 +380,15 @@ class TestInputGuards:
         assert "'n_spins'" in capsys.readouterr().err
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("lam", [0, -1])
+    def test_baseline_non_positive_lam_exits_1(self, baseline_manifest,
+                                               tmp_path, capsys, lam):
+        cfg = with_fields(baseline_manifest, tmp_path, lam=lam)
+        out = tmp_path / "o"
+        assert run(["baseline", "--config", cfg, "--out", out]) == 1
+        assert "'lam'" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("state, field", [
         ({"alpha": math.nan}, "state.alpha"),
         ({"alpha": [1.0, 0.0], "beta": "0"}, "state.beta"),
@@ -418,7 +427,8 @@ class TestInputGuards:
 
 
 class TestMemoryGuard:
-    @pytest.mark.parametrize("n_spins", [40, 64])
+    # 1100 and 2000 overflow a float estimate of 2^N bytes
+    @pytest.mark.parametrize("n_spins", [40, 64, 1100, 2000])
     @pytest.mark.parametrize("command", ["baseline", "transfer", "sweep"])
     def test_chain_too_long_exits_1(self, request, tmp_path, capsys,
                                     command, n_spins):
@@ -434,10 +444,10 @@ class TestMemoryGuard:
         sparse = PropagatorConfig(method="krylov")
         dense = PropagatorConfig(method="exact-eigendecomposition")
         for n in (13, 16):
-            _check_footprint(n, sparse, 2 ** (n - 1))
-        _check_footprint(13, dense, 2**12)
+            _check_footprint(n, sparse, n - 1)
+        _check_footprint(13, dense, 12)
         with pytest.raises(ManifestError, match="'n_spins'"):
-            _check_footprint(16, dense, 2**15)
+            _check_footprint(16, dense, 15)
 
 
 class TestManifestLoader:

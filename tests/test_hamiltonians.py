@@ -34,22 +34,28 @@ def terms_as_set(pauli_sum):
 
 class TestCouplingProfile:
     def test_two_site(self):
-        prof = coupling_profile(2, 2.0)
-        assert np.allclose(prof.t, [1.0])
+        t = coupling_profile(2, 2.0)
+        assert np.allclose(t, [1.0])
 
     def test_n13_middle_pair(self):
-        prof = coupling_profile(13, 1.0)
-        assert prof.t[5] == pytest.approx(0.5 * math.sqrt(42))
-        assert prof.t[5] == prof.t[6]
+        t = coupling_profile(13, 1.0)
+        assert t[5] == pytest.approx(0.5 * math.sqrt(42))
+        assert t[5] == t[6]
 
     @pytest.mark.parametrize("N", [2, 3, 8, 13, 31, 64])
     def test_mirror_symmetry_bit_exact(self, N):
-        prof = coupling_profile(N, 0.7)
+        t = coupling_profile(N, 0.7)
+        assert t.shape == (N - 1,)
         for n in range(1, N):
-            assert prof.t[n - 1] == prof.t[N - n - 1]
+            assert t[n - 1] == t[N - n - 1]
 
     def test_all_positive(self):
-        assert (coupling_profile(16, 1.0).t > 0).all()
+        assert (coupling_profile(16, 1.0) > 0).all()
+
+    def test_read_only(self):
+        t = coupling_profile(5, 1.0)
+        with pytest.raises(ValueError):
+            t[0] = 0.0
 
     def test_rejects_short_chain(self):
         with pytest.raises(ValueError):
@@ -143,7 +149,7 @@ class TestIsingDW:
         N, lam = 6, 1.0
         # the wall hops on N+1 interfaces; bond p is the field t_p on
         # spin p, with t_N = 0 by the profile formula
-        bonds = np.concatenate([coupling_profile(N, lam).t, [0.0]])
+        bonds = np.concatenate([coupling_profile(N, lam), [0.0]])
         single = np.diag(bonds, 1) + np.diag(bonds, -1)
         ref = np.sort(np.linalg.eigvalsh(single))
         ctx = BoundaryContext(left_value=1, right_context=0)
@@ -165,11 +171,11 @@ class TestIsingDW:
 
 class TestTransportHamiltonian:
     def test_three_site_terms(self):
-        prof = coupling_profile(3, 1.0)
+        t = coupling_profile(3, 1.0)
         h = transport_hamiltonian(ChainSpec(3, 11.0, 1.0))
         assert terms_as_set(h) == {
-            (prof.t[0], ((2, "X"),)),
-            (prof.t[1], ((3, "X"),)),
+            (t[0], ((2, "X"),)),
+            (t[1], ((3, "X"),)),
             (11.0, ((3, "Z"),)),
             (11.0, ((1, "Z"), (2, "Z"))),
             (11.0, ((2, "Z"), (3, "Z"))),
@@ -208,11 +214,11 @@ class TestResetHamiltonian:
         # boundary field +J Z_1 (virtual down spin on the left): the
         # unique sign for which the reset stage mirrors the transport
         # stage and the wire actually resets
-        prof = coupling_profile(3, 1.0)
+        t = coupling_profile(3, 1.0)
         h = reset_hamiltonian(ChainSpec(3, 11.0, 1.0))
         assert terms_as_set(h) == {
-            (prof.t[0], ((1, "X"),)),
-            (prof.t[1], ((2, "X"),)),
+            (t[0], ((1, "X"),)),
+            (t[1], ((2, "X"),)),
             (11.0, ((1, "Z"),)),
             (11.0, ((1, "Z"), (2, "Z"))),
             (11.0, ((2, "Z"), (3, "Z"))),
@@ -256,14 +262,14 @@ class TestMultiqubitReset:
 
     def test_profile_over_effective_length(self):
         h = multiqubit_reset_hamiltonian(ChainSpec(7, 15.0, 1.0), 2)
-        prof = coupling_profile(6, 1.0)
+        t = coupling_profile(6, 1.0)
         x_coeffs = {
             next(iter(factors)): coeff
             for coeff, factors in h.terms
             if list(factors.values()) == ["X"]
         }
         assert x_coeffs == {
-            n: pytest.approx(prof.t[n - 1]) for n in range(1, 6)
+            n: pytest.approx(t[n - 1]) for n in range(1, 6)
         }
 
     def test_registers_must_fit_at_both_ends(self):

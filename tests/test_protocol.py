@@ -24,13 +24,15 @@ from dwtransfer.encoding import (
 from dwtransfer.hamiltonians import (
     ChainSpec,
     coupling_profile,
+    energy_offset,
     heisenberg_xy,
     reset_hamiltonian,
+    transfer_amplitude_closed_form,
     transport_hamiltonian,
 )
 from dwtransfer.protocol import (
     ProtocolConfig,
-    _mirror_propagator,
+    _mirror_phase,
     _sigma_z_all,
     _trace_run,
     _unit_interval,
@@ -109,6 +111,21 @@ class TestSingleQubitTransfer:
         cfg = single_cfg(5, 22.0)
         with pytest.raises(ValueError):
             run_single_qubit_transfer(1.0, 1.0, cfg)
+
+    def test_same_norm_tolerance_as_every_payload(self):
+        # the payload goes through LogicalState's check alone, so a norm
+        # off by 1e-7 runs as the renormalized two-amplitude payload
+        cfg = single_cfg(5, 22.0, n_time_samples=20, propagator=EXACT)
+        alpha, beta = math.sqrt(0.5 + 1e-7), math.sqrt(0.5)
+        res = run_single_qubit_transfer(alpha, beta, cfg)
+        ref = run_multi_qubit_transfer(
+            LogicalState(1, np.array([beta, alpha], dtype=complex)), cfg)
+        assert res.final_fidelity == ref.final_fidelity
+        assert np.array_equal(res.final_logical.amplitudes,
+                              ref.final_logical.amplitudes)
+        assert np.array_equal(res.fidelity_corrected, ref.fidelity_corrected)
+        with pytest.raises(ValueError, match="not normalized"):
+            run_single_qubit_transfer(math.sqrt(0.5 + 1e-3), beta, cfg)
 
     def test_wireless_chain(self):
         cfg = ProtocolConfig(spec=ChainSpec(2, 22.0, 1.0), n_time_samples=20)
@@ -257,23 +274,44 @@ class TestTraceAccess:
         assert res.peak_fidelity >= res.fidelity_corrected[-1] - 1e-12
 
 
+def _hopping(L, lam):
+    """Wall hopping matrix of the engineered profile on L interfaces."""
+    t = coupling_profile(L, lam)
+    return np.diag(t, 1) + np.diag(t, -1)
+
+
+def _mirror_propagator(L, lam):
+    """Single-wall propagator over one mirror time pi/lam."""
+    return expm(-1j * math.pi / lam * _hopping(L, lam))
+
+
 class TestMirrorPropagator:
     @pytest.mark.parametrize("lam", [1.0, 0.37])
     def test_mirror_time_closed_form(self, lam):
         # at tau = pi/lam every wall lands on its mirror site with the
-        # phase (-i)^(N-1) of a spin-(N-1)/2 rotated by pi
-        for N in range(2, 40):
-            G = _mirror_propagator(N, lam, math.pi / lam)
-            mirror = (-1j) ** (N - 1) * np.eye(N)[::-1]
-            assert np.abs(G - mirror).max() <= 1e-12, N
+        # phase (-i)^(L-1) of a spin-(L-1)/2 rotated by pi; m walls
+        # reverse their order, the sign of the mirrored block's
+        # determinant
+        for L in range(2, 40):
+            G = _mirror_propagator(L, lam)
+            mirror = _mirror_phase(L, 1) * np.eye(L)[::-1]
+            assert np.abs(G - mirror).max() <= 1e-12, L
+            for m in range(min(4, L) + 1):
+                spread = np.linspace(0, L - 1, m).round().astype(int)
+                for cols in (np.arange(m), spread):
+                    rows = (L - 1 - cols)[::-1]
+                    det = np.linalg.det(G[np.ix_(rows, cols)])
+                    assert abs(det - _mirror_phase(L, m)) <= 1e-12, (L, m)
 
     @pytest.mark.parametrize("N, t", [(2, 0.3), (5, 1.7), (9, 0.05),
                                       (13, 2.9), (20, 6.0)])
     def test_matches_expm(self, N, t):
-        prof = coupling_profile(N, 1.0)
-        hop = np.diag(prof.t, 1) + np.diag(prof.t, -1)
-        G = _mirror_propagator(N, 1.0, t)
-        assert np.abs(G - expm(-1j * t * hop)).max() <= 1e-12
+        # the engineered wall hopping is lam S_x of a spin (N-1)/2: its
+        # end-to-end element at any time is the XY chain's closed form
+        G = expm(-1j * t * _hopping(N, 1.0))
+        expected = transfer_amplitude_closed_form(N, 1.0, t)
+        assert abs(G[N - 1, 0] - expected) <= 1e-12
+        assert abs(G[0, N - 1] - expected) <= 1e-12
 
 
 class TestUnitInterval:
@@ -468,6 +506,73 @@ class TestBranchTable:
             assert br.final_bits[:N - k] == (0,) * (N - k)
             assert br.final_bits[N - k:] == dw_encode_bits(b[::-1], CTX)
             assert perm[idx] == basis_index(br.final_bits[N - k:])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_closed_form_matches_stage_by_stage_walls(self, k):
+        payload = LogicalState(k, np.full(2**k, 2 ** (-k / 2), dtype=complex))
+        for N in range(2 * k, 2 * k + 9):
+            spec = ChainSpec(N, 22.0, 0.37)
+            branches = protocol._build_branches(payload, spec)
+            reference = stage_by_stage_branches(k, spec)
+            assert len(branches) == len(reference)
+            for br, (initial, final, phase, e1, e2) in zip(branches,
+                                                           reference):
+                assert br.initial_bits == initial
+                assert br.final_bits == final
+                assert abs(br.mirror_phase - phase) <= 1e-12, (N, initial)
+                assert br.energy_stage1 == e1
+                assert br.energy_stage2 == e2
+
+
+def _walls(seq):
+    """1-based interfaces carrying a wall: interface i lies between
+    entries i and i + 1 of ``seq``."""
+    return {i + 1 for i in range(len(seq) - 1) if seq[i] != seq[i + 1]}
+
+
+def _spins(n, walls, right):
+    """The ``n`` spins whose interfaces carry exactly ``walls``, read
+    from a down boundary spin: on the right, with interface p right of
+    spin p, or else on the left, with interface p left of spin p."""
+    bits, acc = [0] * n, 0
+    for p in (range(n, 0, -1) if right else range(1, n + 1)):
+        acc ^= p in walls
+        bits[p - 1] = acc
+    return tuple(bits)
+
+
+def _slater(L, lam, s_in, s_out):
+    """Amplitude of free-fermion walls hopping from ``s_in`` to
+    ``s_out`` over one mirror time on ``L`` interfaces."""
+    rows = [p - 1 for p in sorted(s_out)]
+    cols = [p - 1 for p in sorted(s_in)]
+    return np.linalg.det(_mirror_propagator(L, lam)[np.ix_(rows, cols)])
+
+
+def stage_by_stage_branches(k, spec):
+    """Reference branch table: ``(initial, final, mirror phase, stage
+    energies)`` per logical index, each stage's walls mirrored as free
+    fermions with a Slater determinant of the ``expm`` propagator."""
+    N, J, lam = spec.n_spins, spec.j_coupling, spec.lam
+    L2 = N - k + 1
+    table = []
+    for idx in range(2**k):
+        chain0 = dw_encode_bits(index_bits(idx, k), CTX) + (0,) * (N - k)
+        # stage 1: a virtual down spin right of spin N
+        s1 = _walls(chain0 + (0,))
+        s1_out = {N + 1 - p for p in s1}
+        chain1 = _spins(N, s1_out, right=True)
+        # stage 2: a virtual down spin left of spin 1; walls on the
+        # first L2 interfaces move, walls inside Bob's register do not
+        s2 = _walls((0,) + chain1)
+        mobile = {p for p in s2 if p <= L2}
+        s2_out = {L2 + 1 - p for p in mobile}
+        table.append((
+            chain0, _spins(N, s2_out | (s2 - mobile), right=False),
+            _slater(N, lam, s1, s1_out) * _slater(L2, lam, mobile, s2_out),
+            energy_offset(N, len(s1), J), energy_offset(N, len(s2), J),
+        ))
+    return table
 
 
 def readout_by_density_matrix(psi, k, branches, tau, logical_in, corrected):
