@@ -19,13 +19,11 @@ from .core import (
     sigma_z_expectation,
 )
 from .hamiltonians import (
-    ChainSpec,
     coupling_profile,
     energy_offset,
     heisenberg_xy,
     ising_dw,
     multiqubit_reset_hamiltonian,
-    reset_hamiltonian,
     transfer_amplitude_closed_form,
     transport_hamiltonian,
 )
@@ -40,8 +38,9 @@ from .encoding import (
     phase_ledger,
 )
 from .protocol import (
-    ProtocolConfig,
+    Baseline,
     ProtocolResult,
+    Transfer,
     run_heisenberg_baseline,
     run_multi_qubit_transfer,
     run_single_qubit_transfer,

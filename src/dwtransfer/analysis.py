@@ -6,13 +6,13 @@ import io
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import PropagatorConfig, StateVector, evolve, realize
 from .hamiltonians import heisenberg_xy, transfer_amplitude_closed_form
-from .protocol import ProtocolConfig, run_multi_qubit_transfer, trace_rows
+from .protocol import run_multi_qubit_transfer, trace_rows
 
 EPS_FLOOR = 1e-12
 FIT_RATIO_MIN = 8.0
@@ -80,10 +80,9 @@ class SweepTable:
         return out
 
 
-def _sweep_item(args):
-    label, logical, ratio, base_cfg = args
-    spec = replace(base_cfg.spec, j_coupling=ratio * base_cfg.spec.lam)
-    result = run_multi_qubit_transfer(logical, replace(base_cfg, spec=spec))
+def _sweep_item(item):
+    label, ratio, run = item
+    result = run_multi_qubit_transfer(run)
     eps = max(1.0 - result.peak_fidelity, 0.0)
     return label, ratio, eps, result.peak_time
 
@@ -101,32 +100,22 @@ def _fit_rows(rows):
     return SweepFit(float(slope), float(intercept), r2, len(pts))
 
 
-def error_scaling_sweep(states, ratios, base_cfg: ProtocolConfig,
-                        n_workers: int = None) -> SweepTable:
+def error_scaling_sweep(runs, n_workers: int = None) -> SweepTable:
     """Run the protocol over a grid of J/lam ratios and fit the error law.
 
-    ``states`` is a list of (label, LogicalState) pairs; each payload
-    runs between registers as wide as itself.  The infidelity of each
-    run is 1 minus the corrected-trace peak inside the readout window.
-    The log-log fit uses only ratios inside [8, 40] with infidelity
-    above the numerical floor; rows outside the window are kept in the
-    table but flagged.  Results are assembled by (label, ratio) key, so
-    worker count and completion order never change the output.
+    ``runs`` is a list of ``(label, ratio, Transfer)`` entries, the
+    ratio reported and fitted as given.  The infidelity of each run is 1
+    minus the corrected-trace peak inside the readout window.  The
+    log-log fit uses only ratios inside [8, 40] with infidelity above
+    the numerical floor; rows outside the window are kept in the table
+    but flagged.  Results are assembled by (label, ratio) key, so worker
+    count and completion order never change the output.
     """
-    if not ratios:
-        raise ValueError("ratio list must be non-empty")
-    if any(r <= 0 for r in ratios):
-        raise ValueError("ratios must be positive")
-    work = [
-        (label, logical, float(ratio), base_cfg)
-        for label, logical in states
-        for ratio in ratios
-    ]
     if n_workers and n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = list(pool.map(_sweep_item, work))
+            outcomes = list(pool.map(_sweep_item, runs))
     else:
-        outcomes = [_sweep_item(w) for w in work]
+        outcomes = [_sweep_item(item) for item in runs]
     rows = []
     for label, ratio, eps, t_peak in sorted(
         outcomes, key=lambda o: (o[0], o[1])

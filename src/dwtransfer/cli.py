@@ -3,7 +3,8 @@
 Subcommands ``baseline``, ``transfer``, ``sweep``, ``consistency`` each
 read a flat JSON manifest (``--config``) and write CSV/JSON files into
 ``--out``.  The fields of each manifest are declared once, as the
-dataclass of its experiment (``Baseline``, ``Transfer``, ``Sweep``,
+dataclass of its experiment (``protocol.Baseline`` and
+``protocol.Transfer``, the library's own run records, and ``Sweep`` and
 ``Consistency``): the annotation of each field is its kind, and a field
 with a default may be left out.  Every CSV starts with the manifest, as
 read, in a ``#`` comment line, so any data file is reproducible on its
@@ -18,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+import typing
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -30,10 +32,11 @@ from .analysis import (
 )
 from .core import PropagatorConfig
 from .encoding import LogicalState
-from .hamiltonians import ChainSpec
 from .protocol import (
-    ProtocolConfig,
+    Baseline,
     ProtocolResult,
+    Transfer,
+    _check_chain,
     run_heisenberg_baseline,
     run_multi_qubit_transfer,
     run_single_qubit_transfer,  # not called here: perfbench/spans.py wraps it
@@ -47,35 +50,13 @@ MEMORY_LIMIT_GIB = 4  # largest estimated footprint a run may start with
 # and the Chebyshev ring; the realized operator and its build add about
 # 3 more per spin
 STATE_VECTORS = 48
+# bytes per sampled trace value: 8 in its array and about 185 while
+# _write_run formats it (measured at N = 5 and 13)
+TRACE_VALUE_BYTES = 200
 
 
 class ManifestError(ValueError):
     """Invalid or missing manifest field; message names the field."""
-
-
-@dataclass(frozen=True)
-class Baseline:
-    """XY-chain perfect transfer reference"""
-
-    n_spins: int
-    lam: float
-    state: LogicalState
-    n_time_samples: int = 200
-    propagator: PropagatorConfig = PropagatorConfig()
-
-
-@dataclass(frozen=True)
-class Transfer:
-    """two-stage domain-wall transfer between registers as wide as the
-    payload"""
-
-    n_spins: int
-    lam: float
-    j_coupling: float
-    state: LogicalState
-    apply_phase_correction: bool = True
-    n_time_samples: int = 200
-    propagator: PropagatorConfig = PropagatorConfig()
 
 
 @dataclass(frozen=True)
@@ -88,6 +69,9 @@ class Sweep:
     states: list  # of SweepState objects
     n_time_samples: int = 200
     propagator: PropagatorConfig = PropagatorConfig()
+
+    def __post_init__(self):
+        _check_chain(self)  # the chain every Transfer of the sweep shares
 
 
 @dataclass(frozen=True)
@@ -119,11 +103,12 @@ def _load(schema, manifest: dict, prefix: str = ""):
     an absent one takes its default, and is an error if it has none.
     Fields the schema does not declare are ignored.
     """
+    kinds = typing.get_type_hints(schema)
     values = {}
     for f in fields(schema):
         name = prefix + f.name
         if f.name in manifest:
-            values[f.name] = _value(f.type, manifest[f.name], name)
+            values[f.name] = _value(kinds[f.name], manifest[f.name], name)
         elif f.default is MISSING:
             raise ManifestError(f"manifest field '{name}' is missing")
     return schema(**values)
@@ -209,38 +194,42 @@ def _payload(raw, field: str) -> LogicalState:
     return _logical_state(amps, field)
 
 
-def _check_registers(state: LogicalState, n_spins: int, field: str) -> None:
-    """Refuse a payload whose registers, as wide as itself at both ends
-    of the chain, do not fit in ``n_spins``."""
-    k = state.n_logical
-    if 2 * k > n_spins:
+def _check_memory(field: str, value, log2_need: float, hint: str = ""):
+    """Refuse a run whose estimated memory per process, 2^``log2_need``
+    bytes, exceeds ``MEMORY_LIMIT_GIB``; the message names ``field``."""
+    if log2_need > math.log2(MEMORY_LIMIT_GIB * 2**30):
         raise ManifestError(
-            f"manifest field '{field}' has {k} qubits: registers of {k} "
-            f"spins at both ends need n_spins >= {2 * k}, got {n_spins}"
+            f"manifest field '{field}' is {value:.6g}: the run needs about "
+            f"2^{log2_need:.4g} bytes, above the {MEMORY_LIMIT_GIB} GiB "
+            f"limit{hint}"
         )
 
 
-def _check_footprint(n_spins: int, propagator: PropagatorConfig,
-                     dense_log2: float) -> None:
-    """Refuse a run whose estimated memory per process exceeds
-    ``MEMORY_LIMIT_GIB``.
+def _check_footprint(run, dense_log2: float) -> None:
+    """Refuse a state-vector run (``run`` declares ``n_spins``,
+    ``n_time_samples`` and ``propagator``) whose estimated memory per
+    process exceeds ``MEMORY_LIMIT_GIB``.
 
     The estimate counts complex vectors of 2^N amplitudes and, on the
     dense path, three complex matrices of the largest component H is
-    diagonalized on, of dimension 2^``dense_log2``.  It is compared by
-    its log2, so no 2^N is formed for a chain of any length.
+    diagonalized on, of dimension 2^``dense_log2``; above that limit it
+    names ``n_spins``.  Then it adds the traces of two stages of
+    samples, ``TRACE_VALUE_BYTES`` for each of the N sigma_z values and
+    3 more values per sample, and names ``n_time_samples``.  It is
+    compared by its log2, so no 2^N is formed for a chain of any length.
     """
-    log2_need = n_spins + math.log2(16 * (STATE_VECTORS + 3 * n_spins))
-    if propagator.method == "exact-eigendecomposition":
+    N = run.n_spins
+    log2_need = N + math.log2(16 * (STATE_VECTORS + 3 * N))
+    if run.propagator.method == "exact-eigendecomposition":
         log2_need = np.logaddexp2(log2_need,
                                   math.log2(16 * 3) + 2 * dense_log2)
-    if log2_need > math.log2(MEMORY_LIMIT_GIB * 2**30):
-        raise ManifestError(
-            f"manifest field 'n_spins' is {n_spins}: the state-vector run "
-            f"needs about 2^{log2_need:.4g} bytes, above the "
-            f"{MEMORY_LIMIT_GIB} GiB limit; chains this long need the "
-            f"free-fermion backend (ROADMAP item 2)"
-        )
+    _check_memory("n_spins", N, log2_need,
+                  "; chains this long need the free-fermion backend "
+                  "(ROADMAP item 2)")
+    log2_traces = (math.log2(TRACE_VALUE_BYTES * (N + 3))
+                   + math.log2(2 * run.n_time_samples + 1))
+    _check_memory("n_time_samples", run.n_time_samples,
+                  np.logaddexp2(log2_need, log2_traces))
 
 
 def _read_manifest(path: str, experiment: str) -> dict:
@@ -315,51 +304,30 @@ def _write_run(out: Path, manifest: dict, result: ProtocolResult):
 
 
 def cmd_baseline(run: Baseline, manifest: dict, out: Path, args) -> int:
-    N = run.n_spins
-    if N < 2:
-        raise ManifestError(f"manifest field 'n_spins' must be >= 2, got {N}")
-    if run.lam <= 0:
-        raise ManifestError(
-            f"manifest field 'lam' must be positive, got {run.lam}")
     # the XY chain keeps the payload in its 0- and 1-excitation sectors
-    _check_footprint(N, run.propagator, math.log2(N))
-    if run.state.n_logical != 1:
-        raise ManifestError("manifest field 'state' must be a single qubit")
-    cfg = ProtocolConfig(
-        spec=None,  # the baseline has no Ising coupling
-        propagator=run.propagator,
-        n_time_samples=run.n_time_samples,
-    )
-    _write_run(out, manifest,
-               run_heisenberg_baseline(N, run.lam, run.state, cfg))
+    _check_footprint(run, math.log2(run.n_spins))
+    _write_run(out, manifest, run_heisenberg_baseline(run))
     return 0
 
 
 def cmd_transfer(run: Transfer, manifest: dict, out: Path, args) -> int:
-    N = run.n_spins
     # transport conserves spin 1 and the reset stage Bob's spins
-    _check_footprint(N, run.propagator, N - 1)
-    _check_registers(run.state, N, "state")
-    cfg = ProtocolConfig(
-        spec=ChainSpec(N, run.j_coupling, run.lam),
-        propagator=run.propagator,
-        n_time_samples=run.n_time_samples,
-        apply_phase_correction=run.apply_phase_correction,
-    )
-    _write_run(out, manifest, run_multi_qubit_transfer(run.state, cfg))
+    _check_footprint(run, run.n_spins - 1)
+    _write_run(out, manifest, run_multi_qubit_transfer(run))
     return 0
 
 
 def cmd_sweep(run: Sweep, manifest: dict, out: Path, args) -> int:
-    N = run.n_spins
-    _check_footprint(N, run.propagator, N - 1)
+    _check_footprint(run, run.n_spins - 1)
     ratios = [_value(float, r, "ratios") for r in run.ratios]
     if not ratios or not all(r > 0 for r in ratios):
         raise ManifestError(
             "manifest field 'ratios' must be a non-empty list of positive "
             "numbers"
         )
-    states = []
+    if not run.states:
+        raise ManifestError("manifest field 'states' must be a non-empty list")
+    runs = []
     for i, raw in enumerate(run.states):
         field = f"states[{i}]"
         if not isinstance(raw, dict):
@@ -367,15 +335,18 @@ def cmd_sweep(run: Sweep, manifest: dict, out: Path, args) -> int:
         item = _load(SweepState, raw, f"{field}.")
         logical = _logical_state(
             _amplitudes(item.amplitudes, f"{field}.amplitudes"), field)
-        _check_registers(logical, N, field)
-        states.append(
-            (f"state{i}" if item.label is None else item.label, logical))
-    base_cfg = ProtocolConfig(
-        spec=ChainSpec(N, max(ratios) * run.lam, run.lam),
-        propagator=run.propagator,
-        n_time_samples=run.n_time_samples,
-    )
-    table = error_scaling_sweep(states, ratios, base_cfg, args.workers)
+        label = f"state{i}" if item.label is None else item.label
+        try:
+            runs.extend(
+                (label, ratio, Transfer(
+                    run.n_spins, run.lam, ratio * run.lam, logical,
+                    n_time_samples=run.n_time_samples,
+                    propagator=run.propagator))
+                for ratio in ratios)
+        except ValueError as exc:
+            raise ManifestError(
+                f"manifest field '{field}' is invalid: {exc}") from exc
+    table = error_scaling_sweep(runs, args.workers)
     _write_csv(out / "sweep.csv", manifest, table.to_csv())
     _write_json(out / "fit.json", manifest, table.summary())
     band = args.assert_slope
@@ -409,6 +380,7 @@ def cmd_consistency(run: Consistency, manifest: dict, out: Path,
             f"manifest field 'n_max' is {run.n_max}: the dense reference "
             f"path runs chains of at most {CONSISTENCY_N_MAX} spins"
         )
+    _check_memory("samples", run.samples, math.log2(8 * run.samples))
     deviation = closed_form_consistency(
         range(run.n_min, run.n_max + 1), run.lam, run.samples
     )

@@ -21,7 +21,9 @@ wall count M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +43,6 @@ from .encoding import (
     phase_ledger,
 )
 from .hamiltonians import (
-    ChainSpec,
     energy_offset,
     heisenberg_xy,
     multiqubit_reset_hamiltonian,
@@ -54,25 +55,67 @@ FIDELITY_ROUNDOFF = 1e-9  # largest excursion outside [0, 1] clamped silently
 # twenty add 6.5 MB to the peak RSS of a transfer
 TRACE_BYTES = 10 * 16 * 2**13
 TRACE_ROWS_MAX = 40  # longer blocks lengthen every row's series product
+RATIO_WARN_THRESHOLD = 8.0  # |J|/lam below which the error law breaks down
 
 _CTX = BoundaryContext(left_value=0, right_context=0)
 
 
+def _check_chain(run) -> None:
+    """Refuse a chain, a lam or a time grid no run can use; each
+    message names its field."""
+    if run.n_spins < 2:
+        raise ValueError(f"field 'n_spins' must be >= 2, got {run.n_spins}")
+    if not run.lam > 0:
+        raise ValueError(f"field 'lam' must be positive, got {run.lam}")
+    if run.n_time_samples < 2:
+        raise ValueError(
+            f"field 'n_time_samples' must be >= 2, got {run.n_time_samples}")
+
+
 @dataclass(frozen=True)
-class ProtocolConfig:
-    """Run parameters shared by all protocol drivers.
+class Baseline:
+    """XY-chain perfect transfer reference"""
 
-    ``n_time_samples`` counts trace samples per stage.
-    """
-
-    spec: ChainSpec = None
-    propagator: PropagatorConfig = field(default_factory=PropagatorConfig)
-    n_time_samples: int = 200
-    apply_phase_correction: bool = True
+    n_spins: int
+    lam: float
+    state: LogicalState
+    n_time_samples: int = 200  # trace samples per stage
+    propagator: PropagatorConfig = PropagatorConfig()
 
     def __post_init__(self):
-        if self.n_time_samples < 2:
-            raise ValueError("n_time_samples must be >= 2")
+        _check_chain(self)
+        if self.state.n_logical != 1:
+            raise ValueError("field 'state' must be a single qubit")
+
+
+@dataclass(frozen=True)
+class Transfer:
+    """two-stage domain-wall transfer between registers as wide as the
+    payload"""
+
+    n_spins: int
+    lam: float
+    j_coupling: float
+    state: LogicalState
+    apply_phase_correction: bool = True
+    n_time_samples: int = 200  # trace samples per stage
+    propagator: PropagatorConfig = PropagatorConfig()
+
+    def __post_init__(self):
+        _check_chain(self)
+        k = self.state.n_logical
+        if 2 * k > self.n_spins:
+            raise ValueError(
+                f"field 'state' has {k} qubits: registers of {k} spins at "
+                f"both ends need n_spins >= {2 * k}, got {self.n_spins}"
+            )
+        if abs(self.j_coupling) < RATIO_WARN_THRESHOLD * self.lam:
+            warnings.warn(
+                f"|J|/lam = {abs(self.j_coupling) / self.lam:.2f} < "
+                f"{RATIO_WARN_THRESHOLD:g}: the quadratic error law breaks "
+                "down and transfer fidelity degrades",
+                stacklevel=3,
+            )
 
 
 @dataclass(frozen=True)
@@ -143,7 +186,7 @@ def _bob_pattern(bits) -> tuple:
     return dw_encode_bits(bits[::-1], _CTX)
 
 
-def _build_branches(logical_in: LogicalState, spec: ChainSpec):
+def _build_branches(run: Transfer):
     """Branch table of a payload carried between registers as wide as
     itself, in closed form.
 
@@ -156,11 +199,11 @@ def _build_branches(logical_in: LogicalState, spec: ChainSpec):
     the walls in Bob's register stay.  The wall right of spin N, b's
     first bit, is no wall in stage 2.
     """
-    k = logical_in.n_logical
-    N, J = spec.n_spins, spec.j_coupling
+    k = run.state.n_logical
+    N, J = run.n_spins, run.j_coupling
     branches = []
     for idx in range(2**k):
-        c = logical_in.amplitudes[idx]
+        c = run.state.amplitudes[idx]
         if c == 0:
             continue
         b = index_bits(idx, k)
@@ -204,6 +247,10 @@ def _decode_permutation(k: int) -> np.ndarray:
                      for idx in range(2**k)])
 
 
+class _NoReadout(RuntimeError):
+    """Bob's register holds no weight on any decoded pattern."""
+
+
 def _readout(psi: StateVector, k: int, branches, tau, t_read: float,
              corrected: bool):
     """Decode Bob's register, the last ``k`` spins, from the final chain
@@ -232,7 +279,7 @@ def _readout(psi: StateVector, k: int, branches, tau, t_read: float,
     logical_vec = (undo * M[0])[_decode_permutation(k)]
     nrm = np.sqrt(np.vdot(logical_vec, logical_vec).real)
     if nrm < 1e-12:
-        raise RuntimeError("no weight on the decoded register; run diverged")
+        raise _NoReadout("no weight on the decoded register")
     return LogicalState(k, logical_vec / nrm), _unit_interval(
         f, "readout fidelity")
 
@@ -322,28 +369,28 @@ def _peak_in_window(times, trace, t_read):
     return float(trace[best]), float(times[best])
 
 
-def _run(N: int, k: int, branches, stages, J: float, tau: float,
-         cfg: ProtocolConfig) -> ProtocolResult:
-    """Trace and read out one run of the branches in ``branches`` on
-    ``N`` spins, with Bob's register the last ``k``.
+def _run(run, k: int, branches, stages, J: float = 0.0,
+         corrected: bool = True) -> ProtocolResult:
+    """Trace and read out one run of the branches in ``branches`` on the
+    chain, time grid and propagator of ``run``, with Bob's register the
+    last ``k`` spins.
 
-    ``stages`` holds one function per stage, each run for ``tau``, that
+    ``stages`` holds one function per stage, each run for pi/lam, that
     builds its Hamiltonian; the peak is searched around, and Bob read
     out at, the end of the last stage.
     """
+    N, tau = run.n_spins, math.pi / run.lam
     psi0 = np.zeros(2**N, dtype=complex)
     for br in branches:
         psi0[basis_index(br.initial_bits)] += br.coefficient
     times, corr, uncorr, sigma_z, final_state = _trace_run(
-        StateVector(N, psi0), stages, branches, N, tau, cfg.n_time_samples,
-        cfg.propagator,
+        StateVector(N, psi0), stages, branches, N, tau, run.n_time_samples,
+        run.propagator,
     )
     t_read = len(stages) * tau
     peak_f, peak_t = _peak_in_window(times, corr, t_read)
-    final_logical, final_f = _readout(
-        final_state, k, branches, tau, t_read,
-        corrected=cfg.apply_phase_correction,
-    )
+    final_logical, final_f = _readout(final_state, k, branches, tau, t_read,
+                                      corrected)
     return ProtocolResult(
         times=times,
         fidelity_corrected=corr,
@@ -359,54 +406,52 @@ def _run(N: int, k: int, branches, stages, J: float, tau: float,
     )
 
 
-def run_multi_qubit_transfer(
-    logical_in: LogicalState, cfg: ProtocolConfig
-) -> ProtocolResult:
+def run_multi_qubit_transfer(run: Transfer) -> ProtocolResult:
     """Full two-stage transfer of a k-qubit payload.
 
     Alice's and Bob's registers are the first and the last k spins of
-    the chain, k the payload's width; the chain needs at least 2k spins.
-    The payload is encoded into Alice's register, carried to Bob's
-    register (in mirrored qubit order, undone by the decode step), and
-    the wire reset.  Traces are sampled on a uniform grid over
-    [0, 2 tau] with the Hamiltonian switch exactly at tau.
+    the chain, k the payload's width.  The payload is encoded into
+    Alice's register, carried to Bob's register (in mirrored qubit
+    order, undone by the decode step), and the wire reset.  Traces are
+    sampled on a uniform grid over [0, 2 tau] with the Hamiltonian
+    switch exactly at tau.  A J/lam that leaves Bob's register empty at
+    the readout raises ``ValueError``.
     """
-    spec = cfg.spec
-    if spec is None:
-        raise ValueError("cfg.spec is required for the transfer protocol")
-    k = logical_in.n_logical
-    reset = multiqubit_reset_hamiltonian(spec, k)  # raises unless 2k <= N
-    return _run(
-        spec.n_spins, k, _build_branches(logical_in, spec),
-        (lambda: realize(transport_hamiltonian(spec)),
-         lambda: realize(reset)),
-        spec.j_coupling, spec.tau, cfg,
-    )
+    N, J, lam = run.n_spins, run.j_coupling, run.lam
+    k = run.state.n_logical
+    try:
+        return _run(
+            run, k, _build_branches(run),
+            (lambda: realize(transport_hamiltonian(N, J, lam)),
+             lambda: realize(multiqubit_reset_hamiltonian(N, J, lam, k))),
+            J, run.apply_phase_correction,
+        )
+    except _NoReadout as exc:
+        raise ValueError(
+            f"fields 'j_coupling' and 'lam': J/lam = {J / lam:.6g} leaves "
+            "no weight on Bob's decoded register"
+        ) from exc
 
 
-def run_single_qubit_transfer(
-    alpha: complex, beta: complex, cfg: ProtocolConfig
-) -> ProtocolResult:
+def run_single_qubit_transfer(alpha: complex, beta: complex,
+                              **fields) -> ProtocolResult:
     """Two-stage transfer of alpha|1> + beta|0> stored in spin 1: the
     multi-qubit protocol with single-spin registers, on the same payload
-    check as every other, :class:`LogicalState`'s."""
-    logical_in = LogicalState(1, np.array([beta, alpha], dtype=complex))
-    return run_multi_qubit_transfer(logical_in, cfg)
+    check as every other, :class:`LogicalState`'s.  ``fields`` are the
+    other fields of its :class:`Transfer`."""
+    state = LogicalState(1, np.array([beta, alpha], dtype=complex))
+    return run_multi_qubit_transfer(Transfer(state=state, **fields))
 
 
-def run_heisenberg_baseline(
-    N: int, lam: float, logical_in: LogicalState, cfg: ProtocolConfig
-) -> ProtocolResult:
+def run_heisenberg_baseline(run: Baseline) -> ProtocolResult:
     """Perfect-transfer reference: XY chain with engineered couplings.
 
     The excitation branch arrives at the far end at tau with the known
     mirror phase (-i)^(N-1); the corrected trace and readout include it,
     the uncorrected trace targets the phase-free state.
     """
-    if logical_in.n_logical != 1:
-        raise ValueError("baseline transfers a single logical qubit")
-    tau = np.pi / lam
-    beta, alpha = logical_in.amplitudes
+    N, lam = run.n_spins, run.lam
+    beta, alpha = run.state.amplitudes
     branches = []
     if beta != 0:
         branches.append(_Branch(complex(beta), (0,) * N, (0,) * N,
@@ -415,7 +460,4 @@ def run_heisenberg_baseline(
         branches.append(_Branch(complex(alpha), (1,) + (0,) * (N - 1),
                                 (0,) * (N - 1) + (1,), _mirror_phase(N, 1),
                                 0.0, 0.0))
-    return _run(
-        N, 1, branches, (lambda: realize(heisenberg_xy(N, lam)),), 0.0,
-        tau, cfg,
-    )
+    return _run(run, 1, branches, (lambda: realize(heisenberg_xy(N, lam)),))

@@ -32,15 +32,14 @@ from dwtransfer.encoding import (
     dw_encode_state,
 )
 from dwtransfer.hamiltonians import (
-    ChainSpec,
     heisenberg_xy,
     multiqubit_reset_hamiltonian,
-    reset_hamiltonian,
     transfer_amplitude_closed_form,
     transport_hamiltonian,
 )
 from dwtransfer.protocol import (
-    ProtocolConfig,
+    Baseline,
+    Transfer,
     run_heisenberg_baseline,
     run_multi_qubit_transfer,
     run_single_qubit_transfer,
@@ -66,8 +65,8 @@ class TestAcceptance:
         worst = 0.0
         one = LogicalState(1, np.array([0.0, 1.0], dtype=complex))
         for N in range(2, 14):
-            cfg = ProtocolConfig(n_time_samples=4, propagator=KRYLOV)
-            res = run_heisenberg_baseline(N, 1.0, one, cfg)
+            res = run_heisenberg_baseline(Baseline(
+                N, 1.0, one, n_time_samples=4, propagator=KRYLOV))
             worst = max(worst, 1.0 - res.final_fidelity)
         elapsed = time.monotonic() - start
         report(
@@ -92,12 +91,10 @@ class TestAcceptance:
     def test_3_headline_transfer_fidelity(self):
         # N = 13 chain at J/lam ~ 22 delivers the qubit above 0.99
         start = time.monotonic()
-        cfg = ProtocolConfig(
-            spec=ChainSpec(13, 22.007, 1.0),
-            propagator=KRYLOV,
-            n_time_samples=100,
+        res = run_single_qubit_transfer(
+            1.0, 0.0, n_spins=13, lam=1.0, j_coupling=22.007,
+            propagator=KRYLOV, n_time_samples=100,
         )
-        res = run_single_qubit_transfer(1.0, 0.0, cfg)
         elapsed = time.monotonic() - start
         report(
             3,
@@ -109,17 +106,12 @@ class TestAcceptance:
     def test_4_error_scaling_law(self):
         # log-log infidelity vs J/lam fit: slope -2 +/- 0.3, R^2 >= 0.95
         start = time.monotonic()
-        cfg = ProtocolConfig(
-            spec=ChainSpec(9, 40.0, 1.0),
-            propagator=EXACT,
-            n_time_samples=100,
-        )
         one = LogicalState(1, np.array([0.0, 1.0], dtype=complex))
-        table = error_scaling_sweep(
-            [("one", one)],
-            [8.0, 12.0, 16.0, 24.0, 32.0, 40.0],
-            cfg,
-        )
+        table = error_scaling_sweep([
+            ("one", ratio, Transfer(9, 1.0, ratio, one, propagator=EXACT,
+                                    n_time_samples=100))
+            for ratio in [8.0, 12.0, 16.0, 24.0, 32.0, 40.0]
+        ])
         elapsed = time.monotonic() - start
         fit = table.fit
         ok = (
@@ -151,12 +143,9 @@ class TestAcceptance:
         worst_drift = 0.0
         rng = np.random.default_rng(5)
         cases = [
-            (transport_hamiltonian(ChainSpec(5, 22.0, 1.0)), [1]),
-            (reset_hamiltonian(ChainSpec(5, 22.0, 1.0)), [5]),
-            (
-                multiqubit_reset_hamiltonian(ChainSpec(7, 22.0, 1.0), 2),
-                [6, 7],
-            ),
+            (transport_hamiltonian(5, 22.0, 1.0), [1]),
+            (multiqubit_reset_hamiltonian(5, 22.0, 1.0, 1), [5]),
+            (multiqubit_reset_hamiltonian(7, 22.0, 1.0, 2), [6, 7]),
         ]
         for psum, frozen_sites in cases:
             h = realize(psum)
@@ -253,12 +242,10 @@ class TestAcceptance:
             logical = LogicalState(k, np.asarray(amps, dtype=complex))
             peaks = {}
             for ratio in (22.0, 44.0):
-                cfg = ProtocolConfig(
-                    spec=ChainSpec(2 * k + 3, ratio, 1.0),
-                    propagator=KRYLOV,
+                res = run_multi_qubit_transfer(Transfer(
+                    2 * k + 3, 1.0, ratio, logical, propagator=KRYLOV,
                     n_time_samples=100,
-                )
-                res = run_multi_qubit_transfer(logical, cfg)
+                ))
                 peaks[ratio] = res.peak_fidelity
                 if ratio == 22.0:
                     j = int(np.argmax(res.fidelity_corrected))

@@ -10,53 +10,43 @@ from dwtransfer.analysis import (
 )
 from dwtransfer.core import PropagatorConfig, evolve
 from dwtransfer.encoding import LogicalState
-from dwtransfer.hamiltonians import ChainSpec
-from dwtransfer.protocol import ProtocolConfig, trace_rows
+from dwtransfer.protocol import Transfer, trace_rows
 
 EXACT = PropagatorConfig(method="exact-eigendecomposition")
 S2 = 1 / math.sqrt(2)
 
 
-def base_cfg(N=5, n_samp=40):
-    return ProtocolConfig(
-        spec=ChainSpec(N, 22.0, 1.0),
-        propagator=EXACT,
-        n_time_samples=n_samp,
-    )
-
-
-def single_state(label="1"):
-    return label, LogicalState(1, np.array([0.0, 1.0], dtype=complex))
+def sweep_runs(ratios, N=5, n_samp=40, label="1"):
+    """The sweep entries of the payload |1> over ``ratios``."""
+    one = LogicalState(1, np.array([0.0, 1.0], dtype=complex))
+    return [(label, ratio, Transfer(N, 1.0, ratio, one, propagator=EXACT,
+                                    n_time_samples=n_samp))
+            for ratio in ratios]
 
 
 class TestErrorScalingSweep:
     def test_small_sweep_slope(self):
         table = error_scaling_sweep(
-            [single_state()], [8.0, 12.0, 16.0, 24.0, 32.0], base_cfg()
-        )
+            sweep_runs([8.0, 12.0, 16.0, 24.0, 32.0]))
         assert table.fit is not None
         assert table.fit.slope == pytest.approx(-2.0, abs=0.4)
         assert table.fit.r_squared > 0.95
 
     def test_rows_sorted_and_complete(self):
         ratios = [16.0, 8.0, 24.0]
-        table = error_scaling_sweep([single_state()], ratios, base_cfg())
+        table = error_scaling_sweep(sweep_runs(ratios))
         assert [r.ratio for r in table.rows] == sorted(ratios)
         assert all(r.state_label == "1" for r in table.rows)
 
     def test_worker_count_does_not_change_output(self):
         ratios = [8.0, 16.0]
-        serial = error_scaling_sweep([single_state()], ratios, base_cfg())
-        parallel = error_scaling_sweep(
-            [single_state()], ratios, base_cfg(), n_workers=2
-        )
+        serial = error_scaling_sweep(sweep_runs(ratios))
+        parallel = error_scaling_sweep(sweep_runs(ratios), n_workers=2)
         assert serial.to_csv() == parallel.to_csv()
 
     def test_low_ratio_flagged_not_fitted(self):
         with pytest.warns(UserWarning, match="quadratic"):
-            table = error_scaling_sweep(
-                [single_state()], [4.0, 8.0, 16.0, 24.0], base_cfg()
-            )
+            table = error_scaling_sweep(sweep_runs([4.0, 8.0, 16.0, 24.0]))
         flags = {r.ratio: r.in_fit for r in table.rows}
         assert flags[4.0] is False
         assert flags[8.0] is True
@@ -64,18 +54,22 @@ class TestErrorScalingSweep:
         assert table.fit.n_points == 3
 
     def test_single_ratio_has_no_fit(self):
-        table = error_scaling_sweep([single_state()], [16.0], base_cfg())
+        table = error_scaling_sweep(sweep_runs([16.0]))
         assert table.fit is None
         assert table.summary()["fit"] is None
 
-    def test_rejects_empty_or_nonpositive_ratios(self):
-        with pytest.raises(ValueError):
-            error_scaling_sweep([single_state()], [], base_cfg())
-        with pytest.raises(ValueError):
-            error_scaling_sweep([single_state()], [8.0, -1.0], base_cfg())
+    def test_ratio_reported_as_given(self):
+        # the row keeps the entry's ratio, not J/lam recomputed from the
+        # run: 12 * 0.37 / 0.37 is not 12.0 in floating point
+        one = LogicalState(1, np.array([0.0, 1.0], dtype=complex))
+        run = Transfer(5, 0.37, 12.0 * 0.37, one, propagator=EXACT,
+                       n_time_samples=20)
+        assert run.j_coupling / run.lam != 12.0
+        (row,) = error_scaling_sweep([("1", 12.0, run)]).rows
+        assert row.ratio == 12.0 and row.in_fit
 
     def test_csv_layout(self):
-        table = error_scaling_sweep([single_state()], [16.0], base_cfg())
+        table = error_scaling_sweep(sweep_runs([16.0]))
         lines = table.to_csv().splitlines()
         assert lines[0] == "state,ratio,infidelity,transfer_time"
         fields = lines[1].split(",")

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import typing
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
@@ -19,8 +22,8 @@ from dwtransfer.cli import (
     main,
 )
 from dwtransfer.core import PropagatorConfig
-from dwtransfer.hamiltonians import ChainSpec
-from dwtransfer.protocol import ProtocolConfig, run_single_qubit_transfer
+from dwtransfer.encoding import LogicalState
+from dwtransfer.protocol import Transfer, run_single_qubit_transfer
 
 S2 = 1 / math.sqrt(2)
 
@@ -222,8 +225,8 @@ class TestWriter:
                for site in range(sigma_z.shape[0])]))
 
     def test_traces_match_one_format_call_per_value(self, tmp_path):
-        result = run_single_qubit_transfer(S2, S2, ProtocolConfig(
-            spec=ChainSpec(5, 22.0, 1.0), n_time_samples=6))
+        result = run_single_qubit_transfer(
+            S2, S2, n_spins=5, lam=1.0, j_coupling=22.0, n_time_samples=6)
         awkward = np.array([0.0, -0.0, 1e-300, 1 / 3, -1 / 3, 5e-324,
                             1.0 - 2**-53, 123456789.123456789, 2.0 / 3,
                             1e22, -2.5e-17, 1.0, 0.1])
@@ -413,6 +416,50 @@ class TestInputGuards:
         assert run(["sweep", "--config", cfg, "--out", tmp_path / "o"]) == 1
         assert "'ratios'" in capsys.readouterr().err
 
+    # test_baseline_chain_too_short_exits_1 and
+    # test_baseline_non_positive_lam_exits_1 cover the baseline
+    @pytest.mark.parametrize("field, value", [
+        ("n_spins", 1), ("lam", 0), ("lam", -1), ("n_time_samples", 1),
+    ])
+    @pytest.mark.parametrize("command", ["transfer", "sweep"])
+    def test_chain_field_out_of_range_exits_1(self, request, tmp_path,
+                                              capsys, command, field, value):
+        path = request.getfixturevalue(f"{command}_manifest")
+        cfg = with_fields(path, tmp_path, **{field: value})
+        out = tmp_path / "o"
+        assert run([command, "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert f"'{field}'" in err and "'state" not in err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("ratios", [[], [8.0, -1.0], [8.0, 0]])
+    def test_empty_or_nonpositive_ratios_exit_1(self, sweep_manifest,
+                                                tmp_path, capsys, ratios):
+        cfg = with_fields(sweep_manifest, tmp_path, ratios=ratios)
+        out = tmp_path / "o"
+        assert run(["sweep", "--config", cfg, "--out", out]) == 1
+        assert "'ratios'" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    def test_empty_states_exits_1(self, sweep_manifest, tmp_path, capsys):
+        cfg = with_fields(sweep_manifest, tmp_path, states=[])
+        out = tmp_path / "o"
+        assert run(["sweep", "--config", cfg, "--out", out]) == 1
+        assert "'states'" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("j_coupling", [0.0, 1e-8])
+    def test_empty_bob_register_exits_1(self, transfer_manifest, tmp_path,
+                                        capsys, j_coupling):
+        # J/lam near 0 leaves no weight on Bob's decoded register
+        cfg = with_fields(transfer_manifest, tmp_path, j_coupling=j_coupling,
+                          state={"alpha": 1.0, "beta": 0.0})
+        with pytest.warns(UserWarning, match="quadratic"):
+            assert run(["transfer", "--config", cfg,
+                        "--out", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert "'j_coupling'" in err and "'lam'" in err and "J/lam" in err
+
     @pytest.mark.parametrize("value", ["false", 0, None])
     def test_non_boolean_phase_correction_exits_1(
         self, transfer_manifest, tmp_path, capsys, value
@@ -440,14 +487,33 @@ class TestMemoryGuard:
         assert "'n_spins'" in err and "free-fermion" in err
         assert not any(out.iterdir())
 
+    # 1e12 samples would allocate terabytes of traces; 1e300 more
+    # than numpy's largest array
+    @pytest.mark.parametrize("samples", [1e12, 1e300])
+    @pytest.mark.parametrize("command, field", [
+        ("baseline", "n_time_samples"), ("transfer", "n_time_samples"),
+        ("sweep", "n_time_samples"), ("consistency", "samples"),
+    ])
+    def test_trace_too_long_exits_1(self, request, tmp_path, capsys,
+                                    command, field, samples):
+        path = request.getfixturevalue(f"{command}_manifest")
+        cfg = with_fields(path, tmp_path, **{field: samples})
+        out = tmp_path / "o"
+        assert run([command, "--config", cfg, "--out", out]) == 1
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_dense_path_has_the_lower_limit(self):
-        sparse = PropagatorConfig(method="krylov")
-        dense = PropagatorConfig(method="exact-eigendecomposition")
+        def record(n, method):
+            one = LogicalState(1, np.array([0.0, 1.0]))
+            return Transfer(n, 1.0, 22.0, one,
+                            propagator=PropagatorConfig(method=method))
+
         for n in (13, 16):
-            _check_footprint(n, sparse, n - 1)
-        _check_footprint(13, dense, 12)
+            _check_footprint(record(n, "krylov"), n - 1)
+        _check_footprint(record(13, "exact-eigendecomposition"), 12)
         with pytest.raises(ManifestError, match="'n_spins'"):
-            _check_footprint(16, dense, 15)
+            _check_footprint(record(16, "exact-eigendecomposition"), 15)
 
 
 class TestManifestLoader:
@@ -482,9 +548,10 @@ class TestManifestLoader:
                                              command):
         path = request.getfixturevalue(f"{command}_manifest")
         schema, _ = COMMANDS[command]
+        kinds = typing.get_type_hints(schema)
         for field in fields(schema):
             # a value of the wrong JSON type for the field's kind
-            value = 3 if field.type is str else "3"
+            value = 3 if kinds[field.name] is str else "3"
             cfg = with_fields(path, tmp_path, **{field.name: value})
             assert run([command, "--config", cfg,
                         "--out", tmp_path / "o"]) == 1, field.name
@@ -530,6 +597,21 @@ class TestManifestLoader:
         assert summary["manifest"]["experiment"] is None
         header = (out / "sigma_z.csv").read_text().splitlines()[0]
         assert '"experiment": null' in header
+
+
+class TestReadmeExample:
+    def test_quick_example_prints_its_fidelities(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text().split("Quick example:", 1)[1]
+        block = text.split("```python\n", 1)[1].split("```", 1)[0]
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            exec(compile(block, "README.md", "exec"), {})
+        values = [float(v) for v in printed.getvalue().split()]
+        # the comments in the block: ~0.9947 and ~0.970
+        assert len(values) == 2
+        assert values[0] == pytest.approx(0.9947, abs=5e-5)
+        assert values[1] == pytest.approx(0.970, abs=5e-4)
 
 
 class TestImportGraph:

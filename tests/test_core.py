@@ -25,7 +25,6 @@ from dwtransfer.core import (
     sigma_z_expectation,
 )
 from dwtransfer.hamiltonians import (
-    ChainSpec,
     heisenberg_xy,
     multiqubit_reset_hamiltonian,
     transport_hamiltonian,
@@ -34,6 +33,7 @@ from dwtransfer.hamiltonians import (
 EXACT = PropagatorConfig(method="exact-eigendecomposition")
 KRYLOV = PropagatorConfig(method="krylov")
 METHODS = [EXACT, KRYLOV]
+TAU = np.pi  # the mirror time at lam = 1
 
 PAULI = {
     "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -74,10 +74,9 @@ def random_hermitian_operator(rng, dim):
 
 def protocol_operators(n_spins):
     """Transport and reset on registers 2+(n-4)+2, and the XY chain."""
-    spec = ChainSpec(n_spins, 22.0, 1.0)
     return {
-        "transport": realize(transport_hamiltonian(spec)),
-        "reset": realize(multiqubit_reset_hamiltonian(spec, 2)),
+        "transport": realize(transport_hamiltonian(n_spins, 22.0, 1.0)),
+        "reset": realize(multiqubit_reset_hamiltonian(n_spins, 22.0, 1.0, 2)),
         "xy": realize(heisenberg_xy(n_spins, 1.0)),
     }
 
@@ -250,13 +249,13 @@ class TestEvolve:
         self, layout, builder, steps
     ):
         # one trace sample (tau/200) and one whole stage at J/lambda = 22
-        spec = ChainSpec(sum(layout), 22.0, 1.0)
+        n = sum(layout)
         if builder is multiqubit_reset_hamiltonian:
-            h = realize(builder(spec, layout[-1]))
+            h = realize(builder(n, 22.0, 1.0, layout[-1]))
         else:
-            h = realize(builder(spec))
-        psi = random_state(np.random.default_rng(spec.n_spins), spec.n_spins)
-        t = spec.tau / steps
+            h = realize(builder(n, 22.0, 1.0))
+        psi = random_state(np.random.default_rng(n), n)
+        t = TAU / steps
         a = evolve(psi, h, t, EXACT)
         b = evolve(psi, h, t, KRYLOV)
         assert np.linalg.norm(a.amplitudes - b.amplitudes) < 1e-8
@@ -264,7 +263,7 @@ class TestEvolve:
     def test_long_time_leaves_global_rng_untouched(self):
         # ||tau H||_1 = 512: one expm_multiply call over tau would draw
         # from np.random through scipy's randomized norm estimate
-        h = realize(transport_hamiltonian(ChainSpec(7, 22.0, 1.0)))
+        h = realize(transport_hamiltonian(7, 22.0, 1.0))
         psi = random_state(np.random.default_rng(2), 7)
         before = np.random.get_state()
         out = evolve(psi, h, np.pi, KRYLOV)
@@ -317,12 +316,11 @@ class TestEvolve:
     @pytest.mark.parametrize("whole_space", [False, True])
     def test_grid_equals_scalar_steps(self, cfg, whole_space):
         # what the protocol did before chunking: one call per sample
-        spec = ChainSpec(7, 22.0, 1.0)
-        h = realize(transport_hamiltonian(spec))
+        h = realize(transport_hamiltonian(7, 22.0, 1.0))
         psi = StateVector.from_bits([1] + [0] * 6)
         if whole_space:
             psi = random_state(np.random.default_rng(3), 7)
-        dt = spec.tau / 200
+        dt = TAU / 200
         grid = evolve(psi, h, dt * np.arange(1, 13), cfg)
         state = psi
         for k, from_grid in enumerate(grid, start=1):
@@ -360,10 +358,10 @@ class TestChebyshev:
     @pytest.mark.parametrize("ham", ["transport", "reset", "xy"])
     @pytest.mark.parametrize("whole_space", [False, True])
     def test_matches_expm(self, samples, ham, whole_space):
-        spec = ChainSpec(self.N, 22.0, 1.0)
-        h = {"transport": transport_hamiltonian,
-             "reset": lambda s: multiqubit_reset_hamiltonian(s, 2),
-             "xy": lambda s: heisenberg_xy(s.n_spins, s.lam)}[ham](spec)
+        h = {"transport": lambda: transport_hamiltonian(self.N, 22.0, 1.0),
+             "reset": lambda: multiqubit_reset_hamiltonian(self.N, 22.0,
+                                                           1.0, 2),
+             "xy": lambda: heisenberg_xy(self.N, 1.0)}[ham]()
         h = realize(h)
         psi = StateVector.from_bits([1] + [0] * (self.N - 1))
         if whole_space:
@@ -371,9 +369,9 @@ class TestChebyshev:
         indices, _ = h.invariant_block(psi.amplitudes)
         assert (indices is None) == whole_space
         if samples == "tau":
-            times, step = np.array([spec.tau]), spec.tau
+            times, step = np.array([TAU]), TAU
         else:
-            step = spec.tau / 200
+            step = TAU / 200
             times = step * np.arange(1, samples + 1)
         out = evolve(psi, h, times, KRYLOV)
         u = expm(-1j * step * h.matrix.toarray())
@@ -424,18 +422,18 @@ class TestChebyshev:
     def test_alternating_grids_match_a_fresh_operator(self, whole_space):
         # the coefficients are kept for the last grid only: each grid
         # must get its own, not the ones of the grid before
-        spec = ChainSpec(self.N, 22.0, 1.0)
         psi = StateVector.from_bits([1] + [0] * (self.N - 1))
         if whole_space:
             psi = random_state(np.random.default_rng(6), self.N)
-        dt = spec.tau / 200
+        dt = TAU / 200
         grids = (dt * np.arange(1, 6), 2 * dt * np.arange(1, 6),
                  dt * np.arange(1, 4))
-        h = realize(transport_hamiltonian(spec))
+        h = realize(transport_hamiltonian(self.N, 22.0, 1.0))
         for grid in grids + grids:
             out = evolve(psi, h, grid, KRYLOV)
-            fresh = evolve(psi, realize(transport_hamiltonian(spec)), grid,
-                           KRYLOV)
+            fresh = evolve(
+                psi, realize(transport_hamiltonian(self.N, 22.0, 1.0)), grid,
+                KRYLOV)
             assert np.abs(out - fresh).max() < 1e-12
 
     @pytest.mark.parametrize("ham", ["transport", "reset", "xy"])
@@ -524,7 +522,7 @@ class TestInvariantBlock:
     def test_operator_freed_without_cycle_collector(self, cfg, whole_space):
         # the block cache must not refer back to its operator, or the
         # cached eigensystems live until the next collection
-        h = realize(transport_hamiltonian(ChainSpec(self.N, 22.0, 1.0)))
+        h = realize(transport_hamiltonian(self.N, 22.0, 1.0))
         psi = self.inputs()["one"]
         if whole_space:  # a dense state fills both Z_1 sectors
             psi = random_state(np.random.default_rng(1), self.N)
@@ -544,10 +542,10 @@ class TestComponents:
     def hamiltonians(self, layout):
         """Transport and reset on registers ``layout`` = (Alice, wire,
         Bob) spins."""
-        spec = ChainSpec(sum(layout), 22.0, 1.0)
-        return {"transport": realize(transport_hamiltonian(spec)),
-                "reset": realize(multiqubit_reset_hamiltonian(spec,
-                                                              layout[-1]))}
+        n = sum(layout)
+        return {"transport": realize(transport_hamiltonian(n, 22.0, 1.0)),
+                "reset": realize(multiqubit_reset_hamiltonian(
+                    n, 22.0, 1.0, layout[-1]))}
 
     def complex_operator(self):
         # a single Y makes H complex; X_1, Y_2 and X_3 connect every index

@@ -6,23 +6,14 @@ import pytest
 from dwtransfer.core import StateVector, basis_index, realize
 from dwtransfer.encoding import BoundaryContext, count_domain_walls
 from dwtransfer.hamiltonians import (
-    ChainSpec,
     coupling_profile,
     energy_offset,
     heisenberg_xy,
     ising_dw,
     multiqubit_reset_hamiltonian,
-    reset_hamiltonian,
     transfer_amplitude_closed_form,
     transport_hamiltonian,
 )
-
-
-def spec(N, J, lam=1.0):
-    if abs(J) < 8 * lam:
-        with pytest.warns(UserWarning):
-            return ChainSpec(N, J, lam)
-    return ChainSpec(N, J, lam)
 
 
 def terms_as_set(pauli_sum):
@@ -60,15 +51,6 @@ class TestCouplingProfile:
     def test_rejects_short_chain(self):
         with pytest.raises(ValueError):
             coupling_profile(1, 1.0)
-
-
-class TestChainSpec:
-    def test_warns_below_ratio_threshold(self):
-        with pytest.warns(UserWarning, match="quadratic"):
-            ChainSpec(5, 4.0, 1.0)
-
-    def test_tau(self):
-        assert ChainSpec(5, 22.0, 2.0).tau == pytest.approx(math.pi / 2.0)
 
 
 class TestHeisenbergXY:
@@ -122,7 +104,7 @@ class TestClosedForm:
 
 class TestIsingDW:
     def test_two_site_terms(self):
-        h = ising_dw(spec(2, 9.0, 2.0))
+        h = ising_dw(2, 9.0, 2.0)
         # t_2 evaluates to zero by the profile formula and is kept
         assert terms_as_set(h) == {
             (1.0, ((1, "X"),)),
@@ -136,7 +118,7 @@ class TestIsingDW:
         # the diagonal is J(N+1-2M) where M counts walls including both
         # virtual boundary spins (left up, right down)
         N, J = 5, 7.0
-        h = realize(ising_dw(spec(N, J, 1.0))).matrix.toarray()
+        h = realize(ising_dw(N, J, 1.0)).matrix.toarray()
         ctx = BoundaryContext(left_value=1, right_context=0)
         for idx in range(2**N):
             bits = [(idx >> (N - 1 - s)) & 1 for s in range(N)]
@@ -159,7 +141,7 @@ class TestIsingDW:
         dists = []
         for ratio in (10.0, 20.0, 40.0, 80.0):
             J = ratio * lam
-            h = realize(ising_dw(ChainSpec(N, J, lam))).matrix.toarray()
+            h = realize(ising_dw(N, J, lam)).matrix.toarray()
             w, v = np.linalg.eigh(h)
             weight = (np.abs(v[sector, :]) ** 2).sum(axis=0)
             pick = np.argsort(weight)[-(N + 1):]
@@ -172,7 +154,7 @@ class TestIsingDW:
 class TestTransportHamiltonian:
     def test_three_site_terms(self):
         t = coupling_profile(3, 1.0)
-        h = transport_hamiltonian(ChainSpec(3, 11.0, 1.0))
+        h = transport_hamiltonian(3, 11.0, 1.0)
         assert terms_as_set(h) == {
             (t[0], ((2, "X"),)),
             (t[1], ((3, "X"),)),
@@ -182,13 +164,13 @@ class TestTransportHamiltonian:
         }
 
     def test_no_terms_on_first_spin(self):
-        h = transport_hamiltonian(ChainSpec(6, 20.0, 1.0))
+        h = transport_hamiltonian(6, 20.0, 1.0)
         assert all(factors.get(1) != "X" for _, factors in h.terms)
 
     def test_spin1_polarization_conserved(self):
         from dwtransfer.core import PropagatorConfig, evolve, sigma_z_expectation
 
-        h = realize(transport_hamiltonian(ChainSpec(4, 12.0, 1.0)))
+        h = realize(transport_hamiltonian(4, 12.0, 1.0))
         psi = StateVector.from_bits([1, 0, 1, 0])
         cfg = PropagatorConfig(method="exact-eigendecomposition")
         for t in (0.3, 1.1, 2.9):
@@ -201,7 +183,7 @@ class TestTransportHamiltonian:
         from dwtransfer.core import PropagatorConfig, evolve
 
         N = 5
-        h = realize(transport_hamiltonian(ChainSpec(N, 22.0, 1.0)))
+        h = realize(transport_hamiltonian(N, 22.0, 1.0))
         psi = StateVector.from_bits([1, 0, 0, 0, 0])
         out = evolve(psi, h, math.pi,
                      PropagatorConfig(method="exact-eigendecomposition"))
@@ -210,12 +192,14 @@ class TestTransportHamiltonian:
 
 
 class TestResetHamiltonian:
+    """The reset stage of registers of one spin."""
+
     def test_three_site_terms(self):
         # boundary field +J Z_1 (virtual down spin on the left): the
         # unique sign for which the reset stage mirrors the transport
         # stage and the wire actually resets
         t = coupling_profile(3, 1.0)
-        h = reset_hamiltonian(ChainSpec(3, 11.0, 1.0))
+        h = multiqubit_reset_hamiltonian(3, 11.0, 1.0, 1)
         assert terms_as_set(h) == {
             (t[0], ((1, "X"),)),
             (t[1], ((2, "X"),)),
@@ -227,7 +211,7 @@ class TestResetHamiltonian:
     def test_last_spin_polarization_conserved(self):
         from dwtransfer.core import PropagatorConfig, evolve, sigma_z_expectation
 
-        h = realize(reset_hamiltonian(ChainSpec(4, 12.0, 1.0)))
+        h = realize(multiqubit_reset_hamiltonian(4, 12.0, 1.0, 1))
         psi = StateVector.from_bits([0, 1, 0, 1])
         cfg = PropagatorConfig(method="exact-eigendecomposition")
         for t in (0.4, 1.7):
@@ -236,8 +220,8 @@ class TestResetHamiltonian:
 
     @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
     def test_mirror_of_transport(self, N):
-        ht = realize(transport_hamiltonian(ChainSpec(N, 9.0, 1.0)))
-        hr = realize(reset_hamiltonian(ChainSpec(N, 9.0, 1.0)))
+        ht = realize(transport_hamiltonian(N, 9.0, 1.0))
+        hr = realize(multiqubit_reset_hamiltonian(N, 9.0, 1.0, 1))
         perm = np.array([
             basis_index(reversed([(idx >> (N - 1 - s)) & 1
                                   for s in range(N)]))
@@ -249,19 +233,14 @@ class TestResetHamiltonian:
 
 class TestMultiqubitReset:
     def test_bob_register_field_free(self):
-        h = multiqubit_reset_hamiltonian(ChainSpec(7, 15.0, 1.0), 2)
+        h = multiqubit_reset_hamiltonian(7, 15.0, 1.0, 2)
         for _, factors in h.terms:
             for site, label in factors.items():
                 if label == "X":
                     assert site <= 5
 
-    def test_reduces_to_reset_for_single_bob(self):
-        hm = realize(multiqubit_reset_hamiltonian(ChainSpec(5, 9.0, 1.0), 1))
-        hr = realize(reset_hamiltonian(ChainSpec(5, 9.0, 1.0)))
-        assert np.allclose(hm.matrix.toarray(), hr.matrix.toarray())
-
     def test_profile_over_effective_length(self):
-        h = multiqubit_reset_hamiltonian(ChainSpec(7, 15.0, 1.0), 2)
+        h = multiqubit_reset_hamiltonian(7, 15.0, 1.0, 2)
         t = coupling_profile(6, 1.0)
         x_coeffs = {
             next(iter(factors)): coeff
@@ -275,7 +254,7 @@ class TestMultiqubitReset:
     def test_registers_must_fit_at_both_ends(self):
         for k in (0, 3):
             with pytest.raises(ValueError, match="registers"):
-                multiqubit_reset_hamiltonian(ChainSpec(5, 9.0, 1.0), k)
+                multiqubit_reset_hamiltonian(5, 9.0, 1.0, k)
 
 
 class TestEnergyOffset:

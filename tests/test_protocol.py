@@ -22,16 +22,16 @@ from dwtransfer.encoding import (
     dw_encode_bits,
 )
 from dwtransfer.hamiltonians import (
-    ChainSpec,
     coupling_profile,
     energy_offset,
     heisenberg_xy,
-    reset_hamiltonian,
+    multiqubit_reset_hamiltonian,
     transfer_amplitude_closed_form,
     transport_hamiltonian,
 )
 from dwtransfer.protocol import (
-    ProtocolConfig,
+    Baseline,
+    Transfer,
     _mirror_phase,
     _sigma_z_all,
     _trace_run,
@@ -46,55 +46,90 @@ S2 = 1 / math.sqrt(2)
 CTX = BoundaryContext(left_value=0, right_context=0)
 
 
-def single_cfg(N, ratio, lam=1.0, **kw):
-    return ProtocolConfig(spec=ChainSpec(N, ratio * lam, lam), **kw)
+def single(N, ratio, lam=1.0, **kw):
+    """The fields of a single-qubit transfer other than its state."""
+    return dict(n_spins=N, lam=lam, j_coupling=ratio * lam, **kw)
 
 
 def logical_one():
     return LogicalState(1, np.array([0.0, 1.0], dtype=complex))
 
 
+class TestRunRecords:
+    """``Transfer`` and ``Baseline`` check their own fields when built,
+    before any run forms tau = pi/lam; each message names the field."""
+
+    @pytest.mark.parametrize("record", ["transfer", "baseline"])
+    @pytest.mark.parametrize("field, value", [
+        ("n_spins", 1), ("n_spins", -3), ("lam", 0.0), ("lam", -1.0),
+        ("lam", math.nan), ("n_time_samples", 1), ("n_time_samples", -5),
+    ])
+    def test_rejects_bad_field(self, record, field, value):
+        fields = {"n_spins": 5, "lam": 1.0, "state": logical_one(),
+                  field: value}
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            if record == "transfer":
+                Transfer(j_coupling=22.0, **fields)
+            else:
+                Baseline(**fields)
+
+    def test_baseline_takes_one_qubit(self):
+        bell = LogicalState(2, np.array([S2, 0, 0, S2]))
+        with pytest.raises(ValueError, match="'state'"):
+            Baseline(5, 1.0, bell)
+
+    def test_warns_below_ratio_threshold(self):
+        with pytest.warns(UserWarning, match="quadratic"):
+            Transfer(5, 1.0, 4.0, logical_one())
+
+    def test_tau(self):
+        res = run_single_qubit_transfer(
+            1.0, 0.0, **single(5, 22.0, lam=2.0, n_time_samples=10))
+        assert res.tau == pytest.approx(math.pi / 2.0)
+        res = run_heisenberg_baseline(
+            Baseline(5, 2.0, logical_one(), n_time_samples=10))
+        assert res.tau == pytest.approx(math.pi / 2.0)
+
+
 class TestHeisenbergBaseline:
     def test_perfect_transfer_n13(self):
-        cfg = ProtocolConfig(n_time_samples=50)
-        res = run_heisenberg_baseline(13, 1.0, logical_one(), cfg)
+        res = run_heisenberg_baseline(
+            Baseline(13, 1.0, logical_one(), n_time_samples=50))
         assert res.final_fidelity >= 1 - 1e-6
         assert res.fidelity_corrected[-1] >= 1 - 1e-6
 
     def test_vacuum_is_stationary(self):
-        cfg = ProtocolConfig(n_time_samples=30)
         vac = LogicalState(1, np.array([1.0, 0.0], dtype=complex))
-        res = run_heisenberg_baseline(7, 1.0, vac, cfg)
+        res = run_heisenberg_baseline(Baseline(7, 1.0, vac, n_time_samples=30))
         assert np.all(res.fidelity_corrected >= 1 - 1e-9)
 
     def test_trace_matches_closed_form(self):
         N = 5
-        cfg = ProtocolConfig(n_time_samples=60, propagator=EXACT)
-        res = run_heisenberg_baseline(N, 1.0, logical_one(), cfg)
+        res = run_heisenberg_baseline(Baseline(
+            N, 1.0, logical_one(), n_time_samples=60, propagator=EXACT))
         expected = np.sin(res.times / 2) ** (2 * (N - 1))
         assert np.allclose(res.fidelity_corrected, expected, atol=1e-8)
 
     def test_superposition_readout(self):
-        cfg = ProtocolConfig(n_time_samples=40)
         sup = LogicalState(1, np.array([S2, S2], dtype=complex))
-        res = run_heisenberg_baseline(6, 1.0, sup, cfg)
+        res = run_heisenberg_baseline(Baseline(6, 1.0, sup, n_time_samples=40))
         assert res.final_fidelity == pytest.approx(1.0, abs=1e-8)
 
     def test_corrected_equals_uncorrected_for_basis_input(self):
-        cfg = ProtocolConfig(n_time_samples=30)
-        res = run_heisenberg_baseline(5, 1.0, logical_one(), cfg)
+        res = run_heisenberg_baseline(
+            Baseline(5, 1.0, logical_one(), n_time_samples=30))
         assert np.allclose(res.fidelity_corrected, res.fidelity_uncorrected)
 
 
 class TestSingleQubitTransfer:
     def test_basis_one_n13_headline(self):
-        cfg = single_cfg(13, 22.007, n_time_samples=100)
-        res = run_single_qubit_transfer(1.0, 0.0, cfg)
+        res = run_single_qubit_transfer(
+            1.0, 0.0, **single(13, 22.007, n_time_samples=100))
         assert res.final_fidelity >= 0.99
 
     def test_vacuum_branch(self):
-        cfg = single_cfg(5, 22.0, n_time_samples=30)
-        res = run_single_qubit_transfer(0.0, 1.0, cfg)
+        res = run_single_qubit_transfer(
+            0.0, 1.0, **single(5, 22.0, n_time_samples=30))
         assert np.all(res.fidelity_corrected >= 0.99)
 
     def test_monotone_in_ratio(self):
@@ -102,59 +137,59 @@ class TestSingleQubitTransfer:
         for ratio in (10.0, 20.0, 40.0):
             if ratio < 8:
                 continue
-            cfg = single_cfg(5, ratio, n_time_samples=40, propagator=EXACT)
-            res = run_single_qubit_transfer(S2, S2, cfg)
+            res = run_single_qubit_transfer(S2, S2, **single(
+                5, ratio, n_time_samples=40, propagator=EXACT))
             values.append(res.final_fidelity)
         assert values[0] < values[1] < values[2]
 
     def test_normalization_check(self):
-        cfg = single_cfg(5, 22.0)
         with pytest.raises(ValueError):
-            run_single_qubit_transfer(1.0, 1.0, cfg)
+            run_single_qubit_transfer(1.0, 1.0, **single(5, 22.0))
 
     def test_same_norm_tolerance_as_every_payload(self):
         # the payload goes through LogicalState's check alone, so a norm
         # off by 1e-7 runs as the renormalized two-amplitude payload
-        cfg = single_cfg(5, 22.0, n_time_samples=20, propagator=EXACT)
+        fields = single(5, 22.0, n_time_samples=20, propagator=EXACT)
         alpha, beta = math.sqrt(0.5 + 1e-7), math.sqrt(0.5)
-        res = run_single_qubit_transfer(alpha, beta, cfg)
-        ref = run_multi_qubit_transfer(
-            LogicalState(1, np.array([beta, alpha], dtype=complex)), cfg)
+        res = run_single_qubit_transfer(alpha, beta, **fields)
+        ref = run_multi_qubit_transfer(Transfer(
+            state=LogicalState(1, np.array([beta, alpha], dtype=complex)),
+            **fields))
         assert res.final_fidelity == ref.final_fidelity
         assert np.array_equal(res.final_logical.amplitudes,
                               ref.final_logical.amplitudes)
         assert np.array_equal(res.fidelity_corrected, ref.fidelity_corrected)
         with pytest.raises(ValueError, match="not normalized"):
-            run_single_qubit_transfer(math.sqrt(0.5 + 1e-3), beta, cfg)
+            run_single_qubit_transfer(math.sqrt(0.5 + 1e-3), beta, **fields)
 
     def test_wireless_chain(self):
-        cfg = ProtocolConfig(spec=ChainSpec(2, 22.0, 1.0), n_time_samples=20)
-        res = run_single_qubit_transfer(S2, S2, cfg)
+        res = run_single_qubit_transfer(
+            S2, S2, **single(2, 22.0, n_time_samples=20))
         assert res.final_fidelity > 0.999
 
     def test_stage_conservation(self):
         # spin 1 is frozen during transport, spin N during reset
-        cfg = single_cfg(5, 22.0, n_time_samples=60, propagator=EXACT)
-        res = run_single_qubit_transfer(1.0, 0.0, cfg)
-        n_samp = cfg.n_time_samples
+        n_samp = 60
+        res = run_single_qubit_transfer(1.0, 0.0, **single(
+            5, 22.0, n_time_samples=n_samp, propagator=EXACT))
         stage1 = res.sigma_z_trace[0, : n_samp + 1]
         assert np.abs(stage1 - stage1[0]).max() < 1e-10
         stage2 = res.sigma_z_trace[-1, n_samp:]
         assert np.abs(stage2 - stage2[0]).max() < 1e-10
 
     def test_linearity(self):
-        cfg = single_cfg(5, 22.0, n_time_samples=20, propagator=EXACT)
+        fields = single(5, 22.0, n_time_samples=20, propagator=EXACT)
         alpha, beta = 0.6, 0.8
-        full = run_single_qubit_transfer(alpha, beta, cfg).final_state
-        one = run_single_qubit_transfer(1.0, 0.0, cfg).final_state
-        zero = run_single_qubit_transfer(0.0, 1.0, cfg).final_state
+        full = run_single_qubit_transfer(alpha, beta, **fields).final_state
+        one = run_single_qubit_transfer(1.0, 0.0, **fields).final_state
+        zero = run_single_qubit_transfer(0.0, 1.0, **fields).final_state
         combo = alpha * one.amplitudes + beta * zero.amplitudes
         assert np.linalg.norm(full.amplitudes - combo) < 1e-8
 
     def test_determinism(self):
-        cfg = single_cfg(5, 22.0, n_time_samples=25)
-        a = run_single_qubit_transfer(S2, S2, cfg)
-        b = run_single_qubit_transfer(S2, S2, cfg)
+        fields = single(5, 22.0, n_time_samples=25)
+        a = run_single_qubit_transfer(S2, S2, **fields)
+        b = run_single_qubit_transfer(S2, S2, **fields)
         assert np.array_equal(a.fidelity_corrected, b.fidelity_corrected)
         assert np.array_equal(a.final_state.amplitudes, b.final_state.amplitudes)
         assert a.final_fidelity == b.final_fidelity
@@ -163,8 +198,8 @@ class TestSingleQubitTransfer:
     def test_quadratic_error_suppression(self, N):
         # peak infidelity shrinks roughly 4x when J/lam doubles
         def infidelity(ratio):
-            cfg = single_cfg(N, ratio, n_time_samples=60)
-            res = run_single_qubit_transfer(1.0, 0.0, cfg)
+            res = run_single_qubit_transfer(
+                1.0, 0.0, **single(N, ratio, n_time_samples=60))
             return 1.0 - res.peak_fidelity
 
         e20, e40 = infidelity(20.0), infidelity(40.0)
@@ -173,8 +208,8 @@ class TestSingleQubitTransfer:
     @pytest.mark.parametrize("N", [5, 9])
     def test_leakage_stays_small(self, N):
         # weight outside the two-wall sector at readout is perturbative
-        cfg = single_cfg(N, 22.0, n_time_samples=20)
-        res = run_single_qubit_transfer(1.0, 0.0, cfg)
+        res = run_single_qubit_transfer(
+            1.0, 0.0, **single(N, 22.0, n_time_samples=20))
         amps = res.final_state.amplitudes
         ctx = BoundaryContext(left_value=0, right_context=0)
         leaked = sum(
@@ -188,48 +223,54 @@ class TestSingleQubitTransfer:
 
 class TestMultiQubitTransfer:
     def test_ghz_corrected_beats_uncorrected_peak(self):
-        cfg = ProtocolConfig(spec=ChainSpec(9, 22.0, 1.0), n_time_samples=60)
         ghz = LogicalState(3, np.array([S2, 0, 0, 0, 0, 0, 0, S2]))
-        res = run_multi_qubit_transfer(ghz, cfg)
+        res = run_multi_qubit_transfer(
+            Transfer(9, 1.0, 22.0, ghz, n_time_samples=60))
         i = int(np.argmax(res.fidelity_corrected[60:])) + 60
         assert res.fidelity_corrected[i] >= res.fidelity_uncorrected[i]
 
     def test_bell_pair(self):
-        cfg = ProtocolConfig(spec=ChainSpec(7, 22.0, 1.0), n_time_samples=60)
         bell = LogicalState(2, np.array([S2, 0, 0, S2]))
-        res = run_multi_qubit_transfer(bell, cfg)
+        res = run_multi_qubit_transfer(
+            Transfer(7, 1.0, 22.0, bell, n_time_samples=60))
         assert res.final_fidelity > 0.95
 
     def test_product_11_threshold(self):
-        cfg = ProtocolConfig(spec=ChainSpec(7, 22.0, 1.0), n_time_samples=60)
         prod = LogicalState(2, np.array([0.0, 0, 0, 1.0]))
-        res = run_multi_qubit_transfer(prod, cfg)
+        res = run_multi_qubit_transfer(
+            Transfer(7, 1.0, 22.0, prod, n_time_samples=60))
         assert res.fidelity_corrected[-1] >= 0.95
 
     def test_global_rng_untouched(self):
         # byte-identical reruns rely on the fast propagator drawing no
         # random numbers from numpy's global generator
-        cfg = ProtocolConfig(spec=ChainSpec(7, 22.0, 1.0))
         bell = LogicalState(2, np.array([S2, 0, 0, S2]))
         before = np.random.get_state()
-        run_multi_qubit_transfer(bell, cfg)
+        run_multi_qubit_transfer(Transfer(7, 1.0, 22.0, bell))
         after = np.random.get_state()
         assert np.array_equal(after[1], before[1])
         assert after[2:] == before[2:]
 
     def test_payload_wider_than_half_the_chain_raises(self):
         # a 3-qubit payload needs registers of 3 spins at both ends
-        cfg = ProtocolConfig(spec=ChainSpec(5, 22.0, 1.0), n_time_samples=10)
         ghz = LogicalState(3, np.array([S2, 0, 0, 0, 0, 0, 0, S2]))
-        with pytest.raises(ValueError, match="register"):
-            run_multi_qubit_transfer(ghz, cfg)
+        with pytest.raises(ValueError, match="'state'.*register"):
+            Transfer(5, 1.0, 22.0, ghz, n_time_samples=10)
+
+    @pytest.mark.parametrize("j_coupling", [0.0, 1e-8])
+    def test_empty_register_names_j_and_lam(self, j_coupling):
+        # at J/lam near 0 the readout finds no weight on Bob's register
+        with pytest.warns(UserWarning, match="quadratic"):
+            run = Transfer(5, 1.0, j_coupling, logical_one(),
+                           n_time_samples=20)
+        with pytest.raises(ValueError, match="'j_coupling' and 'lam'.*J/lam"):
+            run_multi_qubit_transfer(run)
 
     def test_bob_register_frozen_in_stage2(self):
-        cfg = ProtocolConfig(spec=ChainSpec(7, 22.0, 1.0), n_time_samples=40,
-                             propagator=EXACT)
+        n_samp = 40
         bell = LogicalState(2, np.array([S2, 0, 0, S2]))
-        res = run_multi_qubit_transfer(bell, cfg)
-        n_samp = cfg.n_time_samples
+        res = run_multi_qubit_transfer(Transfer(
+            7, 1.0, 22.0, bell, n_time_samples=n_samp, propagator=EXACT))
         for site in (6, 7):
             stage2 = res.sigma_z_trace[site - 1, n_samp:]
             assert np.abs(stage2 - stage2[0]).max() < 1e-10
@@ -238,8 +279,8 @@ class TestMultiQubitTransfer:
         # the uncorrected trace beats at the inter-sector phase rate,
         # which is linear in J
         def dominant_frequency(ratio):
-            cfg = single_cfg(5, ratio, n_time_samples=400, propagator=EXACT)
-            res = run_single_qubit_transfer(S2, S2, cfg)
+            res = run_single_qubit_transfer(S2, S2, **single(
+                5, ratio, n_time_samples=400, propagator=EXACT))
             sig = res.fidelity_uncorrected - res.fidelity_uncorrected.mean()
             spectrum = np.abs(np.fft.rfft(sig))
             dt = res.times[1] - res.times[0]
@@ -252,8 +293,8 @@ class TestMultiQubitTransfer:
 
 class TestTraceAccess:
     def test_fidelity_trace_accessor(self):
-        cfg = single_cfg(5, 22.0, n_time_samples=100)
-        res = run_single_qubit_transfer(S2, S2, cfg)
+        res = run_single_qubit_transfer(
+            S2, S2, **single(5, 22.0, n_time_samples=100))
         times = res.times
         assert times.shape == res.fidelity_corrected.shape
         assert times.shape == res.fidelity_uncorrected.shape
@@ -262,14 +303,14 @@ class TestTraceAccess:
         assert times[-1] == pytest.approx(2 * res.tau)
 
     def test_fidelities_bounded(self):
-        cfg = single_cfg(5, 22.0, n_time_samples=30)
-        res = run_single_qubit_transfer(S2, S2, cfg)
+        res = run_single_qubit_transfer(
+            S2, S2, **single(5, 22.0, n_time_samples=30))
         for trace in (res.fidelity_corrected, res.fidelity_uncorrected):
             assert np.all(trace >= 0.0) and np.all(trace <= 1.0)
 
     def test_peak_near_readout(self):
-        cfg = single_cfg(5, 22.0, n_time_samples=100)
-        res = run_single_qubit_transfer(1.0, 0.0, cfg)
+        res = run_single_qubit_transfer(
+            1.0, 0.0, **single(5, 22.0, n_time_samples=100))
         assert abs(res.peak_time - 2 * res.tau) <= 0.05 * 2 * res.tau
         assert res.peak_fidelity >= res.fidelity_corrected[-1] - 1e-12
 
@@ -372,9 +413,9 @@ class TestTraceRun:
     def test_chunks_match_one_call_per_sample(self, monkeypatch, cfg):
         # 100 samples per stage: by default two blocks of 40 and one of
         # 20 each, then one block per stage, then one sample per call
-        run_cfg = ProtocolConfig(spec=ChainSpec(7, 22.0, 1.0),
-                                 n_time_samples=100, propagator=cfg)
         bell = LogicalState(2, np.array([S2, 0, 0, S2]))
+        run = Transfer(7, 1.0, 22.0, bell, n_time_samples=100,
+                       propagator=cfg)
         lengths = []
 
         def counting_evolve(state, h, t, prop):
@@ -387,7 +428,7 @@ class TestTraceRun:
             if rows is not None:
                 monkeypatch.setattr(protocol, "trace_rows", lambda n: rows)
             lengths.clear()
-            runs[label] = run_multi_qubit_transfer(bell, run_cfg)
+            runs[label] = run_multi_qubit_transfer(run)
             want = {"default": [40, 40, 20], "stage": [100],
                     "one": [1] * 100}[label]
             assert lengths == want * 2
@@ -407,13 +448,12 @@ class TestTraceRun:
         assert protocol.trace_rows(n) == rows
 
     def test_each_stage_operator_released_before_the_next(self):
-        spec = ChainSpec(5, 22.0, 1.0)
         built = []
 
         def stage(builder):
             def build():
                 assert all(ref() is None for ref in built)
-                h = realize(builder(spec))
+                h = realize(builder())
                 built.append(weakref.ref(h))
                 return h
             return build
@@ -421,9 +461,10 @@ class TestTraceRun:
         psi = StateVector.from_bits([1, 0, 0, 0, 0])
         gc.disable()
         try:
-            _trace_run(psi, (stage(transport_hamiltonian),
-                             stage(reset_hamiltonian)),
-                       [], 5, spec.tau, 12, PropagatorConfig())
+            _trace_run(psi, (
+                stage(lambda: transport_hamiltonian(5, 22.0, 1.0)),
+                stage(lambda: multiqubit_reset_hamiltonian(5, 22.0, 1.0, 1)),
+            ), [], 5, math.pi, 12, PropagatorConfig())
         finally:
             gc.enable()
         assert len(built) == 2 and built[1]() is None
@@ -470,14 +511,13 @@ class TestTraceOverlaps:
             assert np.abs(trace - ref).max() < 1e-14
 
     def test_multi_branch_payload(self, sampled):
-        spec = ChainSpec(7, 22.0, 1.0)
         amp = np.array([0.5, 0.5j, -0.5, 0.5])
         res = run_multi_qubit_transfer(
-            LogicalState(2, amp), ProtocolConfig(spec=spec, n_time_samples=25))
+            Transfer(7, 1.0, 22.0, LogicalState(2, amp), n_time_samples=25))
         assert len(sampled["branches"]) == 4
         self.assert_match_reference(
             res.times, res.fidelity_corrected, res.fidelity_uncorrected,
-            sampled["states"], sampled["branches"], 7, spec.tau)
+            sampled["states"], sampled["branches"], 7, math.pi)
 
     def test_empty_branch_baseline(self, sampled):
         n, tau = 5, math.pi
@@ -498,7 +538,7 @@ class TestBranchTable:
         # pattern of its mirrored logical bits, which decodes back to them
         N = 2 * k + n_wire
         payload = LogicalState(k, np.full(2**k, 2 ** (-k / 2), dtype=complex))
-        branches = protocol._build_branches(payload, ChainSpec(N, 22.0, 1.0))
+        branches = protocol._build_branches(Transfer(N, 1.0, 22.0, payload))
         perm = protocol._decode_permutation(k)
         assert len(branches) == 2**k
         for idx, br in enumerate(branches):
@@ -511,9 +551,9 @@ class TestBranchTable:
     def test_closed_form_matches_stage_by_stage_walls(self, k):
         payload = LogicalState(k, np.full(2**k, 2 ** (-k / 2), dtype=complex))
         for N in range(2 * k, 2 * k + 9):
-            spec = ChainSpec(N, 22.0, 0.37)
-            branches = protocol._build_branches(payload, spec)
-            reference = stage_by_stage_branches(k, spec)
+            run = Transfer(N, 0.37, 22.0, payload)
+            branches = protocol._build_branches(run)
+            reference = stage_by_stage_branches(k, run)
             assert len(branches) == len(reference)
             for br, (initial, final, phase, e1, e2) in zip(branches,
                                                            reference):
@@ -549,11 +589,11 @@ def _slater(L, lam, s_in, s_out):
     return np.linalg.det(_mirror_propagator(L, lam)[np.ix_(rows, cols)])
 
 
-def stage_by_stage_branches(k, spec):
+def stage_by_stage_branches(k, run):
     """Reference branch table: ``(initial, final, mirror phase, stage
     energies)`` per logical index, each stage's walls mirrored as free
     fermions with a Slater determinant of the ``expm`` propagator."""
-    N, J, lam = spec.n_spins, spec.j_coupling, spec.lam
+    N, J, lam = run.n_spins, run.j_coupling, run.lam
     L2 = N - k + 1
     table = []
     for idx in range(2**k):
@@ -639,16 +679,21 @@ class TestReadout:
     ])
     def test_leaky_transfer(self, readouts, ratio, corrected, k,
                             amplitudes):
-        spec = ChainSpec(2 * k + 3, ratio, 1.0)
         payload = LogicalState(k, np.array(amplitudes, dtype=complex))
-        res = run_multi_qubit_transfer(payload, ProtocolConfig(
-            spec=spec, n_time_samples=20, apply_phase_correction=corrected))
+        res = run_multi_qubit_transfer(Transfer(
+            2 * k + 3, 1.0, ratio, payload, n_time_samples=20,
+            apply_phase_correction=corrected))
         f = self.assert_match_reference(res, readouts, payload)
         assert f < 1 - 1e-4
 
     @pytest.mark.parametrize("corrected", [True, False])
-    def test_xy_baseline(self, readouts, corrected):
+    def test_xy_baseline(self, readouts, monkeypatch, corrected):
+        # the baseline always corrects its readout; the uncorrected one
+        # is read from the same final state by clearing the flag
+        recording = protocol._readout
+        monkeypatch.setattr(protocol, "_readout", lambda *args: recording(
+            *args[:-1], args[-1] and corrected))
         payload = LogicalState(1, np.array([0.6, 0.8j]))
-        res = run_heisenberg_baseline(6, 1.0, payload, ProtocolConfig(
-            n_time_samples=20, apply_phase_correction=corrected))
+        res = run_heisenberg_baseline(
+            Baseline(6, 1.0, payload, n_time_samples=20))
         self.assert_match_reference(res, readouts, payload)
