@@ -32,11 +32,14 @@ from .analysis import (
 )
 from .core import PropagatorConfig
 from .encoding import LogicalState
+from .fermions import BLOCK_BYTES
 from .protocol import (
     Baseline,
+    EmptyReadout,
     ProtocolResult,
     Transfer,
     _check_chain,
+    free_fermion,
     run_heisenberg_baseline,
     run_multi_qubit_transfer,
     run_single_qubit_transfer,  # not called here: perfbench/spans.py wraps it
@@ -50,6 +53,13 @@ MEMORY_LIMIT_GIB = 4  # largest estimated footprint a run may start with
 # and the Chebyshev ring; the realized operator and its build add about
 # 3 more per spin
 STATE_VECTORS = 48
+# complex matrices of the size of the readout Pfaffians, 4N + 2k + 6, a
+# free-fermion run holds at once besides its blocks of covariances
+PFAFFIAN_MATRICES = 8
+# longest chain a free-fermion run may take: its time grows about as N^3
+# per sample, and at N = 200 a transfer of 20 samples per stage already
+# takes about half a minute (26 s in-process)
+FREE_FERMION_SPINS_MAX = 200
 # bytes per sampled trace value: 8 in its array and about 185 while
 # _write_run formats it (measured at N = 5 and 13)
 TRACE_VALUE_BYTES = 200
@@ -126,7 +136,13 @@ def _value(kind, raw, field: str):
                 f"manifest field '{field}' must be a number, got "
                 f"{type(raw).__name__}"
             )
-        if not math.isfinite(raw):
+        try:
+            finite = math.isfinite(raw)
+        except OverflowError:  # an integer beyond the float range
+            raise ManifestError(
+                f"manifest field '{field}' must be finite, got an integer "
+                "too large for a float") from None
+        if not finite:
             raise ManifestError(
                 f"manifest field '{field}' must be finite, got {raw}"
             )
@@ -206,26 +222,42 @@ def _check_memory(field: str, value, log2_need: float, hint: str = ""):
 
 
 def _check_footprint(run, dense_log2: float) -> None:
-    """Refuse a state-vector run (``run`` declares ``n_spins``,
-    ``n_time_samples`` and ``propagator``) whose estimated memory per
-    process exceeds ``MEMORY_LIMIT_GIB``.
+    """Refuse a run (a ``Baseline`` or a ``Transfer``) whose estimated
+    memory per process exceeds ``MEMORY_LIMIT_GIB``.
 
-    The estimate counts complex vectors of 2^N amplitudes and, on the
-    dense path, three complex matrices of the largest component H is
-    diagonalized on, of dimension 2^``dense_log2``; above that limit it
-    names ``n_spins``.  Then it adds the traces of two stages of
-    samples, ``TRACE_VALUE_BYTES`` for each of the N sigma_z values and
-    3 more values per sample, and names ``n_time_samples``.  It is
-    compared by its log2, so no 2^N is formed for a chain of any length.
+    On free fermions (``protocol.free_fermion``) a chain longer than
+    ``FREE_FERMION_SPINS_MAX`` is refused for its run time, naming
+    ``n_spins``; the estimate counts ``PFAFFIAN_MATRICES`` complex
+    matrices of dimension 4N + 2k + 6 and a few blocks of covariances.
+    On the state vector it counts complex vectors of 2^N amplitudes
+    and, on the dense path, three complex matrices of the largest
+    component H is diagonalized on, of dimension 2^``dense_log2``.
+    Above the limit it names ``n_spins``.
+    Then it adds the traces of two stages of samples,
+    ``TRACE_VALUE_BYTES`` for each of the N sigma_z values and 3 more
+    values per sample, and names ``n_time_samples``.  It is compared by
+    its log2, so no 2^N is formed for a chain of any length.
     """
     N = run.n_spins
-    log2_need = N + math.log2(16 * (STATE_VECTORS + 3 * N))
-    if run.propagator.method == "exact-eigendecomposition":
-        log2_need = np.logaddexp2(log2_need,
-                                  math.log2(16 * 3) + 2 * dense_log2)
-    _check_memory("n_spins", N, log2_need,
-                  "; chains this long need the free-fermion backend "
-                  "(ROADMAP item 2)")
+    if free_fermion(run):
+        if N > FREE_FERMION_SPINS_MAX:
+            raise ManifestError(
+                f"manifest field 'n_spins' is {N}: free-fermion runs take "
+                f"at most {FREE_FERMION_SPINS_MAX} spins, as their time "
+                "grows about as N^3 per sample (ROADMAP item 2a)")
+        width = 4 * N + 2 * run.state.n_logical + 6
+        log2_need = np.logaddexp2(
+            math.log2(16 * PFAFFIAN_MATRICES) + 2 * math.log2(width),
+            math.log2(8 * BLOCK_BYTES))
+        hint = ""
+    else:
+        log2_need = N + math.log2(16 * (STATE_VECTORS + 3 * N))
+        if run.propagator.method == "exact-eigendecomposition":
+            log2_need = np.logaddexp2(log2_need,
+                                      math.log2(16 * 3) + 2 * dense_log2)
+        hint = ("; chains this long need the free-fermion backend "
+                "(ROADMAP item 2)")
+    _check_memory("n_spins", N, log2_need, hint)
     log2_traces = (math.log2(TRACE_VALUE_BYTES * (N + 3))
                    + math.log2(2 * run.n_time_samples + 1))
     _check_memory("n_time_samples", run.n_time_samples,
@@ -318,7 +350,6 @@ def cmd_transfer(run: Transfer, manifest: dict, out: Path, args) -> int:
 
 
 def cmd_sweep(run: Sweep, manifest: dict, out: Path, args) -> int:
-    _check_footprint(run, run.n_spins - 1)
     ratios = [_value(float, r, "ratios") for r in run.ratios]
     if not ratios or not all(r > 0 for r in ratios):
         raise ManifestError(
@@ -346,7 +377,14 @@ def cmd_sweep(run: Sweep, manifest: dict, out: Path, args) -> int:
         except ValueError as exc:
             raise ManifestError(
                 f"manifest field '{field}' is invalid: {exc}") from exc
-    table = error_scaling_sweep(runs, args.workers)
+    for _, _, transfer in runs:
+        _check_footprint(transfer, run.n_spins - 1)
+    try:
+        table = error_scaling_sweep(runs, args.workers)
+    except EmptyReadout as exc:
+        raise ManifestError(
+            f"manifest field 'ratios' holds J/lam = {exc.ratio:.6g}, which "
+            "leaves no weight on Bob's decoded register") from exc
     _write_csv(out / "sweep.csv", manifest, table.to_csv())
     _write_json(out / "fit.json", manifest, table.summary())
     band = args.assert_slope

@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -328,16 +329,21 @@ def _hermiticity_defect(m: sp.csr_matrix) -> float:
 
 @dataclass(frozen=True)
 class PropagatorConfig:
-    """How ``evolve`` approximates ``exp(-i H t)``.
+    """How a run approximates ``exp(-i H t)``.
 
     ``exact-eigendecomposition`` is the dense reference path: H is
     diagonalized once on each connected component of its nonzero
     pattern, in real arithmetic when H is real, and only the components
-    the state occupies are propagated.  ``krylov`` is the sparse fast
-    path.  It is a Chebyshev expansion of the exponential on the
+    the state occupies are propagated.  ``krylov``, the default, is the
+    fast path.  A transfer whose payload is Gaussian on the wall
+    fermions runs exactly on free fermions, its state the Majorana
+    covariance (``protocol.free_fermion``, ``fermions``), propagated
+    exactly by ``evolve`` under a ``MajoranaOperator`` whatever the
+    method; every other run, and every ``evolve`` call on an
+    ``Operator``, takes a Chebyshev expansion of the exponential on the
     spectral interval of H (Tal-Ezer & Kosloff 1984), truncated at
-    round-off; ``"krylov"`` is kept as its name so that existing
-    manifests run.
+    round-off.  ``"krylov"`` is kept as its name so that
+    existing manifests run.
     """
 
     method: str = "krylov"
@@ -347,8 +353,12 @@ class PropagatorConfig:
             raise ValueError(f"unknown propagator method {self.method!r}")
 
 
-def realize(p: PauliSum) -> Operator:
-    """Realize a Pauli sum as a sparse Hermitian matrix."""
+def realize(p: PauliSum, majorana: bool = False):
+    """Realize a Pauli sum as a sparse Hermitian matrix on the 2^N spin
+    states, an ``Operator``, or with ``majorana`` on the 2N + 2 wall
+    Majoranas, a ``MajoranaOperator``."""
+    if majorana:
+        return MajoranaOperator(majorana_form(p))
     # the Hermiticity check runs after the build's work arrays are freed
     return Operator(_pauli_csr(p))
 
@@ -393,6 +403,98 @@ def _pauli_csr(p: PauliSum) -> sp.csr_matrix:
     return acc
 
 
+def majorana_form(p: PauliSum) -> sp.csr_matrix:
+    """The sparse real antisymmetric ``A`` of a Pauli sum on the 2N + 2
+    wall Majoranas, ``p = (i/4) sum_jk A_jk gamma_j gamma_k``.
+
+    Interface q (q = 0..N, interface q between spin q and spin q + 1,
+    with a down spin 0 and N + 1) carries ``gamma_2q`` and
+    ``gamma_2q+1``; see :mod:`dwtransfer.fermions`.  Each term maps on
+    its own: ``Z_n Z_n+1 = -i gamma_2n gamma_2n+1``, ``Z_1`` and ``Z_N``
+    the same on interfaces 0 and N, and ``X_n = -i gamma_2n-1
+    gamma_2n``.  Any other term raises ``ValueError`` naming it.  No
+    2^N object is formed.
+    """
+    n = p.n_spins
+    a = np.zeros((2 * n + 2, 2 * n + 2))
+    for coeff, factors in p.terms:
+        sites = sorted(factors)
+        labels = "".join(factors[s] for s in sites)
+        if labels == "X":
+            j = 2 * sites[0] - 1
+        elif labels == "ZZ" and sites[1] == sites[0] + 1:
+            j = 2 * sites[0]
+        elif labels == "Z" and sites[0] in (1, n):
+            j = 0 if sites[0] == 1 else 2 * n
+        else:
+            raise ValueError(
+                f"term {coeff:g} * {factors} is not quadratic in the wall "
+                "Majoranas: only X_n, Z_n Z_n+1, Z_1 and Z_N are")
+        # (i/4)(A_jk g_j g_k + A_kj g_k g_j) = (i/2) A_jk g_j g_k, k = j + 1
+        a[j, j + 1] -= 2 * coeff
+        a[j + 1, j] += 2 * coeff
+    rows, cols = np.nonzero(a)  # in row order, as CSR stores them
+    return sp.csr_matrix(
+        (a[rows, cols], cols, np.searchsorted(rows, np.arange(2 * n + 3))),
+        shape=a.shape)
+
+
+class MajoranaOperator:
+    """A Pauli sum quadratic in the wall Majoranas, realized by
+    ``realize(p, majorana=True)``: ``matrix`` is its ``majorana_form``
+    A, and ``q``, ``eps`` its normal modes, from one ``eigh`` of ``iA``.
+
+    The columns of ``q`` are orthonormal and real; pair k, columns 2k
+    and 2k + 1, spans a plane A maps into itself, on which A is
+    ``eps_k [[0, 1], [-1, 0]]``.  An eigenvector ``v`` of ``iA`` with
+    eigenvalue ``w > 0`` gives the plane of ``Re v`` and ``Im v``; the
+    eigenvalues within round-off of 0 give A's null space, whose pairs
+    have ``eps = 0``.  ``q`` is made exactly orthogonal (its polar
+    factor) and ``eps`` read from ``q^T A q``.  With ``eta = q^T gamma``
+    a traceless ``H`` propagates exactly as ``exp(-i H t) = prod_k
+    (cos(eps_k t/2) + sin(eps_k t/2) eta_2k eta_2k+1)``, and ``evolve``
+    takes a Majorana covariance ``M`` to ``R(t) M R(t)^T`` with ``R(t) =
+    exp(A t)``.
+    """
+
+    def __init__(self, matrix: sp.csr_matrix):
+        self.matrix = matrix
+        a = matrix.toarray()
+        size = a.shape[0]
+        w, v = np.linalg.eigh(1j * a)
+        tol = size * np.finfo(float).eps * float(np.abs(w).max())
+        planes = int(np.count_nonzero(w > tol))
+        q = np.empty((size, size))
+        q[:, 0:2 * planes:2] = math.sqrt(2) * v[:, size - planes:].real
+        q[:, 1:2 * planes:2] = math.sqrt(2) * v[:, size - planes:].imag
+        null = v[:, planes:size - planes]
+        if null.size:
+            # a real basis of the null space, closed under conjugation
+            basis = np.linalg.svd(np.hstack([null.real, null.imag]))[0]
+            q[:, 2 * planes:] = basis[:, :null.shape[1]]
+        u, _, vt = np.linalg.svd(q)
+        self.q = u @ vt
+        self.eps = (self.q.T @ a @ self.q)[np.arange(0, size, 2),
+                                           np.arange(1, size, 2)]
+        self.eps[planes:] = 0.0
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[0]
+
+    def covariances(self, m: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """``R(t) m R(t)^T`` at each of ``times``, shape ``(len(times),
+        size, size)``, each from ``m`` itself."""
+        mt = self.q.T @ m @ self.q
+        angle = np.multiply.outer(times, self.eps)[:, None, :]
+        c, s = np.cos(angle), np.sin(angle)
+        even, odd = self.q[:, 0::2], self.q[:, 1::2]
+        w = np.empty((times.size,) + m.shape)  # q times the rotations
+        w[:, :, 0::2] = c * even - s * odd
+        w[:, :, 1::2] = s * even + c * odd
+        return w @ mt @ w.transpose(0, 2, 1)
+
+
 def fidelity(a: StateVector, b: StateVector) -> float:
     """Squared overlap ``|<a|b>|^2``; insensitive to global phases."""
     if a.n_spins != b.n_spins:
@@ -413,8 +515,8 @@ def sigma_z_expectation(state: StateVector, site: int) -> float:
 
 
 def evolve(
-    state: StateVector,
-    h: Operator,
+    state: StateVector | np.ndarray,
+    h: Operator | MajoranaOperator,
     t: float | np.ndarray,
     cfg: PropagatorConfig = PropagatorConfig(),
 ) -> StateVector | np.ndarray:
@@ -425,11 +527,12 @@ def evolve(
     ``(len(t), 2^N)`` array whose row ``j`` is the state at ``t[j]``,
     all from one call.  Every returned state is renormalized; its norm
     drift before renormalization must stay within ``NORM_DRIFT_TOL``.
+
+    Under a ``MajoranaOperator`` the state is the Majorana covariance of
+    a Gaussian state (:mod:`dwtransfer.fermions`), propagated exactly
+    whatever ``cfg``: one time returns one covariance, an array of times
+    a ``(len(t), 2N + 2, 2N + 2)`` stack.
     """
-    if h.dimension != state.dim:
-        raise DimensionMismatch(
-            f"operator dimension {h.dimension} != state dimension {state.dim}"
-        )
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValueError(f"evolution times must be 1-D, got shape "
@@ -444,6 +547,17 @@ def evolve(
         i = back[0]
         raise ValueError(f"evolution times must be non-decreasing, got "
                          f"{float(grid[i + 1])!r} after {float(grid[i])!r}")
+    if isinstance(h, MajoranaOperator):
+        if np.shape(state) != (h.dimension,) * 2:
+            raise DimensionMismatch(
+                f"operator dimension {h.dimension} != covariance shape "
+                f"{np.shape(state)}")
+        out = h.covariances(state, grid)
+        return out[0] if times.ndim == 0 else out
+    if h.dimension != state.dim:
+        raise DimensionMismatch(
+            f"operator dimension {h.dimension} != state dimension {state.dim}"
+        )
     if times.ndim == 0:
         if times == 0.0:
             return state

@@ -11,6 +11,13 @@ The protocol pipeline is:
    returning the wire to all-down;
 4. undo the deterministic stage phases and decode Bob's register.
 
+A transfer whose payload is Gaussian on the wall fermions (every 1- and
+2-qubit payload, W and cluster3, not GHZ) runs on free fermions by
+default: its state is the (2N + 2)^2 Majorana covariance of
+``fermions``.  Any other payload, the XY baseline and the dense
+reference propagator run on the 2^N amplitudes; ``free_fermion`` makes
+the choice.
+
 Deterministic phases are tracked per logical branch, in closed form from
 its bits: a branch is a set of domain walls, and at tau = pi/lam the
 engineered profile mirrors every wall with the perfect-transfer amplitude
@@ -27,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fermions
 from .core import (
     PropagatorConfig,
     StateVector,
@@ -56,6 +64,12 @@ FIDELITY_ROUNDOFF = 1e-9  # largest excursion outside [0, 1] clamped silently
 TRACE_BYTES = 10 * 16 * 2**13
 TRACE_ROWS_MAX = 40  # longer blocks lengthen every row's series product
 RATIO_WARN_THRESHOLD = 8.0  # |J|/lam below which the error law breaks down
+# widest payload on free fermions, whose readout sums 4^k Wick terms.
+# A product payload, 200 samples per stage, J/lam = 22 N/13, in-process:
+# k = 4 takes 0.14 s on free fermions against 0.89 s on the state
+# vector at N = 13; k = 5 0.64 against 0.81 s at N = 13 but 0.58
+# against 0.14 s at N = 11; k = 6 8.5 against 0.54 s at N = 13
+FREE_FERMION_QUBITS = 4
 
 _CTX = BoundaryContext(left_value=0, right_context=0)
 
@@ -143,7 +157,6 @@ class ProtocolResult:
     tau: float
     peak_fidelity: float
     peak_time: float
-    final_state: StateVector
 
 
 @dataclass(frozen=True)
@@ -247,12 +260,48 @@ def _decode_permutation(k: int) -> np.ndarray:
                      for idx in range(2**k)])
 
 
-class _NoReadout(RuntimeError):
-    """Bob's register holds no weight on any decoded pattern."""
+class EmptyReadout(ValueError):
+    """A J/lam that leaves no weight on Bob's decoded register."""
+
+    def __init__(self, ratio: float):
+        super().__init__(ratio)
+        self.ratio = ratio
+
+    def __str__(self):
+        return (f"fields 'j_coupling' and 'lam': J/lam = {self.ratio:.6g} "
+                "leaves no weight on Bob's decoded register")
+
+
+def _bob_target(k: int, branches, tau, t_read: float, corrected: bool):
+    """Bob's target at ``t_read`` and the phases that undo it, by the
+    basis index of Bob's ``k`` spins: each branch's coefficient, times
+    its phase if ``corrected``, at the index of its last ``k`` spins."""
+    target = np.zeros(2**k, dtype=complex)
+    undo = np.ones(2**k, dtype=complex)
+    for br in branches:
+        phase = br.phase_at(t_read, tau) if corrected else 1.0
+        j = basis_index(br.final_bits[-k:])
+        target[j] = br.coefficient * phase
+        undo[j] = np.conj(phase)
+    return target, undo
+
+
+def _decoded(row, undo, k: int, f: float, ratio: float):
+    """The decoded payload and the readout fidelity ``f``: ``row`` holds
+    the amplitudes of Bob's patterns with the rest of the chain all
+    down; its phases are undone, it is put in logical order and
+    normalized.  A ``row`` without weight raises ``EmptyReadout(ratio)``,
+    ``ratio`` the run's J/lam."""
+    logical_vec = (undo * row)[_decode_permutation(k)]
+    nrm = np.sqrt(np.vdot(logical_vec, logical_vec).real)
+    if nrm < 1e-12:
+        raise EmptyReadout(ratio)
+    return LogicalState(k, logical_vec / nrm), _unit_interval(
+        f, "readout fidelity")
 
 
 def _readout(psi: StateVector, k: int, branches, tau, t_read: float,
-             corrected: bool):
+             corrected: bool, ratio: float):
     """Decode Bob's register, the last ``k`` spins, from the final chain
     state at ``t_read``.
 
@@ -267,21 +316,10 @@ def _readout(psi: StateVector, k: int, branches, tau, t_read: float,
     logical order, normalized.
     """
     M = psi.amplitudes.reshape(-1, 2**k)
-    target = np.zeros(2**k, dtype=complex)
-    undo = np.ones(2**k, dtype=complex)
-    for br in branches:
-        phase = br.phase_at(t_read, tau) if corrected else 1.0
-        j = basis_index(br.final_bits[-k:])
-        target[j] = br.coefficient * phase
-        undo[j] = np.conj(phase)
+    target, undo = _bob_target(k, branches, tau, t_read, corrected)
     overlaps = M @ target.conj()
-    f = float(np.vdot(overlaps, overlaps).real)
-    logical_vec = (undo * M[0])[_decode_permutation(k)]
-    nrm = np.sqrt(np.vdot(logical_vec, logical_vec).real)
-    if nrm < 1e-12:
-        raise _NoReadout("no weight on the decoded register")
-    return LogicalState(k, logical_vec / nrm), _unit_interval(
-        f, "readout fidelity")
+    return _decoded(M[0], undo, k, float(np.vdot(overlaps, overlaps).real),
+                    ratio)
 
 
 def _unit_interval(f, what: str):
@@ -304,58 +342,191 @@ def trace_rows(n_spins: int) -> int:
     return min(max(TRACE_BYTES // (16 * 2**n_spins), 1), TRACE_ROWS_MAX)
 
 
-def _trace_run(state, stages, branches, N, tau, n_samp, prop):
-    """Sample both fidelity traces and the sigma_z trace over all stages.
+def _alice_window(state: LogicalState) -> np.ndarray:
+    """Covariance of the payload's walls, on the interfaces 0..k: each
+    branch is the Fock state of the walls of its codec pattern."""
+    k = state.n_logical
+    amp = np.zeros(2 ** (k + 1), dtype=complex)
+    for idx in range(2**k):
+        walls = fermions.walls(dw_encode_bits(index_bits(idx, k), _CTX))
+        amp[basis_index(walls)] = state.amplitudes[idx]
+    return fermions.covariance(amp)
 
-    ``stages`` holds one function per stage that builds its Hamiltonian.
-    Each operator is built when its stage starts and released before the
-    next one is built.  A stage is propagated in blocks of
-    ``trace_rows(N)`` samples; each block starts from the last state of
-    the one before and is recorded as a whole.  The fidelity targets are
-    the branches' final patterns, each weighted by its coefficient and,
-    in the corrected trace, by its protocol phase, so both overlaps are
-    read from the states' amplitudes at the branches' ``final_bits``
-    indices alone.
-    """
-    times = np.linspace(0.0, len(stages) * tau, len(stages) * n_samp + 1)
-    dt = times[1] - times[0]
-    block = trace_rows(N)
-    corrected = np.empty(times.shape)
-    uncorrected = np.empty(times.shape)
-    sigma_z = np.empty((N, times.shape[0]))
-    final = np.array([basis_index(br.final_bits) for br in branches],
-                     dtype=np.int64)
-    coefficient = np.array([br.coefficient for br in branches], dtype=complex)
 
-    def record(first, rows):
-        """Trace entries ``first``, ``first + 1``, ... from consecutive
-        state rows."""
-        span = slice(first, first + len(rows))
-        at = rows[:, final]
-        target = np.empty(at.shape, dtype=complex)
-        for b, br in enumerate(branches):
-            target[:, b] = br.coefficient * br.phase_at(times[span], tau)
-        corrected[span] = _unit_interval(
-            np.abs((target.conj() * at).sum(axis=1)) ** 2,
-            "corrected fidelity")
-        uncorrected[span] = _unit_interval(
-            np.abs(at @ coefficient.conj()) ** 2, "uncorrected fidelity")
+def free_fermion(run) -> bool:
+    """Whether ``run`` propagates on free fermions: a ``Transfer`` on the
+    default ``"krylov"`` propagator whose payload, of at most
+    ``FREE_FERMION_QUBITS`` qubits, is Gaussian on the wall fermions.
+    Every other run propagates its 2^N amplitudes."""
+    return (isinstance(run, Transfer)
+            and run.propagator.method == "krylov"
+            and run.state.n_logical <= FREE_FERMION_QUBITS
+            and fermions.is_gaussian(_alice_window(run.state)))
+
+
+class _Amplitudes:
+    """The state-vector path: the chain's 2^N amplitudes, propagated by
+    ``evolve`` on each stage's realized Hamiltonian in blocks of
+    ``trace_rows(N)`` samples.  Both fidelity overlaps are read from the
+    amplitudes at the branches' ``final_bits`` indices alone."""
+
+    def __init__(self, run, k: int, branches):
+        self.n_spins, self.k, self.branches = run.n_spins, k, branches
+        self.propagator = run.propagator
+        self.block = trace_rows(run.n_spins)
+        self.final = np.array([basis_index(br.final_bits)
+                               for br in branches], dtype=np.int64)
+        self.coefficient = np.array([br.coefficient for br in branches],
+                                    dtype=complex)
+
+    def start(self) -> StateVector:
+        psi0 = np.zeros(2**self.n_spins, dtype=complex)
+        for br in self.branches:
+            psi0[basis_index(br.initial_bits)] += br.coefficient
+        return StateVector(self.n_spins, psi0)
+
+    @staticmethod
+    def rows(state: StateVector) -> np.ndarray:
+        return state.amplitudes[None]
+
+    @staticmethod
+    def build(pauli_sum):
+        return realize(pauli_sum)
+
+    def propagate(self, state, h, steps):
+        rows = evolve(state, h, steps, self.propagator)
+        return rows, StateVector(self.n_spins, rows[-1])
+
+    def read(self, rows, target):
+        """The corrected and uncorrected overlaps and sigma_z of
+        consecutive states, ``target`` holding the branch targets of
+        each."""
+        at = rows[:, self.final]
+        corrected = np.abs((target.conj() * at).sum(axis=1)) ** 2
+        uncorrected = np.abs(at @ self.coefficient.conj()) ** 2
         # squared in place: one real array of the rows' size, alive only
         # while the block is recorded, not through the next evolve
         probs = np.abs(rows)
         probs **= 2
-        sigma_z[:, span] = _sigma_z_all(probs, N)
+        return corrected, uncorrected, _sigma_z_all(probs, self.n_spins)
 
-    record(0, state.amplitudes[None])
+    def readout(self, state, tau, t_read, corrected, ratio):
+        return _readout(state, self.k, self.branches, tau, t_read, corrected,
+                        ratio)
+
+
+class _Covariances:
+    """The free-fermion path: the (2N + 2)^2 Majorana covariance,
+    propagated by ``evolve`` under each stage's ``MajoranaOperator`` in
+    blocks of as many samples as fit ``fermions.BLOCK_BYTES``, each
+    sample from the block's start.
+
+    A full-chain fidelity is the probability that the chain outside
+    Bob's register is all down, times Bob's target overlap on the
+    covariance conditioned on that; the readout fidelity is the same
+    overlap unconditioned.  The decoded payload comes from the phased
+    amplitudes of ``fermions.amplitudes``.
+    """
+
+    def __init__(self, run, k: int, branches):
+        N = run.n_spins
+        self.n_spins, self.k, self.branches = N, k, branches
+        self.state = run.state
+        self.block = max(fermions.BLOCK_BYTES // (8 * (2 * N + 2) ** 2), 1)
+        self.window = fermions.Window(k)
+        # each branch's index in Bob's register, and the target of the
+        # uncorrected trace there
+        self.bob = np.array([basis_index(br.final_bits[N - k:])
+                             for br in branches], dtype=np.int64)
+        self.coefficient = np.array([br.coefficient for br in branches],
+                                    dtype=complex)
+        self.plain = np.zeros(2**k, dtype=complex)
+        self.plain[self.bob] = self.coefficient
+        self.stages = []  # each stage's operator, once built
+
+    def start(self) -> np.ndarray:
+        m = fermions.fock_covariance((0,) * (self.n_spins + 1))
+        w = 2 * self.k + 2
+        m[:w, :w] = _alice_window(self.state)
+        return m
+
+    @staticmethod
+    def rows(m: np.ndarray) -> np.ndarray:
+        return m[None]
+
+    def build(self, pauli_sum):
+        h = realize(pauli_sum, majorana=True)
+        self.stages.append(h)
+        return h
+
+    @staticmethod
+    def propagate(m, h, steps):
+        rows = evolve(m, h, steps)
+        return rows, rows[-1]
+
+    def read(self, rows, target):
+        p, kept, cond = fermions.rest_empty(rows, self.n_spins - self.k)
+        pf = self.window.pfaffians(cond[:, 1:, 1:])
+        phased = np.zeros((np.count_nonzero(kept), 2**self.k), dtype=complex)
+        phased[:, self.bob] = target[kept]
+        corrected, uncorrected = np.zeros(len(rows)), np.zeros(len(rows))
+        corrected[kept] = p[kept] * self.window.overlaps(pf, phased)
+        uncorrected[kept] = p[kept] * self.window.overlaps(pf, self.plain)
+        return corrected, uncorrected, fermions.sigma_z(rows)
+
+    def readout(self, m, tau, t_read, corrected, ratio):
+        N, k = self.n_spins, self.k
+        target, undo = _bob_target(k, self.branches, tau, t_read, corrected)
+        majoranas = slice(2 * (N - k) + 1, None)  # Bob's 2k + 1
+        f = self.window.overlaps(
+            self.window.pfaffians(m[None, majoranas, majoranas]), target)[0]
+        final = [fermions.walls((0,) * (N - k) + tuple(index_bits(j, k)))
+                 for j in range(2**k)]
+        initial = [fermions.walls(br.initial_bits) for br in self.branches]
+        row = fermions.amplitudes(self.stages, tau, final,
+                                  initial) @ self.coefficient
+        return _decoded(row, undo, k, f, ratio)
+
+
+def _trace_run(path, state, stages, tau, n_samp):
+    """Sample both fidelity traces and the sigma_z trace over all stages.
+
+    ``stages`` holds one function per stage that builds its Hamiltonian
+    as a Pauli sum; ``path``, ``_Amplitudes`` or ``_Covariances``,
+    realizes it, propagates ``state`` and reads the samples.  Each
+    stage's operator is built when its stage starts and released before
+    the next one is built.  A stage is propagated in blocks of
+    ``path.block`` samples; each block starts from the last state of the
+    one before and is recorded as a whole.  The fidelity targets are the
+    branches' final patterns, each weighted by its coefficient and, in
+    the corrected trace, by its protocol phase.
+    """
+    times = np.linspace(0.0, len(stages) * tau, len(stages) * n_samp + 1)
+    dt = times[1] - times[0]
+    corrected = np.empty(times.shape)
+    uncorrected = np.empty(times.shape)
+    sigma_z = np.empty((path.n_spins, times.shape[0]))
+
+    def record(first, rows):
+        """Trace entries ``first``, ``first + 1``, ... from consecutive
+        states."""
+        span = slice(first, first + len(rows))
+        target = np.empty((len(rows), len(path.branches)), dtype=complex)
+        for b, br in enumerate(path.branches):
+            target[:, b] = br.coefficient * br.phase_at(times[span], tau)
+        corr, uncorr, sigma_z[:, span] = path.read(rows, target)
+        corrected[span] = _unit_interval(corr, "corrected fidelity")
+        uncorrected[span] = _unit_interval(uncorr, "uncorrected fidelity")
+
+    record(0, path.rows(state))
     i = 1
     for build in stages:
-        h = build()
-        for start in range(0, n_samp, block):
-            steps = np.arange(1, min(block, n_samp - start) + 1) * dt
-            # the block's rows are released before the next evolve
-            rows = evolve(state, h, steps, prop)
+        h = path.build(build())
+        for start in range(0, n_samp, path.block):
+            steps = np.arange(1, min(path.block, n_samp - start) + 1) * dt
+            # the block's rows are released before the next one
+            rows, state = path.propagate(state, h, steps)
             record(i, rows)
-            state = StateVector(N, rows[-1])
             i += steps.size
             del rows
         del h
@@ -369,28 +540,22 @@ def _peak_in_window(times, trace, t_read):
     return float(trace[best]), float(times[best])
 
 
-def _run(run, k: int, branches, stages, J: float = 0.0,
+def _run(run, path, stages, J: float = 0.0,
          corrected: bool = True) -> ProtocolResult:
-    """Trace and read out one run of the branches in ``branches`` on the
-    chain, time grid and propagator of ``run``, with Bob's register the
-    last ``k`` spins.
+    """Trace and read out one run on the chain and time grid of ``run``
+    along ``path``, which holds the branches and Bob's register.
 
     ``stages`` holds one function per stage, each run for pi/lam, that
     builds its Hamiltonian; the peak is searched around, and Bob read
     out at, the end of the last stage.
     """
     N, tau = run.n_spins, math.pi / run.lam
-    psi0 = np.zeros(2**N, dtype=complex)
-    for br in branches:
-        psi0[basis_index(br.initial_bits)] += br.coefficient
     times, corr, uncorr, sigma_z, final_state = _trace_run(
-        StateVector(N, psi0), stages, branches, N, tau, run.n_time_samples,
-        run.propagator,
-    )
+        path, path.start(), stages, tau, run.n_time_samples)
     t_read = len(stages) * tau
     peak_f, peak_t = _peak_in_window(times, corr, t_read)
-    final_logical, final_f = _readout(final_state, k, branches, tau, t_read,
-                                      corrected)
+    final_logical, final_f = path.readout(final_state, tau, t_read,
+                                          corrected, J / run.lam)
     return ProtocolResult(
         times=times,
         fidelity_corrected=corr,
@@ -402,7 +567,6 @@ def _run(run, k: int, branches, stages, J: float = 0.0,
         tau=tau,
         peak_fidelity=peak_f,
         peak_time=peak_t,
-        final_state=final_state,
     )
 
 
@@ -414,23 +578,21 @@ def run_multi_qubit_transfer(run: Transfer) -> ProtocolResult:
     Alice's register, carried to Bob's register (in mirrored qubit
     order, undone by the decode step), and the wire reset.  Traces are
     sampled on a uniform grid over [0, 2 tau] with the Hamiltonian
-    switch exactly at tau.  A J/lam that leaves Bob's register empty at
-    the readout raises ``ValueError``.
+    switch exactly at tau.  The run is on free fermions when
+    ``free_fermion(run)``, else on the 2^N amplitudes.  A J/lam that
+    leaves Bob's register empty at the readout raises ``EmptyReadout``,
+    a ``ValueError``.
     """
     N, J, lam = run.n_spins, run.j_coupling, run.lam
     k = run.state.n_logical
-    try:
-        return _run(
-            run, k, _build_branches(run),
-            (lambda: realize(transport_hamiltonian(N, J, lam)),
-             lambda: realize(multiqubit_reset_hamiltonian(N, J, lam, k))),
-            J, run.apply_phase_correction,
-        )
-    except _NoReadout as exc:
-        raise ValueError(
-            f"fields 'j_coupling' and 'lam': J/lam = {J / lam:.6g} leaves "
-            "no weight on Bob's decoded register"
-        ) from exc
+    path = (_Covariances if free_fermion(run) else _Amplitudes)(
+        run, k, _build_branches(run))
+    return _run(
+        run, path,
+        (lambda: transport_hamiltonian(N, J, lam),
+         lambda: multiqubit_reset_hamiltonian(N, J, lam, k)),
+        J, run.apply_phase_correction,
+    )
 
 
 def run_single_qubit_transfer(alpha: complex, beta: complex,
@@ -460,4 +622,5 @@ def run_heisenberg_baseline(run: Baseline) -> ProtocolResult:
         branches.append(_Branch(complex(alpha), (1,) + (0,) * (N - 1),
                                 (0,) * (N - 1) + (1,), _mirror_phase(N, 1),
                                 0.0, 0.0))
-    return _run(run, 1, branches, (lambda: realize(heisenberg_xy(N, lam)),))
+    return _run(run, _Amplitudes(run, 1, branches),
+                (lambda: heisenberg_xy(N, lam),))

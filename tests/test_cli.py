@@ -26,6 +26,7 @@ from dwtransfer.encoding import LogicalState
 from dwtransfer.protocol import Transfer, run_single_qubit_transfer
 
 S2 = 1 / math.sqrt(2)
+GHZ = {"amplitudes": [[S2, 0], 0, 0, 0, 0, 0, 0, [S2, 0]]}
 
 
 def write_manifest(path, payload):
@@ -441,6 +442,28 @@ class TestInputGuards:
         assert "'ratios'" in capsys.readouterr().err
         assert not any(out.iterdir())
 
+    def test_integer_beyond_float_range_exits_1(self, transfer_manifest,
+                                                tmp_path, capsys):
+        # 10^400 is a JSON integer no float holds
+        cfg = with_fields(transfer_manifest, tmp_path,
+                          n_time_samples=10**400)
+        out = tmp_path / "o"
+        assert run(["transfer", "--config", cfg, "--out", out]) == 1
+        assert "'n_time_samples'" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    def test_ratio_leaving_bob_empty_names_ratios(self, sweep_manifest,
+                                                  tmp_path, capsys):
+        # on the default propagator this payload runs on free fermions
+        cfg = with_fields(sweep_manifest, tmp_path, ratios=[8.0, 1e-300],
+                          propagator="krylov", n_time_samples=20)
+        out = tmp_path / "o"
+        with pytest.warns(UserWarning, match="quadratic"):
+            assert run(["sweep", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "'ratios'" in err and "'j_coupling'" not in err
+        assert not any(out.iterdir())
+
     def test_empty_states_exits_1(self, sweep_manifest, tmp_path, capsys):
         cfg = with_fields(sweep_manifest, tmp_path, states=[])
         out = tmp_path / "o"
@@ -479,12 +502,47 @@ class TestMemoryGuard:
     @pytest.mark.parametrize("command", ["baseline", "transfer", "sweep"])
     def test_chain_too_long_exits_1(self, request, tmp_path, capsys,
                                     command, n_spins):
+        # a Gaussian payload runs on free fermions at these lengths
+        # (test_gaussian_transfer_runs_at_n40); GHZ needs 2^N amplitudes
         path = request.getfixturevalue(f"{command}_manifest")
-        cfg = with_fields(path, tmp_path, n_spins=n_spins)
+        extra = {"state": GHZ} if command == "transfer" else {}
+        cfg = with_fields(path, tmp_path, n_spins=n_spins, **extra)
         out = tmp_path / "o"
         assert run([command, "--config", cfg, "--out", out]) == 1
         err = capsys.readouterr().err
         assert "'n_spins'" in err and "free-fermion" in err
+        assert not any(out.iterdir())
+
+    def test_gaussian_transfer_runs_at_n40(self, transfer_manifest,
+                                           tmp_path):
+        # |1> runs on free fermions in O(N^2) memory; scaling lam and J
+        # together only rescales time, which leaves the outputs as they
+        # are
+        got = {}
+        for s in (1.0, 2.0, 0.37):
+            cfg = with_fields(transfer_manifest, tmp_path, n_spins=40,
+                              lam=s, j_coupling=22.0 * s, n_time_samples=20,
+                              state={"alpha": 1.0, "beta": 0.0})
+            out = tmp_path / f"o{s}"
+            assert run(["transfer", "--config", cfg, "--out", out]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            rows = (out / "sigma_z.csv").read_text().splitlines()[2:]
+            got[s] = np.array([summary["final_fidelity"],
+                               summary["peak_fidelity"],
+                               sum(float(r.split(",")[2]) for r in rows)])
+        for s in (2.0, 0.37):
+            assert np.abs(got[s] - got[1.0]).max() <= 1e-10
+
+    @pytest.mark.parametrize("n_spins", [201, 2000])
+    def test_gaussian_transfer_beyond_its_limit_exits_1(
+            self, transfer_manifest, tmp_path, capsys, n_spins):
+        # memory would allow it, but the run would last hours
+        cfg = with_fields(transfer_manifest, tmp_path, n_spins=n_spins,
+                          state={"alpha": 1.0, "beta": 0.0})
+        out = tmp_path / "o"
+        assert run(["transfer", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "'n_spins'" in err and "at most 200 spins" in err
         assert not any(out.iterdir())
 
     # 1e12 samples would allocate terabytes of traces; 1e300 more

@@ -1,0 +1,223 @@
+"""The free-fermion path: the Majorana form of the Ising stages, the
+Pfaffian, and whole transfers against the dense state-vector path."""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from dwtransfer import fermions
+from dwtransfer.core import (
+    DimensionMismatch,
+    PropagatorConfig,
+    basis_index,
+    evolve,
+    index_bits,
+    majorana_form,
+    realize,
+)
+from dwtransfer.encoding import LogicalState
+from dwtransfer.hamiltonians import (
+    heisenberg_xy,
+    multiqubit_reset_hamiltonian,
+    transport_hamiltonian,
+)
+from dwtransfer.protocol import (
+    Transfer,
+    free_fermion,
+    run_multi_qubit_transfer,
+)
+
+EXACT = PropagatorConfig(method="exact-eigendecomposition")
+S2 = 1 / math.sqrt(2)
+S3 = 1 / math.sqrt(3)
+
+
+def jordan_wigner(modes):
+    """Reference Majoranas: ``c_q + c_q^+`` and ``-i (c_q - c_q^+)``, with
+    ``c_q`` removing the wall of mode q (mode 0 the leading bit of the
+    Fock index) with the sign of the occupied modes before it."""
+    dim = 2**modes
+    gamma = []
+    for q in range(modes):
+        bit = 1 << (modes - 1 - q)
+        lower = np.zeros((dim, dim))
+        for i in range(dim):
+            if i & bit:
+                lower[i ^ bit, i] = (-1) ** bin(i >> (modes - q)).count("1")
+        gamma += [lower + lower.T, -1j * (lower - lower.T)]
+    return gamma
+
+
+def even_sector(a):
+    """Reference: ``(i/4) sum A_jk gamma_j gamma_k`` on the Fock states
+    of the walls of each spin basis state, in spin order."""
+    modes = a.shape[0] // 2
+    gamma = jordan_wigner(modes)
+    h = sum(0.25j * a[j, k] * gamma[j] @ gamma[k]
+            for j in range(2 * modes) for k in range(2 * modes) if a[j, k])
+    fock = [basis_index(fermions.walls(index_bits(i, modes - 1)))
+            for i in range(2 ** (modes - 1))]
+    return h[np.ix_(fock, fock)]
+
+
+class TestMajoranaForm:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_rebuilds_the_stages_on_the_even_sector(self, n):
+        sums = [transport_hamiltonian(n, 22.0, 1.0)] + [
+            multiqubit_reset_hamiltonian(n, 13.7, 0.6, k)
+            for k in range(1, min(3, n // 2) + 1)]
+        for p in sums:
+            # relative to the largest entry, about J N: the reference
+            # sums its terms in another order
+            dense = realize(p).matrix.toarray()
+            a = majorana_form(p).toarray()
+            assert np.abs(even_sector(a) - dense).max() \
+                <= 1e-14 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("modes", [1, 3, 5])
+    def test_majorana_matrices(self, modes):
+        for got, ref in zip(fermions.majoranas(modes),
+                            jordan_wigner(modes), strict=True):
+            assert np.array_equal(got, ref)
+
+    def test_antisymmetric_and_real(self):
+        a = majorana_form(transport_hamiltonian(6, 22.0, 1.0)).toarray()
+        assert a.shape == (14, 14) and a.dtype == float
+        assert np.array_equal(a, -a.T)
+
+    def test_raises_on_a_quartic_term(self):
+        with pytest.raises(ValueError, match="not quadratic.*X"):
+            majorana_form(heisenberg_xy(5, 1.0))
+
+
+class TestMajoranaOperator:
+    @pytest.mark.parametrize("p", [
+        transport_hamiltonian(6, 22.0, 1.0),
+        # Bob's spins without fields; both stages' A have a null space
+        multiqubit_reset_hamiltonian(6, 22.0, 1.0, 2),
+    ])
+    def test_evolve_is_the_exponential_of_a(self, p):
+        h = realize(p, majorana=True)
+        a = majorana_form(p).toarray()
+        assert np.array_equal(h.matrix.toarray(), a)
+        m0 = fermions.fock_covariance((1, 0, 1, 0, 0, 0, 0))
+        times = np.array([0.0, 0.3, 0.7])
+        stack = evolve(m0, h, times)
+        for t, m in zip(times, stack, strict=True):
+            r = scipy.linalg.expm(a * t)
+            assert np.abs(m - r @ m0 @ r.T).max() <= 1e-12
+        assert np.abs(evolve(m0, h, 0.7) - stack[2]).max() <= 1e-14
+        with pytest.raises(DimensionMismatch):
+            evolve(np.eye(12), h, 0.1)
+
+
+def pfaffian_by_cofactors(a):
+    """Reference: expansion along the first row."""
+    if a.shape[0] == 0:
+        return 1.0
+    return sum((-1) ** (j - 1) * a[0, j] * pfaffian_by_cofactors(
+        np.delete(np.delete(a, [0, j], 0), [0, j], 1))
+        for j in range(1, a.shape[0]))
+
+
+class TestPfaffian:
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_cofactor_expansion(self, n, dtype):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(6, n, n)).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.normal(size=(6, n, n))
+        a -= a.transpose(0, 2, 1)
+        got = fermions.pfaffian(a)
+        for i in range(6):
+            ref = pfaffian_by_cofactors(a[i])
+            assert abs(got[i] - ref) <= 1e-13 * max(1.0, abs(ref))
+        assert np.array_equal(fermions.pfaffian(a[:2]), got[:2])
+
+    def test_zero_pivot_and_odd_size(self):
+        # a zero leading column, and a matrix needing a pivot swap
+        a = np.zeros((2, 4, 4))
+        a[1, 0, 2], a[1, 1, 3] = 2.0, 3.0
+        a[1] -= a[1].T
+        assert np.array_equal(fermions.pfaffian(a), [0.0, -6.0])
+        assert fermions.pfaffian(np.zeros((3, 3))) == 0.0
+
+
+def payload(k, amplitudes):
+    return LogicalState(k, np.asarray(amplitudes, dtype=complex))
+
+
+class TestPathChoice:
+    @pytest.mark.parametrize("state", [
+        payload(1, [0.6, 0.8j]),
+        payload(2, [S2, 0, 0, S2]),
+        payload(2, [0.5, 0.5, 0.5, -0.5]),
+        payload(3, [0, S3, S3, 0, S3, 0, 0, 0]),
+        payload(3, [0.5, 0, 0, 0.5, 0, 0.5, -0.5, 0]),
+        LogicalState.from_bits([1, 0, 1, 1]),
+    ])
+    def test_gaussian_payloads_run_on_free_fermions(self, state):
+        assert free_fermion(Transfer(9, 1.0, 22.0, state))
+        assert not free_fermion(Transfer(9, 1.0, 22.0, state,
+                                         propagator=EXACT))
+
+    def test_ghz_and_random_payloads_stay_on_the_state_vector(self):
+        rng = np.random.default_rng(3)
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        for state in (payload(3, [S2, 0, 0, 0, 0, 0, 0, S2]),
+                      payload(3, amps / np.linalg.norm(amps)),
+                      LogicalState.from_bits([1, 0, 1, 1, 0])):
+            assert not free_fermion(Transfer(10, 1.0, 22.0, state))
+
+
+def assert_same_outputs(run):
+    """Every output of ``run``, on free fermions, within 1e-10 of the
+    same run on the dense state vector."""
+    assert free_fermion(run)
+    fast = run_multi_qubit_transfer(run)
+    dense = run_multi_qubit_transfer(Transfer(
+        run.n_spins, run.lam, run.j_coupling, run.state,
+        run.apply_phase_correction, run.n_time_samples, EXACT))
+    assert np.array_equal(fast.times, dense.times)
+    for name in ("fidelity_corrected", "fidelity_uncorrected",
+                 "sigma_z_trace"):
+        assert np.abs(getattr(fast, name) - getattr(dense, name)).max() \
+            <= 1e-10, name
+    for name in ("final_fidelity", "peak_fidelity", "peak_time"):
+        assert abs(getattr(fast, name) - getattr(dense, name)) <= 1e-10, \
+            name
+    # the decoded payload with its global phase
+    assert np.abs(fast.final_logical.amplitudes
+                  - dense.final_logical.amplitudes).max() <= 1e-10
+
+
+class TestAgainstTheStateVector:
+    @pytest.mark.parametrize("k, n_spins, seed", [
+        (1, 5, 0), (1, 8, 1), (1, 9, 2), (2, 5, 3), (2, 7, 4), (2, 9, 5),
+    ])
+    def test_random_payload(self, k, n_spins, seed):
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=2**k) + 1j * rng.normal(size=2**k)
+        assert_same_outputs(Transfer(
+            n_spins, 0.8, 0.8 * 13.7, payload(k, amps / np.linalg.norm(amps)),
+            apply_phase_correction=bool(seed % 2), n_time_samples=30))
+
+    @pytest.mark.parametrize("state", [
+        payload(3, [0, S3, S3, 0, S3, 0, 0, 0]),
+        payload(4, [0] * 4 + [0.6] + [0] * 3 + [0.8j] + [0] * 7),
+    ])
+    def test_wide_payload(self, state):
+        assert_same_outputs(Transfer(2 * state.n_logical + 1, 1.0, 17.3,
+                                     state, n_time_samples=20))
+
+    def test_empty_start_of_the_rest(self):
+        # |1> leaves the rest of the chain certainly occupied at t = 0,
+        # where the full-chain traces read 0
+        res = run_multi_qubit_transfer(Transfer(
+            6, 1.0, 22.0, LogicalState.from_bits([1]), n_time_samples=10))
+        assert res.fidelity_corrected[0] == 0.0
+        assert_same_outputs(Transfer(6, 1.0, 22.0, LogicalState.from_bits(
+            [1]), n_time_samples=10))

@@ -55,6 +55,20 @@ def logical_one():
     return LogicalState(1, np.array([0.0, 1.0], dtype=complex))
 
 
+def record_final_states(monkeypatch):
+    """The amplitudes of every final chain state the state-vector
+    readout decodes, in order."""
+    seen = []
+    readout = protocol._readout
+
+    def recording(psi, *args):
+        seen.append(psi.amplitudes)
+        return readout(psi, *args)
+
+    monkeypatch.setattr(protocol, "_readout", recording)
+    return seen
+
+
 class TestRunRecords:
     """``Transfer`` and ``Baseline`` check their own fields when built,
     before any run forms tau = pi/lam; each message names the field."""
@@ -177,21 +191,26 @@ class TestSingleQubitTransfer:
         stage2 = res.sigma_z_trace[-1, n_samp:]
         assert np.abs(stage2 - stage2[0]).max() < 1e-10
 
-    def test_linearity(self):
+    def test_linearity(self, monkeypatch):
         fields = single(5, 22.0, n_time_samples=20, propagator=EXACT)
         alpha, beta = 0.6, 0.8
-        full = run_single_qubit_transfer(alpha, beta, **fields).final_state
-        one = run_single_qubit_transfer(1.0, 0.0, **fields).final_state
-        zero = run_single_qubit_transfer(0.0, 1.0, **fields).final_state
-        combo = alpha * one.amplitudes + beta * zero.amplitudes
-        assert np.linalg.norm(full.amplitudes - combo) < 1e-8
+        finals = record_final_states(monkeypatch)
+        run_single_qubit_transfer(alpha, beta, **fields)
+        run_single_qubit_transfer(1.0, 0.0, **fields)
+        run_single_qubit_transfer(0.0, 1.0, **fields)
+        full, one, zero = finals
+        combo = alpha * one + beta * zero
+        assert np.linalg.norm(full - combo) < 1e-8
 
     def test_determinism(self):
+        # on free fermions, the default path of this payload
         fields = single(5, 22.0, n_time_samples=25)
         a = run_single_qubit_transfer(S2, S2, **fields)
         b = run_single_qubit_transfer(S2, S2, **fields)
         assert np.array_equal(a.fidelity_corrected, b.fidelity_corrected)
-        assert np.array_equal(a.final_state.amplitudes, b.final_state.amplitudes)
+        assert np.array_equal(a.sigma_z_trace, b.sigma_z_trace)
+        assert np.array_equal(a.final_logical.amplitudes,
+                              b.final_logical.amplitudes)
         assert a.final_fidelity == b.final_fidelity
 
     @pytest.mark.parametrize("N", [5, 9])
@@ -206,11 +225,12 @@ class TestSingleQubitTransfer:
         assert 2.5 < e20 / e40 < 8.0
 
     @pytest.mark.parametrize("N", [5, 9])
-    def test_leakage_stays_small(self, N):
+    def test_leakage_stays_small(self, N, monkeypatch):
         # weight outside the two-wall sector at readout is perturbative
-        res = run_single_qubit_transfer(
-            1.0, 0.0, **single(N, 22.0, n_time_samples=20))
-        amps = res.final_state.amplitudes
+        finals = record_final_states(monkeypatch)
+        run_single_qubit_transfer(
+            1.0, 0.0, **single(N, 22.0, n_time_samples=20, propagator=EXACT))
+        amps, = finals
         ctx = BoundaryContext(left_value=0, right_context=0)
         leaked = sum(
             abs(amps[idx]) ** 2
@@ -412,9 +432,10 @@ class TestTraceRun:
     @pytest.mark.parametrize("cfg", [PropagatorConfig(), EXACT])
     def test_chunks_match_one_call_per_sample(self, monkeypatch, cfg):
         # 100 samples per stage: by default two blocks of 40 and one of
-        # 20 each, then one block per stage, then one sample per call
-        bell = LogicalState(2, np.array([S2, 0, 0, S2]))
-        run = Transfer(7, 1.0, 22.0, bell, n_time_samples=100,
+        # 20 each, then one block per stage, then one sample per call;
+        # GHZ is not Gaussian, so it stays on the state vector
+        ghz = LogicalState(3, np.array([S2, 0, 0, 0, 0, 0, 0, S2]))
+        run = Transfer(7, 1.0, 22.0, ghz, n_time_samples=100,
                        propagator=cfg)
         lengths = []
 
@@ -437,8 +458,11 @@ class TestTraceRun:
                          "sigma_z_trace"):
                 assert np.abs(getattr(runs[label], name)
                               - getattr(runs["one"], name)).max() < 1e-12
-            assert np.abs(runs[label].final_state.amplitudes
-                          - runs["one"].final_state.amplitudes).max() < 1e-12
+            assert np.abs(runs[label].final_logical.amplitudes
+                          - runs["one"].final_logical.amplitudes
+                          ).max() < 1e-12
+            assert abs(runs[label].final_fidelity
+                       - runs["one"].final_fidelity) < 1e-12
 
     @pytest.mark.parametrize("n, rows", [(13, 10), (12, 20), (11, 40),
                                          (9, 40), (7, 40), (1, 40),
@@ -450,21 +474,21 @@ class TestTraceRun:
     def test_each_stage_operator_released_before_the_next(self):
         built = []
 
-        def stage(builder):
-            def build():
+        class Recording(protocol._Amplitudes):
+            def build(self, pauli_sum):
                 assert all(ref() is None for ref in built)
-                h = realize(builder())
+                h = realize(pauli_sum)
                 built.append(weakref.ref(h))
                 return h
-            return build
 
         psi = StateVector.from_bits([1, 0, 0, 0, 0])
+        path = Recording(Transfer(5, 1.0, 22.0, logical_one()), 1, [])
         gc.disable()
         try:
-            _trace_run(psi, (
-                stage(lambda: transport_hamiltonian(5, 22.0, 1.0)),
-                stage(lambda: multiqubit_reset_hamiltonian(5, 22.0, 1.0, 1)),
-            ), [], 5, math.pi, 12, PropagatorConfig())
+            _trace_run(path, psi, (
+                lambda: transport_hamiltonian(5, 22.0, 1.0),
+                lambda: multiqubit_reset_hamiltonian(5, 22.0, 1.0, 1),
+            ), math.pi, 12)
         finally:
             gc.enable()
         assert len(built) == 2 and built[1]() is None
@@ -491,9 +515,9 @@ class TestTraceOverlaps:
             seen["branches"] = build_branches(*args)
             return seen["branches"]
 
-        def recording_trace_run(state, *args):
+        def recording_trace_run(path, state, *args):
             seen["states"].append(state.amplitudes)
-            return trace_run(state, *args)
+            return trace_run(path, state, *args)
 
         monkeypatch.setattr(protocol, "evolve", recording_evolve)
         monkeypatch.setattr(protocol, "_build_branches", recording_build)
@@ -513,7 +537,8 @@ class TestTraceOverlaps:
     def test_multi_branch_payload(self, sampled):
         amp = np.array([0.5, 0.5j, -0.5, 0.5])
         res = run_multi_qubit_transfer(
-            Transfer(7, 1.0, 22.0, LogicalState(2, amp), n_time_samples=25))
+            Transfer(7, 1.0, 22.0, LogicalState(2, amp), n_time_samples=25,
+                     propagator=EXACT))
         assert len(sampled["branches"]) == 4
         self.assert_match_reference(
             res.times, res.fidelity_corrected, res.fidelity_uncorrected,
@@ -522,9 +547,9 @@ class TestTraceOverlaps:
     def test_empty_branch_baseline(self, sampled):
         n, tau = 5, math.pi
         psi = StateVector.from_bits([1] + [0] * (n - 1))
+        path = protocol._Amplitudes(Baseline(n, 1.0, logical_one()), 1, [])
         times, corrected, uncorrected, _, _ = protocol._trace_run(
-            psi, (lambda: realize(heisenberg_xy(n, 1.0)),), [], n, tau, 12,
-            PropagatorConfig())
+            path, psi, (lambda: heisenberg_xy(n, 1.0),), tau, 12)
         assert not corrected.any() and not uncorrected.any()
         self.assert_match_reference(times, corrected, uncorrected,
                                     sampled["states"], [], n, tau)
@@ -652,9 +677,9 @@ class TestReadout:
         seen = []
         readout = protocol._readout
 
-        def recording(psi, k, branches, tau, t_read, corrected):
+        def recording(psi, k, branches, tau, t_read, corrected, ratio):
             seen.append((psi, k, branches, tau, corrected))
-            return readout(psi, k, branches, tau, t_read, corrected)
+            return readout(psi, k, branches, tau, t_read, corrected, ratio)
 
         monkeypatch.setattr(protocol, "_readout", recording)
         return seen
@@ -682,7 +707,7 @@ class TestReadout:
         payload = LogicalState(k, np.array(amplitudes, dtype=complex))
         res = run_multi_qubit_transfer(Transfer(
             2 * k + 3, 1.0, ratio, payload, n_time_samples=20,
-            apply_phase_correction=corrected))
+            apply_phase_correction=corrected, propagator=EXACT))
         f = self.assert_match_reference(res, readouts, payload)
         assert f < 1 - 1e-4
 
@@ -692,7 +717,7 @@ class TestReadout:
         # is read from the same final state by clearing the flag
         recording = protocol._readout
         monkeypatch.setattr(protocol, "_readout", lambda *args: recording(
-            *args[:-1], args[-1] and corrected))
+            *args[:-2], args[-2] and corrected, args[-1]))
         payload = LogicalState(1, np.array([0.6, 0.8j]))
         res = run_heisenberg_baseline(
             Baseline(6, 1.0, payload, n_time_samples=20))
