@@ -82,7 +82,7 @@ class SweepTable:
 
 def _sweep_item(item):
     label, ratio, run = item
-    result = run_multi_qubit_transfer(run)
+    result = run_multi_qubit_transfer(run, window_only=True)
     eps = max(1.0 - result.peak_fidelity, 0.0)
     return label, ratio, eps, result.peak_time
 
@@ -105,7 +105,11 @@ def error_scaling_sweep(runs, n_workers: int = None) -> SweepTable:
 
     ``runs`` is a list of ``(label, ratio, Transfer)`` entries, the
     ratio reported and fitted as given.  The infidelity of each run is 1
-    minus the corrected-trace peak inside the readout window.  The
+    minus the corrected-trace peak inside the readout window, and its
+    transfer time that peak's time; nothing else is written, so each run
+    samples that window alone (``run_multi_qubit_transfer(run,
+    window_only=True)``) and still reads Bob out, so that a ratio that
+    leaves Bob's register empty raises ``EmptyReadout``.  The
     log-log fit uses only ratios inside [8, 40] with infidelity above
     the numerical floor; rows outside the window are kept in the table
     but flagged.  Results are assembled by (label, ratio) key, so worker

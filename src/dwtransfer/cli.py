@@ -33,6 +33,7 @@ from .analysis import (
 from .core import PropagatorConfig
 from .encoding import LogicalState
 from .fermions import BLOCK_BYTES
+from .hamiltonians import multiqubit_reset_hamiltonian, transport_hamiltonian
 from .protocol import (
     Baseline,
     EmptyReadout,
@@ -43,6 +44,7 @@ from .protocol import (
     run_heisenberg_baseline,
     run_multi_qubit_transfer,
     run_single_qubit_transfer,  # not called here: perfbench/spans.py wraps it
+    trace_rows,
 )
 
 SLOPE_TARGET = -2.0
@@ -60,6 +62,11 @@ PFAFFIAN_MATRICES = 8
 # per sample, and at N = 200 a transfer of 20 samples per stage already
 # takes about half a minute (26 s in-process)
 FREE_FERMION_SPINS_MAX = 200
+# bytes of the Jacobi-Anger table of one Chebyshev evolve call, per row
+# and per unit of a t + 64 (a the half-width of H's spectrum): up to 5.5
+# FFT points per unit (measured for a t up to 3e4), each of 32 bytes
+# while the exponentials and their FFT are alive
+SERIES_BYTES = 192
 # bytes per sampled trace value: 8 in its array and about 185 while
 # _write_run formats it (measured at N = 5 and 13)
 TRACE_VALUE_BYTES = 200
@@ -221,7 +228,9 @@ def _check_memory(field: str, value, log2_need: float, hint: str = ""):
         )
 
 
-def _check_footprint(run, dense_log2: float) -> None:
+def _check_footprint(run, dense_log2: float,
+                     ratio_field: str = "fields 'j_coupling' and 'lam'"
+                     ) -> None:
     """Refuse a run (a ``Baseline`` or a ``Transfer``) whose estimated
     memory per process exceeds ``MEMORY_LIMIT_GIB``.
 
@@ -233,13 +242,16 @@ def _check_footprint(run, dense_log2: float) -> None:
     and, on the dense path, three complex matrices of the largest
     component H is diagonalized on, of dimension 2^``dense_log2``.
     Above the limit it names ``n_spins``.
+    A ``Transfer`` on the Chebyshev path adds the Jacobi-Anger table of
+    its largest ``evolve`` call (``_series_log2``); above the limit it
+    names ``ratio_field``, the fields that set its J/lam.
     Then it adds the traces of two stages of samples,
     ``TRACE_VALUE_BYTES`` for each of the N sigma_z values and 3 more
     values per sample, and names ``n_time_samples``.  It is compared by
     its log2, so no 2^N is formed for a chain of any length.
     """
-    N = run.n_spins
-    if free_fermion(run):
+    N, fermionic = run.n_spins, free_fermion(run)
+    if fermionic:
         if N > FREE_FERMION_SPINS_MAX:
             raise ManifestError(
                 f"manifest field 'n_spins' is {N}: free-fermion runs take "
@@ -258,10 +270,38 @@ def _check_footprint(run, dense_log2: float) -> None:
         hint = ("; chains this long need the free-fermion backend "
                 "(ROADMAP item 2)")
     _check_memory("n_spins", N, log2_need, hint)
+    # the XY baseline's couplings scale with lam, so its a t stays near N
+    if (isinstance(run, Transfer) and not fermionic
+            and run.propagator.method == "krylov"):
+        log2_need = np.logaddexp2(log2_need, _series_log2(run))
+        if log2_need > math.log2(MEMORY_LIMIT_GIB * 2**30):
+            raise ManifestError(
+                f"manifest {ratio_field}: J/lam = "
+                f"{run.j_coupling / run.lam:.6g} needs a Chebyshev series "
+                f"table of about 2^{log2_need:.4g} bytes, above the "
+                f"{MEMORY_LIMIT_GIB} GiB limit")
     log2_traces = (math.log2(TRACE_VALUE_BYTES * (N + 3))
                    + math.log2(2 * run.n_time_samples + 1))
     _check_memory("n_time_samples", run.n_time_samples,
                   np.logaddexp2(log2_need, log2_traces))
+
+
+def _series_log2(run: Transfer) -> float:
+    """log2 of the bytes of the largest Jacobi-Anger table a Chebyshev
+    transfer builds: ``SERIES_BYTES`` per row and per unit of ``a t +
+    64``, over a block of ``trace_rows(N)`` samples or one jump across a
+    stage of tau = pi/lam.  ``a``, the half-width of the spectrum, is
+    bounded by each stage's coefficient 1-norm."""
+    N, J, lam = run.n_spins, run.j_coupling, run.lam
+    norm = max(sum(abs(c) for c, _ in p.terms)
+               for p in (transport_hamiltonian(N, J, lam),
+                         multiqubit_reset_hamiltonian(
+                             N, J, lam, run.state.n_logical)))
+    at = norm * math.pi / lam  # inf beyond the float range, never nan
+    rows = min(trace_rows(N), run.n_time_samples)
+    return math.log2(SERIES_BYTES) + max(
+        math.log2(rows) + math.log2(at * rows / run.n_time_samples + 64),
+        math.log2(at + 64))
 
 
 def _read_manifest(path: str, experiment: str) -> dict:
@@ -378,7 +418,7 @@ def cmd_sweep(run: Sweep, manifest: dict, out: Path, args) -> int:
             raise ManifestError(
                 f"manifest field '{field}' is invalid: {exc}") from exc
     for _, _, transfer in runs:
-        _check_footprint(transfer, run.n_spins - 1)
+        _check_footprint(transfer, run.n_spins - 1, "field 'ratios'")
     try:
         table = error_scaling_sweep(runs, args.workers)
     except EmptyReadout as exc:

@@ -10,7 +10,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -442,41 +441,34 @@ def majorana_form(p: PauliSum) -> sp.csr_matrix:
 class MajoranaOperator:
     """A Pauli sum quadratic in the wall Majoranas, realized by
     ``realize(p, majorana=True)``: ``matrix`` is its ``majorana_form``
-    A, and ``q``, ``eps`` its normal modes, from one ``eigh`` of ``iA``.
+    A, and ``q``, ``eps`` its normal modes, from one SVD.
 
-    The columns of ``q`` are orthonormal and real; pair k, columns 2k
-    and 2k + 1, spans a plane A maps into itself, on which A is
-    ``eps_k [[0, 1], [-1, 0]]``.  An eigenvector ``v`` of ``iA`` with
-    eigenvalue ``w > 0`` gives the plane of ``Re v`` and ``Im v``; the
-    eigenvalues within round-off of 0 give A's null space, whose pairs
-    have ``eps = 0``.  ``q`` is made exactly orthogonal (its polar
-    factor) and ``eps`` read from ``q^T A q``.  With ``eta = q^T gamma``
-    a traceless ``H`` propagates exactly as ``exp(-i H t) = prod_k
-    (cos(eps_k t/2) + sin(eps_k t/2) eta_2k eta_2k+1)``, and ``evolve``
-    takes a Majorana covariance ``M`` to ``R(t) M R(t)^T`` with ``R(t) =
-    exp(A t)``.
+    Every entry of A couples an even Majorana to an odd one, so in
+    even/odd order ``A = [[0, B], [-B^T, 0]]`` with ``B = A[0::2,
+    1::2]``; an even-even or odd-odd entry raises ``ValueError``.  With
+    ``B = U diag(s) V^T``, column 2k of ``q`` is ``U[:, k]`` on the even
+    Majoranas and column 2k + 1 is ``V[:, k]`` on the odd ones.  So the
+    columns of ``q`` are orthonormal and real, and pair k spans a plane A
+    maps into itself, on which A is ``eps_k [[0, 1], [-1, 0]]`` with
+    ``eps_k = s_k``; values within round-off of 0 are exactly 0.  With
+    ``eta = q^T gamma`` a traceless ``H`` propagates exactly as
+    ``exp(-i H t) = prod_k (cos(eps_k t/2) + sin(eps_k t/2) eta_2k
+    eta_2k+1)``, and ``evolve`` takes a Majorana covariance ``M`` to
+    ``R(t) M R(t)^T`` with ``R(t) = exp(A t)``.
     """
 
     def __init__(self, matrix: sp.csr_matrix):
         self.matrix = matrix
         a = matrix.toarray()
-        size = a.shape[0]
-        w, v = np.linalg.eigh(1j * a)
-        tol = size * np.finfo(float).eps * float(np.abs(w).max())
-        planes = int(np.count_nonzero(w > tol))
-        q = np.empty((size, size))
-        q[:, 0:2 * planes:2] = math.sqrt(2) * v[:, size - planes:].real
-        q[:, 1:2 * planes:2] = math.sqrt(2) * v[:, size - planes:].imag
-        null = v[:, planes:size - planes]
-        if null.size:
-            # a real basis of the null space, closed under conjugation
-            basis = np.linalg.svd(np.hstack([null.real, null.imag]))[0]
-            q[:, 2 * planes:] = basis[:, :null.shape[1]]
-        u, _, vt = np.linalg.svd(q)
-        self.q = u @ vt
-        self.eps = (self.q.T @ a @ self.q)[np.arange(0, size, 2),
-                                           np.arange(1, size, 2)]
-        self.eps[planes:] = 0.0
+        if a[0::2, 0::2].any() or a[1::2, 1::2].any():
+            raise ValueError("the Majorana form couples two even or two odd "
+                             "Majoranas")
+        u, s, vt = np.linalg.svd(a[0::2, 1::2])
+        self.q = np.zeros(a.shape)
+        self.q[0::2, 0::2] = u
+        self.q[1::2, 1::2] = vt.T
+        s[s <= a.shape[0] * np.finfo(float).eps * s[0]] = 0.0
+        self.eps = s
 
     @property
     def dimension(self) -> int:

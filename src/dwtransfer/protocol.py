@@ -143,8 +143,10 @@ class ProtocolResult:
     over the rest of the chain.  It equals the overlap of the input
     state with Bob's decoded, phase-corrected reduced density matrix.
     The full-chain traces (corrected and uncorrected against the branch
-    targets) are reported alongside; ``peak_fidelity`` is the best
-    corrected full-chain value within the readout window.
+    targets) are reported alongside, at every sample or, for a
+    ``window_only`` run, at the readout window's alone;
+    ``peak_fidelity`` is the best corrected full-chain value within the
+    readout window.
     """
 
     times: np.ndarray
@@ -488,7 +490,13 @@ class _Covariances:
         return _decoded(row, undo, k, f, ratio)
 
 
-def _trace_run(path, state, stages, tau, n_samp):
+def _window_start(times) -> int:
+    """Index of the first sample of the peak window, which ends at the
+    readout time, the last sample."""
+    return int(np.searchsorted(times, times[-1] * (1 - PEAK_WINDOW)))
+
+
+def _trace_run(path, state, stages, tau, n_samp, window_only=False):
     """Sample both fidelity traces and the sigma_z trace over all stages.
 
     ``stages`` holds one function per stage that builds its Hamiltonian
@@ -500,60 +508,74 @@ def _trace_run(path, state, stages, tau, n_samp):
     one before and is recorded as a whole.  The fidelity targets are the
     branches' final patterns, each weighted by its coefficient and, in
     the corrected trace, by its protocol phase.
+
+    With ``window_only`` only the samples of the peak window, at the end
+    of the last stage, are recorded and returned: a stage that ends
+    before the window is propagated to its end in one ``evolve`` call,
+    and the last stage jumps in one call to the sample before the
+    window, then records the window in blocks.
     """
     times = np.linspace(0.0, len(stages) * tau, len(stages) * n_samp + 1)
     dt = times[1] - times[0]
-    corrected = np.empty(times.shape)
-    uncorrected = np.empty(times.shape)
-    sigma_z = np.empty((path.n_spins, times.shape[0]))
+    first = _window_start(times) if window_only else 0
+    corrected = np.empty(times.size - first)
+    uncorrected = np.empty(corrected.shape)
+    sigma_z = np.empty((path.n_spins, corrected.size))
 
-    def record(first, rows):
-        """Trace entries ``first``, ``first + 1``, ... from consecutive
-        states."""
-        span = slice(first, first + len(rows))
+    def record(i, rows):
+        """Trace entries of samples ``i``, ``i + 1``, ... from
+        consecutive states."""
+        at = times[i:i + len(rows)]
+        span = slice(i - first, i - first + len(rows))
         target = np.empty((len(rows), len(path.branches)), dtype=complex)
         for b, br in enumerate(path.branches):
-            target[:, b] = br.coefficient * br.phase_at(times[span], tau)
+            target[:, b] = br.coefficient * br.phase_at(at, tau)
         corr, uncorr, sigma_z[:, span] = path.read(rows, target)
         corrected[span] = _unit_interval(corr, "corrected fidelity")
         uncorrected[span] = _unit_interval(uncorr, "uncorrected fidelity")
 
-    record(0, path.rows(state))
-    i = 1
+    if not first:
+        record(0, path.rows(state))
+    i = 1  # the next sample
     for build in stages:
         h = path.build(build())
-        for start in range(0, n_samp, path.block):
-            steps = np.arange(1, min(path.block, n_samp - start) + 1) * dt
+        end = i + n_samp
+        skip = min(max(first - i, 0), n_samp)  # samples before the window
+        if skip:
+            _, state = path.propagate(state, h, np.array([skip * dt]))
+            i += skip
+        while i < end:
+            steps = np.arange(1, min(path.block, end - i) + 1) * dt
             # the block's rows are released before the next one
             rows, state = path.propagate(state, h, steps)
             record(i, rows)
             i += steps.size
             del rows
         del h
-    return times, corrected, uncorrected, sigma_z, state
+    return times[first:], corrected, uncorrected, sigma_z, state
 
 
-def _peak_in_window(times, trace, t_read):
-    # the window ends at the readout time, the last sample
-    sel = np.nonzero(times >= t_read * (1 - PEAK_WINDOW))[0]
-    best = sel[np.argmax(trace[sel])]
+def _peak_in_window(times, trace):
+    start = _window_start(times)
+    best = start + int(np.argmax(trace[start:]))
     return float(trace[best]), float(times[best])
 
 
-def _run(run, path, stages, J: float = 0.0,
-         corrected: bool = True) -> ProtocolResult:
+def _run(run, path, stages, J: float = 0.0, corrected: bool = True,
+         window_only: bool = False) -> ProtocolResult:
     """Trace and read out one run on the chain and time grid of ``run``
     along ``path``, which holds the branches and Bob's register.
 
     ``stages`` holds one function per stage, each run for pi/lam, that
     builds its Hamiltonian; the peak is searched around, and Bob read
-    out at, the end of the last stage.
+    out at, the end of the last stage.  With ``window_only`` the traces
+    hold the peak window's samples alone (see ``_trace_run``).
     """
     N, tau = run.n_spins, math.pi / run.lam
     times, corr, uncorr, sigma_z, final_state = _trace_run(
-        path, path.start(), stages, tau, run.n_time_samples)
+        path, path.start(), stages, tau, run.n_time_samples, window_only)
     t_read = len(stages) * tau
-    peak_f, peak_t = _peak_in_window(times, corr, t_read)
+    peak_f, peak_t = _peak_in_window(times, corr)
     final_logical, final_f = path.readout(final_state, tau, t_read,
                                           corrected, J / run.lam)
     return ProtocolResult(
@@ -570,7 +592,8 @@ def _run(run, path, stages, J: float = 0.0,
     )
 
 
-def run_multi_qubit_transfer(run: Transfer) -> ProtocolResult:
+def run_multi_qubit_transfer(run: Transfer, *,
+                             window_only: bool = False) -> ProtocolResult:
     """Full two-stage transfer of a k-qubit payload.
 
     Alice's and Bob's registers are the first and the last k spins of
@@ -582,6 +605,11 @@ def run_multi_qubit_transfer(run: Transfer) -> ProtocolResult:
     ``free_fermion(run)``, else on the 2^N amplitudes.  A J/lam that
     leaves Bob's register empty at the readout raises ``EmptyReadout``,
     a ``ValueError``.
+
+    ``window_only`` skips every sample outside the peak window, the last
+    ``PEAK_WINDOW`` of the run: ``times`` and the traces hold the
+    window's samples alone, while the peak and the readout equal those
+    of the full run to round-off.  A sweep point needs nothing else.
     """
     N, J, lam = run.n_spins, run.j_coupling, run.lam
     k = run.state.n_logical
@@ -591,7 +619,7 @@ def run_multi_qubit_transfer(run: Transfer) -> ProtocolResult:
         run, path,
         (lambda: transport_hamiltonian(N, J, lam),
          lambda: multiqubit_reset_hamiltonian(N, J, lam, k)),
-        J, run.apply_phase_correction,
+        J, run.apply_phase_correction, window_only,
     )
 
 

@@ -3,14 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from dwtransfer import analysis
+from dwtransfer import analysis, protocol
 from dwtransfer.analysis import (
     closed_form_consistency,
     error_scaling_sweep,
 )
 from dwtransfer.core import PropagatorConfig, evolve
 from dwtransfer.encoding import LogicalState
-from dwtransfer.protocol import Transfer, trace_rows
+from dwtransfer.protocol import (
+    Transfer,
+    free_fermion,
+    run_multi_qubit_transfer,
+    trace_rows,
+)
 
 EXACT = PropagatorConfig(method="exact-eigendecomposition")
 S2 = 1 / math.sqrt(2)
@@ -22,6 +27,67 @@ def sweep_runs(ratios, N=5, n_samp=40, label="1"):
     return [(label, ratio, Transfer(N, 1.0, ratio, one, propagator=EXACT,
                                     n_time_samples=n_samp))
             for ratio in ratios]
+
+
+ONE = LogicalState(1, np.array([0.0, 1.0], dtype=complex))
+BELL = LogicalState(2, np.array([S2, 0, 0, S2], dtype=complex))
+GHZ = LogicalState(3, np.array([S2, 0, 0, 0, 0, 0, 0, S2], dtype=complex))
+# (payload, N, propagator, whether it runs on free fermions): the dense
+# reference, the Chebyshev state vector and free fermions
+PATHS = {
+    "dense": (ONE, 9, EXACT, False),
+    "chebyshev": (GHZ, 9, PropagatorConfig(), False),
+    "fermions-one": (ONE, 9, PropagatorConfig(), True),
+    "fermions-bell": (BELL, 7, PropagatorConfig(), True),
+}
+
+
+class TestWindowOnlySweep:
+    """A sweep point records the peak window alone; its row matches the
+    full run's peak."""
+
+    @pytest.mark.parametrize("ratio", [8.0, 40.0])
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_row_matches_full_run(self, path, ratio):
+        state, n, cfg, fermionic = PATHS[path]
+        run = Transfer(n, 1.0, ratio, state, propagator=cfg)
+        assert free_fermion(run) is fermionic
+        full = run_multi_qubit_transfer(run)
+        (row,) = error_scaling_sweep([(path, ratio, run)]).rows
+        assert abs(row.infidelity - (1.0 - full.peak_fidelity)) <= 1e-12
+        assert abs(row.transfer_time - full.peak_time) <= 1e-12
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_stage_one_in_one_call_and_window_read(self, monkeypatch, path):
+        # 200 samples per stage: the window is samples 380..400 of 400
+        state, n, cfg, fermionic = PATHS[path]
+        run = Transfer(n, 1.0, 22.0, state, propagator=cfg)
+        calls, read = [], []
+
+        def spy_evolve(state, h, t, *rest):
+            calls.append(np.array(t, dtype=float))
+            return evolve(state, h, t, *rest)
+
+        cls = protocol._Covariances if fermionic else protocol._Amplitudes
+        original_read = cls.read
+
+        def spy_read(self, rows, target):
+            read.append(len(rows))
+            return original_read(self, rows, target)
+
+        monkeypatch.setattr(protocol, "evolve", spy_evolve)
+        monkeypatch.setattr(cls, "read", spy_read)
+        result = run_multi_qubit_transfer(run, window_only=True)
+        dt = math.pi / 200
+        assert len(calls) == 3
+        assert np.allclose(calls[0], [200 * dt], rtol=1e-14)  # stage 1
+        assert np.allclose(calls[1], [179 * dt], rtol=1e-14)  # to sample 379
+        assert np.allclose(calls[2], np.arange(1, 22) * dt, rtol=1e-14)
+        assert sum(read) == 21
+        assert np.allclose(result.times, np.arange(380, 401) * dt,
+                           rtol=1e-14)
+        assert result.fidelity_corrected.shape == (21,)
+        assert result.sigma_z_trace.shape == (n, 21)
 
 
 class TestErrorScalingSweep:

@@ -294,6 +294,36 @@ class TestSweep:
         assert payload["excluded_from_fit"] == [4.0]
         assert payload["fit"]["n_points"] == 3
 
+    def test_bundled_sweep_free_fermions_match_dense(self, tmp_path):
+        # two computations of the error law: the bundled N = 9 sweep runs
+        # on the dense path; on "krylov" the payload |1> runs on free
+        # fermions
+        bundled = Path(__file__).resolve().parents[1] / "manifests" / \
+            "error_sweep_n9.json"
+        dense = json.loads(bundled.read_text())
+        assert dense["propagator"] == "exact-eigendecomposition"
+        got = {}
+        for method in ("exact-eigendecomposition", "krylov"):
+            cfg = write_manifest(tmp_path / f"{method}.json",
+                                 {**dense, "propagator": method})
+            out = tmp_path / method
+            assert run(["sweep", "--config", cfg, "--out", out,
+                        "--assert-slope"]) == 0
+            rows = (out / "sweep.csv").read_text().splitlines()[2:]
+            fit = json.loads((out / "fit.json").read_text())
+            got[method] = ([r.split(",") for r in rows], fit)
+        (rows_a, fit_a), (rows_b, fit_b) = got.values()
+        assert len(rows_a) == len(rows_b) == 6
+        for a, b in zip(rows_a, rows_b):
+            assert a[:2] == b[:2]
+            assert abs(float(a[2]) - float(b[2])) <= 1e-10
+            assert abs(float(a[3]) - float(b[3])) <= 1e-10
+        assert fit_a["n_rows"] == fit_b["n_rows"]
+        assert fit_a["excluded_from_fit"] == fit_b["excluded_from_fit"]
+        assert fit_a["fit"]["n_points"] == fit_b["fit"]["n_points"]
+        for key in ("slope", "intercept", "r_squared"):
+            assert abs(fit_a["fit"][key] - fit_b["fit"][key]) <= 1e-10
+
     def test_worker_flag_matches_serial(self, sweep_manifest, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert run(["sweep", "--config", sweep_manifest, "--out", out_a]) == 0
@@ -462,6 +492,33 @@ class TestInputGuards:
             assert run(["sweep", "--config", cfg, "--out", out]) == 1
         err = capsys.readouterr().err
         assert "'ratios'" in err and "'j_coupling'" not in err
+        assert not any(out.iterdir())
+
+    # GHZ is not Gaussian, so it runs on the Chebyshev series, whose
+    # Jacobi-Anger table grows with J/lam
+    @pytest.mark.parametrize("fields_", [{"j_coupling": 1e300},
+                                         {"lam": 1e-300}])
+    def test_series_too_long_names_j_and_lam(self, transfer_manifest,
+                                             tmp_path, capsys, fields_):
+        cfg = with_fields(transfer_manifest, tmp_path, n_spins=9, state=GHZ,
+                          **fields_)
+        out = tmp_path / "o"
+        assert run(["transfer", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "'j_coupling'" in err and "'lam'" in err
+        assert "Chebyshev" in err and "Maximum allowed size" not in err
+        assert not any(out.iterdir())
+
+    def test_series_too_long_names_ratios(self, sweep_manifest, tmp_path,
+                                          capsys):
+        cfg = with_fields(sweep_manifest, tmp_path, n_spins=9,
+                          ratios=[8.0, 1e300], propagator="krylov",
+                          states=[{"label": "ghz", **GHZ}])
+        out = tmp_path / "o"
+        assert run(["sweep", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "'ratios'" in err and "'j_coupling'" not in err
+        assert "Chebyshev" in err
         assert not any(out.iterdir())
 
     def test_empty_states_exits_1(self, sweep_manifest, tmp_path, capsys):

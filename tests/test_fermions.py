@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from dwtransfer import fermions
 from dwtransfer.core import (
     DimensionMismatch,
+    MajoranaOperator,
     PropagatorConfig,
     basis_index,
     evolve,
@@ -111,6 +113,29 @@ class TestMajoranaOperator:
         assert np.abs(evolve(m0, h, 0.7) - stack[2]).max() <= 1e-14
         with pytest.raises(DimensionMismatch):
             evolve(np.eye(12), h, 0.1)
+
+    @pytest.mark.parametrize("p", [
+        transport_hamiltonian(9, 22.0, 1.0),
+        multiqubit_reset_hamiltonian(9, 22.0, 1.0, 3),
+    ])
+    def test_normal_modes(self, p):
+        # q is orthogonal and puts A in its canonical form: eps_k on
+        # each pair's 2 x 2 block, nothing elsewhere
+        h = realize(p, majorana=True)
+        a = h.matrix.toarray()
+        assert np.abs(h.q.T @ h.q - np.eye(20)).max() <= 1e-14
+        canonical = np.zeros((20, 20))
+        canonical[0::2, 1::2] = np.diag(h.eps)
+        canonical -= canonical.T
+        assert np.abs(h.q.T @ a @ h.q - canonical).max() <= 1e-12
+        assert (h.eps >= 0).all()
+
+    @pytest.mark.parametrize("j, k", [(0, 2), (1, 3)])
+    def test_raises_on_an_even_even_or_odd_odd_entry(self, j, k):
+        a = np.zeros((6, 6))
+        a[j, k], a[k, j] = 1.0, -1.0
+        with pytest.raises(ValueError, match="two even or two odd"):
+            MajoranaOperator(scipy.sparse.csr_matrix(a))
 
 
 def pfaffian_by_cofactors(a):
