@@ -5,7 +5,6 @@ from __future__ import annotations
 import io
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +115,9 @@ def error_scaling_sweep(runs, n_workers: int = None) -> SweepTable:
     count and completion order never change the output.
     """
     if n_workers and n_workers > 1:
+        # imported here: it loads multiprocessing, which no other run needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             outcomes = list(pool.map(_sweep_item, runs))
     else:

@@ -10,10 +10,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 NORM_TOL = 1e-12
 NORM_DRIFT_TOL = 1e-9  # largest norm drift of a propagated state
@@ -117,27 +116,53 @@ class PauliSum:
         object.__setattr__(self, "terms", tuple(checked))
 
 
-@dataclass
 class Operator:
-    """Sparse Hermitian matrix realization of a Pauli sum."""
+    """Hermitian matrix: a Pauli sum realized by :func:`realize`, or a
+    dense array checked for Hermiticity.
 
-    matrix: sp.csr_matrix
-    _eig: tuple = field(default=None, repr=False, compare=False)
-    _block: tuple = field(default=None, repr=False, compare=False)
-    _interval: tuple = field(default=None, repr=False, compare=False)
-    _chebyshev: "ChebyshevForm" = field(default=None, repr=False,
-                                        compare=False)
+    H is held in one of three forms, which share a small interface
+    (``product``, ``gershgorin``, ``neighbours``, ``block`` and
+    ``entries``): ``_Dense``, a dense array; ``_Factors``, a Pauli sum
+    as small dense factors across the middle of the chain; and
+    ``_Block``, H on a set it maps into itself, applied through the form
+    of the whole space.  The invariant block, the components and their
+    eigensystems, the spectral interval and the Chebyshev form are
+    computed from that interface and cached.
+    """
 
-    def __post_init__(self):
-        m = sp.csr_matrix(self.matrix, dtype=complex)
-        defect = _hermiticity_defect(m)
-        if defect > HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-        self.matrix = m
+    def __init__(self, matrix):
+        if isinstance(matrix, (_Dense, _Factors, _Block)):
+            self._h = matrix
+        else:
+            a = np.asarray(matrix)
+            if a.ndim != 2 or a.shape[0] != a.shape[1]:
+                raise ValueError(f"matrix must be square, got shape "
+                                 f"{a.shape}")
+            defect = float(np.abs(a - a.conj().T).max(initial=0.0))
+            if defect > HERMITICITY_TOL:
+                raise ValueError(
+                    f"matrix is not Hermitian (defect {defect:.3e})")
+            self._h = _Dense(a)
+        self._eig = self._block = self._interval = None
+        self._chebyshev = self._csr = None
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return self._h.dimension
+
+    @property
+    def matrix(self):
+        """H as a canonical complex ``csr_matrix``, built on first access
+        and cached.  Nothing in this package reads it, so only a caller
+        that does loads the sparse module."""
+        if self._csr is None:
+            import scipy.sparse as sp
+
+            rows, cols, values = self._h.entries()
+            self._csr = sp.csr_matrix(
+                (values.astype(complex), (rows, cols)),
+                shape=(self.dimension, self.dimension))
+        return self._csr
 
     def eigensystem(self):
         """Dense eigendecomposition of each connected component of H.
@@ -149,13 +174,9 @@ class Operator:
         exactly when H is.  Computed once and cached.
         """
         if self._eig is None:
-            real = not self.matrix.data.imag.any()
-            parts = []
-            for indices in _components(self.matrix):
-                sub = _restrict(self.matrix, indices)
-                w, v = np.linalg.eigh((sub.real if real else sub).toarray())
-                parts.append((indices, w, v))
-            self._eig = tuple(parts)
+            self._eig = tuple(
+                (indices, *np.linalg.eigh(self._h.block(indices)))
+                for indices in _components(self._h))
         return self._eig
 
     def invariant_block(self, amp: np.ndarray):
@@ -165,20 +186,27 @@ class Operator:
         Returns ``(indices, block)``: the sorted basis indices and the
         block as an ``Operator``, or ``(None, self)`` when the set is the
         whole space.  The set is the support of ``amp`` grown along the
-        nonzero pattern of H until it stops changing.  It is cached and
-        recomputed only when the support of ``amp`` leaves it.  The cache
-        never refers back to this operator, so dropping the operator
-        frees its blocks without the cycle collector.
+        nonzero pattern of H until it stops changing.  A block of
+        ``d`` states is a dense array when ``d^2`` is at most the cost of
+        one product with H (for a Pauli sum on N spins, ``2^N (2^L +
+        2^R)`` with ``L = N // 2`` and ``R = N - L``); a larger one is
+        applied through H's own form on the whole space.  It is cached
+        and recomputed only when the support of ``amp`` leaves it.  The
+        cache never refers back to this operator, so dropping the
+        operator frees its blocks without the cycle collector.
         """
         support = np.flatnonzero(amp)
         if self._block is None or not self._block[0][support].all():
-            inside = _closure(self.matrix, support)
+            inside = _closure(self._h, support)
             indices = np.flatnonzero(inside)
             if indices.size == self.dimension:
                 self._block = (inside, None, None)
+            elif indices.size**2 <= self._h.cost:
+                self._block = (inside, indices,
+                               Operator(_Dense(self._h.block(indices))))
             else:
-                block = Operator(_restrict(self.matrix, indices))
-                self._block = (inside, indices, block)
+                self._block = (inside, indices,
+                               Operator(_Block(self._h, indices)))
         _, indices, block = self._block
         return (None, self) if indices is None else (indices, block)
 
@@ -186,24 +214,20 @@ class Operator:
         """``(lo, hi)`` holding every eigenvalue.  Cached.
 
         Gershgorin's discs give it: row ``i`` gives
-        ``h_ii -+ sum_{j != i} |h_ij|``, and H is Hermitian, so the
-        column sums of ``|H|`` are its row sums.  On a matrix with more
-        than a quarter of its entries stored, where the discs can be far
-        wider than the spectrum, the interval is narrowed to
+        ``h_ii -+ sum_{j != i} |h_ij|``.  On a matrix with more than a
+        quarter of its entries nonzero, where the discs can be far wider
+        than the spectrum, the interval is narrowed to
         ``c -+ ||(H - c)^8||_F^(1/8)`` about their centre ``c`` when that
         is tighter: for Hermitian ``B``, ``rho(B)^8 = ||B^8||_2 <=
         ||B^8||_F``.  That bound is padded by 1e-12 relative.
         """
         if self._interval is None:
-            m = self.matrix
-            diag = m.diagonal().real
-            radius = np.bincount(m.indices, weights=np.abs(m.data),
-                                 minlength=self.dimension) - abs(diag)
+            diag, radius, count = self._h.gershgorin()
             lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
             c, a = (hi + lo) / 2, (hi - lo) / 2
-            if a > 0 and m.nnz > self.dimension**2 / 4:
+            if a > 0 and count.sum() > self.dimension**2 / 4:
                 # (H - c) / a has its spectrum in [-1, 1]: no overflow
-                b = m.toarray()
+                b = self._h.block(np.arange(self.dimension))
                 b[np.diag_indices_from(b)] -= c
                 b /= a
                 for _ in range(3):
@@ -220,38 +244,242 @@ class Operator:
         the series coefficients of the last time grid.  Built once."""
         if self._chebyshev is None:
             lo, hi = self.spectral_interval()
-            self._chebyshev = ChebyshevForm(self.matrix, (hi + lo) / 2,
+            self._chebyshev = ChebyshevForm(self._h, (hi + lo) / 2,
                                             (hi - lo) / 2)
         return self._chebyshev
+
+
+class _Dense:
+    """A dense Hermitian matrix, stored real when its entries are."""
+
+    def __init__(self, a: np.ndarray):
+        a = _real_if_exact(a)
+        self.a = np.ascontiguousarray(
+            a, dtype=complex if np.iscomplexobj(a) else float)
+        self.dimension = self.a.shape[0]
+        self.shape = (self.dimension, 1)
+        self.cost = self.dimension**2  # multiply-adds of one product
+
+    def product(self, p: np.ndarray, shift: float = 0.0) -> np.ndarray:
+        """``(H - shift) x`` for ``x`` in planar layout (``_planar``)."""
+        x = p.reshape(2, -1)
+        if np.iscomplexobj(self.a):
+            z = self.a @ (x[0] + 1j * x[1])
+            y = np.stack((z.real, z.imag))
+        else:
+            y = x @ self.a.T  # a @ x_re and a @ x_im as rows
+        if shift:
+            y -= shift * x
+        return y.reshape(p.shape)
+
+    def gershgorin(self) -> tuple:
+        """``(diagonal, radius, nonzeros)`` of every row."""
+        diag = self.a.diagonal().real
+        return (diag, np.abs(self.a).sum(axis=1) - np.abs(diag),
+                np.count_nonzero(self.a, axis=1))
+
+    def neighbours(self, rows: np.ndarray) -> np.ndarray:
+        """Columns of the nonzero entries of ``rows``."""
+        return np.nonzero(self.a[rows])[1]
+
+    def block(self, indices: np.ndarray) -> np.ndarray:
+        """A fresh dense copy of H on a sorted index set."""
+        return self.a[np.ix_(indices, indices)]
+
+    def entries(self) -> tuple:
+        """``(rows, columns, values)`` of the nonzero entries."""
+        rows, cols = np.nonzero(self.a)
+        return rows, cols, self.a[rows, cols]
+
+
+class _Factors:
+    """A Pauli sum on N spins as small dense factors across the middle.
+
+    The basis index is ``i = l 2^R + r``, with ``l`` on the first ``L =
+    N // 2`` spins and ``r`` on the other ``R``, so a vector is the
+    ``2^L x 2^R`` matrix ``X`` and
+    ``H X = D o X + B X + X C^T + sum_s B_s X C_s^T``.  ``D`` sums the
+    strings of Z factors only, ``B`` (``2^L x 2^L``) the other strings
+    that act on the first ``L`` spins only, ``C`` (``2^R x 2^R``) those
+    that act on the last ``R`` only, and each string that acts on both
+    halves is one ``B_s (x) C_s``.  A vector comes in planar layout
+    (``_planar``), so that real factors apply to its real and imaginary
+    parts at once: ``B`` on both ``X`` planes, ``C`` on the
+    ``2^(L+1) x 2^R`` stack of them.
+
+    The nonzero pattern comes from ``weights``: for each flip mask ``f``
+    in ``flips`` (the bits of the X and Y sites of a string), the terms
+    with that mask summed into ``H[j ^ f, j] = weights[k, j]``, so that
+    the XX and YY terms of a hop cancel where they do in H.
+    """
+
+    def __init__(self, p: PauliSum):
+        n = p.n_spins
+        cut = n // 2
+        self.dimension = 2**n
+        self.shape = (2**cut, 2**(n - cut))
+        self.cost = self.dimension * sum(self.shape)
+        diag = np.zeros(self.dimension)
+        by_flip = {}
+        left, right = np.zeros((self.shape[0],) * 2), np.zeros(
+            (self.shape[1],) * 2)
+        self.straddle = []
+        for coeff, factors in p.terms:
+            flip, values = _pauli_string(n, factors)
+            if not flip:  # Z factors only: real
+                diag += coeff * values
+                continue
+            by_flip[flip] = by_flip.get(flip, 0.0) + coeff * values
+            on_left = {s: f for s, f in factors.items() if s <= cut}
+            on_right = {s - cut: f for s, f in factors.items() if s > cut}
+            if not on_right:
+                left = left + coeff * _string_matrix(cut, on_left)
+            elif not on_left:
+                right = right + coeff * _string_matrix(n - cut, on_right)
+            else:
+                self.straddle.append(
+                    (_real_if_exact(coeff * _string_matrix(cut, on_left)),
+                     _real_if_exact(_string_matrix(n - cut, on_right))))
+        self.diag = diag.reshape(self.shape)
+        self.left = _real_if_exact(left) if left.any() else None
+        self.right = _real_if_exact(right) if right.any() else None
+        self.real = not any(np.iscomplexobj(m) for m in (
+            self.left, self.right, *(m for s in self.straddle for m in s)))
+        self.flips = np.array(sorted(by_flip), dtype=np.int64)
+        self.weights = _real_if_exact(np.array(
+            [by_flip[f] for f in self.flips]).reshape(
+                self.flips.size, self.dimension))
+
+    def product(self, p: np.ndarray, shift: float = 0.0) -> np.ndarray:
+        if not self.real:  # a Y factor: the same in complex arithmetic
+            x = p[0] + 1j * p[1]
+            y = (self.diag - shift) * x
+            if self.left is not None:
+                y += self.left @ x
+            if self.right is not None:
+                y += x @ self.right.T
+            for b, c in self.straddle:
+                y += b @ x @ c.T
+            return np.stack((y.real, y.imag))
+        stacked = (2 * self.shape[0], self.shape[1])
+        y = (self.diag - shift) * p
+        if self.left is not None:
+            y += np.matmul(self.left, p)
+        if self.right is not None:
+            y += (p.reshape(stacked) @ self.right.T).reshape(p.shape)
+        for b, c in self.straddle:
+            y += (np.matmul(b, p).reshape(stacked) @ c.T).reshape(p.shape)
+        return y
+
+    def gershgorin(self) -> tuple:
+        diag = self.diag.reshape(-1)
+        return (diag, np.abs(self.weights).sum(axis=0),
+                (diag != 0) + np.count_nonzero(self.weights, axis=0))
+
+    def neighbours(self, rows: np.ndarray) -> np.ndarray:
+        return (rows ^ self.flips[:, None])[self.weights[:, rows] != 0]
+
+    def block(self, indices: np.ndarray) -> np.ndarray:
+        """H on a sorted index set that it maps into itself."""
+        d = indices.size
+        sub = np.zeros((d, d), dtype=self.weights.dtype)
+        sub[np.diag_indices(d)] = self.diag.reshape(-1)[indices]
+        w = self.weights[:, indices]
+        nz = w != 0
+        rows = np.searchsorted(indices, (indices ^ self.flips[:, None])[nz])
+        sub[rows, np.nonzero(nz)[1]] = w[nz]
+        return sub
+
+    def entries(self) -> tuple:
+        idx = np.arange(self.dimension)
+        rows = np.concatenate([idx, *(idx ^ f for f in self.flips)])
+        cols = np.tile(idx, self.flips.size + 1)
+        values = np.concatenate([self.diag.reshape(-1),
+                                 self.weights.reshape(-1)])
+        nz = values != 0
+        return rows[nz], cols[nz], values[nz]
+
+
+class _Block:
+    """H on a sorted index set that it maps into itself, applied through
+    the form ``h`` of the whole space: a vector is scattered into the
+    set, multiplied there and gathered back, so amplitudes outside the
+    set stay exactly zero.  Dense copies are made for components only."""
+
+    def __init__(self, h, indices: np.ndarray):
+        self.h, self.indices = h, indices
+        self.dimension, self.cost = indices.size, h.cost
+        self.shape = (indices.size, 1)
+
+    def product(self, p: np.ndarray, shift: float = 0.0) -> np.ndarray:
+        full = np.zeros((2, self.h.dimension))
+        full[:, self.indices] = p.reshape(2, -1)
+        y = self.h.product(full.reshape((2,) + self.h.shape), shift)
+        return y.reshape(2, -1)[:, self.indices].reshape(p.shape)
+
+    def gershgorin(self) -> tuple:
+        # every nonzero entry of a row of the set lies in the set
+        return tuple(v[self.indices] for v in self.h.gershgorin())
+
+    def neighbours(self, rows: np.ndarray) -> np.ndarray:
+        return np.searchsorted(self.indices,
+                               self.h.neighbours(self.indices[rows]))
+
+    def block(self, rows: np.ndarray) -> np.ndarray:
+        return self.h.block(self.indices[rows])
+
+    def entries(self) -> tuple:
+        rows, cols, values = self.h.entries()
+        keep = np.zeros(self.h.dimension, dtype=bool)
+        keep[self.indices] = True
+        keep = keep[rows]
+        return (np.searchsorted(self.indices, rows[keep]),
+                np.searchsorted(self.indices, cols[keep]), values[keep])
+
+
+def _real_if_exact(a: np.ndarray) -> np.ndarray:
+    """``a`` as a real array when its imaginary part is exactly 0."""
+    if np.iscomplexobj(a) and not a.imag.any():
+        return np.ascontiguousarray(a.real)
+    return a
+
+
+def _planar(amp: np.ndarray, shape: tuple) -> np.ndarray:
+    """``amp`` in the planar layout of a form of ``shape = (m, n)``: the
+    real ``(2, m, n)`` array of its real and its imaginary parts, each
+    as an ``m x n`` matrix."""
+    return np.stack((amp.real, amp.imag)).reshape((2,) + shape)
+
+
+def _complex(p: np.ndarray) -> np.ndarray:
+    """Complex vectors from a stack of planar layouts, ``(..., 2, m, n)``
+    to ``(..., m n)``."""
+    z = np.empty(p.shape[:-3] + (p.shape[-2] * p.shape[-1],), dtype=complex)
+    z.real = p[..., 0, :, :].reshape(z.shape)
+    z.imag = p[..., 1, :, :].reshape(z.shape)
+    return z
 
 
 class ChebyshevForm:
     """``H = a Ht + c`` with ``Ht`` on [-1, 1], for the Chebyshev series.
 
-    ``matrix`` is ``-2i Ht = -2i (H - c) / a``, the factor of the
-    recurrence ``U_k = -2i Ht U_{k-1} + U_{k-2}`` for
-    ``U_k = (-i)^k T_k(Ht)``, which folds the powers of ``-i`` of the
-    series into the terms and leaves its coefficients real.  It shares
-    the index arrays of H when H stores its whole diagonal or ``c`` is 0,
-    so that the shift leaves the nonzero pattern as it is.  It refers to
-    arrays only, never to the operator.  A zero-width interval (``a = 0``,
-    H = c) gives a zero matrix: the series is then its first term alone.
+    ``form @ x`` is ``2 Ht x = 2 (H x - c x) / a`` for ``x`` in the
+    planar layout of H's form (``_planar``), in real arithmetic for a
+    real H.  It applies H through the operator's own form and stores no
+    copy of it; it refers to that form, never to the operator.  A
+    zero-width interval (``a = 0``, H = c) gives zero: the series is
+    then its first term alone.
     """
 
-    def __init__(self, m: sp.csr_matrix, centre: float, half_width: float):
-        self.centre, self.half_width = centre, half_width
-        scale = -2j / half_width if half_width > 0 else 0.0
-        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-        on_diag = m.indices == rows
-        if centre == 0.0 or (m.has_canonical_format
-                             and np.count_nonzero(on_diag) == m.shape[0]):
-            self.matrix = sp.csr_matrix(
-                ((m.data - centre * on_diag) * scale, m.indices, m.indptr),
-                shape=m.shape)
-        else:
-            self.matrix = sp.csr_matrix(
-                (m - centre * sp.identity(m.shape[0], format="csr")) * scale)
+    def __init__(self, h, centre: float, half_width: float):
+        self.h, self.centre, self.half_width = h, centre, half_width
+        self.scale = 2.0 / half_width if half_width > 0 else 0.0
         self._times = self._series = None
+
+    def __matmul__(self, p: np.ndarray) -> np.ndarray:
+        y = self.h.product(p, self.centre)
+        y *= self.scale
+        return y
 
     def coefficients(self, times: np.ndarray) -> tuple:
         """``(coef, phase)`` of ``exp(-i H t_j) amp =
@@ -269,61 +497,31 @@ class ChebyshevForm:
         return self._series
 
 
-def _closure(m: sp.csr_matrix, seeds: np.ndarray) -> np.ndarray:
+def _closure(h, seeds: np.ndarray) -> np.ndarray:
     """Mask of the smallest index set that holds ``seeds`` and that the
-    nonzero pattern of ``m`` maps into itself."""
-    inside = np.zeros(m.shape[0], dtype=bool)
+    nonzero pattern of the form ``h`` maps into itself."""
+    inside = np.zeros(h.dimension, dtype=bool)
     inside[seeds] = True
     frontier = seeds
     while frontier.size:
-        fresh = np.zeros(m.shape[0], dtype=bool)
-        fresh[m[frontier].indices] = True
+        fresh = np.zeros(h.dimension, dtype=bool)
+        fresh[h.neighbours(frontier)] = True
         fresh &= ~inside
         inside |= fresh
         frontier = np.flatnonzero(fresh)
     return inside
 
 
-def _components(m: sp.csr_matrix) -> list:
+def _components(h) -> list:
     """Sorted index arrays of the connected components of the nonzero
-    pattern of a Hermitian ``m``, in order of their smallest index."""
-    left = np.ones(m.shape[0], dtype=bool)
+    pattern of the form ``h``, in order of their smallest index."""
+    left = np.ones(h.dimension, dtype=bool)
     parts = []
     while left.any():
-        inside = _closure(m, np.flatnonzero(left)[:1])
+        inside = _closure(h, np.flatnonzero(left)[:1])
         parts.append(np.flatnonzero(inside))
         left &= ~inside
     return parts
-
-
-def _restrict(m: sp.csr_matrix, indices: np.ndarray) -> sp.csr_matrix:
-    """``m`` restricted to a sorted index set that it maps into itself.
-
-    The rows of the set hold columns of the set only; they are renumbered
-    by their rank in the set, which keeps them sorted.
-    """
-    rows = m[indices]
-    rank = np.zeros(m.shape[0], dtype=np.int64)
-    rank[indices] = np.arange(indices.size)
-    return sp.csr_matrix((rows.data, rank[rows.indices], rows.indptr),
-                         shape=(indices.size, indices.size))
-
-
-def _hermiticity_defect(m: sp.csr_matrix) -> float:
-    """``max |m - m^H|`` over the entries, from one transposed copy.
-
-    Canonical CSR (sorted columns, no duplicates) of a matrix with a
-    symmetric pattern shares its pattern with its transpose, so the
-    defect is a difference of the two value arrays; any other matrix
-    falls back to the sparse difference.
-    """
-    t = m.T.tocsr()  # the transpose, in canonical CSR
-    if (np.array_equal(t.indptr, m.indptr)
-            and np.array_equal(t.indices, m.indices)):
-        diff = np.conjugate(t.data, out=t.data)
-        diff -= m.data
-        return float(np.abs(diff).max(initial=0.0))
-    return float(abs(m - t.conj()).max())
 
 
 @dataclass(frozen=True)
@@ -353,58 +551,51 @@ class PropagatorConfig:
 
 
 def realize(p: PauliSum, majorana: bool = False):
-    """Realize a Pauli sum as a sparse Hermitian matrix on the 2^N spin
-    states, an ``Operator``, or with ``majorana`` on the 2N + 2 wall
-    Majoranas, a ``MajoranaOperator``."""
+    """Realize a Pauli sum as a Hermitian ``Operator`` on the 2^N spin
+    states, held as dense factors across the middle of the chain
+    (``_Factors``), or with ``majorana`` on the 2N + 2 wall Majoranas,
+    a ``MajoranaOperator``."""
     if majorana:
         return MajoranaOperator(majorana_form(p))
-    # the Hermiticity check runs after the build's work arrays are freed
-    return Operator(_pauli_csr(p))
+    return Operator(_Factors(p))
 
 
-def _pauli_csr(p: PauliSum) -> sp.csr_matrix:
-    """Canonical CSR matrix of a Pauli sum, built from bit masks.
+def _pauli_string(n: int, factors: dict) -> tuple:
+    """``(flip, values)`` of a Pauli string on ``n`` spins.
 
-    A Pauli string sends basis index ``i`` to ``i ^ flip``, where
-    ``flip`` holds the bits of its X and Y sites, with amplitude
-    ``(-1)^popcount(i & zy)`` times ``1j`` per Y, where ``zy`` holds the
-    bits of its Z and Y sites.  Terms are summed, in order, into one
-    column array per distinct flip mask; the result is canonical CSR
-    without stored zeros.
+    It sends basis index ``j`` to ``j ^ flip``, where ``flip`` holds the
+    bits of its X and Y sites, with amplitude ``values[j] =
+    (-1)^popcount(j & zy)`` times ``1j`` per Y, where ``zy`` holds the
+    bits of its Z and Y sites.  ``values`` is real unless the string
+    has an odd number of Y factors.
     """
-    n, dim = p.n_spins, 2**p.n_spins
-    idx = np.arange(dim)
-    by_flip = {}  # flip mask -> values indexed by the column
-    for coeff, factors in p.terms:
-        flip = n_y = 0
-        parity = np.zeros(dim, dtype=np.int64)
-        for site, label in factors.items():
-            shift = n - site
-            if label != "Z":
-                flip |= 1 << shift
-            if label != "X":
-                parity ^= idx >> shift & 1
-            n_y += label == "Y"
-        # float sign: 1 - 2 * parity never wraps around
-        values = coeff * (1, 1j, -1, -1j)[n_y % 4] * (1.0 - 2.0 * parity)
-        if flip in by_flip:
-            by_flip[flip] += values
-        else:
-            by_flip[flip] = values.astype(complex)
-    # one entry per row for each flip mask; sparse addition merges the
-    # rows in column order and drops the entries that cancelled
-    acc = sp.csr_matrix((dim, dim), dtype=complex)
-    for flip, values in by_flip.items():
-        acc = acc + sp.csr_matrix(
-            (values[idx ^ flip], idx ^ flip, np.arange(dim + 1)),
-            shape=(dim, dim),
-        )
-    return acc
+    idx = np.arange(2**n)
+    flip = n_y = 0
+    parity = np.zeros(2**n, dtype=np.int64)
+    for site, label in factors.items():
+        shift = n - site
+        if label != "Z":
+            flip |= 1 << shift
+        if label != "X":
+            parity ^= idx >> shift & 1
+        n_y += label == "Y"
+    # float sign: 1 - 2 * parity never wraps around
+    return flip, (1, 1j, -1, -1j)[n_y % 4] * (1.0 - 2.0 * parity)
 
 
-def majorana_form(p: PauliSum) -> sp.csr_matrix:
-    """The sparse real antisymmetric ``A`` of a Pauli sum on the 2N + 2
-    wall Majoranas, ``p = (i/4) sum_jk A_jk gamma_j gamma_k``.
+def _string_matrix(n: int, factors: dict) -> np.ndarray:
+    """Dense ``2^n x 2^n`` matrix of a Pauli string on ``n`` spins."""
+    flip, values = _pauli_string(n, factors)
+    idx = np.arange(2**n)
+    m = np.zeros((2**n, 2**n), dtype=values.dtype)
+    m[idx ^ flip, idx] = values
+    return m
+
+
+def majorana_form(p: PauliSum) -> np.ndarray:
+    """The real antisymmetric ``A`` of a Pauli sum on the 2N + 2 wall
+    Majoranas, ``p = (i/4) sum_jk A_jk gamma_j gamma_k``, as a dense
+    array.
 
     Interface q (q = 0..N, interface q between spin q and spin q + 1,
     with a down spin 0 and N + 1) carries ``gamma_2q`` and
@@ -432,16 +623,13 @@ def majorana_form(p: PauliSum) -> sp.csr_matrix:
         # (i/4)(A_jk g_j g_k + A_kj g_k g_j) = (i/2) A_jk g_j g_k, k = j + 1
         a[j, j + 1] -= 2 * coeff
         a[j + 1, j] += 2 * coeff
-    rows, cols = np.nonzero(a)  # in row order, as CSR stores them
-    return sp.csr_matrix(
-        (a[rows, cols], cols, np.searchsorted(rows, np.arange(2 * n + 3))),
-        shape=a.shape)
+    return a
 
 
 class MajoranaOperator:
     """A Pauli sum quadratic in the wall Majoranas, realized by
-    ``realize(p, majorana=True)``: ``matrix`` is its ``majorana_form``
-    A, and ``q``, ``eps`` its normal modes, from one SVD.
+    ``realize(p, majorana=True)``: ``a`` is its ``majorana_form`` A,
+    and ``q``, ``eps`` its normal modes, from one SVD.
 
     Every entry of A couples an even Majorana to an odd one, so in
     even/odd order ``A = [[0, B], [-B^T, 0]]`` with ``B = A[0::2,
@@ -457,9 +645,8 @@ class MajoranaOperator:
     ``R(t) M R(t)^T`` with ``R(t) = exp(A t)``.
     """
 
-    def __init__(self, matrix: sp.csr_matrix):
-        self.matrix = matrix
-        a = matrix.toarray()
+    def __init__(self, a: np.ndarray):
+        self.a = a = np.asarray(a, dtype=float)
         if a[0::2, 0::2].any() or a[1::2, 1::2].any():
             raise ValueError("the Majorana form couples two even or two odd "
                              "Majoranas")
@@ -469,10 +656,21 @@ class MajoranaOperator:
         self.q[1::2, 1::2] = vt.T
         s[s <= a.shape[0] * np.finfo(float).eps * s[0]] = 0.0
         self.eps = s
+        self._csr = None
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return self.a.shape[0]
+
+    @property
+    def matrix(self):
+        """A as a canonical ``csr_matrix``, built on first access and
+        cached; nothing in this package reads it."""
+        if self._csr is None:
+            import scipy.sparse as sp
+
+            self._csr = sp.csr_matrix(self.a)
+        return self._csr
 
     def covariances(self, m: np.ndarray, times: np.ndarray) -> np.ndarray:
         """``R(t) m R(t)^T`` at each of ``times``, shape ``(len(times),
@@ -596,31 +794,40 @@ def _evolve_chebyshev(amp: np.ndarray, h: Operator,
 
     With ``H = a Ht + c`` and ``Ht`` on [-1, 1] (``Operator.chebyshev_form``),
     ``exp(-i H t) = exp(-i c t) sum_k (2 - d_k0) J_k(a t) U_k`` with
-    ``U_k = (-i)^k T_k(Ht)``.  Each term ``U_k amp`` costs one product
-    with ``-2i Ht`` and one addition.  The terms are kept in a ring of
-    ``CHEBYSHEV_BATCH`` rows, added into every output by one real
-    product per batch on their interleaved real and imaginary parts.
-    The phase ``exp(-i c t_j)`` is applied once per row at the end.
+    ``U_k = (-i)^k T_k(Ht)``.  Each term ``U_k amp = -2i Ht U_{k-1} amp
+    + U_{k-2} amp`` costs one product with ``2 Ht`` and one addition.
+    The terms are kept in the planar layout of H's form (``_planar``),
+    where a real H acts in real arithmetic and ``-i`` swaps the real and
+    imaginary parts, in a ring of ``CHEBYSHEV_BATCH`` terms.  The powers
+    of ``-i`` leave the series coefficients real, so each batch is added
+    into every output by one real product.  The phase ``exp(-i c t_j)``
+    is applied once per row at the end.
     """
     form = h.chebyshev_form()
     coef, phase = form.coefficients(times)
     n_terms = coef.shape[1]
     size = min(n_terms, CHEBYSHEV_BATCH)
-    ring = np.empty((size, amp.size), dtype=complex)
-    ring[0] = amp
-    out = np.zeros((times.size, amp.size), dtype=complex)
-    flat, ring_flat = out.view(float), ring.view(float)
+    first = _planar(amp, form.h.shape)
+    ring = np.empty((size,) + first.shape)
+    ring[0] = first
+    out = np.zeros((times.size,) + first.shape)
+    flat, ring_flat = out.reshape(times.size, -1), ring.reshape(size, -1)
     for k in range(n_terms):
         row = k % size
-        if k == 1:  # U_1 = -i Ht U_0
-            np.multiply(form.matrix @ amp, 0.5, out=ring[1])
-        elif k:
-            np.add(form.matrix @ ring[(k - 1) % size],
-                   ring[(k - 2) % size], out=ring[row])
+        if k:
+            y, u = form @ ring[(k - 1) % size], ring[row]
+            if k == 1:  # U_1 = -i Ht U_0
+                np.multiply(y[1], 0.5, out=u[0])
+                np.multiply(y[0], -0.5, out=u[1])
+            else:  # -i (y_re + i y_im) = y_im - i y_re
+                before = ring[(k - 2) % size]
+                np.add(before[0], y[1], out=u[0])
+                np.subtract(before[1], y[0], out=u[1])
         if row == size - 1 or k == n_terms - 1:
             flat += coef[:, k - row:k + 1] @ ring_flat[:row + 1]
-    out *= phase[:, None]
-    return out
+    rows = _complex(out)
+    rows *= phase[:, None]
+    return rows
 
 
 def _jacobi_anger(z: np.ndarray) -> np.ndarray:

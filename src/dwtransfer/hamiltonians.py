@@ -1,7 +1,10 @@
 """Hamiltonian builders for the transfer protocols.
 
 All builders return :class:`~dwtransfer.core.PauliSum` objects; call
-:func:`~dwtransfer.core.realize` to obtain the sparse matrix.  Couplings
+:func:`~dwtransfer.core.realize` to obtain the operator, held as small
+dense factors across the middle of the chain (its invariant blocks and
+components as dense arrays), or with ``majorana=True`` its form on the
+wall Majoranas.  Couplings
 ``J`` and ``lam`` are angular frequencies (hbar = 1); only the ratio
 ``J/lam`` and the product ``lam * t`` affect the physics.
 """

@@ -630,6 +630,15 @@ class TestMemoryGuard:
         with pytest.raises(ManifestError, match="'n_spins'"):
             _check_footprint(record(16, "exact-eigendecomposition"), 15)
 
+    def test_chebyshev_transfer_counts_a_dense_block(self):
+        # a block just under the dense threshold, 2^N (2^L + 2^R) real
+        # entries, would need about 6.4 GB at N = 19
+        ghz = LogicalState(3, np.array([1, 0, 0, 0, 0, 0, 0, 1])
+                           / math.sqrt(2))
+        _check_footprint(Transfer(18, 1.0, 22.0, ghz), 17)
+        with pytest.raises(ManifestError, match="'n_spins'"):
+            _check_footprint(Transfer(19, 1.0, 22.0, ghz), 18)
+
 
 class TestManifestLoader:
     @pytest.mark.parametrize("command, fields_, named", [
@@ -731,11 +740,18 @@ class TestReadmeExample:
 
 class TestImportGraph:
     @staticmethod
-    def loaded(request, tmp_path, command, prefix):
-        """Modules under ``prefix`` that one CLI run leaves loaded."""
-        cfg = request.getfixturevalue(f"{command}_manifest")
+    def loaded(request, tmp_path, command, prefix, cfg=None,
+               preamble=""):
+        """Modules under ``prefix`` that one CLI run leaves loaded.
+
+        ``cfg`` defaults to the command's fixture manifest; ``preamble``
+        runs before ``dwtransfer.cli`` is imported.
+        """
+        if cfg is None:
+            cfg = request.getfixturevalue(f"{command}_manifest")
         script = (
             "import sys\n"
+            f"{preamble}"
             "import dwtransfer.cli\n"
             f"code = dwtransfer.cli.main([{command!r}, '--config', {cfg!r},"
             f" '--out', {str(tmp_path / 'o')!r}])\n"
@@ -762,6 +778,26 @@ class TestImportGraph:
         # importing scipy.special adds 0.06-0.1 s to the start-up of a run
         assert self.loaded(request, tmp_path, "transfer",
                            "scipy.special") == "[]"
+
+    @pytest.mark.parametrize("command, bundled", [
+        ("transfer", None),  # a Gaussian payload: free fermions
+        ("transfer", "ghz_3x3x3"),  # the state vector
+        ("sweep", None),
+        ("baseline", None),
+        ("consistency", None),
+    ])
+    def test_run_needs_neither_scipy_nor_a_process_pool(
+            self, request, tmp_path, command, bundled):
+        # importing scipy.sparse took about 0.24 s and 20 MB of every
+        # run's set-up; multiprocessing only serves sweep --workers
+        cfg = None
+        if bundled is not None:
+            cfg = str(Path(__file__).resolve().parents[1] / "manifests"
+                      / f"{bundled}.json")
+        assert self.loaded(request, tmp_path, command,
+                           "concurrent.futures.process", cfg,
+                           "sys.modules['scipy'] = None  # imports raise\n"
+                           ) == "[]"
 
 
 class TestArgumentHandling:

@@ -1,10 +1,12 @@
 import gc
+import re
 import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 from scipy.special import jv
 
 from dwtransfer.core import (
@@ -13,10 +15,12 @@ from dwtransfer.core import (
     PauliSum,
     PropagatorConfig,
     StateVector,
+    _complex,
     _components,
+    _Dense,
     _evolve_exact,
-    _hermiticity_defect,
     _jacobi_anger,
+    _planar,
     basis_index,
     evolve,
     fidelity,
@@ -56,15 +60,21 @@ def kron_realize(p):
     return acc
 
 
-def random_pauli_sum(rng, n_spins, n_terms):
+def random_pauli_sum(rng, n_spins, n_terms, labels="XYZ"):
     terms = []
     for _ in range(n_terms):
         sites = rng.choice(np.arange(1, n_spins + 1),
                            size=int(rng.integers(0, n_spins + 1)),
                            replace=False)
-        factors = {int(s): str(rng.choice(["X", "Y", "Z"])) for s in sites}
+        factors = {int(s): str(rng.choice(list(labels))) for s in sites}
         terms.append((float(rng.normal()), factors))
     return PauliSum(n_spins, tuple(terms))
+
+
+def columns(form, dim):
+    """The matrix a Chebyshev form applies, column by column."""
+    return np.array([_complex(form @ _planar(e, form.h.shape))
+                     for e in np.eye(dim, dtype=complex)]).T
 
 
 def random_hermitian_operator(rng, dim):
@@ -169,19 +179,51 @@ class TestRealize:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_hermiticity_defect_matches_sparse_difference(self, seed):
+        # a dense input is refused exactly when max |m - m^H| exceeds the
+        # tolerance, and the refusal reports that defect
         a = sp.random(16, 16, density=0.3, random_state=seed) * (1 + 1j)
         hermitian = sp.csr_matrix(a + a.getH())
         nudged = hermitian.copy()
         nudged.data[0] += 1e-6j  # same pattern, not Hermitian
-        # Hermitian, but with unsorted columns: the fallback path
-        unsorted = sp.csr_matrix(
-            ([2, 1, 1j, 2, 3, -1j], [1, 0, 2, 0, 2, 1], [0, 2, 4, 6]),
-            shape=(3, 3))
-        assert not unsorted.has_sorted_indices
-        for m in (hermitian, nudged, a, unsorted):
+        real = sp.csr_matrix(a.real + a.real.T)
+        for m, refused in ((hermitian, False), (nudged, True), (a, True),
+                           (real, False)):
             m = sp.csr_matrix(m, dtype=complex)
             want = abs(m - m.getH()).max()
-            assert _hermiticity_defect(m) == pytest.approx(want, abs=1e-15)
+            assert (want > 1e-12) == refused
+            if refused:
+                with pytest.raises(ValueError, match=re.escape(
+                        f"not Hermitian (defect {want:.3e})")):
+                    Operator(m.toarray())
+            else:
+                assert Operator(m.toarray()).dimension == 16
+
+    def test_rejects_a_non_square_matrix(self):
+        with pytest.raises(ValueError, match="square"):
+            Operator(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("labels", ["XZ", "XYZ"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_product_matches_kron_reference(self, n, labels):
+        # strings at random, plus one that straddles the cut between the
+        # first n // 2 spins and the rest; with Y the factors are complex
+        rng = np.random.default_rng(100 + n)
+        p = random_pauli_sum(rng, n, 12, labels)
+        if n > 1:
+            cut = n // 2
+            p = PauliSum(n, p.terms + ((0.7, {cut: labels[-2],
+                                              cut + 1: "X"}),))
+        h = realize(p)
+        if n > 1:
+            assert h._h.straddle
+            assert h._h.real == (labels == "XZ")
+        ref = kron_realize(p)
+        for _ in range(3):
+            x = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            want = ref @ x
+            got = _complex(h._h.product(_planar(x, h._h.shape)))
+            assert np.abs(got - want).max() <= 1e-14 * max(
+                1.0, np.abs(want).max())
 
 
 class TestEvolve:
@@ -382,40 +424,43 @@ class TestChebyshev:
 
     def test_constant_operator(self):
         # a zero-width interval: the series is its first term alone
-        h = Operator(sp.identity(4, dtype=complex, format="csr") * 2.5)
+        h = Operator(2.5 * np.eye(4))
         psi = random_state(np.random.default_rng(0), 2)
         out = evolve(psi, h, [0.3, 1.1], KRYLOV)
         for t, row in zip((0.3, 1.1), out):
             assert np.abs(row - np.exp(-2.5j * t) * psi.amplitudes).max() < 1e-14
 
     @pytest.mark.parametrize("ham", ["transport", "reset", "xy"])
-    def test_scaled_matrix_shares_the_index_arrays(self, ham):
+    def test_chebyshev_form_stores_no_copy_of_h(self, ham):
         h = protocol_operators(self.N)[ham]
         form = h.chebyshev_form()
         assert form is h.chebyshev_form()
-        # views of the same memory, not copies
-        assert np.shares_memory(form.matrix.indices, h.matrix.indices)
-        assert np.shares_memory(form.matrix.indptr, h.matrix.indptr)
+        # the form applies the operator's own factors and holds no
+        # array of the operator's size until a time grid gives it
+        # coefficients
+        assert form.h is h._h
+        assert not [v for v in vars(form).values()
+                    if isinstance(v, np.ndarray) and v.size >= h.dimension]
         lo, hi = h.spectral_interval()
         c, a = (hi + lo) / 2, (hi - lo) / 2
-        want = -2j * (h.matrix.toarray() - c * np.eye(h.dimension)) / a
-        assert np.abs(form.matrix.toarray() - want).max() < 1e-14
+        want = 2 * (h.matrix.toarray() - c * np.eye(h.dimension)) / a
+        got = columns(form, h.dimension)
+        assert np.abs(got - want).max() < 1e-14
 
     def test_scaled_matrix_with_missing_diagonal(self):
-        # three diagonal entries are not stored and the centre is 1.5:
-        # the shift adds them
+        # three diagonal entries are zero and the centre is 1.5: the
+        # shift adds them
         dense = np.zeros((4, 4))
         dense[0, 1] = dense[1, 0] = 1.0
         dense[2, 2] = 4.0
-        h = Operator(sp.csr_matrix(dense))
+        h = Operator(dense)
         form = h.chebyshev_form()
         assert (form.centre, form.half_width) == (1.5, 2.5)
-        assert form.matrix.nnz == 6
-        assert np.abs(form.matrix.toarray()
-                      - -0.8j * (dense - 1.5 * np.eye(4))).max() < 1e-15
+        got = columns(form, 4)
+        assert np.abs(got - 0.8 * (dense - 1.5 * np.eye(4))).max() < 1e-15
         psi = random_state(np.random.default_rng(4), 2)
         out = evolve(psi, h, 0.9, KRYLOV)
-        ref = expm(-0.9j * h.matrix.toarray()) @ psi.amplitudes
+        ref = expm(-0.9j * dense) @ psi.amplitudes
         assert np.abs(out.amplitudes - ref).max() < 1e-14
 
     @pytest.mark.parametrize("whole_space", [False, True])
@@ -444,6 +489,25 @@ class TestChebyshev:
         radius = abs(m).sum(axis=1).A1 - abs(diag)
         assert h.spectral_interval() == pytest.approx(
             (np.min(diag - radius), np.max(diag + radius)), rel=1e-14)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_interval_is_the_gershgorin_interval(self, seed):
+        # random sums with X, Y and Z, and the blocks of one basis state
+        # in the protocol operators, against the dense matrix
+        rng = np.random.default_rng(seed)
+        p = random_pauli_sum(rng, 6, 10)
+        ops = [realize(p)]
+        one = np.zeros(2**self.N)
+        one[1 << (self.N - 1)] = 1.0
+        for h in protocol_operators(self.N).values():
+            ops.append(h.invariant_block(one)[1])
+        for h in ops:
+            full = h.matrix.toarray()
+            assert np.count_nonzero(full) <= full.size / 4
+            diag = full.diagonal().real
+            radius = np.abs(full).sum(axis=1) - np.abs(diag)
+            assert h.spectral_interval() == pytest.approx(
+                (np.min(diag - radius), np.max(diag + radius)), rel=1e-14)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_dense_interval_is_tight(self, seed):
@@ -562,7 +626,7 @@ class TestComponents:
         for ham, h in self.hamiltonians(layout).items():
             # the whole space, and the block of one basis state
             for op in (h, h.invariant_block(one)[1]):
-                parts = _components(op.matrix)
+                parts = _components(op._h)
                 if op is h:
                     assert [p.size for p in parts] == sizes[ham]
                 label = np.full(op.dimension, -1)
@@ -574,6 +638,79 @@ class TestComponents:
                 rows, cols = op.matrix.nonzero()
                 assert np.array_equal(label[rows], label[cols])
 
+    @staticmethod
+    def connected_sets(ref):
+        """Index sets of the connected components of the nonzero pattern
+        of a sparse matrix without stored zeros, from scipy's graph
+        search."""
+        count, label = connected_components(abs(ref), directed=False)
+        return sorted((np.flatnonzero(label == k) for k in range(count)),
+                      key=lambda s: s[0])
+
+    @pytest.mark.parametrize("case", ["protocol", "pauli", "dense", "xy13"])
+    def test_blocks_and_components_are_connected_sets(self, case):
+        rng = np.random.default_rng(3)
+        if case == "protocol":
+            sums = [transport_hamiltonian(7, 22.0, 1.0),
+                    multiqubit_reset_hamiltonian(7, 22.0, 1.0, 2),
+                    heisenberg_xy(7, 1.0)]
+        elif case == "pauli":
+            # Y on one site makes H complex; few terms leave it split
+            sums = [PauliSum(6, ((1.0, {1: "Y", 4: "X"}), (0.5, {2: "Y"}),
+                                 (0.3, {1: "Z", 6: "Z"}),
+                                 (0.7, {3: "X", 5: "Y"})))]
+        elif case == "xy13":
+            sums = [heisenberg_xy(13, 1.0)]
+        if case == "dense":
+            # a block-diagonal matrix in a shuffled basis
+            a = np.zeros((12, 12), dtype=complex)
+            for lo, hi in ((0, 5), (5, 6), (6, 12)):
+                b = rng.normal(size=(hi - lo,) * 2) + 1j * rng.normal(
+                    size=(hi - lo,) * 2)
+                a[lo:hi, lo:hi] = b + b.conj().T
+            perm = rng.permutation(12)
+            shuffled = a[np.ix_(perm, perm)]
+            cases = [(lambda: Operator(shuffled), sp.csr_matrix(shuffled))]
+        else:
+            cases = [(lambda p=p: realize(p), kron_realize(p)) for p in sums]
+        for fresh, ref in cases:
+            want = self.connected_sets(ref)
+            h = fresh()
+            if h.dimension <= 2**7:
+                got = _components(h._h)
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
+            # the block of a state is the union of the sets it touches;
+            # a fresh operator each time, as a cached block is kept while
+            # the support stays inside it
+            for seed_index in (0, h.dimension // 3, h.dimension - 1):
+                h = fresh()
+                amp = np.zeros(h.dimension)
+                amp[[seed_index, h.dimension // 2]] = 1.0
+                union = np.concatenate([w for w in want if np.isin(
+                    w, [seed_index, h.dimension // 2]).any()])
+                indices, block = h.invariant_block(amp)
+                if union.size == h.dimension:
+                    assert indices is None and block is h
+                else:
+                    assert np.array_equal(indices, np.sort(union))
+                    assert np.array_equal(block.matrix.toarray(),
+                                          ref[indices][:, indices].toarray())
+        if case == "xy13":
+            # one excitation: the N + 1 = 14 states with at most one up
+            # spin, bound by the XX + YY cancellation
+            h = fresh()
+            amp = np.zeros(2**13)
+            amp[1 << 12] = 1.0
+            indices, block = h.invariant_block(amp)
+            assert indices.size == 13
+            amp[0] = 1.0
+            indices, block = h.invariant_block(amp)
+            assert np.array_equal(indices,
+                                  [0] + [1 << k for k in range(13)])
+            assert isinstance(block._h, _Dense)
+
     @pytest.mark.parametrize("layout", [(2, 3, 2), (1, 5, 1)])
     def test_eigensystem_per_component(self, layout):
         ops = list(self.hamiltonians(layout).values())
@@ -582,7 +719,7 @@ class TestComponents:
             full = op.matrix.toarray()
             real = not full.imag.any()
             system = op.eigensystem()
-            parts = _components(op.matrix)
+            parts = _components(op._h)
             assert len(system) == len(parts)
             for (indices, w, v), want in zip(system, parts):
                 assert np.array_equal(indices, want)

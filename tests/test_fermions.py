@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 
 from dwtransfer import fermions
 from dwtransfer.core import (
@@ -74,7 +73,7 @@ class TestMajoranaForm:
             # relative to the largest entry, about J N: the reference
             # sums its terms in another order
             dense = realize(p).matrix.toarray()
-            a = majorana_form(p).toarray()
+            a = majorana_form(p)
             assert np.abs(even_sector(a) - dense).max() \
                 <= 1e-14 * np.abs(dense).max()
 
@@ -85,7 +84,7 @@ class TestMajoranaForm:
             assert np.array_equal(got, ref)
 
     def test_antisymmetric_and_real(self):
-        a = majorana_form(transport_hamiltonian(6, 22.0, 1.0)).toarray()
+        a = majorana_form(transport_hamiltonian(6, 22.0, 1.0))
         assert a.shape == (14, 14) and a.dtype == float
         assert np.array_equal(a, -a.T)
 
@@ -102,7 +101,7 @@ class TestMajoranaOperator:
     ])
     def test_evolve_is_the_exponential_of_a(self, p):
         h = realize(p, majorana=True)
-        a = majorana_form(p).toarray()
+        a = majorana_form(p)
         assert np.array_equal(h.matrix.toarray(), a)
         m0 = fermions.fock_covariance((1, 0, 1, 0, 0, 0, 0))
         times = np.array([0.0, 0.3, 0.7])
@@ -135,7 +134,7 @@ class TestMajoranaOperator:
         a = np.zeros((6, 6))
         a[j, k], a[k, j] = 1.0, -1.0
         with pytest.raises(ValueError, match="two even or two odd"):
-            MajoranaOperator(scipy.sparse.csr_matrix(a))
+            MajoranaOperator(a)
 
 
 def pfaffian_by_cofactors(a):
