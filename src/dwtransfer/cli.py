@@ -240,9 +240,7 @@ def _check_footprint(run, dense_log2: float,
     matrices of dimension 4N + 2k + 6 and a few blocks of covariances.
     On the state vector it counts complex vectors of 2^N amplitudes
     and, on the dense path, three complex matrices of the largest
-    component H is diagonalized on, of dimension 2^``dense_log2``, and
-    on the Chebyshev path, for a ``Transfer``, the largest invariant
-    block it may hold as a dense real array.
+    component H is diagonalized on, of dimension 2^``dense_log2``.
     Above the limit it names ``n_spins``.
     A ``Transfer`` on the Chebyshev path adds the Jacobi-Anger table of
     its largest ``evolve`` call (``_series_log2``); above the limit it
@@ -269,13 +267,6 @@ def _check_footprint(run, dense_log2: float,
         if run.propagator.method == "exact-eigendecomposition":
             log2_need = np.logaddexp2(log2_need,
                                       math.log2(16 * 3) + 2 * dense_log2)
-        elif isinstance(run, Transfer):
-            # an invariant block is a dense real array of up to 2^N
-            # (2^L + 2^R) entries, L = N // 2 and R = N - L
-            # (core.Operator.invariant_block)
-            r = N - N // 2
-            log2_need = np.logaddexp2(
-                log2_need, 3 + N + r + math.log2(1 + 2.0 ** (N // 2 - r)))
         hint = ("; chains this long need the free-fermion backend "
                 "(ROADMAP item 2)")
     _check_memory("n_spins", N, log2_need, hint)

@@ -118,7 +118,8 @@ class PauliSum:
 
 class Operator:
     """Hermitian matrix: a Pauli sum realized by :func:`realize`, or a
-    dense array checked for Hermiticity.
+    matrix checked for Hermiticity, dense or with a ``toarray`` method
+    (a sparse matrix), which is densified.
 
     H is held in one of three forms, which share a small interface
     (``product``, ``gershgorin``, ``neighbours``, ``block`` and
@@ -134,7 +135,8 @@ class Operator:
         if isinstance(matrix, (_Dense, _Factors, _Block)):
             self._h = matrix
         else:
-            a = np.asarray(matrix)
+            a = np.asarray(matrix.toarray() if hasattr(matrix, "toarray")
+                           else matrix)
             if a.ndim != 2 or a.shape[0] != a.shape[1]:
                 raise ValueError(f"matrix must be square, got shape "
                                  f"{a.shape}")
@@ -187,10 +189,12 @@ class Operator:
         block as an ``Operator``, or ``(None, self)`` when the set is the
         whole space.  The set is the support of ``amp`` grown along the
         nonzero pattern of H until it stops changing.  A block of
-        ``d`` states is a dense array when ``d^2`` is at most the cost of
-        one product with H (for a Pauli sum on N spins, ``2^N (2^L +
-        2^R)`` with ``L = N // 2`` and ``R = N - L``); a larger one is
-        applied through H's own form on the whole space.  It is cached
+        ``d`` states is a dense array when ``d^2`` is at most the form's
+        ``dense_limit``: for a Pauli sum on N spins, ``2^N``, so that the
+        block holds no more entries than one state vector and one
+        product with it costs less than one with the whole-space factors
+        (measured: README.md, Propagators).  A larger block is applied
+        through H's own form on the whole space.  It is cached
         and recomputed only when the support of ``amp`` leaves it.  The
         cache never refers back to this operator, so dropping the
         operator frees its blocks without the cycle collector.
@@ -201,7 +205,7 @@ class Operator:
             indices = np.flatnonzero(inside)
             if indices.size == self.dimension:
                 self._block = (inside, None, None)
-            elif indices.size**2 <= self._h.cost:
+            elif indices.size**2 <= self._h.dense_limit:
                 self._block = (inside, indices,
                                Operator(_Dense(self._h.block(indices))))
             else:
@@ -258,7 +262,8 @@ class _Dense:
             a, dtype=complex if np.iscomplexobj(a) else float)
         self.dimension = self.a.shape[0]
         self.shape = (self.dimension, 1)
-        self.cost = self.dimension**2  # multiply-adds of one product
+        # a block is a part of this array: a dense copy never outgrows it
+        self.dense_limit = self.dimension**2
 
     def product(self, p: np.ndarray, shift: float = 0.0) -> np.ndarray:
         """``(H - shift) x`` for ``x`` in planar layout (``_planar``)."""
@@ -318,7 +323,7 @@ class _Factors:
         cut = n // 2
         self.dimension = 2**n
         self.shape = (2**cut, 2**(n - cut))
-        self.cost = self.dimension * sum(self.shape)
+        self.dense_limit = self.dimension  # entries of one state vector
         diag = np.zeros(self.dimension)
         by_flip = {}
         left, right = np.zeros((self.shape[0],) * 2), np.zeros(
@@ -408,7 +413,7 @@ class _Block:
 
     def __init__(self, h, indices: np.ndarray):
         self.h, self.indices = h, indices
-        self.dimension, self.cost = indices.size, h.cost
+        self.dimension, self.dense_limit = indices.size, h.dense_limit
         self.shape = (indices.size, 1)
 
     def product(self, p: np.ndarray, shift: float = 0.0) -> np.ndarray:
@@ -447,7 +452,9 @@ def _real_if_exact(a: np.ndarray) -> np.ndarray:
 def _planar(amp: np.ndarray, shape: tuple) -> np.ndarray:
     """``amp`` in the planar layout of a form of ``shape = (m, n)``: the
     real ``(2, m, n)`` array of its real and its imaginary parts, each
-    as an ``m x n`` matrix."""
+    as an ``m x n`` matrix.  The factor form needs it because it acts
+    from the right as well (``X C^T``), which would mix the interleaved
+    real and imaginary parts of a complex array (``_real_matmul``)."""
     return np.stack((amp.real, amp.imag)).reshape((2,) + shape)
 
 
@@ -800,8 +807,10 @@ def _evolve_chebyshev(amp: np.ndarray, h: Operator,
     where a real H acts in real arithmetic and ``-i`` swaps the real and
     imaginary parts, in a ring of ``CHEBYSHEV_BATCH`` terms.  The powers
     of ``-i`` leave the series coefficients real, so each batch is added
-    into every output by one real product.  The phase ``exp(-i c t_j)``
-    is applied once per row at the end.
+    into every output by one real product.  The planar sums become
+    complex rows once, at the end, and the phase ``exp(-i c t_j)`` is
+    applied to each; the peak stays at two output blocks, the sums and
+    the temporary of one batch product, or the sums and the rows.
     """
     form = h.chebyshev_form()
     coef, phase = form.coefficients(times)
@@ -882,5 +891,10 @@ def _evolve_exact(amp: np.ndarray, h: Operator,
 def _real_matmul(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``v @ x`` for a real ``v`` and a C-contiguous complex ``x``, as one
     real product on the interleaved real and imaginary parts of ``x``
-    (``v @ x`` itself would copy ``v`` to complex)."""
+    (``v @ x`` itself would copy ``v`` to complex).
+
+    The dense path keeps this layout rather than the planar one of the
+    Chebyshev series (``_planar``): its vectors are complex arrays that
+    it multiplies from the left only, which the interleaved view does in
+    place, where a planar copy would cost one more pass each way."""
     return (v @ x.view(float)).view(complex)

@@ -630,14 +630,14 @@ class TestMemoryGuard:
         with pytest.raises(ManifestError, match="'n_spins'"):
             _check_footprint(record(16, "exact-eigendecomposition"), 15)
 
-    def test_chebyshev_transfer_counts_a_dense_block(self):
-        # a block just under the dense threshold, 2^N (2^L + 2^R) real
-        # entries, would need about 6.4 GB at N = 19
+    def test_chebyshev_transfer_runs_up_to_21_spins(self):
+        # a dense invariant block holds at most 2^N entries, one state
+        # vector, so it does not lower the state-vector limit
         ghz = LogicalState(3, np.array([1, 0, 0, 0, 0, 0, 0, 1])
                            / math.sqrt(2))
-        _check_footprint(Transfer(18, 1.0, 22.0, ghz), 17)
+        _check_footprint(Transfer(21, 1.0, 22.0, ghz), 20)
         with pytest.raises(ManifestError, match="'n_spins'"):
-            _check_footprint(Transfer(19, 1.0, 22.0, ghz), 18)
+            _check_footprint(Transfer(22, 1.0, 22.0, ghz), 21)
 
 
 class TestManifestLoader:

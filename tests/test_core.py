@@ -179,8 +179,8 @@ class TestRealize:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_hermiticity_defect_matches_sparse_difference(self, seed):
-        # a dense input is refused exactly when max |m - m^H| exceeds the
-        # tolerance, and the refusal reports that defect
+        # an input, sparse or dense, is refused exactly when max |m - m^H|
+        # exceeds the tolerance, and the refusal reports that defect
         a = sp.random(16, 16, density=0.3, random_state=seed) * (1 + 1j)
         hermitian = sp.csr_matrix(a + a.getH())
         nudged = hermitian.copy()
@@ -191,16 +191,19 @@ class TestRealize:
             m = sp.csr_matrix(m, dtype=complex)
             want = abs(m - m.getH()).max()
             assert (want > 1e-12) == refused
-            if refused:
-                with pytest.raises(ValueError, match=re.escape(
-                        f"not Hermitian (defect {want:.3e})")):
-                    Operator(m.toarray())
-            else:
-                assert Operator(m.toarray()).dimension == 16
+            for given in (m, m.toarray()):
+                if refused:
+                    with pytest.raises(ValueError, match=re.escape(
+                            f"not Hermitian (defect {want:.3e})")):
+                        Operator(given)
+                else:
+                    assert Operator(given).dimension == 16
 
-    def test_rejects_a_non_square_matrix(self):
+    @pytest.mark.parametrize("given", [np.zeros((2, 3)),
+                                       sp.csr_matrix((2, 3))])
+    def test_rejects_a_non_square_matrix(self, given):
         with pytest.raises(ValueError, match="square"):
-            Operator(np.zeros((2, 3)))
+            Operator(given)
 
     @pytest.mark.parametrize("labels", ["XZ", "XYZ"])
     @pytest.mark.parametrize("n", range(1, 9))
@@ -424,7 +427,7 @@ class TestChebyshev:
 
     def test_constant_operator(self):
         # a zero-width interval: the series is its first term alone
-        h = Operator(2.5 * np.eye(4))
+        h = Operator(sp.identity(4, dtype=complex, format="csr") * 2.5)
         psi = random_state(np.random.default_rng(0), 2)
         out = evolve(psi, h, [0.3, 1.1], KRYLOV)
         for t, row in zip((0.3, 1.1), out):
@@ -453,7 +456,7 @@ class TestChebyshev:
         dense = np.zeros((4, 4))
         dense[0, 1] = dense[1, 0] = 1.0
         dense[2, 2] = 4.0
-        h = Operator(dense)
+        h = Operator(sp.csr_matrix(dense))
         form = h.chebyshev_form()
         assert (form.centre, form.half_width) == (1.5, 2.5)
         got = columns(form, 4)
@@ -697,6 +700,11 @@ class TestComponents:
                     assert np.array_equal(indices, np.sort(union))
                     assert np.array_equal(block.matrix.toarray(),
                                           ref[indices][:, indices].toarray())
+                    # a dense copy of a block of a Pauli sum holds no more
+                    # entries than one state vector; one of a dense H is
+                    # never larger than H
+                    assert isinstance(block._h, _Dense) == (
+                        case == "dense" or union.size**2 <= h.dimension)
         if case == "xy13":
             # one excitation: the N + 1 = 14 states with at most one up
             # spin, bound by the XX + YY cancellation
