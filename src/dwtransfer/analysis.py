@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PropagatorConfig, StateVector, evolve, realize
+from .core import PropagatorConfig, evolve, realize
 from .hamiltonians import heisenberg_xy, transfer_amplitude_closed_form
 from .protocol import run_multi_qubit_transfer, trace_rows
 
@@ -140,7 +140,9 @@ def closed_form_consistency(N_range, lam: float, samples: int = 20) -> float:
     <0...01| exp(-i H t) |10...0> is compared against
     [-i sin(lam t / 2)]^(N-1) on `samples` times in [0, 2 pi / lam],
     using the dense reference propagator, in blocks of `trace_rows(N)`
-    times, each propagated from the initial state.  Both amplitudes
+    times, each propagated from the initial state.  As in the protocol,
+    the state is propagated and read on its invariant block, the N
+    one-excitation states, which hold <0...01|.  Both amplitudes
     vanish at t = 0 and 2 pi / lam, so `samples` must be at least 3.
     """
     if samples < 3:
@@ -152,14 +154,17 @@ def closed_form_consistency(N_range, lam: float, samples: int = 20) -> float:
             raise ValueError(
                 f"exact path limited to N <= {CONSISTENCY_N_MAX}")
         h = realize(heisenberg_xy(N, lam))
-        src = StateVector.from_bits([1] + [0] * (N - 1))
-        tgt_idx = 1  # |0...01>
+        src = np.zeros(2**N, dtype=complex)
+        src[2 ** (N - 1)] = 1.0  # |10...0>
+        indices, block = h.invariant_block(src)
+        tgt = int(np.searchsorted(indices, 1))  # <0...01|
+        amp = src[indices]
         times = np.linspace(0.0, 2 * math.pi / lam, samples)
         rows = trace_rows(N)
         for start in range(0, samples, rows):
-            block = times[start:start + rows]
-            nums = evolve(src, h, block, cfg)[:, tgt_idx]
-            for t, num in zip(block, nums):
+            chunk = times[start:start + rows]
+            nums = evolve(amp, block, chunk, cfg)[:, tgt]
+            for t, num in zip(chunk, nums):
                 ref = transfer_amplitude_closed_form(N, lam, float(t))
                 worst = max(worst, abs(num - ref))
     return worst

@@ -16,6 +16,7 @@ check fails.
 """
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -67,8 +68,11 @@ FREE_FERMION_SPINS_MAX = 200
 # FFT points per unit (measured for a t up to 3e4), each of 32 bytes
 # while the exponentials and their FFT are alive
 SERIES_BYTES = 192
-# bytes per sampled trace value: 8 in its array and about 185 while
-# _write_run formats it (measured at N = 5 and 13)
+# bytes per sampled trace value: 8 in its array, and the about 185 that
+# one %-format over every value held while it ran.  _write_run formats
+# blocks of at most 2^14 values (tracemalloc peak 3.0 MB for 40 001
+# samples at N = 5, against 37.1 MB in one format), so this over-counts;
+# it is kept so that the guard refuses the same runs
 TRACE_VALUE_BYTES = 200
 
 
@@ -325,10 +329,12 @@ def _read_manifest(path: str, experiment: str) -> dict:
     return manifest
 
 
-def _write_csv(path: Path, manifest: dict, text: str):
+def _write_csv(path: Path, manifest: dict, chunks):
+    """The ``#`` manifest line, then each string of ``chunks`` in turn."""
     blob = json.dumps(manifest, sort_keys=True, separators=(", ", ": "))
     with open(path, "w", newline="") as fh:
-        fh.write(f"# manifest: {blob}\n{text}")
+        fh.write(f"# manifest: {blob}\n")
+        fh.writelines(chunks)
 
 
 def _write_json(path: Path, manifest: dict, payload: dict):
@@ -339,23 +345,37 @@ def _write_json(path: Path, manifest: dict, payload: dict):
 
 
 def _write_run(out: Path, manifest: dict, result: ProtocolResult):
-    """The traces and the summary of one protocol run."""
+    """The traces and the summary of one protocol run.
+
+    Each trace file is formatted in blocks of samples, each block one
+    %-format on Python floats: the same text as format(x, ".17g") value
+    by value.  A value takes about 185 bytes while it is formatted, so
+    a block of at most 2^14 sigma_z values bounds that to a few MB.
+    """
     times, sigma_z = result.times, result.sigma_z_trace
     n_sites = sigma_z.shape[0]
-    # one %-format per file, on Python floats: the same text as
-    # format(x, ".17g") value by value
-    trace = np.column_stack([times, result.fidelity_corrected,
-                             result.fidelity_uncorrected])
-    _write_csv(out / "fidelity_trace.csv", manifest,
-               "t,fidelity_corrected,fidelity_uncorrected\n"
-               + "%.17g,%.17g,%.17g\n" * len(trace)
-               % tuple(trace.ravel().tolist()))
-    sites = np.column_stack([np.repeat(times, n_sites),
-                             np.tile(np.arange(1, n_sites + 1), times.size),
-                             sigma_z.T.ravel()])
-    _write_csv(out / "sigma_z.csv", manifest, "t,site,sigma_z\n"
-               + "%.17g,%d,%.17g\n" * len(sites)
-               % tuple(sites.ravel().tolist()))
+    step = max(2**14 // n_sites, 1)  # samples per block
+    spans = [slice(i, i + step) for i in range(0, times.size, step)]
+
+    def fidelity(span):
+        block = np.column_stack([times[span],
+                                 result.fidelity_corrected[span],
+                                 result.fidelity_uncorrected[span]])
+        return ("%.17g,%.17g,%.17g\n" * len(block)
+                % tuple(block.ravel().tolist()))
+
+    def sites(span):
+        t = times[span]
+        block = np.column_stack([np.repeat(t, n_sites),
+                                 np.tile(np.arange(1, n_sites + 1), t.size),
+                                 sigma_z[:, span].T.ravel()])
+        return "%.17g,%d,%.17g\n" * len(block) % tuple(block.ravel().tolist())
+
+    _write_csv(out / "fidelity_trace.csv", manifest, itertools.chain(
+        ["t,fidelity_corrected,fidelity_uncorrected\n"],
+        map(fidelity, spans)))
+    _write_csv(out / "sigma_z.csv", manifest, itertools.chain(
+        ["t,site,sigma_z\n"], map(sites, spans)))
     _write_json(out / "summary.json", manifest, {
         "final_fidelity": result.final_fidelity,
         "peak_fidelity": result.peak_fidelity,
@@ -425,7 +445,7 @@ def cmd_sweep(run: Sweep, manifest: dict, out: Path, args) -> int:
         raise ManifestError(
             f"manifest field 'ratios' holds J/lam = {exc.ratio:.6g}, which "
             "leaves no weight on Bob's decoded register") from exc
-    _write_csv(out / "sweep.csv", manifest, table.to_csv())
+    _write_csv(out / "sweep.csv", manifest, [table.to_csv()])
     _write_json(out / "fit.json", manifest, table.summary())
     band = args.assert_slope
     if band is not None:

@@ -725,6 +725,12 @@ def evolve(
     all from one call.  Every returned state is renormalized; its norm
     drift before renormalization must stay within ``NORM_DRIFT_TOL``.
 
+    Under an ``Operator`` the state may also be a plain vector of
+    ``h.dimension`` amplitudes of unit norm, for instance a state on an
+    invariant block (``Operator.invariant_block``) under the block's
+    operator; one time then returns one such vector and an array of
+    times a ``(len(t), h.dimension)`` array.
+
     Under a ``MajoranaOperator`` the state is the Majorana covariance of
     a Gaussian state (:mod:`dwtransfer.fermions`), propagated exactly
     whatever ``cfg``: one time returns one covariance, an array of times
@@ -751,32 +757,37 @@ def evolve(
                 f"{np.shape(state)}")
         out = h.covariances(state, grid)
         return out[0] if times.ndim == 0 else out
-    if h.dimension != state.dim:
+    whole = isinstance(state, StateVector)
+    amp = state.amplitudes if whole else np.asarray(state, dtype=complex)
+    if amp.shape != (h.dimension,):
         raise DimensionMismatch(
-            f"operator dimension {h.dimension} != state dimension {state.dim}"
-        )
-    if times.ndim == 0:
-        if times == 0.0:
-            return state
-        return StateVector(state.n_spins, _propagate(state, h, grid, cfg)[0])
-    return _propagate(state, h, grid, cfg)
+            f"operator dimension {h.dimension} != state shape {amp.shape}")
+    if not whole:
+        drift = abs(float(np.linalg.norm(amp)) - 1.0)
+        if drift > NORM_DRIFT_TOL:
+            raise ValueError(f"state not normalized: |psi| - 1 = {drift:.3e}")
+    rows = _propagate(amp, h, grid, cfg)
+    if times.ndim:
+        return rows
+    return StateVector(state.n_spins, rows[0]) if whole else rows[0]
 
 
-def _propagate(state, h, times, cfg):
-    """Read-only rows: the state at each of ``times``, propagated on its
-    invariant block and renormalized there."""
+def _propagate(amp, h, times, cfg):
+    """Read-only rows of ``h.dimension`` amplitudes: ``amp`` at each of
+    ``times``, propagated on its invariant block and renormalized
+    there."""
     # zero times lead the grid and keep the state exactly
     zeros = int(np.count_nonzero(times == 0.0))
     if zeros == times.size:
-        out = np.tile(state.amplitudes, (times.size, 1))
+        out = np.tile(amp, (times.size, 1))
         out.flags.writeable = False
         return out
-    indices, block = h.invariant_block(state.amplitudes)
-    amp = state.amplitudes if indices is None else state.amplitudes[indices]
+    indices, block = h.invariant_block(amp)
+    sub = amp if indices is None else amp[indices]
     if cfg.method == "exact-eigendecomposition":
-        rows = _evolve_exact(amp, block, times[zeros:])
+        rows = _evolve_exact(sub, block, times[zeros:])
     else:
-        rows = _evolve_chebyshev(amp, block, times[zeros:])
+        rows = _evolve_chebyshev(sub, block, times[zeros:])
     norms = np.linalg.norm(rows, axis=1)
     drift = np.abs(norms - 1.0).max()
     if drift > NORM_DRIFT_TOL:
@@ -785,8 +796,8 @@ def _propagate(state, h, times, cfg):
     if indices is None and not zeros:
         out = rows
     else:
-        out = np.zeros((times.size, state.dim), dtype=complex)
-        out[:zeros] = state.amplitudes
+        out = np.zeros((times.size, amp.size), dtype=complex)
+        out[:zeros] = amp
         if indices is None:
             out[zeros:] = rows
         else:

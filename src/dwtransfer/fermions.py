@@ -25,6 +25,7 @@ for the payload and Bob's register, has mode 0 as its leading bit.
 
 from __future__ import annotations
 
+import functools
 from itertools import combinations
 
 import numpy as np
@@ -95,10 +96,12 @@ def fock_covariance(occupied) -> np.ndarray:
     return m
 
 
-def majoranas(n_modes: int) -> list:
+@functools.lru_cache(maxsize=8)
+def majoranas(n_modes: int) -> tuple:
     """The Majoranas of ``n_modes`` modes as dense matrices, mode 0 the
     leading factor: ``gamma_2q = Z..Z X 1..1`` and ``gamma_2q+1 = Z..Z Y
-    1..1`` with q factors Z, the Jordan-Wigner string."""
+    1..1`` with q factors Z, the Jordan-Wigner string.  Built once per
+    mode count, as read-only arrays."""
     z, x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
     y = np.array([[0.0, -1j], [1j, 0.0]])
     out = []
@@ -107,8 +110,9 @@ def majoranas(n_modes: int) -> list:
             op = np.ones((1, 1))
             for factor in [z] * q + [local] + [np.eye(2)] * (n_modes - 1 - q):
                 op = np.kron(op, factor)
+            op.flags.writeable = False
             out.append(op)
-    return out
+    return tuple(out)
 
 
 def covariance(amp: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ wall count M.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -130,6 +131,20 @@ class Transfer:
                 "down and transfer fidelity degrades",
                 stacklevel=3,
             )
+
+    @functools.cached_property
+    def _alice_window(self) -> np.ndarray:
+        """Covariance of the payload's walls, on the interfaces 0..k:
+        each branch is the Fock state of the walls of its codec pattern.
+        Built once per run, read-only."""
+        k = self.state.n_logical
+        amp = np.zeros(2 ** (k + 1), dtype=complex)
+        for idx in range(2**k):
+            walls = fermions.walls(dw_encode_bits(index_bits(idx, k), _CTX))
+            amp[basis_index(walls)] = self.state.amplitudes[idx]
+        m = fermions.covariance(amp)
+        m.flags.writeable = False
+        return m
 
 
 @dataclass(frozen=True)
@@ -255,6 +270,32 @@ def _sigma_z_all(probs: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _sigma_z_on(probs: np.ndarray, indices: np.ndarray, n: int
+                ) -> np.ndarray:
+    """``<sigma_z>`` of every spin, spin 1 first, shape ``(n, rows)``,
+    from the basis probabilities ``(rows, d)`` of states that vanish
+    outside the sorted basis ``indices`` of ``n`` spins.
+
+    Spin s has sign ``1 - 2 b_s`` on a basis state with bit ``b_s``, so
+    the signs of every spin on ``indices`` form a ``(d, n)`` matrix, one
+    product with the probabilities.  The product sums in extended
+    precision: a plain sum of d terms strays from the exact one by up to
+    d roundings (2e-15 on a block of 256 states), where the pairwise
+    sums of ``_sigma_z_all`` stray by a few.  The matrix is formed in
+    pieces of at most ``TRACE_BYTES``, so it never outgrows the trace
+    rows.
+    """
+    out = np.zeros((n, len(probs)))
+    shifts = np.arange(n - 1, -1, -1)
+    step = max(TRACE_BYTES // (16 * n), 1)
+    for start in range(0, indices.size, step):
+        piece = slice(start, start + step)
+        signs = 1 - 2 * (indices[piece, None] >> shifts & 1)
+        out += (probs[:, piece].astype(np.longdouble)
+                @ signs.astype(np.longdouble)).T
+    return out
+
+
 def _decode_permutation(k: int) -> np.ndarray:
     """perm[logical index] = the physical Bob index decoding to it, the
     index of its Bob pattern."""
@@ -344,17 +385,6 @@ def trace_rows(n_spins: int) -> int:
     return min(max(TRACE_BYTES // (16 * 2**n_spins), 1), TRACE_ROWS_MAX)
 
 
-def _alice_window(state: LogicalState) -> np.ndarray:
-    """Covariance of the payload's walls, on the interfaces 0..k: each
-    branch is the Fock state of the walls of its codec pattern."""
-    k = state.n_logical
-    amp = np.zeros(2 ** (k + 1), dtype=complex)
-    for idx in range(2**k):
-        walls = fermions.walls(dw_encode_bits(index_bits(idx, k), _CTX))
-        amp[basis_index(walls)] = state.amplitudes[idx]
-    return fermions.covariance(amp)
-
-
 def free_fermion(run) -> bool:
     """Whether ``run`` propagates on free fermions: a ``Transfer`` on the
     default ``"krylov"`` propagator whose payload, of at most
@@ -363,14 +393,22 @@ def free_fermion(run) -> bool:
     return (isinstance(run, Transfer)
             and run.propagator.method == "krylov"
             and run.state.n_logical <= FREE_FERMION_QUBITS
-            and fermions.is_gaussian(_alice_window(run.state)))
+            and fermions.is_gaussian(run._alice_window))
 
 
 class _Amplitudes:
     """The state-vector path: the chain's 2^N amplitudes, propagated by
     ``evolve`` on each stage's realized Hamiltonian in blocks of
-    ``trace_rows(N)`` samples.  Both fidelity overlaps are read from the
-    amplitudes at the branches' ``final_bits`` indices alone."""
+    ``trace_rows(N)`` samples.
+
+    Each block is propagated and read on the invariant block of the
+    state it starts from (``Operator.invariant_block``): its rows hold
+    the amplitudes of the sorted basis states ``indices`` alone, or of
+    every basis state when ``indices`` is None.  Both fidelity overlaps
+    are read at the branches' ``final_bits`` indices, and sigma_z from
+    the bits of ``indices``; only the state carried into the next block
+    is scattered into the 2^N amplitudes.
+    """
 
     def __init__(self, run, k: int, branches):
         self.n_spins, self.k, self.branches = run.n_spins, k, branches
@@ -380,6 +418,7 @@ class _Amplitudes:
                                for br in branches], dtype=np.int64)
         self.coefficient = np.array([br.coefficient for br in branches],
                                     dtype=complex)
+        self.indices = None  # basis states of the rows last returned
 
     def start(self) -> StateVector:
         psi0 = np.zeros(2**self.n_spins, dtype=complex)
@@ -387,30 +426,48 @@ class _Amplitudes:
             psi0[basis_index(br.initial_bits)] += br.coefficient
         return StateVector(self.n_spins, psi0)
 
-    @staticmethod
-    def rows(state: StateVector) -> np.ndarray:
-        return state.amplitudes[None]
+    def rows(self, state: StateVector) -> np.ndarray:
+        self.indices = np.flatnonzero(state.amplitudes)
+        return state.amplitudes[self.indices][None]
 
     @staticmethod
     def build(pauli_sum):
         return realize(pauli_sum)
 
     def propagate(self, state, h, steps):
-        rows = evolve(state, h, steps, self.propagator)
-        return rows, StateVector(self.n_spins, rows[-1])
+        amp = state.amplitudes
+        self.indices, block = h.invariant_block(amp)
+        whole = self.indices is None
+        rows = evolve(amp if whole else amp[self.indices], block, steps,
+                      self.propagator)
+        last = rows[-1]
+        if not whole:
+            last = np.zeros(amp.size, dtype=complex)
+            last[self.indices] = rows[-1]
+        return rows, StateVector(self.n_spins, last)
 
     def read(self, rows, target):
         """The corrected and uncorrected overlaps and sigma_z of
-        consecutive states, ``target`` holding the branch targets of
-        each."""
-        at = rows[:, self.final]
-        corrected = np.abs((target.conj() * at).sum(axis=1)) ** 2
-        uncorrected = np.abs(at @ self.coefficient.conj()) ** 2
+        consecutive states, ``rows`` on the basis states ``indices``,
+        ``target`` holding the branch targets of each."""
         # squared in place: one real array of the rows' size, alive only
         # while the block is recorded, not through the next evolve
         probs = np.abs(rows)
         probs **= 2
-        return corrected, uncorrected, _sigma_z_all(probs, self.n_spins)
+        if self.indices is None:
+            at = rows[:, self.final]
+            sigma_z = _sigma_z_all(probs, self.n_spins)
+        else:
+            # a final index outside the block holds amplitude 0
+            pos = np.searchsorted(self.indices, self.final)
+            held = pos < self.indices.size
+            held[held] = self.indices[pos[held]] == self.final[held]
+            at = np.zeros((len(rows), self.final.size), dtype=complex)
+            at[:, held] = rows[:, pos[held]]
+            sigma_z = _sigma_z_on(probs, self.indices, self.n_spins)
+        corrected = np.abs((target.conj() * at).sum(axis=1)) ** 2
+        uncorrected = np.abs(at @ self.coefficient.conj()) ** 2
+        return corrected, uncorrected, sigma_z
 
     def readout(self, state, tau, t_read, corrected, ratio):
         return _readout(state, self.k, self.branches, tau, t_read, corrected,
@@ -433,7 +490,7 @@ class _Covariances:
     def __init__(self, run, k: int, branches):
         N = run.n_spins
         self.n_spins, self.k, self.branches = N, k, branches
-        self.state = run.state
+        self.alice_window = run._alice_window
         self.block = max(fermions.BLOCK_BYTES // (8 * (2 * N + 2) ** 2), 1)
         self.window = fermions.Window(k)
         # each branch's index in Bob's register, and the target of the
@@ -449,7 +506,7 @@ class _Covariances:
     def start(self) -> np.ndarray:
         m = fermions.fock_covariance((0,) * (self.n_spins + 1))
         w = 2 * self.k + 2
-        m[:w, :w] = _alice_window(self.state)
+        m[:w, :w] = self.alice_window
         return m
 
     @staticmethod

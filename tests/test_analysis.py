@@ -155,15 +155,20 @@ class TestClosedFormConsistency:
         assert dev <= 1e-8
 
     def test_samples_propagated_in_blocks(self, monkeypatch):
-        # 100 samples: three blocks of 40, 40 and 20 times on every chain
+        # 100 samples: three blocks of 40, 40 and 20 times on every
+        # chain, each on the chain's N one-excitation states, so the
+        # number of amplitudes propagated is the chain length
         lengths = {}
 
-        def counting_evolve(state, h, t, cfg):
-            lengths.setdefault(state.n_spins, []).append(len(t))
-            return evolve(state, h, t, cfg)
+        def counting_evolve(amp, h, t, cfg):
+            out = evolve(amp, h, t, cfg)
+            assert out.shape == (len(t), amp.size)
+            lengths.setdefault(amp.size, []).append(len(t))
+            return out
 
         monkeypatch.setattr(analysis, "evolve", counting_evolve)
         blocked = closed_form_consistency(range(2, 11), 1.0, samples=100)
+        assert sorted(lengths) == list(range(2, 11))
         for n, seen in lengths.items():
             assert max(seen) <= trace_rows(n) and sum(seen) == 100
         assert lengths[10] == [40, 40, 20]

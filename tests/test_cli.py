@@ -231,20 +231,24 @@ class TestWriter:
         awkward = np.array([0.0, -0.0, 1e-300, 1 / 3, -1 / 3, 5e-324,
                             1.0 - 2**-53, 123456789.123456789, 2.0 / 3,
                             1e22, -2.5e-17, 1.0, 0.1])
-        result = replace(
-            result, times=awkward,
-            fidelity_corrected=awkward[::-1].copy(),
-            fidelity_uncorrected=np.roll(awkward, 3),
-            sigma_z_trace=np.outer(np.arange(-2, 3), awkward) / 7)
-        ours, ref = tmp_path / "ours", tmp_path / "ref"
-        ours.mkdir()
-        ref.mkdir()
-        _write_run(ours, {}, result)
-        self.write_with_format(ref, result)
-        for name in ("fidelity_trace.csv", "sigma_z.csv"):
-            # our file starts with the manifest comment line
-            body = (ours / name).read_bytes().split(b"\n", 1)[1]
-            assert body == (ref / name).read_bytes()
+        # 600 copies: 7 800 samples, which the writer formats in three
+        # blocks
+        for copies in (1, 600):
+            values = np.tile(awkward, copies)
+            traced = replace(
+                result, times=values,
+                fidelity_corrected=values[::-1].copy(),
+                fidelity_uncorrected=np.roll(values, 3),
+                sigma_z_trace=np.outer(np.arange(-2, 3), values) / 7)
+            ours, ref = tmp_path / f"ours{copies}", tmp_path / f"ref{copies}"
+            ours.mkdir()
+            ref.mkdir()
+            _write_run(ours, {}, traced)
+            self.write_with_format(ref, traced)
+            for name in ("fidelity_trace.csv", "sigma_z.csv"):
+                # our file starts with the manifest comment line
+                body = (ours / name).read_bytes().split(b"\n", 1)[1]
+                assert body == (ref / name).read_bytes()
 
 
 class TestSweep:

@@ -568,6 +568,38 @@ class TestInvariantBlock:
         assert not full[np.ix_(outside, indices)].any()
 
     @pytest.mark.parametrize("cfg", METHODS)
+    @pytest.mark.parametrize("ham", ["transport", "reset", "xy"])
+    @pytest.mark.parametrize("label", ["one", "two", "mixed"])
+    def test_block_amplitudes_match_whole_space_rows(self, cfg, ham, label):
+        # the block's amplitudes under the block's operator give the
+        # whole-space rows restricted to the block (the whole space for
+        # the mixed state under transport)
+        h = protocol_operators(self.N)[ham]
+        psi = self.inputs()[label]
+        times = np.array([0.0, 0.3, 0.7])
+        full = evolve(psi, h, times, cfg)
+        indices, block = h.invariant_block(psi.amplitudes)
+        if indices is None:
+            indices = np.arange(h.dimension)
+        rows = evolve(psi.amplitudes[indices], block, times, cfg)
+        assert rows.shape == (3, indices.size) and not rows.flags.writeable
+        assert np.abs(rows - full[:, indices]).max() < 1e-14
+        one = evolve(psi.amplitudes[indices], block, 0.7, cfg)
+        assert one.shape == (indices.size,)
+        assert np.abs(one - rows[2]).max() < 1e-14
+
+    def test_amplitude_vector_checked(self):
+        h = protocol_operators(self.N)["xy"]
+        indices, block = h.invariant_block(self.inputs()["one"].amplitudes)
+        amp = self.inputs()["one"].amplitudes[indices]
+        with pytest.raises(ValueError, match="not normalized"):
+            evolve(2 * amp, block, 0.5)
+        with pytest.raises(DimensionMismatch):
+            evolve(amp[:-1], block, 0.5)
+        with pytest.raises(DimensionMismatch):
+            evolve(amp[None], block, 0.5)
+
+    @pytest.mark.parametrize("cfg", METHODS)
     def test_support_leaving_the_cache_recomputes(self, cfg):
         h = protocol_operators(self.N)["xy"]
         states = self.inputs()

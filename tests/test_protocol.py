@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dwtransfer import protocol
+from dwtransfer import core, protocol
 from dwtransfer.core import (
     PropagatorConfig,
     StateVector,
@@ -500,16 +500,19 @@ class TestTraceOverlaps:
 
     @pytest.fixture
     def sampled(self, monkeypatch):
-        """The amplitudes of the states ``_trace_run`` samples, in
-        order, and the branch table ``_build_branches`` returns."""
+        """The 2^N amplitudes of the states ``_trace_run`` samples, in
+        order, and the branch table ``_build_branches`` returns.  Each
+        block of samples is propagated once more on the whole space, by
+        ``evolve`` on the ``StateVector`` the block starts from."""
         seen = {"states": [], "branches": None}
         build_branches = protocol._build_branches
         trace_run = protocol._trace_run
+        propagate = protocol._Amplitudes.propagate
 
-        def recording_evolve(*args):
-            out = evolve(*args)
-            seen["states"].extend(out)  # one row per sampled state
-            return out
+        def recording_propagate(path, state, h, steps):
+            # one whole-space row per sampled state
+            seen["states"].extend(evolve(state, h, steps, path.propagator))
+            return propagate(path, state, h, steps)
 
         def recording_build(*args):
             seen["branches"] = build_branches(*args)
@@ -519,7 +522,8 @@ class TestTraceOverlaps:
             seen["states"].append(state.amplitudes)
             return trace_run(path, state, *args)
 
-        monkeypatch.setattr(protocol, "evolve", recording_evolve)
+        monkeypatch.setattr(protocol._Amplitudes, "propagate",
+                            recording_propagate)
         monkeypatch.setattr(protocol, "_build_branches", recording_build)
         monkeypatch.setattr(protocol, "_trace_run", recording_trace_run)
         return seen
@@ -553,6 +557,87 @@ class TestTraceOverlaps:
         assert not corrected.any() and not uncorrected.any()
         self.assert_match_reference(times, corrected, uncorrected,
                                     sampled["states"], [], n, tau)
+
+
+class TestBlockRead:
+    """The state-vector path reads each block of samples on its
+    invariant block: overlaps and sigma_z match the same rows scattered
+    into the whole space."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """``(indices, rows, target, result)`` of every read, and the
+        widths of the rows ``evolve`` returns to the protocol."""
+        seen = {"reads": [], "widths": []}
+        read = protocol._Amplitudes.read
+
+        def recording_read(path, rows, target):
+            out = read(path, rows, target)
+            seen["reads"].append((path, path.indices, rows, target, out))
+            return out
+
+        def recording_evolve(*args):
+            out = evolve(*args)
+            seen["widths"].append(out.shape[-1])
+            return out
+
+        monkeypatch.setattr(protocol._Amplitudes, "read", recording_read)
+        monkeypatch.setattr(protocol, "evolve", recording_evolve)
+        return seen
+
+    @staticmethod
+    def assert_match_whole_space(seen, n):
+        for path, indices, rows, target, (corr, uncorr, sz) in seen["reads"]:
+            full = np.zeros((len(rows), 2**n), dtype=complex)
+            if indices is None:
+                full[:] = rows
+            else:
+                full[:, indices] = rows
+            at = full[:, path.final]
+            assert np.abs(corr - np.abs((target.conj() * at).sum(axis=1))
+                          ** 2).max() <= 1e-15
+            assert np.abs(uncorr - np.abs(at @ path.coefficient.conj())
+                          ** 2).max() <= 1e-15
+            assert np.abs(sz - _sigma_z_all(np.abs(full) ** 2, n)
+                          ).max() <= 1e-15
+
+    def test_xy_baseline_dense_block(self, reads):
+        payload = LogicalState(1, np.array([0.6, 0.8j]))
+        run_heisenberg_baseline(Baseline(13, 1.0, payload,
+                                         n_time_samples=50))
+        # the vacuum and the 13 one-excitation states
+        assert set(reads["widths"]) == {14}
+        assert {len(ix) for _, ix, *_ in reads["reads"][1:]} == {14}
+        self.assert_match_whole_space(reads, 13)
+
+    def test_transport_block_on_the_dense_path(self, reads):
+        # |1> keeps spin 1 up through transport: 256 of 512 states, a
+        # block applied through the whole space's factors
+        h = realize(transport_hamiltonian(9, 22.0, 1.0))
+        indices, block = h.invariant_block(
+            StateVector.from_bits([1] + [0] * 8).amplitudes)
+        assert indices.size == 256 and isinstance(block._h, core._Block)
+        run_multi_qubit_transfer(Transfer(9, 1.0, 22.0, logical_one(),
+                                          n_time_samples=40,
+                                          propagator=EXACT))
+        assert 256 in {None if ix is None else len(ix)
+                       for _, ix, *_ in reads["reads"][1:]}
+        self.assert_match_whole_space(reads, 9)
+
+    def test_ghz_whole_space(self, reads):
+        ghz = LogicalState(3, np.array([S2, 0, 0, 0, 0, 0, 0, S2]))
+        run_multi_qubit_transfer(Transfer(7, 1.0, 22.0, ghz,
+                                          n_time_samples=30))
+        assert all(ix is None for _, ix, *_ in reads["reads"][1:])
+        assert set(reads["widths"]) == {2**7}
+        self.assert_match_whole_space(reads, 7)
+
+    def test_n13_baseline_holds_no_whole_space_rows(self, reads):
+        run_heisenberg_baseline(Baseline(13, 1.0, logical_one()))
+        # one excitation: 13 states, in 20 blocks of 10 samples
+        assert reads["widths"] == [13] * 20
+        assert max(rows.shape[1] for *_, rows, _, _ in reads["reads"]) == 13
+        assert sum(len(rows) for *_, rows, _, _ in reads["reads"]) == 201
 
 
 class TestBranchTable:
