@@ -12,29 +12,21 @@ from .core import (
     Operator,
     PauliSum,
     PropagatorConfig,
-    StateVector,
     evolve,
-    fidelity,
     realize,
-    sigma_z_expectation,
 )
 from .hamiltonians import (
     coupling_profile,
     energy_offset,
     heisenberg_xy,
-    ising_dw,
     multiqubit_reset_hamiltonian,
     transfer_amplitude_closed_form,
     transport_hamiltonian,
 )
 from .encoding import (
-    BoundaryContext,
     LogicalState,
     PhaseLedger,
-    count_domain_walls,
-    dw_decode,
     dw_encode_bits,
-    dw_encode_state,
     phase_ledger,
 )
 from .protocol import (

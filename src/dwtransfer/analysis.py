@@ -112,9 +112,14 @@ def error_scaling_sweep(runs, n_workers: int = None) -> SweepTable:
     log-log fit uses only ratios inside [8, 40] with infidelity above
     the numerical floor; rows outside the window are kept in the table
     but flagged.  Results are assembled by (label, ratio) key, so worker
-    count and completion order never change the output.
+    count and completion order never change the output.  ``n_workers``,
+    if given, is at least 1; the pool starts at most one process per
+    run, as it starts all of them at once.
     """
-    if n_workers and n_workers > 1:
+    if n_workers is not None and n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+    n_workers = min(n_workers or 1, len(runs))
+    if n_workers > 1:
         # imported here: it loads multiprocessing, which no other run needs
         from concurrent.futures import ProcessPoolExecutor
 

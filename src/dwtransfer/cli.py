@@ -410,6 +410,9 @@ def cmd_transfer(run: Transfer, manifest: dict, out: Path, args) -> int:
 
 
 def cmd_sweep(run: Sweep, manifest: dict, out: Path, args) -> int:
+    if args.workers < 1:
+        raise ValueError(
+            f"option '--workers' must be >= 1, got {args.workers}")
     ratios = [_value(float, r, "ratios") for r in run.ratios]
     if not ratios or not all(r > 0 for r in ratios):
         raise ManifestError(
@@ -522,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "sweep":
             p.add_argument(
                 "--workers", type=int, default=1,
-                help="worker processes for the sweep (default 1)",
+                help="worker processes for the sweep, at most one per run "
+                "(default 1)",
             )
             p.add_argument(
                 "--assert-slope", nargs="?", type=float,

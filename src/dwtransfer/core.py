@@ -1,4 +1,4 @@
-"""Spin-chain state vectors, Pauli-sum operators, and unitary propagators.
+"""Pauli-sum operators and unitary propagators of spin-chain states.
 
 Conventions used throughout the package:
 
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NORM_TOL = 1e-12
 NORM_DRIFT_TOL = 1e-9  # largest norm drift of a propagated state
 HERMITICITY_TOL = 1e-12
 CHEBYSHEV_BATCH = 16  # Chebyshev vectors per output product; at least 3
@@ -46,45 +45,6 @@ def index_bits(index: int, k: int) -> list:
     """Spin configuration of ``k`` spins (spin 1 first) with the given
     basis index; the inverse of :func:`basis_index`."""
     return [(index >> (k - 1 - j)) & 1 for j in range(k)]
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized pure state of an ``n_spins`` chain.
-
-    The amplitude array is copied on construction and frozen; instances are
-    safe to share between workers.
-    """
-
-    n_spins: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.n_spins < 1:
-            raise ValueError(f"n_spins must be >= 1, got {self.n_spins}")
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (2**self.n_spins,):
-            raise DimensionMismatch(
-                f"expected {2**self.n_spins} amplitudes, got {amp.shape}"
-            )
-        norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"state not normalized: |psi| = {norm}")
-        amp = amp / norm  # remove residual float drift
-        amp.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amp)
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n_spins
-
-    @classmethod
-    def from_bits(cls, bits) -> "StateVector":
-        """Computational basis state from a spin configuration."""
-        bits = list(bits)
-        amp = np.zeros(2 ** len(bits), dtype=complex)
-        amp[basis_index(bits)] = 1.0
-        return cls(len(bits), amp)
 
 
 @dataclass(frozen=True)
@@ -692,44 +652,24 @@ class MajoranaOperator:
         return w @ mt @ w.transpose(0, 2, 1)
 
 
-def fidelity(a: StateVector, b: StateVector) -> float:
-    """Squared overlap ``|<a|b>|^2``; insensitive to global phases."""
-    if a.n_spins != b.n_spins:
-        raise DimensionMismatch(
-            f"states have {a.n_spins} and {b.n_spins} spins"
-        )
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-
-
-def sigma_z_expectation(state: StateVector, site: int) -> float:
-    """``<sigma_z>`` of one spin; +1 for basis bit 0, -1 for bit 1."""
-    n = state.n_spins
-    if not 1 <= site <= n:
-        raise ValueError(f"site {site} out of range for {n} spins")
-    bits = (np.arange(state.dim) >> (n - site)) & 1
-    z = 1.0 - 2.0 * bits
-    return float(np.real(np.sum(z * np.abs(state.amplitudes) ** 2)))
-
-
 def evolve(
-    state: StateVector | np.ndarray,
+    state: np.ndarray,
     h: Operator | MajoranaOperator,
     t: float | np.ndarray,
     cfg: PropagatorConfig = PropagatorConfig(),
-) -> StateVector | np.ndarray:
+) -> np.ndarray:
     """Apply ``exp(-i H t)`` to a state.
 
-    ``t`` is one time, which returns one ``StateVector``, or a 1-D
+    Under an ``Operator`` the state is a vector of ``h.dimension``
+    amplitudes of unit norm: the 2^N amplitudes of a chain under its
+    realized Hamiltonian, or a state on an invariant block
+    (``Operator.invariant_block``) under the block's operator.  ``t`` is
+    one time, which returns one read-only vector, or a 1-D
     non-decreasing array of times, which returns a read-only
-    ``(len(t), 2^N)`` array whose row ``j`` is the state at ``t[j]``,
-    all from one call.  Every returned state is renormalized; its norm
-    drift before renormalization must stay within ``NORM_DRIFT_TOL``.
-
-    Under an ``Operator`` the state may also be a plain vector of
-    ``h.dimension`` amplitudes of unit norm, for instance a state on an
-    invariant block (``Operator.invariant_block``) under the block's
-    operator; one time then returns one such vector and an array of
-    times a ``(len(t), h.dimension)`` array.
+    ``(len(t), h.dimension)`` array whose row ``j`` is the state at
+    ``t[j]``, all from one call.  Every returned state is renormalized;
+    its norm drift before renormalization must stay within
+    ``NORM_DRIFT_TOL``.
 
     Under a ``MajoranaOperator`` the state is the Majorana covariance of
     a Gaussian state (:mod:`dwtransfer.fermions`), propagated exactly
@@ -757,19 +697,15 @@ def evolve(
                 f"{np.shape(state)}")
         out = h.covariances(state, grid)
         return out[0] if times.ndim == 0 else out
-    whole = isinstance(state, StateVector)
-    amp = state.amplitudes if whole else np.asarray(state, dtype=complex)
+    amp = np.asarray(state, dtype=complex)
     if amp.shape != (h.dimension,):
         raise DimensionMismatch(
             f"operator dimension {h.dimension} != state shape {amp.shape}")
-    if not whole:
-        drift = abs(float(np.linalg.norm(amp)) - 1.0)
-        if drift > NORM_DRIFT_TOL:
-            raise ValueError(f"state not normalized: |psi| - 1 = {drift:.3e}")
+    drift = abs(float(np.linalg.norm(amp)) - 1.0)
+    if drift > NORM_DRIFT_TOL:
+        raise ValueError(f"state not normalized: |psi| - 1 = {drift:.3e}")
     rows = _propagate(amp, h, grid, cfg)
-    if times.ndim:
-        return rows
-    return StateVector(state.n_spins, rows[0]) if whole else rows[0]
+    return rows if times.ndim else rows[0]
 
 
 def _propagate(amp, h, times, cfg):

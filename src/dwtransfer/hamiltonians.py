@@ -66,22 +66,6 @@ def _zz_terms(N: int, J: float):
     return [(J, {n: "Z", n + 1: "Z"}) for n in range(1, N)]
 
 
-def ising_dw(N: int, J: float, lam: float) -> PauliSum:
-    """Transverse-field Ising Hamiltonian with both virtual boundary spins.
-
-    H = sum_{n=1}^{N} t_n X_n - J Z_1 + J Z_N + J sum ZZ.  The boundary
-    fields pin a virtual up spin on the left and a virtual down spin on
-    the right; the last field term carries t_N = 0, the profile formula
-    at n = N, and is kept for literal completeness.
-    """
-    t = (*coupling_profile(N, lam), 0.0)
-    terms = [(float(t_n), {n: "X"}) for n, t_n in enumerate(t, start=1)]
-    terms.append((-J, {1: "Z"}))
-    terms.append((J, {N: "Z"}))
-    terms.extend(_zz_terms(N, J))
-    return PauliSum(N, tuple(terms))
-
-
 def transport_hamiltonian(N: int, J: float, lam: float) -> PauliSum:
     """Stage-1 Hamiltonian: fields on spins 2..N, virtual down spin on the right.
 

@@ -38,14 +38,12 @@ import numpy as np
 from . import fermions
 from .core import (
     PropagatorConfig,
-    StateVector,
     basis_index,
     evolve,
     index_bits,
     realize,
 )
 from .encoding import (
-    BoundaryContext,
     LogicalState,
     PhaseLedger,
     dw_encode_bits,
@@ -71,8 +69,6 @@ RATIO_WARN_THRESHOLD = 8.0  # |J|/lam below which the error law breaks down
 # vector at N = 13; k = 5 0.64 against 0.81 s at N = 13 but 0.58
 # against 0.14 s at N = 11; k = 6 8.5 against 0.54 s at N = 13
 FREE_FERMION_QUBITS = 4
-
-_CTX = BoundaryContext(left_value=0, right_context=0)
 
 
 def _check_chain(run) -> None:
@@ -140,7 +136,7 @@ class Transfer:
         k = self.state.n_logical
         amp = np.zeros(2 ** (k + 1), dtype=complex)
         for idx in range(2**k):
-            walls = fermions.walls(dw_encode_bits(index_bits(idx, k), _CTX))
+            walls = fermions.walls(dw_encode_bits(index_bits(idx, k)))
             amp[basis_index(walls)] = self.state.amplitudes[idx]
         m = fermions.covariance(amp)
         m.flags.writeable = False
@@ -213,7 +209,7 @@ def _bob_pattern(bits) -> tuple:
     """Bob's register pattern of the logical ``bits``: transport delivers
     them in mirrored order, so it is the codec pattern of ``bits``
     reversed, and the decode step reverses them back."""
-    return dw_encode_bits(bits[::-1], _CTX)
+    return dw_encode_bits(bits[::-1])
 
 
 def _build_branches(run: Transfer):
@@ -241,7 +237,7 @@ def _build_branches(run: Transfer):
         m2 = m1 % 2
         branches.append(_Branch(
             coefficient=complex(c),
-            initial_bits=dw_encode_bits(b, _CTX) + (0,) * (N - k),
+            initial_bits=dw_encode_bits(b) + (0,) * (N - k),
             final_bits=(0,) * (N - k) + _bob_pattern(b),
             mirror_phase=_mirror_phase(N, m1) * _mirror_phase(N - k + 1, m2),
             energy_stage1=energy_offset(N, m1, J),
@@ -343,10 +339,10 @@ def _decoded(row, undo, k: int, f: float, ratio: float):
         f, "readout fidelity")
 
 
-def _readout(psi: StateVector, k: int, branches, tau, t_read: float,
+def _readout(psi: np.ndarray, k: int, branches, tau, t_read: float,
              corrected: bool, ratio: float):
-    """Decode Bob's register, the last ``k`` spins, from the final chain
-    state at ``t_read``.
+    """Decode Bob's register, the last ``k`` spins, from the 2^N
+    amplitudes of the final chain state at ``t_read``.
 
     Every branch ends all down outside Bob's register, so Bob's target
     holds each branch's coefficient, times its phase at ``t_read`` if
@@ -356,11 +352,13 @@ def _readout(psi: StateVector, k: int, branches, tau, t_read: float,
     the payload's overlap with Bob's decoded, phase-corrected reduced
     density matrix.  Nothing is post-selected, so leakage lowers it.
     The decoded state is the all-down row of ``M``, phases undone, in
-    logical order, normalized.
+    logical order, normalized.  The overlaps are summed by ``einsum``,
+    which calls no BLAS: a matrix product this thin would start a second
+    BLAS thread, whose wake-up costs more than the sums.
     """
-    M = psi.amplitudes.reshape(-1, 2**k)
+    M = psi.reshape(-1, 2**k)
     target, undo = _bob_target(k, branches, tau, t_read, corrected)
-    overlaps = M @ target.conj()
+    overlaps = np.einsum("ij,j->i", M, target.conj())
     return _decoded(M[0], undo, k, float(np.vdot(overlaps, overlaps).real),
                     ratio)
 
@@ -420,31 +418,30 @@ class _Amplitudes:
                                     dtype=complex)
         self.indices = None  # basis states of the rows last returned
 
-    def start(self) -> StateVector:
+    def start(self) -> np.ndarray:
         psi0 = np.zeros(2**self.n_spins, dtype=complex)
         for br in self.branches:
             psi0[basis_index(br.initial_bits)] += br.coefficient
-        return StateVector(self.n_spins, psi0)
+        return psi0
 
-    def rows(self, state: StateVector) -> np.ndarray:
-        self.indices = np.flatnonzero(state.amplitudes)
-        return state.amplitudes[self.indices][None]
+    def rows(self, psi: np.ndarray) -> np.ndarray:
+        self.indices = np.flatnonzero(psi)
+        return psi[self.indices][None]
 
     @staticmethod
     def build(pauli_sum):
         return realize(pauli_sum)
 
-    def propagate(self, state, h, steps):
-        amp = state.amplitudes
-        self.indices, block = h.invariant_block(amp)
-        whole = self.indices is None
-        rows = evolve(amp if whole else amp[self.indices], block, steps,
-                      self.propagator)
-        last = rows[-1]
-        if not whole:
-            last = np.zeros(amp.size, dtype=complex)
-            last[self.indices] = rows[-1]
-        return rows, StateVector(self.n_spins, last)
+    def propagate(self, psi, h, steps):
+        self.indices, block = h.invariant_block(psi)
+        if self.indices is None:
+            rows = evolve(psi, block, steps, self.propagator)
+            # a copy: a view would keep the block's rows alive
+            return rows, rows[-1].copy()
+        rows = evolve(psi[self.indices], block, steps, self.propagator)
+        last = np.zeros(psi.size, dtype=complex)
+        last[self.indices] = rows[-1]
+        return rows, last
 
     def read(self, rows, target):
         """The corrected and uncorrected overlaps and sigma_z of

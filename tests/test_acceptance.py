@@ -12,25 +12,19 @@ import time
 import numpy as np
 import pytest
 
+from dwtransfer import protocol
 from dwtransfer.analysis import closed_form_consistency, error_scaling_sweep
 from dwtransfer.cli import main as cli_main
 from dwtransfer.core import (
     Operator,
     PauliSum,
     PropagatorConfig,
-    StateVector,
+    basis_index,
     evolve,
+    index_bits,
     realize,
-    sigma_z_expectation,
 )
-from dwtransfer.encoding import (
-    BoundaryContext,
-    LogicalState,
-    dw_decode,
-    dw_decode_bits,
-    dw_encode_bits,
-    dw_encode_state,
-)
+from dwtransfer.encoding import LogicalState, dw_encode_bits
 from dwtransfer.hamiltonians import (
     heisenberg_xy,
     multiqubit_reset_hamiltonian,
@@ -44,10 +38,10 @@ from dwtransfer.protocol import (
     run_multi_qubit_transfer,
     run_single_qubit_transfer,
 )
+from references import dw_decode, dw_decode_bits, sigma_z
 
 EXACT = PropagatorConfig(method="exact-eigendecomposition")
 KRYLOV = PropagatorConfig(method="krylov")
-ALL_DOWN = BoundaryContext(left_value=0, right_context=0)
 S2 = 1 / math.sqrt(2)
 S3 = 1 / math.sqrt(3)
 
@@ -151,14 +145,12 @@ class TestAcceptance:
             h = realize(psum)
             n = psum.n_spins
             amp = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-            psi = StateVector(n, amp / np.linalg.norm(amp))
-            ref = [sigma_z_expectation(psi, s) for s in frozen_sites]
+            psi = amp / np.linalg.norm(amp)
+            ref = [sigma_z(psi, s) for s in frozen_sites]
             for t in (0.5, 1.7, 3.1):
                 out = evolve(psi, h, t, EXACT)
                 for s, r in zip(frozen_sites, ref):
-                    worst_drift = max(
-                        worst_drift, abs(sigma_z_expectation(out, s) - r)
-                    )
+                    worst_drift = max(worst_drift, abs(sigma_z(out, s) - r))
         report(
             5,
             worst_comm <= 1e-12 and worst_drift <= 1e-10,
@@ -176,14 +168,11 @@ class TestAcceptance:
             a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             h = Operator((a + a.conj().T) / 2)
             amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            psi = StateVector(n, amp / np.linalg.norm(amp))
+            psi = amp / np.linalg.norm(amp)
             t = float(rng.uniform(0.1, 5.0))
             ref = evolve(psi, h, t, EXACT)
             fast = evolve(psi, h, t, KRYLOV)
-            worst = max(
-                worst,
-                float(np.linalg.norm(ref.amplitudes - fast.amplitudes)),
-            )
+            worst = max(worst, float(np.linalg.norm(ref - fast)))
         report(
             6,
             worst <= 1e-8,
@@ -192,35 +181,38 @@ class TestAcceptance:
         )
 
     def test_7_codec_roundtrip(self):
-        # domain-wall codec is bijective and matches the known patterns
+        # domain-wall codec is bijective and matches the known patterns;
+        # the protocol's decode permutation inverts Bob's patterns
         ok = True
         for k in range(1, 11):
+            perm = protocol._decode_permutation(k)
+            ok &= np.array_equal(np.sort(perm), np.arange(2**k))
             for idx in range(2**k):
-                logical = [(idx >> (k - 1 - j)) & 1 for j in range(k)]
-                phys = dw_encode_bits(logical, ALL_DOWN)
+                logical = index_bits(idx, k)
+                phys = dw_encode_bits(logical)
                 ok &= dw_decode_bits(phys, 0) == tuple(logical)
+                # Bob holds the codec pattern of the mirrored bits
+                bob = dw_decode_bits(index_bits(perm[idx], k), 0)
+                ok &= bob[::-1] == tuple(logical)
         rng = np.random.default_rng(7)
         worst = 0.0
         for _ in range(200):
             k = int(rng.integers(1, 5))
             amp = rng.normal(size=2**k) + 1j * rng.normal(size=2**k)
             amp /= np.linalg.norm(amp)
-            logical = LogicalState(k, amp)
-            back = dw_decode(dw_encode_state(logical, ALL_DOWN), 0)
-            worst = max(
-                worst,
-                1.0 - abs(np.vdot(back.amplitudes, logical.amplitudes)) ** 2,
-            )
+            phys = np.zeros(2**k, dtype=complex)
+            for idx, a in enumerate(amp):
+                phys[basis_index(dw_encode_bits(index_bits(idx, k)))] = a
+            back = dw_decode(phys, 0)
+            worst = max(worst, 1.0 - abs(np.vdot(back.amplitudes, amp)) ** 2)
         ok &= worst <= 1e-12
-        ok &= dw_encode_bits([0, 0, 1, 0, 0], ALL_DOWN) == (1, 1, 1, 0, 0)
-        ok &= dw_encode_bits(
-            [0, 0, 1, 1, 0], BoundaryContext(left_value=0, right_context=1)
-        ) == (1, 1, 1, 0, 1)
-        ok &= dw_encode_bits([1, 0], ALL_DOWN) == (1, 0)
+        ok &= dw_encode_bits([0, 0, 1, 0, 0]) == (1, 1, 1, 0, 0)
+        ok &= dw_encode_bits([1, 0]) == (1, 0)
         report(
             7,
             ok,
-            f"codec bijective for k<=10, 200 random-state roundtrips with "
+            f"codec bijective for k<=10, protocol decode permutation "
+            f"inverts Bob's patterns, 200 random-state roundtrips with "
             f"max infidelity {worst:.3e} (tol 1e-12), reference patterns "
             f"reproduced",
         )

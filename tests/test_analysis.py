@@ -110,6 +110,11 @@ class TestErrorScalingSweep:
         parallel = error_scaling_sweep(sweep_runs(ratios), n_workers=2)
         assert serial.to_csv() == parallel.to_csv()
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="n_workers"):
+            error_scaling_sweep(sweep_runs([8.0]), n_workers=workers)
+
     def test_low_ratio_flagged_not_fitted(self):
         with pytest.warns(UserWarning, match="quadratic"):
             table = error_scaling_sweep(sweep_runs([4.0, 8.0, 16.0, 24.0]))

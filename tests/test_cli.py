@@ -328,6 +328,55 @@ class TestSweep:
         for key in ("slope", "intercept", "r_squared"):
             assert abs(fit_a["fit"][key] - fit_b["fit"][key]) <= 1e-10
 
+    @staticmethod
+    def serial_pools(monkeypatch):
+        """The ``max_workers`` of every process pool the sweep asks for,
+        each replaced by a serial stand-in that starts no process."""
+        import concurrent.futures
+
+        pools = []
+
+        class Serial:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Serial)
+        return pools
+
+    def test_workers_capped_at_the_sweep_points(self, sweep_manifest,
+                                                tmp_path, monkeypatch):
+        # a pool forks all its workers at the first task: the five
+        # points of the sweep get five, not the 100 000 asked for
+        pools = self.serial_pools(monkeypatch)
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert run(["sweep", "--config", sweep_manifest, "--out", out_a,
+                    "--workers", "100000"]) == 0
+        assert pools == [5]
+        assert run(["sweep", "--config", sweep_manifest, "--out", out_b]) == 0
+        assert pools == [5]  # one worker needs no pool
+        assert (out_a / "sweep.csv").read_bytes() == \
+            (out_b / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_1(self, sweep_manifest, tmp_path,
+                                      monkeypatch, capsys, workers):
+        pools = self.serial_pools(monkeypatch)
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", sweep_manifest, "--out", out,
+                    "--workers", workers]) == 1
+        assert "'--workers'" in capsys.readouterr().err
+        assert pools == [] and not (out / "sweep.csv").exists()
+
     def test_worker_flag_matches_serial(self, sweep_manifest, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert run(["sweep", "--config", sweep_manifest, "--out", out_a]) == 0

@@ -1,93 +1,96 @@
 import numpy as np
 import pytest
 
-from dwtransfer.core import StateVector
-from dwtransfer.encoding import (
-    BoundaryContext,
-    LogicalState,
+from dwtransfer import protocol
+from dwtransfer.core import basis_index
+from dwtransfer.encoding import LogicalState, dw_encode_bits, phase_ledger
+from dwtransfer.protocol import Transfer
+from references import (
+    basis_state,
     count_domain_walls,
     dw_decode,
     dw_decode_bits,
-    dw_encode_bits,
-    dw_encode_state,
-    phase_ledger,
 )
-
-ALL_DOWN = BoundaryContext(left_value=0, right_context=0)
 
 
 def bits_of(idx, k):
     return [(idx >> (k - 1 - j)) & 1 for j in range(k)]
 
 
+def encoded(logical):
+    """Alice's register as the protocol encodes ``logical``: the
+    amplitudes of its initial chain state, whose wire and Bob's register
+    are all down."""
+    k = logical.n_logical
+    run = Transfer(2 * k, 1.0, 22.0, logical)
+    psi0 = protocol._Amplitudes(run, k, protocol._build_branches(run)).start()
+    register = psi0.reshape(2**k, -1)
+    assert not register[:, 1:].any()
+    return register[:, 0]
+
+
 class TestEncodeBits:
     def test_one_excitation_pattern(self):
         # |00100> with an all-down wire: padded form reads 111000
-        phys = dw_encode_bits([0, 0, 1, 0, 0], ALL_DOWN)
+        phys = dw_encode_bits([0, 0, 1, 0, 0])
         assert phys == (1, 1, 1, 0, 0)
 
     def test_two_excitation_pattern(self):
-        # |00110> with wire spin up: padded form reads 111011
-        ctx = BoundaryContext(left_value=0, right_context=1)
-        phys = dw_encode_bits([0, 0, 1, 1, 0], ctx)
-        assert phys == (1, 1, 1, 0, 1)
+        # |00110> with an all-down wire: padded form reads 000100
+        phys = dw_encode_bits([0, 0, 1, 1, 0])
+        assert phys == (0, 0, 0, 1, 0)
 
     def test_parity_choice(self):
         # |10> with a down wire encodes as up-down, never down-up: the
         # second choice would put a spurious wall at the wire boundary
-        assert dw_encode_bits([1, 0], ALL_DOWN) == (1, 0)
+        assert dw_encode_bits([1, 0]) == (1, 0)
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_bijective_roundtrip(self, k):
         seen = set()
         for idx in range(2**k):
             logical = bits_of(idx, k)
-            phys = dw_encode_bits(logical, ALL_DOWN)
+            phys = dw_encode_bits(logical)
             seen.add(phys)
             assert dw_decode_bits(phys, 0) == tuple(logical)
         assert len(seen) == 2**k
 
     @pytest.mark.parametrize("k", range(1, 11))
-    @pytest.mark.parametrize("right", [0, 1])
-    def test_no_spurious_boundary_wall(self, k, right):
+    def test_no_spurious_boundary_wall(self, k):
         # the chosen encoding carries a wall at the register/wire
         # boundary exactly when the last logical bit demands one
-        ctx = BoundaryContext(left_value=0, right_context=right)
         for idx in range(2**k):
             logical = bits_of(idx, k)
-            phys = dw_encode_bits(logical, ctx)
-            assert (phys[-1] ^ right) == logical[-1]
+            phys = dw_encode_bits(logical)
+            assert phys[-1] == logical[-1]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            dw_encode_bits([], ALL_DOWN)
+            dw_encode_bits([])
 
 
 class TestEncodeState:
+    """The protocol's initial state is the codec extended linearly over
+    the payload."""
+
     def test_single_qubit_passthrough(self):
         # one logical qubit maps directly onto the first physical spin
         alpha, beta = 0.6, 0.8
-        logical = LogicalState(1, np.array([beta, alpha]))
-        phys = dw_encode_state(logical, ALL_DOWN)
-        assert phys.amplitudes[0] == pytest.approx(beta)
-        assert phys.amplitudes[1] == pytest.approx(alpha)
+        phys = encoded(LogicalState(1, np.array([beta, alpha])))
+        assert phys[0] == pytest.approx(beta)
+        assert phys[1] == pytest.approx(alpha)
 
     def test_all_zero_register(self):
-        logical = LogicalState.from_bits([0, 0])
-        phys = dw_encode_state(logical, ALL_DOWN)
-        assert phys.amplitudes[0] == pytest.approx(1.0)
+        phys = encoded(LogicalState.from_bits([0, 0]))
+        assert phys[0] == pytest.approx(1.0)
 
     def test_bell_state(self):
         s = 1 / np.sqrt(2)
-        bell = LogicalState(2, np.array([s, 0, 0, s]))
-        phys = dw_encode_state(bell, ALL_DOWN)
-        i00 = 0
-        i11 = (dw_encode_bits([1, 1], ALL_DOWN)[0] << 1) | dw_encode_bits(
-            [1, 1], ALL_DOWN
-        )[1]
-        assert phys.amplitudes[i00] == pytest.approx(s)
-        assert phys.amplitudes[i11] == pytest.approx(s)
-        assert np.count_nonzero(phys.amplitudes) == 2
+        phys = encoded(LogicalState(2, np.array([s, 0, 0, s])))
+        i11 = basis_index(dw_encode_bits([1, 1]))
+        assert phys[0] == pytest.approx(s)
+        assert phys[i11] == pytest.approx(s)
+        assert np.count_nonzero(phys) == 2
 
     def test_linearity(self):
         rng = np.random.default_rng(11)
@@ -96,23 +99,23 @@ class TestEncodeState:
         a /= np.linalg.norm(a)
         b /= np.linalg.norm(b)
         mix = (a + b) / np.linalg.norm(a + b)
-        enc_mix = dw_encode_state(LogicalState(3, mix), ALL_DOWN)
-        enc_a = dw_encode_state(LogicalState(3, a), ALL_DOWN).amplitudes
-        enc_b = dw_encode_state(LogicalState(3, b), ALL_DOWN).amplitudes
+        enc_mix = encoded(LogicalState(3, mix))
+        enc_a = encoded(LogicalState(3, a))
+        enc_b = encoded(LogicalState(3, b))
         expect = (enc_a + enc_b) / np.linalg.norm(enc_a + enc_b)
-        assert np.allclose(enc_mix.amplitudes, expect)
+        assert np.allclose(enc_mix, expect)
 
 
 class TestDecode:
+    """The reference decode, and the protocol's encode against it."""
+
     def test_all_down(self):
-        phys = StateVector.from_bits([0, 0, 0])
-        logical = dw_decode(phys, 0)
+        logical = dw_decode(basis_state([0, 0, 0]), 0)
         assert logical.amplitudes[0] == pytest.approx(1.0)
 
     def test_padded_pattern(self):
         # physical 11100 with reference 0 decodes to 00100
-        phys = StateVector.from_bits([1, 1, 1, 0, 0])
-        logical = dw_decode(phys, 0)
+        logical = dw_decode(basis_state([1, 1, 1, 0, 0]), 0)
         assert abs(logical.amplitudes[0b00100]) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -122,24 +125,23 @@ class TestDecode:
             amp = rng.normal(size=8) + 1j * rng.normal(size=8)
             amp /= np.linalg.norm(amp)
             logical = LogicalState(3, amp)
-            back = dw_decode(dw_encode_state(logical, ALL_DOWN), 0)
+            back = dw_decode(encoded(logical), 0)
             overlap = abs(np.vdot(back.amplitudes, logical.amplitudes)) ** 2
             assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCountDomainWalls:
+    """The reference wall count of the Hamiltonian and leakage tests."""
+
     def test_all_down(self):
-        assert count_domain_walls([0, 0, 0], ALL_DOWN) == 0
+        assert count_domain_walls([0, 0, 0]) == 0
 
     def test_initial_protocol_state(self):
-        ctx = BoundaryContext(left_value=1, right_context=0)
-        assert count_domain_walls([1, 0, 0, 0], ctx) == 1
+        assert count_domain_walls([1, 0, 0, 0], left=1) == 1
 
     def test_two_excitations(self):
-        # padded 111011 read with down boundaries on each side of the
-        # explicit pattern: walls at the 0-1 interfaces only
-        ctx = BoundaryContext(left_value=1, right_context=1)
-        assert count_domain_walls([1, 1, 0, 1], ctx) == 2
+        # padded 111011: walls at the 1-0 and 0-1 interfaces only
+        assert count_domain_walls([1, 1, 0, 1], left=1, right=1) == 2
 
 
 class TestPhaseLedger:

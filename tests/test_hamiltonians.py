@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from dwtransfer.core import StateVector, basis_index, realize
-from dwtransfer.encoding import BoundaryContext, count_domain_walls
+from dwtransfer.core import PropagatorConfig, basis_index, evolve, realize
 from dwtransfer.hamiltonians import (
     coupling_profile,
     energy_offset,
     heisenberg_xy,
-    ising_dw,
     multiqubit_reset_hamiltonian,
     transfer_amplitude_closed_form,
     transport_hamiltonian,
 )
+from references import basis_state, count_domain_walls, sigma_z
+
+EXACT = PropagatorConfig(method="exact-eigendecomposition")
 
 
 def terms_as_set(pauli_sum):
@@ -103,49 +104,43 @@ class TestClosedForm:
 
 
 class TestIsingDW:
-    def test_two_site_terms(self):
-        h = ising_dw(2, 9.0, 2.0)
-        # t_2 evaluates to zero by the profile formula and is kept
-        assert terms_as_set(h) == {
-            (1.0, ((1, "X"),)),
-            (0.0, ((2, "X"),)),
-            (-9.0, ((1, "Z"),)),
-            (9.0, ((2, "Z"),)),
-            (9.0, ((1, "Z"), (2, "Z"))),
-        }
+    """The transport stage in the domain-wall picture: interface n lies
+    right of spin n, with a virtual down spin right of spin N."""
 
     def test_diagonal_energy_offset(self):
-        # the diagonal is J(N+1-2M) where M counts walls including both
-        # virtual boundary spins (left up, right down)
+        # the diagonal is J(N - 2M) where M counts the walls on the
+        # interfaces 1..N; no interface lies left of spin 1, so the
+        # pattern is padded there with spin 1 itself
         N, J = 5, 7.0
-        h = realize(ising_dw(N, J, 1.0)).matrix.toarray()
-        ctx = BoundaryContext(left_value=1, right_context=0)
+        h = realize(transport_hamiltonian(N, J, 1.0)).matrix.toarray()
         for idx in range(2**N):
             bits = [(idx >> (N - 1 - s)) & 1 for s in range(N)]
-            m = count_domain_walls(bits, ctx)
-            assert h[idx, idx].real == pytest.approx(J * (N + 1 - 2 * m))
+            m = count_domain_walls(bits, left=bits[0])
+            assert h[idx, idx].real == pytest.approx(energy_offset(N, m, J))
 
     def test_spectral_convergence_to_heisenberg_block(self):
         # with growing J/lam the one-wall sector spectrum of the Ising
-        # chain approaches the free single-wall hopping spectrum
+        # chain, spin 1 up, approaches the free single-wall hopping
+        # spectrum
         N, lam = 6, 1.0
-        # the wall hops on N+1 interfaces; bond p is the field t_p on
-        # spin p, with t_N = 0 by the profile formula
-        bonds = np.concatenate([coupling_profile(N, lam), [0.0]])
+        # the wall hops on the N interfaces; bond p is the field t_p on
+        # spin p + 1
+        bonds = coupling_profile(N, lam)
         single = np.diag(bonds, 1) + np.diag(bonds, -1)
         ref = np.sort(np.linalg.eigvalsh(single))
-        ctx = BoundaryContext(left_value=1, right_context=0)
-        sector = [idx for idx in range(2**N)
+        up = np.arange(2 ** (N - 1), 2**N)  # spin 1 up, which H conserves
+        sector = [i for i, idx in enumerate(up)
                   if count_domain_walls(
-                      [(idx >> (N - 1 - s)) & 1 for s in range(N)], ctx) == 1]
+                      [(idx >> (N - 1 - s)) & 1 for s in range(N)],
+                      left=1) == 1]
         dists = []
         for ratio in (10.0, 20.0, 40.0, 80.0):
             J = ratio * lam
-            h = realize(ising_dw(N, J, lam)).matrix.toarray()
-            w, v = np.linalg.eigh(h)
+            h = realize(transport_hamiltonian(N, J, lam)).matrix.toarray()
+            w, v = np.linalg.eigh(h[np.ix_(up, up)])
             weight = (np.abs(v[sector, :]) ** 2).sum(axis=0)
-            pick = np.argsort(weight)[-(N + 1):]
-            got = np.sort(w[pick]) - energy_offset(N + 1, 1, J)
+            pick = np.argsort(weight)[-N:]
+            got = np.sort(w[pick]) - energy_offset(N, 1, J)
             dists.append(np.abs(got - ref).max())
         assert all(a > b for a, b in zip(dists, dists[1:]))
         assert dists[-1] < 0.05
@@ -168,27 +163,20 @@ class TestTransportHamiltonian:
         assert all(factors.get(1) != "X" for _, factors in h.terms)
 
     def test_spin1_polarization_conserved(self):
-        from dwtransfer.core import PropagatorConfig, evolve, sigma_z_expectation
-
         h = realize(transport_hamiltonian(4, 12.0, 1.0))
-        psi = StateVector.from_bits([1, 0, 1, 0])
-        cfg = PropagatorConfig(method="exact-eigendecomposition")
+        psi = basis_state([1, 0, 1, 0])
         for t in (0.3, 1.1, 2.9):
-            out = evolve(psi, h, t, cfg)
-            assert abs(sigma_z_expectation(out, 1) - (-1.0)) < 1e-10
+            out = evolve(psi, h, t, EXACT)
+            assert abs(sigma_z(out, 1) - (-1.0)) < 1e-10
 
     def test_transfers_wall_to_all_up(self):
         # the single seeded wall travels to the far boundary: the chain
         # ends (almost) fully polarized up, not with the last spin down
-        from dwtransfer.core import PropagatorConfig, evolve
-
         N = 5
         h = realize(transport_hamiltonian(N, 22.0, 1.0))
-        psi = StateVector.from_bits([1, 0, 0, 0, 0])
-        out = evolve(psi, h, math.pi,
-                     PropagatorConfig(method="exact-eigendecomposition"))
+        out = evolve(basis_state([1, 0, 0, 0, 0]), h, math.pi, EXACT)
         all_up = basis_index([1] * N)
-        assert abs(out.amplitudes[all_up]) ** 2 > 0.99
+        assert abs(out[all_up]) ** 2 > 0.99
 
 
 class TestResetHamiltonian:
@@ -209,14 +197,11 @@ class TestResetHamiltonian:
         }
 
     def test_last_spin_polarization_conserved(self):
-        from dwtransfer.core import PropagatorConfig, evolve, sigma_z_expectation
-
         h = realize(multiqubit_reset_hamiltonian(4, 12.0, 1.0, 1))
-        psi = StateVector.from_bits([0, 1, 0, 1])
-        cfg = PropagatorConfig(method="exact-eigendecomposition")
+        psi = basis_state([0, 1, 0, 1])
         for t in (0.4, 1.7):
-            out = evolve(psi, h, t, cfg)
-            assert abs(sigma_z_expectation(out, 4) - (-1.0)) < 1e-10
+            out = evolve(psi, h, t, EXACT)
+            assert abs(sigma_z(out, 4) - (-1.0)) < 1e-10
 
     @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
     def test_mirror_of_transport(self, N):

@@ -9,18 +9,12 @@ from scipy.linalg import expm
 from dwtransfer import core, protocol
 from dwtransfer.core import (
     PropagatorConfig,
-    StateVector,
     basis_index,
     evolve,
     index_bits,
     realize,
 )
-from dwtransfer.encoding import (
-    BoundaryContext,
-    LogicalState,
-    count_domain_walls,
-    dw_encode_bits,
-)
+from dwtransfer.encoding import LogicalState, dw_encode_bits
 from dwtransfer.hamiltonians import (
     coupling_profile,
     energy_offset,
@@ -40,10 +34,10 @@ from dwtransfer.protocol import (
     run_multi_qubit_transfer,
     run_single_qubit_transfer,
 )
+from references import basis_state, count_domain_walls
 
 EXACT = PropagatorConfig(method="exact-eigendecomposition")
 S2 = 1 / math.sqrt(2)
-CTX = BoundaryContext(left_value=0, right_context=0)
 
 
 def single(N, ratio, lam=1.0, **kw):
@@ -62,7 +56,7 @@ def record_final_states(monkeypatch):
     readout = protocol._readout
 
     def recording(psi, *args):
-        seen.append(psi.amplitudes)
+        seen.append(psi)
         return readout(psi, *args)
 
     monkeypatch.setattr(protocol, "_readout", recording)
@@ -231,12 +225,11 @@ class TestSingleQubitTransfer:
         run_single_qubit_transfer(
             1.0, 0.0, **single(N, 22.0, n_time_samples=20, propagator=EXACT))
         amps, = finals
-        ctx = BoundaryContext(left_value=0, right_context=0)
         leaked = sum(
             abs(amps[idx]) ** 2
             for idx in range(amps.size)
             if count_domain_walls(
-                [(idx >> (N - 1 - s)) & 1 for s in range(N)], ctx) != 2
+                [(idx >> (N - 1 - s)) & 1 for s in range(N)]) != 2
         )
         assert leaked < 0.01
 
@@ -481,7 +474,7 @@ class TestTraceRun:
                 built.append(weakref.ref(h))
                 return h
 
-        psi = StateVector.from_bits([1, 0, 0, 0, 0])
+        psi = basis_state([1, 0, 0, 0, 0])
         path = Recording(Transfer(5, 1.0, 22.0, logical_one()), 1, [])
         gc.disable()
         try:
@@ -493,6 +486,23 @@ class TestTraceRun:
             gc.enable()
         assert len(built) == 2 and built[1]() is None
 
+    @pytest.mark.parametrize("whole_space", [False, True])
+    def test_carried_state_holds_no_rows(self, whole_space):
+        # the state carried into the next block is its own array, so the
+        # block's rows are freed once they are recorded
+        n = 7
+        path = protocol._Amplitudes(Transfer(n, 1.0, 22.0, logical_one()), 1,
+                                    [])
+        psi = basis_state([1] + [0] * (n - 1))
+        if whole_space:
+            psi = np.full(2**n, 2 ** (-n / 2), dtype=complex)
+        h = realize(transport_hamiltonian(n, 22.0, 1.0))
+        rows, last = path.propagate(psi, h, np.array([0.01, 0.02]))
+        assert (path.indices is None) == whole_space
+        assert last.shape == (2**n,) and last.base is None
+        assert np.array_equal(last if whole_space else last[path.indices],
+                              rows[-1])
+
 
 class TestTraceOverlaps:
     """The traces read the state at the branches' final indices only; the
@@ -503,7 +513,7 @@ class TestTraceOverlaps:
         """The 2^N amplitudes of the states ``_trace_run`` samples, in
         order, and the branch table ``_build_branches`` returns.  Each
         block of samples is propagated once more on the whole space, by
-        ``evolve`` on the ``StateVector`` the block starts from."""
+        ``evolve`` on the 2^N amplitudes the block starts from."""
         seen = {"states": [], "branches": None}
         build_branches = protocol._build_branches
         trace_run = protocol._trace_run
@@ -519,7 +529,7 @@ class TestTraceOverlaps:
             return seen["branches"]
 
         def recording_trace_run(path, state, *args):
-            seen["states"].append(state.amplitudes)
+            seen["states"].append(state)
             return trace_run(path, state, *args)
 
         monkeypatch.setattr(protocol._Amplitudes, "propagate",
@@ -550,7 +560,7 @@ class TestTraceOverlaps:
 
     def test_empty_branch_baseline(self, sampled):
         n, tau = 5, math.pi
-        psi = StateVector.from_bits([1] + [0] * (n - 1))
+        psi = basis_state([1] + [0] * (n - 1))
         path = protocol._Amplitudes(Baseline(n, 1.0, logical_one()), 1, [])
         times, corrected, uncorrected, _, _ = protocol._trace_run(
             path, psi, (lambda: heisenberg_xy(n, 1.0),), tau, 12)
@@ -615,7 +625,7 @@ class TestBlockRead:
         # block applied through the whole space's factors
         h = realize(transport_hamiltonian(9, 22.0, 1.0))
         indices, block = h.invariant_block(
-            StateVector.from_bits([1] + [0] * 8).amplitudes)
+            basis_state([1] + [0] * 8))
         assert indices.size == 256 and isinstance(block._h, core._Block)
         run_multi_qubit_transfer(Transfer(9, 1.0, 22.0, logical_one(),
                                           n_time_samples=40,
@@ -640,6 +650,30 @@ class TestBlockRead:
         assert sum(len(rows) for *_, rows, _, _ in reads["reads"]) == 201
 
 
+class TestGlobalPhase:
+    """A global phase on the payload leaves every fidelity and sigma_z
+    as they are, and multiplies the decoded payload (ROADMAP item 8)."""
+
+    @pytest.mark.parametrize("layout, amplitudes, fermionic", [
+        ((2, 3, 2), [S2, 0, 0, S2], True),  # Bell
+        ((3, 3, 3), [S2, 0, 0, 0, 0, 0, 0, S2], False),  # GHZ
+    ])
+    def test_payload_phase(self, layout, amplitudes, fermionic):
+        phase = np.exp(2.1j)
+        amp = np.array(amplitudes, dtype=complex)
+        runs = [Transfer(sum(layout), 1.0, 22.0, LogicalState(layout[0], a),
+                         n_time_samples=40) for a in (amp, phase * amp)]
+        assert [protocol.free_fermion(r) for r in runs] == [fermionic] * 2
+        plain, phased = map(run_multi_qubit_transfer, runs)
+        for name in ("final_fidelity", "peak_fidelity", "fidelity_corrected",
+                     "fidelity_uncorrected", "sigma_z_trace"):
+            assert np.abs(np.subtract(getattr(phased, name),
+                                      getattr(plain, name))).max() <= 1e-12
+        assert np.abs(phased.final_logical.amplitudes
+                      - phase * plain.final_logical.amplitudes
+                      ).max() <= 1e-12
+
+
 class TestBranchTable:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("n_wire", range(7))
@@ -654,7 +688,7 @@ class TestBranchTable:
         for idx, br in enumerate(branches):
             b = index_bits(idx, k)
             assert br.final_bits[:N - k] == (0,) * (N - k)
-            assert br.final_bits[N - k:] == dw_encode_bits(b[::-1], CTX)
+            assert br.final_bits[N - k:] == dw_encode_bits(b[::-1])
             assert perm[idx] == basis_index(br.final_bits[N - k:])
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -707,7 +741,7 @@ def stage_by_stage_branches(k, run):
     L2 = N - k + 1
     table = []
     for idx in range(2**k):
-        chain0 = dw_encode_bits(index_bits(idx, k), CTX) + (0,) * (N - k)
+        chain0 = dw_encode_bits(index_bits(idx, k)) + (0,) * (N - k)
         # stage 1: a virtual down spin right of spin N
         s1 = _walls(chain0 + (0,))
         s1_out = {N + 1 - p for p in s1}
@@ -729,17 +763,17 @@ def readout_by_density_matrix(psi, k, branches, tau, logical_in, corrected):
     """Reference: the decoded state and ``<psi_in|rho_logical|psi_in>``
     from Bob's reduced density matrix, each logical index re-encoded to
     find its Bob pattern and its branch, phases taken at ``2 tau``."""
-    rest = psi.n_spins - k
-    M = psi.amplitudes.reshape(2**rest, 2**k)
+    rest = psi.size.bit_length() - 1 - k
+    M = psi.reshape(2**rest, 2**k)
     rho = M.T @ M.conj()
     perm = np.empty(2**k, dtype=int)
     V = np.ones(2**k, dtype=complex)
     by_initial = {br.initial_bits: br for br in branches}
     for idx in range(2**k):
         b = index_bits(idx, k)
-        phys = basis_index(dw_encode_bits(b[::-1], CTX))
+        phys = basis_index(dw_encode_bits(b[::-1]))
         perm[phys] = idx
-        br = by_initial.get(dw_encode_bits(b, CTX) + (0,) * rest)
+        br = by_initial.get(dw_encode_bits(b) + (0,) * rest)
         if corrected and br is not None:
             V[phys] = np.conj(br.phase_at(2 * tau, tau))
     rho = (V[:, None] * rho) * np.conj(V)[None, :]
@@ -795,6 +829,24 @@ class TestReadout:
             apply_phase_correction=corrected, propagator=EXACT))
         f = self.assert_match_reference(res, readouts, payload)
         assert f < 1 - 1e-4
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_random_state(self, k):
+        # a state with weight on every pattern of the rest of the chain,
+        # so that every row of M adds to the readout fidelity
+        N, tau = 2 * k + 3, math.pi
+        rng = np.random.default_rng(k)
+        amp = rng.normal(size=2**k) + 1j * rng.normal(size=2**k)
+        payload = LogicalState(k, amp / np.linalg.norm(amp))
+        branches = protocol._build_branches(
+            Transfer(N, 1.0, 8.5, payload, propagator=EXACT))
+        psi = rng.normal(size=2**N) + 1j * rng.normal(size=2**N)
+        psi /= np.linalg.norm(psi)
+        got, f = protocol._readout(psi, k, branches, tau, 2 * tau, True, 8.5)
+        vec, ref = readout_by_density_matrix(psi, k, branches, tau, payload,
+                                             True)
+        assert abs(f - ref) < 1e-14
+        assert np.abs(got.amplitudes - vec).max() < 1e-14
 
     @pytest.mark.parametrize("corrected", [True, False])
     def test_xy_baseline(self, readouts, monkeypatch, corrected):
