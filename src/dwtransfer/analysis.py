@@ -147,9 +147,14 @@ def closed_form_consistency(N_range, lam: float, samples: int = 20) -> float:
     using the dense reference propagator, in blocks of `trace_rows(N)`
     times, each propagated from the initial state.  As in the protocol,
     the state is propagated and read on its invariant block, the N
-    one-excitation states, which hold <0...01|.  Both amplitudes
-    vanish at t = 0 and 2 pi / lam, so `samples` must be at least 3.
+    one-excitation states, which hold <0...01| (on the whole space at
+    N = 3, where 3^2 > 2^3).  `N_range` must hold at least one chain and
+    no N below 2.  Both amplitudes vanish at t = 0 and 2 pi / lam, so
+    `samples` must be at least 3.
     """
+    if not N_range or min(N_range) < 2:
+        raise ValueError(f"N_range must hold chain lengths >= 2, got "
+                         f"{N_range!r}")
     if samples < 3:
         raise ValueError(f"samples must be >= 3, got {samples}")
     cfg = PropagatorConfig(method="exact-eigendecomposition")
@@ -162,6 +167,8 @@ def closed_form_consistency(N_range, lam: float, samples: int = 20) -> float:
         src = np.zeros(2**N, dtype=complex)
         src[2 ** (N - 1)] = 1.0  # |10...0>
         indices, block = h.invariant_block(src)
+        if indices is None:
+            indices = np.arange(2**N)
         tgt = int(np.searchsorted(indices, 1))  # <0...01|
         amp = src[indices]
         times = np.linspace(0.0, 2 * math.pi / lam, samples)

@@ -68,12 +68,13 @@ FREE_FERMION_SPINS_MAX = 200
 # FFT points per unit (measured for a t up to 3e4), each of 32 bytes
 # while the exponentials and their FFT are alive
 SERIES_BYTES = 192
-# bytes per sampled trace value: 8 in its array, and the about 185 that
-# one %-format over every value held while it ran.  _write_run formats
-# blocks of at most 2^14 values (tracemalloc peak 3.0 MB for 40 001
-# samples at N = 5, against 37.1 MB in one format), so this over-counts;
-# it is kept so that the guard refuses the same runs
-TRACE_VALUE_BYTES = 200
+# bytes per sampled trace value: 8 in its array, and a share of the few
+# MB the rest of the run and _write_run's blocks of at most 2^14 values
+# add.  tracemalloc peak of a whole transfer run through main(), writer
+# included, per trace value: 17.4 at N = 5 with 20 000 samples per stage
+# and 8.6 with 300 000 (free fermions), 9.5 for GHZ at N = 7 with
+# 100 000 (state vector); rounded up
+TRACE_VALUE_BYTES = 32
 
 
 class ManifestError(ValueError):
@@ -467,6 +468,9 @@ def cmd_sweep(run: Sweep, manifest: dict, out: Path, args) -> int:
 
 def cmd_consistency(run: Consistency, manifest: dict, out: Path,
                     args) -> int:
+    if not run.lam > 0:
+        raise ManifestError(
+            f"manifest field 'lam' must be positive, got {run.lam}")
     if run.n_min < 2 or run.n_max < run.n_min:
         raise ManifestError(
             "manifest fields 'n_min'/'n_max' must satisfy 2 <= n_min <= n_max"

@@ -81,18 +81,17 @@ class Operator:
     matrix checked for Hermiticity, dense or with a ``toarray`` method
     (a sparse matrix), which is densified.
 
-    H is held in one of three forms, which share a small interface
+    H is held in one of two forms, which share a small interface
     (``product``, ``gershgorin``, ``neighbours``, ``block`` and
-    ``entries``): ``_Dense``, a dense array; ``_Factors``, a Pauli sum
-    as small dense factors across the middle of the chain; and
-    ``_Block``, H on a set it maps into itself, applied through the form
-    of the whole space.  The invariant block, the components and their
-    eigensystems, the spectral interval and the Chebyshev form are
-    computed from that interface and cached.
+    ``entries``): ``_Dense``, a dense array, and ``_Factors``, a Pauli
+    sum as small dense factors across the middle of the chain.  The
+    invariant block, the eigensystems of the components a state
+    occupies, the spectral interval and the Chebyshev form are computed
+    from that interface and cached.
     """
 
     def __init__(self, matrix):
-        if isinstance(matrix, (_Dense, _Factors, _Block)):
+        if isinstance(matrix, (_Dense, _Factors)):
             self._h = matrix
         else:
             a = np.asarray(matrix.toarray() if hasattr(matrix, "toarray")
@@ -105,7 +104,7 @@ class Operator:
                 raise ValueError(
                     f"matrix is not Hermitian (defect {defect:.3e})")
             self._h = _Dense(a)
-        self._eig = self._block = self._interval = None
+        self._eig = self._block = self._parts = self._interval = None
         self._chebyshev = self._csr = None
 
     @property
@@ -127,52 +126,76 @@ class Operator:
         return self._csr
 
     def eigensystem(self):
-        """Dense eigendecomposition of each connected component of H.
-
-        Returns one ``(indices, w, v)`` per component of the nonzero
-        pattern, in order of its smallest index: the sorted basis
-        indices, the eigenvalues, and the eigenvectors as columns.  A
-        real H is diagonalized in real arithmetic, so ``v`` is real
-        exactly when H is.  Computed once and cached.
-        """
+        """``(w, v)``, the dense eigendecomposition of H: its eigenvalues
+        and its eigenvectors as columns.  A real H is diagonalized in
+        real arithmetic, so ``v`` is real exactly when H is.  Computed
+        once and cached."""
         if self._eig is None:
-            self._eig = tuple(
-                (indices, *np.linalg.eigh(self._h.block(indices)))
-                for indices in _components(self._h))
+            h = self._h
+            self._eig = np.linalg.eigh(
+                h.a if isinstance(h, _Dense)
+                else h.block(np.arange(self.dimension)))
         return self._eig
+
+    def components(self, amp: np.ndarray) -> list:
+        """``(indices, w, v)`` of each connected component of the nonzero
+        pattern of H that holds a nonzero entry of ``amp``: its sorted
+        basis indices and the eigensystem of H on it (``eigensystem``).
+
+        A component is grown by ``_closure`` from an entry of the support
+        that no component found so far holds, and is diagonalized once,
+        as a dense copy that is dropped once ``eigh`` has run; a
+        component that is the whole space is this operator's own
+        ``eigensystem``.  Each basis index keeps the label of its
+        component.  The cache holds those labels and the eigensystems,
+        never this operator, so dropping the operator frees them without
+        the cycle collector.
+        """
+        if self._parts is None:
+            self._parts = (np.full(self.dimension, -1), [])
+        label, systems = self._parts
+        support = np.flatnonzero(amp)
+        while True:
+            fresh = support[label[support] < 0]
+            if not fresh.size:
+                break
+            indices = np.flatnonzero(_closure(self._h, fresh[:1]))
+            label[indices] = len(systems)
+            op = (self if indices.size == self.dimension
+                  else Operator(_Dense(self._h.block(indices))))
+            systems.append((indices, *op.eigensystem()))
+        # marked, not np.unique'd: np.unique imports numpy.ma
+        touched = np.zeros(len(systems), dtype=bool)
+        touched[label[support]] = True
+        return [systems[k] for k in np.flatnonzero(touched)]
 
     def invariant_block(self, amp: np.ndarray):
         """Smallest index set that H maps into itself and that holds the
         nonzero entries of ``amp``, with H restricted to it.
 
-        Returns ``(indices, block)``: the sorted basis indices and the
-        block as an ``Operator``, or ``(None, self)`` when the set is the
-        whole space.  The set is the support of ``amp`` grown along the
-        nonzero pattern of H until it stops changing.  A block of
-        ``d`` states is a dense array when ``d^2`` is at most the form's
-        ``dense_limit``: for a Pauli sum on N spins, ``2^N``, so that the
-        block holds no more entries than one state vector and one
+        The set is the support of ``amp`` grown along the nonzero pattern
+        of H until it stops changing.  A set of ``d`` states with ``d^2``
+        at most the dimension of H gives ``(indices, block)``: its sorted
+        basis indices and the block as an ``Operator`` on a dense array,
+        which then holds no more entries than one state vector, and one
         product with it costs less than one with the whole-space factors
-        (measured: README.md, Propagators).  A larger block is applied
-        through H's own form on the whole space.  It is cached
-        and recomputed only when the support of ``amp`` leaves it.  The
-        cache never refers back to this operator, so dropping the
-        operator frees its blocks without the cycle collector.
+        (measured: README.md, Propagators).  A larger set gives ``(None,
+        self)``: it is propagated on the whole space, where the
+        amplitudes outside it stay zero.  The set is cached and
+        recomputed only when the support of ``amp`` leaves it.  The cache
+        never refers back to this operator, so dropping the operator
+        frees its block without the cycle collector.
         """
         support = np.flatnonzero(amp)
         if self._block is None or not self._block[0][support].all():
             inside = _closure(self._h, support)
             indices = np.flatnonzero(inside)
-            if indices.size == self.dimension:
-                self._block = (inside, None, None)
-            elif indices.size**2 <= self._h.dense_limit:
-                self._block = (inside, indices,
-                               Operator(_Dense(self._h.block(indices))))
-            else:
-                self._block = (inside, indices,
-                               Operator(_Block(self._h, indices)))
+            block = None
+            if indices.size**2 <= self.dimension:
+                block = Operator(_Dense(self._h.block(indices)))
+            self._block = (inside, indices, block)
         _, indices, block = self._block
-        return (None, self) if indices is None else (indices, block)
+        return (None, self) if block is None else (indices, block)
 
     def spectral_interval(self) -> tuple:
         """``(lo, hi)`` holding every eigenvalue.  Cached.
@@ -222,8 +245,6 @@ class _Dense:
             a, dtype=complex if np.iscomplexobj(a) else float)
         self.dimension = self.a.shape[0]
         self.shape = (self.dimension, 1)
-        # a block is a part of this array: a dense copy never outgrows it
-        self.dense_limit = self.dimension**2
 
     def product(self, p: np.ndarray, shift: float = 0.0) -> np.ndarray:
         """``(H - shift) x`` for ``x`` in planar layout (``_planar``)."""
@@ -283,7 +304,6 @@ class _Factors:
         cut = n // 2
         self.dimension = 2**n
         self.shape = (2**cut, 2**(n - cut))
-        self.dense_limit = self.dimension  # entries of one state vector
         diag = np.zeros(self.dimension)
         by_flip = {}
         left, right = np.zeros((self.shape[0],) * 2), np.zeros(
@@ -365,43 +385,6 @@ class _Factors:
         return rows[nz], cols[nz], values[nz]
 
 
-class _Block:
-    """H on a sorted index set that it maps into itself, applied through
-    the form ``h`` of the whole space: a vector is scattered into the
-    set, multiplied there and gathered back, so amplitudes outside the
-    set stay exactly zero.  Dense copies are made for components only."""
-
-    def __init__(self, h, indices: np.ndarray):
-        self.h, self.indices = h, indices
-        self.dimension, self.dense_limit = indices.size, h.dense_limit
-        self.shape = (indices.size, 1)
-
-    def product(self, p: np.ndarray, shift: float = 0.0) -> np.ndarray:
-        full = np.zeros((2, self.h.dimension))
-        full[:, self.indices] = p.reshape(2, -1)
-        y = self.h.product(full.reshape((2,) + self.h.shape), shift)
-        return y.reshape(2, -1)[:, self.indices].reshape(p.shape)
-
-    def gershgorin(self) -> tuple:
-        # every nonzero entry of a row of the set lies in the set
-        return tuple(v[self.indices] for v in self.h.gershgorin())
-
-    def neighbours(self, rows: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self.indices,
-                               self.h.neighbours(self.indices[rows]))
-
-    def block(self, rows: np.ndarray) -> np.ndarray:
-        return self.h.block(self.indices[rows])
-
-    def entries(self) -> tuple:
-        rows, cols, values = self.h.entries()
-        keep = np.zeros(self.h.dimension, dtype=bool)
-        keep[self.indices] = True
-        keep = keep[rows]
-        return (np.searchsorted(self.indices, rows[keep]),
-                np.searchsorted(self.indices, cols[keep]), values[keep])
-
-
 def _real_if_exact(a: np.ndarray) -> np.ndarray:
     """``a`` as a real array when its imaginary part is exactly 0."""
     if np.iscomplexobj(a) and not a.imag.any():
@@ -479,27 +462,15 @@ def _closure(h, seeds: np.ndarray) -> np.ndarray:
     return inside
 
 
-def _components(h) -> list:
-    """Sorted index arrays of the connected components of the nonzero
-    pattern of the form ``h``, in order of their smallest index."""
-    left = np.ones(h.dimension, dtype=bool)
-    parts = []
-    while left.any():
-        inside = _closure(h, np.flatnonzero(left)[:1])
-        parts.append(np.flatnonzero(inside))
-        left &= ~inside
-    return parts
-
-
 @dataclass(frozen=True)
 class PropagatorConfig:
     """How a run approximates ``exp(-i H t)``.
 
     ``exact-eigendecomposition`` is the dense reference path: H is
     diagonalized once on each connected component of its nonzero
-    pattern, in real arithmetic when H is real, and only the components
-    the state occupies are propagated.  ``krylov``, the default, is the
-    fast path.  A transfer whose payload is Gaussian on the wall
+    pattern that a state occupies, in real arithmetic when H is real,
+    and only those components are propagated.  ``krylov``, the default,
+    is the fast path.  A transfer whose payload is Gaussian on the wall
     fermions runs exactly on free fermions, its state the Majorana
     covariance (``protocol.free_fermion``, ``fermions``), propagated
     exactly by ``evolve`` under a ``MajoranaOperator`` whatever the
@@ -817,12 +788,11 @@ def _jacobi_anger(z: np.ndarray) -> np.ndarray:
 def _evolve_exact(amp: np.ndarray, h: Operator,
                   times: np.ndarray) -> np.ndarray:
     """Rows ``exp(-i H t_j) amp`` from the eigensystem of each component
-    of H; the components on which ``amp`` vanishes stay zero."""
+    of H that ``amp`` occupies (``Operator.components``); the others
+    stay zero."""
     out = np.zeros((times.size, amp.size), dtype=complex)
-    for indices, w, v in h.eigensystem():
+    for indices, w, v in h.components(amp):
         x = amp[indices]
-        if not x.any():
-            continue
         if np.iscomplexobj(v):
             # v^H x without materializing the conjugate transpose of v
             c = np.conj(np.conj(x) @ v)

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import basis_index
-
 
 @dataclass(frozen=True)
 class LogicalState:
@@ -38,13 +36,6 @@ class LogicalState:
         amp = amp / norm
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
-
-    @classmethod
-    def from_bits(cls, bits) -> "LogicalState":
-        bits = list(bits)
-        amp = np.zeros(2 ** len(bits), dtype=complex)
-        amp[basis_index(bits)] = 1.0
-        return cls(len(bits), amp)
 
 
 def dw_encode_bits(logical) -> tuple:

@@ -276,20 +276,15 @@ def _sigma_z_on(probs: np.ndarray, indices: np.ndarray, n: int
     the signs of every spin on ``indices`` form a ``(d, n)`` matrix, one
     product with the probabilities.  The product sums in extended
     precision: a plain sum of d terms strays from the exact one by up to
-    d roundings (2e-15 on a block of 256 states), where the pairwise
-    sums of ``_sigma_z_all`` stray by a few.  The matrix is formed in
-    pieces of at most ``TRACE_BYTES``, so it never outgrows the trace
-    rows.
+    d roundings, where the pairwise sums of ``_sigma_z_all`` stray by a
+    few.  A dense block (``Operator.invariant_block``) has at most
+    2^(n/2) states, 1 448 at the state-vector limit of 21 spins, so the
+    sign matrix stays below ``TRACE_BYTES``.
     """
-    out = np.zeros((n, len(probs)))
     shifts = np.arange(n - 1, -1, -1)
-    step = max(TRACE_BYTES // (16 * n), 1)
-    for start in range(0, indices.size, step):
-        piece = slice(start, start + step)
-        signs = 1 - 2 * (indices[piece, None] >> shifts & 1)
-        out += (probs[:, piece].astype(np.longdouble)
-                @ signs.astype(np.longdouble)).T
-    return out
+    signs = 1 - 2 * (indices[:, None] >> shifts & 1)
+    return (probs.astype(np.longdouble)
+            @ signs.astype(np.longdouble)).T.astype(float)
 
 
 def _decode_permutation(k: int) -> np.ndarray:

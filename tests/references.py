@@ -1,9 +1,10 @@
 """Independent references the tests compare the package against.
 
 Each computes, bit by bit or as a plain overlap, a quantity the package
-computes another way or not at all: a basis state's amplitudes, the
-squared overlap of two states, one spin's ``<sigma_z>``, the wall count
-of a spin pattern, and the domain-wall decode.
+computes another way or not at all: a basis state's amplitudes, of a
+chain or of a logical payload, the squared overlap of two states, one
+spin's ``<sigma_z>``, the wall count of a spin pattern, and the
+domain-wall decode.
 """
 
 import numpy as np
@@ -18,6 +19,12 @@ def basis_state(bits) -> np.ndarray:
     amp = np.zeros(2 ** len(bits), dtype=complex)
     amp[basis_index(bits)] = 1.0
     return amp
+
+
+def logical_basis(bits) -> LogicalState:
+    """The logical payload of one bitstring, bit 1 first."""
+    bits = list(bits)
+    return LogicalState(len(bits), basis_state(bits))
 
 
 def fidelity(a, b) -> float:

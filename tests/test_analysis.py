@@ -8,7 +8,7 @@ from dwtransfer.analysis import (
     closed_form_consistency,
     error_scaling_sweep,
 )
-from dwtransfer.core import PropagatorConfig, evolve
+from dwtransfer.core import PropagatorConfig, evolve, realize
 from dwtransfer.encoding import LogicalState
 from dwtransfer.protocol import (
     Transfer,
@@ -161,16 +161,24 @@ class TestClosedFormConsistency:
 
     def test_samples_propagated_in_blocks(self, monkeypatch):
         # 100 samples: three blocks of 40, 40 and 20 times on every
-        # chain, each on the chain's N one-excitation states, so the
-        # number of amplitudes propagated is the chain length
+        # chain, each on the chain's N one-excitation states (all 2^3
+        # states at N = 3, where 3^2 > 2^3 leaves no dense block)
         lengths = {}
+        chains = []
+
+        def recording_realize(p):
+            chains.append(p.n_spins)
+            return realize(p)
 
         def counting_evolve(amp, h, t, cfg):
             out = evolve(amp, h, t, cfg)
+            n = chains[-1]
             assert out.shape == (len(t), amp.size)
-            lengths.setdefault(amp.size, []).append(len(t))
+            assert amp.size == (2**n if n == 3 else n)
+            lengths.setdefault(n, []).append(len(t))
             return out
 
+        monkeypatch.setattr(analysis, "realize", recording_realize)
         monkeypatch.setattr(analysis, "evolve", counting_evolve)
         blocked = closed_form_consistency(range(2, 11), 1.0, samples=100)
         assert sorted(lengths) == list(range(2, 11))
@@ -183,6 +191,13 @@ class TestClosedFormConsistency:
         whole = closed_form_consistency(range(2, 11), 1.0, samples=100)
         assert all(seen == [100] for seen in lengths.values())
         assert abs(blocked - whole) < 1e-14 and blocked <= 1e-8
+
+    @pytest.mark.parametrize("N_range", [range(5, 5), [], [1], range(1, 4)])
+    def test_empty_or_short_range_rejected(self, N_range):
+        # no chain, or one of a single spin, would compare nothing and
+        # read 0.0, "within tolerance"
+        with pytest.raises(ValueError, match="N_range"):
+            closed_form_consistency(N_range, 1.0)
 
     def test_large_chain_rejected(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import typing
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
@@ -15,6 +16,8 @@ import pytest
 import dwtransfer
 from dwtransfer.cli import (
     COMMANDS,
+    MEMORY_LIMIT_GIB,
+    TRACE_VALUE_BYTES,
     ManifestError,
     SweepState,
     _check_footprint,
@@ -405,6 +408,15 @@ class TestConsistency:
                     "--out", tmp_path / "o"]) == 1
         assert "n_min" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lam", [-1, 0])
+    def test_non_positive_lam_exits_1(self, consistency_manifest, tmp_path,
+                                      capsys, lam):
+        cfg = with_fields(consistency_manifest, tmp_path, lam=lam)
+        out = tmp_path / "o"
+        assert run(["consistency", "--config", cfg, "--out", out]) == 1
+        assert "'lam'" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
 
 class TestInputGuards:
     @pytest.mark.parametrize("command, field, value", [
@@ -670,6 +682,44 @@ class TestMemoryGuard:
         assert run([command, "--config", cfg, "--out", out]) == 1
         assert f"'{field}'" in capsys.readouterr().err
         assert not any(out.iterdir())
+
+    def test_trace_bytes_boundary(self):
+        # |1> at N = 13 runs on free fermions, whose own footprint is a
+        # few MB: the traces of 16 values per sample over the 2n + 1
+        # samples of both stages reach the limit near n = 4.19 million
+        one = LogicalState(1, np.array([0.0, 1.0]))
+        at_limit = MEMORY_LIMIT_GIB * 2**30 / (16 * TRACE_VALUE_BYTES) / 2
+        assert 4.1e6 < at_limit < 4.2e6
+        _check_footprint(Transfer(13, 1.0, 22.0, one,
+                                  n_time_samples=int(0.998 * at_limit)), 12)
+        with pytest.raises(ManifestError, match="'n_time_samples'"):
+            _check_footprint(Transfer(13, 1.0, 22.0, one,
+                                      n_time_samples=int(at_limit) + 1), 12)
+
+    def test_measured_trace_bytes_stay_below_the_constant(self, tmp_path):
+        # the tracemalloc peak of a whole transfer run, writer included,
+        # per trace value: at least the 8 bytes of the value itself, and
+        # below what the guard counts
+        def manifest(samples):
+            return write_manifest(tmp_path / f"m{samples}.json", {
+                "experiment": "transfer", "n_spins": 5, "lam": 1.0,
+                "j_coupling": 22.0, "state": {"alpha": 1.0, "beta": 0.0},
+                "n_time_samples": samples})
+
+        # first calls fill the caches a run keeps
+        assert run(["transfer", "--config", manifest(10),
+                    "--out", tmp_path / "warm"]) == 0
+        samples = 12_000
+        cfg = manifest(samples)
+        tracemalloc.start()
+        try:
+            assert run(["transfer", "--config", cfg,
+                        "--out", tmp_path / "o"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_value = peak / ((5 + 3) * (2 * samples + 1))
+        assert 8 < per_value < TRACE_VALUE_BYTES
 
     def test_dense_path_has_the_lower_limit(self):
         def record(n, method):

@@ -15,7 +15,6 @@ from dwtransfer.core import (
     PauliSum,
     PropagatorConfig,
     _complex,
-    _components,
     _Dense,
     _evolve_exact,
     _jacobi_anger,
@@ -25,13 +24,12 @@ from dwtransfer.core import (
     index_bits,
     realize,
 )
-from dwtransfer.encoding import LogicalState
 from dwtransfer.hamiltonians import (
     heisenberg_xy,
     multiqubit_reset_hamiltonian,
     transport_hamiltonian,
 )
-from references import basis_state, fidelity, sigma_z
+from references import basis_state, fidelity, logical_basis, sigma_z
 
 EXACT = PropagatorConfig(method="exact-eigendecomposition")
 KRYLOV = PropagatorConfig(method="krylov")
@@ -112,7 +110,7 @@ class TestStateVector:
     def test_from_bits_ordering(self):
         # spin 1 is the most significant bit
         assert basis_index([1, 0, 0]) == 0b100
-        assert LogicalState.from_bits([1, 0, 0]).amplitudes[0b100] == 1.0
+        assert logical_basis([1, 0, 0]).amplitudes[0b100] == 1.0
 
     def test_amplitudes_immutable(self):
         h = realize(heisenberg_xy(2, 1.0))
@@ -418,7 +416,10 @@ class TestChebyshev:
         if whole_space:
             psi = random_state(np.random.default_rng(5), self.N)
         indices, _ = h.invariant_block(psi)
-        assert (indices is None) == whole_space
+        # one up spin: the XY chain's 7 one-excitation states are a
+        # dense block; transport and reset hold it in 64 states, too
+        # many for one (64^2 > 2^7), so it runs on the whole space
+        assert (indices is None) == (whole_space or ham != "xy")
         if samples == "tau":
             times, step = np.array([TAU]), TAU
         else:
@@ -556,15 +557,20 @@ class TestInvariantBlock:
         indices, block = hams["xy"].invariant_block(one)
         assert block.dimension == n
         assert np.array_equal(indices, [1 << k for k in range(n)])
-        _, block = hams["transport"].invariant_block(one)
-        assert block.dimension == 2 ** (n - 1)
+        # spin 1 up: the 2^(n-1) states of its transport sector, too many
+        # for a dense block, so the whole space
+        indices, block = hams["transport"].invariant_block(one)
+        assert indices is None and block is hams["transport"]
+        assert [ix.size for ix, _, _ in hams["transport"].components(one)
+                ] == [2 ** (n - 1)]
         dense = random_state(np.random.default_rng(0), n)
         indices, block = hams["transport"].invariant_block(dense)
         assert indices is None and block is hams["transport"]
 
     def test_block_matches_restricted_matrix(self):
-        h = protocol_operators(self.N)["transport"]
+        h = protocol_operators(self.N)["xy"]
         indices, block = h.invariant_block(self.inputs()["one"])
+        assert isinstance(block._h, _Dense)
         full = h.matrix.toarray()
         assert np.array_equal(block.matrix.toarray(),
                               full[np.ix_(indices, indices)])
@@ -617,8 +623,12 @@ class TestInvariantBlock:
             out = evolve(psi, h, 1.3, cfg)
             ref = expm(-1j * 1.3 * full) @ psi
             assert np.abs(out - ref).max() < 1e-10
-        _, last = h.invariant_block(states["mixed"])
-        assert last.dimension == 1 + self.N + self.N * (self.N - 1) // 2
+        # the vacuum and one and two excitations: 29 states, too many
+        # for a dense block (29^2 > 2^7), so the whole space
+        indices, last = h.invariant_block(states["mixed"])
+        assert indices is None and last is h
+        assert sum(ix.size for ix, _, _ in h.components(states["mixed"])
+                   ) == 1 + self.N + self.N * (self.N - 1) // 2
 
     @pytest.mark.parametrize("cfg", METHODS)
     @pytest.mark.parametrize("whole_space", [False, True])
@@ -661,21 +671,24 @@ class TestComponents:
         ((1, 5, 1), {"transport": [64] * 2, "reset": [64] * 2}),
     ])
     def test_components_partition_the_block(self, layout, sizes):
+        # a random state occupies every component
+        filled = random_state(np.random.default_rng(2), self.N)
         one = basis_state([1] + [0] * (self.N - 1))
         for ham, h in self.hamiltonians(layout).items():
-            # the whole space, and the block of one basis state
-            for op in (h, h.invariant_block(one)[1]):
-                parts = _components(op._h)
-                if op is h:
-                    assert [p.size for p in parts] == sizes[ham]
-                label = np.full(op.dimension, -1)
-                for n, indices in enumerate(parts):
-                    assert np.array_equal(indices, np.unique(indices))
-                    assert (label[indices] == -1).all()  # disjoint
-                    label[indices] = n
-                assert (label >= 0).all()  # they cover the block
-                rows, cols = op.matrix.nonzero()
-                assert np.array_equal(label[rows], label[cols])
+            parts = [indices for indices, _, _ in h.components(filled)]
+            assert sorted(p.size for p in parts) == sizes[ham]
+            label = np.full(h.dimension, -1)
+            for n, indices in enumerate(parts):
+                assert np.array_equal(indices, np.unique(indices))
+                assert (label[indices] == -1).all()  # disjoint
+                label[indices] = n
+            assert (label >= 0).all()  # they cover the space
+            rows, cols = h.matrix.nonzero()
+            assert np.array_equal(label[rows], label[cols])
+            # one basis state occupies the one component that holds it
+            (mine, _, _), = h.components(one)
+            assert np.array_equal(
+                mine, parts[label[np.flatnonzero(one)[0]]])
 
     @staticmethod
     def connected_sets(ref):
@@ -716,7 +729,8 @@ class TestComponents:
             want = self.connected_sets(ref)
             h = fresh()
             if h.dimension <= 2**7:
-                got = _components(h._h)
+                got = sorted((ix for ix, _, _ in h.components(
+                    np.ones(h.dimension))), key=lambda s: s[0])
                 assert len(got) == len(want)
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w)
@@ -727,20 +741,25 @@ class TestComponents:
                 h = fresh()
                 amp = np.zeros(h.dimension)
                 amp[[seed_index, h.dimension // 2]] = 1.0
-                union = np.concatenate([w for w in want if np.isin(
-                    w, [seed_index, h.dimension // 2]).any()])
+                touched = [w for w in want if np.isin(
+                    w, [seed_index, h.dimension // 2]).any()]
+                union = np.concatenate(touched)
                 indices, block = h.invariant_block(amp)
-                if union.size == h.dimension:
+                # a dense block holds no more entries than one state
+                # vector; a larger set runs on the whole space
+                if union.size**2 > h.dimension:
                     assert indices is None and block is h
                 else:
+                    assert isinstance(block._h, _Dense)
                     assert np.array_equal(indices, np.sort(union))
                     assert np.array_equal(block.matrix.toarray(),
                                           ref[indices][:, indices].toarray())
-                    # a dense copy of a block of a Pauli sum holds no more
-                    # entries than one state vector; one of a dense H is
-                    # never larger than H
-                    assert isinstance(block._h, _Dense) == (
-                        case == "dense" or union.size**2 <= h.dimension)
+                # only the components the state occupies
+                got = sorted((ix for ix, _, _ in h.components(amp)),
+                             key=lambda s: s[0])
+                assert len(got) == len(touched)
+                for g, w in zip(got, touched):
+                    assert np.array_equal(g, w)
         if case == "xy13":
             # one excitation: the N + 1 = 14 states with at most one up
             # spin, bound by the XX + YY cancellation
@@ -759,20 +778,28 @@ class TestComponents:
     def test_eigensystem_per_component(self, layout):
         ops = list(self.hamiltonians(layout).values())
         ops.append(self.complex_operator())
+        rng = np.random.default_rng(4)
         for op in ops:
             full = op.matrix.toarray()
             real = not full.imag.any()
-            system = op.eigensystem()
-            parts = _components(op._h)
-            assert len(system) == len(parts)
-            for (indices, w, v), want in zip(system, parts):
-                assert np.array_equal(indices, want)
+            filled = random_state(rng, int(np.log2(op.dimension)))
+            system = op.components(filled)
+            want = self.connected_sets(op.matrix)
+            assert len(system) == len(want)
+            for indices, w, v in system:
                 # v is real exactly when H is
                 assert np.isrealobj(v) == real
                 rebuilt = (v * w) @ v.conj().T
                 assert np.abs(rebuilt
                               - full[np.ix_(indices, indices)]).max() < 1e-12
-            assert op.eigensystem() is system  # cached
+            # cached: the same arrays again
+            for old, new in zip(system, op.components(filled)):
+                assert all(a is b for a, b in zip(old, new))
+            # the operator's own eigensystem is that of the whole H
+            w, v = op.eigensystem()
+            assert np.isrealobj(v) == real
+            assert np.abs((v * w) @ v.conj().T - full).max() < 1e-12
+            assert op.eigensystem() is op.eigensystem()
 
     @pytest.mark.parametrize("complex_h", [False, True])
     def test_evolve_exact_matches_expm(self, complex_h):
@@ -792,24 +819,34 @@ class TestComponents:
             ref = expm(-1j * t * full) @ amp
             assert np.abs(row - ref).max() < 1e-10
 
-    def test_evolve_exact_skips_empty_components(self):
+    def test_evolve_exact_skips_empty_components(self, monkeypatch):
         h = self.hamiltonians((2, 3, 2))["reset"]
-        system = h.eigensystem()
+        sectors = self.connected_sets(h.matrix)  # the four Bob sectors
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            sizes.append(a.shape[0])
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         amp = np.zeros(h.dimension, dtype=complex)
         # fill two of the four Bob sectors
-        for indices, _, _ in system[1:3]:
+        for indices in sectors[1:3]:
             amp[indices] = np.random.default_rng(indices[0]).normal(
                 size=indices.size)
         amp /= np.linalg.norm(amp)
         row = _evolve_exact(amp, h, np.array([0.8]))[0]
         ref = expm(-0.8j * h.matrix.toarray()) @ amp
         assert np.abs(row - ref).max() < 1e-10
-        for indices, _, _ in (system[0], system[3]):
+        for indices in (sectors[0], sectors[3]):
             assert not row[indices].any()
-        # the empty components are never touched
-        h._eig = tuple((indices, w, v if k in (1, 2) else v * np.nan)
-                       for k, (indices, w, v) in enumerate(system))
-        assert np.array_equal(_evolve_exact(amp, h, np.array([0.8]))[0], row)
+        assert sizes == [32, 32]
+        # a third sector adds one eigendecomposition; the two are cached
+        amp[sectors[3]] = 0.5
+        amp /= np.linalg.norm(amp)
+        assert len(h.components(amp)) == 3
+        assert sizes == [32, 32, 32]
 
 
 class TestPropagatorConfig:

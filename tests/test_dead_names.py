@@ -1,4 +1,5 @@
-"""Every module-level name of the package is used by the package.
+"""Every module-level name, method and property of the package is used
+by the package.
 
 A function, class or constant defined at the top of a module in
 ``src/dwtransfer`` counts as used when something in the package refers
@@ -8,15 +9,25 @@ module.  Re-exports in ``__init__.py`` do not count, since they keep a
 name alive for outside callers only; ``__version__`` is exempt.
 Imports and definitions are matched by module, so a local variable that
 shares a name defined elsewhere is no use of it.
+
+A method or property a class defines counts as used when some module
+reads an attribute of its name, ``x.name``; members are matched by name
+alone, as the type of ``x`` is not known.  Special methods and
+overrides of a base-class member (``_Parser.error``) are exempt, since
+Python or the base class calls them.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import dwtransfer
 
 PACKAGE = Path(dwtransfer.__file__).parent
 EXEMPT = {"__version__"}
+# members no package code reads: the benchmark's traced runs bind them
+# by name (perfbench/spans.py)
+READ_OUTSIDE = ["core.MajoranaOperator.matrix", "core.Operator.matrix"]
 
 
 def modules() -> dict:
@@ -94,3 +105,59 @@ def test_guard_matches_names_by_module():
     # core.own is read in protocol by its bare name, which is no import
     assert unused(trees) == ["cli.write", "core.dead", "core.fidelity",
                              "core.own", "protocol.run"]
+
+
+def members(tree, namespace: dict) -> set:
+    """``Class.member`` of every method and property the classes of a
+    module define, save special methods and overrides; ``namespace``
+    holds the module's classes by name."""
+    out = set()
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bases = namespace[node.name].__mro__[1:]
+        for item in node.body:
+            name = getattr(item, "name", "")
+            if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (name.startswith("__") and name.endswith("__"))
+                    and not any(hasattr(base, name) for base in bases)):
+                out.add(f"{node.name}.{name}")
+    return out
+
+
+def unread_members(trees: dict, namespaces: dict) -> list:
+    """``module.Class.member`` of every member in ``trees`` whose name no
+    module reads as an attribute, sorted."""
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{name}.{member}" for name, tree in trees.items()
+                  for member in members(tree, namespaces[name])
+                  if member.split(".")[1] not in read)
+
+
+def test_every_method_and_property_is_read():
+    trees = modules()
+    namespaces = {name: vars(importlib.import_module(f"dwtransfer.{name}"))
+                  for name in trees}
+    assert unread_members(trees, namespaces) == READ_OUTSIDE
+
+
+def test_member_guard_exempts_special_methods_and_overrides():
+    source = (
+        "import argparse\n"
+        "class Parser(argparse.ArgumentParser):\n"
+        "    def error(self, message): pass\n"  # an override
+        "    def unused(self): pass\n"
+        "class Form:\n"
+        "    def __init__(self): self.size = 1\n"
+        "    @property\n"
+        "    def width(self): return self.size\n"
+        "    def product(self): return self.width\n"
+        "    def dead(self): pass\n"
+        "def run(form): return form.product()\n")
+    tree = ast.parse(source)
+    namespace = {}
+    exec(compile(tree, "synthetic", "exec"), namespace)
+    assert unread_members({"m": tree}, {"m": namespace}) == [
+        "m.Form.dead", "m.Parser.unused"]

@@ -10,6 +10,7 @@ from references import (
     count_domain_walls,
     dw_decode,
     dw_decode_bits,
+    logical_basis,
 )
 
 
@@ -81,7 +82,7 @@ class TestEncodeState:
         assert phys[1] == pytest.approx(alpha)
 
     def test_all_zero_register(self):
-        phys = encoded(LogicalState.from_bits([0, 0]))
+        phys = encoded(logical_basis([0, 0]))
         assert phys[0] == pytest.approx(1.0)
 
     def test_bell_state(self):

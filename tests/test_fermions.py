@@ -29,6 +29,7 @@ from dwtransfer.protocol import (
     free_fermion,
     run_multi_qubit_transfer,
 )
+from references import logical_basis
 
 EXACT = PropagatorConfig(method="exact-eigendecomposition")
 S2 = 1 / math.sqrt(2)
@@ -181,7 +182,7 @@ class TestPathChoice:
         payload(2, [0.5, 0.5, 0.5, -0.5]),
         payload(3, [0, S3, S3, 0, S3, 0, 0, 0]),
         payload(3, [0.5, 0, 0, 0.5, 0, 0.5, -0.5, 0]),
-        LogicalState.from_bits([1, 0, 1, 1]),
+        logical_basis([1, 0, 1, 1]),
     ])
     def test_gaussian_payloads_run_on_free_fermions(self, state):
         assert free_fermion(Transfer(9, 1.0, 22.0, state))
@@ -193,7 +194,7 @@ class TestPathChoice:
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         for state in (payload(3, [S2, 0, 0, 0, 0, 0, 0, S2]),
                       payload(3, amps / np.linalg.norm(amps)),
-                      LogicalState.from_bits([1, 0, 1, 1, 0])):
+                      logical_basis([1, 0, 1, 1, 0])):
             assert not free_fermion(Transfer(10, 1.0, 22.0, state))
 
 
@@ -237,11 +238,20 @@ class TestAgainstTheStateVector:
         assert_same_outputs(Transfer(2 * state.n_logical + 1, 1.0, 17.3,
                                      state, n_time_samples=20))
 
+    def test_negative_coupling(self):
+        # the error law depends on |J|/lam; the sign of J enters the
+        # sector energies and the phase correction, on both paths alike
+        bell = payload(2, [S2, 0, 0, S2])
+        assert_same_outputs(Transfer(7, 1.0, -22.0, bell,
+                                     n_time_samples=50))
+        with pytest.warns(UserWarning, match="quadratic"):
+            Transfer(7, 1.0, -5.0, bell)
+
     def test_empty_start_of_the_rest(self):
         # |1> leaves the rest of the chain certainly occupied at t = 0,
         # where the full-chain traces read 0
         res = run_multi_qubit_transfer(Transfer(
-            6, 1.0, 22.0, LogicalState.from_bits([1]), n_time_samples=10))
+            6, 1.0, 22.0, logical_basis([1]), n_time_samples=10))
         assert res.fidelity_corrected[0] == 0.0
-        assert_same_outputs(Transfer(6, 1.0, 22.0, LogicalState.from_bits(
+        assert_same_outputs(Transfer(6, 1.0, 22.0, logical_basis(
             [1]), n_time_samples=10))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dwtransfer import core, protocol
+from dwtransfer import protocol
 from dwtransfer.core import (
     PropagatorConfig,
     basis_index,
@@ -496,7 +496,9 @@ class TestTraceRun:
         psi = basis_state([1] + [0] * (n - 1))
         if whole_space:
             psi = np.full(2**n, 2 ** (-n / 2), dtype=complex)
-        h = realize(transport_hamiltonian(n, 22.0, 1.0))
+        # the XY chain holds one up spin in a dense block of n states
+        h = realize(transport_hamiltonian(n, 22.0, 1.0) if whole_space
+                    else heisenberg_xy(n, 1.0))
         rows, last = path.propagate(psi, h, np.array([0.01, 0.02]))
         assert (path.indices is None) == whole_space
         assert last.shape == (2**n,) and last.base is None
@@ -621,17 +623,19 @@ class TestBlockRead:
         self.assert_match_whole_space(reads, 13)
 
     def test_transport_block_on_the_dense_path(self, reads):
-        # |1> keeps spin 1 up through transport: 256 of 512 states, a
-        # block applied through the whole space's factors
+        # |1> keeps spin 1 up through transport: 256 of 512 states, too
+        # many for a dense block (256^2 > 2^9), so the dense path reads
+        # the whole space and diagonalizes that one sector
         h = realize(transport_hamiltonian(9, 22.0, 1.0))
-        indices, block = h.invariant_block(
-            basis_state([1] + [0] * 8))
-        assert indices.size == 256 and isinstance(block._h, core._Block)
+        one = basis_state([1] + [0] * 8)
+        indices, block = h.invariant_block(one)
+        assert indices is None and block is h
+        assert [ix.size for ix, _, _ in h.components(one)] == [256]
         run_multi_qubit_transfer(Transfer(9, 1.0, 22.0, logical_one(),
                                           n_time_samples=40,
                                           propagator=EXACT))
-        assert 256 in {None if ix is None else len(ix)
-                       for _, ix, *_ in reads["reads"][1:]}
+        assert all(ix is None for _, ix, *_ in reads["reads"][1:])
+        assert set(reads["widths"]) == {2**9}
         self.assert_match_whole_space(reads, 9)
 
     def test_ghz_whole_space(self, reads):
