@@ -25,9 +25,7 @@ from .hamiltonians import (
 )
 from .encoding import (
     LogicalState,
-    PhaseLedger,
     dw_encode_bits,
-    phase_ledger,
 )
 from .protocol import (
     Baseline,

@@ -75,6 +75,11 @@ SERIES_BYTES = 192
 # and 8.6 with 300 000 (free fermions), 9.5 for GHZ at N = 7 with
 # 100 000 (state vector); rounded up
 TRACE_VALUE_BYTES = 32
+# largest |J| N/lam a transfer may take: its stage phases J N pi/lam
+# then hold about 3e6 radians, and free fermions match the dense path
+# within 1.7e-9 over every output (N = 5, 9, 13; 40 samples per stage,
+# payload alpha|1> + beta|0>), against 8.9e-9 at 1e7 and 1.9e-7 at 1e8
+PHASE_RATIO_MAX = 1e6
 
 
 class ManifestError(ValueError):
@@ -233,7 +238,7 @@ def _check_memory(field: str, value, log2_need: float, hint: str = ""):
         )
 
 
-def _check_footprint(run, dense_log2: float,
+def _check_footprint(run,
                      ratio_field: str = "fields 'j_coupling' and 'lam'"
                      ) -> None:
     """Refuse a run (a ``Baseline`` or a ``Transfer``) whose estimated
@@ -245,15 +250,18 @@ def _check_footprint(run, dense_log2: float,
     matrices of dimension 4N + 2k + 6 and a few blocks of covariances.
     On the state vector it counts complex vectors of 2^N amplitudes
     and, on the dense path, three complex matrices of the largest
-    component H is diagonalized on, of dimension 2^``dense_log2``.
-    Above the limit it names ``n_spins``.
+    component H is diagonalized on: N states for the XY baseline, which
+    keeps the payload in its 0- and 1-excitation sectors, and 2^(N - 1)
+    for a transfer, as transport conserves spin 1 and the reset stage
+    Bob's spins.  Above the limit it names ``n_spins``.
     A ``Transfer`` on the Chebyshev path adds the Jacobi-Anger table of
     its largest ``evolve`` call (``_series_log2``); above the limit it
-    names ``ratio_field``, the fields that set its J/lam.
-    Then it adds the traces of two stages of samples,
-    ``TRACE_VALUE_BYTES`` for each of the N sigma_z values and 3 more
-    values per sample, and names ``n_time_samples``.  It is compared by
-    its log2, so no 2^N is formed for a chain of any length.
+    names ``ratio_field``, the fields that set its J/lam.  On every path
+    a ``Transfer`` whose |J| N/lam exceeds ``PHASE_RATIO_MAX`` is refused
+    next, naming ``ratio_field``.  Then it adds the traces of two stages
+    of samples, ``TRACE_VALUE_BYTES`` for each of the N sigma_z values
+    and 3 more values per sample, and names ``n_time_samples``.  It is
+    compared by its log2, so no 2^N is formed for a chain of any length.
     """
     N, fermionic = run.n_spins, free_fermion(run)
     if fermionic:
@@ -270,6 +278,8 @@ def _check_footprint(run, dense_log2: float,
     else:
         log2_need = N + math.log2(16 * (STATE_VECTORS + 3 * N))
         if run.propagator.method == "exact-eigendecomposition":
+            dense_log2 = (math.log2(N) if isinstance(run, Baseline)
+                          else N - 1)
             log2_need = np.logaddexp2(log2_need,
                                       math.log2(16 * 3) + 2 * dense_log2)
         hint = ("; chains this long need the free-fermion backend "
@@ -285,6 +295,13 @@ def _check_footprint(run, dense_log2: float,
                 f"{run.j_coupling / run.lam:.6g} needs a Chebyshev series "
                 f"table of about 2^{log2_need:.4g} bytes, above the "
                 f"{MEMORY_LIMIT_GIB} GiB limit")
+    if isinstance(run, Transfer):
+        phase_ratio = abs(run.j_coupling) * N / run.lam
+        if phase_ratio > PHASE_RATIO_MAX:
+            raise ManifestError(
+                f"manifest {ratio_field}: |J| N/lam = {phase_ratio:.6g} is "
+                f"above {PHASE_RATIO_MAX:g}, where double precision no "
+                "longer resolves the stage phases J N pi/lam")
     log2_traces = (math.log2(TRACE_VALUE_BYTES * (N + 3))
                    + math.log2(2 * run.n_time_samples + 1))
     _check_memory("n_time_samples", run.n_time_samples,
@@ -382,13 +399,7 @@ def _write_run(out: Path, manifest: dict, result: ProtocolResult):
         "peak_fidelity": result.peak_fidelity,
         "peak_time": result.peak_time,
         "tau": result.tau,
-        "phases": {
-            "global_phase": result.phases.global_phase,
-            "relative_phase_per_M": {
-                str(m): p
-                for m, p in result.phases.relative_phase_per_M.items()
-            },
-        },
+        "phases": result.phases,
         "final_logical": [
             [float(a.real), float(a.imag)]
             for a in result.final_logical.amplitudes
@@ -397,15 +408,13 @@ def _write_run(out: Path, manifest: dict, result: ProtocolResult):
 
 
 def cmd_baseline(run: Baseline, manifest: dict, out: Path, args) -> int:
-    # the XY chain keeps the payload in its 0- and 1-excitation sectors
-    _check_footprint(run, math.log2(run.n_spins))
+    _check_footprint(run)
     _write_run(out, manifest, run_heisenberg_baseline(run))
     return 0
 
 
 def cmd_transfer(run: Transfer, manifest: dict, out: Path, args) -> int:
-    # transport conserves spin 1 and the reset stage Bob's spins
-    _check_footprint(run, run.n_spins - 1)
+    _check_footprint(run)
     _write_run(out, manifest, run_multi_qubit_transfer(run))
     return 0
 
@@ -414,6 +423,10 @@ def cmd_sweep(run: Sweep, manifest: dict, out: Path, args) -> int:
     if args.workers < 1:
         raise ValueError(
             f"option '--workers' must be >= 1, got {args.workers}")
+    band = args.assert_slope
+    if band is not None and not 0 <= band < math.inf:
+        raise ValueError(f"option '--assert-slope' must be a finite number "
+                         f">= 0, got {band}")
     ratios = [_value(float, r, "ratios") for r in run.ratios]
     if not ratios or not all(r > 0 for r in ratios):
         raise ManifestError(
@@ -442,7 +455,7 @@ def cmd_sweep(run: Sweep, manifest: dict, out: Path, args) -> int:
             raise ManifestError(
                 f"manifest field '{field}' is invalid: {exc}") from exc
     for _, _, transfer in runs:
-        _check_footprint(transfer, run.n_spins - 1, "field 'ratios'")
+        _check_footprint(transfer, "field 'ratios'")
     try:
         table = error_scaling_sweep(runs, args.workers)
     except EmptyReadout as exc:
@@ -451,7 +464,6 @@ def cmd_sweep(run: Sweep, manifest: dict, out: Path, args) -> int:
             "leaves no weight on Bob's decoded register") from exc
     _write_csv(out / "sweep.csv", manifest, [table.to_csv()])
     _write_json(out / "fit.json", manifest, table.summary())
-    band = args.assert_slope
     if band is not None:
         if table.fit is None:
             print("slope assertion failed: fit unavailable", file=sys.stderr)

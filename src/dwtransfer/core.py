@@ -632,15 +632,16 @@ def evolve(
     """Apply ``exp(-i H t)`` to a state.
 
     Under an ``Operator`` the state is a vector of ``h.dimension``
-    amplitudes of unit norm: the 2^N amplitudes of a chain under its
-    realized Hamiltonian, or a state on an invariant block
-    (``Operator.invariant_block``) under the block's operator.  ``t`` is
-    one time, which returns one read-only vector, or a 1-D
-    non-decreasing array of times, which returns a read-only
-    ``(len(t), h.dimension)`` array whose row ``j`` is the state at
-    ``t[j]``, all from one call.  Every returned state is renormalized;
-    its norm drift before renormalization must stay within
-    ``NORM_DRIFT_TOL``.
+    amplitudes of unit norm, propagated under ``h`` as given: the 2^N
+    amplitudes of a chain under its realized Hamiltonian, or a state on
+    an invariant block under the block's operator.  A caller that wants
+    a state's block takes it first (``Operator.invariant_block``), as
+    the protocol does.  ``t`` is one time, which returns one read-only
+    vector, or a 1-D non-decreasing array of times, which returns a
+    read-only ``(len(t), h.dimension)`` array whose row ``j`` is the
+    state at ``t[j]``, all from one call.  Every returned state is
+    renormalized; its norm drift before renormalization must stay
+    within ``NORM_DRIFT_TOL``.
 
     Under a ``MajoranaOperator`` the state is the Majorana covariance of
     a Gaussian state (:mod:`dwtransfer.fermions`), propagated exactly
@@ -681,36 +682,26 @@ def evolve(
 
 def _propagate(amp, h, times, cfg):
     """Read-only rows of ``h.dimension`` amplitudes: ``amp`` at each of
-    ``times``, propagated on its invariant block and renormalized
-    there."""
+    ``times``, propagated under ``h`` itself and renormalized."""
     # zero times lead the grid and keep the state exactly
     zeros = int(np.count_nonzero(times == 0.0))
     if zeros == times.size:
         out = np.tile(amp, (times.size, 1))
         out.flags.writeable = False
         return out
-    indices, block = h.invariant_block(amp)
-    sub = amp if indices is None else amp[indices]
     if cfg.method == "exact-eigendecomposition":
-        rows = _evolve_exact(sub, block, times[zeros:])
+        rows = _evolve_exact(amp, h, times[zeros:])
     else:
-        rows = _evolve_chebyshev(sub, block, times[zeros:])
+        rows = _evolve_chebyshev(amp, h, times[zeros:])
     norms = np.linalg.norm(rows, axis=1)
     drift = np.abs(norms - 1.0).max()
     if drift > NORM_DRIFT_TOL:
         raise KrylovBreakdown("propagated state lost normalization", drift)
     rows /= norms[:, None]
-    if indices is None and not zeros:
-        out = rows
-    else:
-        out = np.zeros((times.size, amp.size), dtype=complex)
-        out[:zeros] = amp
-        if indices is None:
-            out[zeros:] = rows
-        else:
-            out[zeros:, indices] = rows
-    out.flags.writeable = False
-    return out
+    if zeros:
+        rows = np.concatenate((np.tile(amp, (zeros, 1)), rows))
+    rows.flags.writeable = False
+    return rows
 
 
 def _evolve_chebyshev(amp: np.ndarray, h: Operator,

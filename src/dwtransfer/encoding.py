@@ -1,4 +1,4 @@
-"""The logical payload, its domain-wall codec, and phase bookkeeping.
+"""The logical payload and its domain-wall codec.
 
 A logical bitstring of length k is stored in the k interfaces to the
 right of each register spin: logical bit j is the XOR of physical spins
@@ -56,25 +56,3 @@ def dw_encode_bits(logical) -> tuple:
         carry ^= logical[j]
         phys[j] = carry
     return tuple(phys)
-
-
-@dataclass(frozen=True)
-class PhaseLedger:
-    """Deterministic phases accumulated by the protocol stages."""
-
-    global_phase: float
-    relative_phase_per_M: dict
-
-
-def phase_ledger(N: int, J: float, tau: float, stages: int) -> PhaseLedger:
-    """Global phase J*N*tau per stage and sector phases -2*J*tau*M per stage.
-
-    The M-wall sector sits at diagonal energy J(N - 2M), so after
-    ``stages`` stages of duration tau the branch picks up
-    exp(-i J (N - 2M) tau) per stage; relative to the zero-wall branch
-    that is a phase of -2 * stages * J * tau per wall.
-    """
-    if stages not in (1, 2):
-        raise ValueError(f"stages must be 1 or 2, got {stages}")
-    rel = {M: -2.0 * stages * J * tau * M for M in range(N + 1)}
-    return PhaseLedger(stages * J * N * tau, rel)

@@ -43,12 +43,7 @@ from .core import (
     index_bits,
     realize,
 )
-from .encoding import (
-    LogicalState,
-    PhaseLedger,
-    dw_encode_bits,
-    phase_ledger,
-)
+from .encoding import LogicalState, dw_encode_bits
 from .hamiltonians import (
     energy_offset,
     heisenberg_xy,
@@ -158,6 +153,11 @@ class ProtocolResult:
     ``window_only`` run, at the readout window's alone;
     ``peak_fidelity`` is the best corrected full-chain value within the
     readout window.
+
+    ``phases`` is the ``phases`` block of ``summary.json``: the M-wall
+    sector sits at diagonal energy J(N - 2M), so ``stages`` stages of
+    tau add the global phase ``stages J N tau`` and, relative to the
+    zero-wall branch, ``-2 stages J tau`` per wall, keyed by ``str(M)``.
     """
 
     times: np.ndarray
@@ -166,7 +166,7 @@ class ProtocolResult:
     sigma_z_trace: np.ndarray  # shape (n_sites, n_times)
     final_logical: LogicalState
     final_fidelity: float
-    phases: PhaseLedger
+    phases: dict
     tau: float
     peak_fidelity: float
     peak_time: float
@@ -620,10 +620,10 @@ def _run(run, path, stages, J: float = 0.0, corrected: bool = True,
     out at, the end of the last stage.  With ``window_only`` the traces
     hold the peak window's samples alone (see ``_trace_run``).
     """
-    N, tau = run.n_spins, math.pi / run.lam
+    N, tau, n = run.n_spins, math.pi / run.lam, len(stages)
     times, corr, uncorr, sigma_z, final_state = _trace_run(
         path, path.start(), stages, tau, run.n_time_samples, window_only)
-    t_read = len(stages) * tau
+    t_read = n * tau
     peak_f, peak_t = _peak_in_window(times, corr)
     final_logical, final_f = path.readout(final_state, tau, t_read,
                                           corrected, J / run.lam)
@@ -634,7 +634,9 @@ def _run(run, path, stages, J: float = 0.0, corrected: bool = True,
         sigma_z_trace=sigma_z,
         final_logical=final_logical,
         final_fidelity=final_f,
-        phases=phase_ledger(N, J, tau, stages=len(stages)),
+        phases={"global_phase": n * J * N * tau,
+                "relative_phase_per_M": {str(M): -2.0 * n * J * tau * M
+                                         for M in range(N + 1)}},
         tau=tau,
         peak_fidelity=peak_f,
         peak_time=peak_t,

@@ -161,10 +161,13 @@ class TestClosedFormConsistency:
 
     def test_samples_propagated_in_blocks(self, monkeypatch):
         # 100 samples: three blocks of 40, 40 and 20 times on every
-        # chain, each on the chain's N one-excitation states (all 2^3
-        # states at N = 3, where 3^2 > 2^3 leaves no dense block)
+        # chain, each propagated on the whole chain, whose dense path
+        # diagonalizes the N one-excitation states once: one N x N
+        # eigh per chain, never a 2^N one
         lengths = {}
         chains = []
+        sizes = []
+        eigh = np.linalg.eigh
 
         def recording_realize(p):
             chains.append(p.n_spins)
@@ -173,14 +176,20 @@ class TestClosedFormConsistency:
         def counting_evolve(amp, h, t, cfg):
             out = evolve(amp, h, t, cfg)
             n = chains[-1]
-            assert out.shape == (len(t), amp.size)
-            assert amp.size == (2**n if n == 3 else n)
+            assert amp.size == h.dimension == 2**n
+            assert out.shape == (len(t), 2**n)
             lengths.setdefault(n, []).append(len(t))
             return out
 
+        def counting_eigh(a):
+            sizes.append(a.shape[0])
+            return eigh(a)
+
         monkeypatch.setattr(analysis, "realize", recording_realize)
         monkeypatch.setattr(analysis, "evolve", counting_evolve)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         blocked = closed_form_consistency(range(2, 11), 1.0, samples=100)
+        assert sizes == list(range(2, 11))
         assert sorted(lengths) == list(range(2, 11))
         for n, seen in lengths.items():
             assert max(seen) <= trace_rows(n) and sum(seen) == 100
@@ -188,8 +197,10 @@ class TestClosedFormConsistency:
         # one evolve call for all samples of a chain
         monkeypatch.setattr(analysis, "trace_rows", lambda n: 100)
         lengths.clear()
+        sizes.clear()
         whole = closed_form_consistency(range(2, 11), 1.0, samples=100)
         assert all(seen == [100] for seen in lengths.values())
+        assert sizes == list(range(2, 11))
         assert abs(blocked - whole) < 1e-14 and blocked <= 1e-8
 
     @pytest.mark.parametrize("N_range", [range(5, 5), [], [1], range(1, 4)])

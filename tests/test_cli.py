@@ -17,6 +17,7 @@ import dwtransfer
 from dwtransfer.cli import (
     COMMANDS,
     MEMORY_LIMIT_GIB,
+    PHASE_RATIO_MAX,
     TRACE_VALUE_BYTES,
     ManifestError,
     SweepState,
@@ -26,7 +27,11 @@ from dwtransfer.cli import (
 )
 from dwtransfer.core import PropagatorConfig
 from dwtransfer.encoding import LogicalState
-from dwtransfer.protocol import Transfer, run_single_qubit_transfer
+from dwtransfer.protocol import (
+    Baseline,
+    Transfer,
+    run_single_qubit_transfer,
+)
 
 S2 = 1 / math.sqrt(2)
 GHZ = {"amplitudes": [[S2, 0], 0, 0, 0, 0, 0, 0, [S2, 0]]}
@@ -380,6 +385,25 @@ class TestSweep:
         assert "'--workers'" in capsys.readouterr().err
         assert pools == [] and not (out / "sweep.csv").exists()
 
+    # a band of nan or inf could never fail, a negative one never pass
+    @pytest.mark.parametrize("band", ["nan", "inf", "-inf", "-1",
+                                      "-1e-300"])
+    def test_slope_band_not_finite_and_non_negative_exits_1(
+            self, sweep_manifest, tmp_path, capsys, band):
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", sweep_manifest, "--out", out,
+                    f"--assert-slope={band}"]) == 1
+        assert "'--assert-slope'" in capsys.readouterr().err
+        assert not any(out.iterdir())  # refused before any run
+
+    def test_zero_slope_band_is_checked(self, sweep_manifest, tmp_path,
+                                        capsys):
+        # 0 is a valid band; the fitted slope is not exactly -2
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", sweep_manifest, "--out", out,
+                    "--assert-slope=0"]) == 2
+        assert "slope assertion failed" in capsys.readouterr().err
+
     def test_worker_flag_matches_serial(self, sweep_manifest, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert run(["sweep", "--config", sweep_manifest, "--out", out_a]) == 0
@@ -586,6 +610,63 @@ class TestInputGuards:
         assert "Chebyshev" in err
         assert not any(out.iterdir())
 
+    def test_phase_ratio_boundary(self):
+        # |J| N/lam = 1e6 exactly is accepted, the next float above it
+        # refused, on free fermions, the dense path and the series alike;
+        # 1 000 samples per stage keep the series table of GHZ small
+        one = LogicalState(1, np.array([0.0, 1.0]))
+        ghz = LogicalState(3, np.array([S2, 0, 0, 0, 0, 0, 0, S2]))
+        assert PHASE_RATIO_MAX == 1e6
+        for state, n, method in ((one, 5, "krylov"),
+                                 (one, 5, "exact-eigendecomposition"),
+                                 (ghz, 8, "krylov")):
+            cfg = PropagatorConfig(method=method)
+            for sign in (1, -1):
+                j = sign * PHASE_RATIO_MAX / n
+                _check_footprint(Transfer(n, 1.0, j, state, propagator=cfg,
+                                          n_time_samples=1000))
+                with pytest.raises(ManifestError,
+                                   match=r"'j_coupling' and 'lam': \|J\| N"):
+                    _check_footprint(Transfer(
+                        n, 1.0, np.nextafter(j, 2 * j), state,
+                        propagator=cfg, n_time_samples=1000))
+
+    @pytest.mark.parametrize("fields_", [
+        {"j_coupling": 1e12}, {"j_coupling": -1e12}, {"lam": 1e-7},
+        {"j_coupling": 1e12, "propagator": "exact-eigendecomposition"}])
+    def test_unresolved_stage_phases_name_j_and_lam(
+            self, transfer_manifest, tmp_path, capsys, fields_):
+        # J/lam = 1e12 at N = 5 read final_fidelity 0.9999995 on free
+        # fermions against 0.9999956 on the dense path
+        cfg = with_fields(transfer_manifest, tmp_path, **fields_)
+        out = tmp_path / "o"
+        assert run(["transfer", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "'j_coupling'" in err and "'lam'" in err
+        assert "|J| N/lam" in err
+        assert not any(out.iterdir())
+
+    def test_unresolved_stage_phases_name_ratios(self, sweep_manifest,
+                                                  tmp_path, capsys):
+        cfg = with_fields(sweep_manifest, tmp_path, ratios=[8.0, 2e5 + 1])
+        out = tmp_path / "o"
+        assert run(["sweep", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "'ratios'" in err and "'j_coupling'" not in err
+        assert "|J| N/lam" in err
+        assert not any(out.iterdir())
+
+    def test_series_refusal_comes_first(self, transfer_manifest, tmp_path,
+                                        capsys):
+        # GHZ at N = 6 with 2 samples per stage: J/lam = 1e6 needs a
+        # series table above the memory limit, and that is what is named
+        cfg = with_fields(transfer_manifest, tmp_path, n_spins=6, state=GHZ,
+                          j_coupling=1e6, n_time_samples=2)
+        assert run(["transfer", "--config", cfg, "--out", tmp_path / "o"]
+                   ) == 1
+        err = capsys.readouterr().err
+        assert "Chebyshev" in err and "|J| N/lam" not in err
+
     def test_empty_states_exits_1(self, sweep_manifest, tmp_path, capsys):
         cfg = with_fields(sweep_manifest, tmp_path, states=[])
         out = tmp_path / "o"
@@ -691,10 +772,10 @@ class TestMemoryGuard:
         at_limit = MEMORY_LIMIT_GIB * 2**30 / (16 * TRACE_VALUE_BYTES) / 2
         assert 4.1e6 < at_limit < 4.2e6
         _check_footprint(Transfer(13, 1.0, 22.0, one,
-                                  n_time_samples=int(0.998 * at_limit)), 12)
+                                  n_time_samples=int(0.998 * at_limit)))
         with pytest.raises(ManifestError, match="'n_time_samples'"):
             _check_footprint(Transfer(13, 1.0, 22.0, one,
-                                      n_time_samples=int(at_limit) + 1), 12)
+                                      n_time_samples=int(at_limit) + 1))
 
     def test_measured_trace_bytes_stay_below_the_constant(self, tmp_path):
         # the tracemalloc peak of a whole transfer run, writer included,
@@ -728,19 +809,28 @@ class TestMemoryGuard:
                             propagator=PropagatorConfig(method=method))
 
         for n in (13, 16):
-            _check_footprint(record(n, "krylov"), n - 1)
-        _check_footprint(record(13, "exact-eigendecomposition"), 12)
+            _check_footprint(record(n, "krylov"))
+        _check_footprint(record(13, "exact-eigendecomposition"))
         with pytest.raises(ManifestError, match="'n_spins'"):
-            _check_footprint(record(16, "exact-eigendecomposition"), 15)
+            _check_footprint(record(16, "exact-eigendecomposition"))
+
+    def test_dense_baseline_counts_its_excitation_sectors(self):
+        # the XY baseline's payload stays in N + 1 states, so the dense
+        # path is limited by the state vector alone, as on "krylov"
+        one = LogicalState(1, np.array([0.0, 1.0]))
+        dense = PropagatorConfig(method="exact-eigendecomposition")
+        _check_footprint(Baseline(21, 1.0, one, propagator=dense))
+        with pytest.raises(ManifestError, match="'n_spins'"):
+            _check_footprint(Baseline(22, 1.0, one, propagator=dense))
 
     def test_chebyshev_transfer_runs_up_to_21_spins(self):
         # a dense invariant block holds at most 2^N entries, one state
         # vector, so it does not lower the state-vector limit
         ghz = LogicalState(3, np.array([1, 0, 0, 0, 0, 0, 0, 1])
                            / math.sqrt(2))
-        _check_footprint(Transfer(21, 1.0, 22.0, ghz), 20)
+        _check_footprint(Transfer(21, 1.0, 22.0, ghz))
         with pytest.raises(ManifestError, match="'n_spins'"):
-            _check_footprint(Transfer(22, 1.0, 22.0, ghz), 21)
+            _check_footprint(Transfer(22, 1.0, 22.0, ghz))
 
 
 class TestManifestLoader:

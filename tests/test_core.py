@@ -415,22 +415,24 @@ class TestChebyshev:
         psi = basis_state([1] + [0] * (self.N - 1))
         if whole_space:
             psi = random_state(np.random.default_rng(5), self.N)
-        indices, _ = h.invariant_block(psi)
+        indices, block = h.invariant_block(psi)
         # one up spin: the XY chain's 7 one-excitation states are a
         # dense block; transport and reset hold it in 64 states, too
         # many for one (64^2 > 2^7), so it runs on the whole space
         assert (indices is None) == (whole_space or ham != "xy")
+        if indices is None:
+            indices = np.arange(h.dimension)
         if samples == "tau":
             times, step = np.array([TAU]), TAU
         else:
             step = TAU / 200
             times = step * np.arange(1, samples + 1)
-        out = evolve(psi, h, times, KRYLOV)
+        out = evolve(psi[indices], block, times, KRYLOV)
         u = expm(-1j * step * h.matrix.toarray())
         ref = psi
         for row in out:
             ref = u @ ref
-            assert np.abs(row - ref).max() < 1e-10
+            assert np.abs(row - ref[indices]).max() < 1e-10
 
     def test_constant_operator(self):
         # a zero-width interval: the series is its first term alone
@@ -642,11 +644,35 @@ class TestInvariantBlock:
         ref = weakref.ref(h)
         gc.disable()
         try:
-            evolve(psi, h, 0.5, cfg)
-            del h
+            indices, block = h.invariant_block(psi)
+            evolve(psi if indices is None else psi[indices], block, 0.5,
+                   cfg)
+            del h, block
             assert ref() is None
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("cfg", METHODS)
+    @pytest.mark.parametrize("ham", ["transport", "xy"])
+    def test_evolve_propagates_the_operator_it_is_given(self, cfg, ham,
+                                                        monkeypatch):
+        # evolve takes no invariant block of its own: a state that has
+        # one (the XY chain's 7 one-excitation states) is still
+        # propagated on the whole space, and matches expm there
+        h = {"transport": realize(transport_hamiltonian(self.N, 22.0, 1.0)),
+             "xy": realize(heisenberg_xy(self.N, 1.0))}[ham]
+        psi = self.inputs()["one"]
+        full = h.matrix.toarray()
+
+        def refused(self, amp):
+            raise AssertionError("evolve called invariant_block")
+
+        monkeypatch.setattr(Operator, "invariant_block", refused)
+        times = np.array([0.0, 0.4, 1.3])
+        rows = evolve(psi, h, times, cfg)
+        assert rows.shape == (3, h.dimension) and not rows.flags.writeable
+        for t, row in zip(times, rows):
+            assert np.abs(row - expm(-1j * t * full) @ psi).max() < 1e-10
 
 
 class TestComponents:

@@ -3,7 +3,7 @@ import pytest
 
 from dwtransfer import protocol
 from dwtransfer.core import basis_index
-from dwtransfer.encoding import LogicalState, dw_encode_bits, phase_ledger
+from dwtransfer.encoding import LogicalState, dw_encode_bits
 from dwtransfer.protocol import Transfer
 from references import (
     basis_state,
@@ -146,24 +146,43 @@ class TestCountDomainWalls:
 
 
 class TestPhaseLedger:
+    """``ProtocolResult.phases``, the ``phases`` block of
+    ``summary.json``: per stage of tau, the global phase J N tau and
+    the sector phase -2 J tau per wall, keyed by ``str(M)``."""
+
+    @staticmethod
+    def transfer(N=5, J=22.0, lam=1.0):
+        one = LogicalState(1, np.array([0.0, 1.0], dtype=complex))
+        return protocol.run_multi_qubit_transfer(
+            Transfer(N, lam, J, one, n_time_samples=4))
+
+    @staticmethod
+    def baseline(N=5, lam=1.0):
+        one = LogicalState(1, np.array([0.0, 1.0], dtype=complex))
+        return protocol.run_heisenberg_baseline(
+            protocol.Baseline(N, lam, one, n_time_samples=4))
+
     def test_single_stage_relative(self):
-        led = phase_ledger(5, 2.0, 0.7, stages=1)
-        rel = led.relative_phase_per_M
-        assert rel[1] - rel[0] == pytest.approx(-2 * 2.0 * 0.7)
+        # the baseline is one stage at J = 0: every sector phase is 0
+        phases = self.baseline(N=6, lam=0.7).phases
+        rel = phases["relative_phase_per_M"]
+        assert list(rel) == [str(m) for m in range(7)]
+        assert all(v == 0.0 for v in rel.values())
 
     def test_two_stage_relative(self):
-        led = phase_ledger(5, 2.0, 0.7, stages=2)
-        assert led.relative_phase_per_M[1] == pytest.approx(-4 * 2.0 * 0.7)
+        res = self.transfer(N=5, J=22.0, lam=0.7)
+        rel = res.phases["relative_phase_per_M"]
+        assert list(rel) == [str(m) for m in range(6)]
+        for m in range(6):
+            assert rel[str(m)] == pytest.approx(-4 * 22.0 * res.tau * m)
 
     def test_global_phase(self):
-        led = phase_ledger(13, 0.5, 3.0, stages=2)
-        assert led.global_phase == pytest.approx(2 * 0.5 * 13 * 3.0)
+        res = self.transfer(N=7, J=-9.0, lam=1.1)
+        assert res.tau == pytest.approx(np.pi / 1.1)
+        assert res.phases["global_phase"] == pytest.approx(
+            2 * -9.0 * 7 * res.tau)
 
     def test_zero_coupling(self):
-        led = phase_ledger(4, 0.0, 1.0, stages=2)
-        assert led.global_phase == 0.0
-        assert all(v == 0.0 for v in led.relative_phase_per_M.values())
-
-    def test_invalid_stage_count(self):
-        with pytest.raises(ValueError):
-            phase_ledger(4, 1.0, 1.0, stages=3)
+        phases = self.baseline().phases
+        assert set(phases) == {"global_phase", "relative_phase_per_M"}
+        assert phases["global_phase"] == 0.0

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 from dwtransfer import fermions
+from dwtransfer.cli import PHASE_RATIO_MAX, _check_footprint
 from dwtransfer.core import (
     DimensionMismatch,
     MajoranaOperator,
@@ -198,8 +199,8 @@ class TestPathChoice:
             assert not free_fermion(Transfer(10, 1.0, 22.0, state))
 
 
-def assert_same_outputs(run):
-    """Every output of ``run``, on free fermions, within 1e-10 of the
+def assert_same_outputs(run, tol=1e-10):
+    """Every output of ``run``, on free fermions, within ``tol`` of the
     same run on the dense state vector."""
     assert free_fermion(run)
     fast = run_multi_qubit_transfer(run)
@@ -210,13 +211,13 @@ def assert_same_outputs(run):
     for name in ("fidelity_corrected", "fidelity_uncorrected",
                  "sigma_z_trace"):
         assert np.abs(getattr(fast, name) - getattr(dense, name)).max() \
-            <= 1e-10, name
+            <= tol, name
     for name in ("final_fidelity", "peak_fidelity", "peak_time"):
-        assert abs(getattr(fast, name) - getattr(dense, name)) <= 1e-10, \
+        assert abs(getattr(fast, name) - getattr(dense, name)) <= tol, \
             name
     # the decoded payload with its global phase
     assert np.abs(fast.final_logical.amplitudes
-                  - dense.final_logical.amplitudes).max() <= 1e-10
+                  - dense.final_logical.amplitudes).max() <= tol
 
 
 class TestAgainstTheStateVector:
@@ -246,6 +247,15 @@ class TestAgainstTheStateVector:
                                      n_time_samples=50))
         with pytest.warns(UserWarning, match="quadratic"):
             Transfer(7, 1.0, -5.0, bell)
+
+    @pytest.mark.parametrize("n_spins", [5, 8])
+    def test_at_the_phase_ratio_bound(self, n_spins):
+        # the largest |J| N/lam the guard accepts keeps both paths within
+        # the benchmark gate's 1e-8 (measured: 1.3e-9 at N = 9)
+        run = Transfer(n_spins, 1.0, PHASE_RATIO_MAX / n_spins,
+                       payload(1, [0.8, 0.6]), n_time_samples=40)
+        _check_footprint(run)
+        assert_same_outputs(run, tol=1e-8)
 
     def test_empty_start_of_the_rest(self):
         # |1> leaves the rest of the chain certainly occupied at t = 0,
