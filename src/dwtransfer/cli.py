@@ -52,9 +52,9 @@ SLOPE_TARGET = -2.0
 SLOPE_BAND_DEFAULT = 0.3
 MEMORY_LIMIT_GIB = 4  # largest estimated footprint a run may start with
 # 2^N-amplitude vectors a state-vector run holds at once: a trace block
-# of outputs (one row above N = 13), their scatter, the probabilities
-# and the Chebyshev ring; the realized operator and its build add about
-# 3 more per spin
+# of outputs (one row above N = 13), the probabilities and the
+# Chebyshev ring; the realized operator and its build add about 3 more
+# per spin
 STATE_VECTORS = 48
 # complex matrices of the size of the readout Pfaffians, 4N + 2k + 6, a
 # free-fermion run holds at once besides its blocks of covariances
@@ -248,12 +248,13 @@ def _check_footprint(run,
     ``FREE_FERMION_SPINS_MAX`` is refused for its run time, naming
     ``n_spins``; the estimate counts ``PFAFFIAN_MATRICES`` complex
     matrices of dimension 4N + 2k + 6 and a few blocks of covariances.
-    On the state vector it counts complex vectors of 2^N amplitudes
-    and, on the dense path, three complex matrices of the largest
-    component H is diagonalized on: N states for the XY baseline, which
-    keeps the payload in its 0- and 1-excitation sectors, and 2^(N - 1)
-    for a transfer, as transport conserves spin 1 and the reset stage
-    Bob's spins.  Above the limit it names ``n_spins``.
+    The XY baseline runs there on ``"krylov"``.  On the state vector it
+    counts complex vectors of 2^N amplitudes and, on the dense path,
+    three complex matrices of the largest component H is diagonalized
+    on: N states for the XY baseline, which keeps the payload in its 0-
+    and 1-excitation sectors, and 2^(N - 1) for a transfer, as
+    transport conserves spin 1 and the reset stage Bob's spins.  Above
+    the limit it names ``n_spins``.
     A ``Transfer`` on the Chebyshev path adds the Jacobi-Anger table of
     its largest ``evolve`` call (``_series_log2``); above the limit it
     names ``ratio_field``, the fields that set its J/lam.  On every path
@@ -285,9 +286,8 @@ def _check_footprint(run,
         hint = ("; chains this long need the free-fermion backend "
                 "(ROADMAP item 2)")
     _check_memory("n_spins", N, log2_need, hint)
-    # the XY baseline's couplings scale with lam, so its a t stays near N
-    if (isinstance(run, Transfer) and not fermionic
-            and run.propagator.method == "krylov"):
+    # off free fermions, only a transfer runs on "krylov"
+    if not fermionic and run.propagator.method == "krylov":
         log2_need = np.logaddexp2(log2_need, _series_log2(run))
         if log2_need > math.log2(MEMORY_LIMIT_GIB * 2**30):
             raise ManifestError(

@@ -85,9 +85,9 @@ class Operator:
     (``product``, ``gershgorin``, ``neighbours``, ``block`` and
     ``entries``): ``_Dense``, a dense array, and ``_Factors``, a Pauli
     sum as small dense factors across the middle of the chain.  The
-    invariant block, the eigensystems of the components a state
-    occupies, the spectral interval and the Chebyshev form are computed
-    from that interface and cached.
+    eigensystems of the components a state occupies, the spectral
+    interval and the Chebyshev form are computed from that interface
+    and cached.
     """
 
     def __init__(self, matrix):
@@ -104,7 +104,7 @@ class Operator:
                 raise ValueError(
                     f"matrix is not Hermitian (defect {defect:.3e})")
             self._h = _Dense(a)
-        self._eig = self._block = self._parts = self._interval = None
+        self._eig = self._parts = self._interval = None
         self._chebyshev = self._csr = None
 
     @property
@@ -168,34 +168,6 @@ class Operator:
         touched = np.zeros(len(systems), dtype=bool)
         touched[label[support]] = True
         return [systems[k] for k in np.flatnonzero(touched)]
-
-    def invariant_block(self, amp: np.ndarray):
-        """Smallest index set that H maps into itself and that holds the
-        nonzero entries of ``amp``, with H restricted to it.
-
-        The set is the support of ``amp`` grown along the nonzero pattern
-        of H until it stops changing.  A set of ``d`` states with ``d^2``
-        at most the dimension of H gives ``(indices, block)``: its sorted
-        basis indices and the block as an ``Operator`` on a dense array,
-        which then holds no more entries than one state vector, and one
-        product with it costs less than one with the whole-space factors
-        (measured: README.md, Propagators).  A larger set gives ``(None,
-        self)``: it is propagated on the whole space, where the
-        amplitudes outside it stay zero.  The set is cached and
-        recomputed only when the support of ``amp`` leaves it.  The cache
-        never refers back to this operator, so dropping the operator
-        frees its block without the cycle collector.
-        """
-        support = np.flatnonzero(amp)
-        if self._block is None or not self._block[0][support].all():
-            inside = _closure(self._h, support)
-            indices = np.flatnonzero(inside)
-            block = None
-            if indices.size**2 <= self.dimension:
-                block = Operator(_Dense(self._h.block(indices)))
-            self._block = (inside, indices, block)
-        _, indices, block = self._block
-        return (None, self) if block is None else (indices, block)
 
     def spectral_interval(self) -> tuple:
         """``(lo, hi)`` holding every eigenvalue.  Cached.
@@ -470,15 +442,15 @@ class PropagatorConfig:
     diagonalized once on each connected component of its nonzero
     pattern that a state occupies, in real arithmetic when H is real,
     and only those components are propagated.  ``krylov``, the default,
-    is the fast path.  A transfer whose payload is Gaussian on the wall
-    fermions runs exactly on free fermions, its state the Majorana
-    covariance (``protocol.free_fermion``, ``fermions``), propagated
-    exactly by ``evolve`` under a ``MajoranaOperator`` whatever the
-    method; every other run, and every ``evolve`` call on an
-    ``Operator``, takes a Chebyshev expansion of the exponential on the
-    spectral interval of H (Tal-Ezer & Kosloff 1984), truncated at
-    round-off.  ``"krylov"`` is kept as its name so that
-    existing manifests run.
+    is the fast path.  On it the XY baseline, and a transfer whose
+    payload is Gaussian on the wall fermions, run exactly on free
+    fermions, their state the Majorana covariance
+    (``protocol.free_fermion``, ``fermions``), which ``evolve``
+    propagates exactly under a ``MajoranaOperator`` whatever the method;
+    every other run, and every ``evolve`` call on an ``Operator``, takes
+    a Chebyshev expansion of the exponential on the spectral interval of
+    H (Tal-Ezer & Kosloff 1984), truncated at round-off.  ``"krylov"``
+    is kept as its name so that existing manifests run.
     """
 
     method: str = "krylov"
@@ -632,16 +604,14 @@ def evolve(
     """Apply ``exp(-i H t)`` to a state.
 
     Under an ``Operator`` the state is a vector of ``h.dimension``
-    amplitudes of unit norm, propagated under ``h`` as given: the 2^N
-    amplitudes of a chain under its realized Hamiltonian, or a state on
-    an invariant block under the block's operator.  A caller that wants
-    a state's block takes it first (``Operator.invariant_block``), as
-    the protocol does.  ``t`` is one time, which returns one read-only
-    vector, or a 1-D non-decreasing array of times, which returns a
-    read-only ``(len(t), h.dimension)`` array whose row ``j`` is the
-    state at ``t[j]``, all from one call.  Every returned state is
-    renormalized; its norm drift before renormalization must stay
-    within ``NORM_DRIFT_TOL``.
+    amplitudes of unit norm, propagated under ``h`` as given, on the
+    whole space; the dense path diagonalizes only the components of H
+    the state occupies (``Operator.components``).  ``t`` is one time,
+    which returns one read-only vector, or a 1-D non-decreasing array
+    of times, which returns a read-only ``(len(t), h.dimension)`` array
+    whose row ``j`` is the state at ``t[j]``, all from one call.  Every
+    returned state is renormalized; its norm drift before
+    renormalization must stay within ``NORM_DRIFT_TOL``.
 
     Under a ``MajoranaOperator`` the state is the Majorana covariance of
     a Gaussian state (:mod:`dwtransfer.fermions`), propagated exactly

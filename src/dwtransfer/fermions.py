@@ -160,14 +160,22 @@ def rest_empty(ms: np.ndarray, n_rest: int):
     ``p`` is the probability that those modes are empty, ``(-1)^n
     Pf((M_R + F_R) / 2)`` with ``M_R`` their block, ``F_R`` the vacuum
     and n their number (the minor expansion of the Pfaffian is Wick's
-    theorem on the product of the projectors ``1 - n_q``).  For the
-    rows ``kept``, where ``p`` exceeds ``EMPTY_FLOOR``, ``cond`` is the
-    covariance of the other modes given that, the Schur complement
-    ``M_BB - M_BR (M_R + F_R)^-1 M_RB``.
+    theorem on the product of the projectors ``1 - n_q``).  As ``p >=
+    0`` and ``det = Pf^2``, it is taken as ``sqrt(det((M_R + F_R) /
+    2))``, one LU factorization per row.  That stays accurate near
+    ``EMPTY_FLOOR``: a small ``p`` comes from a pair of eigenvalues
+    ``+-i mu`` near 0, and the backward error of the LU, which need not
+    be antisymmetric, moves each of the two by about eps on its own, so
+    their product moves by about ``eps (mu + eps)`` and ``sqrt(det)``
+    by about eps, as the Pfaffian does.  A determinant below 0 by
+    round-off gives ``p = 0``.  For the rows ``kept``, where ``p``
+    exceeds ``EMPTY_FLOOR``, ``cond`` is the covariance of the other
+    modes given that, the Schur complement ``M_BB - M_BR (M_R +
+    F_R)^-1 M_RB``.
     """
     r = 2 * n_rest
     x = ms[:, :r, :r] + fock_covariance((0,) * n_rest)
-    p = (-1) ** n_rest * pfaffian(x / 2)
+    p = np.sqrt(np.maximum(np.linalg.det(x / 2), 0.0))
     kept = p > EMPTY_FLOOR
     y = np.linalg.solve(x[kept], ms[kept, :r, r:])
     cond = ms[kept, r:, r:] - ms[kept, r:, :r] @ y

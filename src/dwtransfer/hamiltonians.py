@@ -2,11 +2,13 @@
 
 All builders return :class:`~dwtransfer.core.PauliSum` objects; call
 :func:`~dwtransfer.core.realize` to obtain the operator, held as small
-dense factors across the middle of the chain (its invariant blocks and
-components as dense arrays), or with ``majorana=True`` its form on the
-wall Majoranas.  Couplings
-``J`` and ``lam`` are angular frequencies (hbar = 1); only the ratio
-``J/lam`` and the product ``lam * t`` affect the physics.
+dense factors across the middle of the chain (the components the dense
+path diagonalizes as dense arrays), or with ``majorana=True`` its form
+on the wall Majoranas.  The XY baseline runs on free fermions as the
+reset stage of one-spin registers at J = 0 without its pair-creation
+terms, whose hopping has ``heisenberg_xy``'s profile and sign.
+Couplings ``J`` and ``lam`` are angular frequencies (hbar = 1); only
+the ratio ``J/lam`` and the product ``lam * t`` affect the physics.
 """
 
 from __future__ import annotations

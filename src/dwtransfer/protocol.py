@@ -14,9 +14,13 @@ The protocol pipeline is:
 A transfer whose payload is Gaussian on the wall fermions (every 1- and
 2-qubit payload, W and cluster3, not GHZ) runs on free fermions by
 default: its state is the (2N + 2)^2 Majorana covariance of
-``fermions``.  Any other payload, the XY baseline and the dense
-reference propagator run on the 2^N amplitudes; ``free_fermion`` makes
-the choice.
+``fermions``.  So does the XY baseline, by the paper's construction
+run in reverse: the reset stage of one-spin registers at J = 0, with
+its pair-creation terms dropped, hops one wall along the N interfaces
+left of spin N with the XY chain's profile and sign, so XY spin n up is
+a wall on interface n - 1.  Any other payload and the dense reference
+propagator run on the 2^N amplitudes; ``free_fermion`` makes the
+choice.
 
 Deterministic phases are tracked per logical branch, in closed form from
 its bits: a branch is a set of domain walls, and at tau = pi/lam the
@@ -37,10 +41,12 @@ import numpy as np
 
 from . import fermions
 from .core import (
+    MajoranaOperator,
     PropagatorConfig,
     basis_index,
     evolve,
     index_bits,
+    majorana_form,
     realize,
 )
 from .encoding import LogicalState, dw_encode_bits
@@ -266,27 +272,6 @@ def _sigma_z_all(probs: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _sigma_z_on(probs: np.ndarray, indices: np.ndarray, n: int
-                ) -> np.ndarray:
-    """``<sigma_z>`` of every spin, spin 1 first, shape ``(n, rows)``,
-    from the basis probabilities ``(rows, d)`` of states that vanish
-    outside the sorted basis ``indices`` of ``n`` spins.
-
-    Spin s has sign ``1 - 2 b_s`` on a basis state with bit ``b_s``, so
-    the signs of every spin on ``indices`` form a ``(d, n)`` matrix, one
-    product with the probabilities.  The product sums in extended
-    precision: a plain sum of d terms strays from the exact one by up to
-    d roundings, where the pairwise sums of ``_sigma_z_all`` stray by a
-    few.  A dense block (``Operator.invariant_block``) has at most
-    2^(n/2) states, 1 448 at the state-vector limit of 21 spins, so the
-    sign matrix stays below ``TRACE_BYTES``.
-    """
-    shifts = np.arange(n - 1, -1, -1)
-    signs = 1 - 2 * (indices[:, None] >> shifts & 1)
-    return (probs.astype(np.longdouble)
-            @ signs.astype(np.longdouble)).T.astype(float)
-
-
 def _decode_permutation(k: int) -> np.ndarray:
     """perm[logical index] = the physical Bob index decoding to it, the
     index of its Bob pattern."""
@@ -379,28 +364,23 @@ def trace_rows(n_spins: int) -> int:
 
 
 def free_fermion(run) -> bool:
-    """Whether ``run`` propagates on free fermions: a ``Transfer`` on the
-    default ``"krylov"`` propagator whose payload, of at most
-    ``FREE_FERMION_QUBITS`` qubits, is Gaussian on the wall fermions.
-    Every other run propagates its 2^N amplitudes."""
-    return (isinstance(run, Transfer)
-            and run.propagator.method == "krylov"
-            and run.state.n_logical <= FREE_FERMION_QUBITS
-            and fermions.is_gaussian(run._alice_window))
+    """Whether ``run`` propagates on free fermions: on the default
+    ``"krylov"`` propagator, the XY baseline and a ``Transfer`` whose
+    payload, of at most ``FREE_FERMION_QUBITS`` qubits, is Gaussian on
+    the wall fermions.  Every other run propagates its 2^N
+    amplitudes."""
+    return run.propagator.method == "krylov" and (
+        isinstance(run, Baseline)
+        or (run.state.n_logical <= FREE_FERMION_QUBITS
+            and fermions.is_gaussian(run._alice_window)))
 
 
 class _Amplitudes:
     """The state-vector path: the chain's 2^N amplitudes, propagated by
     ``evolve`` on each stage's realized Hamiltonian in blocks of
-    ``trace_rows(N)`` samples.
-
-    Each block is propagated and read on the invariant block of the
-    state it starts from (``Operator.invariant_block``): its rows hold
-    the amplitudes of the sorted basis states ``indices`` alone, or of
-    every basis state when ``indices`` is None.  Both fidelity overlaps
-    are read at the branches' ``final_bits`` indices, and sigma_z from
-    the bits of ``indices``; only the state carried into the next block
-    is scattered into the 2^N amplitudes.
+    ``trace_rows(N)`` samples.  Both fidelity overlaps are read at the
+    branches' ``final_bits`` indices, and sigma_z from the probabilities
+    of every basis state.
     """
 
     def __init__(self, run, k: int, branches):
@@ -411,7 +391,6 @@ class _Amplitudes:
                                for br in branches], dtype=np.int64)
         self.coefficient = np.array([br.coefficient for br in branches],
                                     dtype=complex)
-        self.indices = None  # basis states of the rows last returned
 
     def start(self) -> np.ndarray:
         psi0 = np.zeros(2**self.n_spins, dtype=complex)
@@ -419,47 +398,27 @@ class _Amplitudes:
             psi0[basis_index(br.initial_bits)] += br.coefficient
         return psi0
 
-    def rows(self, psi: np.ndarray) -> np.ndarray:
-        self.indices = np.flatnonzero(psi)
-        return psi[self.indices][None]
-
     @staticmethod
     def build(pauli_sum):
         return realize(pauli_sum)
 
     def propagate(self, psi, h, steps):
-        self.indices, block = h.invariant_block(psi)
-        if self.indices is None:
-            rows = evolve(psi, block, steps, self.propagator)
-            # a copy: a view would keep the block's rows alive
-            return rows, rows[-1].copy()
-        rows = evolve(psi[self.indices], block, steps, self.propagator)
-        last = np.zeros(psi.size, dtype=complex)
-        last[self.indices] = rows[-1]
-        return rows, last
+        rows = evolve(psi, h, steps, self.propagator)
+        # a copy: a view would keep the block's rows alive
+        return rows, rows[-1].copy()
 
     def read(self, rows, target):
         """The corrected and uncorrected overlaps and sigma_z of
-        consecutive states, ``rows`` on the basis states ``indices``,
-        ``target`` holding the branch targets of each."""
+        consecutive states, ``target`` holding the branch targets of
+        each."""
         # squared in place: one real array of the rows' size, alive only
         # while the block is recorded, not through the next evolve
         probs = np.abs(rows)
         probs **= 2
-        if self.indices is None:
-            at = rows[:, self.final]
-            sigma_z = _sigma_z_all(probs, self.n_spins)
-        else:
-            # a final index outside the block holds amplitude 0
-            pos = np.searchsorted(self.indices, self.final)
-            held = pos < self.indices.size
-            held[held] = self.indices[pos[held]] == self.final[held]
-            at = np.zeros((len(rows), self.final.size), dtype=complex)
-            at[:, held] = rows[:, pos[held]]
-            sigma_z = _sigma_z_on(probs, self.indices, self.n_spins)
+        at = rows[:, self.final]
         corrected = np.abs((target.conj() * at).sum(axis=1)) ** 2
         uncorrected = np.abs(at @ self.coefficient.conj()) ** 2
-        return corrected, uncorrected, sigma_z
+        return corrected, uncorrected, _sigma_z_all(probs, self.n_spins)
 
     def readout(self, state, tau, t_read, corrected, ratio):
         return _readout(state, self.k, self.branches, tau, t_read, corrected,
@@ -479,10 +438,11 @@ class _Covariances:
     amplitudes of ``fermions.amplitudes``.
     """
 
+    sigma_z = staticmethod(fermions.sigma_z)  # <Z_n> of a covariance stack
+
     def __init__(self, run, k: int, branches):
         N = run.n_spins
-        self.n_spins, self.k, self.branches = N, k, branches
-        self.alice_window = run._alice_window
+        self.run, self.n_spins, self.k, self.branches = run, N, k, branches
         self.block = max(fermions.BLOCK_BYTES // (8 * (2 * N + 2) ** 2), 1)
         self.window = fermions.Window(k)
         # each branch's index in Bob's register, and the target of the
@@ -498,12 +458,8 @@ class _Covariances:
     def start(self) -> np.ndarray:
         m = fermions.fock_covariance((0,) * (self.n_spins + 1))
         w = 2 * self.k + 2
-        m[:w, :w] = self.alice_window
+        m[:w, :w] = self.run._alice_window
         return m
-
-    @staticmethod
-    def rows(m: np.ndarray) -> np.ndarray:
-        return m[None]
 
     def build(self, pauli_sum):
         h = realize(pauli_sum, majorana=True)
@@ -523,7 +479,7 @@ class _Covariances:
         corrected, uncorrected = np.zeros(len(rows)), np.zeros(len(rows))
         corrected[kept] = p[kept] * self.window.overlaps(pf, phased)
         uncorrected[kept] = p[kept] * self.window.overlaps(pf, self.plain)
-        return corrected, uncorrected, fermions.sigma_z(rows)
+        return corrected, uncorrected, self.sigma_z(rows)
 
     def readout(self, m, tau, t_read, corrected, ratio):
         N, k = self.n_spins, self.k
@@ -539,6 +495,48 @@ class _Covariances:
         return _decoded(row, undo, k, f, ratio)
 
 
+class _XYWalls(_Covariances):
+    """The XY baseline on free fermions: XY spin n up is a wall on
+    interface n - 1, and the one stage is the reset stage of one-spin
+    registers at J = 0 without its pair-creation terms, which hops that
+    wall along interfaces 0..N-1 with the XY chain's profile and sign.
+    The payload's excitation comes with a static partner wall on
+    interface N, so that it is even.  As spin patterns of the Ising
+    chain, its branch runs from all up (walls on interfaces 0 and N) to
+    spin N alone up (walls on N - 1 and N), and all down stays all
+    down.  Bob's register, the trace overlaps and the readout are the
+    transfer's with k = 1.
+    """
+
+    def start(self) -> np.ndarray:
+        N = self.n_spins
+        beta, alpha = self.run.state.amplitudes
+        ends = [0, 1, 2 * N, 2 * N + 1]  # the Majoranas of interfaces 0, N
+        m = fermions.fock_covariance((0,) * (N + 1))
+        m[np.ix_(ends, ends)] = fermions.covariance(
+            np.array([beta, 0, 0, alpha]))
+        return m
+
+    def build(self, pauli_sum):
+        """The stage without its pair-creation terms: ``(A + W A W^T) /
+        2``, W the rotation by pi/2 in each mode's Majorana pair, which
+        keeps the hopping terms of A and flips the sign of its pair
+        terms."""
+        a = majorana_form(pauli_sum)
+        w = np.kron(np.eye(self.n_spins + 1), [[0.0, -1.0], [1.0, 0.0]])
+        h = MajoranaOperator((a + w @ a @ w.T) / 2)
+        self.stages.append(h)
+        return h
+
+    @staticmethod
+    def sigma_z(rows: np.ndarray) -> np.ndarray:
+        """XY ``<Z_n> = -M_2n-2,2n-1 = 1 - 2 <n_q>``, q = n - 1 the
+        interface of spin n's wall, n = 1..N, of each covariance of a
+        stack; shape ``(N, rows)``."""
+        q = np.arange(rows.shape[-1] // 2 - 1)
+        return -rows[:, 2 * q, 2 * q + 1].T
+
+
 def _window_start(times) -> int:
     """Index of the first sample of the peak window, which ends at the
     readout time, the last sample."""
@@ -549,14 +547,14 @@ def _trace_run(path, state, stages, tau, n_samp, window_only=False):
     """Sample both fidelity traces and the sigma_z trace over all stages.
 
     ``stages`` holds one function per stage that builds its Hamiltonian
-    as a Pauli sum; ``path``, ``_Amplitudes`` or ``_Covariances``,
-    realizes it, propagates ``state`` and reads the samples.  Each
-    stage's operator is built when its stage starts and released before
-    the next one is built.  A stage is propagated in blocks of
-    ``path.block`` samples; each block starts from the last state of the
-    one before and is recorded as a whole.  The fidelity targets are the
-    branches' final patterns, each weighted by its coefficient and, in
-    the corrected trace, by its protocol phase.
+    as a Pauli sum; ``path``, ``_Amplitudes``, ``_Covariances`` or
+    ``_XYWalls``, realizes it, propagates ``state`` and reads the
+    samples.  Each stage's operator is built when its stage starts and
+    released before the next one is built.  A stage is propagated in
+    blocks of ``path.block`` samples; each block starts from the last
+    state of the one before and is recorded as a whole.  The fidelity
+    targets are the branches' final patterns, each weighted by its
+    coefficient and, in the corrected trace, by its protocol phase.
 
     With ``window_only`` only the samples of the peak window, at the end
     of the last stage, are recorded and returned: a stage that ends
@@ -584,7 +582,7 @@ def _trace_run(path, state, stages, tau, n_samp, window_only=False):
         uncorrected[span] = _unit_interval(uncorr, "uncorrected fidelity")
 
     if not first:
-        record(0, path.rows(state))
+        record(0, state[None])
     i = 1  # the next sample
     for build in stages:
         h = path.build(build())
@@ -689,17 +687,24 @@ def run_heisenberg_baseline(run: Baseline) -> ProtocolResult:
 
     The excitation branch arrives at the far end at tau with the known
     mirror phase (-i)^(N-1); the corrected trace and readout include it,
-    the uncorrected trace targets the phase-free state.
+    the uncorrected trace targets the phase-free state.  On
+    ``"krylov"`` the chain runs on free fermions (``_XYWalls``), on
+    ``"exact-eigendecomposition"`` on the 2^N amplitudes under
+    ``heisenberg_xy``, the independent computation.
     """
     N, lam = run.n_spins, run.lam
     beta, alpha = run.state.amplitudes
+    fermionic = free_fermion(run)
     branches = []
     if beta != 0:
         branches.append(_Branch(complex(beta), (0,) * N, (0,) * N,
                                 1.0 + 0j, 0.0, 0.0))
     if alpha != 0:
-        branches.append(_Branch(complex(alpha), (1,) + (0,) * (N - 1),
-                                (0,) * (N - 1) + (1,), _mirror_phase(N, 1),
-                                0.0, 0.0))
+        up = (1,) * N if fermionic else (1,) + (0,) * (N - 1)
+        branches.append(_Branch(complex(alpha), up, (0,) * (N - 1) + (1,),
+                                _mirror_phase(N, 1), 0.0, 0.0))
+    if fermionic:
+        return _run(run, _XYWalls(run, 1, branches),
+                    (lambda: multiqubit_reset_hamiltonian(N, 0.0, lam, 1),))
     return _run(run, _Amplitudes(run, 1, branches),
                 (lambda: heisenberg_xy(N, lam),))

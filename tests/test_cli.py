@@ -30,6 +30,7 @@ from dwtransfer.encoding import LogicalState
 from dwtransfer.protocol import (
     Baseline,
     Transfer,
+    free_fermion,
     run_single_qubit_transfer,
 )
 
@@ -706,9 +707,13 @@ class TestMemoryGuard:
     def test_chain_too_long_exits_1(self, request, tmp_path, capsys,
                                     command, n_spins):
         # a Gaussian payload runs on free fermions at these lengths
-        # (test_gaussian_transfer_runs_at_n40); GHZ needs 2^N amplitudes
+        # (test_gaussian_transfer_runs_at_n40), and so does the XY
+        # baseline on "krylov"; GHZ, and the baseline on the dense path,
+        # need 2^N amplitudes
         path = request.getfixturevalue(f"{command}_manifest")
-        extra = {"state": GHZ} if command == "transfer" else {}
+        extra = {"transfer": {"state": GHZ},
+                 "baseline": {"propagator": "exact-eigendecomposition"}
+                 }.get(command, {})
         cfg = with_fields(path, tmp_path, n_spins=n_spins, **extra)
         out = tmp_path / "o"
         assert run([command, "--config", cfg, "--out", out]) == 1
@@ -823,9 +828,21 @@ class TestMemoryGuard:
         with pytest.raises(ManifestError, match="'n_spins'"):
             _check_footprint(Baseline(22, 1.0, one, propagator=dense))
 
+    def test_free_fermion_baseline_runs_up_to_200_spins(self, tmp_path,
+                                                        baseline_manifest,
+                                                        capsys):
+        one = LogicalState(1, np.array([0.0, 1.0]))
+        assert free_fermion(Baseline(200, 1.0, one))
+        _check_footprint(Baseline(200, 1.0, one))
+        cfg = with_fields(baseline_manifest, tmp_path, n_spins=201)
+        out = tmp_path / "o"
+        assert run(["baseline", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "'n_spins'" in err and "at most 200 spins" in err
+        assert not any(out.iterdir())
+
     def test_chebyshev_transfer_runs_up_to_21_spins(self):
-        # a dense invariant block holds at most 2^N entries, one state
-        # vector, so it does not lower the state-vector limit
+        # GHZ is not Gaussian: its 2^N amplitudes set the limit
         ghz = LogicalState(3, np.array([1, 0, 0, 0, 0, 0, 0, 1])
                            / math.sqrt(2))
         _check_footprint(Transfer(21, 1.0, 22.0, ghz))

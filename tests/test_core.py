@@ -15,7 +15,6 @@ from dwtransfer.core import (
     PauliSum,
     PropagatorConfig,
     _complex,
-    _Dense,
     _evolve_exact,
     _jacobi_anger,
     _planar,
@@ -412,27 +411,22 @@ class TestChebyshev:
                                                            1.0, 2),
              "xy": lambda: heisenberg_xy(self.N, 1.0)}[ham]()
         h = realize(h)
+        # one up spin, which the XY chain keeps in its 7 one-excitation
+        # states, or a state on the whole space
         psi = basis_state([1] + [0] * (self.N - 1))
         if whole_space:
             psi = random_state(np.random.default_rng(5), self.N)
-        indices, block = h.invariant_block(psi)
-        # one up spin: the XY chain's 7 one-excitation states are a
-        # dense block; transport and reset hold it in 64 states, too
-        # many for one (64^2 > 2^7), so it runs on the whole space
-        assert (indices is None) == (whole_space or ham != "xy")
-        if indices is None:
-            indices = np.arange(h.dimension)
         if samples == "tau":
             times, step = np.array([TAU]), TAU
         else:
             step = TAU / 200
             times = step * np.arange(1, samples + 1)
-        out = evolve(psi[indices], block, times, KRYLOV)
+        out = evolve(psi, h, times, KRYLOV)
         u = expm(-1j * step * h.matrix.toarray())
         ref = psi
         for row in out:
             ref = u @ ref
-            assert np.abs(row - ref[indices]).max() < 1e-10
+            assert np.abs(row - ref).max() < 1e-10
 
     def test_constant_operator(self):
         # a zero-width interval: the series is its first term alone
@@ -504,15 +498,18 @@ class TestChebyshev:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_interval_is_the_gershgorin_interval(self, seed):
-        # random sums with X, Y and Z, and the blocks of one basis state
-        # in the protocol operators, against the dense matrix
+        # random sums with X, Y and Z, and, as dense arrays, the
+        # components of the protocol operators that hold one basis
+        # state, against the dense matrix
         rng = np.random.default_rng(seed)
         p = random_pauli_sum(rng, 6, 10)
         ops = [realize(p)]
         one = np.zeros(2**self.N)
         one[1 << (self.N - 1)] = 1.0
         for h in protocol_operators(self.N).values():
-            ops.append(h.invariant_block(one)[1])
+            (indices, _, _), = h.components(one)
+            ops.append(Operator(h.matrix.toarray()[np.ix_(indices,
+                                                          indices)]))
         for h in ops:
             full = h.matrix.toarray()
             assert np.count_nonzero(full) <= full.size / 4
@@ -533,6 +530,11 @@ class TestChebyshev:
 
 
 class TestInvariantBlock:
+    """The invariant block of a state, the union of the components of H
+    it occupies: ``evolve`` propagates the state on the whole space,
+    where the amplitudes outside its block stay zero, and the dense path
+    diagonalizes that block alone."""
+
     N = 7
 
     def inputs(self):
@@ -556,26 +558,22 @@ class TestInvariantBlock:
         n = self.N
         hams = protocol_operators(self.N)
         one = self.inputs()["one"]
-        indices, block = hams["xy"].invariant_block(one)
-        assert block.dimension == n
+        (indices, w, _), = hams["xy"].components(one)
+        assert w.size == n
         assert np.array_equal(indices, [1 << k for k in range(n)])
-        # spin 1 up: the 2^(n-1) states of its transport sector, too many
-        # for a dense block, so the whole space
-        indices, block = hams["transport"].invariant_block(one)
-        assert indices is None and block is hams["transport"]
+        # spin 1 up: the 2^(n-1) states of its transport sector
         assert [ix.size for ix, _, _ in hams["transport"].components(one)
                 ] == [2 ** (n - 1)]
         dense = random_state(np.random.default_rng(0), n)
-        indices, block = hams["transport"].invariant_block(dense)
-        assert indices is None and block is hams["transport"]
+        assert sum(ix.size for ix, _, _ in hams["transport"].components(
+            dense)) == 2**n
 
     def test_block_matches_restricted_matrix(self):
         h = protocol_operators(self.N)["xy"]
-        indices, block = h.invariant_block(self.inputs()["one"])
-        assert isinstance(block._h, _Dense)
+        (indices, w, v), = h.components(self.inputs()["one"])
         full = h.matrix.toarray()
-        assert np.array_equal(block.matrix.toarray(),
-                              full[np.ix_(indices, indices)])
+        assert np.abs((v * w) @ v.conj().T
+                      - full[np.ix_(indices, indices)]).max() < 1e-12
         outside = np.setdiff1d(np.arange(h.dimension), indices)
         assert not full[np.ix_(outside, indices)].any()
 
@@ -583,60 +581,55 @@ class TestInvariantBlock:
     @pytest.mark.parametrize("ham", ["transport", "reset", "xy"])
     @pytest.mark.parametrize("label", ["one", "two", "mixed"])
     def test_block_amplitudes_match_whole_space_rows(self, cfg, ham, label):
-        # the block's amplitudes under the block's operator give the
-        # whole-space rows restricted to the block (the whole space for
-        # the mixed state under transport)
+        # the rows of a grid vanish outside the state's block (nowhere
+        # for the mixed state under transport, whose block is the whole
+        # space), and one time gives the grid's row
         h = protocol_operators(self.N)[ham]
         psi = self.inputs()[label]
         times = np.array([0.0, 0.3, 0.7])
-        full = evolve(psi, h, times, cfg)
-        indices, block = h.invariant_block(psi)
-        if indices is None:
-            indices = np.arange(h.dimension)
-        rows = evolve(psi[indices], block, times, cfg)
-        assert rows.shape == (3, indices.size) and not rows.flags.writeable
-        assert np.abs(rows - full[:, indices]).max() < 1e-14
-        one = evolve(psi[indices], block, 0.7, cfg)
-        assert one.shape == (indices.size,)
+        rows = evolve(psi, h, times, cfg)
+        assert rows.shape == (3, h.dimension) and not rows.flags.writeable
+        inside = np.concatenate([ix for ix, _, _ in h.components(psi)])
+        outside = np.setdiff1d(np.arange(h.dimension), inside)
+        assert np.abs(rows[:, outside]).max(initial=0.0) < 1e-14
+        one = evolve(psi, h, 0.7, cfg)
+        assert one.shape == (h.dimension,)
         assert np.abs(one - rows[2]).max() < 1e-14
 
     def test_amplitude_vector_checked(self):
         h = protocol_operators(self.N)["xy"]
-        indices, block = h.invariant_block(self.inputs()["one"])
-        amp = self.inputs()["one"][indices]
+        amp = self.inputs()["one"]
         with pytest.raises(ValueError, match="not normalized"):
-            evolve(2 * amp, block, 0.5)
+            evolve(2 * amp, h, 0.5)
         with pytest.raises(DimensionMismatch):
-            evolve(amp[:-1], block, 0.5)
+            evolve(amp[:-1], h, 0.5)
         with pytest.raises(DimensionMismatch):
-            evolve(amp[None], block, 0.5)
+            evolve(amp[None], h, 0.5)
 
     @pytest.mark.parametrize("cfg", METHODS)
     def test_support_leaving_the_cache_recomputes(self, cfg):
         h = protocol_operators(self.N)["xy"]
         states = self.inputs()
-        _, first = h.invariant_block(states["one"])
-        # a support inside the cached set reuses the cached block
+        first, = h.components(states["one"])
+        # a support inside a cached component reuses its eigensystem
         shifted = basis_state([0, 1] + [0] * (self.N - 2))
-        assert h.invariant_block(shifted)[1] is first
+        again, = h.components(shifted)
+        assert all(a is b for a, b in zip(first, again))
         full = h.matrix.toarray()
         for label in ("two", "mixed", "one"):
             psi = states[label]
             out = evolve(psi, h, 1.3, cfg)
             ref = expm(-1j * 1.3 * full) @ psi
             assert np.abs(out - ref).max() < 1e-10
-        # the vacuum and one and two excitations: 29 states, too many
-        # for a dense block (29^2 > 2^7), so the whole space
-        indices, last = h.invariant_block(states["mixed"])
-        assert indices is None and last is h
+        # the vacuum and one and two excitations: 29 states
         assert sum(ix.size for ix, _, _ in h.components(states["mixed"])
                    ) == 1 + self.N + self.N * (self.N - 1) // 2
 
     @pytest.mark.parametrize("cfg", METHODS)
     @pytest.mark.parametrize("whole_space", [False, True])
     def test_operator_freed_without_cycle_collector(self, cfg, whole_space):
-        # the block cache must not refer back to its operator, or the
-        # cached eigensystems live until the next collection
+        # the caches evolve fills must not refer back to their operator,
+        # or the cached eigensystems live until the next collection
         h = realize(transport_hamiltonian(self.N, 22.0, 1.0))
         psi = self.inputs()["one"]
         if whole_space:  # a dense state fills both Z_1 sectors
@@ -644,30 +637,22 @@ class TestInvariantBlock:
         ref = weakref.ref(h)
         gc.disable()
         try:
-            indices, block = h.invariant_block(psi)
-            evolve(psi if indices is None else psi[indices], block, 0.5,
-                   cfg)
-            del h, block
+            evolve(psi, h, 0.5, cfg)
+            del h
             assert ref() is None
         finally:
             gc.enable()
 
     @pytest.mark.parametrize("cfg", METHODS)
     @pytest.mark.parametrize("ham", ["transport", "xy"])
-    def test_evolve_propagates_the_operator_it_is_given(self, cfg, ham,
-                                                        monkeypatch):
-        # evolve takes no invariant block of its own: a state that has
-        # one (the XY chain's 7 one-excitation states) is still
-        # propagated on the whole space, and matches expm there
+    def test_evolve_propagates_the_operator_it_is_given(self, cfg, ham):
+        # a state with a small block (the XY chain's 7 one-excitation
+        # states) is still propagated on the whole space, and matches
+        # expm there
         h = {"transport": realize(transport_hamiltonian(self.N, 22.0, 1.0)),
              "xy": realize(heisenberg_xy(self.N, 1.0))}[ham]
         psi = self.inputs()["one"]
         full = h.matrix.toarray()
-
-        def refused(self, amp):
-            raise AssertionError("evolve called invariant_block")
-
-        monkeypatch.setattr(Operator, "invariant_block", refused)
         times = np.array([0.0, 0.4, 1.3])
         rows = evolve(psi, h, times, cfg)
         assert rows.shape == (3, h.dimension) and not rows.flags.writeable
@@ -760,26 +745,14 @@ class TestComponents:
                 assert len(got) == len(want)
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w)
-            # the block of a state is the union of the sets it touches;
-            # a fresh operator each time, as a cached block is kept while
-            # the support stays inside it
+            # a state occupies the sets it touches; a fresh operator
+            # each time, as the components found are cached
             for seed_index in (0, h.dimension // 3, h.dimension - 1):
                 h = fresh()
                 amp = np.zeros(h.dimension)
                 amp[[seed_index, h.dimension // 2]] = 1.0
                 touched = [w for w in want if np.isin(
                     w, [seed_index, h.dimension // 2]).any()]
-                union = np.concatenate(touched)
-                indices, block = h.invariant_block(amp)
-                # a dense block holds no more entries than one state
-                # vector; a larger set runs on the whole space
-                if union.size**2 > h.dimension:
-                    assert indices is None and block is h
-                else:
-                    assert isinstance(block._h, _Dense)
-                    assert np.array_equal(indices, np.sort(union))
-                    assert np.array_equal(block.matrix.toarray(),
-                                          ref[indices][:, indices].toarray())
                 # only the components the state occupies
                 got = sorted((ix for ix, _, _ in h.components(amp)),
                              key=lambda s: s[0])
@@ -792,13 +765,13 @@ class TestComponents:
             h = fresh()
             amp = np.zeros(2**13)
             amp[1 << 12] = 1.0
-            indices, block = h.invariant_block(amp)
-            assert indices.size == 13
+            (indices, w, _), = h.components(amp)
+            assert np.array_equal(indices, [1 << k for k in range(13)])
+            assert w.size == 13
             amp[0] = 1.0
-            indices, block = h.invariant_block(amp)
-            assert np.array_equal(indices,
+            got = [ix for ix, _, _ in h.components(amp)]
+            assert np.array_equal(np.sort(np.concatenate(got)),
                                   [0] + [1 << k for k in range(13)])
-            assert isinstance(block._h, _Dense)
 
     @pytest.mark.parametrize("layout", [(2, 3, 2), (1, 5, 1)])
     def test_eigensystem_per_component(self, layout):

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from dwtransfer import protocol
 from dwtransfer.core import (
+    MajoranaOperator,
     PropagatorConfig,
     basis_index,
     evolve,
@@ -127,6 +128,37 @@ class TestHeisenbergBaseline:
         res = run_heisenberg_baseline(
             Baseline(5, 1.0, logical_one(), n_time_samples=30))
         assert np.allclose(res.fidelity_corrected, res.fidelity_uncorrected)
+
+    @pytest.mark.parametrize("N", [2, 3, 5, 13])
+    @pytest.mark.parametrize("amplitudes", [
+        [0, 1], [1, 0], [0.6, 0.8j], [np.exp(0.3j) * S2, S2]])
+    def test_free_fermions_match_the_dense_path(self, N, amplitudes):
+        # |1>, |0>, 0.6|0> + 0.8i|1> and (e^0.3i |0> + |1>)/sqrt 2 on
+        # wall fermions and on the 2^N amplitudes
+        payload = LogicalState(1, np.array(amplitudes, dtype=complex))
+        runs = [run_heisenberg_baseline(Baseline(
+            N, 1.0, payload, n_time_samples=40,
+            propagator=PropagatorConfig(method))) for method in (
+                "krylov", "exact-eigendecomposition")]
+        for name in ("times", "fidelity_corrected", "fidelity_uncorrected",
+                     "sigma_z_trace", "final_fidelity", "peak_fidelity"):
+            assert np.abs(getattr(runs[0], name)
+                          - getattr(runs[1], name)).max() <= 1e-12, name
+        assert np.abs(runs[0].final_logical.amplitudes
+                      - runs[1].final_logical.amplitudes).max() <= 1e-12
+        assert runs[0].phases == runs[1].phases
+
+    def test_closed_form_at_n101(self):
+        # beyond any state vector: the uncorrected trace of |1> and the
+        # sigma_z of spin N follow |[-i sin(t/2)]^(N-1)|^2
+        N = 101
+        res = run_heisenberg_baseline(
+            Baseline(N, 1.0, logical_one(), n_time_samples=40))
+        arrived = np.array([abs(transfer_amplitude_closed_form(N, 1.0, t))
+                            ** 2 for t in res.times])
+        assert np.abs(res.fidelity_uncorrected - arrived).max() <= 1e-11
+        assert np.abs(res.sigma_z_trace[N - 1]
+                      - (1 - 2 * arrived)).max() <= 1e-11
 
 
 class TestSingleQubitTransfer:
@@ -486,24 +518,23 @@ class TestTraceRun:
             gc.enable()
         assert len(built) == 2 and built[1]() is None
 
-    @pytest.mark.parametrize("whole_space", [False, True])
-    def test_carried_state_holds_no_rows(self, whole_space):
+    @pytest.mark.parametrize("dense_state", [False, True])
+    def test_carried_state_holds_no_rows(self, dense_state):
         # the state carried into the next block is its own array, so the
-        # block's rows are freed once they are recorded
+        # block's rows are freed once they are recorded; one up spin
+        # under the XY chain, or every basis state under transport
         n = 7
         path = protocol._Amplitudes(Transfer(n, 1.0, 22.0, logical_one()), 1,
                                     [])
         psi = basis_state([1] + [0] * (n - 1))
-        if whole_space:
+        if dense_state:
             psi = np.full(2**n, 2 ** (-n / 2), dtype=complex)
-        # the XY chain holds one up spin in a dense block of n states
-        h = realize(transport_hamiltonian(n, 22.0, 1.0) if whole_space
+        h = realize(transport_hamiltonian(n, 22.0, 1.0) if dense_state
                     else heisenberg_xy(n, 1.0))
         rows, last = path.propagate(psi, h, np.array([0.01, 0.02]))
-        assert (path.indices is None) == whole_space
+        assert rows.shape == (2, 2**n)
         assert last.shape == (2**n,) and last.base is None
-        assert np.array_equal(last if whole_space else last[path.indices],
-                              rows[-1])
+        assert np.array_equal(last, rows[-1])
 
 
 class TestTraceOverlaps:
@@ -572,24 +603,26 @@ class TestTraceOverlaps:
 
 
 class TestBlockRead:
-    """The state-vector path reads each block of samples on its
-    invariant block: overlaps and sigma_z match the same rows scattered
-    into the whole space."""
+    """The state-vector path reads each block of samples on the whole
+    space: overlaps and sigma_z match the whole-space reference.  The XY
+    baseline on "krylov" reads covariances instead."""
 
     @pytest.fixture
     def reads(self, monkeypatch):
-        """``(indices, rows, target, result)`` of every read, and the
-        widths of the rows ``evolve`` returns to the protocol."""
-        seen = {"reads": [], "widths": []}
+        """``(path, rows, target, result)`` of every state-vector read,
+        and the operator and the width of the rows of every ``evolve``
+        call of the protocol."""
+        seen = {"reads": [], "widths": [], "operators": []}
         read = protocol._Amplitudes.read
 
         def recording_read(path, rows, target):
             out = read(path, rows, target)
-            seen["reads"].append((path, path.indices, rows, target, out))
+            seen["reads"].append((path, rows, target, out))
             return out
 
-        def recording_evolve(*args):
-            out = evolve(*args)
+        def recording_evolve(state, h, *args):
+            out = evolve(state, h, *args)
+            seen["operators"].append(h)
             seen["widths"].append(out.shape[-1])
             return out
 
@@ -599,42 +632,44 @@ class TestBlockRead:
 
     @staticmethod
     def assert_match_whole_space(seen, n):
-        for path, indices, rows, target, (corr, uncorr, sz) in seen["reads"]:
-            full = np.zeros((len(rows), 2**n), dtype=complex)
-            if indices is None:
-                full[:] = rows
-            else:
-                full[:, indices] = rows
-            at = full[:, path.final]
+        for path, rows, target, (corr, uncorr, sz) in seen["reads"]:
+            assert rows.shape[1] == 2**n
+            at = rows[:, path.final]
             assert np.abs(corr - np.abs((target.conj() * at).sum(axis=1))
                           ** 2).max() <= 1e-15
             assert np.abs(uncorr - np.abs(at @ path.coefficient.conj())
                           ** 2).max() <= 1e-15
-            assert np.abs(sz - _sigma_z_all(np.abs(full) ** 2, n)
+            assert np.abs(sz - _sigma_z_all(np.abs(rows) ** 2, n)
                           ).max() <= 1e-15
 
-    def test_xy_baseline_dense_block(self, reads):
+    def test_xy_baseline_dense_block(self, reads, monkeypatch):
+        # the dense path keeps the baseline on the 2^N amplitudes and
+        # diagonalizes the vacuum and the 13 one-excitation states alone
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            sizes.append(a.shape[0])
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         payload = LogicalState(1, np.array([0.6, 0.8j]))
         run_heisenberg_baseline(Baseline(13, 1.0, payload,
-                                         n_time_samples=50))
-        # the vacuum and the 13 one-excitation states
-        assert set(reads["widths"]) == {14}
-        assert {len(ix) for _, ix, *_ in reads["reads"][1:]} == {14}
+                                         n_time_samples=50,
+                                         propagator=EXACT))
+        assert sorted(sizes) == [1, 13]
+        assert set(reads["widths"]) == {2**13}
         self.assert_match_whole_space(reads, 13)
 
     def test_transport_block_on_the_dense_path(self, reads):
-        # |1> keeps spin 1 up through transport: 256 of 512 states, too
-        # many for a dense block (256^2 > 2^9), so the dense path reads
-        # the whole space and diagonalizes that one sector
+        # |1> keeps spin 1 up through transport: the dense path
+        # diagonalizes that one sector of 256 of 512 states
         h = realize(transport_hamiltonian(9, 22.0, 1.0))
         one = basis_state([1] + [0] * 8)
-        indices, block = h.invariant_block(one)
-        assert indices is None and block is h
         assert [ix.size for ix, _, _ in h.components(one)] == [256]
         run_multi_qubit_transfer(Transfer(9, 1.0, 22.0, logical_one(),
                                           n_time_samples=40,
                                           propagator=EXACT))
-        assert all(ix is None for _, ix, *_ in reads["reads"][1:])
         assert set(reads["widths"]) == {2**9}
         self.assert_match_whole_space(reads, 9)
 
@@ -642,16 +677,18 @@ class TestBlockRead:
         ghz = LogicalState(3, np.array([S2, 0, 0, 0, 0, 0, 0, S2]))
         run_multi_qubit_transfer(Transfer(7, 1.0, 22.0, ghz,
                                           n_time_samples=30))
-        assert all(ix is None for _, ix, *_ in reads["reads"][1:])
         assert set(reads["widths"]) == {2**7}
         self.assert_match_whole_space(reads, 7)
 
     def test_n13_baseline_holds_no_whole_space_rows(self, reads):
+        # on "krylov" every evolve call propagates a covariance of the
+        # 28 wall Majoranas, and nothing is read on the state vector
         run_heisenberg_baseline(Baseline(13, 1.0, logical_one()))
-        # one excitation: 13 states, in 20 blocks of 10 samples
-        assert reads["widths"] == [13] * 20
-        assert max(rows.shape[1] for *_, rows, _, _ in reads["reads"]) == 13
-        assert sum(len(rows) for *_, rows, _, _ in reads["reads"]) == 201
+        assert reads["operators"]
+        assert all(isinstance(h, MajoranaOperator)
+                   for h in reads["operators"])
+        assert set(reads["widths"]) == {28}
+        assert not reads["reads"]
 
 
 class TestGlobalPhase:
@@ -861,5 +898,5 @@ class TestReadout:
             *args[:-2], args[-2] and corrected, args[-1]))
         payload = LogicalState(1, np.array([0.6, 0.8j]))
         res = run_heisenberg_baseline(
-            Baseline(6, 1.0, payload, n_time_samples=20))
+            Baseline(6, 1.0, payload, n_time_samples=20, propagator=EXACT))
         self.assert_match_reference(res, readouts, payload)
