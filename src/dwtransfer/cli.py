@@ -59,9 +59,9 @@ STATE_VECTORS = 48
 # complex matrices of the size of the readout Pfaffians, 4N + 2k + 6, a
 # free-fermion run holds at once besides its blocks of covariances
 PFAFFIAN_MATRICES = 8
-# longest chain a free-fermion run may take: its time grows about as N^3
-# per sample, and at N = 200 a transfer of 20 samples per stage already
-# takes about half a minute (26 s in-process)
+# longest chain a free-fermion run may take.  At N = 200 a |1> transfer
+# of 20 samples per stage takes 3.1-3.4 s in-process, most of it the
+# readout's complex Pfaffians; raising the cap is ROADMAP item 10
 FREE_FERMION_SPINS_MAX = 200
 # bytes of the Jacobi-Anger table of one Chebyshev evolve call, per row
 # and per unit of a t + 64 (a the half-width of H's spectrum): up to 5.5
@@ -367,8 +367,10 @@ def _write_run(out: Path, manifest: dict, result: ProtocolResult):
 
     Each trace file is formatted in blocks of samples, each block one
     %-format on Python floats: the same text as format(x, ".17g") value
-    by value.  A value takes about 185 bytes while it is formatted, so
-    a block of at most 2^14 sigma_z values bounds that to a few MB.
+    by value.  In sigma_z.csv each time is formatted once, into the
+    template of its sample's lines, whose site numbers are literal
+    text.  A value takes about 185 bytes while it is formatted, so a
+    block of at most 2^14 sigma_z values bounds that to a few MB.
     """
     times, sigma_z = result.times, result.sigma_z_trace
     n_sites = sigma_z.shape[0]
@@ -382,12 +384,14 @@ def _write_run(out: Path, manifest: dict, result: ProtocolResult):
         return ("%.17g,%.17g,%.17g\n" * len(block)
                 % tuple(block.ravel().tolist()))
 
+    lines = [f",{n},%.17g\n" for n in range(1, n_sites + 1)]
+
     def sites(span):
         t = times[span]
-        block = np.column_stack([np.repeat(t, n_sites),
-                                 np.tile(np.arange(1, n_sites + 1), t.size),
-                                 sigma_z[:, span].T.ravel()])
-        return "%.17g,%d,%.17g\n" * len(block) % tuple(block.ravel().tolist())
+        stamps = ("%.17g\n" * t.size % tuple(t.tolist())).split("\n")[:-1]
+        template = "".join([stamp + line for stamp in stamps
+                            for line in lines])
+        return template % tuple(sigma_z[:, span].T.ravel().tolist())
 
     _write_csv(out / "fidelity_trace.csv", manifest, itertools.chain(
         ["t,fidelity_corrected,fidelity_uncorrected\n"],

@@ -21,6 +21,12 @@ Under ``H = (i/4) sum_jk A_jk gamma_j gamma_k`` it evolves as
 expectations from it: an ordered product of 2r distinct Majoranas has
 ``<gamma_S> = (-i)^r Pf(M_S)``.  The Fock basis of a few modes, used
 for the payload and Bob's register, has mode 0 as its leading bit.
+
+A spin's ``<Z_n>`` is the parity of the walls on one side of it, the
+Pfaffian of a leading or a trailing block of M.  ``sigma_z`` reads all
+of them from one unpivoted elimination of a stack of covariances, from
+both chain ends, and redoes with pivoting each row whose elimination
+grows past ``GROWTH_MAX``.
 """
 
 from __future__ import annotations
@@ -37,6 +43,11 @@ BLOCK_BYTES = 2**18  # bytes of one stack of matrices worked on at once
 # probability of an empty rest of the chain below which the full-chain
 # fidelities, which it bounds, read 0
 EMPTY_FLOOR = 1e-14
+# largest growth max|u| max|b_0| of sigma_z's unpivoted elimination that
+# a row may reach; past it the row is redone with pivoting.  Covariance
+# entries are at most 1 and a step's update at most 2 GROWTH_MAX, so
+# each step adds a rounding error of at most a few thousand eps
+GROWTH_MAX = 1e3
 
 
 def pfaffian(a: np.ndarray) -> np.ndarray:
@@ -137,9 +148,60 @@ def sigma_z(ms: np.ndarray) -> np.ndarray:
     ``Z_n = w_0 ... w_n-1`` with ``w_q = -i gamma_2q gamma_2q+1``, and
     also ``w_n ... w_N``, as the wall number is even: ``(-1)^m Pf`` of
     the leading ``2m = 2n`` or the trailing ``2m = 2(N + 1 - n)``
-    block, whichever is smaller.  The blocks of one size are one
-    Pfaffian stack.
+    block.  Spins n <= (N + 1)/2 take the leading block, the others the
+    trailing one, which is the leading block of the covariance with its
+    Majorana pairs in reverse order, an even permutation.
+
+    Both orders, cut to their leading ``2 head`` rows and columns, head
+    = floor((N + 1)/2), go through one unpivoted Parlett-Reid
+    elimination as one stack.  Step j takes the pivot ``M_2j,2j+1`` and
+    the Schur complement of its 2 x 2 block, ``M' = M + u b_0^T - b_0
+    u^T`` on the rows and columns after it, with ``b_0`` row 2j and
+    ``u`` row 2j + 1 over the pivot; the leading Pfaffian of size 2(j +
+    1) is the product of the pivots so far.  A row's growth is the
+    largest ``max|u| max|b_0|`` over its steps in both orders.  A
+    small pivot, where some ``<Z_m>`` is near 0, makes it large; a row
+    whose growth exceeds ``GROWTH_MAX``, or is not finite, is redone by
+    ``_sigma_z_pivoted``.
     """
+    modes, rows = ms.shape[-1] // 2, ms.shape[0]
+    head = modes // 2  # spins 1..head read the leading order
+    tail = modes - 1 - head  # and spins N..head + 1 the reversed one
+    back = (2 * np.arange(modes - 1, modes - 1 - head, -1)[:, None]
+            + (0, 1)).ravel()
+    a = np.concatenate([ms[:, :2 * head, :2 * head],
+                        ms[:, back[:, None], back]])
+    pivots = np.empty((2 * rows, head))
+    growth = np.zeros(2 * rows)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j in range(head - 1):
+            pivots[:, j] = a[:, 0, 1]
+            b0 = a[:, 0, 2:]
+            u = a[:, 1, 2:] / a[:, 0, 1, None]
+            step = np.abs(u).max(axis=1) * np.abs(b0).max(axis=1)
+            # np.maximum keeps a NaN, which fails the bound below
+            growth = np.maximum(growth, step)
+            a = a[:, 2:, 2:]
+            # an outer product and its transpose: a stacked matmul would
+            # wake a second BLAS thread, which slows the rest of the run
+            update = u[:, :, None] * b0[:, None, :]
+            a += update
+            a -= update.transpose(0, 2, 1)
+        pivots[:, -1] = a[:, 0, 1]
+        z = np.cumprod(-pivots, axis=1)  # (-1)^m Pf of the leading 2m
+    out = np.empty((modes - 1, rows))
+    out[:head] = z[:rows].T
+    out[head:] = z[rows:, :tail].T[::-1]
+    redo = ~(np.maximum(growth[:rows], growth[rows:]) <= GROWTH_MAX)
+    if redo.any():
+        out[:, redo] = _sigma_z_pivoted(ms[redo])
+    return out
+
+
+def _sigma_z_pivoted(ms: np.ndarray) -> np.ndarray:
+    """``sigma_z`` from one pivoted ``pfaffian`` stack per block size:
+    the leading and the trailing block of size 2m, for m = 1..(N +
+    1)/2, each read as the smaller of the two for its spin."""
     modes, rows = ms.shape[-1] // 2, ms.shape[0]
     out = np.empty((modes - 1, rows))
     for m in range(1, modes // 2 + 1):

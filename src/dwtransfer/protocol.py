@@ -58,7 +58,9 @@ from .hamiltonians import (
 )
 
 PEAK_WINDOW = 0.05  # peak search window before the readout time, fractional
-FIDELITY_ROUNDOFF = 1e-9  # largest excursion outside [0, 1] clamped silently
+# largest excursion outside [0, 1] clamped silently, and the spread within
+# which samples of the peak window tie for the peak
+FIDELITY_ROUNDOFF = 1e-9
 # bytes of the states one evolve call returns: ten at N = 13, where
 # twenty add 6.5 MB to the peak RSS of a transfer
 TRACE_BYTES = 10 * 16 * 2**13
@@ -603,8 +605,13 @@ def _trace_run(path, state, stages, tau, n_samp, window_only=False):
 
 
 def _peak_in_window(times, trace):
+    """The peak of ``trace`` in the peak window and its time: the latest
+    sample within ``FIDELITY_ROUNDOFF`` of the window's maximum, so that
+    round-off does not pick the sample of a flat trace."""
     start = _window_start(times)
-    best = start + int(np.argmax(trace[start:]))
+    window = trace[start:]
+    best = start + int(np.flatnonzero(
+        window >= window.max() - FIDELITY_ROUNDOFF)[-1])
     return float(trace[best]), float(times[best])
 
 

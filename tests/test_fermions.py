@@ -2,6 +2,7 @@
 Pfaffian, and whole transfers against the dense state-vector path."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,93 @@ class TestPfaffian:
 
 def payload(k, amplitudes):
     return LogicalState(k, np.asarray(amplitudes, dtype=complex))
+
+
+def trace_covariances(n_spins, state, n_samp, j=22.007):
+    """The covariance at every trace sample of a transfer of ``state``,
+    both stages, the start included: ``(2 n_samp + 1, 2N + 2, 2N +
+    2)``."""
+    run = Transfer(n_spins, 1.0, j, state, n_time_samples=n_samp)
+    m = fermions.fock_covariance((0,) * (n_spins + 1))
+    w = 2 * state.n_logical + 2
+    m[:w, :w] = run._alice_window
+    steps = np.arange(1, n_samp + 1) * math.pi / n_samp
+    rows = [m[None]]
+    for p in (transport_hamiltonian(n_spins, j, 1.0),
+              multiqubit_reset_hamiltonian(n_spins, j, 1.0, state.n_logical)):
+        rows.append(evolve(rows[-1][-1], realize(p, majorana=True), steps))
+    return np.concatenate(rows)
+
+
+def zero_pivot_covariance(n_spins, seed):
+    """A pure-state covariance with ``M_01 = 0`` exactly, so <Z_1> = 0:
+    a random rotation of the Majoranas after the first two, then
+    ``gamma_1`` and ``gamma_2`` exchanged."""
+    size = 2 * n_spins + 2
+    a = np.random.default_rng(seed).normal(size=(size - 2, size - 2))
+    r = np.eye(size)
+    r[2:, 2:] = scipy.linalg.expm(a - a.T)
+    r[[1, 2]] = r[[2, 1]]
+    m = r @ fermions.fock_covariance((0, 1) * (n_spins // 2)
+                                     + (0,) * (n_spins % 2 + 1)) @ r.T
+    assert m[0, 1] == 0.0
+    return m
+
+
+def pivoted_rows(monkeypatch):
+    """The number of rows of each call of the pivoted fallback."""
+    seen = []
+    pivoted = fermions._sigma_z_pivoted
+
+    def recording(ms):
+        seen.append(len(ms))
+        return pivoted(ms)
+
+    monkeypatch.setattr(fermions, "_sigma_z_pivoted", recording)
+    return seen
+
+
+BELL = payload(2, [S2, 0, 0, S2])
+
+
+class TestSigmaZ:
+    @pytest.mark.parametrize("state", [
+        logical_basis([1]), payload(1, [S2, S2]), BELL],
+        ids=["one", "alpha=beta", "bell"])
+    @pytest.mark.parametrize("n_spins, n_samp", [(13, 200), (101, 2)])
+    def test_matches_the_pivoted_path(self, state, n_spins, n_samp):
+        # the pivoted path on float64 and on long double copies; the
+        # growth bound keeps the elimination within 1e-12 of both
+        ms = trace_covariances(n_spins, state, n_samp)
+        got = fermions.sigma_z(ms)
+        assert got.shape == (n_spins, 2 * n_samp + 1)
+        for ref in (fermions._sigma_z_pivoted(ms),
+                    fermions._sigma_z_pivoted(ms.astype(np.longdouble))):
+            assert np.abs(got - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_spins", [3, 8, 13])
+    @pytest.mark.parametrize("pivot", [0.0, 1e-310])
+    def test_zero_leading_pivot(self, n_spins, pivot, monkeypatch):
+        # a zero pivot divides by zero, a subnormal one overflows
+        seen = pivoted_rows(monkeypatch)
+        m = zero_pivot_covariance(n_spins, n_spins)
+        m[0, 1], m[1, 0] = pivot, -pivot
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fermions.sigma_z(m[None])
+        assert seen == [1]
+        assert np.isfinite(got).all() and got[0, 0] == -pivot
+        assert np.array_equal(got, fermions._sigma_z_pivoted(m[None]))
+
+    def test_mixed_stack_reads_each_row_as_alone(self, monkeypatch):
+        ms = np.concatenate([trace_covariances(13, payload(1, [S2, S2]), 20),
+                             zero_pivot_covariance(13, 1)[None]])
+        seen = pivoted_rows(monkeypatch)
+        got = fermions.sigma_z(ms)
+        assert 0 < seen[0] < len(ms)  # good rows and redone rows
+        for i in range(len(ms)):
+            alone = fermions.sigma_z(ms[i:i + 1])
+            assert np.array_equal(got[:, i:i + 1], alone)
 
 
 class TestPathChoice:

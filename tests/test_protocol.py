@@ -148,6 +148,20 @@ class TestHeisenbergBaseline:
                       - runs[1].final_logical.amplitudes).max() <= 1e-12
         assert runs[0].phases == runs[1].phases
 
+    @pytest.mark.parametrize("N", [5, 9, 14])
+    def test_flat_vacuum_peaks_at_the_readout_time(self, N):
+        # the vacuum's corrected trace is 1 within round-off on wall
+        # fermions and exactly 1 on the 2^N amplitudes, so both paths
+        # read the window's latest sample, the readout time.  argmax
+        # read the first sample on the dense path and whichever sample
+        # round-off put highest on wall fermions: 2.332 at N = 5, 2.368
+        # at N = 9 and 2.405 at N = 14
+        vac = LogicalState(1, np.array([1.0, 0.0], dtype=complex))
+        for method in ("krylov", "exact-eigendecomposition"):
+            res = run_heisenberg_baseline(Baseline(
+                N, 1.3, vac, propagator=PropagatorConfig(method)))
+            assert res.peak_time == res.times[-1] == math.pi / 1.3, method
+
     def test_closed_form_at_n101(self):
         # beyond any state vector: the uncorrected trace of |1> and the
         # sigma_z of spin N follow |[-i sin(t/2)]^(N-1)|^2
