@@ -17,6 +17,10 @@ import numpy as np
 NORM_DRIFT_TOL = 1e-9  # largest norm drift of a propagated state
 HERMITICITY_TOL = 1e-12
 CHEBYSHEV_BATCH = 16  # Chebyshev vectors per output product; at least 3
+# largest asymmetry, relative to a component's largest entry, of a mirror
+# that splits it (_Factors.mirror); the protocol stages measure either
+# <= 1.5e-16 (a symmetry) or >= 0.31 (none)
+MIRROR_TOL = 16 * np.finfo(float).eps
 
 _PAULI_LABELS = ("X", "Y", "Z")
 
@@ -143,13 +147,18 @@ class Operator:
         basis indices and the eigensystem of H on it (``eigensystem``).
 
         A component is grown by ``_closure`` from an entry of the support
-        that no component found so far holds, and is diagonalized once,
-        as a dense copy that is dropped once ``eigh`` has run; a
-        component that is the whole space is this operator's own
-        ``eigensystem``.  Each basis index keeps the label of its
-        component.  The cache holds those labels and the eigensystems,
-        never this operator, so dropping the operator frees them without
-        the cycle collector.
+        that no component found so far holds, and is diagonalized once.
+        Where a spin mirror of a Pauli sum commutes with H on it
+        (``_Factors.mirror``), that is two ``eigh`` of about half the
+        size, on its even and its odd states (``_mirror_eigensystem``):
+        ``w`` is then the even half's eigenvalues followed by the odd
+        half's, each ascending, and ``v`` is still real and orthogonal.
+        Otherwise it is one ``eigh`` of a dense copy that is dropped once
+        ``eigh`` has run; a component that is the whole space is this
+        operator's own ``eigensystem``.  Each basis index keeps the label
+        of its component.  The cache holds those labels and the
+        eigensystems, never this operator, so dropping the operator
+        frees them without the cycle collector.
         """
         if self._parts is None:
             self._parts = (np.full(self.dimension, -1), [])
@@ -161,9 +170,15 @@ class Operator:
                 break
             indices = np.flatnonzero(_closure(self._h, fresh[:1]))
             label[indices] = len(systems)
-            op = (self if indices.size == self.dimension
-                  else Operator(_Dense(self._h.block(indices))))
-            systems.append((indices, *op.eigensystem()))
+            pairs = (self._h.mirror(indices)
+                     if isinstance(self._h, _Factors) else None)
+            if pairs is not None:
+                system = _mirror_eigensystem(self._h, indices, pairs)
+            else:
+                system = (self if indices.size == self.dimension
+                          else Operator(_Dense(self._h.block(indices)))
+                          ).eigensystem()
+            systems.append((indices, *system))
         # marked, not np.unique'd: np.unique imports numpy.ma
         touched = np.zeros(len(systems), dtype=bool)
         touched[label[support]] = True
@@ -340,12 +355,65 @@ class _Factors:
         """H on a sorted index set that it maps into itself."""
         d = indices.size
         sub = np.zeros((d, d), dtype=self.weights.dtype)
-        sub[np.diag_indices(d)] = self.diag.reshape(-1)[indices]
+        rows, cols, values = self.local_entries(indices)
+        sub[rows, cols] = values
+        return sub
+
+    def local_entries(self, indices: np.ndarray) -> tuple:
+        """``(rows, columns, values)`` of H on a sorted index set that it
+        maps into itself, as positions in ``indices``: the whole
+        diagonal, then the nonzero entries off it."""
+        d = indices.size
         w = self.weights[:, indices]
         nz = w != 0
         rows = np.searchsorted(indices, (indices ^ self.flips[:, None])[nz])
-        sub[rows, np.nonzero(nz)[1]] = w[nz]
-        return sub
+        diagonal = np.arange(d)
+        return (np.concatenate((diagonal, rows)),
+                np.concatenate((diagonal, np.nonzero(nz)[1])),
+                np.concatenate((self.diag.reshape(-1)[indices], w[nz])))
+
+    def mirror(self, indices: np.ndarray):
+        """Position in ``indices`` of the image of each of its entries
+        under a spin mirror that commutes with H on them, or None.
+
+        ``active``, the spins some term flips, are reflected (``R``),
+        and then all flipped as well when ``R`` alone fails: a stage
+        that freezes spins at both ends of its active ones commutes with
+        ``R`` when the two ends agree and with the flipped ``R`` when
+        they differ.  A map is taken when it maps ``indices`` onto
+        itself, keeps the diagonal, and maps each flip mask ``f`` to a
+        flip mask ``R(f)`` with ``weights[R(f)]`` at each image the
+        ``weights[f]`` at its source, all within ``MIRROR_TOL`` of the
+        largest entry.  That is O(|flips| d) reads and no dense copy.
+        None for complex weights, and when every entry would be its own
+        image (no odd states).
+        """
+        if np.iscomplexobj(self.weights) or not self.flips.size:
+            return None
+        active = int(np.bitwise_or.reduce(self.flips))
+        bits = np.flatnonzero(active >> np.arange(active.bit_length()) & 1)
+
+        def reflect(x):
+            moved = (x[:, None] >> bits & 1) << bits[::-1]
+            return x & ~active | moved.sum(axis=1)
+
+        image_flips = reflect(self.flips)
+        flip_rows = np.minimum(np.searchsorted(self.flips, image_flips),
+                               self.flips.size - 1)
+        if (self.flips[flip_rows] != image_flips).any():
+            return None
+        diag = self.diag.reshape(-1)[indices]
+        w = self.weights[:, indices]
+        tol = MIRROR_TOL * max(np.abs(diag).max(), np.abs(w).max())
+        own, mirrored = np.arange(indices.size), reflect(indices)
+        for toggle in (0, active):
+            image = mirrored ^ toggle
+            pos = np.minimum(np.searchsorted(indices, image), own[-1])
+            if ((indices[pos] == image).all() and (pos != own).any()
+                    and np.abs(diag[pos] - diag).max() <= tol
+                    and np.abs(w[flip_rows[:, None], pos] - w).max() <= tol):
+                return pos
+        return None
 
     def entries(self) -> tuple:
         idx = np.arange(self.dimension)
@@ -434,6 +502,45 @@ def _closure(h, seeds: np.ndarray) -> np.ndarray:
     return inside
 
 
+def _mirror_eigensystem(h, indices: np.ndarray, pairs: np.ndarray) -> tuple:
+    """``(w, v)`` of the form ``h`` on ``indices`` from two ``eigh``, of
+    its even and its odd states under the mirror ``i -> pairs[i]``
+    (``_Factors.mirror``).
+
+    The even states are ``e_i`` for a fixed point and ``(e_i + e_g)/sqrt 2``
+    for a pair ``i < g``, the odd ones ``(e_i - e_g)/sqrt 2``, each
+    numbered in the order of ``i``.  Each half is summed from the
+    nonzero entries of H on ``indices`` by one ``bincount``, never
+    gathered from a dense copy, and its eigenvectors are scattered to
+    the rows of ``v``: the even half's columns first, then the odd's.
+    """
+    own = np.arange(indices.size)
+    fixed, lead = pairs == own, own < pairs
+    first = np.minimum(own, pairs)
+    even = (np.cumsum(fixed | lead) - 1)[first]
+    odd = (np.cumsum(lead) - 1)[first]
+    odd[fixed] = 0  # a fixed point has no odd state: its weight is 0
+    n_even = indices.size - int(np.count_nonzero(lead))
+    half = np.sqrt(0.5)
+    rows, cols, values = h.local_entries(indices)
+    w, v = np.empty(indices.size), np.empty((indices.size,) * 2)
+    for label, weight, part in (
+            (even, np.where(fixed, 1.0, half), slice(None, n_even)),
+            (odd, np.where(fixed, 0.0, np.where(lead, half, -half)),
+             slice(n_even, None))):
+        size = int(label.max()) + 1
+        block = np.bincount(label[rows] * size + label[cols],
+                            weight[rows] * weight[cols] * values,
+                            minlength=size**2).reshape(size, size)
+        w[part], vectors = Operator(_Dense(block)).eigensystem()
+        del block
+        # every label is in range; "clip" writes into v directly, where
+        # the default "raise" would buffer a copy of the part
+        np.take(vectors, label, axis=0, out=v[:, part], mode="clip")
+        v[:, part] *= weight[:, None]
+    return w, v
+
+
 @dataclass(frozen=True)
 class PropagatorConfig:
     """How a run approximates ``exp(-i H t)``.
@@ -441,7 +548,10 @@ class PropagatorConfig:
     ``exact-eigendecomposition`` is the dense reference path: H is
     diagonalized once on each connected component of its nonzero
     pattern that a state occupies, in real arithmetic when H is real,
-    and only those components are propagated.  ``krylov``, the default,
+    and only those components are propagated.  A component that a spin
+    mirror maps onto itself, as every protocol stage's does, is
+    diagonalized as its even and odd halves (``Operator.components``).
+    ``krylov``, the default,
     is the fast path.  On it the XY baseline, and a transfer whose
     payload is Gaussian on the wall fermions, run exactly on free
     fermions, their state the Majorana covariance

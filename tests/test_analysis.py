@@ -162,8 +162,9 @@ class TestClosedFormConsistency:
     def test_samples_propagated_in_blocks(self, monkeypatch):
         # 100 samples: three blocks of 40, 40 and 20 times on every
         # chain, each propagated on the whole chain, whose dense path
-        # diagonalizes the N one-excitation states once: one N x N
-        # eigh per chain, never a 2^N one
+        # diagonalizes the N one-excitation states once, as their
+        # halves even and odd under the chain's mirror: a
+        # ceil(N/2) and a floor(N/2) eigh per chain, never a 2^N one
         lengths = {}
         chains = []
         sizes = []
@@ -188,8 +189,10 @@ class TestClosedFormConsistency:
         monkeypatch.setattr(analysis, "realize", recording_realize)
         monkeypatch.setattr(analysis, "evolve", counting_evolve)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        halves = [size for n in range(2, 11)
+                  for size in ((n + 1) // 2, n // 2)]
         blocked = closed_form_consistency(range(2, 11), 1.0, samples=100)
-        assert sizes == list(range(2, 11))
+        assert sizes == halves
         assert sorted(lengths) == list(range(2, 11))
         for n, seen in lengths.items():
             assert max(seen) <= trace_rows(n) and sum(seen) == 100
@@ -200,7 +203,7 @@ class TestClosedFormConsistency:
         sizes.clear()
         whole = closed_form_consistency(range(2, 11), 1.0, samples=100)
         assert all(seen == [100] for seen in lengths.values())
-        assert sizes == list(range(2, 11))
+        assert sizes == halves
         assert abs(blocked - whole) < 1e-14 and blocked <= 1e-8
 
     @pytest.mark.parametrize("N_range", [range(5, 5), [], [1], range(1, 4)])

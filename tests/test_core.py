@@ -840,12 +840,84 @@ class TestComponents:
         assert np.abs(row - ref).max() < 1e-10
         for indices in (sectors[0], sectors[3]):
             assert not row[indices].any()
-        assert sizes == [32, 32]
-        # a third sector adds one eigendecomposition; the two are cached
+        # each sector of 32 as its two mirror halves: Bob's first spin
+        # down (sector 1) keeps the 8 palindromes of the 5 active spins
+        # fixed, 20 + 12; up (sectors 2, 3) the mirror flips them too
+        # and fixes none, 16 + 16
+        assert sizes == [20, 12, 16, 16]
+        # a third sector adds its two halves; the two are cached
         amp[sectors[3]] = 0.5
         amp /= np.linalg.norm(amp)
         assert len(h.components(amp)) == 3
-        assert sizes == [32, 32, 32]
+        assert sizes == [20, 12, 16, 16, 16, 16]
+
+
+class TestMirrorSplit:
+    """The dense path diagonalizes a component whose spin mirror commutes
+    with H as its even and odd halves; the eigensystem it returns is
+    still that of H on the whole component."""
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            sizes.append(a.shape[0])
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        return sizes
+
+    @staticmethod
+    def stages(n, j):
+        sums = {"transport": transport_hamiltonian(n, j, 1.0),
+                "xy": heisenberg_xy(n, 1.3)}
+        for k in range(1, min(3, n // 2) + 1):
+            sums[f"reset{k}"] = multiqubit_reset_hamiltonian(n, j, 1.0, k)
+        return sums
+
+    @pytest.mark.parametrize("n", range(5, 10))
+    @pytest.mark.parametrize("j", [22.007, -22.007, 3.3, -10.4])
+    def test_halves_rebuild_every_component(self, n, j, sizes):
+        for name, p in self.stages(n, j).items():
+            h = realize(p)
+            full = h.matrix.toarray().real
+            sizes.clear()
+            system = h.components(np.ones(h.dimension))
+            assert sum(ix.size for ix, _, _ in system) == h.dimension
+            # every component of more than one state is split in two
+            # halves, none empty; the XY vacuum and all-up state are not
+            assert sum(sizes) == h.dimension and min(sizes) >= 1
+            assert len(sizes) == sum(2 if ix.size > 1 else 1
+                                     for ix, _, _ in system), name
+            for indices, w, v in system:
+                assert np.isrealobj(v)
+                assert np.abs((v * w) @ v.T
+                              - full[np.ix_(indices, indices)]).max() < 1e-12
+                assert np.abs(v.T @ v - np.eye(indices.size)).max() < 1e-12
+
+    def test_no_split_without_the_symmetry(self, sizes):
+        n = 7
+        stage = transport_hamiltonian(n, 22.007, 1.0)
+        # the first field 1e-6 off the mirror profile
+        (t, factors), *rest = stage.terms
+        broken = PauliSum(n, ((t * (1 + 1e-6), factors), *rest))
+        # Y fields on the mirror profile: a complex H
+        complex_sum = PauliSum(n, tuple(
+            (c, {s: "Y" if label == "X" else label
+                 for s, label in f.items()})
+            for c, f in stage.terms))
+        raw = Operator(realize(stage).matrix.toarray().real)
+        for h in (realize(broken), realize(complex_sum), raw):
+            sizes.clear()
+            system = h.components(np.ones(h.dimension))
+            # one unsplit eigh per component: the two Z_1 sectors
+            assert sizes == [ix.size for ix, _, _ in system] == [64, 64]
+            full = h.matrix.toarray()
+            for indices, w, v in system:
+                assert np.abs((v * w) @ v.conj().T
+                              - full[np.ix_(indices, indices)]).max() < 1e-12
 
 
 class TestPropagatorConfig:

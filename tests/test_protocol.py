@@ -658,7 +658,8 @@ class TestBlockRead:
 
     def test_xy_baseline_dense_block(self, reads, monkeypatch):
         # the dense path keeps the baseline on the 2^N amplitudes and
-        # diagonalizes the vacuum and the 13 one-excitation states alone
+        # diagonalizes the vacuum and the 13 one-excitation states alone,
+        # these as their halves even (7) and odd (6) under the mirror
         sizes = []
         eigh = np.linalg.eigh
 
@@ -671,7 +672,7 @@ class TestBlockRead:
         run_heisenberg_baseline(Baseline(13, 1.0, payload,
                                          n_time_samples=50,
                                          propagator=EXACT))
-        assert sorted(sizes) == [1, 13]
+        assert sorted(sizes) == [1, 6, 7]
         assert set(reads["widths"]) == {2**13}
         self.assert_match_whole_space(reads, 13)
 
