@@ -107,8 +107,9 @@ def error_scaling_sweep(runs, n_workers: int = None) -> SweepTable:
     minus the corrected-trace peak inside the readout window, and its
     transfer time that peak's time; nothing else is written, so each run
     samples that window alone (``run_multi_qubit_transfer(run,
-    window_only=True)``) and still reads Bob out, so that a ratio that
-    leaves Bob's register empty raises ``EmptyReadout``.  The
+    window_only=True)``), computes no sigma_z, uncorrected trace or
+    decoded payload, and still checks Bob's register at the readout, so
+    that a ratio that leaves it empty raises ``EmptyReadout``.  The
     log-log fit uses only ratios inside [8, 40] with infidelity above
     the numerical floor; rows outside the window are kept in the table
     but flagged.  Results are assembled by (label, ratio) key, so worker

@@ -343,8 +343,11 @@ def amplitudes(stages, tau: float, final, initial) -> np.ndarray:
             padded = np.zeros(width, dtype=np.int64)
             padded[:flips.size] = 2 * flips
             ops = np.hstack([base, eye[:, padded]])
-            # <f|gamma_j gamma_k|f> = delta_jk - i M^f_jk
-            k = np.triu(ops.T @ (eye - 1j * fock_covariance(f)) @ ops, 1)
+            # <f|gamma_j gamma_k|f> = delta_jk - i M^f_jk, from real
+            # products: a complex one this small can stall on a second
+            # BLAS thread
+            k = np.triu(ops.T @ ops - 1j * (ops.T @ fock_covariance(f) @ ops),
+                        1)
             mats[row] = lam[:, None] * (k - k.T) * lam[None, :] + c
         for (i, j, *_), value in zip(batch, signs * pfaffian(mats)):
             out[i, j] = value

@@ -157,10 +157,13 @@ class ProtocolResult:
     over the rest of the chain.  It equals the overlap of the input
     state with Bob's decoded, phase-corrected reduced density matrix.
     The full-chain traces (corrected and uncorrected against the branch
-    targets) are reported alongside, at every sample or, for a
-    ``window_only`` run, at the readout window's alone;
+    targets) are reported alongside, at every sample;
     ``peak_fidelity`` is the best corrected full-chain value within the
     readout window.
+
+    A ``window_only`` run holds the corrected trace at the readout
+    window's samples alone, and None for ``fidelity_uncorrected``,
+    ``sigma_z_trace`` and ``final_logical``, which it never computes.
 
     ``phases`` is the ``phases`` block of ``summary.json``: the M-wall
     sector sits at diagonal energy J(N - 2M), so ``stages`` stages of
@@ -170,9 +173,9 @@ class ProtocolResult:
 
     times: np.ndarray
     fidelity_corrected: np.ndarray
-    fidelity_uncorrected: np.ndarray
-    sigma_z_trace: np.ndarray  # shape (n_sites, n_times)
-    final_logical: LogicalState
+    fidelity_uncorrected: np.ndarray | None
+    sigma_z_trace: np.ndarray | None  # shape (n_sites, n_times)
+    final_logical: LogicalState | None
     final_fidelity: float
     phases: dict
     tau: float
@@ -307,22 +310,25 @@ def _bob_target(k: int, branches, tau, t_read: float, corrected: bool):
     return target, undo
 
 
-def _decoded(row, undo, k: int, f: float, ratio: float):
+def _decoded(row, undo, k: int, f: float, ratio: float,
+             decode: bool = True):
     """The decoded payload and the readout fidelity ``f``: ``row`` holds
     the amplitudes of Bob's patterns with the rest of the chain all
     down; its phases are undone, it is put in logical order and
     normalized.  A ``row`` without weight raises ``EmptyReadout(ratio)``,
-    ``ratio`` the run's J/lam."""
-    logical_vec = (undo * row)[_decode_permutation(k)]
-    nrm = np.sqrt(np.vdot(logical_vec, logical_vec).real)
+    ``ratio`` the run's J/lam.  Without ``decode`` the payload is not
+    built and None stands in its place."""
+    nrm = np.sqrt(np.vdot(row, row).real)
     if nrm < 1e-12:
         raise EmptyReadout(ratio)
-    return LogicalState(k, logical_vec / nrm), _unit_interval(
-        f, "readout fidelity")
+    f = _unit_interval(f, "readout fidelity")
+    if not decode:
+        return None, f
+    return LogicalState(k, (undo * row)[_decode_permutation(k)] / nrm), f
 
 
 def _readout(psi: np.ndarray, k: int, branches, tau, t_read: float,
-             corrected: bool, ratio: float):
+             corrected: bool, ratio: float, decode: bool = True):
     """Decode Bob's register, the last ``k`` spins, from the 2^N
     amplitudes of the final chain state at ``t_read``.
 
@@ -334,7 +340,8 @@ def _readout(psi: np.ndarray, k: int, branches, tau, t_read: float,
     the payload's overlap with Bob's decoded, phase-corrected reduced
     density matrix.  Nothing is post-selected, so leakage lowers it.
     The decoded state is the all-down row of ``M``, phases undone, in
-    logical order, normalized.  The overlaps are summed by ``einsum``,
+    logical order, normalized; without ``decode`` only its weight is
+    checked (``_decoded``).  The overlaps are summed by ``einsum``,
     which calls no BLAS: a matrix product this thin would start a second
     BLAS thread, whose wake-up costs more than the sums.
     """
@@ -342,7 +349,7 @@ def _readout(psi: np.ndarray, k: int, branches, tau, t_read: float,
     target, undo = _bob_target(k, branches, tau, t_read, corrected)
     overlaps = np.einsum("ij,j->i", M, target.conj())
     return _decoded(M[0], undo, k, float(np.vdot(overlaps, overlaps).real),
-                    ratio)
+                    ratio, decode)
 
 
 def _unit_interval(f, what: str):
@@ -382,10 +389,12 @@ class _Amplitudes:
     ``evolve`` on each stage's realized Hamiltonian in blocks of
     ``trace_rows(N)`` samples.  Both fidelity overlaps are read at the
     branches' ``final_bits`` indices, and sigma_z from the probabilities
-    of every basis state.
+    of every basis state.  A ``window_only`` run reads the corrected
+    overlap alone and propagates its last stage on the Bob sectors that
+    hold a branch's final pattern alone (``restrict``).
     """
 
-    def __init__(self, run, k: int, branches):
+    def __init__(self, run, k: int, branches, window_only: bool = False):
         self.n_spins, self.k, self.branches = run.n_spins, k, branches
         self.propagator = run.propagator
         self.block = trace_rows(run.n_spins)
@@ -393,6 +402,14 @@ class _Amplitudes:
                                for br in branches], dtype=np.int64)
         self.coefficient = np.array([br.coefficient for br in branches],
                                     dtype=complex)
+        self.window_only = window_only
+        # the sectors of Bob's spins, by their basis index, that the last
+        # stage keeps, or None for all; and the norm they kept
+        self.sectors = None
+        if window_only:
+            self.sectors = np.zeros(2**k, dtype=bool)
+            self.sectors[self.final % 2**k] = True
+        self.scale = 1.0
 
     def start(self) -> np.ndarray:
         psi0 = np.zeros(2**self.n_spins, dtype=complex)
@@ -404,6 +421,23 @@ class _Amplitudes:
     def build(pauli_sum):
         return realize(pauli_sum)
 
+    def restrict(self, psi):
+        """The state the last stage starts from: with ``sectors``, its
+        amplitudes there alone, renormalized, their norm in ``scale``
+        (all of it if that is 0).  The reset stage puts no field on
+        Bob's register, so each sector of Bob's spins evolves on its
+        own; the traces and the readout fidelity read only the branch
+        targets' sectors, scaled back by ``scale``."""
+        self.scale = 1.0
+        if self.sectors is None:
+            return psi
+        kept = (psi.reshape(-1, self.sectors.size) * self.sectors).ravel()
+        norm = float(np.linalg.norm(kept))
+        if not norm:
+            return psi
+        self.scale = norm
+        return kept / norm
+
     def propagate(self, psi, h, steps):
         rows = evolve(psi, h, steps, self.propagator)
         # a copy: a view would keep the block's rows alive
@@ -412,19 +446,22 @@ class _Amplitudes:
     def read(self, rows, target):
         """The corrected and uncorrected overlaps and sigma_z of
         consecutive states, ``target`` holding the branch targets of
-        each."""
+        each; a window-only run reads the corrected overlap alone."""
+        at = rows[:, self.final] * self.scale
+        corrected = np.abs((target.conj() * at).sum(axis=1)) ** 2
+        if self.window_only:
+            return corrected, None, None
         # squared in place: one real array of the rows' size, alive only
         # while the block is recorded, not through the next evolve
         probs = np.abs(rows)
         probs **= 2
-        at = rows[:, self.final]
-        corrected = np.abs((target.conj() * at).sum(axis=1)) ** 2
         uncorrected = np.abs(at @ self.coefficient.conj()) ** 2
         return corrected, uncorrected, _sigma_z_all(probs, self.n_spins)
 
     def readout(self, state, tau, t_read, corrected, ratio):
-        return _readout(state, self.k, self.branches, tau, t_read, corrected,
-                        ratio)
+        return _readout(state * self.scale, self.k, self.branches, tau,
+                        t_read, corrected, ratio,
+                        decode=not self.window_only)
 
 
 class _Covariances:
@@ -437,14 +474,18 @@ class _Covariances:
     Bob's register is all down, times Bob's target overlap on the
     covariance conditioned on that; the readout fidelity is the same
     overlap unconditioned.  The decoded payload comes from the phased
-    amplitudes of ``fermions.amplitudes``.
+    amplitudes of ``fermions.amplitudes``.  A ``window_only`` run reads
+    the corrected fidelity alone, and at the readout the readout
+    fidelity and whether Bob's register is empty.
     """
 
     sigma_z = staticmethod(fermions.sigma_z)  # <Z_n> of a covariance stack
+    sectors = None  # a covariance is never restricted (_Amplitudes.restrict)
 
-    def __init__(self, run, k: int, branches):
+    def __init__(self, run, k: int, branches, window_only: bool = False):
         N = run.n_spins
         self.run, self.n_spins, self.k, self.branches = run, N, k, branches
+        self.window_only = window_only
         self.block = max(fermions.BLOCK_BYTES // (8 * (2 * N + 2) ** 2), 1)
         self.window = fermions.Window(k)
         # each branch's index in Bob's register, and the target of the
@@ -469,6 +510,10 @@ class _Covariances:
         return h
 
     @staticmethod
+    def restrict(m):
+        return m
+
+    @staticmethod
     def propagate(m, h, steps):
         rows = evolve(m, h, steps)
         return rows, rows[-1]
@@ -478,23 +523,38 @@ class _Covariances:
         pf = self.window.pfaffians(cond[:, 1:, 1:])
         phased = np.zeros((np.count_nonzero(kept), 2**self.k), dtype=complex)
         phased[:, self.bob] = target[kept]
-        corrected, uncorrected = np.zeros(len(rows)), np.zeros(len(rows))
+        corrected = np.zeros(len(rows))
         corrected[kept] = p[kept] * self.window.overlaps(pf, phased)
+        if self.window_only:
+            return corrected, None, None
+        uncorrected = np.zeros(len(rows))
         uncorrected[kept] = p[kept] * self.window.overlaps(pf, self.plain)
         return corrected, uncorrected, self.sigma_z(rows)
 
     def readout(self, m, tau, t_read, corrected, ratio):
+        """The decoded payload and the readout fidelity at ``t_read``.
+
+        A window-only run decodes nothing.  The squared norm of the
+        rest-all-down row is the probability that the rest of the chain
+        is empty, which ``fermions.rest_empty`` reads from ``m``.  Above
+        ``EMPTY_FLOOR`` the row is far from empty; at or below it, where
+        the probability's round-off can exceed the probability, the row
+        itself decides.
+        """
         N, k = self.n_spins, self.k
         target, undo = _bob_target(k, self.branches, tau, t_read, corrected)
         majoranas = slice(2 * (N - k) + 1, None)  # Bob's 2k + 1
         f = self.window.overlaps(
             self.window.pfaffians(m[None, majoranas, majoranas]), target)[0]
+        if self.window_only and (fermions.rest_empty(m[None], N - k)[0][0]
+                                 > fermions.EMPTY_FLOOR):
+            return None, _unit_interval(f, "readout fidelity")
         final = [fermions.walls((0,) * (N - k) + tuple(index_bits(j, k)))
                  for j in range(2**k)]
         initial = [fermions.walls(br.initial_bits) for br in self.branches]
         row = fermions.amplitudes(self.stages, tau, final,
                                   initial) @ self.coefficient
-        return _decoded(row, undo, k, f, ratio)
+        return _decoded(row, undo, k, f, ratio, decode=not self.window_only)
 
 
 class _XYWalls(_Covariances):
@@ -545,7 +605,7 @@ def _window_start(times) -> int:
     return int(np.searchsorted(times, times[-1] * (1 - PEAK_WINDOW)))
 
 
-def _trace_run(path, state, stages, tau, n_samp, window_only=False):
+def _trace_run(path, state, stages, tau, n_samp):
     """Sample both fidelity traces and the sigma_z trace over all stages.
 
     ``stages`` holds one function per stage that builds its Hamiltonian
@@ -558,18 +618,24 @@ def _trace_run(path, state, stages, tau, n_samp, window_only=False):
     targets are the branches' final patterns, each weighted by its
     coefficient and, in the corrected trace, by its protocol phase.
 
-    With ``window_only`` only the samples of the peak window, at the end
-    of the last stage, are recorded and returned: a stage that ends
-    before the window is propagated to its end in one ``evolve`` call,
-    and the last stage jumps in one call to the sample before the
-    window, then records the window in blocks.
+    On a ``path.window_only`` path only the corrected trace at the
+    samples of the peak window, at the end of the last stage, is
+    recorded and returned, with None for the uncorrected and the sigma_z
+    trace: a stage that ends before the window is propagated to its end
+    in one ``evolve`` call, and the last stage jumps in one call to the
+    sample before the window, then records the window in blocks.  The
+    last stage starts from ``path.restrict(state)``, which on the state
+    vector keeps only the Bob sectors that the window and the readout
+    read (``_Amplitudes.restrict``).
     """
     times = np.linspace(0.0, len(stages) * tau, len(stages) * n_samp + 1)
     dt = times[1] - times[0]
-    first = _window_start(times) if window_only else 0
+    first = _window_start(times) if path.window_only else 0
     corrected = np.empty(times.size - first)
-    uncorrected = np.empty(corrected.shape)
-    sigma_z = np.empty((path.n_spins, corrected.size))
+    uncorrected = sigma_z = None
+    if not path.window_only:
+        uncorrected = np.empty(corrected.shape)
+        sigma_z = np.empty((path.n_spins, corrected.size))
 
     def record(i, rows):
         """Trace entries of samples ``i``, ``i + 1``, ... from
@@ -579,15 +645,20 @@ def _trace_run(path, state, stages, tau, n_samp, window_only=False):
         target = np.empty((len(rows), len(path.branches)), dtype=complex)
         for b, br in enumerate(path.branches):
             target[:, b] = br.coefficient * br.phase_at(at, tau)
-        corr, uncorr, sigma_z[:, span] = path.read(rows, target)
+        corr, uncorr, sz = path.read(rows, target)
         corrected[span] = _unit_interval(corr, "corrected fidelity")
-        uncorrected[span] = _unit_interval(uncorr, "uncorrected fidelity")
+        if sigma_z is not None:
+            uncorrected[span] = _unit_interval(uncorr,
+                                               "uncorrected fidelity")
+            sigma_z[:, span] = sz
 
     if not first:
         record(0, state[None])
     i = 1  # the next sample
-    for build in stages:
+    for s, build in enumerate(stages):
         h = path.build(build())
+        if s == len(stages) - 1:
+            state = path.restrict(state)
         end = i + n_samp
         skip = min(max(first - i, 0), n_samp)  # samples before the window
         if skip:
@@ -615,19 +686,20 @@ def _peak_in_window(times, trace):
     return float(trace[best]), float(times[best])
 
 
-def _run(run, path, stages, J: float = 0.0, corrected: bool = True,
-         window_only: bool = False) -> ProtocolResult:
+def _run(run, path, stages, J: float = 0.0,
+         corrected: bool = True) -> ProtocolResult:
     """Trace and read out one run on the chain and time grid of ``run``
     along ``path``, which holds the branches and Bob's register.
 
     ``stages`` holds one function per stage, each run for pi/lam, that
     builds its Hamiltonian; the peak is searched around, and Bob read
-    out at, the end of the last stage.  With ``window_only`` the traces
-    hold the peak window's samples alone (see ``_trace_run``).
+    out at, the end of the last stage.  On a ``window_only`` path the
+    run computes the peak, the readout fidelity and the empty-register
+    refusal alone (see ``_trace_run``).
     """
     N, tau, n = run.n_spins, math.pi / run.lam, len(stages)
     times, corr, uncorr, sigma_z, final_state = _trace_run(
-        path, path.start(), stages, tau, run.n_time_samples, window_only)
+        path, path.start(), stages, tau, run.n_time_samples)
     t_read = n * tau
     peak_f, peak_t = _peak_in_window(times, corr)
     final_logical, final_f = path.readout(final_state, tau, t_read,
@@ -662,21 +734,30 @@ def run_multi_qubit_transfer(run: Transfer, *,
     leaves Bob's register empty at the readout raises ``EmptyReadout``,
     a ``ValueError``.
 
-    ``window_only`` skips every sample outside the peak window, the last
-    ``PEAK_WINDOW`` of the run: ``times`` and the traces hold the
-    window's samples alone, while the peak and the readout equal those
-    of the full run to round-off.  A sweep point needs nothing else.
+    ``window_only`` computes only what a sweep point reads: the peak,
+    ``final_fidelity`` and the ``EmptyReadout`` refusal, equal to those
+    of the full run to round-off.  It skips every sample outside the
+    peak window, the last ``PEAK_WINDOW`` of the run, so ``times`` and
+    the corrected trace hold the window's samples alone; the uncorrected
+    trace, sigma_z and the decoded payload are None.  On the state
+    vector the reset stage then propagates only the Bob sectors of the
+    branches' final patterns (``_Amplitudes.restrict``); when those
+    leave the rest-all-down row empty at the readout, the refusal needs
+    the whole row, and the run is redone on every sector.
     """
     N, J, lam = run.n_spins, run.j_coupling, run.lam
     k = run.state.n_logical
     path = (_Covariances if free_fermion(run) else _Amplitudes)(
-        run, k, _build_branches(run))
-    return _run(
-        run, path,
-        (lambda: transport_hamiltonian(N, J, lam),
-         lambda: multiqubit_reset_hamiltonian(N, J, lam, k)),
-        J, run.apply_phase_correction, window_only,
-    )
+        run, k, _build_branches(run), window_only)
+    stages = (lambda: transport_hamiltonian(N, J, lam),
+              lambda: multiqubit_reset_hamiltonian(N, J, lam, k))
+    try:
+        return _run(run, path, stages, J, run.apply_phase_correction)
+    except EmptyReadout:
+        if path.sectors is None:
+            raise
+    path.sectors = None
+    return _run(run, path, stages, J, run.apply_phase_correction)
 
 
 def run_single_qubit_transfer(alpha: complex, beta: complex,

@@ -33,9 +33,11 @@ ONE = LogicalState(1, np.array([0.0, 1.0], dtype=complex))
 BELL = LogicalState(2, np.array([S2, 0, 0, S2], dtype=complex))
 GHZ = LogicalState(3, np.array([S2, 0, 0, 0, 0, 0, 0, S2], dtype=complex))
 # (payload, N, propagator, whether it runs on free fermions): the dense
-# reference, the Chebyshev state vector and free fermions
+# reference, the Chebyshev state vector and free fermions.  GHZ at N = 7
+# keeps 2 of Bob's 8 sectors through a window-only reset stage
 PATHS = {
     "dense": (ONE, 9, EXACT, False),
+    "dense-ghz": (GHZ, 7, EXACT, False),
     "chebyshev": (GHZ, 9, PropagatorConfig(), False),
     "fermions-one": (ONE, 9, PropagatorConfig(), True),
     "fermions-bell": (BELL, 7, PropagatorConfig(), True),
@@ -43,8 +45,8 @@ PATHS = {
 
 
 class TestWindowOnlySweep:
-    """A sweep point records the peak window alone; its row matches the
-    full run's peak."""
+    """A sweep point records the peak window alone and decodes nothing;
+    its row and its readout fidelity match the full run's."""
 
     @pytest.mark.parametrize("ratio", [8.0, 40.0])
     @pytest.mark.parametrize("path", sorted(PATHS))
@@ -56,6 +58,8 @@ class TestWindowOnlySweep:
         (row,) = error_scaling_sweep([(path, ratio, run)]).rows
         assert abs(row.infidelity - (1.0 - full.peak_fidelity)) <= 1e-12
         assert abs(row.transfer_time - full.peak_time) <= 1e-12
+        point = run_multi_qubit_transfer(run, window_only=True)
+        assert abs(point.final_fidelity - full.final_fidelity) <= 1e-12
 
     @pytest.mark.parametrize("path", sorted(PATHS))
     def test_stage_one_in_one_call_and_window_read(self, monkeypatch, path):
@@ -87,7 +91,29 @@ class TestWindowOnlySweep:
         assert np.allclose(result.times, np.arange(380, 401) * dt,
                            rtol=1e-14)
         assert result.fidelity_corrected.shape == (21,)
-        assert result.sigma_z_trace.shape == (n, 21)
+        assert result.sigma_z_trace is None
+        assert result.fidelity_uncorrected is None
+        assert result.final_logical is None
+
+    def test_dense_point_diagonalizes_kept_sector(self, monkeypatch):
+        # |1> at N = 9: each component is two eigh, its mirror halves.
+        # Stage 1 has one component, and the full run's stage 2 one in
+        # each of Bob's two sectors; a window-only point keeps the one
+        # that holds the branch target
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            sizes.append(a.shape[0])
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        run = Transfer(9, 1.0, 22.0, ONE, propagator=EXACT)
+        run_multi_qubit_transfer(run)
+        assert len(sizes) == 6
+        sizes.clear()
+        run_multi_qubit_transfer(run, window_only=True)
+        assert len(sizes) == 4
 
 
 class TestErrorScalingSweep:

@@ -687,6 +687,28 @@ class TestInputGuards:
         err = capsys.readouterr().err
         assert "'j_coupling'" in err and "'lam'" in err and "J/lam" in err
 
+    @pytest.mark.parametrize("propagator",
+                             ["krylov", "exact-eigendecomposition"])
+    @pytest.mark.parametrize("ratio, code", [(1e-8, 1), (1e-4, 0)])
+    def test_empty_bob_register_sweep(self, sweep_manifest, tmp_path, capsys,
+                                      propagator, ratio, code):
+        # |1> at N = 5 on free fermions and on the dense path.  At 1e-4
+        # the decoded row holds weight although the branch target's
+        # sector of Bob's register holds none (the state vector redoes
+        # the point on every sector) and the rest-empty probability
+        # lies below fermions.EMPTY_FLOOR (free fermions decode the row)
+        cfg = with_fields(sweep_manifest, tmp_path, ratios=[ratio],
+                          propagator=propagator)
+        out = tmp_path / "o"
+        with pytest.warns(UserWarning, match="quadratic"):
+            assert run(["sweep", "--config", cfg, "--out", out]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert "'ratios'" in err and "J/lam" in err
+            assert not any(out.iterdir())
+        else:
+            assert (out / "sweep.csv").exists()
+
     @pytest.mark.parametrize("value", ["false", 0, None])
     def test_non_boolean_phase_correction_exits_1(
         self, transfer_manifest, tmp_path, capsys, value

@@ -56,9 +56,9 @@ def record_final_states(monkeypatch):
     seen = []
     readout = protocol._readout
 
-    def recording(psi, *args):
+    def recording(psi, *args, **kwargs):
         seen.append(psi)
-        return readout(psi, *args)
+        return readout(psi, *args, **kwargs)
 
     monkeypatch.setattr(protocol, "_readout", recording)
     return seen
@@ -852,9 +852,11 @@ class TestReadout:
         seen = []
         readout = protocol._readout
 
-        def recording(psi, k, branches, tau, t_read, corrected, ratio):
+        def recording(psi, k, branches, tau, t_read, corrected, ratio,
+                      **kwargs):
             seen.append((psi, k, branches, tau, corrected))
-            return readout(psi, k, branches, tau, t_read, corrected, ratio)
+            return readout(psi, k, branches, tau, t_read, corrected, ratio,
+                           **kwargs)
 
         monkeypatch.setattr(protocol, "_readout", recording)
         return seen
@@ -909,8 +911,9 @@ class TestReadout:
         # the baseline always corrects its readout; the uncorrected one
         # is read from the same final state by clearing the flag
         recording = protocol._readout
-        monkeypatch.setattr(protocol, "_readout", lambda *args: recording(
-            *args[:-2], args[-2] and corrected, args[-1]))
+        monkeypatch.setattr(
+            protocol, "_readout", lambda *args, **kwargs: recording(
+                *args[:-2], args[-2] and corrected, args[-1], **kwargs))
         payload = LogicalState(1, np.array([0.6, 0.8j]))
         res = run_heisenberg_baseline(
             Baseline(6, 1.0, payload, n_time_samples=20, propagator=EXACT))
