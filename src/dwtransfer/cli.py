@@ -93,20 +93,12 @@ class Sweep:
     n_spins: int
     lam: float
     ratios: list
-    states: list  # of SweepState objects
+    states: list  # of payloads, each with an optional label
     n_time_samples: int = 200
     propagator: PropagatorConfig = PropagatorConfig()
 
     def __post_init__(self):
         _check_chain(self)  # the chain every Transfer of the sweep shares
-
-
-@dataclass(frozen=True)
-class SweepState:
-    """One entry of a sweep's ``states``."""
-
-    amplitudes: list
-    label: str = None  # default: state<i>
 
 
 @dataclass(frozen=True)
@@ -123,7 +115,7 @@ _TYPE_NAMES = {bool: "true or false", str: "a string", list: "a list",
                dict: "an object"}
 
 
-def _load(schema, manifest: dict, prefix: str = ""):
+def _load(schema, manifest: dict):
     """The ``schema`` dataclass filled from ``manifest``.
 
     Each field present is checked by the kind its annotation declares;
@@ -133,11 +125,10 @@ def _load(schema, manifest: dict, prefix: str = ""):
     kinds = typing.get_type_hints(schema)
     values = {}
     for f in fields(schema):
-        name = prefix + f.name
         if f.name in manifest:
-            values[f.name] = _value(kinds[f.name], manifest[f.name], name)
+            values[f.name] = _value(kinds[f.name], manifest[f.name], f.name)
         elif f.default is MISSING:
-            raise ManifestError(f"manifest field '{name}' is missing")
+            raise ManifestError(f"manifest field '{f.name}' is missing")
     return schema(**values)
 
 
@@ -202,21 +193,17 @@ def _amplitudes(raw, field: str) -> np.ndarray:
     return np.asarray(out, dtype=complex)
 
 
-def _logical_state(amps: np.ndarray, field: str) -> LogicalState:
-    try:
-        return LogicalState(int(np.log2(amps.size)), amps)
-    except ValueError as exc:
-        raise ManifestError(
-            f"manifest field '{field}' is invalid: {exc}"
-        ) from exc
-
-
 def _payload(raw, field: str) -> LogicalState:
     """The payload: ``alpha``/``beta`` of one qubit (``alpha|1> +
-    beta|0>``), or the ``amplitudes`` of any number of qubits."""
+    beta|0>``), or the ``amplitudes`` of any number of qubits, not
+    both."""
     if not isinstance(raw, dict):
         raise ManifestError(f"manifest field '{field}' must be an object")
     if "alpha" in raw or "beta" in raw:
+        if "amplitudes" in raw:
+            raise ManifestError(
+                f"manifest field '{field}.amplitudes' cannot be given with "
+                f"'{field}.alpha'/'{field}.beta'")
         alpha = _amplitude(raw.get("alpha", 0.0), f"{field}.alpha")
         beta = _amplitude(raw.get("beta", 0.0), f"{field}.beta")
         amps = np.array([beta, alpha], dtype=complex)
@@ -224,7 +211,11 @@ def _payload(raw, field: str) -> LogicalState:
         amps = _amplitudes(raw["amplitudes"], f"{field}.amplitudes")
     else:
         raise ManifestError(f"manifest field '{field}.amplitudes' is missing")
-    return _logical_state(amps, field)
+    try:
+        return LogicalState(int(np.log2(amps.size)), amps)
+    except ValueError as exc:
+        raise ManifestError(
+            f"manifest field '{field}' is invalid: {exc}") from exc
 
 
 def _check_memory(field: str, value, log2_need: float, hint: str = ""):
@@ -414,15 +405,12 @@ def _write_run(out: Path, manifest: dict, result: ProtocolResult):
     })
 
 
-def cmd_baseline(run: Baseline, manifest: dict, out: Path, args) -> int:
+def cmd_run(run: Baseline | Transfer, manifest: dict, out: Path,
+            args) -> int:
     _check_footprint(run)
-    _write_run(out, manifest, run_heisenberg_baseline(run))
-    return 0
-
-
-def cmd_transfer(run: Transfer, manifest: dict, out: Path, args) -> int:
-    _check_footprint(run)
-    _write_run(out, manifest, run_multi_qubit_transfer(run))
+    runner = (run_heisenberg_baseline if isinstance(run, Baseline)
+              else run_multi_qubit_transfer)
+    _write_run(out, manifest, runner(run))
     return 0
 
 
@@ -445,12 +433,8 @@ def cmd_sweep(run: Sweep, manifest: dict, out: Path, args) -> int:
     runs = []
     for i, raw in enumerate(run.states):
         field = f"states[{i}]"
-        if not isinstance(raw, dict):
-            raise ManifestError(f"manifest field '{field}' must be an object")
-        item = _load(SweepState, raw, f"{field}.")
-        logical = _logical_state(
-            _amplitudes(item.amplitudes, f"{field}.amplitudes"), field)
-        label = f"state{i}" if item.label is None else item.label
+        logical = _payload(raw, field)
+        label = _value(str, raw.get("label", f"state{i}"), f"{field}.label")
         try:
             runs.extend(
                 (label, ratio, Transfer(
@@ -520,8 +504,8 @@ def cmd_consistency(run: Consistency, manifest: dict, out: Path,
 # subcommand -> (manifest schema, command); the schema's docstring is
 # the subcommand's help
 COMMANDS = {
-    "baseline": (Baseline, cmd_baseline),
-    "transfer": (Transfer, cmd_transfer),
+    "baseline": (Baseline, cmd_run),
+    "transfer": (Transfer, cmd_run),
     "sweep": (Sweep, cmd_sweep),
     "consistency": (Consistency, cmd_consistency),
 }

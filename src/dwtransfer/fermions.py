@@ -127,9 +127,11 @@ def majoranas(n_modes: int) -> tuple:
 
 
 def covariance(amp: np.ndarray) -> np.ndarray:
-    """Covariance of a normalized Fock vector of a few modes."""
+    """Covariance of a normalized Fock vector of a few modes; 0 x 0 for
+    the one amplitude of no mode."""
     n_modes = amp.size.bit_length() - 1
-    g = np.array([gamma @ amp for gamma in majoranas(n_modes)])
+    g = np.array([gamma @ amp for gamma in majoranas(n_modes)]).reshape(
+        2 * n_modes, amp.size)
     m = (1j * (g.conj() @ g.T)).real  # i <gamma_j gamma_k>
     np.fill_diagonal(m, 0.0)
     return m

@@ -32,7 +32,6 @@ wall count M.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -131,20 +130,6 @@ class Transfer:
                 stacklevel=3,
             )
 
-    @functools.cached_property
-    def _alice_window(self) -> np.ndarray:
-        """Covariance of the payload's walls, on the interfaces 0..k:
-        each branch is the Fock state of the walls of its codec pattern.
-        Built once per run, read-only."""
-        k = self.state.n_logical
-        amp = np.zeros(2 ** (k + 1), dtype=complex)
-        for idx in range(2**k):
-            walls = fermions.walls(dw_encode_bits(index_bits(idx, k)))
-            amp[basis_index(walls)] = self.state.amplitudes[idx]
-        m = fermions.covariance(amp)
-        m.flags.writeable = False
-        return m
-
 
 @dataclass(frozen=True)
 class ProtocolResult:
@@ -165,10 +150,11 @@ class ProtocolResult:
     window's samples alone, and None for ``fidelity_uncorrected``,
     ``sigma_z_trace`` and ``final_logical``, which it never computes.
 
-    ``phases`` is the ``phases`` block of ``summary.json``: the M-wall
-    sector sits at diagonal energy J(N - 2M), so ``stages`` stages of
-    tau add the global phase ``stages J N tau`` and, relative to the
-    zero-wall branch, ``-2 stages J tau`` per wall, keyed by ``str(M)``.
+    ``phases`` is the ``phases`` block of ``summary.json``: ``stages``
+    stages of tau add ``stages tau E_M`` to the M-wall sector, E_M its
+    diagonal energy ``energy_offset(N, M, J)``, the one the branch table
+    applies.  That is the global phase at M = 0 and, relative to the
+    zero-wall branch, ``stages tau (E_M - E_0)``, keyed by ``str(M)``.
     """
 
     times: np.ndarray
@@ -381,7 +367,21 @@ def free_fermion(run) -> bool:
     return run.propagator.method == "krylov" and (
         isinstance(run, Baseline)
         or (run.state.n_logical <= FREE_FERMION_QUBITS
-            and fermions.is_gaussian(run._alice_window)))
+            and fermions.is_gaussian(_start_window(_build_branches(run))[1])))
+
+
+def _start_window(branches):
+    """The Majoranas of the interfaces that some branch's walls occupy
+    at the start, and the covariance there of the branches' Fock
+    states, superposed with their coefficients.  Every other interface
+    is empty in every branch, so no Jordan-Wigner sign enters."""
+    occupied = np.array([fermions.walls(br.initial_bits) for br in branches])
+    modes = np.flatnonzero(occupied.any(axis=0))
+    amp = np.zeros(2**modes.size, dtype=complex)
+    for walls, br in zip(occupied, branches):
+        amp[basis_index(walls[modes])] += br.coefficient
+    majoranas = np.stack([2 * modes, 2 * modes + 1], axis=1).ravel()
+    return majoranas, fermions.covariance(amp)
 
 
 class _Amplitudes:
@@ -484,7 +484,7 @@ class _Covariances:
 
     def __init__(self, run, k: int, branches, window_only: bool = False):
         N = run.n_spins
-        self.run, self.n_spins, self.k, self.branches = run, N, k, branches
+        self.n_spins, self.k, self.branches = N, k, branches
         self.window_only = window_only
         self.block = max(fermions.BLOCK_BYTES // (8 * (2 * N + 2) ** 2), 1)
         self.window = fermions.Window(k)
@@ -499,9 +499,10 @@ class _Covariances:
         self.stages = []  # each stage's operator, once built
 
     def start(self) -> np.ndarray:
+        """The empty chain with the payload's walls (``_start_window``)."""
+        majoranas, window = _start_window(self.branches)
         m = fermions.fock_covariance((0,) * (self.n_spins + 1))
-        w = 2 * self.k + 2
-        m[:w, :w] = self.run._alice_window
+        m[np.ix_(majoranas, majoranas)] = window
         return m
 
     def build(self, pauli_sum):
@@ -569,15 +570,6 @@ class _XYWalls(_Covariances):
     down.  Bob's register, the trace overlaps and the readout are the
     transfer's with k = 1.
     """
-
-    def start(self) -> np.ndarray:
-        N = self.n_spins
-        beta, alpha = self.run.state.amplitudes
-        ends = [0, 1, 2 * N, 2 * N + 1]  # the Majoranas of interfaces 0, N
-        m = fermions.fock_covariance((0,) * (N + 1))
-        m[np.ix_(ends, ends)] = fermions.covariance(
-            np.array([beta, 0, 0, alpha]))
-        return m
 
     def build(self, pauli_sum):
         """The stage without its pair-creation terms: ``(A + W A W^T) /
@@ -698,6 +690,7 @@ def _run(run, path, stages, J: float = 0.0,
     refusal alone (see ``_trace_run``).
     """
     N, tau, n = run.n_spins, math.pi / run.lam, len(stages)
+    offsets = [energy_offset(N, M, J) for M in range(N + 1)]
     times, corr, uncorr, sigma_z, final_state = _trace_run(
         path, path.start(), stages, tau, run.n_time_samples)
     t_read = n * tau
@@ -711,9 +704,10 @@ def _run(run, path, stages, J: float = 0.0,
         sigma_z_trace=sigma_z,
         final_logical=final_logical,
         final_fidelity=final_f,
-        phases={"global_phase": n * J * N * tau,
-                "relative_phase_per_M": {str(M): -2.0 * n * J * tau * M
-                                         for M in range(N + 1)}},
+        phases={"global_phase": n * tau * offsets[0],
+                "relative_phase_per_M": {
+                    str(M): -n * tau * (offsets[0] - offsets[M])
+                    for M in range(N + 1)}},
         tau=tau,
         peak_fidelity=peak_f,
         peak_time=peak_t,

@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 import dwtransfer
+from dwtransfer import cli
 from dwtransfer.cli import (
     COMMANDS,
     MEMORY_LIMIT_GIB,
     PHASE_RATIO_MAX,
     TRACE_VALUE_BYTES,
     ManifestError,
-    SweepState,
     _check_footprint,
     _write_run,
     main,
@@ -272,6 +272,18 @@ class TestSweep:
         assert lines[0].startswith("# manifest:")
         assert lines[1] == "state,ratio,infidelity,transfer_time"
         assert len(lines) == 2 + 5
+
+    def test_state_as_alpha_beta(self, sweep_manifest, tmp_path):
+        # a sweep state is a payload like any other: alpha/beta of |1>
+        # writes the rows of amplitudes [0, 1]
+        rows = []
+        for state in ({"alpha": 1, "beta": 0}, {"amplitudes": [0, 1]}):
+            cfg = with_fields(sweep_manifest, tmp_path,
+                              states=[dict(state, label="one")])
+            out = tmp_path / f"o{len(rows)}"
+            assert run(["sweep", "--config", cfg, "--out", out]) == 0
+            rows.append((out / "sweep.csv").read_text().splitlines()[1:])
+        assert rows[0] == rows[1] and len(rows[0]) == 1 + 5
 
     def test_slope_assert_failure_exits_2(self, sweep_manifest, tmp_path,
                                           capsys):
@@ -889,6 +901,15 @@ class TestManifestLoader:
         ("sweep", {"states": [{"amplitudes": [1, 0, 0, 0, 0, 0, 0, 0]}]},
          "states[0]"),
         ("baseline", {"propagator": "lanczos"}, "propagator"),
+        ("transfer", {"state": {"amplitudes": []}}, "state.amplitudes"),
+        # one amplitude is a payload of no qubit
+        ("transfer", {"state": {"amplitudes": [1]}}, "state"),
+        # a payload gives alpha/beta or amplitudes, not both
+        ("transfer", {"state": {"alpha": 1, "beta": 0,
+                                "amplitudes": [0.6, 0.8]}},
+         "state.amplitudes"),
+        ("sweep", {"states": [{"alpha": 1, "amplitudes": [0, 1]}]},
+         "states[0].amplitudes"),
     ])
     def test_bad_field_exits_1(self, request, tmp_path, capsys,
                                command, fields_, named):
@@ -926,8 +947,7 @@ class TestManifestLoader:
         # README's "Manifest fields" table, one row per field; a blank
         # first cell continues the experiment above
         schemas = {"`baseline`": "Baseline", "`transfer`": "Transfer",
-                   "`sweep`": "Sweep", "`sweep` `states[i]`": "SweepState",
-                   "`consistency`": "Consistency"}
+                   "`sweep`": "Sweep", "`consistency`": "Consistency"}
         readme = Path(__file__).resolve().parents[1] / "README.md"
         lines = readme.read_text().split("### Manifest fields")[1].splitlines()
         first = lines.index("| Experiment | Field | Kind | Default |") + 2
@@ -939,8 +959,7 @@ class TestManifestLoader:
             experiment = cells[0] or experiment
             listed.add((schemas[experiment], cells[1].strip("`")))
         declared = {(schema.__name__, f.name)
-                    for schema in (*(s for s, _ in COMMANDS.values()),
-                                   SweepState)
+                    for schema, _ in COMMANDS.values()
                     for f in fields(schema)}
         assert listed == declared
 
@@ -1043,6 +1062,38 @@ class TestArgumentHandling:
         bad.write_text("{not json")
         assert run(["baseline", "--config", bad, "--out", tmp_path / "o"]) == 1
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_manifest_not_an_object_exits_1(self, tmp_path, capsys):
+        cfg = write_manifest(tmp_path / "list.json", [1, 2])
+        assert run(["baseline", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert "manifest must be a JSON object" in capsys.readouterr().err
+
+    def test_out_naming_a_file_exits_1(self, baseline_manifest, tmp_path,
+                                       capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run(["baseline", "--config", baseline_manifest,
+                    "--out", out]) == 1
+        assert "File exists" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, runner", [
+        ("baseline", "run_heisenberg_baseline"),
+        ("transfer", "run_multi_qubit_transfer"),
+    ])
+    def test_run_goes_through_the_module_global(self, request, monkeypatch,
+                                                tmp_path, command, runner):
+        # perfbench/spans.py traces a run by rebinding these names
+        called = []
+        original = getattr(cli, runner)
+
+        def spy(run):
+            called.append(type(run).__name__)
+            return original(run)
+
+        monkeypatch.setattr(cli, runner, spy)
+        path = request.getfixturevalue(f"{command}_manifest")
+        assert run([command, "--config", path, "--out", tmp_path / "o"]) == 0
+        assert called == [COMMANDS[command][0].__name__]
 
     def test_unknown_subcommand_exits_1(self):
         with pytest.raises(SystemExit) as exc:

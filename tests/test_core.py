@@ -919,6 +919,20 @@ class TestMirrorSplit:
                 assert np.abs((v * w) @ v.conj().T
                               - full[np.ix_(indices, indices)]).max() < 1e-12
 
+    def test_no_split_when_the_reflection_leaves_the_flips(self, sizes):
+        # the reflection of the active spins 1, 2 maps the flip X_1 to
+        # X_2, which no term flips
+        h = realize(PauliSum(3, ((0.7, {1: "X"}), (0.4, {1: "X", 2: "X"}),
+                                 (0.3, {2: "Z", 3: "Z"}))))
+        amp = random_state(np.random.default_rng(11), 3)
+        times = np.array([0.7, 2.3])
+        rows = _evolve_exact(amp, h, times)
+        # one unsplit eigh per component: the two Z_3 sectors
+        assert sizes == [ix.size for ix, _, _ in h.components(amp)] == [4, 4]
+        for t, row in zip(times, rows):
+            ref = expm(-1j * t * h.matrix.toarray()) @ amp
+            assert np.abs(row - ref).max() < 1e-12
+
 
 class TestPropagatorConfig:
     def test_unknown_method(self):

@@ -28,6 +28,8 @@ from dwtransfer.hamiltonians import (
 )
 from dwtransfer.protocol import (
     Transfer,
+    _build_branches,
+    _Covariances,
     free_fermion,
     run_multi_qubit_transfer,
 )
@@ -182,9 +184,7 @@ def trace_covariances(n_spins, state, n_samp, j=22.007):
     both stages, the start included: ``(2 n_samp + 1, 2N + 2, 2N +
     2)``."""
     run = Transfer(n_spins, 1.0, j, state, n_time_samples=n_samp)
-    m = fermions.fock_covariance((0,) * (n_spins + 1))
-    w = 2 * state.n_logical + 2
-    m[:w, :w] = run._alice_window
+    m = _Covariances(run, state.n_logical, _build_branches(run)).start()
     steps = np.arange(1, n_samp + 1) * math.pi / n_samp
     rows = [m[None]]
     for p in (transport_hamiltonian(n_spins, j, 1.0),
@@ -326,6 +326,14 @@ class TestAgainstTheStateVector:
     def test_wide_payload(self, state):
         assert_same_outputs(Transfer(2 * state.n_logical + 1, 1.0, 17.3,
                                      state, n_time_samples=20))
+
+    @pytest.mark.parametrize("bits", [[0], [0, 0]])
+    def test_vacuum_payload(self, bits):
+        # no branch puts a wall on any interface: the payload's window
+        # is the 0 x 0 covariance of no mode
+        assert fermions.covariance(np.ones(1)).shape == (0, 0)
+        assert_same_outputs(Transfer(5, 1.0, 22.0, logical_basis(bits),
+                                     n_time_samples=20))
 
     def test_negative_coupling(self):
         # the error law depends on |J|/lam; the sign of J enters the
