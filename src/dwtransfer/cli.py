@@ -33,8 +33,7 @@ from .analysis import (
 )
 from .core import PropagatorConfig
 from .encoding import LogicalState
-from .fermions import BLOCK_BYTES
-from .hamiltonians import multiqubit_reset_hamiltonian, transport_hamiltonian
+from .fermions import stack_rows
 from .protocol import (
     Baseline,
     EmptyReadout,
@@ -46,6 +45,7 @@ from .protocol import (
     run_multi_qubit_transfer,
     run_single_qubit_transfer,  # not called here: perfbench/spans.py wraps it
     trace_rows,
+    transfer_stages,
 )
 
 SLOPE_TARGET = -2.0
@@ -60,8 +60,9 @@ STATE_VECTORS = 48
 # free-fermion run holds at once besides its blocks of covariances
 PFAFFIAN_MATRICES = 8
 # longest chain a free-fermion run may take.  At N = 200 a |1> transfer
-# of 20 samples per stage takes 3.1-3.4 s in-process, most of it the
-# readout's complex Pfaffians; raising the cap is ROADMAP item 10
+# takes 16.0 s in-process at 200 samples per stage, led by sigma_z and
+# the covariances, and 3.1-3.4 s at 20, led by the readout's two complex
+# Pfaffians (2.1 s); raising the cap is ROADMAP item 10
 FREE_FERMION_SPINS_MAX = 200
 # bytes of the Jacobi-Anger table of one Chebyshev evolve call, per row
 # and per unit of a t + 64 (a the half-width of H's spectrum): up to 5.5
@@ -238,7 +239,7 @@ def _check_footprint(run,
     On free fermions (``protocol.free_fermion``) a chain longer than
     ``FREE_FERMION_SPINS_MAX`` is refused for its run time, naming
     ``n_spins``; the estimate counts ``PFAFFIAN_MATRICES`` complex
-    matrices of dimension 4N + 2k + 6 and a few blocks of covariances.
+    matrices of dimension 4N + 2k + 6 and ``_covariance_bytes(N)``.
     The XY baseline runs there on ``"krylov"``.  On the state vector it
     counts complex vectors of 2^N amplitudes and, on the dense path,
     three complex matrices of the largest component H is diagonalized
@@ -268,7 +269,7 @@ def _check_footprint(run,
         width = 4 * N + 2 * run.state.n_logical + 6
         log2_need = np.logaddexp2(
             math.log2(16 * PFAFFIAN_MATRICES) + 2 * math.log2(width),
-            math.log2(8 * BLOCK_BYTES))
+            math.log2(_covariance_bytes(N)))
         hint = ""
     else:
         log2_need = N + math.log2(16 * (STATE_VECTORS + 3 * N))
@@ -302,17 +303,22 @@ def _check_footprint(run,
                   np.logaddexp2(log2_need, log2_traces))
 
 
+def _covariance_bytes(n_spins: int) -> int:
+    """Bytes of the eight stacks of covariances a free-fermion run holds
+    at once, each as large as ``protocol._Covariances`` propagates."""
+    item = 8 * (2 * n_spins + 2) ** 2
+    return 8 * stack_rows(item) * item
+
+
 def _series_log2(run: Transfer) -> float:
     """log2 of the bytes of the largest Jacobi-Anger table a Chebyshev
     transfer builds: ``SERIES_BYTES`` per row and per unit of ``a t +
     64``, over a block of ``trace_rows(N)`` samples or one jump across a
     stage of tau = pi/lam.  ``a``, the half-width of the spectrum, is
     bounded by each stage's coefficient 1-norm."""
-    N, J, lam = run.n_spins, run.j_coupling, run.lam
-    norm = max(sum(abs(c) for c, _ in p.terms)
-               for p in (transport_hamiltonian(N, J, lam),
-                         multiqubit_reset_hamiltonian(
-                             N, J, lam, run.state.n_logical)))
+    N, lam = run.n_spins, run.lam
+    norm = max(sum(abs(c) for c, _ in build().terms)
+               for build in transfer_stages(run))
     at = norm * math.pi / lam  # inf beyond the float range, never nan
     rows = min(trace_rows(N), run.n_time_samples)
     return math.log2(SERIES_BYTES) + max(

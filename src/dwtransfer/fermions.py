@@ -50,6 +50,12 @@ EMPTY_FLOOR = 1e-14
 GROWTH_MAX = 1e3
 
 
+def stack_rows(item_bytes: int) -> int:
+    """Matrices of ``item_bytes`` in one stack: as many as fit
+    ``BLOCK_BYTES``, at least one."""
+    return max(BLOCK_BYTES // item_bytes, 1)
+
+
 def pfaffian(a: np.ndarray) -> np.ndarray:
     """Pfaffians of a stack of antisymmetric matrices, shape ``(..., n,
     n)``, real or complex.
@@ -313,7 +319,7 @@ def amplitudes(stages, tau: float, final, initial) -> np.ndarray:
     theta`` on each pair's 2 x 2 block; expanding the Pfaffian picks
     either term of every factor.  Every S is padded to the widest by
     pairs ``gamma_0 gamma_0 = 1``, so the Pfaffians have one size; they
-    are stacked, at most ``BLOCK_BYTES`` at a time.
+    are stacked, ``stack_rows`` at a time.
     """
     size = stages[0].q.shape[0]
     cols, theta = [], []
@@ -334,7 +340,7 @@ def amplitudes(stages, tau: float, final, initial) -> np.ndarray:
     c -= c.T
     eye = np.eye(size)
     out = np.zeros((len(final), len(initial)), dtype=complex)
-    chunk = max(BLOCK_BYTES // (16 * dim * dim), 1)
+    chunk = stack_rows(16 * dim * dim)
     for start in range(0, len(items), chunk):
         batch = items[start:start + chunk]
         mats = np.empty((len(batch), dim, dim), dtype=complex)

@@ -171,11 +171,12 @@ class ProtocolResult:
 
 @dataclass(frozen=True)
 class _Branch:
-    """One logical basis branch with its deterministic protocol phase."""
+    """One logical basis branch with its deterministic protocol phase;
+    it ends on Bob's pattern of basis index ``bob``, all down outside."""
 
     coefficient: complex
     initial_bits: tuple
-    final_bits: tuple
+    bob: int
     mirror_phase: complex
     energy_stage1: float
     energy_stage2: float
@@ -202,11 +203,13 @@ def _mirror_phase(L: int, m: int) -> complex:
     return (1 + 0j, -1j, -1 + 0j, 1j)[m * (L + m - 2) % 4]
 
 
-def _bob_pattern(bits) -> tuple:
-    """Bob's register pattern of the logical ``bits``: transport delivers
-    them in mirrored order, so it is the codec pattern of ``bits``
-    reversed, and the decode step reverses them back."""
-    return dw_encode_bits(bits[::-1])
+def _decode_permutation(k: int) -> np.ndarray:
+    """perm[logical index] = the basis index of its pattern in Bob's
+    register.  Transport delivers the logical bits in mirrored order, so
+    that is the codec pattern of the bits reversed; the decode step
+    reverses them back."""
+    return np.array([basis_index(dw_encode_bits(index_bits(idx, k)[::-1]))
+                     for idx in range(2**k)])
 
 
 def _build_branches(run: Transfer):
@@ -224,6 +227,7 @@ def _build_branches(run: Transfer):
     """
     k = run.state.n_logical
     N, J = run.n_spins, run.j_coupling
+    perm = _decode_permutation(k)
     branches = []
     for idx in range(2**k):
         c = run.state.amplitudes[idx]
@@ -235,7 +239,7 @@ def _build_branches(run: Transfer):
         branches.append(_Branch(
             coefficient=complex(c),
             initial_bits=dw_encode_bits(b) + (0,) * (N - k),
-            final_bits=(0,) * (N - k) + _bob_pattern(b),
+            bob=int(perm[idx]),
             mirror_phase=_mirror_phase(N, m1) * _mirror_phase(N - k + 1, m2),
             energy_stage1=energy_offset(N, m1, J),
             energy_stage2=energy_offset(N, m1 - b[0] + m2, J),
@@ -263,13 +267,6 @@ def _sigma_z_all(probs: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _decode_permutation(k: int) -> np.ndarray:
-    """perm[logical index] = the physical Bob index decoding to it, the
-    index of its Bob pattern."""
-    return np.array([basis_index(_bob_pattern(index_bits(idx, k)))
-                     for idx in range(2**k)])
-
-
 class EmptyReadout(ValueError):
     """A J/lam that leaves no weight on Bob's decoded register."""
 
@@ -285,57 +282,26 @@ class EmptyReadout(ValueError):
 def _bob_target(k: int, branches, tau, t_read: float, corrected: bool):
     """Bob's target at ``t_read`` and the phases that undo it, by the
     basis index of Bob's ``k`` spins: each branch's coefficient, times
-    its phase if ``corrected``, at the index of its last ``k`` spins."""
+    its phase if ``corrected``, at its ``bob``."""
     target = np.zeros(2**k, dtype=complex)
     undo = np.ones(2**k, dtype=complex)
     for br in branches:
         phase = br.phase_at(t_read, tau) if corrected else 1.0
-        j = basis_index(br.final_bits[-k:])
-        target[j] = br.coefficient * phase
-        undo[j] = np.conj(phase)
+        target[br.bob] = br.coefficient * phase
+        undo[br.bob] = np.conj(phase)
     return target, undo
 
 
-def _decoded(row, undo, k: int, f: float, ratio: float,
-             decode: bool = True):
-    """The decoded payload and the readout fidelity ``f``: ``row`` holds
-    the amplitudes of Bob's patterns with the rest of the chain all
-    down; its phases are undone, it is put in logical order and
-    normalized.  A ``row`` without weight raises ``EmptyReadout(ratio)``,
-    ``ratio`` the run's J/lam.  Without ``decode`` the payload is not
-    built and None stands in its place."""
+def _decoded(row, undo, k: int, ratio: float, decode: bool):
+    """The payload decoded from the rest-all-down ``row``, phases undone,
+    in logical order, normalized; None without ``decode``.  A ``row``
+    without weight raises ``EmptyReadout(ratio)``, ``ratio`` J/lam."""
     nrm = np.sqrt(np.vdot(row, row).real)
     if nrm < 1e-12:
         raise EmptyReadout(ratio)
-    f = _unit_interval(f, "readout fidelity")
-    if not decode:
-        return None, f
-    return LogicalState(k, (undo * row)[_decode_permutation(k)] / nrm), f
-
-
-def _readout(psi: np.ndarray, k: int, branches, tau, t_read: float,
-             corrected: bool, ratio: float, decode: bool = True):
-    """Decode Bob's register, the last ``k`` spins, from the 2^N
-    amplitudes of the final chain state at ``t_read``.
-
-    Every branch ends all down outside Bob's register, so Bob's target
-    holds each branch's coefficient, times its phase at ``t_read`` if
-    ``corrected``, at the index of its last ``k`` spins.  The readout
-    fidelity ``||M conj(target)||^2`` sums the target's overlaps with
-    the rows of ``M``, one per pattern of the rest of the chain; it is
-    the payload's overlap with Bob's decoded, phase-corrected reduced
-    density matrix.  Nothing is post-selected, so leakage lowers it.
-    The decoded state is the all-down row of ``M``, phases undone, in
-    logical order, normalized; without ``decode`` only its weight is
-    checked (``_decoded``).  The overlaps are summed by ``einsum``,
-    which calls no BLAS: a matrix product this thin would start a second
-    BLAS thread, whose wake-up costs more than the sums.
-    """
-    M = psi.reshape(-1, 2**k)
-    target, undo = _bob_target(k, branches, tau, t_read, corrected)
-    overlaps = np.einsum("ij,j->i", M, target.conj())
-    return _decoded(M[0], undo, k, float(np.vdot(overlaps, overlaps).real),
-                    ratio, decode)
+    if decode:
+        return LogicalState(k, (undo * row)[_decode_permutation(k)] / nrm)
+    return None
 
 
 def _unit_interval(f, what: str):
@@ -384,32 +350,42 @@ def _start_window(branches):
     return majoranas, fermions.covariance(amp)
 
 
-class _Amplitudes:
-    """The state-vector path: the chain's 2^N amplitudes, propagated by
-    ``evolve`` on each stage's realized Hamiltonian in blocks of
-    ``trace_rows(N)`` samples.  Both fidelity overlaps are read at the
-    branches' ``final_bits`` indices, and sigma_z from the probabilities
-    of every basis state.  A ``window_only`` run reads the corrected
-    overlap alone and propagates its last stage on the Bob sectors that
-    hold a branch's final pattern alone (``restrict``).
-    """
+class _Path:
+    """Both propagation paths: the branches, Bob's register of ``k``
+    spins and ``plain``, the uncorrected target there, each branch's
+    coefficient at its ``bob``.  No stage is restricted by default."""
+
+    sectors = None  # the Bob sectors the last stage keeps, None for all
 
     def __init__(self, run, k: int, branches, window_only: bool = False):
         self.n_spins, self.k, self.branches = run.n_spins, k, branches
+        self.window_only = window_only
+        self.plain = np.zeros(2**k, dtype=complex)
+        for br in branches:
+            self.plain[br.bob] = br.coefficient
+
+    @staticmethod
+    def restrict(state):
+        return state
+
+
+class _Amplitudes(_Path):
+    """The state-vector path: the chain's 2^N amplitudes, propagated by
+    ``evolve`` on each stage's realized Hamiltonian in blocks of
+    ``trace_rows(N)`` samples.  Both fidelity overlaps are read on the
+    rest-all-down row, the first 2^k amplitudes, and sigma_z from the
+    probabilities of every basis state.  A ``window_only`` run reads the
+    corrected overlap alone and propagates its last stage on the Bob
+    sectors that hold a branch's final pattern alone (``restrict``).
+    """
+
+    def __init__(self, run, k: int, branches, window_only: bool = False):
+        super().__init__(run, k, branches, window_only)
         self.propagator = run.propagator
         self.block = trace_rows(run.n_spins)
-        self.final = np.array([basis_index(br.final_bits)
-                               for br in branches], dtype=np.int64)
-        self.coefficient = np.array([br.coefficient for br in branches],
-                                    dtype=complex)
-        self.window_only = window_only
-        # the sectors of Bob's spins, by their basis index, that the last
-        # stage keeps, or None for all; and the norm they kept
-        self.sectors = None
         if window_only:
-            self.sectors = np.zeros(2**k, dtype=bool)
-            self.sectors[self.final % 2**k] = True
-        self.scale = 1.0
+            self.sectors = self.plain != 0
+        self.scale = 1.0  # the norm the kept sectors held
 
     def start(self) -> np.ndarray:
         psi0 = np.zeros(2**self.n_spins, dtype=complex)
@@ -445,9 +421,9 @@ class _Amplitudes:
 
     def read(self, rows, target):
         """The corrected and uncorrected overlaps and sigma_z of
-        consecutive states, ``target`` holding the branch targets of
-        each; a window-only run reads the corrected overlap alone."""
-        at = rows[:, self.final] * self.scale
+        consecutive states, ``target`` holding Bob's target of each; a
+        window-only run reads the corrected overlap alone."""
+        at = rows[:, :2**self.k] * self.scale
         corrected = np.abs((target.conj() * at).sum(axis=1)) ** 2
         if self.window_only:
             return corrected, None, None
@@ -455,47 +431,43 @@ class _Amplitudes:
         # while the block is recorded, not through the next evolve
         probs = np.abs(rows)
         probs **= 2
-        uncorrected = np.abs(at @ self.coefficient.conj()) ** 2
+        uncorrected = np.abs(at @ self.plain.conj()) ** 2
         return corrected, uncorrected, _sigma_z_all(probs, self.n_spins)
 
-    def readout(self, state, tau, t_read, corrected, ratio):
-        return _readout(state * self.scale, self.k, self.branches, tau,
-                        t_read, corrected, ratio,
-                        decode=not self.window_only)
+    def readout(self, psi, target, tau):
+        """The readout fidelity ``||M conj(target)||^2`` of the final
+        amplitudes ``psi`` and ``M``'s rest-all-down row, M's rows one
+        per pattern of the rest of the chain.  That fidelity is the
+        payload's overlap with Bob's decoded, phase-corrected reduced
+        density matrix; nothing is post-selected, so leakage lowers it.
+        ``einsum`` calls no BLAS: a product this thin would start a
+        second BLAS thread, whose wake-up costs more than the sums."""
+        M = (psi * self.scale).reshape(-1, 2**self.k)
+        overlaps = np.einsum("ij,j->i", M, target.conj())
+        return float(np.vdot(overlaps, overlaps).real), M[0]
 
 
-class _Covariances:
+class _Covariances(_Path):
     """The free-fermion path: the (2N + 2)^2 Majorana covariance,
     propagated by ``evolve`` under each stage's ``MajoranaOperator`` in
-    blocks of as many samples as fit ``fermions.BLOCK_BYTES``, each
-    sample from the block's start.
+    stacks of ``fermions.stack_rows`` samples, each sample from the
+    stack's start.
 
     A full-chain fidelity is the probability that the chain outside
     Bob's register is all down, times Bob's target overlap on the
     covariance conditioned on that; the readout fidelity is the same
-    overlap unconditioned.  The decoded payload comes from the phased
+    overlap unconditioned.  The rest-all-down row comes from the
     amplitudes of ``fermions.amplitudes``.  A ``window_only`` run reads
     the corrected fidelity alone, and at the readout the readout
     fidelity and whether Bob's register is empty.
     """
 
     sigma_z = staticmethod(fermions.sigma_z)  # <Z_n> of a covariance stack
-    sectors = None  # a covariance is never restricted (_Amplitudes.restrict)
 
     def __init__(self, run, k: int, branches, window_only: bool = False):
-        N = run.n_spins
-        self.n_spins, self.k, self.branches = N, k, branches
-        self.window_only = window_only
-        self.block = max(fermions.BLOCK_BYTES // (8 * (2 * N + 2) ** 2), 1)
+        super().__init__(run, k, branches, window_only)
+        self.block = fermions.stack_rows(8 * (2 * run.n_spins + 2) ** 2)
         self.window = fermions.Window(k)
-        # each branch's index in Bob's register, and the target of the
-        # uncorrected trace there
-        self.bob = np.array([basis_index(br.final_bits[N - k:])
-                             for br in branches], dtype=np.int64)
-        self.coefficient = np.array([br.coefficient for br in branches],
-                                    dtype=complex)
-        self.plain = np.zeros(2**k, dtype=complex)
-        self.plain[self.bob] = self.coefficient
         self.stages = []  # each stage's operator, once built
 
     def start(self) -> np.ndarray:
@@ -511,10 +483,6 @@ class _Covariances:
         return h
 
     @staticmethod
-    def restrict(m):
-        return m
-
-    @staticmethod
     def propagate(m, h, steps):
         rows = evolve(m, h, steps)
         return rows, rows[-1]
@@ -522,40 +490,32 @@ class _Covariances:
     def read(self, rows, target):
         p, kept, cond = fermions.rest_empty(rows, self.n_spins - self.k)
         pf = self.window.pfaffians(cond[:, 1:, 1:])
-        phased = np.zeros((np.count_nonzero(kept), 2**self.k), dtype=complex)
-        phased[:, self.bob] = target[kept]
         corrected = np.zeros(len(rows))
-        corrected[kept] = p[kept] * self.window.overlaps(pf, phased)
+        corrected[kept] = p[kept] * self.window.overlaps(pf, target[kept])
         if self.window_only:
             return corrected, None, None
         uncorrected = np.zeros(len(rows))
         uncorrected[kept] = p[kept] * self.window.overlaps(pf, self.plain)
         return corrected, uncorrected, self.sigma_z(rows)
 
-    def readout(self, m, tau, t_read, corrected, ratio):
-        """The decoded payload and the readout fidelity at ``t_read``.
-
-        A window-only run decodes nothing.  The squared norm of the
-        rest-all-down row is the probability that the rest of the chain
-        is empty, which ``fermions.rest_empty`` reads from ``m``.  Above
-        ``EMPTY_FLOOR`` the row is far from empty; at or below it, where
-        the probability's round-off can exceed the probability, the row
-        itself decides.
-        """
+    def readout(self, m, target, tau):
+        """The readout fidelity and the rest-all-down row, whose squared
+        norm is the probability ``fermions.rest_empty`` reads from ``m``.
+        A window-only run returns None for the row when that exceeds
+        ``EMPTY_FLOOR``; at or below it, where its round-off can exceed
+        it, the row itself decides."""
         N, k = self.n_spins, self.k
-        target, undo = _bob_target(k, self.branches, tau, t_read, corrected)
         majoranas = slice(2 * (N - k) + 1, None)  # Bob's 2k + 1
         f = self.window.overlaps(
             self.window.pfaffians(m[None, majoranas, majoranas]), target)[0]
         if self.window_only and (fermions.rest_empty(m[None], N - k)[0][0]
                                  > fermions.EMPTY_FLOOR):
-            return None, _unit_interval(f, "readout fidelity")
+            return f, None
         final = [fermions.walls((0,) * (N - k) + tuple(index_bits(j, k)))
                  for j in range(2**k)]
         initial = [fermions.walls(br.initial_bits) for br in self.branches]
-        row = fermions.amplitudes(self.stages, tau, final,
-                                  initial) @ self.coefficient
-        return _decoded(row, undo, k, f, ratio, decode=not self.window_only)
+        return f, fermions.amplitudes(self.stages, tau, final, initial) @ [
+            br.coefficient for br in self.branches]
 
 
 class _XYWalls(_Covariances):
@@ -601,14 +561,13 @@ def _trace_run(path, state, stages, tau, n_samp):
     """Sample both fidelity traces and the sigma_z trace over all stages.
 
     ``stages`` holds one function per stage that builds its Hamiltonian
-    as a Pauli sum; ``path``, ``_Amplitudes``, ``_Covariances`` or
-    ``_XYWalls``, realizes it, propagates ``state`` and reads the
-    samples.  Each stage's operator is built when its stage starts and
-    released before the next one is built.  A stage is propagated in
-    blocks of ``path.block`` samples; each block starts from the last
-    state of the one before and is recorded as a whole.  The fidelity
-    targets are the branches' final patterns, each weighted by its
-    coefficient and, in the corrected trace, by its protocol phase.
+    as a Pauli sum; ``path``, a ``_Path``, realizes it, propagates
+    ``state`` and reads the samples.  Each stage's operator is built
+    when its stage starts and released before the next one is built.  A
+    stage is propagated in blocks of ``path.block`` samples; each block
+    starts from the last state of the one before and is recorded as a
+    whole, against Bob's target of each sample: the branches'
+    coefficients times their protocol phases, each at its ``bob``.
 
     On a ``path.window_only`` path only the corrected trace at the
     samples of the peak window, at the end of the last stage, is
@@ -616,9 +575,7 @@ def _trace_run(path, state, stages, tau, n_samp):
     trace: a stage that ends before the window is propagated to its end
     in one ``evolve`` call, and the last stage jumps in one call to the
     sample before the window, then records the window in blocks.  The
-    last stage starts from ``path.restrict(state)``, which on the state
-    vector keeps only the Bob sectors that the window and the readout
-    read (``_Amplitudes.restrict``).
+    last stage starts from ``path.restrict(state)``.
     """
     times = np.linspace(0.0, len(stages) * tau, len(stages) * n_samp + 1)
     dt = times[1] - times[0]
@@ -634,9 +591,9 @@ def _trace_run(path, state, stages, tau, n_samp):
         consecutive states."""
         at = times[i:i + len(rows)]
         span = slice(i - first, i - first + len(rows))
-        target = np.empty((len(rows), len(path.branches)), dtype=complex)
-        for b, br in enumerate(path.branches):
-            target[:, b] = br.coefficient * br.phase_at(at, tau)
+        target = np.zeros((len(rows), 2**path.k), dtype=complex)
+        for br in path.branches:
+            target[:, br.bob] = br.coefficient * br.phase_at(at, tau)
         corr, uncorr, sz = path.read(rows, target)
         corrected[span] = _unit_interval(corr, "corrected fidelity")
         if sigma_z is not None:
@@ -685,25 +642,30 @@ def _run(run, path, stages, J: float = 0.0,
 
     ``stages`` holds one function per stage, each run for pi/lam, that
     builds its Hamiltonian; the peak is searched around, and Bob read
-    out at, the end of the last stage.  On a ``window_only`` path the
-    run computes the peak, the readout fidelity and the empty-register
-    refusal alone (see ``_trace_run``).
+    out at, the end of the last stage, where ``path.readout`` gives the
+    readout fidelity and the rest-all-down row that is decoded.  On a
+    ``window_only`` path the run computes the peak, the readout fidelity
+    and the empty-register refusal alone (see ``_trace_run``).
     """
     N, tau, n = run.n_spins, math.pi / run.lam, len(stages)
     offsets = [energy_offset(N, M, J) for M in range(N + 1)]
     times, corr, uncorr, sigma_z, final_state = _trace_run(
         path, path.start(), stages, tau, run.n_time_samples)
-    t_read = n * tau
     peak_f, peak_t = _peak_in_window(times, corr)
-    final_logical, final_f = path.readout(final_state, tau, t_read,
-                                          corrected, J / run.lam)
+    target, undo = _bob_target(path.k, path.branches, tau, n * tau,
+                               corrected)
+    final_f, row = path.readout(final_state, target, tau)
+    final_logical = None
+    if row is not None:
+        final_logical = _decoded(row, undo, path.k, J / run.lam,
+                                 not path.window_only)
     return ProtocolResult(
         times=times,
         fidelity_corrected=corr,
         fidelity_uncorrected=uncorr,
         sigma_z_trace=sigma_z,
         final_logical=final_logical,
-        final_fidelity=final_f,
+        final_fidelity=_unit_interval(final_f, "readout fidelity"),
         phases={"global_phase": n * tau * offsets[0],
                 "relative_phase_per_M": {
                     str(M): -n * tau * (offsets[0] - offsets[M])
@@ -739,19 +701,25 @@ def run_multi_qubit_transfer(run: Transfer, *,
     leave the rest-all-down row empty at the readout, the refusal needs
     the whole row, and the run is redone on every sector.
     """
-    N, J, lam = run.n_spins, run.j_coupling, run.lam
-    k = run.state.n_logical
     path = (_Covariances if free_fermion(run) else _Amplitudes)(
-        run, k, _build_branches(run), window_only)
-    stages = (lambda: transport_hamiltonian(N, J, lam),
-              lambda: multiqubit_reset_hamiltonian(N, J, lam, k))
+        run, run.state.n_logical, _build_branches(run), window_only)
+    stages = transfer_stages(run)
     try:
-        return _run(run, path, stages, J, run.apply_phase_correction)
+        return _run(run, path, stages, run.j_coupling,
+                    run.apply_phase_correction)
     except EmptyReadout:
         if path.sectors is None:
             raise
     path.sectors = None
-    return _run(run, path, stages, J, run.apply_phase_correction)
+    return _run(run, path, stages, run.j_coupling, run.apply_phase_correction)
+
+
+def transfer_stages(run: Transfer) -> tuple:
+    """Builders of a transfer's stages, each run for pi/lam: transport,
+    then the reset of the wire."""
+    N, J, lam, k = run.n_spins, run.j_coupling, run.lam, run.state.n_logical
+    return (lambda: transport_hamiltonian(N, J, lam),
+            lambda: multiqubit_reset_hamiltonian(N, J, lam, k))
 
 
 def run_single_qubit_transfer(alpha: complex, beta: complex,
@@ -779,14 +747,13 @@ def run_heisenberg_baseline(run: Baseline) -> ProtocolResult:
     fermionic = free_fermion(run)
     branches = []
     if beta != 0:
-        branches.append(_Branch(complex(beta), (0,) * N, (0,) * N,
-                                1.0 + 0j, 0.0, 0.0))
+        branches.append(_Branch(complex(beta), (0,) * N, 0, 1.0 + 0j,
+                                0.0, 0.0))
     if alpha != 0:
         up = (1,) * N if fermionic else (1,) + (0,) * (N - 1)
-        branches.append(_Branch(complex(alpha), up, (0,) * (N - 1) + (1,),
-                                _mirror_phase(N, 1), 0.0, 0.0))
-    if fermionic:
-        return _run(run, _XYWalls(run, 1, branches),
-                    (lambda: multiqubit_reset_hamiltonian(N, 0.0, lam, 1),))
-    return _run(run, _Amplitudes(run, 1, branches),
-                (lambda: heisenberg_xy(N, lam),))
+        branches.append(_Branch(complex(alpha), up, 1, _mirror_phase(N, 1),
+                                0.0, 0.0))
+    path = (_XYWalls if fermionic else _Amplitudes)(run, 1, branches)
+    stage = ((lambda: multiqubit_reset_hamiltonian(N, 0.0, lam, 1))
+             if fermionic else (lambda: heisenberg_xy(N, lam)))
+    return _run(run, path, (stage,))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import dwtransfer
-from dwtransfer import cli
+from dwtransfer import cli, protocol
 from dwtransfer.cli import (
     COMMANDS,
     MEMORY_LIMIT_GIB,
@@ -815,6 +815,21 @@ class TestMemoryGuard:
         with pytest.raises(ManifestError, match="'n_time_samples'"):
             _check_footprint(Transfer(13, 1.0, 22.0, one,
                                       n_time_samples=int(at_limit) + 1))
+
+    @pytest.mark.parametrize("n_spins, rows, megabytes",
+                             [(13, 41, 2.06), (200, 1, 10.34)])
+    def test_covariance_term_counts_the_stacks_that_run(self, n_spins, rows,
+                                                        megabytes):
+        # eight stacks of as many covariances as the free-fermion path
+        # propagates at once: from N = 90 on one covariance alone
+        # exceeds fermions.BLOCK_BYTES, so the term outgrows 8 of them
+        one = LogicalState(1, np.array([0.0, 1.0]))
+        path = protocol._Covariances(Transfer(n_spins, 1.0, 22.0, one), 1,
+                                     [])
+        assert path.block == rows
+        need = cli._covariance_bytes(n_spins)
+        assert need == 8 * rows * 8 * (2 * n_spins + 2) ** 2
+        assert need / 1e6 == pytest.approx(megabytes, abs=0.005)
 
     def test_measured_trace_bytes_stay_below_the_constant(self, tmp_path):
         # the tracemalloc peak of a whole transfer run, writer included,

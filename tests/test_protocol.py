@@ -35,6 +35,7 @@ from dwtransfer.protocol import (
     run_multi_qubit_transfer,
     run_single_qubit_transfer,
 )
+import readout_row
 from references import basis_state, count_domain_walls
 
 EXACT = PropagatorConfig(method="exact-eigendecomposition")
@@ -54,13 +55,13 @@ def record_final_states(monkeypatch):
     """The amplitudes of every final chain state the state-vector
     readout decodes, in order."""
     seen = []
-    readout = protocol._readout
+    readout = protocol._Amplitudes.readout
 
-    def recording(psi, *args, **kwargs):
-        seen.append(psi)
-        return readout(psi, *args, **kwargs)
+    def recording(path, psi, *args):
+        seen.append(psi * path.scale)
+        return readout(path, psi, *args)
 
-    monkeypatch.setattr(protocol, "_readout", recording)
+    monkeypatch.setattr(protocol._Amplitudes, "readout", recording)
     return seen
 
 
@@ -433,7 +434,7 @@ def _target_vector(branches, n_spins, t, tau, corrected):
     tgt = np.zeros(2**n_spins, dtype=complex)
     for br in branches:
         phase = br.phase_at(t, tau) if corrected else 1.0
-        tgt[basis_index(br.final_bits)] += br.coefficient * phase
+        tgt[br.bob] += br.coefficient * phase  # the rest all down
     return tgt
 
 
@@ -648,10 +649,10 @@ class TestBlockRead:
     def assert_match_whole_space(seen, n):
         for path, rows, target, (corr, uncorr, sz) in seen["reads"]:
             assert rows.shape[1] == 2**n
-            at = rows[:, path.final]
+            at = rows[:, :2**path.k]  # the rest of the chain all down
             assert np.abs(corr - np.abs((target.conj() * at).sum(axis=1))
                           ** 2).max() <= 1e-15
-            assert np.abs(uncorr - np.abs(at @ path.coefficient.conj())
+            assert np.abs(uncorr - np.abs(at @ path.plain.conj())
                           ** 2).max() <= 1e-15
             assert np.abs(sz - _sigma_z_all(np.abs(rows) ** 2, n)
                           ).max() <= 1e-15
@@ -706,6 +707,18 @@ class TestBlockRead:
         assert not reads["reads"]
 
 
+class TestLargeChain:
+    """A second computation at N = 101 (ROADMAP item 18): the corrected
+    trace's last sample, read from the final covariance, equals
+    ``|<target|row>|^2``, the row from the stages' propagators
+    (``readout_row``; CI checks |1> at N = 200)."""
+
+    @pytest.mark.parametrize("amplitudes", [[0, 1], [S2, 0, 0, S2]],
+                             ids=["one", "bell"])
+    def test_trace_matches_readout_row(self, amplitudes):
+        assert readout_row.deviation(101, amplitudes) <= readout_row.TOLERANCE
+
+
 class TestGlobalPhase:
     """A global phase on the payload leaves every fidelity and sigma_z
     as they are, and multiplies the decoded payload (ROADMAP item 8)."""
@@ -743,9 +756,8 @@ class TestBranchTable:
         assert len(branches) == 2**k
         for idx, br in enumerate(branches):
             b = index_bits(idx, k)
-            assert br.final_bits[:N - k] == (0,) * (N - k)
-            assert br.final_bits[N - k:] == dw_encode_bits(b[::-1])
-            assert perm[idx] == basis_index(br.final_bits[N - k:])
+            assert tuple(index_bits(br.bob, k)) == dw_encode_bits(b[::-1])
+            assert perm[idx] == br.bob
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_closed_form_matches_stage_by_stage_walls(self, k):
@@ -758,7 +770,7 @@ class TestBranchTable:
             for br, (initial, final, phase, e1, e2) in zip(branches,
                                                            reference):
                 assert br.initial_bits == initial
-                assert br.final_bits == final
+                assert (0,) * (N - k) + tuple(index_bits(br.bob, k)) == final
                 assert abs(br.mirror_phase - phase) <= 1e-12, (N, initial)
                 assert br.energy_stage1 == e1
                 assert br.energy_stage2 == e2
@@ -848,22 +860,21 @@ class TestReadout:
 
     @pytest.fixture
     def readouts(self, monkeypatch):
-        """The arguments of every ``_readout`` call."""
+        """The final state, Bob's width, the branches and tau of every
+        state-vector readout."""
         seen = []
-        readout = protocol._readout
+        readout = protocol._Amplitudes.readout
 
-        def recording(psi, k, branches, tau, t_read, corrected, ratio,
-                      **kwargs):
-            seen.append((psi, k, branches, tau, corrected))
-            return readout(psi, k, branches, tau, t_read, corrected, ratio,
-                           **kwargs)
+        def recording(path, psi, target, tau):
+            seen.append((psi * path.scale, path.k, path.branches, tau))
+            return readout(path, psi, target, tau)
 
-        monkeypatch.setattr(protocol, "_readout", recording)
+        monkeypatch.setattr(protocol._Amplitudes, "readout", recording)
         return seen
 
     @staticmethod
-    def assert_match_reference(res, readouts, logical_in):
-        (psi, k, branches, tau, corrected), = readouts
+    def assert_match_reference(res, readouts, logical_in, corrected):
+        (psi, k, branches, tau), = readouts
         vec, f = readout_by_density_matrix(psi, k, branches, tau,
                                            logical_in, corrected)
         assert abs(res.final_fidelity - f) < 1e-14
@@ -885,7 +896,7 @@ class TestReadout:
         res = run_multi_qubit_transfer(Transfer(
             2 * k + 3, 1.0, ratio, payload, n_time_samples=20,
             apply_phase_correction=corrected, propagator=EXACT))
-        f = self.assert_match_reference(res, readouts, payload)
+        f = self.assert_match_reference(res, readouts, payload, corrected)
         assert f < 1 - 1e-4
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -896,11 +907,14 @@ class TestReadout:
         rng = np.random.default_rng(k)
         amp = rng.normal(size=2**k) + 1j * rng.normal(size=2**k)
         payload = LogicalState(k, amp / np.linalg.norm(amp))
-        branches = protocol._build_branches(
-            Transfer(N, 1.0, 8.5, payload, propagator=EXACT))
+        run = Transfer(N, 1.0, 8.5, payload, propagator=EXACT)
+        branches = protocol._build_branches(run)
         psi = rng.normal(size=2**N) + 1j * rng.normal(size=2**N)
         psi /= np.linalg.norm(psi)
-        got, f = protocol._readout(psi, k, branches, tau, 2 * tau, True, 8.5)
+        target, undo = protocol._bob_target(k, branches, tau, 2 * tau, True)
+        f, row = protocol._Amplitudes(run, k, branches).readout(psi, target,
+                                                                tau)
+        got = protocol._decoded(row, undo, k, 8.5, True)
         vec, ref = readout_by_density_matrix(psi, k, branches, tau, payload,
                                              True)
         assert abs(f - ref) < 1e-14
@@ -910,11 +924,11 @@ class TestReadout:
     def test_xy_baseline(self, readouts, monkeypatch, corrected):
         # the baseline always corrects its readout; the uncorrected one
         # is read from the same final state by clearing the flag
-        recording = protocol._readout
+        bob_target = protocol._bob_target
         monkeypatch.setattr(
-            protocol, "_readout", lambda *args, **kwargs: recording(
-                *args[:-2], args[-2] and corrected, args[-1], **kwargs))
+            protocol, "_bob_target", lambda *args: bob_target(
+                *args[:-1], args[-1] and corrected))
         payload = LogicalState(1, np.array([0.6, 0.8j]))
         res = run_heisenberg_baseline(
             Baseline(6, 1.0, payload, n_time_samples=20, propagator=EXACT))
-        self.assert_match_reference(res, readouts, payload)
+        self.assert_match_reference(res, readouts, payload, corrected)
