@@ -51,6 +51,18 @@ def index_bits(index: int, k: int) -> list:
     return [(index >> (k - 1 - j)) & 1 for j in range(k)]
 
 
+def bit_reversal(n: int) -> np.ndarray:
+    """``rev[i]``, the basis index of the configuration of ``n`` spins
+    with basis index ``i`` read from the other end, spin s to spin
+    n + 1 - s: the chain reversal as a permutation of basis indices,
+    its own inverse."""
+    idx = np.arange(2**n)
+    rev = np.zeros_like(idx)
+    for b in range(n):
+        rev |= (idx >> b & 1) << (n - 1 - b)
+    return rev
+
+
 @dataclass(frozen=True)
 class PauliSum:
     """Real-weighted sum of Pauli strings on an ``n_spins`` chain.
@@ -551,8 +563,11 @@ class PropagatorConfig:
     and only those components are propagated.  A component that a spin
     mirror maps onto itself, as every protocol stage's does, is
     diagonalized as its even and odd halves (``Operator.components``).
-    ``krylov``, the default,
-    is the fast path.  On it the XY baseline, and a transfer whose
+    A k = 1 transfer's reset stage is its transport stage reversed end
+    to end, so it reuses transport's eigensystems through the chain
+    reversal (``protocol._Amplitudes.build``): a window-only |1> point
+    at N = 9 takes two ``eigh``, where it took four.  ``krylov``, the
+    default, is the fast path.  On it the XY baseline, and a transfer whose
     payload is Gaussian on the wall fermions, run exactly on free
     fermions, their state the Majorana covariance
     (``protocol.free_fermion``, ``fermions``), which ``evolve``

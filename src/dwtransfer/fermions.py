@@ -275,10 +275,10 @@ class Window:
             for j in s:
                 op = op @ gamma[j]
             g[i] = 1j ** (len(s) // 2) * op[np.ix_(fock, fock)] / 2**k
-        # <t|G_S|t> = Re sum_ij conj(t_i) t_j G_S,ij: one real product on
-        # the real and imaginary parts of conj(t_i) t_j
-        flat = g.reshape(len(self.subsets), -1)
-        self.g = np.concatenate([flat.real, -flat.imag], axis=1).T
+        # each G_S is monomial: column j holds one entry, in row
+        # rows[S, j], of value values[S, j]
+        self.rows = np.abs(g).argmax(axis=1)
+        self.values = np.take_along_axis(g, self.rows[:, None], axis=1)[:, 0]
 
     def pfaffians(self, m: np.ndarray) -> np.ndarray:
         """``Pf(M_S)`` of every subset, shape ``(rows, subsets)``, from a
@@ -297,9 +297,13 @@ class Window:
         """``<t|rho|t>`` per row of ``pf``, for one target ``(2^k,)`` or
         one per row ``(rows, 2^k)``."""
         t = np.atleast_2d(targets)
-        pairs = (t.conj()[:, :, None] * t[:, None, :]).reshape(
-            len(t), t.shape[1] ** 2)
-        quad = np.concatenate([pairs.real, pairs.imag], axis=1) @ self.g
+        # <t|G_S|t> = Re sum_j conj(t_rows[S, j]) t_j values[S, j], a
+        # gather per column j with (rows, subsets) temporaries: a product
+        # with the G_S would wake a second BLAS thread
+        quad = 0.0
+        for j in range(t.shape[1]):
+            quad = quad + (t[:, self.rows[:, j]].conj()
+                           * (t[:, j, None] * self.values[:, j])).real
         return (pf * quad).sum(axis=1)
 
 

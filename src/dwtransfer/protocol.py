@@ -43,6 +43,7 @@ from .core import (
     MajoranaOperator,
     PropagatorConfig,
     basis_index,
+    bit_reversal,
     evolve,
     index_bits,
     majorana_form,
@@ -350,6 +351,19 @@ def _start_window(branches):
     return majoranas, fermions.covariance(amp)
 
 
+def _terms(pauli_sum, reverse: bool = False) -> tuple:
+    """The chain length and the terms of ``pauli_sum`` as sorted
+    ``(factors, coefficient)`` pairs, ``factors`` a sorted tuple of
+    ``(site, label)``; with ``reverse``, those of its chain reversal,
+    site n to N + 1 - n.  Two Pauli sums are equal term for term, with
+    bit-identical coefficients, when these are."""
+    end = pauli_sum.n_spins + 1
+    return pauli_sum.n_spins, sorted(
+        (tuple(sorted((end - s if reverse else s, f)
+                      for s, f in factors.items())), c)
+        for c, factors in pauli_sum.terms)
+
+
 class _Path:
     """Both propagation paths: the branches, Bob's register of ``k``
     spins and ``plain``, the uncorrected target there, each branch's
@@ -372,11 +386,16 @@ class _Path:
 class _Amplitudes(_Path):
     """The state-vector path: the chain's 2^N amplitudes, propagated by
     ``evolve`` on each stage's realized Hamiltonian in blocks of
-    ``trace_rows(N)`` samples.  Both fidelity overlaps are read on the
-    rest-all-down row, the first 2^k amplitudes, and sigma_z from the
-    probabilities of every basis state.  A ``window_only`` run reads the
-    corrected overlap alone and propagates its last stage on the Bob
-    sectors that hold a branch's final pattern alone (``restrict``).
+    ``trace_rows(N)`` samples.  A stage that is the chain reversal of
+    the stage realized before, as a k = 1 transfer's reset stage is its
+    transport stage, is propagated through that operator (``build``),
+    so its eigensystems serve both stages: the dense path's window-only
+    |1> point takes two ``eigh`` at N = 9, a full run four.  Both
+    fidelity overlaps are read on the rest-all-down row, the first 2^k
+    amplitudes, and sigma_z from the probabilities of every basis
+    state.  A ``window_only`` run reads the corrected overlap alone and
+    propagates its last stage on the Bob sectors that hold a branch's
+    final pattern alone (``restrict``).
     """
 
     def __init__(self, run, k: int, branches, window_only: bool = False):
@@ -386,6 +405,9 @@ class _Amplitudes(_Path):
         if window_only:
             self.sectors = self.plain != 0
         self.scale = 1.0  # the norm the kept sectors held
+        # the last operator realized, the terms of its chain reversal,
+        # and the chain reversal when the stage built last is that
+        self.operator = self.mirror = self.flip = None
 
     def start(self) -> np.ndarray:
         psi0 = np.zeros(2**self.n_spins, dtype=complex)
@@ -393,9 +415,20 @@ class _Amplitudes(_Path):
             psi0[basis_index(br.initial_bits)] += br.coefficient
         return psi0
 
-    @staticmethod
-    def build(pauli_sum):
-        return realize(pauli_sum)
+    def build(self, pauli_sum):
+        """The operator of a stage: the one realized last when
+        ``pauli_sum`` is its Pauli sum reversed, term for term with
+        bit-identical coefficients (``_terms``), which ``propagate`` then
+        applies through the chain reversal ``flip``; else ``pauli_sum``
+        realized once the one before is released, so at most one is
+        alive."""
+        if _terms(pauli_sum) == self.mirror:
+            self.flip = bit_reversal(self.n_spins)
+            return self.operator
+        self.operator = self.flip = None
+        self.operator = realize(pauli_sum)
+        self.mirror = _terms(pauli_sum, reverse=True)
+        return self.operator
 
     def restrict(self, psi):
         """The state the last stage starts from: with ``sectors``, its
@@ -415,7 +448,14 @@ class _Amplitudes(_Path):
         return kept / norm
 
     def propagate(self, psi, h, steps):
-        rows = evolve(psi, h, steps, self.propagator)
+        """Rows of ``psi`` at ``steps`` under ``h``, in the original
+        basis: with the ``flip`` R of the last ``build``, ``exp(-i H t) =
+        R exp(-i h t) R``, H the stage ``h`` is the reversal of."""
+        if self.flip is None:
+            rows = evolve(psi, h, steps, self.propagator)
+        else:
+            rows = evolve(psi[self.flip], h, steps,
+                          self.propagator)[:, self.flip]
         # a copy: a view would keep the block's rows alive
         return rows, rows[-1].copy()
 
@@ -562,12 +602,17 @@ def _trace_run(path, state, stages, tau, n_samp):
 
     ``stages`` holds one function per stage that builds its Hamiltonian
     as a Pauli sum; ``path``, a ``_Path``, realizes it, propagates
-    ``state`` and reads the samples.  Each stage's operator is built
-    when its stage starts and released before the next one is built.  A
-    stage is propagated in blocks of ``path.block`` samples; each block
-    starts from the last state of the one before and is recorded as a
-    whole, against Bob's target of each sample: the branches'
-    coefficients times their protocol phases, each at its ``bob``.
+    ``state`` and reads the samples.  ``path.build`` makes each stage's
+    operator when its stage starts.  On the state vector it holds one
+    operator at a time: it releases the one before, or, for a stage that
+    is its chain reversal (a k = 1 transfer's reset stage), propagates
+    through it again (``_Amplitudes.build``), so such a transfer realizes
+    and diagonalizes one operator.  Free fermions keep every stage's
+    normal modes for the readout.  A stage is propagated in blocks of
+    ``path.block`` samples; each block starts from the last state of the
+    one before and is recorded as a whole, against Bob's target of each
+    sample: the branches' coefficients times their protocol phases,
+    each at its ``bob``.
 
     On a ``path.window_only`` path only the corrected trace at the
     samples of the peak window, at the end of the last stage, is
@@ -620,7 +665,7 @@ def _trace_run(path, state, stages, tau, n_samp):
             record(i, rows)
             i += steps.size
             del rows
-        del h
+        del h  # the path alone decides what outlives the stage
     return times[first:], corrected, uncorrected, sigma_z, state
 
 

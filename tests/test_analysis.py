@@ -97,9 +97,11 @@ class TestWindowOnlySweep:
 
     def test_dense_point_diagonalizes_kept_sector(self, monkeypatch):
         # |1> at N = 9: each component is two eigh, its mirror halves.
-        # Stage 1 has one component, and the full run's stage 2 one in
-        # each of Bob's two sectors; a window-only point keeps the one
-        # that holds the branch target
+        # Stage 1 diagonalizes one component, the sector of spin 1 up.
+        # Stage 2 is transport reversed, so Bob's sectors of spin N are
+        # transport's of spin 1: the full run adds the spin-1-down one,
+        # and a window-only point keeps the branch target's sector alone,
+        # which stage 1 diagonalized
         sizes = []
         eigh = np.linalg.eigh
 
@@ -110,10 +112,10 @@ class TestWindowOnlySweep:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         run = Transfer(9, 1.0, 22.0, ONE, propagator=EXACT)
         run_multi_qubit_transfer(run)
-        assert len(sizes) == 6
+        assert sizes == [136, 120, 136, 120]
         sizes.clear()
         run_multi_qubit_transfer(run, window_only=True)
-        assert len(sizes) == 4
+        assert sizes == [136, 120]
 
 
 class TestErrorScalingSweep:

@@ -349,6 +349,25 @@ class TestSweep:
         for key in ("slope", "intercept", "r_squared"):
             assert abs(fit_a["fit"][key] - fit_b["fit"][key]) <= 1e-10
 
+    def test_bundled_sweep_diagonalizes_each_point_once(self, tmp_path,
+                                                        monkeypatch):
+        # each |1> point of the dense N = 9 sweep diagonalizes the one
+        # transport sector it needs, as its two mirror halves; its reset
+        # stage, transport's chain reversal, reuses them: 12 eigh, not 24
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            sizes.append(a.shape[0])
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        bundled = Path(__file__).resolve().parents[1] / "manifests" / \
+            "error_sweep_n9.json"
+        assert run(["sweep", "--config", bundled, "--out", tmp_path / "out",
+                    "--workers", 1]) == 0
+        assert sizes == [136, 120] * 6
+
     @staticmethod
     def serial_pools(monkeypatch):
         """The ``max_workers`` of every process pool the sweep asks for,

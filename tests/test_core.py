@@ -19,6 +19,7 @@ from dwtransfer.core import (
     _jacobi_anger,
     _planar,
     basis_index,
+    bit_reversal,
     evolve,
     index_bits,
     realize,
@@ -125,6 +126,13 @@ class TestStateVector:
             assert len(bits) == k and basis_index(bits) == idx
         # spin 1 is the most significant bit
         assert index_bits(0b100, 3) == [1, 0, 0]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_bit_reversal_reads_from_the_other_end(self, n):
+        rev = bit_reversal(n)
+        for idx in range(2**n):
+            assert rev[idx] == basis_index(index_bits(idx, n)[::-1])
+        assert (rev[rev] == np.arange(2**n)).all()
 
 
 class TestPauliSum:

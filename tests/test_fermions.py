@@ -264,6 +264,33 @@ class TestSigmaZ:
             assert np.array_equal(got[:, i:i + 1], alone)
 
 
+class TestWindow:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_overlaps_match_the_dense_monomials(self, k):
+        # the gather of each G_S's one entry per column against <t|G_S|t>
+        # from G_S as a dense matrix; the tolerance was set from the
+        # dtype before measuring
+        window = fermions.Window(k)
+        gamma = fermions.majoranas(k + 1)[1:]
+        fock = [basis_index(fermions.walls(index_bits(j, k)))
+                for j in range(2**k)]
+        rng = np.random.default_rng(k)
+        pf = rng.normal(size=(5, len(window.subsets)))
+        t = rng.normal(size=(5, 2**k)) + 1j * rng.normal(size=(5, 2**k))
+        want = np.zeros(5)
+        for i, subset in enumerate(window.subsets):
+            op = np.eye(2 ** (k + 1), dtype=complex)
+            for j in subset:
+                op = op @ gamma[j]
+            g = 1j ** (len(subset) // 2) * op[np.ix_(fock, fock)] / 2**k
+            want += pf[:, i] * np.einsum("ri,ij,rj->r", t.conj(), g, t).real
+        tol = 1e-13 * np.abs(want).max()
+        assert np.abs(window.overlaps(pf, t) - want).max() <= tol
+        one = window.overlaps(pf, t[0])  # one target for every row
+        assert np.abs(one - window.overlaps(pf, np.tile(t[0], (5, 1)))
+                      ).max() <= tol
+
+
 class TestPathChoice:
     @pytest.mark.parametrize("state", [
         payload(1, [0.6, 0.8j]),

@@ -215,6 +215,27 @@ class TestResetHamiltonian:
         mirrored = ht.matrix.toarray()[np.ix_(perm, perm)]
         assert np.allclose(hr.matrix.toarray(), mirrored, atol=1e-12)
 
+    @pytest.mark.parametrize("N", [2, 3, 5, 9, 13, 14, 101])
+    def test_chain_reversal_of_transport_term_for_term(self, N):
+        # the premise of the state vector's reuse of transport's
+        # operator for a one-spin reset stage: reversed, site n to
+        # N + 1 - n, transport is that stage with bit-identical
+        # coefficients; wider registers' reset stages are not
+        for J in (22.0, 22.007, 22.007 * N / 13, -3.3):
+            for lam in (1.0, 1.3):
+                transport = transport_hamiltonian(N, J, lam)
+                mirrored = {
+                    (coeff, tuple(sorted((N + 1 - s, f)
+                                         for s, f in factors.items())))
+                    for coeff, factors in transport.terms}
+                reset = multiqubit_reset_hamiltonian(N, J, lam, 1)
+                assert len(reset.terms) == len(transport.terms)
+                assert terms_as_set(reset) == mirrored
+                for k in (2, 3):
+                    if k <= N // 2:
+                        assert terms_as_set(multiqubit_reset_hamiltonian(
+                            N, J, lam, k)) != mirrored
+
 
 class TestMultiqubitReset:
     def test_bob_register_field_free(self):

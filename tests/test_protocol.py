@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import weakref
@@ -511,27 +512,61 @@ class TestTraceRun:
         # 10 rows at N = 13 bound the peak RSS of the N = 13 transfer
         assert protocol.trace_rows(n) == rows
 
-    def test_each_stage_operator_released_before_the_next(self):
+    def test_each_stage_operator_released_before_the_next(self,
+                                                          monkeypatch):
+        # two distinct stage operators are never alive at once: a k = 2
+        # reset stage is realized once transport's is released, and a
+        # k = 1 reset stage, transport's chain reversal, realizes none;
+        # the path's last operator goes with the path, no collector
         built = []
 
-        class Recording(protocol._Amplitudes):
-            def build(self, pauli_sum):
-                assert all(ref() is None for ref in built)
-                h = realize(pauli_sum)
-                built.append(weakref.ref(h))
-                return h
+        def recording_realize(pauli_sum):
+            assert all(ref() is None for ref in built)
+            h = realize(pauli_sum)
+            built.append(weakref.ref(h))
+            return h
 
+        monkeypatch.setattr(protocol, "realize", recording_realize)
         psi = basis_state([1, 0, 0, 0, 0])
-        path = Recording(Transfer(5, 1.0, 22.0, logical_one()), 1, [])
         gc.disable()
         try:
-            _trace_run(path, psi, (
-                lambda: transport_hamiltonian(5, 22.0, 1.0),
-                lambda: multiqubit_reset_hamiltonian(5, 22.0, 1.0, 1),
-            ), math.pi, 12)
+            for k, realized in ((2, 2), (1, 1)):
+                built.clear()
+                path = protocol._Amplitudes(
+                    Transfer(5, 1.0, 22.0, logical_one()), k, [])
+                _trace_run(path, psi, (
+                    lambda: transport_hamiltonian(5, 22.0, 1.0),
+                    lambda: multiqubit_reset_hamiltonian(5, 22.0, 1.0, k),
+                ), math.pi, 12)
+                assert len(built) == realized
+                del path
+                assert built[-1]() is None
         finally:
             gc.enable()
-        assert len(built) == 2 and built[1]() is None
+
+    @pytest.mark.parametrize("cfg", [EXACT, PropagatorConfig()],
+                             ids=["dense", "chebyshev"])
+    def test_reversed_stage_propagates_as_its_own_operator(self, cfg):
+        # a one-spin reset stage goes through transport's operator and
+        # the chain reversal, a wider one is realized: both match the
+        # stage's own operator on a state with weight everywhere
+        n = 7
+        rng = np.random.default_rng(5)
+        psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        psi /= np.linalg.norm(psi)
+        steps = np.linspace(0.1, 1.2, 5)
+        for k, reused in ((1, True), (2, False)):
+            path = protocol._Amplitudes(
+                Transfer(n, 1.0, 22.0, logical_one(), propagator=cfg), k, [])
+            first = path.build(transport_hamiltonian(n, 22.0, 1.0))
+            reset = multiqubit_reset_hamiltonian(n, 22.0, 1.0, k)
+            h = path.build(reset)
+            assert (h is first) is reused
+            assert (path.flip is not None) is reused
+            rows, last = path.propagate(psi, h, steps)
+            want = evolve(psi, realize(reset), steps, cfg)
+            assert np.abs(rows - want).max() <= 1e-12
+            assert np.array_equal(last, rows[-1])
 
     @pytest.mark.parametrize("dense_state", [False, True])
     def test_carried_state_holds_no_rows(self, dense_state):
@@ -707,16 +742,27 @@ class TestBlockRead:
         assert not reads["reads"]
 
 
+@functools.lru_cache(maxsize=None)
+def large_chain(payload: str) -> tuple:
+    """``readout_row.deviations`` of one payload at N = 101, run once."""
+    return readout_row.deviations(101, readout_row.PAYLOADS[payload])
+
+
 class TestLargeChain:
     """A second computation at N = 101 (ROADMAP item 18): the corrected
     trace's last sample, read from the final covariance, equals
-    ``|<target|row>|^2``, the row from the stages' propagators
-    (``readout_row``; CI checks |1> at N = 200)."""
+    ``|<target|row>|^2``, the row from the stages' propagators, and each
+    ``|row_j|^2`` is the probability of an empty rest of the chain times
+    Bob's conditioned population of pattern j (``readout_row``; CI
+    checks |1> and Bell at N = 200)."""
 
-    @pytest.mark.parametrize("amplitudes", [[0, 1], [S2, 0, 0, S2]],
-                             ids=["one", "bell"])
-    def test_trace_matches_readout_row(self, amplitudes):
-        assert readout_row.deviation(101, amplitudes) <= readout_row.TOLERANCE
+    @pytest.mark.parametrize("payload", ["one", "bell", "w"])
+    def test_trace_matches_readout_row(self, payload):
+        assert large_chain(payload)[0] <= readout_row.TOLERANCE
+
+    @pytest.mark.parametrize("payload", ["one", "bell", "w"])
+    def test_populations_match_readout_row(self, payload):
+        assert large_chain(payload)[1] <= readout_row.TOLERANCE
 
 
 class TestGlobalPhase:
