@@ -317,8 +317,8 @@ def _series_log2(run: Transfer) -> float:
     stage of tau = pi/lam.  ``a``, the half-width of the spectrum, is
     bounded by each stage's coefficient 1-norm."""
     N, lam = run.n_spins, run.lam
-    norm = max(sum(abs(c) for c, _ in build().terms)
-               for build in transfer_stages(run))
+    norm = max(sum(abs(c) for c, _ in stage.terms)
+               for stage in transfer_stages(run))
     at = norm * math.pi / lam  # inf beyond the float range, never nan
     rows = min(trace_rows(N), run.n_time_samples)
     return math.log2(SERIES_BYTES) + max(

@@ -51,16 +51,17 @@ def index_bits(index: int, k: int) -> list:
     return [(index >> (k - 1 - j)) & 1 for j in range(k)]
 
 
-def bit_reversal(n: int) -> np.ndarray:
-    """``rev[i]``, the basis index of the configuration of ``n`` spins
-    with basis index ``i`` read from the other end, spin s to spin
-    n + 1 - s: the chain reversal as a permutation of basis indices,
-    its own inverse."""
-    idx = np.arange(2**n)
-    rev = np.zeros_like(idx)
-    for b in range(n):
-        rev |= (idx >> b & 1) << (n - 1 - b)
-    return rev
+def reflect(x, bits):
+    """``x`` with its bits at the positions ``bits`` read in reverse
+    order, the bit at ``bits[j]`` moved to ``bits[-1 - j]``, and every
+    other bit kept: over the positions of a chain's spins, the chain
+    reversal as a map of basis indices, its own inverse."""
+    bits = [int(b) for b in bits]
+    mask = sum(1 << b for b in bits)
+    out = x & ~mask
+    for b, r in zip(bits, reversed(bits)):
+        out |= (x >> b & 1) << r
+    return out
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,14 @@ class PauliSum:
                     raise ValueError(f"unknown Pauli label {label!r}")
             checked.append((float(np.real(coeff)), dict(factors)))
         object.__setattr__(self, "terms", tuple(checked))
+
+    def reversed(self) -> "PauliSum":
+        """The chain reversal: site n to N + 1 - n, term for term, each
+        coefficient kept bit for bit.  Its own inverse."""
+        end = self.n_spins + 1
+        return PauliSum(self.n_spins, tuple(
+            (c, {end - s: f for s, f in factors.items()})
+            for c, factors in self.terms))
 
 
 class Operator:
@@ -388,28 +397,23 @@ class _Factors:
         """Position in ``indices`` of the image of each of its entries
         under a spin mirror that commutes with H on them, or None.
 
-        ``active``, the spins some term flips, are reflected (``R``),
-        and then all flipped as well when ``R`` alone fails: a stage
-        that freezes spins at both ends of its active ones commutes with
-        ``R`` when the two ends agree and with the flipped ``R`` when
-        they differ.  A map is taken when it maps ``indices`` onto
-        itself, keeps the diagonal, and maps each flip mask ``f`` to a
-        flip mask ``R(f)`` with ``weights[R(f)]`` at each image the
-        ``weights[f]`` at its source, all within ``MIRROR_TOL`` of the
-        largest entry.  That is O(|flips| d) reads and no dense copy.
-        None for complex weights, and when every entry would be its own
-        image (no odd states).
+        ``active``, the spins some term flips, are reflected (``R``,
+        ``reflect``), and then all flipped as well when ``R`` alone
+        fails: a stage that freezes spins at both ends of its active
+        ones commutes with ``R`` when the two ends agree and with the
+        flipped ``R`` when they differ.  A map is taken when it maps
+        ``indices`` onto itself, keeps the diagonal, and maps each flip
+        mask ``f`` to a flip mask ``R(f)`` with ``weights[R(f)]`` at each
+        image the ``weights[f]`` at its source, all within
+        ``MIRROR_TOL`` of the largest entry.  That is O(|flips| d) reads
+        and no dense copy.  None for complex weights, and when every
+        entry would be its own image (no odd states).
         """
         if np.iscomplexobj(self.weights) or not self.flips.size:
             return None
         active = int(np.bitwise_or.reduce(self.flips))
         bits = np.flatnonzero(active >> np.arange(active.bit_length()) & 1)
-
-        def reflect(x):
-            moved = (x[:, None] >> bits & 1) << bits[::-1]
-            return x & ~active | moved.sum(axis=1)
-
-        image_flips = reflect(self.flips)
+        image_flips = reflect(self.flips, bits)
         flip_rows = np.minimum(np.searchsorted(self.flips, image_flips),
                                self.flips.size - 1)
         if (self.flips[flip_rows] != image_flips).any():
@@ -417,7 +421,7 @@ class _Factors:
         diag = self.diag.reshape(-1)[indices]
         w = self.weights[:, indices]
         tol = MIRROR_TOL * max(np.abs(diag).max(), np.abs(w).max())
-        own, mirrored = np.arange(indices.size), reflect(indices)
+        own, mirrored = np.arange(indices.size), reflect(indices, bits)
         for toggle in (0, active):
             image = mirrored ^ toggle
             pos = np.minimum(np.searchsorted(indices, image), own[-1])

@@ -64,22 +64,17 @@ def transfer_amplitude_closed_form(N: int, lam: float, t: float) -> complex:
     return (-1j * math.sin(0.5 * lam * t)) ** (N - 1)
 
 
-def _zz_terms(N: int, J: float):
-    return [(J, {n: "Z", n + 1: "Z"}) for n in range(1, N)]
-
-
 def transport_hamiltonian(N: int, J: float, lam: float) -> PauliSum:
     """Stage-1 Hamiltonian: fields on spins 2..N, virtual down spin on the right.
 
     H = sum_{n=2}^{N} t_{n-1} X_n + J Z_N + J sum ZZ.  Spin 1 carries no
     transverse term, so its polarization is conserved; the domain wall it
-    seeds travels to the far end over tau.
+    seeds travels to the far end over tau.  It is the reset stage of
+    one-spin registers reversed end to end (``PauliSum.reversed``), term
+    for term: the mirror-symmetric profile, t_{n-1} = t_{N+1-n}, makes
+    every coefficient the same bit for bit.
     """
-    t = coupling_profile(N, lam)
-    terms = [(t[n - 2], {n: "X"}) for n in range(2, N + 1)]
-    terms.append((J, {N: "Z"}))
-    terms.extend(_zz_terms(N, J))
-    return PauliSum(N, tuple(terms))
+    return multiqubit_reset_hamiltonian(N, J, lam, 1).reversed()
 
 
 def multiqubit_reset_hamiltonian(N: int, J: float, lam: float,
@@ -93,9 +88,8 @@ def multiqubit_reset_hamiltonian(N: int, J: float, lam: float,
     spins, is field-free, so the delivered payload is untouched while
     the wire walls run back out through the left boundary.  The +J Z_1
     sign pins the left virtual neighbour down, mirroring the +J Z_N
-    term of the transport stage; it is the unique sign for which the
-    reset stage with k = 1 is the spatial reflection of the transport
-    stage.
+    term of the transport stage, which is this stage with k = 1
+    reversed end to end.
     """
     if not 1 <= k <= N // 2:
         raise ValueError(
@@ -106,7 +100,7 @@ def multiqubit_reset_hamiltonian(N: int, J: float, lam: float,
     t = coupling_profile(active + 1, lam)
     terms = [(t[n - 1], {n: "X"}) for n in range(1, active + 1)]
     terms.append((J, {1: "Z"}))
-    terms.extend(_zz_terms(N, J))
+    terms.extend((J, {n: "Z", n + 1: "Z"}) for n in range(1, N))
     return PauliSum(N, tuple(terms))
 
 

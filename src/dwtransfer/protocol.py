@@ -43,11 +43,11 @@ from .core import (
     MajoranaOperator,
     PropagatorConfig,
     basis_index,
-    bit_reversal,
     evolve,
     index_bits,
     majorana_form,
     realize,
+    reflect,
 )
 from .encoding import LogicalState, dw_encode_bits
 from .hamiltonians import (
@@ -351,19 +351,6 @@ def _start_window(branches):
     return majoranas, fermions.covariance(amp)
 
 
-def _terms(pauli_sum, reverse: bool = False) -> tuple:
-    """The chain length and the terms of ``pauli_sum`` as sorted
-    ``(factors, coefficient)`` pairs, ``factors`` a sorted tuple of
-    ``(site, label)``; with ``reverse``, those of its chain reversal,
-    site n to N + 1 - n.  Two Pauli sums are equal term for term, with
-    bit-identical coefficients, when these are."""
-    end = pauli_sum.n_spins + 1
-    return pauli_sum.n_spins, sorted(
-        (tuple(sorted((end - s if reverse else s, f)
-                      for s, f in factors.items())), c)
-        for c, factors in pauli_sum.terms)
-
-
 class _Path:
     """Both propagation paths: the branches, Bob's register of ``k``
     spins and ``plain``, the uncorrected target there, each branch's
@@ -386,16 +373,16 @@ class _Path:
 class _Amplitudes(_Path):
     """The state-vector path: the chain's 2^N amplitudes, propagated by
     ``evolve`` on each stage's realized Hamiltonian in blocks of
-    ``trace_rows(N)`` samples.  A stage that is the chain reversal of
-    the stage realized before, as a k = 1 transfer's reset stage is its
-    transport stage, is propagated through that operator (``build``),
-    so its eigensystems serve both stages: the dense path's window-only
-    |1> point takes two ``eigh`` at N = 9, a full run four.  Both
-    fidelity overlaps are read on the rest-all-down row, the first 2^k
-    amplitudes, and sigma_z from the probabilities of every basis
-    state.  A ``window_only`` run reads the corrected overlap alone and
-    propagates its last stage on the Bob sectors that hold a branch's
-    final pattern alone (``restrict``).
+    ``trace_rows(N)`` samples.  A stage whose Pauli sum is the chain
+    reversal of the one realized before, as a k = 1 transfer's reset
+    stage is its transport stage (``transport_hamiltonian``), is
+    propagated through that operator (``build``), so its eigensystems
+    serve both stages: the dense path's window-only |1> point takes two
+    ``eigh`` at N = 9, a full run four.  Both fidelity overlaps are read
+    on the rest-all-down row, the first 2^k amplitudes, and sigma_z from
+    the probabilities of every basis state.  A ``window_only`` run reads
+    the corrected overlap alone and propagates its last stage on the Bob
+    sectors that hold a branch's final pattern alone (``restrict``).
     """
 
     def __init__(self, run, k: int, branches, window_only: bool = False):
@@ -405,8 +392,9 @@ class _Amplitudes(_Path):
         if window_only:
             self.sectors = self.plain != 0
         self.scale = 1.0  # the norm the kept sectors held
-        # the last operator realized, the terms of its chain reversal,
-        # and the chain reversal when the stage built last is that
+        # the last operator realized, the chain reversal of its Pauli
+        # sum, and the chain reversal of the basis indices when the
+        # stage built last is that
         self.operator = self.mirror = self.flip = None
 
     def start(self) -> np.ndarray:
@@ -417,17 +405,17 @@ class _Amplitudes(_Path):
 
     def build(self, pauli_sum):
         """The operator of a stage: the one realized last when
-        ``pauli_sum`` is its Pauli sum reversed, term for term with
-        bit-identical coefficients (``_terms``), which ``propagate`` then
-        applies through the chain reversal ``flip``; else ``pauli_sum``
-        realized once the one before is released, so at most one is
-        alive."""
-        if _terms(pauli_sum) == self.mirror:
-            self.flip = bit_reversal(self.n_spins)
+        ``pauli_sum`` equals its Pauli sum reversed
+        (``PauliSum.reversed``), which ``propagate`` then applies through
+        the chain reversal ``flip``; else ``pauli_sum`` realized once the
+        one before is released, so at most one is alive."""
+        if pauli_sum == self.mirror:
+            self.flip = reflect(np.arange(2**self.n_spins),
+                                range(self.n_spins))
             return self.operator
         self.operator = self.flip = None
         self.operator = realize(pauli_sum)
-        self.mirror = _terms(pauli_sum, reverse=True)
+        self.mirror = pauli_sum.reversed()
         return self.operator
 
     def restrict(self, psi):
@@ -600,19 +588,19 @@ def _window_start(times) -> int:
 def _trace_run(path, state, stages, tau, n_samp):
     """Sample both fidelity traces and the sigma_z trace over all stages.
 
-    ``stages`` holds one function per stage that builds its Hamiltonian
-    as a Pauli sum; ``path``, a ``_Path``, realizes it, propagates
-    ``state`` and reads the samples.  ``path.build`` makes each stage's
-    operator when its stage starts.  On the state vector it holds one
-    operator at a time: it releases the one before, or, for a stage that
-    is its chain reversal (a k = 1 transfer's reset stage), propagates
-    through it again (``_Amplitudes.build``), so such a transfer realizes
-    and diagonalizes one operator.  Free fermions keep every stage's
-    normal modes for the readout.  A stage is propagated in blocks of
-    ``path.block`` samples; each block starts from the last state of the
-    one before and is recorded as a whole, against Bob's target of each
-    sample: the branches' coefficients times their protocol phases,
-    each at its ``bob``.
+    ``stages`` holds each stage's Hamiltonian as a Pauli sum; ``path``,
+    a ``_Path``, realizes it, propagates ``state`` and reads the
+    samples.  ``path.build`` makes each stage's operator when its stage
+    starts.  On the state vector it holds one operator at a time: it
+    releases the one before, or, for a stage whose Pauli sum is the
+    chain reversal of the one before (a k = 1 transfer's reset stage),
+    propagates through it again (``_Amplitudes.build``), so such a
+    transfer realizes and diagonalizes one operator.  Free fermions keep
+    every stage's normal modes for the readout.  A stage is propagated
+    in blocks of ``path.block`` samples; each block starts from the last
+    state of the one before and is recorded as a whole, against Bob's
+    target of each sample: the branches' coefficients times their
+    protocol phases, each at its ``bob``.
 
     On a ``path.window_only`` path only the corrected trace at the
     samples of the peak window, at the end of the last stage, is
@@ -649,8 +637,8 @@ def _trace_run(path, state, stages, tau, n_samp):
     if not first:
         record(0, state[None])
     i = 1  # the next sample
-    for s, build in enumerate(stages):
-        h = path.build(build())
+    for s, pauli_sum in enumerate(stages):
+        h = path.build(pauli_sum)
         if s == len(stages) - 1:
             state = path.restrict(state)
         end = i + n_samp
@@ -685,10 +673,10 @@ def _run(run, path, stages, J: float = 0.0,
     """Trace and read out one run on the chain and time grid of ``run``
     along ``path``, which holds the branches and Bob's register.
 
-    ``stages`` holds one function per stage, each run for pi/lam, that
-    builds its Hamiltonian; the peak is searched around, and Bob read
-    out at, the end of the last stage, where ``path.readout`` gives the
-    readout fidelity and the rest-all-down row that is decoded.  On a
+    ``stages`` holds each stage's Hamiltonian as a Pauli sum, each run
+    for pi/lam; the peak is searched around, and Bob read out at, the
+    end of the last stage, where ``path.readout`` gives the readout
+    fidelity and the rest-all-down row that is decoded.  On a
     ``window_only`` path the run computes the peak, the readout fidelity
     and the empty-register refusal alone (see ``_trace_run``).
     """
@@ -760,11 +748,11 @@ def run_multi_qubit_transfer(run: Transfer, *,
 
 
 def transfer_stages(run: Transfer) -> tuple:
-    """Builders of a transfer's stages, each run for pi/lam: transport,
-    then the reset of the wire."""
+    """The Pauli sums of a transfer's stages, each run for pi/lam:
+    transport, then the reset of the wire."""
     N, J, lam, k = run.n_spins, run.j_coupling, run.lam, run.state.n_logical
-    return (lambda: transport_hamiltonian(N, J, lam),
-            lambda: multiqubit_reset_hamiltonian(N, J, lam, k))
+    return (transport_hamiltonian(N, J, lam),
+            multiqubit_reset_hamiltonian(N, J, lam, k))
 
 
 def run_single_qubit_transfer(alpha: complex, beta: complex,
@@ -799,6 +787,6 @@ def run_heisenberg_baseline(run: Baseline) -> ProtocolResult:
         branches.append(_Branch(complex(alpha), up, 1, _mirror_phase(N, 1),
                                 0.0, 0.0))
     path = (_XYWalls if fermionic else _Amplitudes)(run, 1, branches)
-    stage = ((lambda: multiqubit_reset_hamiltonian(N, 0.0, lam, 1))
-             if fermionic else (lambda: heisenberg_xy(N, lam)))
+    stage = (multiqubit_reset_hamiltonian(N, 0.0, lam, 1) if fermionic
+             else heisenberg_xy(N, lam))
     return _run(run, path, (stage,))

@@ -19,10 +19,10 @@ from dwtransfer.core import (
     _jacobi_anger,
     _planar,
     basis_index,
-    bit_reversal,
     evolve,
     index_bits,
     realize,
+    reflect,
 )
 from dwtransfer.hamiltonians import (
     heisenberg_xy,
@@ -129,10 +129,51 @@ class TestStateVector:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_bit_reversal_reads_from_the_other_end(self, n):
-        rev = bit_reversal(n)
+        # reflect over every position is the chain reversal
+        rev = reflect(np.arange(2**n), range(n))
         for idx in range(2**n):
             assert rev[idx] == basis_index(index_bits(idx, n)[::-1])
         assert (rev[rev] == np.arange(2**n)).all()
+        assert np.array_equal(rev, bit_reversal_reference(n))
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_reflect_over_the_active_spins(self, n):
+        # over the spins a protocol stage flips, reflect keeps every
+        # other bit: the mirror of the dense path's split
+        idx = np.arange(2**n)
+        for stage in (transport_hamiltonian(n, 22.0, 1.0),
+                      heisenberg_xy(n, 1.0),
+                      *(multiqubit_reset_hamiltonian(n, 22.0, 1.0, k)
+                        for k in (1, 2))):
+            active = 0
+            for _, factors in stage.terms:
+                for site, label in factors.items():
+                    if label == "X":
+                        active |= 1 << (n - site)
+            bits = np.flatnonzero(active >> np.arange(n) & 1)
+            got = reflect(idx, bits)
+            assert np.array_equal(got, nested_reflect_reference(
+                idx, bits, active))
+            assert np.array_equal(got[got], idx)
+            assert np.array_equal(got & ~active, idx & ~active)
+
+
+def bit_reversal_reference(n):
+    """The chain reversal of ``n`` spins as a permutation of basis
+    indices, by a loop over the ``n`` bit positions."""
+    idx = np.arange(2**n)
+    rev = np.zeros_like(idx)
+    for b in range(n):
+        rev |= (idx >> b & 1) << (n - 1 - b)
+    return rev
+
+
+def nested_reflect_reference(x, bits, active):
+    """``x`` with the bits at the sorted positions ``bits``, whose mask
+    is ``active``, read in reverse order, by one gather over all of
+    them at once."""
+    moved = (x[:, None] >> bits & 1) << bits[::-1]
+    return x & ~active | moved.sum(axis=1)
 
 
 class TestPauliSum:
@@ -147,6 +188,22 @@ class TestPauliSum:
     def test_complex_coefficient_rejected(self):
         with pytest.raises(ValueError, match="real"):
             PauliSum(1, ((1.0 + 0.5j, {1: "Z"}),))
+
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_reversed_maps_site_n_to_the_other_end(self, n):
+        p = random_pauli_sum(np.random.default_rng(n), n, n_terms=9)
+        r = p.reversed()
+        assert r.n_spins == n and len(r.terms) == len(p.terms)
+        for (c, factors), (cr, fr) in zip(p.terms, r.terms):
+            # each coefficient kept bit for bit
+            assert np.float64(cr).tobytes() == np.float64(c).tobytes()
+            assert fr == {n + 1 - s: label for s, label in factors.items()}
+        assert r.reversed() == p
+        # the realized reversal is H conjugated by the chain reversal
+        rev = reflect(np.arange(2**n), range(n))
+        h = realize(p).matrix.toarray()
+        assert np.array_equal(realize(r).matrix.toarray(),
+                              h[np.ix_(rev, rev)])
 
 
 class TestRealize:

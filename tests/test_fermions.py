@@ -28,12 +28,11 @@ from dwtransfer.hamiltonians import (
 )
 from dwtransfer.protocol import (
     Transfer,
-    _build_branches,
-    _Covariances,
     free_fermion,
     run_multi_qubit_transfer,
 )
 from references import logical_basis
+from sigma_z_rows import trace_covariances
 
 EXACT = PropagatorConfig(method="exact-eigendecomposition")
 S2 = 1 / math.sqrt(2)
@@ -177,20 +176,6 @@ class TestPfaffian:
 
 def payload(k, amplitudes):
     return LogicalState(k, np.asarray(amplitudes, dtype=complex))
-
-
-def trace_covariances(n_spins, state, n_samp, j=22.007):
-    """The covariance at every trace sample of a transfer of ``state``,
-    both stages, the start included: ``(2 n_samp + 1, 2N + 2, 2N +
-    2)``."""
-    run = Transfer(n_spins, 1.0, j, state, n_time_samples=n_samp)
-    m = _Covariances(run, state.n_logical, _build_branches(run)).start()
-    steps = np.arange(1, n_samp + 1) * math.pi / n_samp
-    rows = [m[None]]
-    for p in (transport_hamiltonian(n_spins, j, 1.0),
-              multiqubit_reset_hamiltonian(n_spins, j, 1.0, state.n_logical)):
-        rows.append(evolve(rows[-1][-1], realize(p, majorana=True), steps))
-    return np.concatenate(rows)
 
 
 def zero_pivot_covariance(n_spins, seed):

@@ -183,9 +183,9 @@ class TestResetHamiltonian:
     """The reset stage of registers of one spin."""
 
     def test_three_site_terms(self):
-        # boundary field +J Z_1 (virtual down spin on the left): the
-        # unique sign for which the reset stage mirrors the transport
-        # stage and the wire actually resets
+        # boundary field +J Z_1 (virtual down spin on the left), which
+        # the transport stage, this stage reversed, mirrors as +J Z_N:
+        # the sign for which the wire actually resets
         t = coupling_profile(3, 1.0)
         h = multiqubit_reset_hamiltonian(3, 11.0, 1.0, 1)
         assert terms_as_set(h) == {
@@ -218,23 +218,25 @@ class TestResetHamiltonian:
     @pytest.mark.parametrize("N", [2, 3, 5, 9, 13, 14, 101])
     def test_chain_reversal_of_transport_term_for_term(self, N):
         # the premise of the state vector's reuse of transport's
-        # operator for a one-spin reset stage: reversed, site n to
-        # N + 1 - n, transport is that stage with bit-identical
-        # coefficients; wider registers' reset stages are not
+        # operator for a one-spin reset stage: transport is that stage
+        # reversed, site n to N + 1 - n, with bit-identical coefficients,
+        # and holds the stage-1 terms written out site by site; wider
+        # registers' reset stages are not its reversal
         for J in (22.0, 22.007, 22.007 * N / 13, -3.3):
             for lam in (1.0, 1.3):
                 transport = transport_hamiltonian(N, J, lam)
-                mirrored = {
-                    (coeff, tuple(sorted((N + 1 - s, f)
-                                         for s, f in factors.items())))
-                    for coeff, factors in transport.terms}
                 reset = multiqubit_reset_hamiltonian(N, J, lam, 1)
-                assert len(reset.terms) == len(transport.terms)
-                assert terms_as_set(reset) == mirrored
+                assert transport == reset.reversed()
+                assert transport.reversed() == reset
+                t = coupling_profile(N, lam)
+                assert terms_as_set(transport) == {
+                    *((t[n - 2], ((n, "X"),)) for n in range(2, N + 1)),
+                    (J, ((N, "Z"),)),
+                    *((J, ((n, "Z"), (n + 1, "Z"))) for n in range(1, N))}
                 for k in (2, 3):
                     if k <= N // 2:
                         assert terms_as_set(multiqubit_reset_hamiltonian(
-                            N, J, lam, k)) != mirrored
+                            N, J, lam, k)) != terms_as_set(reset)
 
 
 class TestMultiqubitReset:

@@ -164,10 +164,10 @@ class TestHeisenbergBaseline:
                 N, 1.3, vac, propagator=PropagatorConfig(method)))
             assert res.peak_time == res.times[-1] == math.pi / 1.3, method
 
-    def test_closed_form_at_n101(self):
+    @staticmethod
+    def assert_closed_form(N):
         # beyond any state vector: the uncorrected trace of |1> and the
         # sigma_z of spin N follow |[-i sin(t/2)]^(N-1)|^2
-        N = 101
         res = run_heisenberg_baseline(
             Baseline(N, 1.0, logical_one(), n_time_samples=40))
         arrived = np.array([abs(transfer_amplitude_closed_form(N, 1.0, t))
@@ -175,6 +175,13 @@ class TestHeisenbergBaseline:
         assert np.abs(res.fidelity_uncorrected - arrived).max() <= 1e-11
         assert np.abs(res.sigma_z_trace[N - 1]
                       - (1 - 2 * arrived)).max() <= 1e-11
+
+    def test_closed_form_at_n101(self):
+        self.assert_closed_form(101)
+
+    def test_closed_form_at_n200(self):
+        # the longest chain free fermions accept (ROADMAP item 18)
+        self.assert_closed_form(200)
 
 
 class TestSingleQubitTransfer:
@@ -350,6 +357,44 @@ class TestMultiQubitTransfer:
 
         f10, f20 = dominant_frequency(10.0), dominant_frequency(20.0)
         assert f20 / f10 == pytest.approx(2.0, rel=0.15)
+
+
+GHZ = LogicalState(3, np.array([S2, 0, 0, 0, 0, 0, 0, S2]))
+# (payload, N, propagator, whether it runs on free fermions)
+RESCALED = {
+    "fermions-one": (logical_one(), 13, PropagatorConfig(), True),
+    "fermions-bell": (LogicalState(2, np.array([S2, 0, 0, S2])), 7,
+                      PropagatorConfig(), True),
+    "dense-ghz": (GHZ, 7, EXACT, False),
+    "chebyshev-ghz": (GHZ, 7, PropagatorConfig(), False),
+}
+
+
+class TestRescaling:
+    """Only J/lam and lam t enter the physics (ROADMAP item 13): J and
+    lam scaled together by s leave every fidelity, sigma_z and the
+    decoded payload as they are, and divide the times by s.  The
+    tolerance, 1e-12, was stated before measuring."""
+
+    @pytest.mark.parametrize("s", [0.37, 8.0])
+    @pytest.mark.parametrize("path", sorted(RESCALED))
+    def test_scaling_j_and_lam_together(self, path, s):
+        state, n, cfg, fermionic = RESCALED[path]
+        runs = [Transfer(n, lam, 22.007 * lam, state, n_time_samples=50,
+                         propagator=cfg) for lam in (1.0, s)]
+        assert protocol.free_fermion(runs[0]) is fermionic
+        base, scaled = (run_multi_qubit_transfer(run) for run in runs)
+        for name in ("fidelity_corrected", "fidelity_uncorrected",
+                     "sigma_z_trace"):
+            assert np.abs(getattr(scaled, name)
+                          - getattr(base, name)).max() <= 1e-12, name
+        for name in ("final_fidelity", "peak_fidelity"):
+            assert abs(getattr(scaled, name)
+                       - getattr(base, name)) <= 1e-12, name
+        assert np.abs(scaled.final_logical.amplitudes
+                      - base.final_logical.amplitudes).max() <= 1e-12
+        assert np.abs(scaled.times * s - base.times).max() <= 1e-12
+        assert abs(scaled.peak_time * s - base.peak_time) <= 1e-12
 
 
 class TestTraceAccess:
@@ -535,8 +580,8 @@ class TestTraceRun:
                 path = protocol._Amplitudes(
                     Transfer(5, 1.0, 22.0, logical_one()), k, [])
                 _trace_run(path, psi, (
-                    lambda: transport_hamiltonian(5, 22.0, 1.0),
-                    lambda: multiqubit_reset_hamiltonian(5, 22.0, 1.0, k),
+                    transport_hamiltonian(5, 22.0, 1.0),
+                    multiqubit_reset_hamiltonian(5, 22.0, 1.0, k),
                 ), math.pi, 12)
                 assert len(built) == realized
                 del path
@@ -646,7 +691,7 @@ class TestTraceOverlaps:
         psi = basis_state([1] + [0] * (n - 1))
         path = protocol._Amplitudes(Baseline(n, 1.0, logical_one()), 1, [])
         times, corrected, uncorrected, _, _ = protocol._trace_run(
-            path, psi, (lambda: heisenberg_xy(n, 1.0),), tau, 12)
+            path, psi, (heisenberg_xy(n, 1.0),), tau, 12)
         assert not corrected.any() and not uncorrected.any()
         self.assert_match_reference(times, corrected, uncorrected,
                                     sampled["states"], [], n, tau)
