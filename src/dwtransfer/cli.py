@@ -246,10 +246,11 @@ def _check_footprint(run,
     on: N states for the XY baseline, which keeps the payload in its 0-
     and 1-excitation sectors, and 2^(N - 1) for a transfer, as
     transport conserves spin 1 and the reset stage Bob's spins.  That
-    stays an upper bound now that such a component is diagonalized as
-    its two mirror halves (``Operator.components``): a run holds one
-    real d x d eigenvector matrix and the halves' eigensystems.  Above
-    the limit it names ``n_spins``.
+    stays an upper bound now that such a component is diagonalized and
+    propagated as its two mirror halves (``Operator.components``): a
+    run holds the halves' two real eigenvector matrices of about d/2
+    states each, half of one real d x d matrix.  Above the limit it
+    names ``n_spins``.
     A ``Transfer`` on the Chebyshev path adds the Jacobi-Anger table of
     its largest ``evolve`` call (``_series_log2``); above the limit it
     names ``ratio_field``, the fields that set its J/lam.  On every path

@@ -129,7 +129,7 @@ class Operator:
                 raise ValueError(
                     f"matrix is not Hermitian (defect {defect:.3e})")
             self._h = _Dense(a)
-        self._eig = self._parts = self._interval = None
+        self._eig = self._components = self._interval = None
         self._chebyshev = self._csr = None
 
     @property
@@ -163,27 +163,30 @@ class Operator:
         return self._eig
 
     def components(self, amp: np.ndarray) -> list:
-        """``(indices, w, v)`` of each connected component of the nonzero
+        """``(indices, parts)`` of each connected component of the nonzero
         pattern of H that holds a nonzero entry of ``amp``: its sorted
-        basis indices and the eigensystem of H on it (``eigensystem``).
+        basis indices and the eigensystem of H on it, as parts that
+        together span the component.
 
+        A part is ``(label, weight, w, v)``: component state ``i`` is
+        ``weight[i]`` times the part's basis state ``label[i]``, and
+        ``(w, v)`` is the eigensystem of H on that basis (``eigensystem``).
         A component is grown by ``_closure`` from an entry of the support
         that no component found so far holds, and is diagonalized once.
         Where a spin mirror of a Pauli sum commutes with H on it
-        (``_Factors.mirror``), that is two ``eigh`` of about half the
-        size, on its even and its odd states (``_mirror_eigensystem``):
-        ``w`` is then the even half's eigenvalues followed by the odd
-        half's, each ascending, and ``v`` is still real and orthogonal.
-        Otherwise it is one ``eigh`` of a dense copy that is dropped once
-        ``eigh`` has run; a component that is the whole space is this
-        operator's own ``eigensystem``.  Each basis index keeps the label
-        of its component.  The cache holds those labels and the
-        eigensystems, never this operator, so dropping the operator
-        frees them without the cycle collector.
+        (``_Factors.mirror``), that is two real parts of about half the
+        size, its even and its odd states (``_mirror_eigensystem``).
+        Otherwise it is one part, ``label`` the identity and ``weight``
+        1, from one ``eigh`` of a dense copy that is dropped once
+        ``eigh`` has run; a component that is the whole space takes
+        this operator's own ``eigensystem``.  Each basis index keeps the
+        label of its component.  The cache holds those labels and the
+        parts, never this operator, so dropping the operator frees them
+        without the cycle collector.
         """
-        if self._parts is None:
-            self._parts = (np.full(self.dimension, -1), [])
-        label, systems = self._parts
+        if self._components is None:
+            self._components = (np.full(self.dimension, -1), [])
+        label, systems = self._components
         support = np.flatnonzero(amp)
         while True:
             fresh = support[label[support] < 0]
@@ -194,12 +197,13 @@ class Operator:
             pairs = (self._h.mirror(indices)
                      if isinstance(self._h, _Factors) else None)
             if pairs is not None:
-                system = _mirror_eigensystem(self._h, indices, pairs)
+                parts = _mirror_eigensystem(self._h, indices, pairs)
             else:
-                system = (self if indices.size == self.dimension
-                          else Operator(_Dense(self._h.block(indices)))
-                          ).eigensystem()
-            systems.append((indices, *system))
+                parts = ((np.arange(indices.size), np.ones(indices.size),
+                          *(self if indices.size == self.dimension
+                            else Operator(_Dense(self._h.block(indices)))
+                            ).eigensystem()),)
+            systems.append((indices, parts))
         # marked, not np.unique'd: np.unique imports numpy.ma
         touched = np.zeros(len(systems), dtype=bool)
         touched[label[support]] = True
@@ -519,16 +523,15 @@ def _closure(h, seeds: np.ndarray) -> np.ndarray:
 
 
 def _mirror_eigensystem(h, indices: np.ndarray, pairs: np.ndarray) -> tuple:
-    """``(w, v)`` of the form ``h`` on ``indices`` from two ``eigh``, of
-    its even and its odd states under the mirror ``i -> pairs[i]``
-    (``_Factors.mirror``).
+    """The two parts (``Operator.components``) of the form ``h`` on
+    ``indices``, its even and its odd states under the mirror
+    ``i -> pairs[i]`` (``_Factors.mirror``), each from one ``eigh``.
 
     The even states are ``e_i`` for a fixed point and ``(e_i + e_g)/sqrt 2``
     for a pair ``i < g``, the odd ones ``(e_i - e_g)/sqrt 2``, each
-    numbered in the order of ``i``.  Each half is summed from the
-    nonzero entries of H on ``indices`` by one ``bincount``, never
-    gathered from a dense copy, and its eigenvectors are scattered to
-    the rows of ``v``: the even half's columns first, then the odd's.
+    numbered in the order of ``i``; a fixed point has weight 0 in the
+    odd part.  Each half is summed from the nonzero entries of H on
+    ``indices`` by one ``bincount``, never gathered from a dense copy.
     """
     own = np.arange(indices.size)
     fixed, lead = pairs == own, own < pairs
@@ -536,25 +539,20 @@ def _mirror_eigensystem(h, indices: np.ndarray, pairs: np.ndarray) -> tuple:
     even = (np.cumsum(fixed | lead) - 1)[first]
     odd = (np.cumsum(lead) - 1)[first]
     odd[fixed] = 0  # a fixed point has no odd state: its weight is 0
-    n_even = indices.size - int(np.count_nonzero(lead))
     half = np.sqrt(0.5)
     rows, cols, values = h.local_entries(indices)
-    w, v = np.empty(indices.size), np.empty((indices.size,) * 2)
-    for label, weight, part in (
-            (even, np.where(fixed, 1.0, half), slice(None, n_even)),
-            (odd, np.where(fixed, 0.0, np.where(lead, half, -half)),
-             slice(n_even, None))):
+    parts = []
+    for label, weight in (
+            (even, np.where(fixed, 1.0, half)),
+            (odd, np.where(fixed, 0.0, np.where(lead, half, -half)))):
         size = int(label.max()) + 1
         block = np.bincount(label[rows] * size + label[cols],
                             weight[rows] * weight[cols] * values,
                             minlength=size**2).reshape(size, size)
-        w[part], vectors = Operator(_Dense(block)).eigensystem()
+        parts.append((label, weight,
+                      *Operator(_Dense(block)).eigensystem()))
         del block
-        # every label is in range; "clip" writes into v directly, where
-        # the default "raise" would buffer a copy of the part
-        np.take(vectors, label, axis=0, out=v[:, part], mode="clip")
-        v[:, part] *= weight[:, None]
-    return w, v
+    return tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -566,7 +564,9 @@ class PropagatorConfig:
     pattern that a state occupies, in real arithmetic when H is real,
     and only those components are propagated.  A component that a spin
     mirror maps onto itself, as every protocol stage's does, is
-    diagonalized as its even and odd halves (``Operator.components``).
+    diagonalized and propagated as its even and odd halves
+    (``Operator.components``, ``_evolve_exact``), so no eigenvector
+    matrix of the whole component is formed.
     A k = 1 transfer's reset stage is its transport stage reversed end
     to end, so it reuses transport's eigensystems through the chain
     reversal (``protocol._Amplitudes.build``): a window-only |1> point
@@ -877,21 +877,39 @@ def _jacobi_anger(z: np.ndarray) -> np.ndarray:
 
 def _evolve_exact(amp: np.ndarray, h: Operator,
                   times: np.ndarray) -> np.ndarray:
-    """Rows ``exp(-i H t_j) amp`` from the eigensystem of each component
-    of H that ``amp`` occupies (``Operator.components``); the others
-    stay zero."""
+    """Rows ``exp(-i H t_j) amp`` from the parts of the eigensystem of
+    each component of H that ``amp`` occupies (``Operator.components``);
+    the other components stay zero.
+
+    Each part takes the state onto its basis (``bincount`` of
+    ``weight * x`` by ``label``), applies ``v diag(exp(-i w t_j)) v^H``
+    there and adds the result back at ``label``, times ``weight``.  So a
+    component split in two mirror halves costs two products of half its
+    size each way, and no eigenvector matrix of the whole component is
+    formed."""
     out = np.zeros((times.size, amp.size), dtype=complex)
-    for indices, w, v in h.components(amp):
-        x = amp[indices]
-        if np.iscomplexobj(v):
-            # v^H x without materializing the conjugate transpose of v
-            c = np.conj(np.conj(x) @ v)
-            product = np.matmul
-        else:
-            c = _real_matmul(v.T, x[:, None])[:, 0]
-            product = _real_matmul
-        phased = np.exp(-1j * np.multiply.outer(w, times)) * c[:, None]
-        out[:, indices] = product(v, phased).T
+    for indices, parts in h.components(amp):
+        x, rows = amp[indices], None
+        for label, weight, w, v in parts:
+            xw = weight * x
+            xh = np.empty(w.size, dtype=complex)
+            xh.real = np.bincount(label, xw.real, w.size)
+            xh.imag = np.bincount(label, xw.imag, w.size)
+            if np.iscomplexobj(v):
+                # v^H x without materializing the conjugate transpose of v
+                c = np.conj(np.conj(xh) @ v)
+                product = np.matmul
+            else:
+                c = _real_matmul(v.T, xh[:, None])[:, 0]
+                product = _real_matmul
+            phased = np.exp(-1j * np.multiply.outer(w, times)) * c[:, None]
+            y = product(v, phased)[label]
+            y *= weight[:, None]
+            if rows is None:
+                rows = y
+            else:
+                rows += y
+        out[:, indices] = rows.T
     return out
 
 

@@ -1,5 +1,6 @@
 import gc
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -55,6 +56,29 @@ def kron_realize(p):
         acc = acc + coeff * term
     acc.eliminate_zeros()
     return acc
+
+
+def assert_parts_rebuild(block, parts):
+    """The parts of a component's eigensystem (``Operator.components``)
+    against ``block``, H on the component: each part's eigenpairs
+    rebuild H on that part's basis (component state ``i`` is
+    ``weight[i]`` times basis state ``label[i]``), with orthonormal
+    eigenvectors, real exactly when H is, and the parts' bases together
+    are orthonormal on the component and rebuild H there, to 1e-12."""
+    size = block.shape[0]
+    bases, rebuilt = [], np.zeros(block.shape, dtype=complex)
+    for label, weight, w, v in parts:
+        assert np.isrealobj(v) == np.isrealobj(block)
+        basis = np.zeros((size, w.size))
+        basis[np.arange(size), label] = weight
+        assert np.abs((v * w) @ v.conj().T
+                      - basis.T @ block @ basis).max() < 1e-12
+        assert np.abs(v.conj().T @ v - np.eye(w.size)).max() < 1e-12
+        bases.append(basis)
+        rebuilt += basis @ (v * w) @ v.conj().T @ basis.T
+    joint = np.hstack(bases)
+    assert np.abs(joint.T @ joint - np.eye(size)).max() < 1e-12
+    assert np.abs(rebuilt - block).max() < 1e-12
 
 
 def random_pauli_sum(rng, n_spins, n_terms, labels="XYZ"):
@@ -572,7 +596,7 @@ class TestChebyshev:
         one = np.zeros(2**self.N)
         one[1 << (self.N - 1)] = 1.0
         for h in protocol_operators(self.N).values():
-            (indices, _, _), = h.components(one)
+            (indices, _), = h.components(one)
             ops.append(Operator(h.matrix.toarray()[np.ix_(indices,
                                                           indices)]))
         for h in ops:
@@ -623,22 +647,21 @@ class TestInvariantBlock:
         n = self.N
         hams = protocol_operators(self.N)
         one = self.inputs()["one"]
-        (indices, w, _), = hams["xy"].components(one)
-        assert w.size == n
+        (indices, parts), = hams["xy"].components(one)
+        assert sum(w.size for _, _, w, _ in parts) == n
         assert np.array_equal(indices, [1 << k for k in range(n)])
         # spin 1 up: the 2^(n-1) states of its transport sector
-        assert [ix.size for ix, _, _ in hams["transport"].components(one)
+        assert [ix.size for ix, _ in hams["transport"].components(one)
                 ] == [2 ** (n - 1)]
         dense = random_state(np.random.default_rng(0), n)
-        assert sum(ix.size for ix, _, _ in hams["transport"].components(
+        assert sum(ix.size for ix, _ in hams["transport"].components(
             dense)) == 2**n
 
     def test_block_matches_restricted_matrix(self):
         h = protocol_operators(self.N)["xy"]
-        (indices, w, v), = h.components(self.inputs()["one"])
+        (indices, parts), = h.components(self.inputs()["one"])
         full = h.matrix.toarray()
-        assert np.abs((v * w) @ v.conj().T
-                      - full[np.ix_(indices, indices)]).max() < 1e-12
+        assert_parts_rebuild(full[np.ix_(indices, indices)].real, parts)
         outside = np.setdiff1d(np.arange(h.dimension), indices)
         assert not full[np.ix_(outside, indices)].any()
 
@@ -654,7 +677,7 @@ class TestInvariantBlock:
         times = np.array([0.0, 0.3, 0.7])
         rows = evolve(psi, h, times, cfg)
         assert rows.shape == (3, h.dimension) and not rows.flags.writeable
-        inside = np.concatenate([ix for ix, _, _ in h.components(psi)])
+        inside = np.concatenate([ix for ix, _ in h.components(psi)])
         outside = np.setdiff1d(np.arange(h.dimension), inside)
         assert np.abs(rows[:, outside]).max(initial=0.0) < 1e-14
         one = evolve(psi, h, 0.7, cfg)
@@ -687,7 +710,7 @@ class TestInvariantBlock:
             ref = expm(-1j * 1.3 * full) @ psi
             assert np.abs(out - ref).max() < 1e-10
         # the vacuum and one and two excitations: 29 states
-        assert sum(ix.size for ix, _, _ in h.components(states["mixed"])
+        assert sum(ix.size for ix, _ in h.components(states["mixed"])
                    ) == 1 + self.N + self.N * (self.N - 1) // 2
 
     @pytest.mark.parametrize("cfg", METHODS)
@@ -751,7 +774,7 @@ class TestComponents:
         filled = random_state(np.random.default_rng(2), self.N)
         one = basis_state([1] + [0] * (self.N - 1))
         for ham, h in self.hamiltonians(layout).items():
-            parts = [indices for indices, _, _ in h.components(filled)]
+            parts = [indices for indices, _ in h.components(filled)]
             assert sorted(p.size for p in parts) == sizes[ham]
             label = np.full(h.dimension, -1)
             for n, indices in enumerate(parts):
@@ -762,7 +785,7 @@ class TestComponents:
             rows, cols = h.matrix.nonzero()
             assert np.array_equal(label[rows], label[cols])
             # one basis state occupies the one component that holds it
-            (mine, _, _), = h.components(one)
+            (mine, _), = h.components(one)
             assert np.array_equal(
                 mine, parts[label[np.flatnonzero(one)[0]]])
 
@@ -805,7 +828,7 @@ class TestComponents:
             want = self.connected_sets(ref)
             h = fresh()
             if h.dimension <= 2**7:
-                got = sorted((ix for ix, _, _ in h.components(
+                got = sorted((ix for ix, _ in h.components(
                     np.ones(h.dimension))), key=lambda s: s[0])
                 assert len(got) == len(want)
                 for g, w in zip(got, want):
@@ -819,7 +842,7 @@ class TestComponents:
                 touched = [w for w in want if np.isin(
                     w, [seed_index, h.dimension // 2]).any()]
                 # only the components the state occupies
-                got = sorted((ix for ix, _, _ in h.components(amp)),
+                got = sorted((ix for ix, _ in h.components(amp)),
                              key=lambda s: s[0])
                 assert len(got) == len(touched)
                 for g, w in zip(got, touched):
@@ -830,11 +853,11 @@ class TestComponents:
             h = fresh()
             amp = np.zeros(2**13)
             amp[1 << 12] = 1.0
-            (indices, w, _), = h.components(amp)
+            (indices, parts), = h.components(amp)
             assert np.array_equal(indices, [1 << k for k in range(13)])
-            assert w.size == 13
+            assert sum(w.size for _, _, w, _ in parts) == 13
             amp[0] = 1.0
-            got = [ix for ix, _, _ in h.components(amp)]
+            got = [ix for ix, _ in h.components(amp)]
             assert np.array_equal(np.sort(np.concatenate(got)),
                                   [0] + [1 << k for k in range(13)])
 
@@ -850,12 +873,10 @@ class TestComponents:
             system = op.components(filled)
             want = self.connected_sets(op.matrix)
             assert len(system) == len(want)
-            for indices, w, v in system:
+            for indices, parts in system:
                 # v is real exactly when H is
-                assert np.isrealobj(v) == real
-                rebuilt = (v * w) @ v.conj().T
-                assert np.abs(rebuilt
-                              - full[np.ix_(indices, indices)]).max() < 1e-12
+                block = full[np.ix_(indices, indices)]
+                assert_parts_rebuild(block.real if real else block, parts)
             # cached: the same arrays again
             for old, new in zip(system, op.components(filled)):
                 assert all(a is b for a, b in zip(old, new))
@@ -950,17 +971,16 @@ class TestMirrorSplit:
             full = h.matrix.toarray().real
             sizes.clear()
             system = h.components(np.ones(h.dimension))
-            assert sum(ix.size for ix, _, _ in system) == h.dimension
+            assert sum(ix.size for ix, _ in system) == h.dimension
             # every component of more than one state is split in two
             # halves, none empty; the XY vacuum and all-up state are not
             assert sum(sizes) == h.dimension and min(sizes) >= 1
             assert len(sizes) == sum(2 if ix.size > 1 else 1
-                                     for ix, _, _ in system), name
-            for indices, w, v in system:
-                assert np.isrealobj(v)
-                assert np.abs((v * w) @ v.T
-                              - full[np.ix_(indices, indices)]).max() < 1e-12
-                assert np.abs(v.T @ v - np.eye(indices.size)).max() < 1e-12
+                                     for ix, _ in system), name
+            for indices, parts in system:
+                # two parts exactly where the component was split
+                assert len(parts) == (2 if indices.size > 1 else 1)
+                assert_parts_rebuild(full[np.ix_(indices, indices)], parts)
 
     def test_no_split_without_the_symmetry(self, sizes):
         n = 7
@@ -978,11 +998,34 @@ class TestMirrorSplit:
             sizes.clear()
             system = h.components(np.ones(h.dimension))
             # one unsplit eigh per component: the two Z_1 sectors
-            assert sizes == [ix.size for ix, _, _ in system] == [64, 64]
+            assert sizes == [ix.size for ix, _ in system] == [64, 64]
             full = h.matrix.toarray()
-            for indices, w, v in system:
-                assert np.abs((v * w) @ v.conj().T
-                              - full[np.ix_(indices, indices)]).max() < 1e-12
+            for indices, parts in system:
+                assert len(parts) == 1
+                block = full[np.ix_(indices, indices)]
+                assert_parts_rebuild(
+                    block if block.imag.any() else block.real, parts)
+
+    def test_dense_evolve_keeps_the_halves_apart(self):
+        # spin 1 up under transport at N = 11 occupies one component of
+        # d = 1024 states, split in two halves of about d/2: the parts
+        # hold two (d/2)^2 eigenvector matrices, where one real d x d
+        # matrix beside the halves' eigh outputs peaks near 2 d^2 * 8
+        n = 11
+        h = realize(transport_hamiltonian(n, 22.007 * n / 13, 1.0))
+        psi = basis_state([1] + [0] * (n - 1))
+        times = TAU / 40 * np.arange(1, 41)
+        tracemalloc.start()
+        try:
+            rows = evolve(psi, h, times, EXACT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        d = 2 ** (n - 1)  # the sector of spin 1 up
+        assert peak < 1.5 * d**2 * 8
+        (indices, parts), = h.components(psi)
+        assert indices.size == d and len(parts) == 2
+        assert rows.shape == (40, 2**n)
 
     def test_no_split_when_the_reflection_leaves_the_flips(self, sizes):
         # the reflection of the active spins 1, 2 maps the flip X_1 to
@@ -993,7 +1036,7 @@ class TestMirrorSplit:
         times = np.array([0.7, 2.3])
         rows = _evolve_exact(amp, h, times)
         # one unsplit eigh per component: the two Z_3 sectors
-        assert sizes == [ix.size for ix, _, _ in h.components(amp)] == [4, 4]
+        assert sizes == [ix.size for ix, _ in h.components(amp)] == [4, 4]
         for t, row in zip(times, rows):
             ref = expm(-1j * t * h.matrix.toarray()) @ amp
             assert np.abs(row - ref).max() < 1e-12

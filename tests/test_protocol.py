@@ -762,7 +762,7 @@ class TestBlockRead:
         # diagonalizes that one sector of 256 of 512 states
         h = realize(transport_hamiltonian(9, 22.0, 1.0))
         one = basis_state([1] + [0] * 8)
-        assert [ix.size for ix, _, _ in h.components(one)] == [256]
+        assert [ix.size for ix, _ in h.components(one)] == [256]
         run_multi_qubit_transfer(Transfer(9, 1.0, 22.0, logical_one(),
                                           n_time_samples=40,
                                           propagator=EXACT))
