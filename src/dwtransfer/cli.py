@@ -33,7 +33,6 @@ from .analysis import (
 )
 from .core import PropagatorConfig
 from .encoding import LogicalState
-from .fermions import stack_rows
 from .protocol import (
     Baseline,
     EmptyReadout,
@@ -41,34 +40,20 @@ from .protocol import (
     Transfer,
     _check_chain,
     free_fermion,
+    path_class,
     run_heisenberg_baseline,
     run_multi_qubit_transfer,
     run_single_qubit_transfer,  # not called here: perfbench/spans.py wraps it
-    trace_rows,
-    transfer_stages,
 )
 
 SLOPE_TARGET = -2.0
 SLOPE_BAND_DEFAULT = 0.3
 MEMORY_LIMIT_GIB = 4  # largest estimated footprint a run may start with
-# 2^N-amplitude vectors a state-vector run holds at once: a trace block
-# of outputs (one row above N = 13), the probabilities and the
-# Chebyshev ring; the realized operator and its build add about 3 more
-# per spin
-STATE_VECTORS = 48
-# complex matrices of the size of the readout Pfaffians, 4N + 2k + 6, a
-# free-fermion run holds at once besides its blocks of covariances
-PFAFFIAN_MATRICES = 8
 # longest chain a free-fermion run may take.  At N = 200 a |1> transfer
 # takes 16.0 s in-process at 200 samples per stage, led by sigma_z and
 # the covariances, and 3.1-3.4 s at 20, led by the readout's two complex
 # Pfaffians (2.1 s); raising the cap is ROADMAP item 10
 FREE_FERMION_SPINS_MAX = 200
-# bytes of the Jacobi-Anger table of one Chebyshev evolve call, per row
-# and per unit of a t + 64 (a the half-width of H's spectrum): up to 5.5
-# FFT points per unit (measured for a t up to 3e4), each of 32 bytes
-# while the exponentials and their FFT are alive
-SERIES_BYTES = 192
 # bytes per sampled trace value: 8 in its array, and a share of the few
 # MB the rest of the run and _write_run's blocks of at most 2^14 values
 # add.  tracemalloc peak of a whole transfer run through main(), writer
@@ -233,64 +218,28 @@ def _check_memory(field: str, value, log2_need: float, hint: str = ""):
 def _check_footprint(run,
                      ratio_field: str = "fields 'j_coupling' and 'lam'"
                      ) -> None:
-    """Refuse a run (a ``Baseline`` or a ``Transfer``) whose estimated
-    memory per process exceeds ``MEMORY_LIMIT_GIB``.
-
-    On free fermions (``protocol.free_fermion``) a chain longer than
-    ``FREE_FERMION_SPINS_MAX`` is refused for its run time, naming
-    ``n_spins``; the estimate counts ``PFAFFIAN_MATRICES`` complex
-    matrices of dimension 4N + 2k + 6 and ``_covariance_bytes(N)``.
-    The XY baseline runs there on ``"krylov"``.  On the state vector it
-    counts complex vectors of 2^N amplitudes and, on the dense path,
-    three complex matrices of the largest component H is diagonalized
-    on: N states for the XY baseline, which keeps the payload in its 0-
-    and 1-excitation sectors, and 2^(N - 1) for a transfer, as
-    transport conserves spin 1 and the reset stage Bob's spins.  That
-    stays an upper bound now that such a component is diagonalized and
-    propagated as its two mirror halves (``Operator.components``): a
-    run holds the halves' two real eigenvector matrices of about d/2
-    states each, half of one real d x d matrix.  Above the limit it
-    names ``n_spins``.
-    A ``Transfer`` on the Chebyshev path adds the Jacobi-Anger table of
-    its largest ``evolve`` call (``_series_log2``); above the limit it
-    names ``ratio_field``, the fields that set its J/lam.  On every path
-    a ``Transfer`` whose |J| N/lam exceeds ``PHASE_RATIO_MAX`` is refused
-    next, naming ``ratio_field``.  Then it adds the traces of two stages
-    of samples, ``TRACE_VALUE_BYTES`` for each of the N sigma_z values
-    and 3 more values per sample, and names ``n_time_samples``.  It is
-    compared by its log2, so no 2^N is formed for a chain of any length.
-    """
-    N, fermionic = run.n_spins, free_fermion(run)
-    if fermionic:
-        if N > FREE_FERMION_SPINS_MAX:
-            raise ManifestError(
-                f"manifest field 'n_spins' is {N}: free-fermion runs take "
-                f"at most {FREE_FERMION_SPINS_MAX} spins, as their time "
-                "grows about as N^3 per sample (ROADMAP item 2a)")
-        width = 4 * N + 2 * run.state.n_logical + 6
-        log2_need = np.logaddexp2(
-            math.log2(16 * PFAFFIAN_MATRICES) + 2 * math.log2(width),
-            math.log2(_covariance_bytes(N)))
-        hint = ""
-    else:
-        log2_need = N + math.log2(16 * (STATE_VECTORS + 3 * N))
-        if run.propagator.method == "exact-eigendecomposition":
-            dense_log2 = (math.log2(N) if isinstance(run, Baseline)
-                          else N - 1)
-            log2_need = np.logaddexp2(log2_need,
-                                      math.log2(16 * 3) + 2 * dense_log2)
-        hint = ("; chains this long need the free-fermion backend "
-                "(ROADMAP item 2)")
-    _check_memory("n_spins", N, log2_need, hint)
-    # off free fermions, only a transfer runs on "krylov"
-    if not fermionic and run.propagator.method == "krylov":
-        log2_need = np.logaddexp2(log2_need, _series_log2(run))
-        if log2_need > math.log2(MEMORY_LIMIT_GIB * 2**30):
-            raise ManifestError(
-                f"manifest {ratio_field}: J/lam = "
-                f"{run.j_coupling / run.lam:.6g} needs a Chebyshev series "
-                f"table of about 2^{log2_need:.4g} bytes, above the "
-                f"{MEMORY_LIMIT_GIB} GiB limit")
+    """Refuse a run (a ``Baseline`` or a ``Transfer``) too large for
+    ``MEMORY_LIMIT_GIB`` or too slow, naming the field to change, or
+    ``ratio_field`` for J/lam.  The sizes are those of the path
+    ``protocol.path_class`` picks, and ``TRACE_VALUE_BYTES`` per trace
+    value; all are compared by log2."""
+    N, path, fermionic = run.n_spins, path_class(run), free_fermion(run)
+    if fermionic and N > FREE_FERMION_SPINS_MAX:
+        raise ManifestError(
+            f"manifest field 'n_spins' is {N}: free-fermion runs take "
+            f"at most {FREE_FERMION_SPINS_MAX} spins, as their time "
+            "grows about as N^3 per sample (ROADMAP item 2a)")
+    log2_need = path.footprint(run)
+    _check_memory("n_spins", N, log2_need, "" if fermionic else
+                  "; chains this long need the free-fermion backend "
+                  "(ROADMAP item 2)")
+    log2_need = np.logaddexp2(log2_need, path.series_footprint(run))
+    if log2_need > math.log2(MEMORY_LIMIT_GIB * 2**30):
+        raise ManifestError(
+            f"manifest {ratio_field}: J/lam = "
+            f"{run.j_coupling / run.lam:.6g} needs a Chebyshev series "
+            f"table of about 2^{log2_need:.4g} bytes, above the "
+            f"{MEMORY_LIMIT_GIB} GiB limit")
     if isinstance(run, Transfer):
         phase_ratio = abs(run.j_coupling) * N / run.lam
         if phase_ratio > PHASE_RATIO_MAX:
@@ -302,29 +251,6 @@ def _check_footprint(run,
                    + math.log2(2 * run.n_time_samples + 1))
     _check_memory("n_time_samples", run.n_time_samples,
                   np.logaddexp2(log2_need, log2_traces))
-
-
-def _covariance_bytes(n_spins: int) -> int:
-    """Bytes of the eight stacks of covariances a free-fermion run holds
-    at once, each as large as ``protocol._Covariances`` propagates."""
-    item = 8 * (2 * n_spins + 2) ** 2
-    return 8 * stack_rows(item) * item
-
-
-def _series_log2(run: Transfer) -> float:
-    """log2 of the bytes of the largest Jacobi-Anger table a Chebyshev
-    transfer builds: ``SERIES_BYTES`` per row and per unit of ``a t +
-    64``, over a block of ``trace_rows(N)`` samples or one jump across a
-    stage of tau = pi/lam.  ``a``, the half-width of the spectrum, is
-    bounded by each stage's coefficient 1-norm."""
-    N, lam = run.n_spins, run.lam
-    norm = max(sum(abs(c) for c, _ in stage.terms)
-               for stage in transfer_stages(run))
-    at = norm * math.pi / lam  # inf beyond the float range, never nan
-    rows = min(trace_rows(N), run.n_time_samples)
-    return math.log2(SERIES_BYTES) + max(
-        math.log2(rows) + math.log2(at * rows / run.n_time_samples + 64),
-        math.log2(at + 64))
 
 
 def _read_manifest(path: str, experiment: str) -> dict:

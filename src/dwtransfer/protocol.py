@@ -19,7 +19,7 @@ run in reverse: the reset stage of one-spin registers at J = 0, with
 its pair-creation terms dropped, hops one wall along the N interfaces
 left of spin N with the XY chain's profile and sign, so XY spin n up is
 a wall on interface n - 1.  Any other payload and the dense reference
-propagator run on the 2^N amplitudes; ``free_fermion`` makes the
+propagator run on the 2^N amplitudes; ``path_class`` makes the
 choice.
 
 Deterministic phases are tracked per logical branch, in closed form from
@@ -325,28 +325,16 @@ def trace_rows(n_spins: int) -> int:
     return min(max(TRACE_BYTES // (16 * 2**n_spins), 1), TRACE_ROWS_MAX)
 
 
-def free_fermion(run) -> bool:
-    """Whether ``run`` propagates on free fermions: on the default
-    ``"krylov"`` propagator, the XY baseline and a ``Transfer`` whose
-    payload, of at most ``FREE_FERMION_QUBITS`` qubits, is Gaussian on
-    the wall fermions.  Every other run propagates its 2^N
-    amplitudes."""
-    return run.propagator.method == "krylov" and (
-        isinstance(run, Baseline)
-        or (run.state.n_logical <= FREE_FERMION_QUBITS
-            and fermions.is_gaussian(_start_window(_build_branches(run))[1])))
-
-
-def _start_window(branches):
-    """The Majoranas of the interfaces that some branch's walls occupy
-    at the start, and the covariance there of the branches' Fock
-    states, superposed with their coefficients.  Every other interface
-    is empty in every branch, so no Jordan-Wigner sign enters."""
-    occupied = np.array([fermions.walls(br.initial_bits) for br in branches])
+def _start_window(pairs):
+    """The Majoranas of the interfaces some pattern's walls occupy, and
+    the covariance there of the Fock states of ``pairs`` (spin pattern,
+    coefficient) superposed.  Every other interface is empty in every
+    pattern, so no Jordan-Wigner sign enters."""
+    occupied = np.array([fermions.walls(bits) for bits, _ in pairs])
     modes = np.flatnonzero(occupied.any(axis=0))
     amp = np.zeros(2**modes.size, dtype=complex)
-    for walls, br in zip(occupied, branches):
-        amp[basis_index(walls[modes])] += br.coefficient
+    for walls, (_, c) in zip(occupied, pairs):
+        amp[basis_index(walls[modes])] += c
     majoranas = np.stack([2 * modes, 2 * modes + 1], axis=1).ravel()
     return majoranas, fermions.covariance(amp)
 
@@ -369,6 +357,10 @@ class _Path:
     def restrict(state):
         return state
 
+    @staticmethod
+    def series_footprint(run) -> float:  # no Chebyshev table to hold
+        return -math.inf
+
 
 class _Amplitudes(_Path):
     """The state-vector path: the chain's 2^N amplitudes, propagated by
@@ -385,6 +377,16 @@ class _Amplitudes(_Path):
     sectors that hold a branch's final pattern alone (``restrict``).
     """
 
+    # 2^N-amplitude vectors a run holds at once: a trace block of outputs
+    # (one row above N = 13), the probabilities and the Chebyshev ring;
+    # the realized operator and its build add about 3 more per spin
+    STATE_VECTORS = 48
+    # bytes of the Jacobi-Anger table of one Chebyshev evolve call, per row
+    # and per unit of a t + 64 (a the half-width of H's spectrum): up to 5.5
+    # FFT points per unit (measured for a t up to 3e4), each of 32 bytes
+    # while the exponentials and their FFT are alive
+    SERIES_BYTES = 192
+
     def __init__(self, run, k: int, branches, window_only: bool = False):
         super().__init__(run, k, branches, window_only)
         self.propagator = run.propagator
@@ -396,6 +398,37 @@ class _Amplitudes(_Path):
         # sum, and the chain reversal of the basis indices when the
         # stage built last is that
         self.operator = self.mirror = self.flip = None
+
+    @classmethod
+    def footprint(cls, run) -> float:
+        """log2 of the bytes of ``STATE_VECTORS`` + 3 N vectors of 2^N
+        amplitudes and, on the dense path, three complex matrices of H's
+        largest component: N states for the XY baseline (its 0- and
+        1-excitation sectors), 2^(N - 1) for a transfer (transport keeps
+        spin 1, the reset stage Bob's spins)."""
+        N = run.n_spins
+        log2_need = N + math.log2(16 * (cls.STATE_VECTORS + 3 * N))
+        if run.propagator.method == "krylov":
+            return log2_need
+        dense_log2 = math.log2(N) if isinstance(run, Baseline) else N - 1
+        return np.logaddexp2(log2_need, math.log2(16 * 3) + 2 * dense_log2)
+
+    @classmethod
+    def series_footprint(cls, run) -> float:
+        """log2 of the bytes of the largest Jacobi-Anger table a Chebyshev
+        transfer builds: ``SERIES_BYTES`` per row and per unit of ``a t +
+        64``, over a block of ``trace_rows(N)`` samples or one jump across
+        a stage of tau = pi/lam.  ``a``, the half-width of the spectrum,
+        is bounded by each stage's coefficient 1-norm."""
+        if run.propagator.method != "krylov":
+            return -math.inf
+        norm = max(sum(abs(c) for c, _ in stage.terms)
+                   for stage in transfer_stages(run))
+        at = norm * math.pi / run.lam  # inf beyond the float range, never nan
+        rows = min(trace_rows(run.n_spins), run.n_time_samples)
+        return math.log2(cls.SERIES_BYTES) + max(
+            math.log2(rows) + math.log2(at * rows / run.n_time_samples + 64),
+            math.log2(at + 64))
 
     def start(self) -> np.ndarray:
         psi0 = np.zeros(2**self.n_spins, dtype=complex)
@@ -491,16 +524,35 @@ class _Covariances(_Path):
     """
 
     sigma_z = staticmethod(fermions.sigma_z)  # <Z_n> of a covariance stack
+    # complex matrices of the size of the readout Pfaffians, 4N + 2k + 6, a
+    # run holds at once besides its stacks of covariances
+    PFAFFIAN_MATRICES = 8
 
     def __init__(self, run, k: int, branches, window_only: bool = False):
         super().__init__(run, k, branches, window_only)
-        self.block = fermions.stack_rows(8 * (2 * run.n_spins + 2) ** 2)
+        self.block = self._stack(run.n_spins)[0]
         self.window = fermions.Window(k)
         self.stages = []  # each stage's operator, once built
 
+    @staticmethod
+    def _stack(n_spins: int) -> tuple:  # covariances per evolve, bytes of one
+        item = 8 * (2 * n_spins + 2) ** 2
+        return fermions.stack_rows(item), item
+
+    @classmethod
+    def footprint(cls, run) -> float:
+        """log2 of the bytes of ``PFAFFIAN_MATRICES`` matrices and eight
+        stacks of covariances, as many as a ``block``."""
+        rows, item = cls._stack(run.n_spins)
+        width = 4 * run.n_spins + 2 * run.state.n_logical + 6
+        return np.logaddexp2(
+            math.log2(16 * cls.PFAFFIAN_MATRICES) + 2 * math.log2(width),
+            math.log2(8 * rows * item))
+
     def start(self) -> np.ndarray:
         """The empty chain with the payload's walls (``_start_window``)."""
-        majoranas, window = _start_window(self.branches)
+        majoranas, window = _start_window(
+            [(br.initial_bits, br.coefficient) for br in self.branches])
         m = fermions.fock_covariance((0,) * (self.n_spins + 1))
         m[np.ix_(majoranas, majoranas)] = window
         return m
@@ -577,6 +629,27 @@ class _XYWalls(_Covariances):
         stack; shape ``(N, rows)``."""
         q = np.arange(rows.shape[-1] // 2 - 1)
         return -rows[:, 2 * q, 2 * q + 1].T
+
+
+def path_class(run) -> type:
+    """The path ``run`` propagates on: on ``"krylov"``, free fermions for
+    the XY baseline and for a payload of at most ``FREE_FERMION_QUBITS``
+    qubits, Gaussian on the wall fermions; else the 2^N amplitudes.  Its
+    walls start on interfaces 0..k alone, so this is O(1) in N."""
+    k = run.state.n_logical  # 1 for the XY baseline
+    if run.propagator.method != "krylov" or k > FREE_FERMION_QUBITS:
+        return _Amplitudes
+    if isinstance(run, Baseline):
+        return _XYWalls
+    _, window = _start_window([(dw_encode_bits(index_bits(idx, k)), c)
+                               for idx, c in enumerate(run.state.amplitudes)
+                               if c != 0])
+    return _Covariances if fermions.is_gaussian(window) else _Amplitudes
+
+
+def free_fermion(run) -> bool:
+    """Whether ``run`` propagates on free fermions (``path_class``)."""
+    return issubclass(path_class(run), _Covariances)
 
 
 def _window_start(times) -> int:
@@ -718,8 +791,8 @@ def run_multi_qubit_transfer(run: Transfer, *,
     Alice's register, carried to Bob's register (in mirrored qubit
     order, undone by the decode step), and the wire reset.  Traces are
     sampled on a uniform grid over [0, 2 tau] with the Hamiltonian
-    switch exactly at tau.  The run is on free fermions when
-    ``free_fermion(run)``, else on the 2^N amplitudes.  A J/lam that
+    switch exactly at tau.  The run takes the path of
+    ``path_class(run)``: free fermions or the 2^N amplitudes.  A J/lam that
     leaves Bob's register empty at the readout raises ``EmptyReadout``,
     a ``ValueError``.
 
@@ -734,8 +807,8 @@ def run_multi_qubit_transfer(run: Transfer, *,
     leave the rest-all-down row empty at the readout, the refusal needs
     the whole row, and the run is redone on every sector.
     """
-    path = (_Covariances if free_fermion(run) else _Amplitudes)(
-        run, run.state.n_logical, _build_branches(run), window_only)
+    path = path_class(run)(run, run.state.n_logical, _build_branches(run),
+                           window_only)
     stages = transfer_stages(run)
     try:
         return _run(run, path, stages, run.j_coupling,
@@ -786,7 +859,7 @@ def run_heisenberg_baseline(run: Baseline) -> ProtocolResult:
         up = (1,) * N if fermionic else (1,) + (0,) * (N - 1)
         branches.append(_Branch(complex(alpha), up, 1, _mirror_phase(N, 1),
                                 0.0, 0.0))
-    path = (_XYWalls if fermionic else _Amplitudes)(run, 1, branches)
+    path = path_class(run)(run, 1, branches)
     stage = (multiqubit_reset_hamiltonian(N, 0.0, lam, 1) if fermionic
              else heisenberg_xy(N, lam))
     return _run(run, path, (stage,))

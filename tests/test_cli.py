@@ -22,6 +22,7 @@ from dwtransfer.cli import (
     TRACE_VALUE_BYTES,
     ManifestError,
     _check_footprint,
+    _load,
     _write_run,
     main,
 )
@@ -843,11 +844,14 @@ class TestMemoryGuard:
         # propagates at once: from N = 90 on one covariance alone
         # exceeds fermions.BLOCK_BYTES, so the term outgrows 8 of them
         one = LogicalState(1, np.array([0.0, 1.0]))
-        path = protocol._Covariances(Transfer(n_spins, 1.0, 22.0, one), 1,
-                                     [])
+        record = Transfer(n_spins, 1.0, 22.0, one)
+        path = protocol._Covariances(record, 1, [])
         assert path.block == rows
-        need = cli._covariance_bytes(n_spins)
-        assert need == 8 * rows * 8 * (2 * n_spins + 2) ** 2
+        # the footprint less its Pfaffian matrices of 4N + 2k + 6 rows
+        pfaffians = 16 * path.PFAFFIAN_MATRICES * (4 * n_spins + 8) ** 2
+        need = 2 ** path.footprint(record) - pfaffians
+        assert need == pytest.approx(8 * rows * 8 * (2 * n_spins + 2) ** 2,
+                                     rel=1e-12)
         assert need / 1e6 == pytest.approx(megabytes, abs=0.005)
 
     def test_measured_trace_bytes_stay_below_the_constant(self, tmp_path):
@@ -874,6 +878,78 @@ class TestMemoryGuard:
             tracemalloc.stop()
         per_value = peak / ((5 + 3) * (2 * samples + 1))
         assert 8 < per_value < TRACE_VALUE_BYTES
+
+    @pytest.mark.parametrize("command, fields_, path", [
+        # one covariance per stack, as from N = 64 on
+        ("transfer", {"n_spins": 81, "j_coupling": 22.007 * 81 / 13,
+                      "state": {"alpha": 1.0, "beta": 0.0},
+                      "n_time_samples": 20}, "_Covariances"),
+        ("baseline", {"n_spins": 101}, "_XYWalls"),
+        ("transfer", {"n_spins": 12, "j_coupling": 22.007 * 12 / 13,
+                      "state": GHZ, "n_time_samples": 200}, "_Amplitudes"),
+        ("transfer", {"n_spins": 11, "j_coupling": 22.007 * 11 / 13,
+                      "state": GHZ, "n_time_samples": 200,
+                      "propagator": "exact-eigendecomposition"},
+         "_Amplitudes"),
+        ("baseline", {"n_spins": 13, "n_time_samples": 200,
+                      "propagator": "exact-eigendecomposition"},
+         "_Amplitudes"),
+    ])
+    def test_measured_peak_stays_below_the_path_footprint(
+            self, request, tmp_path, command, fields_, path):
+        # the tracemalloc peak of a whole run through main(), writer
+        # included, against what the guard counts: its path's footprint,
+        # any Chebyshev table, and the traces.  Peak over estimate read
+        # 0.24-0.79 on these runs, in the order given
+        cfg = with_fields(request.getfixturevalue(f"{command}_manifest"),
+                          tmp_path, **fields_)
+        record = _load(COMMANDS[command][0], json.loads(Path(cfg).read_text()))
+        chosen = protocol.path_class(record)
+        assert chosen.__name__ == path
+        N, n = record.n_spins, record.n_time_samples
+        estimate = (2 ** chosen.footprint(record)
+                    + 2 ** chosen.series_footprint(record)
+                    + TRACE_VALUE_BYTES * (N + 3) * (2 * n + 1))
+        tracemalloc.start()
+        try:
+            assert run([command, "--config", cfg,
+                        "--out", tmp_path / "o"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < estimate
+
+    @pytest.mark.parametrize("n_spins", [10**9, 2**62])
+    @pytest.mark.parametrize("command, fields_", [
+        ("transfer", {}), ("transfer", {"state": GHZ}), ("sweep", {})])
+    def test_huge_chain_is_refused_before_it_allocates(
+            self, request, tmp_path, command, fields_, n_spins):
+        # the path choice and the footprint take memory independent of N,
+        # so under a 1.5 GiB address-space limit the guard names n_spins:
+        # a free-fermion payload, GHZ (whose series table, built from the
+        # stages, comes after) and the sweep's dense path.  Building an
+        # N-spin pattern first would end in a MemoryError traceback
+        cfg = with_fields(request.getfixturevalue(f"{command}_manifest"),
+                          tmp_path, n_spins=n_spins, **fields_)
+        out = str(tmp_path / "o")
+        limit = 3 * 2**29
+        script = (
+            "import resource, sys\n"
+            "import dwtransfer.cli\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            f"sys.exit(dwtransfer.cli.main([{command!r}, '--config', "
+            f"{cfg!r}, '--out', {out!r}]))\n"
+        )
+        src = str(Path(dwtransfer.__file__).resolve().parents[1])
+        # one BLAS thread keeps the address space numpy reserves small
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, done.stderr
+        assert "'n_spins'" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_dense_path_has_the_lower_limit(self):
         def record(n, method):
