@@ -356,18 +356,25 @@ def cmd_sweep(run: Sweep, manifest: dict, out: Path, args) -> int:
         raise ValueError(f"option '--assert-slope' must be a finite number "
                          f">= 0, got {band}")
     ratios = [_value(float, r, "ratios") for r in run.ratios]
-    if not ratios or not all(r > 0 for r in ratios):
+    # the rows are keyed by (label, ratio): a repeated key would write
+    # rows no reader can tell apart, and fit them all
+    if not (ratios and all(r > 0 for r in ratios)
+            and len(set(ratios)) == len(ratios)):
         raise ManifestError(
-            "manifest field 'ratios' must be a non-empty list of positive "
-            "numbers"
+            "manifest field 'ratios' must be a non-empty list of distinct "
+            "positive numbers"
         )
     if not run.states:
         raise ManifestError("manifest field 'states' must be a non-empty list")
-    runs = []
+    runs, labels = [], set()
     for i, raw in enumerate(run.states):
         field = f"states[{i}]"
         logical = _payload(raw, field)
         label = _value(str, raw.get("label", f"state{i}"), f"{field}.label")
+        if label in labels:  # a repeated key, as above
+            raise ManifestError(
+                f"manifest field '{field}.label' repeats {label!r}")
+        labels.add(label)
         try:
             runs.extend(
                 (label, ratio, Transfer(

@@ -111,8 +111,8 @@ class Operator:
     ``entries``): ``_Dense``, a dense array, and ``_Factors``, a Pauli
     sum as small dense factors across the middle of the chain.  The
     eigensystems of the components a state occupies, the spectral
-    interval and the Chebyshev form are computed from that interface
-    and cached.
+    interval and the Chebyshev series of the last time grid are computed
+    from that interface and cached.
     """
 
     def __init__(self, matrix):
@@ -130,7 +130,7 @@ class Operator:
                     f"matrix is not Hermitian (defect {defect:.3e})")
             self._h = _Dense(a)
         self._eig = self._components = self._interval = None
-        self._chebyshev = self._csr = None
+        self._series = self._csr = None
 
     @property
     def dimension(self) -> int:
@@ -238,14 +238,17 @@ class Operator:
             self._interval = (lo, hi)
         return self._interval
 
-    def chebyshev_form(self) -> "ChebyshevForm":
-        """H rescaled onto [-1, 1] by :meth:`spectral_interval`, with
-        the series coefficients of the last time grid.  Built once."""
-        if self._chebyshev is None:
+    def series(self, times: np.ndarray) -> tuple:
+        """``(coef, phase)`` of the Chebyshev series (``_evolve_chebyshev``)
+        on the grid ``times``, kept for the last grid: ``coef`` real and
+        Fortran-ordered, so that every batch of columns is one contiguous
+        block, and ``phase`` ``exp(-i c t_j)``."""
+        if not (self._series and np.array_equal(self._series[0], times)):
             lo, hi = self.spectral_interval()
-            self._chebyshev = ChebyshevForm(self._h, (hi + lo) / 2,
-                                            (hi - lo) / 2)
-        return self._chebyshev
+            centre, half_width = (hi + lo) / 2, (hi - lo) / 2
+            coef = np.asfortranarray(_jacobi_anger(half_width * times))
+            self._series = (times.copy(), coef, np.exp(-1j * centre * times))
+        return self._series[1:]
 
 
 class _Dense:
@@ -470,43 +473,6 @@ def _complex(p: np.ndarray) -> np.ndarray:
     return z
 
 
-class ChebyshevForm:
-    """``H = a Ht + c`` with ``Ht`` on [-1, 1], for the Chebyshev series.
-
-    ``form @ x`` is ``2 Ht x = 2 (H x - c x) / a`` for ``x`` in the
-    planar layout of H's form (``_planar``), in real arithmetic for a
-    real H.  It applies H through the operator's own form and stores no
-    copy of it; it refers to that form, never to the operator.  A
-    zero-width interval (``a = 0``, H = c) gives zero: the series is
-    then its first term alone.
-    """
-
-    def __init__(self, h, centre: float, half_width: float):
-        self.h, self.centre, self.half_width = h, centre, half_width
-        self.scale = 2.0 / half_width if half_width > 0 else 0.0
-        self._times = self._series = None
-
-    def __matmul__(self, p: np.ndarray) -> np.ndarray:
-        y = self.h.product(p, self.centre)
-        y *= self.scale
-        return y
-
-    def coefficients(self, times: np.ndarray) -> tuple:
-        """``(coef, phase)`` of ``exp(-i H t_j) amp =
-        phase[j] sum_k coef[j, k] U_k amp``, kept for the last grid of
-        ``times``.
-
-        ``coef`` is real and Fortran-ordered, so that every batch of
-        columns is one contiguous block; ``phase`` is ``exp(-i c t_j)``.
-        """
-        if self._times is None or not np.array_equal(self._times, times):
-            self._series = (
-                np.asfortranarray(_jacobi_anger(self.half_width * times)),
-                np.exp(-1j * self.centre * times))
-            self._times = times.copy()
-        return self._series
-
-
 def _closure(h, seeds: np.ndarray) -> np.ndarray:
     """Mask of the smallest index set that holds ``seeds`` and that the
     nonzero pattern of the form ``h`` maps into itself."""
@@ -578,8 +544,9 @@ class PropagatorConfig:
     propagates exactly under a ``MajoranaOperator`` whatever the method;
     every other run, and every ``evolve`` call on an ``Operator``, takes
     a Chebyshev expansion of the exponential on the spectral interval of
-    H (Tal-Ezer & Kosloff 1984), truncated at round-off.  ``"krylov"``
-    is kept as its name so that existing manifests run.
+    H (Tal-Ezer & Kosloff 1984), truncated at round-off, its coefficients
+    kept by the operator for the last time grid (``Operator.series``).
+    ``"krylov"`` is kept as its name so that existing manifests run.
     """
 
     method: str = "krylov"
@@ -807,10 +774,12 @@ def _evolve_chebyshev(amp: np.ndarray, h: Operator,
                       times: np.ndarray) -> np.ndarray:
     """Rows ``exp(-i H t_j) amp`` from one Chebyshev recurrence.
 
-    With ``H = a Ht + c`` and ``Ht`` on [-1, 1] (``Operator.chebyshev_form``),
+    With ``H = a Ht + c``, ``c -+ a`` the ends of its spectral interval,
     ``exp(-i H t) = exp(-i c t) sum_k (2 - d_k0) J_k(a t) U_k`` with
-    ``U_k = (-i)^k T_k(Ht)``.  Each term ``U_k amp = -2i Ht U_{k-1} amp
-    + U_{k-2} amp`` costs one product with ``2 Ht`` and one addition.
+    ``U_k = (-i)^k T_k(Ht)`` (``Operator.series``).  Each term ``U_k amp
+    = -2i Ht U_{k-1} amp + U_{k-2} amp`` costs one product with ``2 Ht``,
+    H's own form shifted by c and scaled by 2/a (0 if a = 0), and one
+    addition.
     The terms are kept in the planar layout of H's form (``_planar``),
     where a real H acts in real arithmetic and ``-i`` swaps the real and
     imaginary parts, in a ring of ``CHEBYSHEV_BATCH`` terms.  The powers
@@ -820,11 +789,13 @@ def _evolve_chebyshev(amp: np.ndarray, h: Operator,
     applied to each; the peak stays at two output blocks, the sums and
     the temporary of one batch product, or the sums and the rows.
     """
-    form = h.chebyshev_form()
-    coef, phase = form.coefficients(times)
+    lo, hi = h.spectral_interval()
+    centre, half_width = (hi + lo) / 2, (hi - lo) / 2
+    scale = 2.0 / half_width if half_width > 0 else 0.0
+    coef, phase = h.series(times)
     n_terms = coef.shape[1]
     size = min(n_terms, CHEBYSHEV_BATCH)
-    first = _planar(amp, form.h.shape)
+    first = _planar(amp, h._h.shape)
     ring = np.empty((size,) + first.shape)
     ring[0] = first
     out = np.zeros((times.size,) + first.shape)
@@ -832,7 +803,8 @@ def _evolve_chebyshev(amp: np.ndarray, h: Operator,
     for k in range(n_terms):
         row = k % size
         if k:
-            y, u = form @ ring[(k - 1) % size], ring[row]
+            y, u = h._h.product(ring[(k - 1) % size], centre), ring[row]
+            y *= scale
             if k == 1:  # U_1 = -i Ht U_0
                 np.multiply(y[1], 0.5, out=u[0])
                 np.multiply(y[0], -0.5, out=u[1])

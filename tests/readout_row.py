@@ -60,8 +60,7 @@ def deviations(n_spins: int, amplitudes) -> tuple:
     path = _Recording(run, k, protocol._build_branches(run))
     res = protocol._run(run, path, protocol.transfer_stages(run),
                         run.j_coupling)
-    target, _ = protocol._bob_target(k, path.branches, res.tau, 2 * res.tau,
-                                     True)
+    target = path.plain * path.phases(np.array([2 * res.tau]), res.tau)[0]
     trace = abs(res.fidelity_corrected[-1]
                 - abs(np.vdot(target, path.row)) ** 2)
     p, _, cond = fermions.rest_empty(path.final[None], n_spins - k)

@@ -700,6 +700,30 @@ class TestInputGuards:
         err = capsys.readouterr().err
         assert "Chebyshev" in err and "|J| N/lam" not in err
 
+    # the rows are keyed by (label, ratio): a repeated key wrote rows no
+    # reader could tell apart, and fitted them all
+    @pytest.mark.parametrize("first", ["a", "state1"])
+    def test_repeated_label_exits_1(self, sweep_manifest, tmp_path, capsys,
+                                    first):
+        second = {"amplitudes": [0.8, 0.6]}
+        if first == "a":  # else the default label state1 collides
+            second["label"] = "a"
+        cfg = with_fields(sweep_manifest, tmp_path, ratios=[8, 16], states=[
+            {"label": first, "amplitudes": [0, 1]}, second])
+        out = tmp_path / "o"
+        assert run(["sweep", "--config", cfg, "--out", out]) == 1
+        assert "'states[1].label'" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("ratios", [[8, 16, 8], [8, 8.0]])
+    def test_repeated_ratio_exits_1(self, sweep_manifest, tmp_path, capsys,
+                                    ratios):
+        cfg = with_fields(sweep_manifest, tmp_path, ratios=ratios)
+        out = tmp_path / "o"
+        assert run(["sweep", "--config", cfg, "--out", out]) == 1
+        assert "'ratios'" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_empty_states_exits_1(self, sweep_manifest, tmp_path, capsys):
         cfg = with_fields(sweep_manifest, tmp_path, states=[])
         out = tmp_path / "o"

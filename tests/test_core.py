@@ -92,10 +92,13 @@ def random_pauli_sum(rng, n_spins, n_terms, labels="XYZ"):
     return PauliSum(n_spins, tuple(terms))
 
 
-def columns(form, dim):
-    """The matrix a Chebyshev form applies, column by column."""
-    return np.array([_complex(form @ _planar(e, form.h.shape))
-                     for e in np.eye(dim, dtype=complex)]).T
+def columns(h, centre, half_width):
+    """``2 (H - c) / a``, the matrix the Chebyshev series applies through
+    the operator's own form, column by column."""
+    scale = 2.0 / half_width
+    return np.array([_complex(h._h.product(_planar(e, h._h.shape), centre)
+                              * scale)
+                     for e in np.eye(h.dimension, dtype=complex)]).T
 
 
 def random_hermitian_operator(rng, dim):
@@ -528,18 +531,22 @@ class TestChebyshev:
     @pytest.mark.parametrize("ham", ["transport", "reset", "xy"])
     def test_chebyshev_form_stores_no_copy_of_h(self, ham):
         h = protocol_operators(self.N)[ham]
-        form = h.chebyshev_form()
-        assert form is h.chebyshev_form()
-        # the form applies the operator's own factors and holds no
-        # array of the operator's size until a time grid gives it
-        # coefficients
-        assert form.h is h._h
-        assert not [v for v in vars(form).values()
+        # the series applies the operator's own factors: until a time
+        # grid gives it coefficients, the operator holds no array of its
+        # size besides them
+        held = [v for name, v in vars(h).items() if name != "_h"]
+        held += [x for v in held if isinstance(v, tuple) for x in v]
+        assert not [v for v in held
                     if isinstance(v, np.ndarray) and v.size >= h.dimension]
+        # the coefficients are kept per grid
+        times = TAU / 200 * np.arange(1, 4)
+        coef, phase = h.series(times)
+        assert h.series(times.copy())[0] is coef
+        assert h.series(2 * times)[0] is not coef
         lo, hi = h.spectral_interval()
         c, a = (hi + lo) / 2, (hi - lo) / 2
         want = 2 * (h.matrix.toarray() - c * np.eye(h.dimension)) / a
-        got = columns(form, h.dimension)
+        got = columns(h, c, a)
         assert np.abs(got - want).max() < 1e-14
 
     def test_scaled_matrix_with_missing_diagonal(self):
@@ -549,9 +556,10 @@ class TestChebyshev:
         dense[0, 1] = dense[1, 0] = 1.0
         dense[2, 2] = 4.0
         h = Operator(sp.csr_matrix(dense))
-        form = h.chebyshev_form()
-        assert (form.centre, form.half_width) == (1.5, 2.5)
-        got = columns(form, 4)
+        lo, hi = h.spectral_interval()
+        c, a = (hi + lo) / 2, (hi - lo) / 2
+        assert (c, a) == (1.5, 2.5)
+        got = columns(h, c, a)
         assert np.abs(got - 0.8 * (dense - 1.5 * np.eye(4))).max() < 1e-15
         psi = random_state(np.random.default_rng(4), 2)
         out = evolve(psi, h, 0.9, KRYLOV)

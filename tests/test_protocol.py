@@ -1,13 +1,17 @@
+import contextlib
 import functools
 import gc
+import json
 import math
 import weakref
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dwtransfer import protocol
+from dwtransfer import cli, protocol
 from dwtransfer.core import (
     MajoranaOperator,
     PropagatorConfig,
@@ -395,6 +399,46 @@ class TestRescaling:
                       - base.final_logical.amplitudes).max() <= 1e-12
         assert np.abs(scaled.times * s - base.times).max() <= 1e-12
         assert abs(scaled.peak_time * s - base.peak_time) <= 1e-12
+
+
+class _WallConserving(protocol._Covariances):
+    """Free fermions in the domain-wall limit: each stage without its
+    pair-creation terms (``_XYWalls.build``)."""
+
+    build = protocol._XYWalls.build
+
+
+MANIFESTS = Path(__file__).resolve().parents[1] / "manifests"
+GAUSSIAN_BUNDLED = ["single_qubit_n13", "bell_pair_2x3x2", "product_11_2x3x2",
+                    "superposition_c2_2x3x2", "w_state_3x3x3",
+                    "cluster3_3x3x3"]
+
+
+class TestDomainWallLimit:
+    """The domain-wall limit on free fermions (ROADMAP item 13): without
+    pair creation the walls hop on the perfect-transfer profile alone,
+    so every payload arrives whole at any J/lam.  That holds the codec,
+    the branch table, the mirror and sector phases, the traces and the
+    readout together.  The tolerance, 1e-12, was stated before
+    measuring."""
+
+    @pytest.mark.parametrize("ratio", [None, 4.0, 50.0])  # None: bundled
+    @pytest.mark.parametrize("name", GAUSSIAN_BUNDLED)
+    def test_bundled_payload_arrives_whole(self, name, ratio):
+        run = cli._load(Transfer, json.loads(
+            (MANIFESTS / f"{name}.json").read_text()))
+        if ratio is not None:
+            with (pytest.warns(UserWarning, match="quadratic")
+                  if ratio < protocol.RATIO_WARN_THRESHOLD
+                  else contextlib.nullcontext()):
+                run = replace(run, j_coupling=ratio * run.lam)
+        assert protocol.free_fermion(run)
+        path = _WallConserving(run, run.state.n_logical,
+                               protocol._build_branches(run))
+        res = protocol._run(run, path, protocol.transfer_stages(run),
+                            run.j_coupling)
+        assert 1 - res.final_fidelity <= 1e-12
+        assert 1 - res.peak_fidelity <= 1e-12
 
 
 class TestTraceAccess:
@@ -1002,10 +1046,10 @@ class TestReadout:
         branches = protocol._build_branches(run)
         psi = rng.normal(size=2**N) + 1j * rng.normal(size=2**N)
         psi /= np.linalg.norm(psi)
-        target, undo = protocol._bob_target(k, branches, tau, 2 * tau, True)
-        f, row = protocol._Amplitudes(run, k, branches).readout(psi, target,
-                                                                tau)
-        got = protocol._decoded(row, undo, k, 8.5, True)
+        path = protocol._Amplitudes(run, k, branches)
+        phases = path.phases(np.array([2 * tau]), tau)[0]
+        f, row = path.readout(psi, path.plain * phases, tau)
+        got = protocol._decoded(row, phases.conj(), k, 8.5, True)
         vec, ref = readout_by_density_matrix(psi, k, branches, tau, payload,
                                              True)
         assert abs(f - ref) < 1e-14
@@ -1015,10 +1059,9 @@ class TestReadout:
     def test_xy_baseline(self, readouts, monkeypatch, corrected):
         # the baseline always corrects its readout; the uncorrected one
         # is read from the same final state by clearing the flag
-        bob_target = protocol._bob_target
+        run_ = protocol._run
         monkeypatch.setattr(
-            protocol, "_bob_target", lambda *args: bob_target(
-                *args[:-1], args[-1] and corrected))
+            protocol, "_run", lambda *args: run_(*args, corrected=corrected))
         payload = LogicalState(1, np.array([0.6, 0.8j]))
         res = run_heisenberg_baseline(
             Baseline(6, 1.0, payload, n_time_samples=20, propagator=EXACT))
