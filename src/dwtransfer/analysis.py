@@ -5,7 +5,7 @@ from __future__ import annotations
 import io
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -67,15 +67,7 @@ class SweepTable:
                 {r.ratio for r in self.rows if not r.in_fit}
             ),
         }
-        if self.fit is None:
-            out["fit"] = None
-        else:
-            out["fit"] = {
-                "slope": self.fit.slope,
-                "intercept": self.fit.intercept,
-                "r_squared": self.fit.r_squared,
-                "n_points": self.fit.n_points,
-            }
+        out["fit"] = None if self.fit is None else asdict(self.fit)
         return out
 
 

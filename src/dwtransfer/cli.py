@@ -38,8 +38,8 @@ from .protocol import (
     EmptyReadout,
     ProtocolResult,
     Transfer,
+    _Covariances,
     _check_chain,
-    free_fermion,
     path_class,
     run_heisenberg_baseline,
     run_multi_qubit_transfer,
@@ -223,7 +223,8 @@ def _check_footprint(run,
     ``ratio_field`` for J/lam.  The sizes are those of the path
     ``protocol.path_class`` picks, and ``TRACE_VALUE_BYTES`` per trace
     value; all are compared by log2."""
-    N, path, fermionic = run.n_spins, path_class(run), free_fermion(run)
+    N, path = run.n_spins, path_class(run)
+    fermionic = issubclass(path, _Covariances)
     if fermionic and N > FREE_FERMION_SPINS_MAX:
         raise ManifestError(
             f"manifest field 'n_spins' is {N}: free-fermion runs take "

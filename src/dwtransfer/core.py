@@ -239,15 +239,18 @@ class Operator:
         return self._interval
 
     def series(self, times: np.ndarray) -> tuple:
-        """``(coef, phase)`` of the Chebyshev series (``_evolve_chebyshev``)
-        on the grid ``times``, kept for the last grid: ``coef`` real and
-        Fortran-ordered, so that every batch of columns is one contiguous
-        block, and ``phase`` ``exp(-i c t_j)``."""
+        """``(coef, phase, c, 2/a)`` of the Chebyshev series
+        (``_evolve_chebyshev``) on the grid ``times``, ``c -+ a`` the ends
+        of the spectral interval (2/a is 0 if a = 0), kept for the last
+        grid: ``coef`` real and Fortran-ordered, so that every batch of
+        columns is one contiguous block, and ``phase`` ``exp(-i c t_j)``."""
         if not (self._series and np.array_equal(self._series[0], times)):
             lo, hi = self.spectral_interval()
             centre, half_width = (hi + lo) / 2, (hi - lo) / 2
             coef = np.asfortranarray(_jacobi_anger(half_width * times))
-            self._series = (times.copy(), coef, np.exp(-1j * centre * times))
+            scale = 2.0 / half_width if half_width > 0 else 0.0
+            self._series = (times.copy(), coef, np.exp(-1j * centre * times),
+                            centre, scale)
         return self._series[1:]
 
 
@@ -532,16 +535,14 @@ class PropagatorConfig:
     mirror maps onto itself, as every protocol stage's does, is
     diagonalized and propagated as its even and odd halves
     (``Operator.components``, ``_evolve_exact``), so no eigenvector
-    matrix of the whole component is formed.
-    A k = 1 transfer's reset stage is its transport stage reversed end
-    to end, so it reuses transport's eigensystems through the chain
-    reversal (``protocol._Amplitudes.build``): a window-only |1> point
-    at N = 9 takes two ``eigh``, where it took four.  ``krylov``, the
-    default, is the fast path.  On it the XY baseline, and a transfer whose
-    payload is Gaussian on the wall fermions, run exactly on free
-    fermions, their state the Majorana covariance
-    (``protocol.free_fermion``, ``fermions``), which ``evolve``
-    propagates exactly under a ``MajoranaOperator`` whatever the method;
+    matrix of the whole component is formed.  A k = 1 transfer's reset
+    stage, transport reversed end to end, reuses transport's
+    eigensystems (``protocol._Amplitudes.build``).  ``krylov``, the
+    default, is the fast path.  On it the XY baseline, and a transfer
+    whose payload is Gaussian on the wall fermions, run exactly on free
+    fermions (``protocol.path_class``), their state the Majorana
+    covariance, which ``evolve`` propagates exactly under a
+    ``MajoranaOperator`` whatever the method;
     every other run, and every ``evolve`` call on an ``Operator``, takes
     a Chebyshev expansion of the exponential on the spectral interval of
     H (Tal-Ezer & Kosloff 1984), truncated at round-off, its coefficients
@@ -607,9 +608,11 @@ def majorana_form(p: PauliSum) -> np.ndarray:
     with a down spin 0 and N + 1) carries ``gamma_2q`` and
     ``gamma_2q+1``; see :mod:`dwtransfer.fermions`.  Each term maps on
     its own: ``Z_n Z_n+1 = -i gamma_2n gamma_2n+1``, ``Z_1`` and ``Z_N``
-    the same on interfaces 0 and N, and ``X_n = -i gamma_2n-1
-    gamma_2n``.  Any other term raises ``ValueError`` naming it.  No
-    2^N object is formed.
+    the same on interfaces 0 and N, ``X_n = -i gamma_2n-1 gamma_2n``,
+    and the wall hop ``Z_n-1 X_n Z_n+1 = -i gamma_2n-2 gamma_2n+1`` of
+    ``hamiltonians.wall_conserving``, a Z beyond either end dropped (the
+    down spin there).  Any other term raises ``ValueError`` naming it.
+    No 2^N object is formed.
     """
     n = p.n_spins
     a = np.zeros((2 * n + 2, 2 * n + 2))
@@ -617,18 +620,24 @@ def majorana_form(p: PauliSum) -> np.ndarray:
         sites = sorted(factors)
         labels = "".join(factors[s] for s in sites)
         if labels == "X":
-            j = 2 * sites[0] - 1
+            j, k = 2 * sites[0] - 1, 2 * sites[0]
         elif labels == "ZZ" and sites[1] == sites[0] + 1:
-            j = 2 * sites[0]
+            j, k = 2 * sites[0], 2 * sites[0] + 1
         elif labels == "Z" and sites[0] in (1, n):
-            j = 0 if sites[0] == 1 else 2 * n
+            j, k = (0, 1) if sites[0] == 1 else (2 * n, 2 * n + 1)
+        elif (labels in ("ZXZ", "XZ", "ZX")
+              and sites[-1] - sites[0] == len(sites) - 1
+              and (labels[0] == "Z" or sites[0] == 1)
+              and (labels[-1] == "Z" or sites[-1] == n)):
+            j = 2 * sites[labels.index("X")] - 2
+            k = j + 3
         else:
             raise ValueError(
                 f"term {coeff:g} * {factors} is not quadratic in the wall "
-                "Majoranas: only X_n, Z_n Z_n+1, Z_1 and Z_N are")
-        # (i/4)(A_jk g_j g_k + A_kj g_k g_j) = (i/2) A_jk g_j g_k, k = j + 1
-        a[j, j + 1] -= 2 * coeff
-        a[j + 1, j] += 2 * coeff
+                "Majoranas: only X_n, Z_n Z_n+1, Z_1, Z_N and wall hops are")
+        # (i/4)(A_jk g_j g_k + A_kj g_k g_j) = (i/2) A_jk g_j g_k
+        a[j, k] -= 2 * coeff
+        a[k, j] += 2 * coeff
     return a
 
 
@@ -776,10 +785,10 @@ def _evolve_chebyshev(amp: np.ndarray, h: Operator,
 
     With ``H = a Ht + c``, ``c -+ a`` the ends of its spectral interval,
     ``exp(-i H t) = exp(-i c t) sum_k (2 - d_k0) J_k(a t) U_k`` with
-    ``U_k = (-i)^k T_k(Ht)`` (``Operator.series``).  Each term ``U_k amp
-    = -2i Ht U_{k-1} amp + U_{k-2} amp`` costs one product with ``2 Ht``,
-    H's own form shifted by c and scaled by 2/a (0 if a = 0), and one
-    addition.
+    ``U_k = (-i)^k T_k(Ht)``; ``Operator.series`` gives the coefficients,
+    the phases, c and 2/a.  Each term ``U_k amp = -2i Ht U_{k-1} amp +
+    U_{k-2} amp`` costs one product with ``2 Ht``, H's own form shifted
+    by c and scaled by 2/a (0 if a = 0), and one addition.
     The terms are kept in the planar layout of H's form (``_planar``),
     where a real H acts in real arithmetic and ``-i`` swaps the real and
     imaginary parts, in a ring of ``CHEBYSHEV_BATCH`` terms.  The powers
@@ -789,10 +798,7 @@ def _evolve_chebyshev(amp: np.ndarray, h: Operator,
     applied to each; the peak stays at two output blocks, the sums and
     the temporary of one batch product, or the sums and the rows.
     """
-    lo, hi = h.spectral_interval()
-    centre, half_width = (hi + lo) / 2, (hi - lo) / 2
-    scale = 2.0 / half_width if half_width > 0 else 0.0
-    coef, phase = h.series(times)
+    coef, phase, centre, scale = h.series(times)
     n_terms = coef.shape[1]
     size = min(n_terms, CHEBYSHEV_BATCH)
     first = _planar(amp, h._h.shape)

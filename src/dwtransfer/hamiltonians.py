@@ -5,8 +5,9 @@ All builders return :class:`~dwtransfer.core.PauliSum` objects; call
 dense factors across the middle of the chain (the components the dense
 path diagonalizes as dense arrays), or with ``majorana=True`` its form
 on the wall Majoranas.  The XY baseline runs on free fermions as the
-reset stage of one-spin registers at J = 0 without its pair-creation
-terms, whose hopping has ``heisenberg_xy``'s profile and sign.
+domain-wall approximation (``wall_conserving``) of the reset stage of
+one-spin registers at J = 0: its hopping has ``heisenberg_xy``'s
+profile and sign.
 Couplings ``J`` and ``lam`` are angular frequencies (hbar = 1); only
 the ratio ``J/lam`` and the product ``lam * t`` affect the physics.
 """
@@ -102,6 +103,24 @@ def multiqubit_reset_hamiltonian(N: int, J: float, lam: float,
     terms.append((J, {1: "Z"}))
     terms.extend((J, {n: "Z", n + 1: "Z"}) for n in range(1, N))
     return PauliSum(N, tuple(terms))
+
+
+def wall_conserving(p: PauliSum) -> PauliSum:
+    """The domain-wall approximation of a stage: each ``X_n`` as
+    ``X_n (1 - Z_n-1 Z_n+1) / 2``, which moves a wall but makes no pair,
+    a spin beyond either end read as down (+1), as the boundary terms
+    pin it.  Diagonal terms are kept; any other raises ``ValueError``."""
+    n, terms = p.n_spins, []
+    for coeff, factors in p.terms:
+        if set(factors.values()) <= {"Z"}:
+            terms.append((coeff, factors))
+        elif list(factors.values()) == ["X"]:
+            (site,) = factors
+            hop = {s: "Z" for s in (site - 1, site + 1) if 1 <= s <= n}
+            terms += [(coeff / 2, factors), (-coeff / 2, {**hop, site: "X"})]
+        else:
+            raise ValueError(f"term {coeff:g} * {factors} is not Ising")
+    return PauliSum(n, tuple(terms))
 
 
 def energy_offset(N: int, M: int, J: float) -> float:

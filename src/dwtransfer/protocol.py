@@ -15,12 +15,12 @@ A transfer whose payload is Gaussian on the wall fermions (every 1- and
 2-qubit payload, W and cluster3, not GHZ) runs on free fermions by
 default: its state is the (2N + 2)^2 Majorana covariance of
 ``fermions``.  So does the XY baseline, by the paper's construction
-run in reverse: the reset stage of one-spin registers at J = 0, with
-its pair-creation terms dropped, hops one wall along the N interfaces
-left of spin N with the XY chain's profile and sign, so XY spin n up is
-a wall on interface n - 1.  Any other payload and the dense reference
-propagator run on the 2^N amplitudes; ``path_class`` makes the
-choice.
+run in reverse: the domain-wall approximation (``wall_conserving``) of
+the reset stage of one-spin registers at J = 0 hops one wall along the
+N interfaces left of spin N with the XY chain's profile and sign, so XY
+spin n up is a wall on interface n - 1.  Any other payload and the
+dense reference propagator run on the 2^N amplitudes; ``path_class``
+makes the choice.
 
 Deterministic phases are tracked per logical branch, in closed form from
 its bits: a branch is a set of domain walls, and at tau = pi/lam the
@@ -40,12 +40,10 @@ import numpy as np
 
 from . import fermions
 from .core import (
-    MajoranaOperator,
     PropagatorConfig,
     basis_index,
     evolve,
     index_bits,
-    majorana_form,
     realize,
     reflect,
 )
@@ -55,6 +53,7 @@ from .hamiltonians import (
     heisenberg_xy,
     multiqubit_reset_hamiltonian,
     transport_hamiltonian,
+    wall_conserving,
 )
 
 PEAK_WINDOW = 0.05  # peak search window before the readout time, fractional
@@ -598,27 +597,15 @@ class _Covariances(_Path):
 
 class _XYWalls(_Covariances):
     """The XY baseline on free fermions: XY spin n up is a wall on
-    interface n - 1, and the one stage is the reset stage of one-spin
-    registers at J = 0 without its pair-creation terms, which hops that
-    wall along interfaces 0..N-1 with the XY chain's profile and sign.
-    The payload's excitation comes with a static partner wall on
-    interface N, so that it is even.  As spin patterns of the Ising
+    interface n - 1, and the one stage, the domain-wall approximation of
+    the reset stage of one-spin registers at J = 0 (``wall_conserving``),
+    hops that wall along interfaces 0..N-1 with the XY chain's profile
+    and sign.  The payload's excitation comes with a static partner wall
+    on interface N, so that it is even.  As spin patterns of the Ising
     chain, its branch runs from all up (walls on interfaces 0 and N) to
     spin N alone up (walls on N - 1 and N), and all down stays all
     down.  Bob's register, the trace overlaps and the readout are the
-    transfer's with k = 1.
-    """
-
-    def build(self, pauli_sum):
-        """The stage without its pair-creation terms: ``(A + W A W^T) /
-        2``, W the rotation by pi/2 in each mode's Majorana pair, which
-        keeps the hopping terms of A and flips the sign of its pair
-        terms."""
-        a = majorana_form(pauli_sum)
-        w = np.kron(np.eye(self.n_spins + 1), [[0.0, -1.0], [1.0, 0.0]])
-        h = MajoranaOperator((a + w @ a @ w.T) / 2)
-        self.stages.append(h)
-        return h
+    transfer's with k = 1."""
 
     @staticmethod
     def sigma_z(rows: np.ndarray) -> np.ndarray:
@@ -643,11 +630,6 @@ def path_class(run) -> type:
                                for idx, c in enumerate(run.state.amplitudes)
                                if c != 0])
     return _Covariances if fermions.is_gaussian(window) else _Amplitudes
-
-
-def free_fermion(run) -> bool:
-    """Whether ``run`` propagates on free fermions (``path_class``)."""
-    return issubclass(path_class(run), _Covariances)
 
 
 def _window_start(times) -> int:
@@ -856,6 +838,6 @@ def run_heisenberg_baseline(run: Baseline) -> ProtocolResult:
         branches.append(_Branch(complex(alpha), up, 1, _mirror_phase(N, 1),
                                 0.0, 0.0))
     path = path_type(run, 1, branches)
-    stage = (multiqubit_reset_hamiltonian(N, 0.0, lam, 1) if fermionic
-             else heisenberg_xy(N, lam))
+    stage = (wall_conserving(multiqubit_reset_hamiltonian(N, 0.0, lam, 1))
+             if fermionic else heisenberg_xy(N, lam))
     return _run(run, path, (stage,))

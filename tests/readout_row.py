@@ -56,7 +56,7 @@ def deviations(n_spins: int, amplitudes) -> tuple:
     k = amplitudes.size.bit_length() - 1
     run = protocol.Transfer(n_spins, 1.0, 22.007 * n_spins / 13,
                             LogicalState(k, amplitudes), n_time_samples=20)
-    assert protocol.free_fermion(run)
+    assert issubclass(protocol.path_class(run), protocol._Covariances)
     path = _Recording(run, k, protocol._build_branches(run))
     res = protocol._run(run, path, protocol.transfer_stages(run),
                         run.j_coupling)

@@ -3,8 +3,8 @@
 Each computes, bit by bit or as a plain overlap, a quantity the package
 computes another way or not at all: a basis state's amplitudes, of a
 chain or of a logical payload, the squared overlap of two states, one
-spin's ``<sigma_z>``, the wall count of a spin pattern, and the
-domain-wall decode.
+spin's ``<sigma_z>``, the wall count of a spin pattern, the
+domain-wall decode, and the wall-conserving part of a Majorana form.
 """
 
 import numpy as np
@@ -72,3 +72,13 @@ def dw_decode(physical, reference: int) -> LogicalState:
         logical = dw_decode_bits(index_bits(pidx, k), reference)
         amp[basis_index(logical)] = physical[pidx]
     return LogicalState(k, amp)
+
+
+def wall_conserving_majorana(a) -> np.ndarray:
+    """The wall-conserving part ``(A + W A W^T) / 2`` of the Majorana
+    form ``A`` of a stage, W the rotation by pi/2 in each interface's
+    pair ``(gamma_2q, gamma_2q+1)``: it keeps the hops and the wall
+    energies of A and averages out its pair creation and
+    annihilation."""
+    w = np.kron(np.eye(a.shape[0] // 2), [[0.0, -1.0], [1.0, 0.0]])
+    return (a + w @ a @ w.T) / 2

@@ -12,7 +12,8 @@ from dwtransfer.core import PropagatorConfig, evolve, realize
 from dwtransfer.encoding import LogicalState
 from dwtransfer.protocol import (
     Transfer,
-    free_fermion,
+    _Covariances,
+    path_class,
     run_multi_qubit_transfer,
     trace_rows,
 )
@@ -53,7 +54,7 @@ class TestWindowOnlySweep:
     def test_row_matches_full_run(self, path, ratio):
         state, n, cfg, fermionic = PATHS[path]
         run = Transfer(n, 1.0, ratio, state, propagator=cfg)
-        assert free_fermion(run) is fermionic
+        assert issubclass(path_class(run), _Covariances) is fermionic
         full = run_multi_qubit_transfer(run)
         (row,) = error_scaling_sweep([(path, ratio, run)]).rows
         assert abs(row.infidelity - (1.0 - full.peak_fidelity)) <= 1e-12

@@ -1,8 +1,10 @@
 import contextlib
+import copy
 import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -31,7 +33,6 @@ from dwtransfer.encoding import LogicalState
 from dwtransfer.protocol import (
     Baseline,
     Transfer,
-    free_fermion,
     run_single_qubit_transfer,
 )
 
@@ -1000,7 +1001,8 @@ class TestMemoryGuard:
                                                         baseline_manifest,
                                                         capsys):
         one = LogicalState(1, np.array([0.0, 1.0]))
-        assert free_fermion(Baseline(200, 1.0, one))
+        assert issubclass(protocol.path_class(Baseline(200, 1.0, one)),
+                          protocol._Covariances)
         _check_footprint(Baseline(200, 1.0, one))
         cfg = with_fields(baseline_manifest, tmp_path, n_spins=201)
         out = tmp_path / "o"
@@ -1016,6 +1018,110 @@ class TestMemoryGuard:
         _check_footprint(Transfer(21, 1.0, 22.0, ghz))
         with pytest.raises(ManifestError, match="'n_spins'"):
             _check_footprint(Transfer(22, 1.0, 22.0, ghz))
+
+
+# ROADMAP item 8's probe: small runs of each experiment, and the values
+# each declared field is set to in turn
+PROBE_BASES = {
+    "transfer": {"n_spins": 5, "lam": 1.0, "j_coupling": 22.0,
+                 "state": {"amplitudes": [S2, S2]}, "n_time_samples": 20},
+    "baseline": {"n_spins": 5, "lam": 1.0,
+                 "state": {"amplitudes": [0.0, 1.0]}, "n_time_samples": 20},
+    "sweep": {"n_spins": 5, "lam": 1.0, "ratios": [8.0, 16.0],
+              "states": [{"label": "one", "amplitudes": [0.0, 1.0]}],
+              "n_time_samples": 20},
+    "consistency": {"lam": 1.0, "n_min": 2, "n_max": 4, "samples": 20},
+}
+PROBE_VALUES = [None, True, "x", [], {}, 0, -1, 1e-300, -1e-300, 1e300,
+                -1e300, 2**63, 1e12]
+# the parts of a field a value can also replace
+PROBE_NESTED = {
+    "transfer": [("state", "alpha"), ("state", "amplitudes"),
+                 ("state", "amplitudes", 0), ("state", "amplitudes", 1)],
+    "sweep": [("states", 0), ("states", 0, "label"),
+              ("states", 0, "amplitudes", 1), ("ratios", 0), ("ratios", 1)],
+}
+PROBE_NESTED["baseline"] = PROBE_NESTED["transfer"]
+# runs each case through main() in turn; prints each exit code, or None
+# for an exception that escaped it, and what was written to stderr.  A
+# MemoryError under the address-space limit is such an exception
+PROBE_SCRIPT = """
+import contextlib, io, json, sys, traceback
+from dwtransfer import cli
+results = []
+for i, (command, manifest) in enumerate(json.load(open(sys.argv[1]))):
+    cfg = f"{sys.argv[2]}/{i}.json"
+    with open(cfg, "w") as fh:
+        json.dump(manifest, fh)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([command, "--config", cfg,
+                             "--out", f"{sys.argv[2]}/{i}"])
+        except Exception:
+            code = None
+            traceback.print_exc()
+    results.append((code, err.getvalue()))
+json.dump(results, sys.stdout)
+"""
+
+
+def probe_manifest(command, path, value):
+    """The probe's base manifest of ``command`` with the part at ``path``
+    (keys and indices) set to ``value``; a payload given by ``alpha``
+    starts as |0>."""
+    manifest = copy.deepcopy(PROBE_BASES[command])
+    manifest["experiment"] = command
+    if path[-1] == "alpha":
+        manifest["state"] = {"alpha": 0.0, "beta": 1.0}
+    node = manifest
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return manifest
+
+
+class TestExtremeValues:
+    """ROADMAP item 8: every declared field of every experiment, and the
+    parts of its payloads and ratios, set to each of ``PROBE_VALUES``,
+    exits 0, 1 or 2 without a traceback, and every exit 1 names the
+    field that was set.  All cases run in one child process under a
+    1.5 GiB address-space limit, so a case that allocates before it is
+    refused fails with a MemoryError instead of exhausting the
+    machine."""
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_field_takes_every_value(self, tmp_path, command):
+        paths = [(f.name,) for f in fields(COMMANDS[command][0])]
+        paths += PROBE_NESTED.get(command, [])
+        cases = [(path, value) for path in paths for value in PROBE_VALUES]
+        listed = tmp_path / "cases.json"
+        listed.write_text(json.dumps(
+            [(command, probe_manifest(command, path, value))
+             for path, value in cases]))
+        limit = 3 * 2**29
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(Path(dwtransfer.__file__).resolve().parents[1])
+        # one BLAS thread keeps the address space numpy reserves small
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", PROBE_SCRIPT, str(listed), str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+            preexec_fn=limit_address_space)
+        assert done.returncode == 0, done.stderr
+        results = json.loads(done.stdout)
+        assert len(results) == len(cases)
+        for ((path, value), (code, err)) in zip(cases, results):
+            case = f"{'.'.join(map(str, path))} = {value!r}: exit {code}"
+            assert code in (0, 1, 2), f"{case}\n{err}"
+            assert "Traceback" not in err, f"{case}\n{err}"
+            if code == 1:
+                assert f"'{path[0]}" in err, f"{case}\n{err}"
 
 
 class TestManifestLoader:

@@ -540,11 +540,12 @@ class TestChebyshev:
                     if isinstance(v, np.ndarray) and v.size >= h.dimension]
         # the coefficients are kept per grid
         times = TAU / 200 * np.arange(1, 4)
-        coef, phase = h.series(times)
+        coef, phase, c, scale = h.series(times)
         assert h.series(times.copy())[0] is coef
         assert h.series(2 * times)[0] is not coef
         lo, hi = h.spectral_interval()
-        c, a = (hi + lo) / 2, (hi - lo) / 2
+        assert (c, scale) == ((hi + lo) / 2, 2 / ((hi - lo) / 2))
+        a = (hi - lo) / 2
         want = 2 * (h.matrix.toarray() - c * np.eye(h.dimension)) / a
         got = columns(h, c, a)
         assert np.abs(got - want).max() < 1e-14

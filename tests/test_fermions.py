@@ -1,14 +1,16 @@
 """The free-fermion path: the Majorana form of the Ising stages, the
 Pfaffian, and whole transfers against the dense state-vector path."""
 
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from dwtransfer import fermions
+from dwtransfer import cli, fermions
 from dwtransfer.cli import PHASE_RATIO_MAX, _check_footprint
 from dwtransfer.core import (
     DimensionMismatch,
@@ -28,7 +30,8 @@ from dwtransfer.hamiltonians import (
 )
 from dwtransfer.protocol import (
     Transfer,
-    free_fermion,
+    _Covariances,
+    path_class,
     run_multi_qubit_transfer,
 )
 from references import logical_basis
@@ -37,6 +40,17 @@ from sigma_z_rows import trace_covariances
 EXACT = PropagatorConfig(method="exact-eigendecomposition")
 S2 = 1 / math.sqrt(2)
 S3 = 1 / math.sqrt(3)
+MANIFESTS = Path(__file__).resolve().parents[1] / "manifests"
+
+
+def bundled_transfers() -> dict:
+    """Each bundled transfer manifest's run, by name."""
+    out = {}
+    for path in sorted(MANIFESTS.glob("*.json")):
+        manifest = json.loads(path.read_text())
+        if manifest["experiment"] == "transfer":
+            out[path.stem] = cli._load(Transfer, manifest)
+    return out
 
 
 def jordan_wigner(modes):
@@ -286,9 +300,11 @@ class TestPathChoice:
         logical_basis([1, 0, 1, 1]),
     ])
     def test_gaussian_payloads_run_on_free_fermions(self, state):
-        assert free_fermion(Transfer(9, 1.0, 22.0, state))
-        assert not free_fermion(Transfer(9, 1.0, 22.0, state,
-                                         propagator=EXACT))
+        assert issubclass(path_class(Transfer(9, 1.0, 22.0, state)),
+                          _Covariances)
+        assert not issubclass(path_class(Transfer(9, 1.0, 22.0, state,
+                                                  propagator=EXACT)),
+                              _Covariances)
 
     def test_ghz_and_random_payloads_stay_on_the_state_vector(self):
         rng = np.random.default_rng(3)
@@ -296,13 +312,14 @@ class TestPathChoice:
         for state in (payload(3, [S2, 0, 0, 0, 0, 0, 0, S2]),
                       payload(3, amps / np.linalg.norm(amps)),
                       logical_basis([1, 0, 1, 1, 0])):
-            assert not free_fermion(Transfer(10, 1.0, 22.0, state))
+            assert not issubclass(
+                path_class(Transfer(10, 1.0, 22.0, state)), _Covariances)
 
 
 def assert_same_outputs(run, tol=1e-10):
     """Every output of ``run``, on free fermions, within ``tol`` of the
     same run on the dense state vector."""
-    assert free_fermion(run)
+    assert issubclass(path_class(run), _Covariances)
     fast = run_multi_qubit_transfer(run)
     dense = run_multi_qubit_transfer(Transfer(
         run.n_spins, run.lam, run.j_coupling, run.state,
@@ -321,6 +338,14 @@ def assert_same_outputs(run, tol=1e-10):
 
 
 class TestAgainstTheStateVector:
+    # the bundled Gaussian transfers up to N = 9, as bundled, within
+    # 1e-12, stated before measuring; CI runs the N = 13 headline
+    @pytest.mark.parametrize("name", [
+        name for name, run in bundled_transfers().items()
+        if run.n_spins <= 9 and issubclass(path_class(run), _Covariances)])
+    def test_bundled_payload(self, name):
+        assert_same_outputs(bundled_transfers()[name], tol=1e-12)
+
     @pytest.mark.parametrize("k, n_spins, seed", [
         (1, 5, 0), (1, 8, 1), (1, 9, 2), (2, 5, 3), (2, 7, 4), (2, 9, 5),
     ])

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from dwtransfer.core import PropagatorConfig, basis_index, evolve, realize
+from dwtransfer.core import (
+    PauliSum,
+    PropagatorConfig,
+    basis_index,
+    evolve,
+    majorana_form,
+    realize,
+)
 from dwtransfer.hamiltonians import (
     coupling_profile,
     energy_offset,
@@ -11,8 +18,14 @@ from dwtransfer.hamiltonians import (
     multiqubit_reset_hamiltonian,
     transfer_amplitude_closed_form,
     transport_hamiltonian,
+    wall_conserving,
 )
-from references import basis_state, count_domain_walls, sigma_z
+from references import (
+    basis_state,
+    count_domain_walls,
+    sigma_z,
+    wall_conserving_majorana,
+)
 
 EXACT = PropagatorConfig(method="exact-eigendecomposition")
 
@@ -279,3 +292,62 @@ class TestEnergyOffset:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             energy_offset(4, 5, 1.0)
+
+
+class TestWallConserving:
+    @pytest.mark.parametrize("J", [0.0, 22.0, -3.7])
+    def test_is_the_majorana_projection_bit_for_bit(self, J):
+        # the Pauli form on the Majoranas equals (A + W A W^T) / 2, for
+        # transport and every reset stage
+        for N in range(2, 41):
+            for p in [transport_hamiltonian(N, J, 0.9)] + [
+                    multiqubit_reset_hamiltonian(N, J, 0.9, k)
+                    for k in range(1, N // 2 + 1)]:
+                want = wall_conserving_majorana(majorana_form(p))
+                assert np.array_equal(majorana_form(wall_conserving(p)),
+                                      want), (N, p.terms)
+
+    def test_terms(self):
+        got = wall_conserving(transport_hamiltonian(3, 5.0, 2.0))
+        t = coupling_profile(3, 2.0)
+        assert terms_as_set(got) == terms_as_set(PauliSum(3, (
+            (t[0] / 2, {2: "X"}), (-t[0] / 2, {1: "Z", 2: "X", 3: "Z"}),
+            (t[1] / 2, {3: "X"}), (-t[1] / 2, {2: "Z", 3: "X"}),
+            (5.0, {3: "Z"}), (5.0, {1: "Z", 2: "Z"}),
+            (5.0, {2: "Z", 3: "Z"}))))
+
+    @pytest.mark.parametrize("N", [3, 6])
+    def test_conserves_the_wall_number(self, N):
+        # every nonzero entry joins two patterns of one wall count, with
+        # down spins beyond both ends; the stage itself does not
+        for p in (transport_hamiltonian(N, 1.3, 1.0),
+                  multiqubit_reset_hamiltonian(N, 1.3, 1.0, N // 2)):
+            walls = [count_domain_walls(
+                [(i >> (N - 1 - b)) & 1 for b in range(N)])
+                for i in range(2**N)]
+            for q, want in ((wall_conserving(p), True), (p, False)):
+                rows, cols = np.nonzero(realize(q).matrix.toarray())
+                assert all(walls[i] == walls[j]
+                           for i, j in zip(rows, cols)) is want
+
+    def test_refuses_a_term_that_is_not_ising(self):
+        with pytest.raises(ValueError, match="not Ising"):
+            wall_conserving(heisenberg_xy(4, 1.0))
+        with pytest.raises(ValueError, match="not Ising"):
+            wall_conserving(PauliSum(4, ((1.0, {2: "X", 3: "Z"}),)))
+
+    def test_wall_hops_have_a_majorana_form(self):
+        # Z_n-1 X_n Z_n+1 = -i gamma_2n-2 gamma_2n+1, a Z beyond either
+        # end dropped
+        n = 4
+        for factors, (j, k) in [({1: "X", 2: "Z"}, (0, 3)),
+                                ({1: "Z", 2: "X", 3: "Z"}, (2, 5)),
+                                ({3: "Z", 4: "X"}, (6, 9))]:
+            a = majorana_form(PauliSum(n, ((0.5, factors),)))
+            want = np.zeros((2 * n + 2,) * 2)
+            want[j, k], want[k, j] = -1.0, 1.0
+            assert np.array_equal(a, want), factors
+        for factors in ({2: "X", 3: "Z"}, {1: "Z", 2: "X"},
+                        {1: "Z", 3: "X", 4: "Z"}):
+            with pytest.raises(ValueError, match="not quadratic"):
+                majorana_form(PauliSum(n, ((0.5, factors),)))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dwtransfer import cli, protocol
+from dwtransfer import cli, fermions, protocol
 from dwtransfer.core import (
     MajoranaOperator,
     PropagatorConfig,
@@ -28,6 +28,7 @@ from dwtransfer.hamiltonians import (
     multiqubit_reset_hamiltonian,
     transfer_amplitude_closed_form,
     transport_hamiltonian,
+    wall_conserving,
 )
 from dwtransfer.protocol import (
     Baseline,
@@ -386,7 +387,8 @@ class TestRescaling:
         state, n, cfg, fermionic = RESCALED[path]
         runs = [Transfer(n, lam, 22.007 * lam, state, n_time_samples=50,
                          propagator=cfg) for lam in (1.0, s)]
-        assert protocol.free_fermion(runs[0]) is fermionic
+        assert issubclass(protocol.path_class(runs[0]),
+                          protocol._Covariances) is fermionic
         base, scaled = (run_multi_qubit_transfer(run) for run in runs)
         for name in ("fidelity_corrected", "fidelity_uncorrected",
                      "sigma_z_trace"):
@@ -401,44 +403,94 @@ class TestRescaling:
         assert abs(scaled.peak_time * s - base.peak_time) <= 1e-12
 
 
-class _WallConserving(protocol._Covariances):
-    """Free fermions in the domain-wall limit: each stage without its
-    pair-creation terms (``_XYWalls.build``)."""
-
-    build = protocol._XYWalls.build
-
-
 MANIFESTS = Path(__file__).resolve().parents[1] / "manifests"
 GAUSSIAN_BUNDLED = ["single_qubit_n13", "bell_pair_2x3x2", "product_11_2x3x2",
                     "superposition_c2_2x3x2", "w_state_3x3x3",
                     "cluster3_3x3x3"]
 
 
+def bundled_transfer(name, ratio=None, **fields):
+    """The bundled transfer ``name`` with J/lam ``ratio`` (None: its
+    own) and ``fields`` replaced."""
+    run = cli._load(Transfer, json.loads(
+        (MANIFESTS / f"{name}.json").read_text()))
+    if ratio is not None:
+        fields["j_coupling"] = ratio * run.lam
+    with (pytest.warns(UserWarning, match="quadratic")
+          if ratio is not None and ratio < protocol.RATIO_WARN_THRESHOLD
+          else contextlib.nullcontext()):
+        return replace(run, **fields)
+
+
+def wall_conserving_run(path_type, run):
+    """``run`` along ``path_type`` in the domain-wall limit: each stage
+    as ``wall_conserving`` projects it."""
+    path = path_type(run, run.state.n_logical, protocol._build_branches(run))
+    stages = tuple(map(wall_conserving, protocol.transfer_stages(run)))
+    return protocol._run(run, path, stages, run.j_coupling)
+
+
 class TestDomainWallLimit:
-    """The domain-wall limit on free fermions (ROADMAP item 13): without
-    pair creation the walls hop on the perfect-transfer profile alone,
-    so every payload arrives whole at any J/lam.  That holds the codec,
-    the branch table, the mirror and sector phases, the traces and the
-    readout together.  The tolerance, 1e-12, was stated before
+    """The domain-wall limit (ROADMAP item 13): without pair creation
+    the walls hop on the perfect-transfer profile alone, so every
+    payload arrives whole at any J/lam.  That holds the codec, the
+    branch table, the mirror and sector phases, the traces and the
+    readout together, on free fermions and on the state vector.  One
+    wall alone hops as the XY chain's excitation does, so its amplitude
+    meets the closed form.  The tolerances, 1e-12, were stated before
     measuring."""
 
     @pytest.mark.parametrize("ratio", [None, 4.0, 50.0])  # None: bundled
     @pytest.mark.parametrize("name", GAUSSIAN_BUNDLED)
     def test_bundled_payload_arrives_whole(self, name, ratio):
-        run = cli._load(Transfer, json.loads(
-            (MANIFESTS / f"{name}.json").read_text()))
-        if ratio is not None:
-            with (pytest.warns(UserWarning, match="quadratic")
-                  if ratio < protocol.RATIO_WARN_THRESHOLD
-                  else contextlib.nullcontext()):
-                run = replace(run, j_coupling=ratio * run.lam)
-        assert protocol.free_fermion(run)
-        path = _WallConserving(run, run.state.n_logical,
-                               protocol._build_branches(run))
-        res = protocol._run(run, path, protocol.transfer_stages(run),
-                            run.j_coupling)
+        run = bundled_transfer(name, ratio)
+        assert issubclass(protocol.path_class(run), protocol._Covariances)
+        res = wall_conserving_run(protocol._Covariances, run)
         assert 1 - res.final_fidelity <= 1e-12
         assert 1 - res.peak_fidelity <= 1e-12
+
+    # every bundled transfer payload, |1> at N = 9 in place of 13
+    @pytest.mark.parametrize("method", ["krylov", "exact-eigendecomposition"])
+    @pytest.mark.parametrize("ratio", [None, 4.0, 50.0])
+    @pytest.mark.parametrize("name", GAUSSIAN_BUNDLED + ["ghz_3x3x3"])
+    def test_bundled_payload_arrives_whole_on_the_state_vector(
+            self, name, ratio, method):
+        n_spins = {"n_spins": 9} if name == "single_qubit_n13" else {}
+        run = bundled_transfer(name, ratio, n_time_samples=40,
+                               propagator=PropagatorConfig(method), **n_spins)
+        assert run.n_spins <= 9
+        res = wall_conserving_run(protocol._Amplitudes, run)
+        assert 1 - res.final_fidelity <= 1e-12
+        assert 1 - res.peak_fidelity <= 1e-12
+
+    @staticmethod
+    def single_wall(N, lam):
+        """The stage that carries one wall from interface 1 to N: spin 1
+        up, then all up."""
+        start = fermions.walls((1,) + (0,) * (N - 1))
+        return (wall_conserving(transport_hamiltonian(N, 22.007, lam)),
+                start, fermions.walls((1,) * N))
+
+    LAM = 0.7
+    TIMES = (math.pi + np.array([-1.0, -0.3, -0.1, 0.0, 0.2])) / LAM
+
+    @pytest.mark.parametrize("N", [5, 13])
+    def test_single_wall_meets_the_closed_form_on_the_dense_path(self, N):
+        p, _, _ = self.single_wall(N, self.LAM)
+        rows = evolve(basis_state((1,) + (0,) * (N - 1)), realize(p),
+                      self.TIMES, EXACT)
+        for t, row in zip(self.TIMES, rows, strict=True):
+            want = abs(transfer_amplitude_closed_form(N, self.LAM, t))
+            assert abs(abs(row[-1]) - want) <= 1e-12
+
+    @pytest.mark.parametrize("N", [5, 13, 101, 200])
+    def test_single_wall_meets_the_closed_form_on_free_fermions(self, N):
+        p, start, end = self.single_wall(N, self.LAM)
+        h = realize(p, majorana=True)
+        for t in self.TIMES:
+            (got,), = fermions.amplitudes([h], t, [end], [start])
+            want = abs(transfer_amplitude_closed_form(N, self.LAM, t))
+            assert abs(abs(got) - want) <= 1e-12
 
 
 class TestTraceAccess:
@@ -867,7 +919,8 @@ class TestGlobalPhase:
         amp = np.array(amplitudes, dtype=complex)
         runs = [Transfer(sum(layout), 1.0, 22.0, LogicalState(layout[0], a),
                          n_time_samples=40) for a in (amp, phase * amp)]
-        assert [protocol.free_fermion(r) for r in runs] == [fermionic] * 2
+        assert [issubclass(protocol.path_class(r), protocol._Covariances)
+                for r in runs] == [fermionic] * 2
         plain, phased = map(run_multi_qubit_transfer, runs)
         for name in ("final_fidelity", "peak_fidelity", "fidelity_corrected",
                      "fidelity_uncorrected", "sigma_z_trace"):
