@@ -241,13 +241,12 @@ def _check_footprint(run,
             f"{run.j_coupling / run.lam:.6g} needs a Chebyshev series "
             f"table of about 2^{log2_need:.4g} bytes, above the "
             f"{MEMORY_LIMIT_GIB} GiB limit")
-    if isinstance(run, Transfer):
-        phase_ratio = abs(run.j_coupling) * N / run.lam
-        if phase_ratio > PHASE_RATIO_MAX:
-            raise ManifestError(
-                f"manifest {ratio_field}: |J| N/lam = {phase_ratio:.6g} is "
-                f"above {PHASE_RATIO_MAX:g}, where double precision no "
-                "longer resolves the stage phases J N pi/lam")
+    phase_ratio = abs(run.j_coupling) * N / run.lam  # 0 for a baseline
+    if phase_ratio > PHASE_RATIO_MAX:
+        raise ManifestError(
+            f"manifest {ratio_field}: |J| N/lam = {phase_ratio:.6g} is "
+            f"above {PHASE_RATIO_MAX:g}, where double precision no "
+            "longer resolves the stage phases J N pi/lam")
     log2_traces = (math.log2(TRACE_VALUE_BYTES * (N + 3))
                    + math.log2(2 * run.n_time_samples + 1))
     _check_memory("n_time_samples", run.n_time_samples,

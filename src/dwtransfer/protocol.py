@@ -87,7 +87,11 @@ def _check_chain(run) -> None:
 
 @dataclass(frozen=True)
 class Baseline:
-    """XY-chain perfect transfer reference"""
+    """XY-chain perfect transfer reference: one J = 0 stage, its mirror
+    phase always corrected (class attributes, no manifest fields)"""
+
+    j_coupling = 0.0
+    apply_phase_correction = True
 
     n_spins: int
     lam: float
@@ -150,11 +154,13 @@ class ProtocolResult:
     window's samples alone, and None for ``fidelity_uncorrected``,
     ``sigma_z_trace`` and ``final_logical``, which it never computes.
 
-    ``phases`` is the ``phases`` block of ``summary.json``: ``stages``
-    stages of tau add ``stages tau E_M`` to the M-wall sector, E_M its
-    diagonal energy ``energy_offset(N, M, J)``, the one the branch table
-    applies.  That is the global phase at M = 0 and, relative to the
-    zero-wall branch, ``stages tau (E_M - E_0)``, keyed by ``str(M)``.
+    ``phases`` is the ``phases`` block of ``summary.json``: ``n tau E_M``
+    for n stages of tau that all keep M walls, E_M the sector's diagonal
+    energy ``energy_offset(N, M, J)``: the global phase at M = 0 and,
+    relative to the zero-wall branch, ``n tau (E_M - E_0)``, keyed by
+    ``str(M)``.  The branch table applies stage 2 at ``m1 - b0 + m2``
+    walls instead (|11> has 2 walls in stage 1, 1 in stage 2); reporting
+    the applied phases is ROADMAP item 3.
     """
 
     times: np.ndarray
@@ -279,16 +285,17 @@ class EmptyReadout(ValueError):
                 "leaves no weight on Bob's decoded register")
 
 
-def _decoded(row, undo, k: int, ratio: float, decode: bool):
+def _decoded(row, undo, path):
     """The payload decoded from the rest-all-down ``row``, phases undone,
-    in logical order, normalized; None without ``decode``.  A ``row``
-    without weight raises ``EmptyReadout(ratio)``, ``ratio`` J/lam."""
+    in logical order, normalized; None on a window-only ``path``.  A
+    ``row`` without weight raises ``EmptyReadout`` of the run's J/lam."""
     nrm = np.sqrt(np.vdot(row, row).real)
     if nrm < 1e-12:
-        raise EmptyReadout(ratio)
-    if decode:
-        return LogicalState(k, (undo * row)[_decode_permutation(k)] / nrm)
-    return None
+        raise EmptyReadout(path.run.j_coupling / path.run.lam)
+    if path.window_only:
+        return None
+    return LogicalState(path.k, (undo * row)[_decode_permutation(path.k)]
+                        / nrm)
 
 
 def _unit_interval(f, what: str):
@@ -326,25 +333,27 @@ def _start_window(pairs):
 
 
 class _Path:
-    """Both propagation paths: the branches, Bob's register of ``k``
-    spins and ``plain``, each branch's coefficient at its ``bob``, which
-    ``phases`` corrects.  No stage is restricted by default."""
+    """Both propagation paths, each serving one ``Transfer`` or
+    ``Baseline`` ``run``: Bob's register of ``k`` spins, the stage time
+    ``tau``, the branches and ``plain``, each branch's coefficient at its
+    ``bob``, which ``phases`` corrects.  No stage is restricted by default."""
 
     sectors = None  # the Bob sectors the last stage keeps, None for all
 
-    def __init__(self, run, k: int, branches, window_only: bool = False):
-        self.n_spins, self.k, self.branches = run.n_spins, k, branches
-        self.window_only = window_only
-        self.plain = np.zeros(2**k, dtype=complex)
+    def __init__(self, run, branches, window_only: bool = False):
+        self.run, self.branches, self.window_only = run, branches, window_only
+        self.n_spins, self.k = run.n_spins, run.state.n_logical
+        self.tau = math.pi / run.lam
+        self.plain = np.zeros(2**self.k, dtype=complex)
         for br in branches:
             self.plain[br.bob] = br.coefficient
 
-    def phases(self, times, tau) -> np.ndarray:
+    def phases(self, times) -> np.ndarray:
         """Each branch's protocol phase at each of ``times`` at its
         ``bob``, 1 elsewhere: shape ``(len(times), 2^k)``."""
         out = np.ones((len(times), 2**self.k), dtype=complex)
         for br in self.branches:
-            out[:, br.bob] = br.phase_at(times, tau)
+            out[:, br.bob] = br.phase_at(times, self.tau)
         return out
 
     @staticmethod
@@ -381,8 +390,8 @@ class _Amplitudes(_Path):
     # while the exponentials and their FFT are alive
     SERIES_BYTES = 192
 
-    def __init__(self, run, k: int, branches, window_only: bool = False):
-        super().__init__(run, k, branches, window_only)
+    def __init__(self, run, branches, window_only: bool = False):
+        super().__init__(run, branches, window_only)
         self.propagator = run.propagator
         self.block = trace_rows(run.n_spins)
         if window_only:
@@ -489,7 +498,7 @@ class _Amplitudes(_Path):
         uncorrected = np.abs(at @ self.plain.conj()) ** 2
         return corrected, uncorrected, _sigma_z_all(probs, self.n_spins)
 
-    def readout(self, psi, target, tau):
+    def readout(self, psi, target):
         """The readout fidelity ``||M conj(target)||^2`` of the final
         amplitudes ``psi`` and ``M``'s rest-all-down row, M's rows one
         per pattern of the rest of the chain.  That fidelity is the
@@ -522,11 +531,10 @@ class _Covariances(_Path):
     # run holds at once besides its stacks of covariances
     PFAFFIAN_MATRICES = 8
 
-    def __init__(self, run, k: int, branches, window_only: bool = False):
-        super().__init__(run, k, branches, window_only)
+    def __init__(self, run, branches, window_only: bool = False):
+        super().__init__(run, branches, window_only)
         self.block = self._stack(run.n_spins)[0]
-        self.window = fermions.Window(k)
-        self.stages = []  # each stage's operator, once built
+        self.window = fermions.Window(self.k)
 
     @staticmethod
     def _stack(n_spins: int) -> tuple:  # covariances per evolve, bytes of one
@@ -545,6 +553,7 @@ class _Covariances(_Path):
 
     def start(self) -> np.ndarray:
         """The empty chain with the payload's walls (``_start_window``)."""
+        self.stages = []  # this run's stage operators, once built
         majoranas, window = _start_window(
             [(br.initial_bits, br.coefficient) for br in self.branches])
         m = fermions.fock_covariance((0,) * (self.n_spins + 1))
@@ -575,7 +584,7 @@ class _Covariances(_Path):
         uncorrected[kept] = p[kept] * self.window.overlaps(pf, self.plain)
         return corrected, uncorrected, self.sigma_z(rows)
 
-    def readout(self, m, target, tau):
+    def readout(self, m, target):
         """The readout fidelity and the rest-all-down row, whose squared
         norm is the probability ``fermions.rest_empty`` reads from ``m``.
         A window-only run returns None for the row when that exceeds
@@ -591,8 +600,8 @@ class _Covariances(_Path):
         final = [fermions.walls((0,) * (N - k) + tuple(index_bits(j, k)))
                  for j in range(2**k)]
         initial = [fermions.walls(br.initial_bits) for br in self.branches]
-        return f, fermions.amplitudes(self.stages, tau, final, initial) @ [
-            br.coefficient for br in self.branches]
+        amps = fermions.amplitudes(self.stages, self.tau, final, initial)
+        return f, amps @ [br.coefficient for br in self.branches]
 
 
 class _XYWalls(_Covariances):
@@ -638,22 +647,18 @@ def _window_start(times) -> int:
     return int(np.searchsorted(times, times[-1] * (1 - PEAK_WINDOW)))
 
 
-def _trace_run(path, state, stages, tau, n_samp):
-    """Sample both fidelity traces and the sigma_z trace over all stages.
+def _trace_run(path, state, stages):
+    """Sample both fidelity traces and the sigma_z trace over all stages,
+    each of ``path.tau`` in the run's ``n_time_samples`` steps.
 
     ``stages`` holds each stage's Hamiltonian as a Pauli sum; ``path``,
-    a ``_Path``, realizes it, propagates ``state`` and reads the
-    samples.  ``path.build`` makes each stage's operator when its stage
-    starts.  On the state vector it holds one operator at a time: it
-    releases the one before, or, for a stage whose Pauli sum is the
-    chain reversal of the one before (a k = 1 transfer's reset stage),
-    propagates through it again (``_Amplitudes.build``), so such a
-    transfer realizes and diagonalizes one operator.  Free fermions keep
-    every stage's normal modes for the readout.  A stage is propagated
-    in blocks of ``path.block`` samples; each block starts from the last
-    state of the one before and is recorded as a whole, against Bob's
-    target of each sample: the branches' coefficients times their
-    protocol phases, each at its ``bob``.
+    a ``_Path``, realizes it when its stage starts (``path.build``,
+    which decides what outlives the stage), propagates ``state`` and
+    reads the samples.  A stage is propagated in blocks of
+    ``path.block`` samples; each block starts from the last state of the
+    one before and is recorded as a whole, against Bob's target of each
+    sample: the branches' coefficients times their protocol phases, each
+    at its ``bob``.
 
     On a ``path.window_only`` path only the corrected trace at the
     samples of the peak window, at the end of the last stage, is
@@ -663,7 +668,8 @@ def _trace_run(path, state, stages, tau, n_samp):
     sample before the window, then records the window in blocks.  The
     last stage starts from ``path.restrict(state)``.
     """
-    times = np.linspace(0.0, len(stages) * tau, len(stages) * n_samp + 1)
+    n, n_samp = len(stages), path.run.n_time_samples
+    times = np.linspace(0.0, n * path.tau, n * n_samp + 1)
     dt = times[1] - times[0]
     first = _window_start(times) if path.window_only else 0
     corrected = np.empty(times.size - first)
@@ -676,7 +682,7 @@ def _trace_run(path, state, stages, tau, n_samp):
         """Trace entries of samples ``i``, ``i + 1``, ... from
         consecutive states."""
         span = slice(i - first, i - first + len(rows))
-        target = path.plain * path.phases(times[i:i + len(rows)], tau)
+        target = path.plain * path.phases(times[i:i + len(rows)])
         corr, uncorr, sz = path.read(rows, target)
         corrected[span] = _unit_interval(corr, "corrected fidelity")
         if sigma_z is not None:
@@ -689,7 +695,7 @@ def _trace_run(path, state, stages, tau, n_samp):
     i = 1  # the next sample
     for s, pauli_sum in enumerate(stages):
         h = path.build(pauli_sum)
-        if s == len(stages) - 1:
+        if s == n - 1:
             state = path.restrict(state)
         end = i + n_samp
         skip = min(max(first - i, 0), n_samp)  # samples before the window
@@ -718,30 +724,28 @@ def _peak_in_window(times, trace):
     return float(trace[best]), float(times[best])
 
 
-def _run(run, path, stages, J: float = 0.0,
-         corrected: bool = True) -> ProtocolResult:
-    """Trace and read out one run on the chain and time grid of ``run``
-    along ``path``, which holds the branches and Bob's register.
+def _run(path, stages) -> ProtocolResult:
+    """Trace and read out the run ``path`` serves (``path.run``: chain,
+    time grid, J and phase correction), from ``path.start()``.
 
     ``stages`` holds each stage's Hamiltonian as a Pauli sum, each run
-    for pi/lam; the peak is searched around, and Bob read out at, the
-    end of the last stage, where ``path.readout`` gives the readout
+    for tau = pi/lam; the peak is searched around, and Bob read out at,
+    the end of the last stage, where ``path.readout`` gives the readout
     fidelity and the rest-all-down row that is decoded.  On a
     ``window_only`` path the run computes the peak, the readout fidelity
     and the empty-register refusal alone (see ``_trace_run``).
     """
-    N, tau, n = run.n_spins, math.pi / run.lam, len(stages)
-    offsets = [energy_offset(N, M, J) for M in range(N + 1)]
+    N, tau, n = path.n_spins, path.tau, len(stages)
+    offsets = [energy_offset(N, M, path.run.j_coupling) for M in range(N + 1)]
     times, corr, uncorr, sigma_z, final_state = _trace_run(
-        path, path.start(), stages, tau, run.n_time_samples)
+        path, path.start(), stages)
     peak_f, peak_t = _peak_in_window(times, corr)
-    phases = (path.phases(np.array([n * tau]), tau)[0] if corrected
+    phases = (path.phases(np.array([n * tau]))[0]
+              if path.run.apply_phase_correction
               else np.ones(2**path.k, dtype=complex))
-    final_f, row = path.readout(final_state, path.plain * phases, tau)
-    final_logical = None
-    if row is not None:
-        final_logical = _decoded(row, phases.conj(), path.k, J / run.lam,
-                                 not path.window_only)
+    final_f, row = path.readout(final_state, path.plain * phases)
+    final_logical = (None if row is None
+                     else _decoded(row, phases.conj(), path))
     return ProtocolResult(
         times=times,
         fidelity_corrected=corr,
@@ -782,19 +786,17 @@ def run_multi_qubit_transfer(run: Transfer, *,
     vector the reset stage then propagates only the Bob sectors of the
     branches' final patterns (``_Amplitudes.restrict``); when those
     leave the rest-all-down row empty at the readout, the refusal needs
-    the whole row, and the run is redone on every sector.
+    the whole row: the full run is made on a fresh path and returned.
     """
-    path = path_class(run)(run, run.state.n_logical, _build_branches(run),
-                           window_only)
+    path_type, branches = path_class(run), _build_branches(run)
+    path = path_type(run, branches, window_only)
     stages = transfer_stages(run)
     try:
-        return _run(run, path, stages, run.j_coupling,
-                    run.apply_phase_correction)
+        return _run(path, stages)
     except EmptyReadout:
         if path.sectors is None:
             raise
-    path.sectors = None
-    return _run(run, path, stages, run.j_coupling, run.apply_phase_correction)
+    return _run(path_type(run, branches), stages)
 
 
 def transfer_stages(run: Transfer) -> tuple:
@@ -837,7 +839,6 @@ def run_heisenberg_baseline(run: Baseline) -> ProtocolResult:
         up = (1,) * N if fermionic else (1,) + (0,) * (N - 1)
         branches.append(_Branch(complex(alpha), up, 1, _mirror_phase(N, 1),
                                 0.0, 0.0))
-    path = path_type(run, 1, branches)
     stage = (wall_conserving(multiqubit_reset_hamiltonian(N, 0.0, lam, 1))
              if fermionic else heisenberg_xy(N, lam))
-    return _run(run, path, (stage,))
+    return _run(path_type(run, branches), (stage,))

@@ -41,8 +41,8 @@ class _Recording(protocol._Covariances):
     """The free-fermion path, keeping the final covariance and the row
     its readout returns."""
 
-    def readout(self, m, target, tau):
-        f, self.row = super().readout(m, target, tau)
+    def readout(self, m, target):
+        f, self.row = super().readout(m, target)
         self.final = m
         return f, self.row
 
@@ -57,10 +57,9 @@ def deviations(n_spins: int, amplitudes) -> tuple:
     run = protocol.Transfer(n_spins, 1.0, 22.007 * n_spins / 13,
                             LogicalState(k, amplitudes), n_time_samples=20)
     assert issubclass(protocol.path_class(run), protocol._Covariances)
-    path = _Recording(run, k, protocol._build_branches(run))
-    res = protocol._run(run, path, protocol.transfer_stages(run),
-                        run.j_coupling)
-    target = path.plain * path.phases(np.array([2 * res.tau]), res.tau)[0]
+    path = _Recording(run, protocol._build_branches(run))
+    res = protocol._run(path, protocol.transfer_stages(run))
+    target = path.plain * path.phases(np.array([2 * res.tau]))[0]
     trace = abs(res.fidelity_corrected[-1]
                 - abs(np.vdot(target, path.row)) ** 2)
     p, _, cond = fermions.rest_empty(path.final[None], n_spins - k)

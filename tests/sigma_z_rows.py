@@ -37,8 +37,7 @@ def trace_covariances(n_spins, state, n_samp, j=22.007):
     both stages, the start included: ``(2 n_samp + 1, 2N + 2, 2N +
     2)``."""
     run = protocol.Transfer(n_spins, 1.0, j, state, n_time_samples=n_samp)
-    m = protocol._Covariances(run, state.n_logical,
-                              protocol._build_branches(run)).start()
+    m = protocol._Covariances(run, protocol._build_branches(run)).start()
     steps = np.arange(1, n_samp + 1) * math.pi / n_samp
     rows = [m[None]]
     for stage in protocol.transfer_stages(run):

@@ -870,7 +870,7 @@ class TestMemoryGuard:
         # exceeds fermions.BLOCK_BYTES, so the term outgrows 8 of them
         one = LogicalState(1, np.array([0.0, 1.0]))
         record = Transfer(n_spins, 1.0, 22.0, one)
-        path = protocol._Covariances(record, 1, [])
+        path = protocol._Covariances(record, [])
         assert path.block == rows
         # the footprint less its Pfaffian matrices of 4N + 2k + 6 rows
         pfaffians = 16 * path.PFAFFIAN_MATRICES * (4 * n_spins + 8) ** 2

@@ -24,7 +24,7 @@ def encoded(logical):
     are all down."""
     k = logical.n_logical
     run = Transfer(2 * k, 1.0, 22.0, logical)
-    psi0 = protocol._Amplitudes(run, k, protocol._build_branches(run)).start()
+    psi0 = protocol._Amplitudes(run, protocol._build_branches(run)).start()
     register = psi0.reshape(2**k, -1)
     assert not register[:, 1:].any()
     return register[:, 0]

@@ -4,7 +4,7 @@ import gc
 import json
 import math
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,7 @@ from dwtransfer.protocol import (
     run_multi_qubit_transfer,
     run_single_qubit_transfer,
 )
+import random_manifests
 import readout_row
 from references import basis_state, count_domain_walls
 
@@ -55,6 +56,11 @@ def single(N, ratio, lam=1.0, **kw):
 
 def logical_one():
     return LogicalState(1, np.array([0.0, 1.0], dtype=complex))
+
+
+def payload_of_width(k):
+    """The k-qubit basis payload |1...1>."""
+    return LogicalState(k, np.eye(2**k, dtype=complex)[-1])
 
 
 def record_final_states(monkeypatch):
@@ -425,9 +431,9 @@ def bundled_transfer(name, ratio=None, **fields):
 def wall_conserving_run(path_type, run):
     """``run`` along ``path_type`` in the domain-wall limit: each stage
     as ``wall_conserving`` projects it."""
-    path = path_type(run, run.state.n_logical, protocol._build_branches(run))
+    path = path_type(run, protocol._build_branches(run))
     stages = tuple(map(wall_conserving, protocol.transfer_stages(run)))
-    return protocol._run(run, path, stages, run.j_coupling)
+    return protocol._run(path, stages)
 
 
 class TestDomainWallLimit:
@@ -674,11 +680,12 @@ class TestTraceRun:
             for k, realized in ((2, 2), (1, 1)):
                 built.clear()
                 path = protocol._Amplitudes(
-                    Transfer(5, 1.0, 22.0, logical_one()), k, [])
+                    Transfer(5, 1.0, 22.0, payload_of_width(k),
+                             n_time_samples=12), [])
                 _trace_run(path, psi, (
                     transport_hamiltonian(5, 22.0, 1.0),
                     multiqubit_reset_hamiltonian(5, 22.0, 1.0, k),
-                ), math.pi, 12)
+                ))
                 assert len(built) == realized
                 del path
                 assert built[-1]() is None
@@ -698,7 +705,8 @@ class TestTraceRun:
         steps = np.linspace(0.1, 1.2, 5)
         for k, reused in ((1, True), (2, False)):
             path = protocol._Amplitudes(
-                Transfer(n, 1.0, 22.0, logical_one(), propagator=cfg), k, [])
+                Transfer(n, 1.0, 22.0, payload_of_width(k), propagator=cfg),
+                [])
             first = path.build(transport_hamiltonian(n, 22.0, 1.0))
             reset = multiqubit_reset_hamiltonian(n, 22.0, 1.0, k)
             h = path.build(reset)
@@ -715,7 +723,7 @@ class TestTraceRun:
         # block's rows are freed once they are recorded; one up spin
         # under the XY chain, or every basis state under transport
         n = 7
-        path = protocol._Amplitudes(Transfer(n, 1.0, 22.0, logical_one()), 1,
+        path = protocol._Amplitudes(Transfer(n, 1.0, 22.0, logical_one()),
                                     [])
         psi = basis_state([1] + [0] * (n - 1))
         if dense_state:
@@ -726,6 +734,29 @@ class TestTraceRun:
         assert rows.shape == (2, 2**n)
         assert last.shape == (2**n,) and last.base is None
         assert np.array_equal(last, rows[-1])
+
+    @pytest.mark.parametrize("path_type, cfg", [
+        (protocol._Covariances, PropagatorConfig()),
+        (protocol._Amplitudes, PropagatorConfig()),
+        (protocol._Amplitudes, EXACT),
+    ], ids=["fermions", "chebyshev", "dense"])
+    def test_second_run_on_one_path_repeats_the_first(self, path_type, cfg):
+        # a path's per-run state starts with the run: the free-fermion
+        # readout decodes through this run's two stage operators alone
+        run = Transfer(7, 1.0, 22.0,
+                       LogicalState(2, np.array([0.5, 0.5j, -0.5, 0.5])),
+                       n_time_samples=20, propagator=cfg)
+        path = path_type(run, protocol._build_branches(run))
+        stages = protocol.transfer_stages(run)
+        first, second = (protocol._run(path, stages) for _ in range(2))
+        for field in fields(first):
+            a, b = getattr(first, field.name), getattr(second, field.name)
+            if field.name == "final_logical":
+                a, b = a.amplitudes, b.amplitudes
+            if isinstance(a, dict):
+                assert a == b, field.name
+            else:
+                assert np.array_equal(a, b), field.name
 
 
 class TestTraceOverlaps:
@@ -785,9 +816,10 @@ class TestTraceOverlaps:
     def test_empty_branch_baseline(self, sampled):
         n, tau = 5, math.pi
         psi = basis_state([1] + [0] * (n - 1))
-        path = protocol._Amplitudes(Baseline(n, 1.0, logical_one()), 1, [])
+        path = protocol._Amplitudes(
+            Baseline(n, 1.0, logical_one(), n_time_samples=12), [])
         times, corrected, uncorrected, _, _ = protocol._trace_run(
-            path, psi, (heisenberg_xy(n, 1.0),), tau, 12)
+            path, psi, (heisenberg_xy(n, 1.0),))
         assert not corrected.any() and not uncorrected.any()
         self.assert_match_reference(times, corrected, uncorrected,
                                     sampled["states"], [], n, tau)
@@ -904,6 +936,20 @@ class TestLargeChain:
     @pytest.mark.parametrize("payload", ["one", "bell", "w"])
     def test_populations_match_readout_row(self, payload):
         assert large_chain(payload)[1] <= readout_row.TOLERANCE
+
+
+class TestRandomManifests:
+    """24 seeded transfers and 8 baselines (``random_manifests``; CI
+    checks 200): the fast path matches the dense path, and a window-only
+    run the full run, at lam, J/lam, sample counts and phase settings
+    no bundled manifest takes."""
+
+    @pytest.mark.parametrize("seed", range(32))
+    def test_paths_and_window_agree(self, seed):
+        paths, window = random_manifests.deviations(
+            random_manifests.draw(seed))
+        assert paths <= random_manifests.TOLERANCE
+        assert window <= random_manifests.WINDOW_TOLERANCE
 
 
 class TestGlobalPhase:
@@ -1053,9 +1099,9 @@ class TestReadout:
         seen = []
         readout = protocol._Amplitudes.readout
 
-        def recording(path, psi, target, tau):
-            seen.append((psi * path.scale, path.k, path.branches, tau))
-            return readout(path, psi, target, tau)
+        def recording(path, psi, target):
+            seen.append((psi * path.scale, path.k, path.branches, path.tau))
+            return readout(path, psi, target)
 
         monkeypatch.setattr(protocol._Amplitudes, "readout", recording)
         return seen
@@ -1099,10 +1145,10 @@ class TestReadout:
         branches = protocol._build_branches(run)
         psi = rng.normal(size=2**N) + 1j * rng.normal(size=2**N)
         psi /= np.linalg.norm(psi)
-        path = protocol._Amplitudes(run, k, branches)
-        phases = path.phases(np.array([2 * tau]), tau)[0]
-        f, row = path.readout(psi, path.plain * phases, tau)
-        got = protocol._decoded(row, phases.conj(), k, 8.5, True)
+        path = protocol._Amplitudes(run, branches)
+        phases = path.phases(np.array([2 * tau]))[0]
+        f, row = path.readout(psi, path.plain * phases)
+        got = protocol._decoded(row, phases.conj(), path)
         vec, ref = readout_by_density_matrix(psi, k, branches, tau, payload,
                                              True)
         assert abs(f - ref) < 1e-14
@@ -1112,9 +1158,7 @@ class TestReadout:
     def test_xy_baseline(self, readouts, monkeypatch, corrected):
         # the baseline always corrects its readout; the uncorrected one
         # is read from the same final state by clearing the flag
-        run_ = protocol._run
-        monkeypatch.setattr(
-            protocol, "_run", lambda *args: run_(*args, corrected=corrected))
+        monkeypatch.setattr(Baseline, "apply_phase_correction", corrected)
         payload = LogicalState(1, np.array([0.6, 0.8j]))
         res = run_heisenberg_baseline(
             Baseline(6, 1.0, payload, n_time_samples=20, propagator=EXACT))
