@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import io
-import csv
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,55 +18,17 @@ CONSISTENCY_N_MAX = 12  # longest chain of the dense closed-form check
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    state_label: str
-    ratio: float
-    infidelity: float
-    transfer_time: float
-    in_fit: bool
-
-
-@dataclass(frozen=True)
-class SweepFit:
-    slope: float
-    intercept: float
-    r_squared: float
-    n_points: int
-
-
-@dataclass(frozen=True)
 class SweepTable:
     """Infidelity records over J/lam ratios plus the log-log fit.
 
-    ``fit`` is ``None`` when fewer than three rows qualify (ratio inside
-    the fit window and infidelity above the numerical floor).
+    Each row is ``(label, ratio, infidelity, transfer_time, in_fit)``.
+    ``fit`` is the dict ``{"slope", "intercept", "r_squared",
+    "n_points"}``, or ``None`` when fewer than three rows qualify (ratio
+    inside the fit window and infidelity above the numerical floor).
     """
 
     rows: tuple
-    fit: SweepFit
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["state", "ratio", "infidelity", "transfer_time"])
-        for row in self.rows:
-            writer.writerow([
-                row.state_label,
-                format(row.ratio, ".17g"),
-                format(row.infidelity, ".17g"),
-                format(row.transfer_time, ".17g"),
-            ])
-        return buf.getvalue()
-
-    def summary(self) -> dict:
-        out = {
-            "n_rows": len(self.rows),
-            "excluded_from_fit": sorted(
-                {r.ratio for r in self.rows if not r.in_fit}
-            ),
-        }
-        out["fit"] = None if self.fit is None else asdict(self.fit)
-        return out
+    fit: dict | None
 
 
 def _sweep_item(item):
@@ -79,7 +39,7 @@ def _sweep_item(item):
 
 
 def _fit_rows(rows):
-    pts = [(r.ratio, r.infidelity) for r in rows if r.in_fit]
+    pts = [(ratio, eps) for _, ratio, eps, _, in_fit in rows if in_fit]
     if len(pts) < 3:
         return None
     x = np.log([p[0] for p in pts])
@@ -88,7 +48,8 @@ def _fit_rows(rows):
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return SweepFit(float(slope), float(intercept), r2, len(pts))
+    return {"slope": float(slope), "intercept": float(intercept),
+            "r_squared": r2, "n_points": len(pts)}
 
 
 def error_scaling_sweep(runs, n_workers: int = None) -> SweepTable:
@@ -120,15 +81,12 @@ def error_scaling_sweep(runs, n_workers: int = None) -> SweepTable:
             outcomes = list(pool.map(_sweep_item, runs))
     else:
         outcomes = [_sweep_item(item) for item in runs]
-    rows = []
-    for label, ratio, eps, t_peak in sorted(
-        outcomes, key=lambda o: (o[0], o[1])
-    ):
-        in_fit = (
-            FIT_RATIO_MIN <= ratio <= FIT_RATIO_MAX and eps > EPS_FLOOR
-        )
-        rows.append(SweepRow(label, ratio, eps, t_peak, in_fit))
-    return SweepTable(tuple(rows), _fit_rows(rows))
+    rows = tuple(
+        (label, ratio, eps, t_peak,
+         FIT_RATIO_MIN <= ratio <= FIT_RATIO_MAX and eps > EPS_FLOOR)
+        for label, ratio, eps, t_peak in sorted(outcomes,
+                                                key=lambda o: o[:2]))
+    return SweepTable(rows, _fit_rows(rows))
 
 
 def closed_form_consistency(N_range, lam: float, samples: int = 20) -> float:

@@ -16,6 +16,8 @@ check fails.
 """
 
 import argparse
+import csv
+import io
 import itertools
 import json
 import math
@@ -393,15 +395,24 @@ def cmd_sweep(run: Sweep, manifest: dict, out: Path, args) -> int:
         raise ManifestError(
             f"manifest field 'ratios' holds J/lam = {exc.ratio:.6g}, which "
             "leaves no weight on Bob's decoded register") from exc
-    _write_csv(out / "sweep.csv", manifest, [table.to_csv()])
-    _write_json(out / "fit.json", manifest, table.summary())
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["state", "ratio", "infidelity", "transfer_time"])
+    writer.writerows([label, *(format(x, ".17g") for x in values)]
+                     for label, *values, _ in table.rows)
+    _write_csv(out / "sweep.csv", manifest, [text.getvalue()])
+    _write_json(out / "fit.json", manifest, {
+        "n_rows": len(table.rows),
+        "excluded_from_fit": sorted(
+            {ratio for _, ratio, *_, in_fit in table.rows if not in_fit}),
+        "fit": table.fit})
     if band is not None:
         if table.fit is None:
             print("slope assertion failed: fit unavailable", file=sys.stderr)
             return 2
-        if abs(table.fit.slope - SLOPE_TARGET) > band:
+        if abs(table.fit["slope"] - SLOPE_TARGET) > band:
             print(
-                f"slope assertion failed: {table.fit.slope:.4f} outside "
+                f"slope assertion failed: {table.fit['slope']:.4f} outside "
                 f"{SLOPE_TARGET} +/- {band}",
                 file=sys.stderr,
             )

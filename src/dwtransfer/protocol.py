@@ -394,8 +394,7 @@ class _Amplitudes(_Path):
         super().__init__(run, branches, window_only)
         self.propagator = run.propagator
         self.block = trace_rows(run.n_spins)
-        if window_only:
-            self.sectors = self.plain != 0
+        self.sectors = self.plain != 0 if window_only else None
         self.scale = 1.0  # the norm the kept sectors held
         # the last operator realized, the chain reversal of its Pauli
         # sum, and the chain reversal of the basis indices when the
@@ -405,16 +404,33 @@ class _Amplitudes(_Path):
     @classmethod
     def footprint(cls, run) -> float:
         """log2 of the bytes of ``STATE_VECTORS`` + 3 N vectors of 2^N
-        amplitudes and, on the dense path, three complex matrices of H's
-        largest component: N states for the XY baseline (its 0- and
-        1-excitation sectors), 2^(N - 1) for a transfer (transport keeps
-        spin 1, the reset stage Bob's spins)."""
+        amplitudes and, on the dense path, the peak of
+        ``Operator.components`` and ``_evolve_exact``.
+
+        A payload occupies at most two components: the XY baseline's
+        excitation sectors, of at most N states, or a transfer's two
+        spin-1 sectors of 2^(N - 1) (transport keeps spin 1; the reset
+        stage's are smaller).  Each is two real mirror halves, a
+        transfer's of at most h = 2^(N - 2) + 2^(N//2 - 1) states with
+        the mirror's fixed points.  The last ``eigh`` holds eight real
+        h x h matrices: three halves done, and the fourth's block,
+        LAPACK's copy of it, its 2 h^2 workspace and its eigenvectors.
+        ``_evolve_exact`` holds an output block of ``trace_rows(N)``
+        states and three blocks of a component's width."""
         N = run.n_spins
         log2_need = N + math.log2(16 * (cls.STATE_VECTORS + 3 * N))
         if run.propagator.method == "krylov":
             return log2_need
-        dense_log2 = math.log2(N) if isinstance(run, Baseline) else N - 1
-        return np.logaddexp2(log2_need, math.log2(16 * 3) + 2 * dense_log2)
+        if isinstance(run, Baseline):
+            width = half = math.log2(N)
+        else:
+            width = N - 1
+            half = N - 2 + math.log2(1 + 2.0 ** (N // 2 + 1 - N))
+        # log2 of trace_rows(N), unrounded, with no 2^N formed
+        rows = min(max(math.log2(TRACE_BYTES / 16) - N, 0),
+                   math.log2(TRACE_ROWS_MAX))
+        blocks = 4 + rows + np.logaddexp2(N, math.log2(3) + width)
+        return np.logaddexp2(np.logaddexp2(log2_need, 6 + 2 * half), blocks)
 
     @classmethod
     def series_footprint(cls, run) -> float:
@@ -784,9 +800,8 @@ def run_multi_qubit_transfer(run: Transfer, *,
     the corrected trace hold the window's samples alone; the uncorrected
     trace, sigma_z and the decoded payload are None.  On the state
     vector the reset stage then propagates only the Bob sectors of the
-    branches' final patterns (``_Amplitudes.restrict``); when those
-    leave the rest-all-down row empty at the readout, the refusal needs
-    the whole row: the full run is made on a fresh path and returned.
+    branches' final patterns (``_Amplitudes.restrict``), and a point that
+    leaves them empty is redone on a window-only path of every sector.
     """
     path_type, branches = path_class(run), _build_branches(run)
     path = path_type(run, branches, window_only)
@@ -796,7 +811,9 @@ def run_multi_qubit_transfer(run: Transfer, *,
     except EmptyReadout:
         if path.sectors is None:
             raise
-    return _run(path_type(run, branches), stages)
+        path = path_type(run, branches, window_only)
+        path.sectors = None
+    return _run(path, stages)
 
 
 def transfer_stages(run: Transfer) -> tuple:

@@ -110,15 +110,15 @@ class TestAcceptance:
         fit = table.fit
         ok = (
             fit is not None
-            and abs(fit.slope - (-2.0)) <= 0.3
-            and fit.r_squared >= 0.95
+            and abs(fit["slope"] - (-2.0)) <= 0.3
+            and fit["r_squared"] >= 0.95
             and elapsed < 600.0
         )
         report(
             4,
             ok,
-            f"N=9 sweep slope {fit.slope:.4f} (target -2 +/- 0.3), "
-            f"R^2 {fit.r_squared:.4f} (min 0.95) in {elapsed:.1f}s "
+            f"N=9 sweep slope {fit['slope']:.4f} (target -2 +/- 0.3), "
+            f"R^2 {fit['r_squared']:.4f} (min 0.95) in {elapsed:.1f}s "
             f"(limit 600s)",
         )
 

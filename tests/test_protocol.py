@@ -43,6 +43,7 @@ from dwtransfer.protocol import (
 )
 import random_manifests
 import readout_row
+import series_vs_fermions
 from references import basis_state, count_domain_walls
 
 EXACT = PropagatorConfig(method="exact-eigendecomposition")
@@ -936,6 +937,18 @@ class TestLargeChain:
     @pytest.mark.parametrize("payload", ["one", "bell", "w"])
     def test_populations_match_readout_row(self, payload):
         assert large_chain(payload)[1] <= readout_row.TOLERANCE
+
+
+class TestSeriesMatchesFreeFermions:
+    """A second computation of the Chebyshev series where the dense path
+    stops (ROADMAP item 22): Bell at N = 13, 200 samples per stage, on
+    the series and on free fermions (``series_vs_fermions``; CI checks
+    Bell and |1> at N = 15 and Bell at N = 17)."""
+
+    def test_bell_at_n13(self):
+        assert series_vs_fermions.deviation(
+            13, series_vs_fermions.PAYLOADS["bell"], 200
+        ) <= series_vs_fermions.TOLERANCE
 
 
 class TestRandomManifests:
