@@ -63,6 +63,11 @@ FREE_FERMION_SPINS_MAX = 200
 # and 8.6 with 300 000 (free fermions), 9.5 for GHZ at N = 7 with
 # 100 000 (state vector); rounded up
 TRACE_VALUE_BYTES = 32
+# bytes a run adds whatever its size: its first calls' modules and
+# caches, and BLAS's packing buffers.  Peak RSS above an import-only
+# process less the path's estimate, two BLAS threads: 1.9 MB for dense
+# |1> at N = 5, up to 5.2 MB for dense GHZ at N = 12 (a 1056-row eigh)
+RUN_FIXED_BYTES = 5.5 * 2**20
 # largest |J| N/lam a transfer may take: its stage phases J N pi/lam
 # then hold about 3e6 radians, and free fermions match the dense path
 # within 1.7e-9 over every output (N = 5, 9, 13; 40 samples per stage,
@@ -224,7 +229,7 @@ def _check_footprint(run,
     ``MEMORY_LIMIT_GIB`` or too slow, naming the field to change, or
     ``ratio_field`` for J/lam.  The sizes are those of the path
     ``protocol.path_class`` picks, and ``TRACE_VALUE_BYTES`` per trace
-    value; all are compared by log2."""
+    value, plus ``RUN_FIXED_BYTES``; all are compared by log2."""
     N, path = run.n_spins, path_class(run)
     fermionic = issubclass(path, _Covariances)
     if fermionic and N > FREE_FERMION_SPINS_MAX:
@@ -232,7 +237,7 @@ def _check_footprint(run,
             f"manifest field 'n_spins' is {N}: free-fermion runs take "
             f"at most {FREE_FERMION_SPINS_MAX} spins, as their time "
             "grows about as N^3 per sample (ROADMAP item 2a)")
-    log2_need = path.footprint(run)
+    log2_need = np.logaddexp2(path.footprint(run), math.log2(RUN_FIXED_BYTES))
     _check_memory("n_spins", N, log2_need, "" if fermionic else
                   "; chains this long need the free-fermion backend "
                   "(ROADMAP item 2)")

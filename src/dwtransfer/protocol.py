@@ -461,6 +461,7 @@ class _Amplitudes(_Path):
         (``PauliSum.reversed``), which ``propagate`` then applies through
         the chain reversal ``flip``; else ``pauli_sum`` realized once the
         one before is released, so at most one is alive."""
+        self.reached = 0, None  # the stage's sample propagated last, its row
         if pauli_sum == self.mirror:
             self.flip = reflect(np.arange(2**self.n_spins),
                                 range(self.n_spins))
@@ -487,17 +488,24 @@ class _Amplitudes(_Path):
         self.scale = norm
         return kept / norm
 
-    def propagate(self, psi, h, steps):
-        """Rows of ``psi`` at ``steps`` under ``h``, in the original
-        basis: with the ``flip`` R of the last ``build``, ``exp(-i H t) =
-        R exp(-i h t) R``, H the stage ``h`` is the reversal of."""
-        if self.flip is None:
-            rows = evolve(psi, h, steps, self.propagator)
-        else:
-            rows = evolve(psi[self.flip], h, steps,
-                          self.propagator)[:, self.flip]
+    def propagate(self, start, h, ks, dt):
+        """The rows at samples ``ks`` (at ``ks dt``) of the stage that
+        began at ``start``, and the last.  A Chebyshev series grows with
+        t, so each call composes from the row the last one reached
+        (``start`` after ``build``), first jumping to the sample before a
+        block of several; under a ``flip`` that row is kept reversed."""
+        flip = slice(None) if self.flip is None else self.flip
+        at, psi = self.reached
+        if not at:
+            psi = start[flip]
+        if ks.size > 1 and ks[0] - 1 > at:
+            psi = evolve(psi, h, np.array([(ks[0] - 1 - at) * dt]),
+                         self.propagator)[0]
+            at = ks[0] - 1
+        rows = evolve(psi, h, (ks - at) * dt, self.propagator)
         # a copy: a view would keep the block's rows alive
-        return rows, rows[-1].copy()
+        self.reached = ks[-1], rows[-1].copy()
+        return rows[:, flip], self.reached[1][flip]
 
     def read(self, rows, target):
         """The corrected and uncorrected overlaps and sigma_z of
@@ -530,8 +538,8 @@ class _Amplitudes(_Path):
 class _Covariances(_Path):
     """The free-fermion path: the (2N + 2)^2 Majorana covariance,
     propagated by ``evolve`` under each stage's ``MajoranaOperator`` in
-    stacks of ``fermions.stack_rows`` samples, each sample from the
-    stack's start.
+    stacks of ``fermions.stack_rows`` samples, each sample from its
+    stage's start, so the stacks bound memory alone.
 
     A full-chain fidelity is the probability that the chain outside
     Bob's register is all down, times Bob's target overlap on the
@@ -582,11 +590,11 @@ class _Covariances(_Path):
         return h
 
     @staticmethod
-    def propagate(m, h, steps):
+    def propagate(start, h, ks, dt):  # each row from the stage's start
         # a view, where _Amplitudes copies: it keeps one stack alive, and
         # a copy slowed the bundled |1> at N = 13 from 17.2-18.7 to
         # 19.5-20.6 ms (best of 30 runs, one BLAS thread, 2-core machine)
-        rows = evolve(m, h, steps)
+        rows = evolve(start, h, ks * dt)
         return rows, rows[-1]
 
     def read(self, rows, target):
@@ -669,20 +677,17 @@ def _trace_run(path, state, stages):
 
     ``stages`` holds each stage's Hamiltonian as a Pauli sum; ``path``,
     a ``_Path``, realizes it when its stage starts (``path.build``,
-    which decides what outlives the stage), propagates ``state`` and
-    reads the samples.  A stage is propagated in blocks of
-    ``path.block`` samples; each block starts from the last state of the
-    one before and is recorded as a whole, against Bob's target of each
-    sample: the branches' coefficients times their protocol phases, each
-    at its ``bob``.
+    which decides what outlives the stage), propagates and reads the
+    samples.  Each block of ``path.block`` samples is handed the state
+    its stage started in (``path.propagate``) and recorded as a whole,
+    against Bob's target of each sample: the branches' coefficients
+    times their protocol phases, each at its ``bob``.
 
     On a ``path.window_only`` path only the corrected trace at the
     samples of the peak window, at the end of the last stage, is
     recorded and returned, with None for the uncorrected and the sigma_z
-    trace: a stage that ends before the window is propagated to its end
-    in one ``evolve`` call, and the last stage jumps in one call to the
-    sample before the window, then records the window in blocks.  The
-    last stage starts from ``path.restrict(state)``.
+    trace; a stage that ends before the window asks for its end alone.
+    The last stage starts from ``path.restrict(state)``.
     """
     n, n_samp = len(stages), path.run.n_time_samples
     times = np.linspace(0.0, n * path.tau, n * n_samp + 1)
@@ -695,8 +700,7 @@ def _trace_run(path, state, stages):
         sigma_z = np.empty((path.n_spins, corrected.size))
 
     def record(i, rows):
-        """Trace entries of samples ``i``, ``i + 1``, ... from
-        consecutive states."""
+        """Trace entries of samples i, i + 1, ... from consecutive rows."""
         span = slice(i - first, i - first + len(rows))
         target = path.plain * path.phases(times[i:i + len(rows)])
         corr, uncorr, sz = path.read(rows, target)
@@ -708,24 +712,18 @@ def _trace_run(path, state, stages):
 
     if not first:
         record(0, state[None])
-    i = 1  # the next sample
     for s, pauli_sum in enumerate(stages):
         h = path.build(pauli_sum)
-        if s == n - 1:
-            state = path.restrict(state)
-        end = i + n_samp
-        skip = min(max(first - i, 0), n_samp)  # samples before the window
-        if skip:
-            _, state = path.propagate(state, h, np.array([skip * dt]))
-            i += skip
-        while i < end:
-            steps = np.arange(1, min(path.block, end - i) + 1) * dt
-            # the block's rows are released before the next one
-            rows, state = path.propagate(state, h, steps)
-            record(i, rows)
-            i += steps.size
-            del rows
-        del h  # the path alone decides what outlives the stage
+        start = path.restrict(state) if s == n - 1 else state
+        lo = max(first - s * n_samp, 1)  # the stage's first sample kept
+        # its blocks from lo on, or its end alone when it keeps none
+        for a in range(min(lo, n_samp), n_samp + 1, path.block):
+            rows, state = path.propagate(
+                start, h, np.arange(a, min(a + path.block, n_samp + 1)), dt)
+            if a >= lo:
+                record(s * n_samp + a, rows)
+            del rows  # released before the next block
+        del h, start  # the path alone decides what outlives the stage
     return times[first:], corrected, uncorrected, sigma_z, state
 
 
@@ -795,7 +793,9 @@ def run_multi_qubit_transfer(run: Transfer, *,
 
     ``window_only`` computes only what a sweep point reads: the peak,
     ``final_fidelity`` and the ``EmptyReadout`` refusal, equal to those
-    of the full run to round-off.  It skips every sample outside the
+    of the full run bit for bit on free fermions, which take each
+    sample from its stage's start, and to round-off on the state
+    vector.  It skips every sample outside the
     peak window, the last ``PEAK_WINDOW`` of the run, so ``times`` and
     the corrected trace hold the window's samples alone; the uncorrected
     trace, sigma_z and the decoded payload are None.  On the state

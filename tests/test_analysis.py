@@ -34,6 +34,16 @@ def sweep_runs(ratios, N=5, n_samp=40, label="1"):
 ONE = LogicalState(1, np.array([0.0, 1.0], dtype=complex))
 BELL = LogicalState(2, np.array([S2, 0, 0, S2], dtype=complex))
 GHZ = LogicalState(3, np.array([S2, 0, 0, 0, 0, 0, 0, S2], dtype=complex))
+S3 = 1 / math.sqrt(3)
+# payloads Gaussian on the wall fermions, as bundled
+GAUSSIAN = {
+    "one": ONE,
+    "alpha_beta": LogicalState(1, np.array([S2, S2], dtype=complex)),
+    "bell": BELL,
+    "c2": LogicalState(2, np.array([0.5, 0.5, 0.5, -0.5], dtype=complex)),
+    "w": LogicalState(3, np.array([0, S3, S3, 0, S3, 0, 0, 0],
+                                  dtype=complex)),
+}
 # (payload, N, propagator, whether it runs on free fermions): the dense
 # reference, the Chebyshev state vector and free fermions.  GHZ at N = 7
 # keeps 2 of Bob's 8 sectors through a window-only reset stage
@@ -53,20 +63,45 @@ class TestWindowOnlySweep:
     @pytest.mark.parametrize("ratio", [8.0, 40.0])
     @pytest.mark.parametrize("path", sorted(PATHS))
     def test_row_matches_full_run(self, path, ratio):
+        # free fermions take every sample from its stage's start, so
+        # there the row is the full run's bit for bit
         state, n, cfg, fermionic = PATHS[path]
+        tol = 0.0 if fermionic else 1e-12
         run = Transfer(n, 1.0, ratio, state, propagator=cfg)
         assert issubclass(path_class(run), _Covariances) is fermionic
         full = run_multi_qubit_transfer(run)
         ((_, _, eps, t_peak, _),) = error_scaling_sweep(
             [(path, ratio, run)]).rows
-        assert abs(eps - (1.0 - full.peak_fidelity)) <= 1e-12
-        assert abs(t_peak - full.peak_time) <= 1e-12
+        assert abs(eps - (1.0 - full.peak_fidelity)) <= tol
+        assert abs(t_peak - full.peak_time) <= tol
         point = run_multi_qubit_transfer(run, window_only=True)
-        assert abs(point.final_fidelity - full.final_fidelity) <= 1e-12
+        assert abs(point.final_fidelity - full.final_fidelity) <= tol
+
+    @pytest.mark.parametrize("payload, n", [
+        *((p, n) for p in sorted(GAUSSIAN) for n in (7, 12, 25)),
+        ("one", 101), ("bell", 101)])
+    def test_free_fermion_window_is_the_full_run(self, payload, n):
+        # the window's corrected trace, the peak and the readout
+        # fidelity of a window-only run equal the full run's bit for
+        # bit: both take each sample from its stage's start
+        run = Transfer(n, 1.0, 22.007 * n / 13, GAUSSIAN[payload],
+                       n_time_samples=20 if n > 25 else 200)
+        assert path_class(run) is _Covariances
+        full = run_multi_qubit_transfer(run)
+        point = run_multi_qubit_transfer(run, window_only=True)
+        first = protocol._window_start(full.times)
+        assert np.array_equal(point.times, full.times[first:])
+        assert np.array_equal(point.fidelity_corrected,
+                              full.fidelity_corrected[first:])
+        for name in ("peak_fidelity", "peak_time", "final_fidelity"):
+            assert getattr(point, name) == getattr(full, name), name
 
     @pytest.mark.parametrize("path", sorted(PATHS))
     def test_stage_one_in_one_call_and_window_read(self, monkeypatch, path):
-        # 200 samples per stage: the window is samples 380..400 of 400
+        # 200 samples per stage: the window is samples 380..400 of 400.
+        # The state vector composes: it jumps to sample 379, then takes
+        # the window's 21 steps from there; free fermions take each
+        # window sample from the reset stage's start
         state, n, cfg, fermionic = PATHS[path]
         run = Transfer(n, 1.0, 22.0, state, propagator=cfg)
         calls, read = [], []
@@ -86,10 +121,11 @@ class TestWindowOnlySweep:
         monkeypatch.setattr(cls, "read", spy_read)
         result = run_multi_qubit_transfer(run, window_only=True)
         dt = math.pi / 200
-        assert len(calls) == 3
-        assert np.allclose(calls[0], [200 * dt], rtol=1e-14)  # stage 1
-        assert np.allclose(calls[1], [179 * dt], rtol=1e-14)  # to sample 379
-        assert np.allclose(calls[2], np.arange(1, 22) * dt, rtol=1e-14)
+        want = ([[200], np.arange(180, 201)] if fermionic
+                else [[200], [179], np.arange(1, 22)])  # stage 1 first
+        assert len(calls) == len(want)
+        for got, ks in zip(calls, want):
+            assert np.allclose(got, np.multiply(ks, dt), rtol=1e-14)
         assert sum(read) == 21
         assert np.allclose(result.times, np.arange(380, 401) * dt,
                            rtol=1e-14)

@@ -21,6 +21,7 @@ from dwtransfer.cli import (
     COMMANDS,
     MEMORY_LIMIT_GIB,
     PHASE_RATIO_MAX,
+    RUN_FIXED_BYTES,
     TRACE_VALUE_BYTES,
     ManifestError,
     _check_footprint,
@@ -38,6 +39,7 @@ from dwtransfer.protocol import (
 
 S2 = 1 / math.sqrt(2)
 GHZ = {"amplitudes": [[S2, 0], 0, 0, 0, 0, 0, 0, [S2, 0]]}
+ONE = {"alpha": 1.0, "beta": 0.0}
 
 
 def write_manifest(path, payload):
@@ -47,6 +49,36 @@ def write_manifest(path, payload):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def run_estimate(record) -> float:
+    """The bytes ``_check_footprint`` counts for ``record``: its path's
+    footprint, any Chebyshev table, the traces and the fixed term."""
+    path = protocol.path_class(record)
+    N, n = record.n_spins, record.n_time_samples
+    return (2 ** path.footprint(record) + 2 ** path.series_footprint(record)
+            + TRACE_VALUE_BYTES * (N + 3) * (2 * n + 1) + RUN_FIXED_BYTES)
+
+
+def child_env(**extra) -> dict:
+    """This process's environment, with ``extra`` set, for a child
+    process that imports the package from the source tested here."""
+    src = str(Path(dwtransfer.__file__).resolve().parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def child_peak_rss(body: str) -> int:
+    """The peak RSS in bytes of a child process that imports the
+    package, then runs the statement ``body``."""
+    script = ("import resource\n"
+              "import dwtransfer.cli\n"
+              f"{body}\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    done = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    return 1024 * int(done.stdout.split()[-1])  # ru_maxrss is in KiB
 
 
 def with_fields(path, tmp_path, **fields):
@@ -931,6 +963,13 @@ class TestMemoryGuard:
         assert 8 < per_value < TRACE_VALUE_BYTES
 
     @pytest.mark.parametrize("command, fields_, path", [
+        # the first dense run in a process, which also fills the caches
+        # a run keeps: its peak has read 0.568 MB against 0.532 MB of
+        # path and traces, which the fixed term covers
+        ("transfer", {"n_spins": 7, "j_coupling": 22.007 * 7 / 13,
+                      "state": GHZ, "n_time_samples": 20,
+                      "propagator": "exact-eigendecomposition"},
+         "_Amplitudes"),
         # one covariance per stack, as from N = 64 on
         ("transfer", {"n_spins": 81, "j_coupling": 22.007 * 81 / 13,
                       "state": {"alpha": 1.0, "beta": 0.0},
@@ -949,21 +988,14 @@ class TestMemoryGuard:
     def test_measured_peak_stays_below_the_path_footprint(
             self, request, tmp_path, command, fields_, path):
         # the tracemalloc peak of a whole run through main(), writer
-        # included, against what the guard counts: its path's footprint,
-        # any Chebyshev table, and the traces.  Peak over estimate read
-        # 0.78, 0.26, 0.75, 0.52 and 0.34 on these runs, in the order
-        # given.  tracemalloc does not see LAPACK's copy and workspace,
-        # three of the eight matrices the dense estimate counts at its
-        # eigh
+        # included, against what the guard counts (``run_estimate``).
+        # tracemalloc does not see LAPACK's copy and workspace, three of
+        # the eight matrices the dense estimate counts at its eigh
         cfg = with_fields(request.getfixturevalue(f"{command}_manifest"),
                           tmp_path, **fields_)
         record = _load(COMMANDS[command][0], json.loads(Path(cfg).read_text()))
-        chosen = protocol.path_class(record)
-        assert chosen.__name__ == path
-        N, n = record.n_spins, record.n_time_samples
-        estimate = (2 ** chosen.footprint(record)
-                    + 2 ** chosen.series_footprint(record)
-                    + TRACE_VALUE_BYTES * (N + 3) * (2 * n + 1))
+        assert protocol.path_class(record).__name__ == path
+        estimate = run_estimate(record)
         tracemalloc.start()
         try:
             assert run([command, "--config", cfg,
@@ -972,6 +1004,28 @@ class TestMemoryGuard:
         finally:
             tracemalloc.stop()
         assert peak < estimate
+
+    @pytest.mark.parametrize("fields_", [
+        {"n_spins": 10, "state": GHZ, "n_time_samples": 20,
+         "propagator": "exact-eigendecomposition"},
+        {"n_spins": 12, "state": GHZ, "n_time_samples": 200},
+        {"n_spins": 13, "state": ONE, "n_time_samples": 200},
+        {"n_spins": 101, "state": ONE, "n_time_samples": 20},
+    ], ids=["dense", "chebyshev", "fermions-13", "fermions-101"])
+    def test_peak_rss_stays_below_the_estimate(self, transfer_manifest,
+                                               tmp_path, fields_):
+        # the peak RSS of a child process that runs a transfer through
+        # main(), above a child that only imports the package, against
+        # what the guard counts: RSS also holds what tracemalloc does
+        # not see, LAPACK's and BLAS's buffers
+        N = fields_["n_spins"]
+        cfg = with_fields(transfer_manifest, tmp_path,
+                          j_coupling=22.007 * N / 13, **fields_)
+        record = _load(Transfer, json.loads(Path(cfg).read_text()))
+        call = (f"assert dwtransfer.cli.main(['transfer', '--config', "
+                f"{cfg!r}, '--out', {str(tmp_path / 'o')!r}]) == 0")
+        peaks = [child_peak_rss(body) for body in ("pass", call)]
+        assert peaks[1] - peaks[0] < run_estimate(record)
 
     @pytest.mark.parametrize("n_spins", [10**9, 2**62])
     @pytest.mark.parametrize("command, fields_", [
@@ -994,11 +1048,8 @@ class TestMemoryGuard:
             f"sys.exit(dwtransfer.cli.main([{command!r}, '--config', "
             f"{cfg!r}, '--out', {out!r}]))\n"
         )
-        src = str(Path(dwtransfer.__file__).resolve().parents[1])
         # one BLAS thread keeps the address space numpy reserves small
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = child_env(OPENBLAS_NUM_THREADS="1")
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 1, done.stderr
@@ -1133,11 +1184,8 @@ class TestExtremeValues:
         def limit_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-        src = str(Path(dwtransfer.__file__).resolve().parents[1])
         # one BLAS thread keeps the address space numpy reserves small
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = child_env(OPENBLAS_NUM_THREADS="1")
         done = subprocess.run(
             [sys.executable, "-c", PROBE_SCRIPT, str(listed), str(tmp_path)],
             env=env, capture_output=True, text=True, timeout=300,
@@ -1279,11 +1327,9 @@ class TestImportGraph:
             "print(sorted(m for m in sys.modules if m.startswith("
             f"{prefix!r})))\n"
         )
-        src = str(Path(dwtransfer.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = subprocess.run([sys.executable, "-c", script],
+                              env=child_env(), capture_output=True,
+                              text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         return done.stdout.strip()
 

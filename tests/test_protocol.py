@@ -653,6 +653,36 @@ class TestTraceRun:
             assert abs(runs[label].final_fidelity
                        - runs["one"].final_fidelity) < 1e-12
 
+    @pytest.mark.parametrize("amplitudes", [
+        [0, 1], [S2, S2], [S2, 0, 0, S2], [0.5, 0.5, 0.5, -0.5],
+        [0, 3**-0.5, 3**-0.5, 0, 3**-0.5, 0, 0, 0],
+    ], ids=["one", "alpha_beta", "bell", "c2", "w"])
+    def test_free_fermion_stacks_bound_memory_alone(self, monkeypatch,
+                                                    amplitudes):
+        # every sample comes from its stage's start, so the stack size
+        # (at N = 13 one covariance per evolve call at 2^12 bytes, 41 at
+        # 2^18, a stage at 2^22) leaves the traces, sigma_z and the
+        # fidelities bit for bit.  The decoded payload comes from the
+        # Pfaffian stacks of fermions.amplitudes, which the same bytes
+        # size, and moves by round-off alone
+        amp = np.array(amplitudes, dtype=complex)
+        run = Transfer(13, 1.0, 22.007,
+                       LogicalState(amp.size.bit_length() - 1, amp))
+        assert protocol.path_class(run) is protocol._Covariances
+        runs = []
+        for size in (2**12, 2**18, 2**22):
+            monkeypatch.setattr(fermions, "BLOCK_BYTES", size)
+            runs.append(run_multi_qubit_transfer(run))
+        for res in runs[1:]:
+            for field in fields(res):
+                a, b = getattr(runs[0], field.name), getattr(res, field.name)
+                if field.name == "final_logical":
+                    assert np.abs(a.amplitudes - b.amplitudes).max() <= 1e-15
+                elif isinstance(a, dict):
+                    assert a == b, field.name
+                else:
+                    assert np.array_equal(a, b), field.name
+
     @pytest.mark.parametrize("n, rows", [(13, 10), (12, 20), (11, 40),
                                          (9, 40), (7, 40), (1, 40),
                                          (16, 1), (30, 1)])
@@ -703,7 +733,7 @@ class TestTraceRun:
         rng = np.random.default_rng(5)
         psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         psi /= np.linalg.norm(psi)
-        steps = np.linspace(0.1, 1.2, 5)
+        dt = 0.1
         for k, reused in ((1, True), (2, False)):
             path = protocol._Amplitudes(
                 Transfer(n, 1.0, 22.0, payload_of_width(k), propagator=cfg),
@@ -713,15 +743,18 @@ class TestTraceRun:
             h = path.build(reset)
             assert (h is first) is reused
             assert (path.flip is not None) is reused
-            rows, last = path.propagate(psi, h, steps)
-            want = evolve(psi, realize(reset), steps, cfg)
-            assert np.abs(rows - want).max() <= 1e-12
-            assert np.array_equal(last, rows[-1])
+            # a block after a gap (the jump to sample 2), then one that
+            # composes on from the row the first reached
+            for ks in (np.arange(3, 8), np.arange(8, 12)):
+                rows, last = path.propagate(psi, h, ks, dt)
+                want = evolve(psi, realize(reset), ks * dt, cfg)
+                assert np.abs(rows - want).max() <= 1e-12
+                assert np.array_equal(last, rows[-1])
 
     @pytest.mark.parametrize("dense_state", [False, True])
     def test_carried_state_holds_no_rows(self, dense_state):
-        # the state carried into the next block is its own array, so the
-        # block's rows are freed once they are recorded; one up spin
+        # the row the state vector composes on from is its own array, so
+        # the block's rows are freed once they are recorded; one up spin
         # under the XY chain, or every basis state under transport
         n = 7
         path = protocol._Amplitudes(Transfer(n, 1.0, 22.0, logical_one()),
@@ -729,12 +762,15 @@ class TestTraceRun:
         psi = basis_state([1] + [0] * (n - 1))
         if dense_state:
             psi = np.full(2**n, 2 ** (-n / 2), dtype=complex)
-        h = realize(transport_hamiltonian(n, 22.0, 1.0) if dense_state
-                    else heisenberg_xy(n, 1.0))
-        rows, last = path.propagate(psi, h, np.array([0.01, 0.02]))
-        assert rows.shape == (2, 2**n)
-        assert last.shape == (2**n,) and last.base is None
+        h = path.build(transport_hamiltonian(n, 22.0, 1.0) if dense_state
+                       else heisenberg_xy(n, 1.0))
+        rows, last = path.propagate(psi, h, np.array([1, 2]), 0.01)
+        assert rows.shape == (2, 2**n) and last.shape == (2**n,)
         assert np.array_equal(last, rows[-1])
+        at, row = path.reached
+        assert at == 2 and np.array_equal(row, last)
+        assert not np.shares_memory(last, rows)
+        assert not np.shares_memory(row, rows)
 
     @pytest.mark.parametrize("path_type, cfg", [
         (protocol._Covariances, PropagatorConfig()),
@@ -769,16 +805,18 @@ class TestTraceOverlaps:
         """The 2^N amplitudes of the states ``_trace_run`` samples, in
         order, and the branch table ``_build_branches`` returns.  Each
         block of samples is propagated once more on the whole space, by
-        ``evolve`` on the 2^N amplitudes the block starts from."""
+        one ``evolve`` call from the 2^N amplitudes its stage started
+        in, where the path composes on from the block before."""
         seen = {"states": [], "branches": None}
         build_branches = protocol._build_branches
         trace_run = protocol._trace_run
         propagate = protocol._Amplitudes.propagate
 
-        def recording_propagate(path, state, h, steps):
+        def recording_propagate(path, start, h, ks, dt):
+            assert path.flip is None  # no stage here reverses the one before
             # one whole-space row per sampled state
-            seen["states"].extend(evolve(state, h, steps, path.propagator))
-            return propagate(path, state, h, steps)
+            seen["states"].extend(evolve(start, h, ks * dt, path.propagator))
+            return propagate(path, start, h, ks, dt)
 
         def recording_build(*args):
             seen["branches"] = build_branches(*args)
@@ -954,15 +992,16 @@ class TestSeriesMatchesFreeFermions:
 class TestRandomManifests:
     """24 seeded transfers and 8 baselines (``random_manifests``; CI
     checks 200): the fast path matches the dense path, and a window-only
-    run the full run, at lam, J/lam, sample counts and phase settings
-    no bundled manifest takes."""
+    run the full run, bit for bit on free fermions, at lam, J/lam,
+    sample counts and phase settings no bundled manifest takes."""
 
     @pytest.mark.parametrize("seed", range(32))
     def test_paths_and_window_agree(self, seed):
-        paths, window = random_manifests.deviations(
+        paths, window, exact = random_manifests.deviations(
             random_manifests.draw(seed))
         assert paths <= random_manifests.TOLERANCE
         assert window <= random_manifests.WINDOW_TOLERANCE
+        assert exact == 0.0
 
 
 class TestGlobalPhase:
