@@ -66,7 +66,7 @@ TRACE_VALUE_BYTES = 32
 # bytes a run adds whatever its size: its first calls' modules and
 # caches, and BLAS's packing buffers.  Peak RSS above an import-only
 # process less the path's estimate, two BLAS threads: 1.9 MB for dense
-# |1> at N = 5, up to 5.2 MB for dense GHZ at N = 12 (a 1056-row eigh)
+# |1> at N = 5, up to 5.5 MB for dense GHZ at N = 12 (a 1056-row eigh)
 RUN_FIXED_BYTES = 5.5 * 2**20
 # largest |J| N/lam a transfer may take: its stage phases J N pi/lam
 # then hold about 3e6 radians, and free fermions match the dense path
@@ -224,12 +224,12 @@ def _check_memory(field: str, value, log2_need: float, hint: str = ""):
 
 def _check_footprint(run,
                      ratio_field: str = "fields 'j_coupling' and 'lam'"
-                     ) -> None:
+                     ) -> float:
     """Refuse a run (a ``Baseline`` or a ``Transfer``) too large for
     ``MEMORY_LIMIT_GIB`` or too slow, naming the field to change, or
-    ``ratio_field`` for J/lam.  The sizes are those of the path
-    ``protocol.path_class`` picks, and ``TRACE_VALUE_BYTES`` per trace
-    value, plus ``RUN_FIXED_BYTES``; all are compared by log2."""
+    ``ratio_field`` for J/lam; else return log2 of its bytes: those of
+    the path ``protocol.path_class`` picks, ``TRACE_VALUE_BYTES`` per
+    trace value and ``RUN_FIXED_BYTES``, all compared by log2."""
     N, path = run.n_spins, path_class(run)
     fermionic = issubclass(path, _Covariances)
     if fermionic and N > FREE_FERMION_SPINS_MAX:
@@ -254,10 +254,10 @@ def _check_footprint(run,
             f"manifest {ratio_field}: |J| N/lam = {phase_ratio:.6g} is "
             f"above {PHASE_RATIO_MAX:g}, where double precision no "
             "longer resolves the stage phases J N pi/lam")
-    log2_traces = (math.log2(TRACE_VALUE_BYTES * (N + 3))
-                   + math.log2(2 * run.n_time_samples + 1))
-    _check_memory("n_time_samples", run.n_time_samples,
-                  np.logaddexp2(log2_need, log2_traces))
+    log2_need = np.logaddexp2(log2_need, math.log2(TRACE_VALUE_BYTES * (
+        N + 3)) + math.log2(2 * run.n_time_samples + 1))
+    _check_memory("n_time_samples", run.n_time_samples, log2_need)
+    return log2_need
 
 
 def _read_manifest(path: str, experiment: str) -> dict:

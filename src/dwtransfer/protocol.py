@@ -404,8 +404,10 @@ class _Amplitudes(_Path):
     @classmethod
     def footprint(cls, run) -> float:
         """log2 of the bytes of ``STATE_VECTORS`` + 3 N vectors of 2^N
-        amplitudes and, on the dense path, the peak of
-        ``Operator.components`` and ``_evolve_exact``.
+        amplitudes, among them the stage's start ``_trace_run`` holds on
+        top of the row ``propagate`` composes from and, under a ``flip``,
+        that row's copy in the chain's order; and, on the dense path, the
+        peak of ``Operator.components`` and ``_evolve_exact``.
 
         A payload occupies at most two components: the XY baseline's
         excitation sectors, of at most N states, or a transfer's two
@@ -490,15 +492,13 @@ class _Amplitudes(_Path):
 
     def propagate(self, start, h, ks, dt):
         """The rows at samples ``ks`` (at ``ks dt``) of the stage that
-        began at ``start``, and the last.  A Chebyshev series grows with
-        t, so each call composes from the row the last one reached
-        (``start`` after ``build``), first jumping to the sample before a
-        block of several; under a ``flip`` that row is kept reversed."""
+        began at ``start``, and the last.  A Chebyshev series grows with t,
+        so each call composes from the row the last reached (``start``
+        after ``build``; reversed under a ``flip``), first jumping to the
+        sample before a block past it, unless it is the stage's end alone."""
         flip = slice(None) if self.flip is None else self.flip
-        at, psi = self.reached
-        if not at:
-            psi = start[flip]
-        if ks.size > 1 and ks[0] - 1 > at:
+        at, psi = self.reached if self.reached[0] else (0, start[flip])
+        if at + 1 < ks[0] < self.run.n_time_samples:
             psi = evolve(psi, h, np.array([(ks[0] - 1 - at) * dt]),
                          self.propagator)[0]
             at = ks[0] - 1

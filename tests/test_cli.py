@@ -51,15 +51,6 @@ def run(args):
     return main([str(a) for a in args])
 
 
-def run_estimate(record) -> float:
-    """The bytes ``_check_footprint`` counts for ``record``: its path's
-    footprint, any Chebyshev table, the traces and the fixed term."""
-    path = protocol.path_class(record)
-    N, n = record.n_spins, record.n_time_samples
-    return (2 ** path.footprint(record) + 2 ** path.series_footprint(record)
-            + TRACE_VALUE_BYTES * (N + 3) * (2 * n + 1) + RUN_FIXED_BYTES)
-
-
 def child_env(**extra) -> dict:
     """This process's environment, with ``extra`` set, for a child
     process that imports the package from the source tested here."""
@@ -70,12 +61,15 @@ def child_env(**extra) -> dict:
 
 def child_peak_rss(body: str) -> int:
     """The peak RSS in bytes of a child process that imports the
-    package, then runs the statement ``body``."""
+    package, then runs the statement ``body``, at two BLAS threads:
+    ``RUN_FIXED_BYTES`` was measured at one and two, and BLAS's packing
+    buffers grow with the thread count."""
     script = ("import resource\n"
               "import dwtransfer.cli\n"
               f"{body}\n"
               "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
-    done = subprocess.run([sys.executable, "-c", script], env=child_env(),
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=child_env(OPENBLAS_NUM_THREADS="2"),
                           capture_output=True, text=True, timeout=60,
                           check=True)
     return 1024 * int(done.stdout.split()[-1])  # ru_maxrss is in KiB
@@ -962,40 +956,48 @@ class TestMemoryGuard:
         per_value = peak / ((5 + 3) * (2 * samples + 1))
         assert 8 < per_value < TRACE_VALUE_BYTES
 
-    @pytest.mark.parametrize("command, fields_, path", [
-        # the first dense run in a process, which also fills the caches
-        # a run keeps: its peak has read 0.568 MB against 0.532 MB of
-        # path and traces, which the fixed term covers
+    @pytest.mark.parametrize("command, fields_, path, fixed", [
+        # as the first run of a fresh process, which also imports the
+        # modules its first calls take, this one has peaked at 0.596 MB
+        # against 0.557 MB of path and traces: only the fixed term
+        # covers it.  Here those modules are loaded: 0.44 MB
         ("transfer", {"n_spins": 7, "j_coupling": 22.007 * 7 / 13,
-                      "state": GHZ, "n_time_samples": 20,
+                      "state": GHZ, "n_time_samples": 200,
                       "propagator": "exact-eigendecomposition"},
-         "_Amplitudes"),
+         "_Amplitudes", True),
         # one covariance per stack, as from N = 64 on
         ("transfer", {"n_spins": 81, "j_coupling": 22.007 * 81 / 13,
                       "state": {"alpha": 1.0, "beta": 0.0},
-                      "n_time_samples": 20}, "_Covariances"),
-        ("baseline", {"n_spins": 101}, "_XYWalls"),
+                      "n_time_samples": 20}, "_Covariances", False),
+        ("baseline", {"n_spins": 101}, "_XYWalls", False),
         ("transfer", {"n_spins": 12, "j_coupling": 22.007 * 12 / 13,
-                      "state": GHZ, "n_time_samples": 200}, "_Amplitudes"),
+                      "state": GHZ, "n_time_samples": 200}, "_Amplitudes",
+         False),
         ("transfer", {"n_spins": 11, "j_coupling": 22.007 * 11 / 13,
                       "state": GHZ, "n_time_samples": 200,
                       "propagator": "exact-eigendecomposition"},
-         "_Amplitudes"),
+         "_Amplitudes", False),
         ("baseline", {"n_spins": 13, "n_time_samples": 200,
                       "propagator": "exact-eigendecomposition"},
-         "_Amplitudes"),
+         "_Amplitudes", False),
     ])
     def test_measured_peak_stays_below_the_path_footprint(
-            self, request, tmp_path, command, fields_, path):
+            self, request, tmp_path, command, fields_, path, fixed):
         # the tracemalloc peak of a whole run through main(), writer
-        # included, against what the guard counts (``run_estimate``).
-        # tracemalloc does not see LAPACK's copy and workspace, three of
-        # the eight matrices the dense estimate counts at its eigh
+        # included, against what the guard counts: its path's footprint,
+        # any Chebyshev table, and the traces, and the fixed term only
+        # where ``fixed``.  Peak over the estimate less the fixed term
+        # read 0.78, 0.26, 0.76, 0.52 and 0.35 on the last five runs, in
+        # the order given.  tracemalloc does not see LAPACK's copy and
+        # workspace, three of the eight matrices the dense estimate
+        # counts at its eigh
         cfg = with_fields(request.getfixturevalue(f"{command}_manifest"),
                           tmp_path, **fields_)
         record = _load(COMMANDS[command][0], json.loads(Path(cfg).read_text()))
         assert protocol.path_class(record).__name__ == path
-        estimate = run_estimate(record)
+        estimate = 2 ** _check_footprint(record)
+        if not fixed:
+            estimate -= RUN_FIXED_BYTES
         tracemalloc.start()
         try:
             assert run([command, "--config", cfg,
@@ -1025,7 +1027,7 @@ class TestMemoryGuard:
         call = (f"assert dwtransfer.cli.main(['transfer', '--config', "
                 f"{cfg!r}, '--out', {str(tmp_path / 'o')!r}]) == 0")
         peaks = [child_peak_rss(body) for body in ("pass", call)]
-        assert peaks[1] - peaks[0] < run_estimate(record)
+        assert peaks[1] - peaks[0] < 2 ** _check_footprint(record)
 
     @pytest.mark.parametrize("n_spins", [10**9, 2**62])
     @pytest.mark.parametrize("command, fields_", [
